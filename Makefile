@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 lint bench chaos fuzz
+.PHONY: all build tier1 tier2 lint bench benchcheck chaos fuzz
 
 all: tier1
 
@@ -11,6 +11,12 @@ build:
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# The wire-to-verdict benchmark under bench/ is its own module, so
+# `go test ./...` at the root never compiles it: an API rename can pass
+# tier 1 and still break the benchmark. This vets and tests it (~3 s).
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Project-invariant static analysis (see DESIGN.md "Enforced invariants"
 # and "Type-aware lint"). Type-checks every package against gc export

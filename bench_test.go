@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/netip"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -403,19 +402,16 @@ func runEngineBench(b *testing.B, process func(Transaction) []Alert) {
 
 func BenchmarkShardedProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.NewSharded(detector.Config{RedirectThreshold: 3}, clf.forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.forest)
 	runEngineBench(b, eng.Process)
 }
 
+// BenchmarkSingleEngineProcess is the same engine with every client behind
+// one shard lock: the contended baseline BenchmarkShardedProcess spreads.
 func BenchmarkSingleEngineProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.forest)
-	var mu sync.Mutex
-	runEngineBench(b, func(tx Transaction) []Alert {
-		mu.Lock()
-		defer mu.Unlock()
-		return eng.Process(tx)
-	})
+	eng := detector.New(detector.Config{RedirectThreshold: 3, Shards: 1}, clf.forest)
+	runEngineBench(b, eng.Process)
 }
 
 // Incremental-classification benchmarks: the same 200-transaction watched
@@ -465,6 +461,7 @@ func chainTxsForBench(b *testing.B) []Transaction {
 func benchClassifyChain(b *testing.B, cfg detector.Config) {
 	clf := classifierForBench(b)
 	txs := chainTxsForBench(b)
+	cfg.Shards = 1 // one client, one chain: a second shard would only idle
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st detector.Stats

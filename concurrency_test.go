@@ -1,9 +1,15 @@
 package dynaminer
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
+
+	"dynaminer/internal/obs"
+	"dynaminer/internal/pcap"
 )
 
 // TestMonitorConcurrentClientsMatchSerial drives one Monitor from many
@@ -69,5 +75,81 @@ func TestMonitorConcurrentClientsMatchSerial(t *testing.T) {
 	}
 	if st := concurrent.Stats(); st.Transactions != total {
 		t.Fatalf("stats saw %d transactions, want %d", st.Transactions, total)
+	}
+}
+
+// TestShardCountNeverChangesVerdicts is the standing N-shards ≡ 1-shard
+// oracle over the whole wire path: one multi-client capture goes through
+// Monitor.ProcessPCAP — reassembly, HTTP extraction, slab ingestion, a
+// trained classifier, the journal — at several shard counts, and
+// everything except the shard-strided cluster IDs must come out the same.
+func TestShardCountNeverChangesVerdicts(t *testing.T) {
+	eps, clf := obsFixture(t)
+	var convs []pcap.Conversation
+	for i := range eps {
+		ep := eps[i]
+		ep.Txs = append([]Transaction(nil), ep.Txs...) // the fixture is shared
+		addr := netip.AddrFrom4([4]byte{10, 41, byte(i / 200), byte(1 + i%200)})
+		for j := range ep.Txs {
+			ep.Txs[j].ClientIP = addr
+		}
+		convs = append(convs, ep.Conversations()...)
+	}
+	var capture bytes.Buffer
+	if err := pcap.WriteConversations(&capture, convs); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		perClient map[string][]string
+		counters  [5]int
+		records   int
+	}
+	run := func(shards int) outcome {
+		var journal bytes.Buffer
+		m := NewMonitor(MonitorConfig{
+			RedirectThreshold: 1,
+			Shards:            shards,
+			Journal:           obs.NewJournalWriter(&journal),
+		}, clf)
+		alerts, err := m.ProcessPCAP(bytes.NewReader(capture.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{perClient: make(map[string][]string)}
+		for _, a := range alerts {
+			a.ClusterID = 0 // strided per shard, so layout-dependent
+			data, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.perClient[a.Client.String()] = append(out.perClient[a.Client.String()], string(data))
+		}
+		st := m.Stats()
+		out.counters = [5]int{st.Transactions, st.Weeded, st.CluesFired, st.Classifications, st.Alerts}
+		recs, err := ReadJournal(&journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.records = len(recs)
+		return out
+	}
+
+	want := run(1)
+	if len(want.perClient) < 2 || want.records == 0 {
+		t.Fatalf("one-shard run alerted %d clients with %d journal records; the oracle is vacuous",
+			len(want.perClient), want.records)
+	}
+	for _, shards := range []int{2, 5} {
+		got := run(shards)
+		if !reflect.DeepEqual(got.perClient, want.perClient) {
+			t.Errorf("%d shards: per-client alerts differ from one shard:\n got %v\nwant %v", shards, got.perClient, want.perClient)
+		}
+		if got.counters != want.counters {
+			t.Errorf("%d shards: transactions/weeded/clues/classifications/alerts = %v, one shard = %v", shards, got.counters, want.counters)
+		}
+		if got.records != want.records {
+			t.Errorf("%d shards: %d journal records, one shard wrote %d", shards, got.records, want.records)
+		}
 	}
 }

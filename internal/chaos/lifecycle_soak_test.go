@@ -89,7 +89,7 @@ func TestLifecycleSoak(t *testing.T) {
 	journal := obs.NewJournalWriterWith(flaky, obs.JournalConfig{FsyncEvery: 1})
 	soakCfg := cfg
 	soakCfg.Journal = journal
-	eng := detector.NewSharded(soakCfg, modelA)
+	eng := detector.New(soakCfg, modelA)
 
 	loader := NewFlakyLoader(9, func() (detector.Scorer, error) {
 		return ml.LoadModelFile(pathB)
@@ -211,7 +211,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	cfg := detector.Config{RedirectThreshold: 1, ScoreThreshold: 0.05, Shards: 4}
 	model := trainSoakForest(t, 103)
 
-	uninterrupted := detector.NewSharded(cfg, model)
+	uninterrupted := detector.New(cfg, model)
 	uninterrupted.ProcessAll(stream[:mid])
 	wantTail := uninterrupted.ProcessAll(stream[mid:])
 	if len(wantTail) == 0 {
@@ -219,7 +219,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	}
 
 	// The doomed process: runs to the checkpoint, checkpoints, dies.
-	doomed := detector.NewSharded(cfg, model)
+	doomed := detector.New(cfg, model)
 	doomed.ProcessAll(stream[:mid])
 	ckptPath := filepath.Join(t.TempDir(), "state.dmcp")
 	if err := doomed.WriteCheckpointFile(ckptPath); err != nil {
@@ -233,11 +233,11 @@ func TestCrashRecoverySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := detector.NewSharded(cfg, model).RestoreCheckpoint(CorruptBlob(11, data)); err == nil {
+	if _, err := detector.New(cfg, model).RestoreCheckpoint(CorruptBlob(11, data)); err == nil {
 		t.Fatal("corrupted checkpoint restored")
 	}
 
-	restored := detector.NewSharded(cfg, model)
+	restored := detector.New(cfg, model)
 	if _, err := restored.RestoreCheckpointFile(ckptPath); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestMidWindowCrashRecovery(t *testing.T) {
 	var sink bytes.Buffer
 	jcfg := cfg
 	jcfg.Journal = obs.NewJournalWriter(&sink)
-	doomed := detector.NewSharded(jcfg, model)
+	doomed := detector.New(jcfg, model)
 	headAlerts := len(doomed.ProcessAll(stream[:mid]))
 	ckpt := doomed.AppendCheckpoint(nil)
 	windowAlerts := len(doomed.ProcessAll(stream[mid:window])) // journaled but not checkpointed
@@ -286,7 +286,7 @@ func TestMidWindowCrashRecovery(t *testing.T) {
 	// Restart: restore the checkpoint, then replay the journal so alerts
 	// raised after the checkpoint was cut are marked and not re-fired by
 	// the next non-download growth.
-	restored := detector.NewSharded(cfg, model)
+	restored := detector.New(cfg, model)
 	if _, err := restored.RestoreCheckpoint(ckpt); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestChaosSoak(t *testing.T) {
 	base := constScorer(0.9)
 
 	// Baseline: a healthy engine over the pristine stream.
-	baseline := detector.NewSharded(cfg, base)
+	baseline := detector.New(cfg, base)
 	baseAlerts := baseline.ProcessAll(stream)
 	if len(baseAlerts) == 0 {
 		t.Fatal("baseline produced no alerts; the replay comparison covers nothing")
@@ -57,7 +57,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// Property 3: with every fault rate at zero, the chaos wrappers are
 	// transparent and the replay is bit-identical.
-	replay := detector.NewSharded(cfg, NewScorer(1, base, 0, 0))
+	replay := detector.New(cfg, NewScorer(1, base, 0, 0))
 	if got := replay.ProcessAll(stream); !reflect.DeepEqual(got, baseAlerts) {
 		t.Fatalf("fault-free replay diverged: %d alerts vs %d baseline", len(got), len(baseAlerts))
 	}
@@ -72,7 +72,7 @@ func TestChaosSoak(t *testing.T) {
 	journal := obs.NewJournalWriter(flaky)
 	faultyCfg := cfg
 	faultyCfg.Journal = journal
-	eng := detector.NewSharded(faultyCfg, scorer)
+	eng := detector.New(faultyCfg, scorer)
 	faultyAlerts := 0
 	for _, tx := range damaged {
 		faultyAlerts += len(eng.Process(tx)) // property 1: must not crash

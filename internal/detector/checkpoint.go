@@ -15,8 +15,8 @@ import (
 	"dynaminer/internal/httpstream"
 )
 
-// The DMCP checkpoint artifact ("DynaMiner CheckPoint") captures a
-// ShardedEngine's in-flight state — every session cluster's transaction
+// The DMCP checkpoint artifact ("DynaMiner CheckPoint") captures an
+// Engine's in-flight state — every session cluster's transaction
 // history plus the flags replay cannot reproduce — so a restarted process
 // rebuilds its watches instead of going blind until clients re-offend.
 // The layout follows the DMFB model blob's conventions: little-endian,
@@ -64,20 +64,20 @@ func IsCheckpoint(prefix []byte) bool {
 // is a sequence of per-shard consistent cuts, which the recovery
 // contract only needs per-cluster consistency for (clients never span
 // shards).
-func (s *ShardedEngine) AppendCheckpoint(dst []byte) []byte {
+func (e *Engine) AppendCheckpoint(dst []byte) []byte {
 	base := len(dst)
 	dst = append(dst, checkpointMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, checkpointVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC patched below
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // reserved
 
-	v := s.ModelVersion()
+	v := e.ModelVersion()
 	dst = binary.LittleEndian.AppendUint64(dst, v.Gen)
 	dst = binary.LittleEndian.AppendUint32(dst, v.CRC)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.shards)))
-	for _, sh := range s.shards {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.shards)))
+	for _, sh := range e.shards {
 		sh.mu.Lock()
-		dst = sh.eng.appendShardState(dst)
+		dst = sh.st.appendShardState(dst)
 		sh.mu.Unlock()
 	}
 	crc := crc32.ChecksumIEEE(dst[base+checkpointHdrLen:])
@@ -87,10 +87,10 @@ func (s *ShardedEngine) AppendCheckpoint(dst []byte) []byte {
 
 // appendShardState serializes one engine shard; the caller holds the
 // shard lock.
-func (e *Engine) appendShardState(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.txSeen))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.clusters)))
-	for _, c := range e.clusters {
+func (s *shardState) appendShardState(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.txSeen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.clusters)))
+	for _, c := range s.clusters {
 		dst = appendClusterState(dst, c)
 	}
 	return dst
@@ -522,7 +522,7 @@ func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
 // count the checkpoint was taken with; on any validation error the
 // engine is left untouched or partially restored — callers treat a
 // failed restore as a cold start.
-func (s *ShardedEngine) RestoreCheckpoint(data []byte) (restored int, err error) {
+func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 	r, err := checkpointBody(data)
 	if err != nil {
 		return 0, err
@@ -537,8 +537,8 @@ func (s *ShardedEngine) RestoreCheckpoint(data []byte) (restored int, err error)
 	if err != nil {
 		return 0, err
 	}
-	if int(shards) != len(s.shards) {
-		return 0, fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (cluster IDs would not line up)", shards, len(s.shards))
+	if int(shards) != len(e.shards) {
+		return 0, fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (cluster IDs would not line up)", shards, len(e.shards))
 	}
 	for si := uint32(0); si < shards; si++ {
 		txSeen, err := r.u64()
@@ -549,9 +549,9 @@ func (s *ShardedEngine) RestoreCheckpoint(data []byte) (restored int, err error)
 		if err != nil {
 			return restored, err
 		}
-		sh := s.shards[si]
+		sh := e.shards[si]
 		sh.mu.Lock()
-		if len(sh.eng.clusters) != 0 {
+		if len(sh.st.clusters) != 0 {
 			sh.mu.Unlock()
 			return restored, fmt.Errorf("detector: checkpoint: shard %d is not empty (restore requires a fresh engine)", si)
 		}
@@ -561,10 +561,10 @@ func (s *ShardedEngine) RestoreCheckpoint(data []byte) (restored int, err error)
 				sh.mu.Unlock()
 				return restored, err
 			}
-			sh.eng.restoreCluster(cs)
+			sh.st.restoreCluster(cs)
 			restored++
 		}
-		sh.eng.txSeen = int64(txSeen)
+		sh.st.txSeen = int64(txSeen)
 		sh.mu.Unlock()
 	}
 	if r.off != len(r.b) {
@@ -580,7 +580,7 @@ func (s *ShardedEngine) RestoreCheckpoint(data []byte) (restored int, err error)
 // classification, shedding and the activity counters stay quiet. The
 // snapshot's irreproducible flags are applied afterwards. The caller
 // holds the shard lock.
-func (e *Engine) restoreCluster(cs *clusterSnapshot) {
+func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 	c := &cluster{
 		id:       cs.id,
 		client:   cs.client,
@@ -588,19 +588,19 @@ func (e *Engine) restoreCluster(cs *clusterSnapshot) {
 		sessions: make(map[string]struct{}),
 		hostLast: make(map[string]time.Time),
 	}
-	e.clusters = append(e.clusters, c)
-	e.byClient[cs.client] = append(e.byClient[cs.client], c)
-	e.mx.clusters.Inc()
+	s.clusters = append(s.clusters, c)
+	s.byClient[cs.client] = append(s.byClient[cs.client], c)
+	s.mx.clusters.Inc()
 
-	e.restoring = true
-	defer func() { e.restoring = false }()
+	s.restoring = true
+	defer func() { s.restoring = false }()
 	for i := range cs.txs {
 		tx := cs.txs[i]
 		host := strings.ToLower(tx.Host)
 		if host == "" {
 			host = tx.ServerIP.String()
 		}
-		e.processInCluster(c, tx, host)
+		s.processInCluster(c, tx, host)
 	}
 
 	// Reconcile with the snapshot: a watch the original engine closed (a
@@ -608,7 +608,7 @@ func (e *Engine) restoreCluster(cs *clusterSnapshot) {
 	// here too, preserving its WCG in the closed list exactly as the shed
 	// did.
 	if c.watching && !cs.watching {
-		e.closeWatch(c)
+		s.closeWatch(c)
 	}
 	c.alerted = cs.alerted
 	c.faults = cs.faults
@@ -622,7 +622,7 @@ func (e *Engine) restoreCluster(cs *clusterSnapshot) {
 	if c.watching {
 		// Re-pin by blob CRC: generations restarted with the process, but
 		// the same forest bytes mean bit-identical scoring.
-		c.pinned = e.models.matchPinned(cs.pin.CRC)
+		c.pinned = s.models.matchPinned(cs.pin.CRC)
 	}
 }
 
@@ -630,11 +630,11 @@ func (e *Engine) restoreCluster(cs *clusterSnapshot) {
 // whether it was found. Recovery uses this while replaying the alert
 // journal: an alert the pre-crash process already raised must not fire
 // again from the restored watch's next growth.
-func (s *ShardedEngine) MarkAlerted(client netip.Addr, clusterID int) bool {
-	sh := s.shardFor(client)
+func (e *Engine) MarkAlerted(client netip.Addr, clusterID int) bool {
+	sh := e.shardFor(client)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, c := range sh.eng.byClient[client] {
+	for _, c := range sh.st.byClient[client] {
 		if c.id == clusterID {
 			c.alerted = true
 			return true
@@ -647,18 +647,18 @@ func (s *ShardedEngine) MarkAlerted(client netip.Addr, clusterID int) bool {
 // the artifact is staged in a temp file in the same directory, fsynced,
 // and renamed into place, so a crash mid-write leaves the previous
 // checkpoint intact — a reader never observes a torn DMCP file.
-func (s *ShardedEngine) WriteCheckpointFile(path string) error {
-	return writeFileAtomic(path, s.AppendCheckpoint(nil))
+func (e *Engine) WriteCheckpointFile(path string) error {
+	return writeFileAtomic(path, e.AppendCheckpoint(nil))
 }
 
 // RestoreCheckpointFile restores the engine from a DMCP file; see
 // RestoreCheckpoint.
-func (s *ShardedEngine) RestoreCheckpointFile(path string) (int, error) {
+func (e *Engine) RestoreCheckpointFile(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("detector: checkpoint: %w", err)
 	}
-	return s.RestoreCheckpoint(data)
+	return e.RestoreCheckpoint(data)
 }
 
 // ReadCheckpointInfoFile validates and summarizes a DMCP file.

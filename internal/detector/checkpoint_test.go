@@ -55,8 +55,8 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	cfg := Config{Shards: 2, RedirectThreshold: 3, ScoreThreshold: 0.05}
 	model := trainDimForest(t, 37, 31)
 
-	uninterrupted := NewSharded(cfg, model)
-	crashed := NewSharded(cfg, model)
+	uninterrupted := New(cfg, model)
+	crashed := New(cfg, model)
 
 	head := interleaved(infectionStream()) // arms one watch per client
 	var headUn, headCr []Alert
@@ -84,7 +84,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	}
 
 	// "Restart": a fresh engine with the same config and model.
-	restored := NewSharded(cfg, model)
+	restored := New(cfg, model)
 	n, err := restored.RestoreCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +140,8 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	// transaction offset.
 	var wantSeen, gotSeen int64
 	for i := range uninterrupted.shards {
-		wantSeen += uninterrupted.shards[i].eng.txSeen
-		gotSeen += restored.shards[i].eng.txSeen
+		wantSeen += uninterrupted.shards[i].st.txSeen
+		gotSeen += restored.shards[i].st.txSeen
 	}
 	if gotSeen != wantSeen {
 		t.Fatalf("restored txSeen = %d, want %d", gotSeen, wantSeen)
@@ -152,7 +152,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 // info reader on disk.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	cfg := Config{Shards: 1, RedirectThreshold: 3}
-	s := NewSharded(cfg, constScorer(0.9))
+	s := New(cfg, constScorer(0.9))
 	s.ProcessAll(infectionStream())
 
 	path := filepath.Join(t.TempDir(), "state.dmcp")
@@ -167,7 +167,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("info %+v", info)
 	}
 
-	restored := NewSharded(cfg, constScorer(0.9))
+	restored := New(cfg, constScorer(0.9))
 	if n, err := restored.RestoreCheckpointFile(path); err != nil || n != 1 {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
@@ -183,11 +183,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 // truncation, bad magic, and a shard-count mismatch are all rejected with
 // named errors before any cluster is restored.
 func TestCheckpointRejectsDamage(t *testing.T) {
-	s := NewSharded(Config{Shards: 2, RedirectThreshold: 3}, constScorer(0.9))
+	s := New(Config{Shards: 2, RedirectThreshold: 3}, constScorer(0.9))
 	s.ProcessAll(interleaved(infectionStream()))
 	data := s.AppendCheckpoint(nil)
 
-	fresh := func() *ShardedEngine { return NewSharded(Config{Shards: 2, RedirectThreshold: 3}, constScorer(0.9)) }
+	fresh := func() *Engine { return New(Config{Shards: 2, RedirectThreshold: 3}, constScorer(0.9)) }
 
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)-3] ^= 0x01
@@ -200,7 +200,7 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 	if _, err := fresh().RestoreCheckpoint([]byte("DMFB----------------")); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
-	if _, err := NewSharded(Config{Shards: 3}, constScorer(0.9)).RestoreCheckpoint(data); err == nil {
+	if _, err := New(Config{Shards: 3}, constScorer(0.9)).RestoreCheckpoint(data); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
 	// A non-empty engine must refuse to restore (cluster IDs would collide).
@@ -220,7 +220,7 @@ func TestMarkAlertedDedup(t *testing.T) {
 	// first growth would fire the alert the pre-crash process already
 	// journaled.
 	cfg := Config{Shards: 1, RedirectThreshold: 3}
-	cold := NewSharded(cfg, constScorer(0.4))
+	cold := New(cfg, constScorer(0.4))
 	cold.ProcessAll(infectionStream())
 	if cold.Stats().Alerts != 0 {
 		t.Fatal("setup: watch must arm without alerting")
@@ -232,7 +232,7 @@ func TestMarkAlertedDedup(t *testing.T) {
 	// Control: restored without the journal mark, the growth alerts (the
 	// const scorer's CRC matches the serving model, so the pin re-attaches
 	// to the hot scorer).
-	control := NewSharded(cfg, constScorer(0.9))
+	control := New(cfg, constScorer(0.9))
 	if _, err := control.RestoreCheckpoint(data); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMarkAlertedDedup(t *testing.T) {
 
 	// Recovery path: MarkAlerted from the replayed journal suppresses the
 	// duplicate.
-	recovered := NewSharded(cfg, constScorer(0.9))
+	recovered := New(cfg, constScorer(0.9))
 	if _, err := recovered.RestoreCheckpoint(data); err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,13 @@ import (
 	"dynaminer/internal/features"
 	"dynaminer/internal/graph"
 	"dynaminer/internal/httpstream"
-	"dynaminer/internal/ml"
 	"dynaminer/internal/obs"
 	"dynaminer/internal/wcg"
 )
 
 // Scorer produces the infection probability of a feature vector. The ERF
 // classifier satisfies it in both representations (*ml.Forest and
-// *ml.FlatForest); New upgrades the former to the latter.
+// *ml.FlatForest); the engine upgrades the former to the latter.
 type Scorer interface {
 	Score(x []float64) float64
 }
@@ -67,9 +66,8 @@ type Config struct {
 	// ClusterTTL evicts session clusters idle longer than this, bounding
 	// memory on long-running deployments. Zero selects 1 hour.
 	ClusterTTL time.Duration
-	// Shards is the number of independent engine shards a ShardedEngine
-	// routes clients across. Zero selects runtime.GOMAXPROCS(0). A plain
-	// Engine ignores it.
+	// Shards is the number of independently locked shards the engine
+	// routes clients across. Zero selects runtime.GOMAXPROCS(0).
 	Shards int
 	// DisableIncremental forces every classification onto the from-scratch
 	// path: rebuild the watched WCG with FromTransactions and re-extract
@@ -84,8 +82,8 @@ type Config struct {
 	// Stats.Degraded. Zero disables degradation, keeping every update
 	// classified.
 	MaxClassifyLatency time.Duration
-	// MaxWatched caps how many potential-infection WCGs one engine (one
-	// shard of a ShardedEngine) watches concurrently. When a new clue
+	// MaxWatched caps how many potential-infection WCGs one engine shard
+	// watches concurrently. When a new clue
 	// would exceed the cap, the largest existing watches are shed
 	// (closed early, counted in Stats.Shed) so a burst of clue-triggering
 	// traffic degrades gracefully instead of pinning the classify budget.
@@ -97,7 +95,7 @@ type Config struct {
 	Now func() time.Time
 	// Metrics selects the observability registry the engine's counters,
 	// the watched gauge and the classify/score latency histograms are
-	// registered on (shards of one ShardedEngine share it). nil keeps a
+	// registered on (every shard shares it). nil keeps a
 	// private registry: the Stats view still works, nothing is exported,
 	// and no timing instrumentation (clock reads) is enabled.
 	Metrics *obs.Registry
@@ -110,9 +108,8 @@ type Config struct {
 	// detector.process → detector.classify → features.incremental or
 	// features.rebuild → ml.score → journal.write — with shard,
 	// quarantine and degraded attribution on the spans, sampled and
-	// promoted per the tracer's config. Shards of a ShardedEngine share
-	// it. nil disables tracing entirely (the hot path pays one nil
-	// check).
+	// promoted per the tracer's config. Every shard shares it. nil
+	// disables tracing entirely (the hot path pays one nil check).
 	Tracer *obs.Tracer
 }
 
@@ -342,26 +339,26 @@ type cluster struct {
 	faults int
 }
 
-// Engine is the streaming detector. It is not safe for concurrent use; run
-// one Engine per capture point, serialize access, or use a ShardedEngine,
-// which partitions clients across independently locked Engines.
-type Engine struct {
+// shardState is one shard's detector: the session clusters of the clients
+// routed to it and the single-threaded pipeline that grows and classifies
+// them. It is not safe for concurrent use — Engine serializes every access
+// behind the owning shard's mutex.
+type shardState struct {
 	cfg Config
-	// models holds the serving scorer behind an atomic pointer tagged with
-	// a ModelVersion; shards of a ShardedEngine share one holder, so a
-	// hot-swap reaches every shard's next watch arming at once.
+	// models is the engine-wide holder of the serving scorer; a hot-swap
+	// reaches every shard's next watch arming at once.
 	models   *modelHolder
 	clusters []*cluster
 	byClient map[netip.Addr][]*cluster
-	// mx backs every Stats counter with registry cells; Stats() is a
+	// mx backs every Stats counter with registry cells; stats() is a
 	// bridged view over it.
 	mx      *engineMetrics
 	journal *obs.Journal
-	// idBase/idStep parameterize cluster ID allocation so the shards of a
-	// ShardedEngine never collide: shard i of n allocates i, i+n, i+2n, ...
+	// idBase/idStep parameterize cluster ID allocation so shards never
+	// collide: shard i of n allocates i, i+n, i+2n, ...
 	idBase, idStep int
 	// scratch is the graph workspace shared by every cluster's feature
-	// cache (safe: the engine is serialized); fvec is the reusable
+	// cache (safe: the shard is serialized); fvec is the reusable
 	// classification vector and subset the reusable rebuild slab
 	// (wcg.FromTransactions copies its input, so reuse is safe).
 	scratch *graph.Scratch
@@ -369,19 +366,19 @@ type Engine struct {
 	subset  []httpstream.Transaction
 	// rebuild is the reusable feature cache for the from-scratch classify
 	// fallback: Reset against each rebuilt WCG, it derives the vector with
-	// the engine's shared scratch instead of allocating fresh featurization
-	// state per rebuild. Bit-identical to features.Extract by the Reset
+	// the shard's scratch instead of allocating fresh featurization state
+	// per rebuild. Bit-identical to features.Extract by the Reset
 	// contract.
 	rebuild features.Cache
 	// now and classifyEWMA drive overload detection: an exponentially
 	// weighted average of classify wall time, compared against
 	// Config.MaxClassifyLatency. timed enables the clock reads: set when
-	// either MaxClassifyLatency (degradation) or Metrics (latency
-	// histograms) asks for them.
+	// MaxClassifyLatency (degradation), Metrics (latency histograms) or
+	// Tracer (span stamps) asks for them.
 	now          func() time.Time
 	timed        bool
 	classifyEWMA time.Duration
-	// txSeen counts transactions this engine ingested, driving the inline
+	// txSeen counts transactions this shard ingested, driving the inline
 	// eviction cadence. Unlike the metrics cell it is checkpointed and
 	// restored, so a recovered engine sweeps at the same transaction
 	// offsets as an uninterrupted run — a prerequisite for bit-identical
@@ -392,47 +389,37 @@ type Engine struct {
 	// through the structural pipeline (see restoreCluster).
 	restoring bool
 	// tracer and stg drive pipeline tracing; at/atRoot carry the current
-	// transaction's trace through the call tree (the engine is
-	// serialized, so a field is safe and keeps every signature intact).
-	// at is nil when tracing is off — every span call is nil-receiver
-	// safe, so untraced engines pay one predictable branch.
+	// transaction's trace through the call tree (the shard is serialized,
+	// so a field is safe and keeps every signature intact). at is nil
+	// outside shard.process and when tracing is off — every span call is
+	// nil-receiver safe, so untraced engines pay one predictable branch.
 	tracer *obs.Tracer
 	stg    engineStages
 	at     *obs.ActiveTrace
 	atRoot int
-	// ownAT is the engine's reusable trace recorder: engines are
-	// serialized, so one embedded recorder per engine replaces the
-	// tracer pool's Get/Put on every transaction (commit copies kept
-	// trees out, so reuse is safe).
+	// ownAT is the shard's reusable trace recorder: one embedded recorder
+	// per shard replaces the tracer pool's Get/Put on every transaction
+	// (commit copies kept trees out, so reuse is safe).
 	ownAT obs.ActiveTrace
 }
 
-// New returns an Engine using the given trained model. A pointer-tree
-// *ml.Forest is upgraded to its flattened struct-of-arrays form here,
-// once, so every classification traverses the contiguous slabs instead of
-// chasing node pointers; the flat representation scores bit-identically
-// (pinned by ml's differential tests), so the upgrade changes latency,
-// never verdicts.
-func New(cfg Config, model Scorer) *Engine {
-	if f, ok := model.(*ml.Forest); ok && f != nil {
-		model = f.Flatten()
-	}
-	cfg = cfg.withDefaults()
+// newShardState builds shard idBase of idStep over the engine's registry
+// and model holder. cfg already carries its defaults. Clock reads follow
+// cfg.Metrics, not reg: the engine's private default registry exports
+// nothing, so it turns no timing on.
+func newShardState(cfg Config, reg *obs.Registry, models *modelHolder, idBase, idStep int) *shardState {
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	mx := newEngineMetrics(cfg.Metrics)
-	if cfg.Journal != nil {
-		cfg.Journal.PublishMetrics(mx.reg)
-	}
-	e := &Engine{
+	s := &shardState{
 		cfg:      cfg,
-		models:   newModelHolder(mx.reg, model),
+		models:   models,
 		byClient: make(map[netip.Addr][]*cluster),
-		mx:       mx,
+		mx:       newEngineMetrics(reg),
 		journal:  cfg.Journal,
-		idStep:   1,
+		idBase:   idBase,
+		idStep:   idStep,
 		scratch:  graph.NewScratch(),
 		now:      now,
 		timed:    cfg.MaxClassifyLatency > 0 || cfg.Metrics != nil || cfg.Tracer != nil,
@@ -440,86 +427,40 @@ func New(cfg Config, model Scorer) *Engine {
 		atRoot:   -1,
 	}
 	if cfg.Tracer != nil {
-		e.stg = newEngineStages(cfg.Tracer)
+		s.stg = newEngineStages(cfg.Tracer)
 	}
-	return e
+	return s
 }
 
-// ModelVersion returns the serving model's version.
-func (e *Engine) ModelVersion() ModelVersion { return e.models.current().version }
-
-// SwapModel validates candidate and atomically replaces the serving
-// model: watches armed before the swap keep scoring through their pinned
-// version, watches armed after it pick up the new one. A rejected
-// candidate (nil, wrong feature dimensionality) leaves serving untouched.
-// A pointer-tree *ml.Forest is flattened first, exactly as in New.
-func (e *Engine) SwapModel(candidate Scorer) (ModelVersion, error) {
-	if f, ok := candidate.(*ml.Forest); ok && f != nil {
-		candidate = f.Flatten()
-	}
-	return e.models.swap(candidate)
-}
-
-// ReloadModel loads a candidate through load and swaps it in; any load
-// error, loader panic, or failed validation is counted as a reload
-// failure and leaves the serving model untouched.
-func (e *Engine) ReloadModel(load func() (Scorer, error)) (ModelVersion, error) {
-	return e.models.reload(load)
-}
-
-// ReloadModelFile reads a model file (DMFB blob or JSON, sniffed) through
-// the full semantic screens and hot-swaps it in.
-func (e *Engine) ReloadModelFile(path string) (ModelVersion, error) {
-	return e.models.reload(func() (Scorer, error) {
-		ff, err := ml.LoadModelFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return ff, nil
-	})
-}
-
-// RollbackModel reinstates the previous model under its original version.
-func (e *Engine) RollbackModel() (ModelVersion, error) { return e.models.rollback() }
-
-// Stats returns a snapshot of engine counters — a bridged view over this
-// engine's registry cells, so the numbers here and on /metrics are the
-// same counters read two ways.
-func (e *Engine) Stats() Stats {
+// stats returns a snapshot of this shard's counters — a bridged view over
+// its registry cells, so the numbers here and on /metrics are the same
+// counters read two ways.
+func (s *shardState) stats() Stats {
 	return Stats{
-		Transactions:    int(e.mx.transactions.Value()),
-		Weeded:          int(e.mx.weeded.Value()),
-		Clusters:        int(e.mx.clusters.Value()),
-		Evicted:         int(e.mx.evicted.Value()),
-		CluesFired:      int(e.mx.cluesFired.Value()),
-		Classifications: int(e.mx.classifications.Value()),
-		Alerts:          int(e.mx.alerts.Value()),
-		Dropped:         int(e.mx.dropped.Value()),
-		Rebuilds:        int(e.mx.rebuilds.Value()),
-		Panics:          int(e.mx.panics.Value()),
-		Quarantined:     int(e.mx.quarantined.Value()),
-		Degraded:        int(e.mx.degraded.Value()),
-		Shed:            int(e.mx.shed.Value()),
+		Transactions:    int(s.mx.transactions.Value()),
+		Weeded:          int(s.mx.weeded.Value()),
+		Clusters:        int(s.mx.clusters.Value()),
+		Evicted:         int(s.mx.evicted.Value()),
+		CluesFired:      int(s.mx.cluesFired.Value()),
+		Classifications: int(s.mx.classifications.Value()),
+		Alerts:          int(s.mx.alerts.Value()),
+		Dropped:         int(s.mx.dropped.Value()),
+		Rebuilds:        int(s.mx.rebuilds.Value()),
+		Panics:          int(s.mx.panics.Value()),
+		Quarantined:     int(s.mx.quarantined.Value()),
+		Degraded:        int(s.mx.degraded.Value()),
+		Shed:            int(s.mx.shed.Value()),
 	}
 }
 
-// Registry returns the observability registry this engine's metrics live
-// on (the one from Config.Metrics, or the engine's private registry).
-func (e *Engine) Registry() *obs.Registry { return e.mx.reg }
-
-// Health reports the engine's readiness conditions for the /healthz
-// endpoint: Degraded when the classify-latency EWMA is over budget,
-// Quarantined while any cluster carries a quarantine strike, Shedding
-// when the watch cap is saturated, plus the serving model generation.
-// Like every other Engine method it requires external serialization;
-// ShardedEngine.Health takes the shard locks.
-func (e *Engine) Health() obs.HealthStatus {
-	st := obs.HealthStatus{
-		Degraded:     e.overBudget(),
-		ModelVersion: e.models.current().version.String(),
-	}
+// health reports this shard's readiness conditions: Degraded when the
+// classify-latency EWMA is over budget, Quarantined while any cluster
+// carries a quarantine strike, Shedding when the watch cap is saturated.
+// (The model version is engine-wide; Engine.Health fills it in.)
+func (s *shardState) health() obs.HealthStatus {
+	st := obs.HealthStatus{Degraded: s.overBudget()}
 	watching := 0
-	for _, c := range e.clusters {
+	for _, c := range s.clusters {
 		if c.faults > 0 {
 			st.Quarantined = true
 		}
@@ -527,13 +468,13 @@ func (e *Engine) Health() obs.HealthStatus {
 			watching++
 		}
 	}
-	st.Shedding = e.cfg.MaxWatched > 0 && watching >= e.cfg.MaxWatched
+	st.Shedding = s.cfg.MaxWatched > 0 && watching >= s.cfg.MaxWatched
 	return st
 }
 
 // trusted reports whether the host matches the weed-out list.
-func (e *Engine) trusted(host string) bool {
-	for _, suffix := range e.cfg.TrustedVendors {
+func (s *shardState) trusted(host string) bool {
+	for _, suffix := range s.cfg.TrustedVendors {
 		if host == suffix || strings.HasSuffix(host, "."+suffix) {
 			return true
 		}
@@ -541,81 +482,47 @@ func (e *Engine) trusted(host string) bool {
 	return false
 }
 
-// Process ingests one transaction and returns any alerts it triggers.
-// A panic raised while processing — a poisoned cluster state, a faulty
-// scorer — is recovered here and converted into quarantine of the
-// offending session cluster (see quarantine), so one hostile client
-// cannot take the engine down.
-func (e *Engine) Process(tx httpstream.Transaction) []Alert {
-	return e.ProcessTraced(tx, nil)
-}
-
-// ProcessTraced is Process with an ambient trace. When at is non-nil
-// (the proxy threading its request trace through), the engine's spans
-// nest under the caller's; when at is nil and a Tracer is configured,
-// the engine begins and finishes its own per-transaction trace. An
-// alert-raising transaction promotes its trace to always-keep, and the
-// journaled record's TraceID resolves back to the tree.
-func (e *Engine) ProcessTraced(tx httpstream.Transaction, at *obs.ActiveTrace) []Alert {
-	owned := false
-	if at == nil && e.tracer != nil && !e.restoring {
-		at = e.tracer.BeginIn(&e.ownAT)
-		owned = true
-	}
-	root := at.StartSpan(e.stg.process)
-	at.SetArg(root, int32(e.idBase)) // shard attribution
-	e.at, e.atRoot = at, root
-	alerts := e.process(tx)
-	if len(alerts) > 0 {
-		at.MarkAlert()
-	}
-	at.EndSpan(root)
-	e.at, e.atRoot = nil, -1
-	if owned {
-		e.tracer.FinishIn(at)
-	}
-	return alerts
-}
-
-// process is the untraced body of Process.
-func (e *Engine) process(tx httpstream.Transaction) []Alert {
-	e.mx.transactions.Inc()
-	e.txSeen++
-	if e.txSeen%evictEvery == 0 {
-		e.EvictIdle(tx.ReqTime.Add(-e.cfg.ClusterTTL))
+// process runs one transaction through the shard's pipeline: eviction
+// cadence, trusted-vendor weed-out, cluster assignment, then the guarded
+// per-cluster stage. shard.process is its only live caller.
+func (s *shardState) process(tx httpstream.Transaction) []Alert {
+	s.mx.transactions.Inc()
+	s.txSeen++
+	if s.txSeen%evictEvery == 0 {
+		s.evictIdle(tx.ReqTime.Add(-s.cfg.ClusterTTL))
 	}
 	host := strings.ToLower(tx.Host)
 	if host == "" {
 		host = tx.ServerIP.String()
 	}
-	if e.trusted(host) {
-		e.mx.weeded.Inc()
+	if s.trusted(host) {
+		s.mx.weeded.Inc()
 		return nil
 	}
-	c := e.clusterFor(&tx, host)
-	return e.processInCluster(c, tx, host)
+	c := s.clusterFor(&tx, host)
+	return s.processInCluster(c, tx, host)
 }
 
 // processInCluster runs the per-cluster pipeline under a panic guard:
 // a fault anywhere past cluster assignment discards the transaction's
 // alerts and advances the cluster on the quarantine ladder instead of
 // unwinding through the caller.
-func (e *Engine) processInCluster(c *cluster, tx httpstream.Transaction, host string) (alerts []Alert) {
+func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, host string) (alerts []Alert) {
 	defer func() {
 		if r := recover(); r != nil {
 			alerts = nil
-			e.at.Annotate(e.atRoot, obs.SpanError|obs.SpanQuarantined)
-			e.quarantine(c)
+			s.at.Annotate(s.atRoot, obs.SpanError|obs.SpanQuarantined)
+			s.quarantine(c)
 		}
 	}()
-	if len(c.txs) >= e.cfg.MaxClusterTxs {
+	if len(c.txs) >= s.cfg.MaxClusterTxs {
 		// The session is still active even though its history is capped:
 		// keep lastActive fresh so TTL eviction does not destroy the
 		// cluster (and any watched WCG) mid-session, and make the drop
 		// visible in the counters.
 		c.lastActive = tx.ReqTime
-		if !e.restoring {
-			e.mx.dropped.Inc()
+		if !s.restoring {
+			s.mx.dropped.Inc()
 		}
 		return nil
 	}
@@ -628,8 +535,8 @@ func (e *Engine) processInCluster(c *cluster, tx httpstream.Transaction, host st
 	// A watched WCG that stopped growing is closed; later clues in the
 	// same session open a fresh potential-infection WCG with fresh
 	// redirect evidence.
-	if c.watching && tx.ReqTime.Sub(c.watchLast) > e.cfg.WatchIdle {
-		e.closeWatch(c)
+	if c.watching && tx.ReqTime.Sub(c.watchLast) > s.cfg.WatchIdle {
+		s.closeWatch(c)
 	}
 
 	// Accumulate redirect evidence (the sum-of-all-redirections rule).
@@ -641,15 +548,15 @@ func (e *Engine) processInCluster(c *cluster, tx httpstream.Transaction, host st
 	// Infection clue: enough redirect evidence followed by a download of a
 	// likely-malicious payload type. The clue triggers the backward
 	// construction of a potential-infection WCG around the chain.
-	if meta.download && !c.watching && c.redirects >= e.cfg.RedirectThreshold {
+	if meta.download && !c.watching && c.redirects >= s.cfg.RedirectThreshold {
 		c.watching = true
 		// Pin the serving model: this watch scores through exactly this
 		// forest until it closes, no matter what hot-swaps happen meanwhile.
-		c.pinned = e.models.current()
-		if !e.restoring {
-			e.mx.cluesFired.Inc()
+		c.pinned = s.models.current()
+		if !s.restoring {
+			s.mx.cluesFired.Inc()
 		}
-		e.mx.watched.Inc()
+		s.mx.watched.Inc()
 		// Clue provenance for this watch's journal records: the arming
 		// download and the redirect evidence that armed it.
 		c.clueHost, c.cluePayload, c.clueRedirects = meta.host, meta.payload, c.redirects
@@ -657,16 +564,16 @@ func (e *Engine) processInCluster(c *cluster, tx httpstream.Transaction, host st
 		for h := range c.hosts {
 			c.preWatch[h] = struct{}{}
 		}
-		c.buildPotentialWCG(idx, e.cfg.WatchIdle)
+		c.buildPotentialWCG(idx, s.cfg.WatchIdle)
 		c.snapshot = append([]int(nil), c.watch...)
 		c.watchLast = tx.ReqTime
-		if !e.restoring {
+		if !s.restoring {
 			// Shedding is a cross-cluster decision the per-cluster replay
 			// cannot reproduce; restore honors the checkpointed watching
 			// flags instead.
-			e.shedWatches(c)
+			s.shedWatches(c)
 		}
-		return e.classify(c, idx, meta)
+		return s.classify(c, idx, meta)
 	}
 	if !c.watching {
 		return nil
@@ -683,18 +590,18 @@ func (e *Engine) processInCluster(c *cluster, tx httpstream.Transaction, host st
 	// growing but only clue boundaries — payload downloads — re-score it;
 	// the incremental builder catches up on the skipped growth at the
 	// next classify call.
-	if !meta.download && e.overBudget() && !e.restoring {
-		e.mx.degraded.Inc()
-		e.at.Annotate(e.atRoot, obs.SpanDegraded)
+	if !meta.download && s.overBudget() && !s.restoring {
+		s.mx.degraded.Inc()
+		s.at.Annotate(s.atRoot, obs.SpanDegraded)
 		return nil
 	}
-	return e.classify(c, idx, meta)
+	return s.classify(c, idx, meta)
 }
 
 // overBudget reports whether the smoothed classify latency exceeds the
 // configured budget, selecting degraded mode.
-func (e *Engine) overBudget() bool {
-	return e.cfg.MaxClassifyLatency > 0 && e.classifyEWMA > e.cfg.MaxClassifyLatency
+func (s *shardState) overBudget() bool {
+	return s.cfg.MaxClassifyLatency > 0 && s.classifyEWMA > s.cfg.MaxClassifyLatency
 }
 
 // shedWatches enforces the MaxWatched ceiling after opened (the watch
@@ -702,17 +609,17 @@ func (e *Engine) overBudget() bool {
 // than the ceiling, the largest watch other than opened is closed early.
 // Its WCG is preserved in the cluster's closed list, exactly as if it
 // had stopped growing; only the continued re-classification is lost.
-func (e *Engine) shedWatches(opened *cluster) {
-	if e.cfg.MaxWatched <= 0 {
+func (s *shardState) shedWatches(opened *cluster) {
+	if s.cfg.MaxWatched <= 0 {
 		return
 	}
 	var watching []*cluster
-	for _, c := range e.clusters {
+	for _, c := range s.clusters {
 		if c.watching {
 			watching = append(watching, c)
 		}
 	}
-	for len(watching) > e.cfg.MaxWatched {
+	for len(watching) > s.cfg.MaxWatched {
 		victim := -1
 		for i, c := range watching {
 			if c == opened {
@@ -725,18 +632,18 @@ func (e *Engine) shedWatches(opened *cluster) {
 		if victim < 0 {
 			return // only the just-opened watch remains
 		}
-		e.closeWatch(watching[victim])
+		s.closeWatch(watching[victim])
 		watching = append(watching[:victim], watching[victim+1:]...)
-		e.mx.shed.Inc()
-		e.at.Annotate(e.atRoot, obs.SpanShed)
+		s.mx.shed.Inc()
+		s.at.Annotate(s.atRoot, obs.SpanShed)
 	}
 }
 
 // closeWatch finalizes a cluster's watch via cluster.closeWatch and keeps
 // the watched gauge in step.
-func (e *Engine) closeWatch(c *cluster) {
+func (s *shardState) closeWatch(c *cluster) {
 	if c.watching {
-		e.mx.watched.Dec()
+		s.mx.watched.Dec()
 	}
 	c.closeWatch()
 }
@@ -746,27 +653,27 @@ func (e *Engine) closeWatch(c *cluster) {
 // later classification of this cluster to the from-scratch rebuild path.
 // Second fault: the rebuild did not cure it — evict the cluster outright
 // so its state cannot fault a third time.
-func (e *Engine) quarantine(c *cluster) {
-	e.mx.panics.Inc()
+func (s *shardState) quarantine(c *cluster) {
+	s.mx.panics.Inc()
 	c.faults++
 	if c.faults == 1 {
 		c.ib, c.cache, c.fed = nil, nil, 0
-		e.mx.quarantined.Inc()
+		s.mx.quarantined.Inc()
 		return
 	}
-	e.dropCluster(c)
+	s.dropCluster(c)
 }
 
 // dropCluster removes one session cluster from the engine.
-func (e *Engine) dropCluster(target *cluster) {
-	kept := e.clusters[:0]
-	for _, c := range e.clusters {
+func (s *shardState) dropCluster(target *cluster) {
+	kept := s.clusters[:0]
+	for _, c := range s.clusters {
 		if c != target {
 			kept = append(kept, c)
 		}
 	}
-	e.clusters = kept
-	list := e.byClient[target.client]
+	s.clusters = kept
+	list := s.byClient[target.client]
 	keptList := list[:0]
 	for _, c := range list {
 		if c != target {
@@ -774,14 +681,14 @@ func (e *Engine) dropCluster(target *cluster) {
 		}
 	}
 	if len(keptList) == 0 {
-		delete(e.byClient, target.client)
+		delete(s.byClient, target.client)
 	} else {
-		e.byClient[target.client] = keptList
+		s.byClient[target.client] = keptList
 	}
 	if target.watching {
-		e.mx.watched.Dec()
+		s.mx.watched.Dec()
 	}
-	e.mx.evicted.Inc()
+	s.mx.evicted.Inc()
 }
 
 // classify scores the cluster's potential-infection WCG and emits an
@@ -796,20 +703,20 @@ func (e *Engine) dropCluster(target *cluster) {
 // from-scratch path remains as the explicit fallback — selected by
 // Config.DisableIncremental or by out-of-order arrival — and produces
 // bit-identical scores and alerts.
-func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
-	if e.restoring {
+func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
+	if s.restoring {
 		return nil // checkpoint replay rebuilds structure, never verdicts
 	}
 	ref := c.pinned
 	if ref == nil {
 		// Defensive: classify is only reached inside a watch, which pins at
 		// arming; an unpinned call scores with the serving model.
-		ref = e.models.current()
+		ref = s.models.current()
 	}
 	if ref.scorer == nil {
 		return nil // extraction-only mode (training-set construction)
 	}
-	at := e.at
+	at := s.at
 	// A traced engine is always timed, so every classify span boundary
 	// reuses a latency-metric clock reading — tracing adds stamps to
 	// reads the instrumented path was already taking, not new reads. The
@@ -818,23 +725,23 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 	// finalizes it at the end-to-end instant.
 	var start time.Time
 	var cs int
-	if e.timed {
-		start = e.now()
-		cs = at.StartSpanAt(e.stg.classify, start)
+	if s.timed {
+		start = s.now()
+		cs = at.StartSpanAt(s.stg.classify, start)
 	} else {
-		cs = at.StartSpan(e.stg.classify)
+		cs = at.StartSpan(s.stg.classify)
 	}
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
-	if e.overBudget() {
+	if s.overBudget() {
 		at.Annotate(cs, obs.SpanDegraded)
 	}
 	var x []float64
 	var g *wcg.WCG // nil on the incremental path until an alert needs it
 	incremental := false
 	fs := -1 // the feature span, left open for scoreVector to close at its t0
-	if e.incrementalEligible(c) {
+	if s.incrementalEligible(c) {
 		// The features.incremental span records only genuine attempts: a
 		// cluster pinned to the rebuild path never opens it, so a trace's
 		// stage set reflects the path actually taken. A mid-feed fallback
@@ -842,8 +749,8 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		// to the rebuild span that served the verdict. The attempt begins
 		// at the same instant the classify measurement does (only flag
 		// annotations separate them), so the stamp is shared.
-		fs = at.StartSpanAt(e.stg.featInc, start)
-		v, ok := e.incrementalVector(c)
+		fs = at.StartSpanAt(s.stg.featInc, start)
+		v, ok := s.incrementalVector(c)
 		if ok {
 			x, incremental = v, true
 		} else {
@@ -855,33 +762,33 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if incremental {
 		at.Annotate(cs, obs.SpanIncremental)
 	} else {
-		fs = at.StartSpan(e.stg.featRebuild)
-		e.subset = e.subset[:0]
+		fs = at.StartSpan(s.stg.featRebuild)
+		s.subset = s.subset[:0]
 		for _, i := range c.watch {
-			e.subset = append(e.subset, c.txs[i])
+			s.subset = append(s.subset, c.txs[i])
 		}
-		g = wcg.FromTransactions(e.subset)
-		e.rebuild.Reset(g, e.scratch)
-		e.fvec = e.rebuild.FeaturesInto(e.fvec)
-		x = e.fvec
-		e.mx.rebuilds.Inc()
+		g = wcg.FromTransactions(s.subset)
+		s.rebuild.Reset(g, s.scratch)
+		s.fvec = s.rebuild.FeaturesInto(s.fvec)
+		x = s.fvec
+		s.mx.rebuilds.Inc()
 		at.Annotate(cs, obs.SpanRebuild)
 	}
-	score := e.scoreVector(ref.scorer, x, fs)
-	e.mx.classifications.Inc()
+	score := s.scoreVector(ref.scorer, x, fs)
+	s.mx.classifications.Inc()
 	var endT time.Time
-	if e.timed {
-		endT = e.now()
+	if s.timed {
+		endT = s.now()
 		elapsed := endT.Sub(start)
-		if e.cfg.MaxClassifyLatency > 0 {
+		if s.cfg.MaxClassifyLatency > 0 {
 			// EWMA with alpha 1/8: smooth enough to ride out one slow WCG,
 			// fast enough to catch sustained overload within a few updates.
-			e.classifyEWMA += (elapsed - e.classifyEWMA) / 8
+			s.classifyEWMA += (elapsed - s.classifyEWMA) / 8
 		}
 		if incremental {
-			e.mx.classifyIncremental.Observe(elapsed.Seconds())
+			s.mx.classifyIncremental.Observe(elapsed.Seconds())
 		} else {
-			e.mx.classifyRebuild.Observe(elapsed.Seconds())
+			s.mx.classifyRebuild.Observe(elapsed.Seconds())
 		}
 	}
 	// A scorer emitting a non-finite probability is as broken as one
@@ -891,7 +798,7 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		panic("detector: scorer returned a non-finite probability")
 	}
-	if score <= e.cfg.ScoreThreshold {
+	if score <= s.cfg.ScoreThreshold {
 		at.EndSpanAt(cs, endT)
 		return nil
 	}
@@ -900,10 +807,10 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		return nil
 	}
 	c.alerted = true
-	e.mx.alerts.Inc()
+	s.mx.alerts.Inc()
 	trigger := meta
 	if !meta.download {
-		// First crossing on a non-download update (e.g. a C&C call-back):
+		// First crossing on a non-download update (s.g. a C&C call-back):
 		// attribute the alert to the latest download in the WCG.
 		for i := len(c.watch) - 1; i >= 0; i-- {
 			if m := c.metas[c.watch[i]]; m.download {
@@ -912,7 +819,7 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 			}
 		}
 	}
-	// Transactions that never got a response (e.g. upstream timeouts in
+	// Transactions that never got a response (s.g. upstream timeouts in
 	// extraction-only replays) carry a zero RespTime; fall back to the
 	// request time so alerts are always stamped.
 	when := c.txs[idx].RespTime
@@ -933,7 +840,7 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		TriggerPayload: trigger.payload,
 		WCG:            g,
 	}
-	e.journalAlert(c, ref, &alert, x, incremental)
+	s.journalAlert(c, ref, &alert, x, incremental)
 	at.EndSpan(cs)
 	return []Alert{alert}
 }
@@ -943,21 +850,21 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 // feature-extraction span (-1 when none): its end and the score span's
 // start share one clock reading, as do the score span's end and the
 // score latency metric.
-func (e *Engine) scoreVector(model Scorer, x []float64, prev int) float64 {
-	if !e.timed {
-		e.at.EndSpan(prev)
-		ss := e.at.StartSpan(e.stg.score)
+func (s *shardState) scoreVector(model Scorer, x []float64, prev int) float64 {
+	if !s.timed {
+		s.at.EndSpan(prev)
+		ss := s.at.StartSpan(s.stg.score)
 		score := model.Score(x)
-		e.at.EndSpan(ss)
+		s.at.EndSpan(ss)
 		return score
 	}
-	t0 := e.now()
-	e.at.EndSpanAt(prev, t0)
-	ss := e.at.StartSpanAt(e.stg.score, t0)
+	t0 := s.now()
+	s.at.EndSpanAt(prev, t0)
+	ss := s.at.StartSpanAt(s.stg.score, t0)
 	score := model.Score(x)
-	end := e.now()
-	e.at.EndSpanAt(ss, end)
-	e.mx.score.Observe(end.Sub(t0).Seconds())
+	end := s.now()
+	s.at.EndSpanAt(ss, end)
+	s.mx.score.Observe(end.Sub(t0).Seconds())
 	return score
 }
 
@@ -967,14 +874,14 @@ func (e *Engine) scoreVector(model Scorer, x []float64, prev int) float64 {
 // next classification), and the degraded-mode flags active at decision
 // time. The journal's Append never panics, so a failing sink costs the
 // record, never the alert.
-func (e *Engine) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, incremental bool) {
-	if e.journal == nil {
+func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, incremental bool) {
+	if s.journal == nil {
 		return
 	}
-	js := e.at.StartSpan(e.stg.journal)
-	defer e.at.EndSpan(js)
+	js := s.at.StartSpan(s.stg.journal)
+	defer s.at.EndSpan(js)
 	rec := obs.AlertRecord{
-		TraceID:          e.at.ID(),
+		TraceID:          s.at.ID(),
 		ModelVersion:     ref.version.String(),
 		Time:             a.Time,
 		Client:           a.Client.String(),
@@ -988,8 +895,8 @@ func (e *Engine) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, 
 		Incremental:      incremental,
 		Features:         append([]float64(nil), x...),
 		Score:            a.Score,
-		Threshold:        e.cfg.ScoreThreshold,
-		Degraded:         e.overBudget(),
+		Threshold:        s.cfg.ScoreThreshold,
+		Degraded:         s.overBudget(),
 		Quarantined:      c.faults > 0,
 	}
 	if vs, ok := ref.scorer.(VoteScorer); ok {
@@ -1001,7 +908,7 @@ func (e *Engine) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, 
 			rec.Votes, rec.Trees = votes, trees
 		}
 	}
-	_ = e.journal.Append(rec)
+	_ = s.journal.Append(rec)
 }
 
 // incrementalVector feeds the watch set's new transactions into the
@@ -1009,13 +916,13 @@ func (e *Engine) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, 
 // (valid until the next classify call). It reports false when the
 // incremental path is disabled or has fallen back for this watch, in
 // which case the caller rebuilds from scratch.
-func (e *Engine) incrementalVector(c *cluster) ([]float64, bool) {
-	if !e.incrementalEligible(c) {
+func (s *shardState) incrementalVector(c *cluster) ([]float64, bool) {
+	if !s.incrementalEligible(c) {
 		return nil, false
 	}
 	if c.ib == nil {
 		c.ib = wcg.NewIncrementalBuilder()
-		c.cache = features.NewCache(c.ib.Live(), e.scratch)
+		c.cache = features.NewCache(c.ib.Live(), s.scratch)
 		c.fed = 0
 	}
 	for _, i := range c.watch[c.fed:] {
@@ -1029,16 +936,16 @@ func (e *Engine) incrementalVector(c *cluster) ([]float64, bool) {
 		}
 		c.fed++
 	}
-	e.fvec = c.cache.FeaturesInto(e.fvec)
-	return e.fvec, true
+	s.fvec = c.cache.FeaturesInto(s.fvec)
+	return s.fvec, true
 }
 
 // incrementalEligible reports whether the incremental feature path may be
 // attempted for this cluster. It can still fall back mid-feed (out-of-
 // order arrival), but an ineligible cluster — incremental disabled,
 // fallen back earlier, or quarantined — goes straight to the rebuild.
-func (e *Engine) incrementalEligible(c *cluster) bool {
-	return !e.cfg.DisableIncremental && !c.incBroken && c.faults == 0
+func (s *shardState) incrementalEligible(c *cluster) bool {
+	return !s.cfg.DisableIncremental && !c.incBroken && c.faults == 0
 }
 
 // ClueSubsets replays a recorded transaction stream with the clue
@@ -1048,10 +955,14 @@ func (e *Engine) incrementalEligible(c *cluster) bool {
 // so the classifier learns on exactly the WCG representations — early and
 // mature — that the on-the-wire stage scores.
 func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transaction {
-	e := New(cfg, nil)
+	cfg.Shards = 1 // one shard holds every cluster, in arrival order
+	eng := New(cfg, nil)
 	for _, tx := range txs {
-		e.Process(tx)
+		eng.Process(tx)
 	}
+	sh := eng.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	var out [][]httpstream.Transaction
 	collect := func(c *cluster, idxs []int) {
 		subset := make([]httpstream.Transaction, 0, len(idxs))
@@ -1060,7 +971,7 @@ func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transa
 		}
 		out = append(out, subset)
 	}
-	for _, c := range e.clusters {
+	for _, c := range sh.st.clusters {
 		for _, w := range c.closed {
 			collect(c, w)
 		}
@@ -1242,11 +1153,11 @@ type WatchedWCG struct {
 	Hosts        int       // related hosts under watch
 }
 
-// Watched returns snapshots of every potential-infection WCG currently
-// being grown and re-classified.
-func (e *Engine) Watched() []WatchedWCG {
+// watched returns snapshots of every potential-infection WCG this shard
+// is growing and re-classifying.
+func (s *shardState) watched() []WatchedWCG {
 	var out []WatchedWCG
-	for _, c := range e.clusters {
+	for _, c := range s.clusters {
 		if !c.watching {
 			continue
 		}
@@ -1261,18 +1172,17 @@ func (e *Engine) Watched() []WatchedWCG {
 	return out
 }
 
-// EvictIdle drops every session cluster whose last activity precedes
-// cutoff and returns how many were removed. Process calls this
-// automatically every few hundred transactions with the configured TTL;
-// deployments may also call it explicitly.
-func (e *Engine) EvictIdle(cutoff time.Time) int {
+// evictIdle drops every session cluster whose last activity precedes
+// cutoff and returns how many were removed. process calls this every
+// evictEvery transactions with the configured TTL.
+func (s *shardState) evictIdle(cutoff time.Time) int {
 	evicted := 0
-	kept := e.clusters[:0]
-	for _, c := range e.clusters {
+	kept := s.clusters[:0]
+	for _, c := range s.clusters {
 		if c.lastActive.Before(cutoff) {
 			evicted++
 			if c.watching {
-				e.mx.watched.Dec()
+				s.mx.watched.Dec()
 			}
 			continue
 		}
@@ -1281,8 +1191,8 @@ func (e *Engine) EvictIdle(cutoff time.Time) int {
 	if evicted == 0 {
 		return 0
 	}
-	e.clusters = kept
-	for client, list := range e.byClient {
+	s.clusters = kept
+	for client, list := range s.byClient {
 		keptList := list[:0]
 		for _, c := range list {
 			if !c.lastActive.Before(cutoff) {
@@ -1290,24 +1200,13 @@ func (e *Engine) EvictIdle(cutoff time.Time) int {
 			}
 		}
 		if len(keptList) == 0 {
-			delete(e.byClient, client)
+			delete(s.byClient, client)
 			continue
 		}
-		e.byClient[client] = keptList
+		s.byClient[client] = keptList
 	}
-	e.mx.evicted.Add(int64(evicted))
+	s.mx.evicted.Add(int64(evicted))
 	return evicted
-}
-
-// ProcessAll feeds a transaction slab through the engine in order. (A
-// plain Engine is serialized, so the slab is processed sequentially; the
-// sharded variant fans slabs out across shards.)
-func (e *Engine) ProcessAll(txs []httpstream.Transaction) []Alert {
-	var alerts []Alert
-	for _, tx := range txs {
-		alerts = append(alerts, e.Process(tx)...)
-	}
-	return alerts
 }
 
 func refererHost(tx *httpstream.Transaction) string {
@@ -1338,8 +1237,8 @@ func hostOf(raw string) string {
 // first by session ID, then by referrer linkage to a cluster's known
 // hosts, then by recency within the session gap; otherwise a new cluster
 // is opened (Section V-B's grouping heuristic).
-func (e *Engine) clusterFor(tx *httpstream.Transaction, host string) *cluster {
-	clusters := e.byClient[tx.ClientIP]
+func (s *shardState) clusterFor(tx *httpstream.Transaction, host string) *cluster {
+	clusters := s.byClient[tx.ClientIP]
 
 	if sid := tx.SessionID(); sid != "" {
 		for i := len(clusters) - 1; i >= 0; i-- {
@@ -1362,19 +1261,19 @@ func (e *Engine) clusterFor(tx *httpstream.Transaction, host string) *cluster {
 	}
 	if len(clusters) > 0 {
 		last := clusters[len(clusters)-1]
-		if tx.ReqTime.Sub(last.lastActive) <= e.cfg.SessionGap {
+		if tx.ReqTime.Sub(last.lastActive) <= s.cfg.SessionGap {
 			return last
 		}
 	}
 	c := &cluster{
-		id:       e.idBase + e.idStep*len(e.clusters),
+		id:       s.idBase + s.idStep*len(s.clusters),
 		client:   tx.ClientIP,
 		hosts:    make(map[string]struct{}),
 		sessions: make(map[string]struct{}),
 		hostLast: make(map[string]time.Time),
 	}
-	e.clusters = append(e.clusters, c)
-	e.byClient[tx.ClientIP] = append(clusters, c)
-	e.mx.clusters.Inc()
+	s.clusters = append(s.clusters, c)
+	s.byClient[tx.ClientIP] = append(clusters, c)
+	s.mx.clusters.Inc()
 	return c
 }

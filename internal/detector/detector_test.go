@@ -61,7 +61,7 @@ func infectionStream() []httpstream.Transaction {
 }
 
 func TestClueFiresAndAlerts(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	alerts := e.ProcessAll(infectionStream())
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %d, want 1 (stats %+v)", len(alerts), e.Stats())
@@ -86,7 +86,7 @@ func TestClueFiresAndAlerts(t *testing.T) {
 }
 
 func TestNoClueWithoutDownload(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	txs := infectionStream()
 	alerts := e.ProcessAll(txs[:4]) // redirects only, no download
 	if len(alerts) != 0 {
@@ -98,14 +98,14 @@ func TestNoClueWithoutDownload(t *testing.T) {
 }
 
 func TestNoClueBelowThreshold(t *testing.T) {
-	e := New(Config{RedirectThreshold: 5}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 5}, constScorer(0.9))
 	if alerts := e.ProcessAll(infectionStream()); len(alerts) != 0 {
 		t.Fatalf("alerts = %d with threshold 5", len(alerts))
 	}
 }
 
 func TestBenignScoreNoAlertButKeepsWatching(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.1))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
 	alerts := e.ProcessAll(infectionStream())
 	if len(alerts) != 0 {
 		t.Fatal("low score must not alert")
@@ -125,7 +125,7 @@ func TestBenignScoreNoAlertButKeepsWatching(t *testing.T) {
 }
 
 func TestAlertPerDownload(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	txs := infectionStream()
 	txs = append(txs,
 		// A second payload raises a second, download-centric alert.
@@ -142,7 +142,7 @@ func TestAlertPerDownload(t *testing.T) {
 }
 
 func TestTrustedVendorWeeding(t *testing.T) {
-	e := New(Config{TrustedVendors: DefaultTrustedVendors}, constScorer(0.9))
+	e := New(Config{Shards: 1, TrustedVendors: DefaultTrustedVendors}, constScorer(0.9))
 	e.Process(mkTx("downloads.vendor-store.com", "/app.exe", "GET", 200, "application/x-msdownload", 5<<20, "", 0))
 	e.Process(mkTx("cdn.apple.com", "/update.dmg", "GET", 200, "application/x-apple-diskimage", 9<<20, "", time.Second))
 	st := e.Stats()
@@ -155,7 +155,7 @@ func TestTrustedVendorWeeding(t *testing.T) {
 }
 
 func TestSessionClusteringByCookie(t *testing.T) {
-	e := New(Config{}, constScorer(0))
+	e := New(Config{Shards: 1}, constScorer(0))
 	a := mkTx("x.com", "/1", "GET", 200, "text/html", 10, "", 0)
 	a.RespHdr.Set("Set-Cookie", "sid=42; Path=/")
 	b := mkTx("y.com", "/2", "GET", 200, "text/html", 10, "", 10*time.Minute) // beyond gap
@@ -168,7 +168,7 @@ func TestSessionClusteringByCookie(t *testing.T) {
 }
 
 func TestSessionClusteringByReferer(t *testing.T) {
-	e := New(Config{}, constScorer(0))
+	e := New(Config{Shards: 1}, constScorer(0))
 	e.Process(mkTx("first.com", "/", "GET", 200, "text/html", 10, "", 0))
 	e.Process(mkTx("second.com", "/p", "GET", 200, "text/html", 10, "http://first.com/", 10*time.Minute))
 	if e.Stats().Clusters != 1 {
@@ -177,7 +177,7 @@ func TestSessionClusteringByReferer(t *testing.T) {
 }
 
 func TestSessionGapOpensNewCluster(t *testing.T) {
-	e := New(Config{SessionGap: time.Minute}, constScorer(0))
+	e := New(Config{Shards: 1, SessionGap: time.Minute}, constScorer(0))
 	e.Process(mkTx("one.com", "/", "GET", 200, "text/html", 10, "", 0))
 	e.Process(mkTx("two.com", "/", "GET", 200, "text/html", 10, "", 5*time.Minute))
 	if e.Stats().Clusters != 2 {
@@ -186,7 +186,7 @@ func TestSessionGapOpensNewCluster(t *testing.T) {
 }
 
 func TestClientsSeparated(t *testing.T) {
-	e := New(Config{}, constScorer(0))
+	e := New(Config{Shards: 1}, constScorer(0))
 	a := mkTx("shared.com", "/", "GET", 200, "text/html", 10, "", 0)
 	b := mkTx("shared.com", "/", "GET", 200, "text/html", 10, "", time.Second)
 	b.ClientIP = netip.MustParseAddr("10.0.0.45")
@@ -229,7 +229,7 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 	nInf := 40
 	for i := 0; i < nInf; i++ {
 		ep := synth.GenerateInfection("Angler", t0, rng)
-		e := New(Config{RedirectThreshold: 1}, forest)
+		e := New(Config{Shards: 1, RedirectThreshold: 1}, forest)
 		if len(e.ProcessAll(ep.Txs)) > 0 {
 			detected++
 		}
@@ -242,7 +242,7 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 	nBen := 40
 	for i := 0; i < nBen; i++ {
 		ep := synth.GenerateBenign("search", t0, rng)
-		e := New(Config{RedirectThreshold: 1}, forest)
+		e := New(Config{Shards: 1, RedirectThreshold: 1}, forest)
 		if len(e.ProcessAll(ep.Txs)) > 0 {
 			falseAlerts++
 		}
@@ -257,7 +257,7 @@ func TestCappedClusterSurvivesEviction(t *testing.T) {
 	// dropped, but the session is still active: lastActive must track the
 	// dropped traffic (or TTL eviction destroys a live session mid-watch)
 	// and the drops must be visible in Stats.
-	e := New(Config{MaxClusterTxs: 8, SessionGap: 30 * time.Minute}, constScorer(0))
+	e := New(Config{Shards: 1, MaxClusterTxs: 8, SessionGap: 30 * time.Minute}, constScorer(0))
 	for i := 0; i < 11; i++ {
 		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", time.Duration(i)*time.Minute))
 	}
@@ -280,7 +280,7 @@ func TestCappedClusterSurvivesEviction(t *testing.T) {
 }
 
 func TestTrustedVendorCaseInsensitive(t *testing.T) {
-	e := New(Config{TrustedVendors: []string{"Apple.COM"}}, constScorer(0.9))
+	e := New(Config{Shards: 1, TrustedVendors: []string{"Apple.COM"}}, constScorer(0.9))
 	e.Process(mkTx("CDN.Apple.com", "/update.dmg", "GET", 200, "application/x-apple-diskimage", 1<<20, "", 0))
 	if st := e.Stats(); st.Weeded != 1 || st.Clusters != 0 {
 		t.Fatalf("stats %+v: mixed-case trusted host not weeded", st)
@@ -288,7 +288,7 @@ func TestTrustedVendorCaseInsensitive(t *testing.T) {
 }
 
 func TestHostCaseInsensitiveClustering(t *testing.T) {
-	e := New(Config{}, constScorer(0))
+	e := New(Config{Shards: 1}, constScorer(0))
 	e.Process(mkTx("First.com", "/", "GET", 200, "text/html", 10, "", 0))
 	// Beyond the session gap, so only referrer linkage can join them.
 	e.Process(mkTx("second.com", "/p", "GET", 200, "text/html", 10, "http://FIRST.com/", 10*time.Minute))
@@ -300,7 +300,7 @@ func TestHostCaseInsensitiveClustering(t *testing.T) {
 func TestMixedCaseInfectionChainAlerts(t *testing.T) {
 	// DNS names are case-insensitive: a chain whose Host, Referer, and
 	// Location headers disagree on case must still link up and alert.
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	txs := []httpstream.Transaction{
 		redirectTx("A.Evil", "B.EVIL", 0),
 		mkTx("b.evil", "/x", "GET", 302, "", 0, "http://A.evil/r", 100*time.Millisecond),
@@ -323,7 +323,7 @@ func TestMixedCaseInfectionChainAlerts(t *testing.T) {
 func TestAlertTimeFallbackToReqTime(t *testing.T) {
 	// A triggering transaction that never got a response (zero RespTime,
 	// e.g. an upstream timeout in a replay) must still stamp the alert.
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	txs := infectionStream()
 	txs[len(txs)-1].RespTime = time.Time{}
 	alerts := e.ProcessAll(txs)
@@ -357,7 +357,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestEvictIdle(t *testing.T) {
-	e := New(Config{}, constScorer(0))
+	e := New(Config{Shards: 1}, constScorer(0))
 	e.Process(mkTx("old.com", "/", "GET", 200, "text/html", 10, "", 0))
 	b := mkTx("new.com", "/", "GET", 200, "text/html", 10, "", 2*time.Hour)
 	b.ClientIP = netip.MustParseAddr("10.0.0.99")
@@ -388,7 +388,7 @@ func TestEvictIdle(t *testing.T) {
 }
 
 func TestAutomaticEviction(t *testing.T) {
-	e := New(Config{ClusterTTL: time.Minute, SessionGap: time.Second}, constScorer(0))
+	e := New(Config{Shards: 1, ClusterTTL: time.Minute, SessionGap: time.Second}, constScorer(0))
 	// Many short-lived single-host clusters spread over hours trigger
 	// periodic sweeps (distinct hosts so nothing re-clusters by host).
 	for i := 0; i < 2*evictEvery; i++ {
@@ -405,7 +405,7 @@ func TestAutomaticEviction(t *testing.T) {
 }
 
 func TestWatchedSnapshots(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.1))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
 	if len(e.Watched()) != 0 {
 		t.Fatal("nothing should be watched initially")
 	}
@@ -429,7 +429,7 @@ func TestWatchedSnapshots(t *testing.T) {
 }
 
 func TestAlertMarshalJSON(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	alerts := e.ProcessAll(infectionStream())
 	if len(alerts) != 1 {
 		t.Fatal("need one alert")
@@ -493,7 +493,7 @@ func TestFreshHostPOSTJoinsWatchedWCG(t *testing.T) {
 	// After the clue fires, a POST to a host never seen pre-download (a
 	// C&C call-back) must join the potential-infection WCG even without
 	// any referrer or host linkage.
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.1))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
 	e.ProcessAll(infectionStream())
 	before := e.Stats().Classifications
 	cnc := mkTx("203.0.113.66", "/beacon.php", "POST", 200, "text/plain", 16, "", 2*time.Second)

@@ -33,39 +33,10 @@ func interleavedCorpus(tb testing.TB, n int) []httpstream.Transaction {
 	return all
 }
 
-// TestShardedOneShardMatchesEngine is the determinism guard: with a single
-// shard, the ShardedEngine must reproduce the plain Engine's alert stream
-// byte for byte on a replayed corpus.
-func TestShardedOneShardMatchesEngine(t *testing.T) {
-	txs := interleavedCorpus(t, 10)
-	plain := New(Config{RedirectThreshold: 1}, constScorer(0.9))
-	sharded := NewSharded(Config{RedirectThreshold: 1, Shards: 1}, constScorer(0.9))
-
-	pa := plain.ProcessAll(txs)
-	sa := sharded.ProcessAll(txs)
-	if len(pa) == 0 {
-		t.Fatal("corpus produced no alerts; determinism guard is vacuous")
-	}
-	pj, err := json.Marshal(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pj, sj) {
-		t.Fatalf("alert streams differ:\nplain   = %s\nsharded = %s", pj, sj)
-	}
-	if plain.Stats() != sharded.Stats() {
-		t.Fatalf("stats differ: plain %+v, sharded %+v", plain.Stats(), sharded.Stats())
-	}
-}
-
-// TestShardedPerClientDeterminism checks the shard-per-client invariant:
+// TestPerClientDeterminismAcrossShards checks the shard-per-client invariant:
 // each client's alerts are identical regardless of shard count (only
 // cluster IDs, which are strided per shard, may differ).
-func TestShardedPerClientDeterminism(t *testing.T) {
+func TestPerClientDeterminismAcrossShards(t *testing.T) {
 	txs := interleavedCorpus(t, 8)
 	perClient := func(alerts []Alert) map[string][]string {
 		m := make(map[string][]string)
@@ -79,8 +50,8 @@ func TestShardedPerClientDeterminism(t *testing.T) {
 		}
 		return m
 	}
-	a1 := NewSharded(Config{RedirectThreshold: 1, Shards: 1}, constScorer(0.9)).ProcessAll(txs)
-	a4 := NewSharded(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9)).ProcessAll(txs)
+	a1 := New(Config{RedirectThreshold: 1, Shards: 1}, constScorer(0.9)).ProcessAll(txs)
+	a4 := New(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9)).ProcessAll(txs)
 	if len(a1) == 0 {
 		t.Fatal("no alerts; test is vacuous")
 	}
@@ -89,8 +60,8 @@ func TestShardedPerClientDeterminism(t *testing.T) {
 	}
 }
 
-func TestShardedRoutingAndAggregation(t *testing.T) {
-	s := NewSharded(Config{RedirectThreshold: 3, Shards: 4}, constScorer(0.1))
+func TestShardRoutingAndAggregation(t *testing.T) {
+	s := New(Config{RedirectThreshold: 3, Shards: 4}, constScorer(0.1))
 	const clients = 16
 	for i := 0; i < clients; i++ {
 		ip := netip.AddrFrom4([4]byte{10, 9, 0, byte(i)})
@@ -138,20 +109,20 @@ func TestShardedRoutingAndAggregation(t *testing.T) {
 	}
 }
 
-func TestShardedDefaults(t *testing.T) {
-	if got := NewSharded(Config{}, nil).NumShards(); got != runtime.GOMAXPROCS(0) {
+func TestShardCountDefaults(t *testing.T) {
+	if got := New(Config{}, nil).NumShards(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default shards = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewSharded(Config{Shards: 3}, nil).NumShards(); got != 3 {
+	if got := New(Config{Shards: 3}, nil).NumShards(); got != 3 {
 		t.Fatalf("shards = %d, want 3", got)
 	}
 }
 
-// TestShardedEngineRaceStress hammers one ShardedEngine from many
+// TestEngineRaceStress hammers one multi-shard Engine from many
 // goroutines with interleaved Process/Stats/Watched/EvictIdle calls; run
 // under -race (the tier-2 target) to validate the shard locking.
-func TestShardedEngineRaceStress(t *testing.T) {
-	s := NewSharded(Config{RedirectThreshold: 3, Shards: 4}, constScorer(0.6))
+func TestEngineRaceStress(t *testing.T) {
+	s := New(Config{RedirectThreshold: 3, Shards: 4}, constScorer(0.6))
 	const (
 		writers = 8
 		rounds  = 40
@@ -206,15 +177,15 @@ func TestShardedEngineRaceStress(t *testing.T) {
 	}
 }
 
-// TestShardedProcessAllMatchesPerTx pins the slab contract directly: on a
-// multi-shard engine, ProcessAll (shard-grouped batches, concurrent
-// shards, order-preserving merge) must emit exactly the alert stream that
+// TestProcessAllMatchesPerTx pins the slab contract directly: on a
+// multi-shard engine, ProcessAll (shard-grouped, concurrent shards,
+// order-preserving merge) must emit exactly the alert stream that
 // per-transaction Process calls produce on an identically configured
 // engine.
-func TestShardedProcessAllMatchesPerTx(t *testing.T) {
+func TestProcessAllMatchesPerTx(t *testing.T) {
 	txs := interleavedCorpus(t, 8)
-	serial := NewSharded(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9))
-	slab := NewSharded(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9))
+	serial := New(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9))
+	slab := New(Config{RedirectThreshold: 1, Shards: 4}, constScorer(0.9))
 
 	var want []Alert
 	for _, tx := range txs {

@@ -11,6 +11,7 @@ import (
 
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/ml"
+	"dynaminer/internal/obs"
 	"dynaminer/internal/synth"
 )
 
@@ -25,7 +26,7 @@ type nanScorer struct{}
 func (nanScorer) Score([]float64) float64 { return math.NaN() }
 
 // gatedPanicScorer panics only while armed; the test arms it per
-// transaction, which is well-defined because a plain Engine is serialized.
+// transaction, which is well-defined because a one-shard engine is serialized.
 type gatedPanicScorer struct {
 	base  Scorer
 	armed bool
@@ -55,7 +56,7 @@ func relatedFollowUp(n int) []httpstream.Transaction {
 // first scorer panic quarantines it (incremental cache dropped, engine
 // survives), the second evicts it outright.
 func TestPanicQuarantineLadder(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, panicScorer{})
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, panicScorer{})
 	txs := relatedFollowUp(0) // clue download, then a second download
 
 	for _, tx := range txs[:5] {
@@ -67,10 +68,11 @@ func TestPanicQuarantineLadder(t *testing.T) {
 	if st.Panics != 1 || st.Quarantined != 1 {
 		t.Fatalf("after first fault: stats %+v, want Panics=1 Quarantined=1", st)
 	}
-	if len(e.clusters) != 1 {
-		t.Fatalf("quarantined cluster evicted too early (clusters=%d)", len(e.clusters))
+	state := e.shards[0].st
+	if len(state.clusters) != 1 {
+		t.Fatalf("quarantined cluster evicted too early (clusters=%d)", len(state.clusters))
 	}
-	if e.clusters[0].ib != nil || e.clusters[0].cache != nil {
+	if state.clusters[0].ib != nil || state.clusters[0].cache != nil {
 		t.Fatal("quarantine must drop the incremental cache")
 	}
 
@@ -83,10 +85,10 @@ func TestPanicQuarantineLadder(t *testing.T) {
 	if st.Panics != 2 || st.Quarantined != 1 || st.Evicted != 1 {
 		t.Fatalf("after second fault: stats %+v, want Panics=2 Quarantined=1 Evicted=1", st)
 	}
-	if len(e.clusters) != 0 {
-		t.Fatalf("cluster survived the second fault (clusters=%d)", len(e.clusters))
+	if len(state.clusters) != 0 {
+		t.Fatalf("cluster survived the second fault (clusters=%d)", len(state.clusters))
 	}
-	if len(e.byClient) != 0 {
+	if len(state.byClient) != 0 {
 		t.Fatal("byClient index still references the evicted cluster")
 	}
 
@@ -99,7 +101,7 @@ func TestPanicQuarantineLadder(t *testing.T) {
 // TestNonFiniteScoreQuarantines pins that a NaN probability rides the
 // same ladder as a panic instead of corrupting threshold comparisons.
 func TestNonFiniteScoreQuarantines(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, nanScorer{})
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, nanScorer{})
 	for _, tx := range relatedFollowUp(0) {
 		if got := e.Process(tx); got != nil {
 			t.Fatalf("NaN score produced alerts: %v", got)
@@ -196,6 +198,7 @@ func (c *slowClock) Now() time.Time {
 func TestDegradedModeSkipsReclassification(t *testing.T) {
 	clock := &slowClock{t: t0, step: 40 * time.Millisecond}
 	e := New(Config{
+		Shards:             1,
 		RedirectThreshold:  3,
 		MaxClassifyLatency: time.Millisecond,
 		Now:                clock.Now,
@@ -229,8 +232,8 @@ func TestDegradedModeSkipsReclassification(t *testing.T) {
 // TestDegradationDisabledByDefault pins that with MaxClassifyLatency
 // unset the engine never consults the clock and never degrades.
 func TestDegradationDisabledByDefault(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
-	e.now = func() time.Time { panic("clock consulted with degradation disabled") }
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+	e.shards[0].st.now = func() time.Time { panic("clock consulted with degradation disabled") }
 	for _, tx := range relatedFollowUp(4) {
 		e.Process(tx)
 	}
@@ -256,7 +259,7 @@ func shiftClient(addr netip.Addr, by time.Duration) []httpstream.Transaction {
 // would exceed the watched-WCG ceiling, the largest existing watch is
 // closed early and counted.
 func TestMaxWatchedShedsLargest(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
+	e := New(Config{Shards: 1, RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
 	a := netip.MustParseAddr("10.5.0.1")
 	b := netip.MustParseAddr("10.5.0.2")
 
@@ -280,7 +283,7 @@ func TestMaxWatchedShedsLargest(t *testing.T) {
 	// The shed watch is preserved for offline extraction, exactly like a
 	// watch that stopped growing.
 	subsets := 0
-	for _, c := range e.clusters {
+	for _, c := range e.shards[0].st.clusters {
 		subsets += len(c.closed)
 	}
 	if subsets != 1 {
@@ -289,23 +292,72 @@ func TestMaxWatchedShedsLargest(t *testing.T) {
 }
 
 // TestShardProcessRecovers pins the shard-level last-resort guard: a
-// panic that escapes Engine.Process (here: a corrupted client index, so
-// the fault fires before cluster attribution) is swallowed at the shard
-// boundary and counted, instead of unwinding into the caller.
+// panic that escapes shardState.process (here: a corrupted client index,
+// so the fault fires before cluster attribution) is swallowed at the
+// shard boundary and counted, instead of unwinding into the caller — and
+// the faulting transaction's trace is closed and committed, not leaked
+// into the next transaction's.
 func TestShardProcessRecovers(t *testing.T) {
-	s := NewSharded(Config{Shards: 1}, constScorer(0))
-	s.shards[0].eng.byClient = nil // poison: clusterFor writes into a nil map
+	tracer := obs.NewTracer(nil, obs.TraceConfig{Sample: 1})
+	s := New(Config{Shards: 1, Tracer: tracer}, constScorer(0))
+	state := s.shards[0].st
+	roots := func(snap obs.TraceSnapshot) (spans []obs.TraceSpan) {
+		for _, sp := range snap.Spans {
+			if sp.Stage == "detector.process" && sp.Parent == -1 {
+				spans = append(spans, sp)
+			}
+		}
+		return spans
+	}
+
+	state.byClient = nil // poison: clusterFor writes into a nil map
 	if got := s.Process(mkTx("x.com", "/", "GET", 200, "text/html", 10, "", 0)); got != nil {
 		t.Fatalf("poisoned shard returned alerts: %v", got)
 	}
 	if st := s.Stats(); st.Panics != 1 {
 		t.Fatalf("stats %+v, want Panics=1", st)
 	}
-	// The shard keeps serving.
-	s.shards[0].eng.byClient = map[netip.Addr][]*cluster{}
+	if state.at != nil || state.atRoot != -1 {
+		t.Fatal("recovered shard still points at the faulting transaction's trace")
+	}
+	snaps := tracer.Snapshots()
+	if len(snaps) != 1 {
+		t.Fatalf("ring holds %d trees after the faulting transaction, want 1", len(snaps))
+	}
+	if r := roots(snaps[0]); len(r) != 1 || !strings.Contains(r[0].Flags, "error") {
+		t.Fatalf("faulting tree = %+v, want one detector.process root flagged error", snaps[0].Spans)
+	}
+
+	// The shard keeps serving, and the next tree is its own.
+	state.byClient = map[netip.Addr][]*cluster{}
 	s.Process(mkTx("x.com", "/", "GET", 200, "text/html", 10, "", time.Second))
 	if st := s.Stats(); st.Transactions != 2 {
 		t.Fatalf("shard stopped serving: %+v", st)
+	}
+	snaps = tracer.Snapshots()
+	if len(snaps) != 2 {
+		t.Fatalf("ring holds %d trees, want 2", len(snaps))
+	}
+	if r := roots(snaps[1]); len(r) != 1 || len(snaps[1].Spans) != 1 || r[0].Flags != "" {
+		t.Fatalf("tree after the fault = %+v, want exactly one clean detector.process root", snaps[1].Spans)
+	}
+
+	// Under a caller-supplied trace (the proxy's) the root span is closed
+	// on the recover path too: the caller's next span is a sibling, not a
+	// child of a span left open.
+	at := tracer.Begin()
+	state.byClient = nil
+	s.ProcessTraced(mkTx("x.com", "/", "GET", 200, "text/html", 10, "", 2*time.Second), at)
+	state.byClient = map[netip.Addr][]*cluster{}
+	s.ProcessTraced(mkTx("x.com", "/", "GET", 200, "text/html", 10, "", 3*time.Second), at)
+	id := at.ID()
+	tracer.Finish(at)
+	snap, ok := tracer.Find(id)
+	if !ok {
+		t.Fatal("caller-supplied trace not in the ring")
+	}
+	if r := roots(snap); len(r) != 2 || !strings.Contains(r[0].Flags, "error") || r[1].Flags != "" {
+		t.Fatalf("caller-supplied tree = %+v, want two depth-0 detector.process spans, the first flagged error", snap.Spans)
 	}
 }
 
@@ -344,7 +396,7 @@ func trainNarrowForest(tb testing.TB) *ml.Forest {
 // quarantines the cluster, the rebuild's repeat fault evicts it, and the
 // engine keeps serving other clients throughout.
 func TestMisdimensionedModelQuarantines(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, trainNarrowForest(t))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, trainNarrowForest(t))
 	txs := relatedFollowUp(0)
 
 	for _, tx := range txs[:5] {
@@ -383,7 +435,7 @@ func TestMisdimensionedModelQuarantines(t *testing.T) {
 // extraction-only mode) pass through untouched.
 func TestNewUpgradesForestToFlat(t *testing.T) {
 	f := trainNarrowForest(t)
-	e := New(Config{}, f)
+	e := New(Config{Shards: 1}, f)
 	ff, ok := e.models.current().scorer.(*ml.FlatForest)
 	if !ok {
 		t.Fatalf("engine model is %T, want *ml.FlatForest", e.models.current().scorer)
@@ -392,13 +444,13 @@ func TestNewUpgradesForestToFlat(t *testing.T) {
 	if math.Float64bits(f.Score(x)) != math.Float64bits(ff.Score(x)) {
 		t.Fatal("flattened engine model scores differently from the trained forest")
 	}
-	if e := New(Config{}, nil); e.models.current().scorer != nil {
+	if e := New(Config{Shards: 1}, nil); e.models.current().scorer != nil {
 		t.Fatalf("nil model rewritten to %T", e.models.current().scorer)
 	}
-	if e := New(Config{}, constScorer(0.4)); e.models.current().scorer != (constScorer(0.4)) {
+	if e := New(Config{Shards: 1}, constScorer(0.4)); e.models.current().scorer != (constScorer(0.4)) {
 		t.Fatalf("non-forest scorer rewritten to %T", e.models.current().scorer)
 	}
-	if e := New(Config{}, (*ml.Forest)(nil)); e.models.current().scorer.(*ml.Forest) != nil {
+	if e := New(Config{Shards: 1}, (*ml.Forest)(nil)); e.models.current().scorer.(*ml.Forest) != nil {
 		t.Fatal("typed-nil forest must pass through, not be flattened")
 	}
 }

@@ -2,17 +2,15 @@ package detector
 
 import "dynaminer/internal/obs"
 
-// engineMetrics binds one Engine to an observability registry. Every
-// Stats field is backed by a per-engine Cell on a registry-wide counter
-// family: the shards of a ShardedEngine each write their own cell with
-// no cache-line contention, each shard's Stats() view reads back exactly
+// engineMetrics binds one engine shard to the engine's observability
+// registry. Every Stats field is backed by a per-shard Cell on a
+// registry-wide counter family: shards each write their own cell with no
+// cache-line contention, each shard's stats() view reads back exactly
 // its own increments, and the registry's Counter.Value sums all shards
 // for the /metrics total. The latency histograms and the watched gauge
 // are shared across shards (they are concurrency-safe and have no
 // per-shard view).
 type engineMetrics struct {
-	reg *obs.Registry
-
 	transactions    *obs.Cell
 	weeded          *obs.Cell
 	clusters        *obs.Cell
@@ -41,18 +39,12 @@ type engineMetrics struct {
 }
 
 // newEngineMetrics registers (or re-binds to) the detector metric
-// families on reg and allocates this engine's private counter cells. A
-// nil reg gets a private registry, so counters and the Stats view work
-// identically whether or not observability is exported.
+// families on reg and allocates this shard's private counter cells.
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	cell := func(name, help string) *obs.Cell {
 		return reg.Counter(name, help).NewCell()
 	}
 	return &engineMetrics{
-		reg:             reg,
 		transactions:    cell("dynaminer_detector_transactions_total", "Transactions ingested by the detection engine."),
 		weeded:          cell("dynaminer_detector_weeded_total", "Transactions weeded out as trusted-vendor traffic."),
 		clusters:        cell("dynaminer_detector_clusters_total", "Session clusters opened."),

@@ -37,7 +37,7 @@ type modelRef struct {
 }
 
 // modelHolder owns the serving model behind an atomic pointer. All shards
-// of a ShardedEngine share one holder: a swap is a single pointer store,
+// of an Engine share one holder: a swap is a single pointer store,
 // visible to every shard's next watch arming without taking any shard
 // lock, while in-flight watches keep their pinned ref. The previous ref is
 // retained for instant rollback.
@@ -58,6 +58,7 @@ type modelHolder struct {
 // newModelHolder wraps the construction-time model as generation 1 and
 // registers the model-lifecycle metric family on reg.
 func newModelHolder(reg *obs.Registry, model Scorer) *modelHolder {
+	model = flattened(model)
 	h := &modelHolder{
 		reloads: reg.Counter("dynaminer_model_reloads_total",
 			"Successful model hot-swaps into running engines."),
@@ -76,6 +77,19 @@ func newModelHolder(reg *obs.Registry, model Scorer) *modelHolder {
 	h.cur.Store(ref)
 	h.noteActiveLocked(ref.version)
 	return h
+}
+
+// flattened upgrades a pointer-tree *ml.Forest to its struct-of-arrays
+// form, so every classification traverses contiguous slabs instead of
+// chasing node pointers; any other scorer passes through. The flat
+// representation scores bit-identically (pinned by ml's differential
+// tests), so the upgrade changes latency, never verdicts. Every model
+// enters the holder through here: at construction and on each swap.
+func flattened(model Scorer) Scorer {
+	if f, ok := model.(*ml.Forest); ok && f != nil {
+		return f.Flatten()
+	}
+	return model
 }
 
 // scorerCRC derives the model identity of a scorer: the blob CRC for flat
@@ -125,6 +139,7 @@ func validateCandidate(cur, candidate Scorer) error {
 // returning the new version. On rejection the serving model is untouched
 // and the failure is counted.
 func (h *modelHolder) swap(candidate Scorer) (ModelVersion, error) {
+	candidate = flattened(candidate)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.cur.Load()
@@ -158,10 +173,19 @@ func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) 
 		h.reloadFailures.Inc()
 		return h.current().version, err
 	}
-	if f, ok := candidate.(*ml.Forest); ok && f != nil {
-		candidate = f.Flatten()
-	}
 	return h.swap(candidate)
+}
+
+// reloadFile reloads from a model file (DMFB blob or JSON, sniffed) read
+// through the full semantic screens.
+func (h *modelHolder) reloadFile(path string) (ModelVersion, error) {
+	return h.reload(func() (Scorer, error) {
+		ff, err := ml.LoadModelFile(path)
+		if err != nil {
+			return nil, err // a bare nil, not a typed-nil Scorer
+		}
+		return ff, nil
+	})
 }
 
 // rollback atomically reinstates the previous model under its original

@@ -62,7 +62,7 @@ func counterValue(tb testing.TB, reg *obs.Registry, name string) int64 {
 // quarantine strike.
 func TestReloadCorruptBlobRejectedPreSwap(t *testing.T) {
 	serving := trainDimForest(t, 37, 11)
-	s := NewSharded(Config{Shards: 2, RedirectThreshold: 3}, serving)
+	s := New(Config{Shards: 2, RedirectThreshold: 3}, serving)
 	v0 := s.ModelVersion()
 	if v0.Gen != 1 || v0.CRC != serving.BlobCRC() {
 		t.Fatalf("initial version = %v, want g1 with the serving blob CRC", v0)
@@ -123,7 +123,7 @@ func TestReloadCorruptBlobRejectedPreSwap(t *testing.T) {
 func TestReloadSwapAndRollback(t *testing.T) {
 	first := trainDimForest(t, 37, 21)
 	second := trainDimForest(t, 37, 22)
-	s := NewSharded(Config{Shards: 2}, first)
+	s := New(Config{Shards: 2}, first)
 	v1 := s.ModelVersion()
 
 	path := writeBlob(t, t.TempDir(), "second.dmfb", second)
@@ -153,7 +153,7 @@ func TestReloadSwapAndRollback(t *testing.T) {
 		t.Fatalf("double rollback = %v, %v; want %v", fwd, err, v2)
 	}
 
-	e := New(Config{}, first)
+	e := New(Config{Shards: 1}, first)
 	if _, err := e.RollbackModel(); err == nil {
 		t.Fatal("rollback with no previous model must fail")
 	}
@@ -169,8 +169,8 @@ func TestReloadSwapAndRollback(t *testing.T) {
 func TestMidStreamReloadPinsWatches(t *testing.T) {
 	txs := relatedFollowUp(2) // clue at index 4, growth, second download at the end
 
-	pinnedRun := New(Config{RedirectThreshold: 3}, constScorer(0.9))
-	steadyRun := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	pinnedRun := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+	steadyRun := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 
 	var pinnedAlerts, steadyAlerts []Alert
 	for i, tx := range txs {

@@ -23,6 +23,7 @@ func traceFixture(t *testing.T, disableIncremental bool) (*obs.Tracer, []obs.Ale
 	tracer := obs.NewTracer(reg, obs.TraceConfig{Sample: 1})
 	var buf bytes.Buffer
 	e := New(Config{
+		Shards:             1,
 		RedirectThreshold:  3,
 		DisableIncremental: disableIncremental,
 		Metrics:            reg,
@@ -148,7 +149,7 @@ func TestAlertTraceLinkage(t *testing.T) {
 // TestUntracedEngineUnchanged: a nil tracer keeps Process allocation- and
 // behavior-identical, and a restoring engine never traces.
 func TestUntracedEngineUnchanged(t *testing.T) {
-	e := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	if got := len(e.ProcessAll(infectionStream())); got != 1 {
 		t.Fatalf("untraced engine raised %d alerts", got)
 	}
@@ -158,7 +159,7 @@ func TestUntracedEngineUnchanged(t *testing.T) {
 // error+quarantined so slow-path exemplars carry fault attribution.
 func TestQuarantineSpanAttribution(t *testing.T) {
 	tracer := obs.NewTracer(nil, obs.TraceConfig{Sample: 1})
-	e := New(Config{RedirectThreshold: 3, Tracer: tracer}, panicScorer{})
+	e := New(Config{Shards: 1, RedirectThreshold: 3, Tracer: tracer}, panicScorer{})
 	for _, tx := range infectionStream() {
 		if got := e.ProcessTraced(tx, nil); got != nil {
 			t.Fatalf("poisoned classify returned alerts: %v", got)
@@ -186,7 +187,7 @@ func TestQuarantineSpanAttribution(t *testing.T) {
 // individually: fresh, shedding (MaxWatched saturated), degraded
 // (classify EWMA over budget), and model version presence.
 func TestEngineHealthConditions(t *testing.T) {
-	fresh := New(Config{RedirectThreshold: 3}, constScorer(0.9))
+	fresh := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	st := fresh.Health()
 	if st.Degraded || st.Quarantined || st.Shedding {
 		t.Fatalf("fresh engine health = %+v, want clean", st)
@@ -195,7 +196,7 @@ func TestEngineHealthConditions(t *testing.T) {
 		t.Fatal("health lacks a model version")
 	}
 
-	shed := New(Config{RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
+	shed := New(Config{Shards: 1, RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
 	shed.ProcessAll(infectionStream())
 	if st := shed.Health(); !st.Shedding {
 		t.Fatalf("MaxWatched=1 engine with a live watch not shedding: %+v", st)
@@ -203,6 +204,7 @@ func TestEngineHealthConditions(t *testing.T) {
 
 	clock := &slowClock{t: t0, step: 40 * time.Millisecond}
 	slow := New(Config{
+		Shards:             1,
 		RedirectThreshold:  3,
 		MaxClassifyLatency: time.Millisecond,
 		Now:                clock.Now,
@@ -213,12 +215,12 @@ func TestEngineHealthConditions(t *testing.T) {
 	}
 }
 
-// TestShardedHealthAggregation: any shard's condition surfaces on the
-// sharded engine's health.
-func TestShardedHealthAggregation(t *testing.T) {
-	se := NewSharded(Config{RedirectThreshold: 3, Shards: 4, MaxWatched: 1}, constScorer(0.1))
+// TestHealthAggregatesShards: any shard's condition surfaces on the
+// engine's health.
+func TestHealthAggregatesShards(t *testing.T) {
+	se := New(Config{RedirectThreshold: 3, Shards: 4, MaxWatched: 1}, constScorer(0.1))
 	if st := se.Health(); st.Degraded || st.Quarantined || st.Shedding || st.ModelVersion == "" {
-		t.Fatalf("fresh sharded health = %+v, want clean with a model version", st)
+		t.Fatalf("fresh multi-shard health = %+v, want clean with a model version", st)
 	}
 	// The infection stream is one client: exactly one shard saturates its
 	// MaxWatched=1, and the aggregate must report shedding.
@@ -226,6 +228,6 @@ func TestShardedHealthAggregation(t *testing.T) {
 		se.Process(tx)
 	}
 	if st := se.Health(); !st.Shedding {
-		t.Fatalf("sharded health after saturating one shard = %+v, want shedding", st)
+		t.Fatalf("health after saturating one shard = %+v, want shedding", st)
 	}
 }

@@ -48,14 +48,14 @@ func AblationClueThreshold(o Options, episodesPerClass int) (ClueThresholdResult
 	for l := 1; l <= 6; l++ {
 		detected, falsed, clues := 0, 0, 0
 		for i := range infEps {
-			eng := detector.New(detector.Config{RedirectThreshold: l}, forest)
+			eng := detector.New(detector.Config{RedirectThreshold: l, Shards: 1}, forest)
 			if len(eng.ProcessAll(infEps[i].Txs)) > 0 {
 				detected++
 			}
 			clues += eng.Stats().CluesFired
 		}
 		for i := range benEps {
-			eng := detector.New(detector.Config{RedirectThreshold: l}, forest)
+			eng := detector.New(detector.Config{RedirectThreshold: l, Shards: 1}, forest)
 			if len(eng.ProcessAll(benEps[i].Txs)) > 0 {
 				falsed++
 			}

@@ -56,7 +56,7 @@ func CaseStudy1(o Options) (CaseStudy1Result, error) {
 		}
 	}
 
-	eng := detector.New(detector.Config{RedirectThreshold: 3}, forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 3, Shards: 1}, forest)
 	alerts := eng.ProcessAll(ss.Episode.Txs)
 	res.Alerts = len(alerts)
 	for _, a := range alerts {
@@ -137,7 +137,7 @@ func TableVI(o Options) (TableVIResult, error) {
 
 	// One engine sees all three hosts, as a proxy deployment would. The
 	// live study's chains run as short as 2, so the clue threshold is 2.
-	eng := detector.New(detector.Config{RedirectThreshold: 2}, forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 2, Shards: 1}, forest)
 	alerts := eng.ProcessAll(ec.Txs)
 
 	// Attribute alerts to hosts via client IPs observed per host name.

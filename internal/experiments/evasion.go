@@ -66,7 +66,7 @@ func Evasion(o Options, perMode int) (EvasionResult, error) {
 			}
 		}
 		for i := 0; i < perMode; i++ {
-			eng := detector.New(detector.Config{RedirectThreshold: 2}, monitor)
+			eng := detector.New(detector.Config{RedirectThreshold: 2, Shards: 1}, monitor)
 			if len(eng.ProcessAll(txss[i])) > 0 {
 				wireHits++
 			}

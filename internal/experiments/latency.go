@@ -44,7 +44,7 @@ func DetectionLatency(o Options, episodes int) (LatencyResult, error) {
 	for i := 0; i < episodes; i++ {
 		fam := synth.Families[i%len(synth.Families)].Name
 		ep := synth.GenerateInfection(fam, corpusEpoch, rng)
-		eng := detector.New(detector.Config{RedirectThreshold: 1}, forest)
+		eng := detector.New(detector.Config{RedirectThreshold: 1, Shards: 1}, forest)
 		start := ep.Txs[0].ReqTime
 		end := ep.Txs[len(ep.Txs)-1].ReqTime
 		alerted := false

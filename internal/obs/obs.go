@@ -12,7 +12,7 @@
 //     Gauge.Set/Add and Histogram.Observe touch only pre-allocated
 //     atomics; everything name- or label-shaped is resolved once at
 //     registration time (benchmark-pinned in bench_test.go).
-//   - One registry per serving instance. A Monitor, a ShardedEngine, or a
+//   - One registry per serving instance. A Monitor, a detector Engine, or a
 //     Proxy owns (or is handed) a Registry; per-instance Stats structs are
 //     bridged views over it, so two engines in one process never mix
 //     counters. Process-wide library metrics (the httpstream parsers) live

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"sort"
 	"time"
 )
 
@@ -129,7 +130,8 @@ func WriteConversations(w io.Writer, convs []Conversation) error {
 		}
 		all = append(all, pkts...)
 	}
-	sortPacketsByTime(all)
+	// Stable, so packets sharing a timestamp keep conversation order.
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Timestamp.Before(all[j].Timestamp) })
 	pw := NewWriter(w)
 	for _, p := range all {
 		if err := pw.WritePacket(p); err != nil {
@@ -137,13 +139,4 @@ func WriteConversations(w io.Writer, convs []Conversation) error {
 		}
 	}
 	return pw.Flush()
-}
-
-func sortPacketsByTime(pkts []Packet) {
-	// Stable insertion-friendly sort: captures are near-sorted already.
-	for i := 1; i < len(pkts); i++ {
-		for j := i; j > 0 && pkts[j].Timestamp.Before(pkts[j-1].Timestamp); j-- {
-			pkts[j], pkts[j-1] = pkts[j-1], pkts[j]
-		}
-	}
 }

@@ -359,6 +359,71 @@ func TestWriteConversationsMergesByTime(t *testing.T) {
 			t.Fatalf("packets not time-ordered at %d", i)
 		}
 	}
+
+	// Hundreds of conversations over the same window, as a multi-client
+	// capture renders them: every conversation uses the same timestamps, so
+	// the merge interleaves all of them and every instant is a tie.
+	overlapping := func(n int) []Conversation {
+		convs := make([]Conversation, n)
+		for i := range convs {
+			convs[i] = mk(uint16(40000+i), baseTime)
+			for j := 1; j < 100; j++ {
+				convs[i].Exchanges = append(convs[i].Exchanges, Exchange{
+					ClientToServer: j%2 == 0, Payload: []byte("x"),
+					Timestamp: baseTime.Add(time.Duration(j) * time.Millisecond),
+				})
+			}
+		}
+		return convs
+	}
+	// merge returns the fastest of three runs, so a scheduling hiccup does
+	// not pass for an algorithmic cost.
+	merge := func(convs []Conversation) time.Duration {
+		best := time.Duration(-1)
+		for run := 0; run < 3; run++ {
+			buf.Reset()
+			start := time.Now()
+			if err := WriteConversations(&buf, convs); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); best < 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := merge(overlapping(100)), merge(overlapping(400))
+	pkts, err = ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 400 * (100 + 5); len(pkts) != want {
+		t.Fatalf("merged %d packets, want %d", len(pkts), want)
+	}
+	prevPort := uint16(0)
+	for i := range pkts {
+		f, err := DecodeFrame(pkts[i].Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := f.SrcPort
+		if port == 80 {
+			port = f.DstPort
+		}
+		if i > 0 && pkts[i].Timestamp.Before(pkts[i-1].Timestamp) {
+			t.Fatalf("packets not time-ordered at %d", i)
+		}
+		if i > 0 && pkts[i].Timestamp.Equal(pkts[i-1].Timestamp) && port < prevPort {
+			t.Fatalf("tie at %d broken out of conversation order: port %d after %d", i, port, prevPort)
+		}
+		prevPort = port
+	}
+	// Four times the conversations is four times the packets: an n log n
+	// merge costs about 4.5x, a quadratic one 16x.
+	if large > 8*small {
+		t.Fatalf("merging 400 overlapping conversations took %v, %.1fx the %v of 100: the merge is quadratic",
+			large, float64(large)/float64(small), small)
+	}
 }
 
 func TestBuildConversationEmpty(t *testing.T) {

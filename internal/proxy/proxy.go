@@ -119,7 +119,7 @@ type Proxy struct {
 	transport http.RoundTripper
 	now       func() time.Time
 	sleep     func(time.Duration)
-	engine    *detector.ShardedEngine
+	engine    *detector.Engine
 
 	// mx backs every Stats counter with registry metrics shared with the
 	// embedded engine; the atomic counters need no lock.
@@ -171,7 +171,7 @@ func New(cfg Config, model detector.Scorer) *Proxy {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	engine := detector.NewSharded(cfg.Detector, model)
+	engine := detector.New(cfg.Detector, model)
 	p := &Proxy{
 		cfg:       cfg,
 		transport: transport,

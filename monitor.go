@@ -17,7 +17,7 @@ import (
 // GOMAXPROCS), so Monitor is safe for concurrent use and distinct clients
 // classify in parallel; per-client results are shard-count independent.
 type Monitor struct {
-	engine *detector.ShardedEngine
+	engine *detector.Engine
 	now    func() time.Time
 	ttl    time.Duration
 
@@ -58,7 +58,7 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 	if ttl == 0 {
 		ttl = time.Hour
 	}
-	engine := detector.NewSharded(cfg, c.scorer())
+	engine := detector.New(cfg, c.scorer())
 	reg := engine.Registry()
 	return &Monitor{
 		engine:  engine,
@@ -188,9 +188,9 @@ func (m *Monitor) EvictIdle(cutoff time.Time) int { return m.engine.EvictIdle(cu
 func (m *Monitor) Process(tx Transaction) []Alert { return m.engine.Process(tx) }
 
 // ProcessAll moves a transaction slab through the engine: each shard
-// processes its share of the slab under one lock acquisition, shards run
-// concurrently, and alerts come back in input order — bit-identical to
-// calling Process per transaction, just cheaper per transaction.
+// processes its share of the slab, shards run concurrently, and alerts
+// come back in input order — bit-identical to calling Process per
+// transaction.
 func (m *Monitor) ProcessAll(txs []Transaction) []Alert { return m.engine.ProcessAll(txs) }
 
 // ProcessPCAP replays a capture through the engine, as in the forensic
