@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 lint bench benchcheck chaos fuzz
+.PHONY: all build tier1 tier2 lint bench benchcheck benchpair chaos fuzz
 
 all: tier1
 
@@ -17,6 +17,16 @@ tier1:
 # tier 1 and still break the benchmark. This vets and tests it (~3 s).
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired benchmark runs of PARENT (a git revision) against the working
+# tree: PAIRS alternating pairs per workload, a markdown table per
+# workload on stdout (see tools/benchpair.sh). A performance claim, and
+# the spread check that precedes submitting one, are read off this.
+PARENT ?= HEAD
+WORKLOAD ?= all
+PAIRS ?= 10
+benchpair:
+	bash tools/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Project-invariant static analysis (see DESIGN.md "Enforced invariants"
 # and "Type-aware lint"). Type-checks every package against gc export
@@ -47,7 +57,8 @@ chaos:
 
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
 # of the checked-in seed corpus (testdata/fuzz), plus the model-file
-# loader differential. Regenerate the synth seeds with
+# loader differential and the body sniffer's two differentials against
+# its regexp-only reference. Regenerate the synth seeds with
 # DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
@@ -56,6 +67,8 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME)
 
 # Bench: run the benchmark suite and record the parsed results as JSON.
 # BENCH_PATTERN narrows the run (CI smokes just the classify trio);

@@ -20,7 +20,7 @@ import (
 //
 // Folded expressions pass automatically because they are no longer bare
 // selectors: strings.ToLower(r.Host) == x, strings.EqualFold(a, b),
-// hostOf(tx.Referer()) and the like are calls, not raw field reads.
+// wcg.HostOfURL(tx.Referer()) and the like are calls, not raw field reads.
 type Hostfold struct{}
 
 // Name implements Analyzer.

@@ -996,14 +996,14 @@ func (c *cluster) buildMeta(tx *httpstream.Transaction, host string) txMeta {
 		payload: wcg.ClassifyPayload(tx.URI, tx.ContentType),
 	}
 	if tx.IsRedirect() {
-		m.locHost = hostOf(tx.Location())
+		m.locHost = wcg.HostOfURL(tx.Location())
 		if m.locHost == "" {
 			m.locHost = host
 		}
 	}
 	if m.payload == wcg.PayloadHTML || m.payload == wcg.PayloadJS {
 		for _, target := range wcg.SniffBodyRedirects(tx.Body) {
-			if th := hostOf(target); th != "" {
+			if th := wcg.HostOfURL(target); th != "" {
 				m.sniff = append(m.sniff, th)
 			}
 		}
@@ -1210,27 +1210,7 @@ func (s *shardState) evictIdle(cutoff time.Time) int {
 }
 
 func refererHost(tx *httpstream.Transaction) string {
-	return hostOf(tx.Referer())
-}
-
-// hostOf extracts the host of an absolute or schemeless URL, lowercased
-// (DNS names are case-insensitive, so all host comparisons fold case).
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	} else if strings.HasPrefix(s, "//") {
-		s = s[2:]
-	} else if strings.HasPrefix(s, "/") || s == "" {
-		return ""
-	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '/', '?', '#', ':':
-			return strings.ToLower(s[:i])
-		}
-	}
-	return strings.ToLower(s)
+	return wcg.HostOfURL(tx.Referer())
 }
 
 // clusterFor assigns the transaction to a session cluster of its client:

@@ -151,7 +151,6 @@ type Histogram struct {
 	bounds []float64      // inclusive upper bounds, ascending
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
-	count  atomic.Int64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -173,7 +172,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -183,23 +181,19 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Buckets returns the upper bounds and the cumulative count at each bound
-// (Prometheus `le` semantics), excluding the implicit +Inf bucket whose
-// cumulative count is Count.
-func (h *Histogram) Buckets() ([]float64, []int64) {
-	cum := make([]int64, len(h.bounds))
+// Snapshot returns the upper bounds, the cumulative count at each bound
+// (Prometheus `le` semantics) followed by the +Inf bucket, and the sum of
+// observed values. The last cumulative count is the observation count:
+// both come from this one pass over the buckets, so a reader racing
+// Observe still sees monotone buckets whose +Inf equals the count.
+func (h *Histogram) Snapshot() (bounds []float64, cum []int64, sum float64) {
+	cum = make([]int64, len(h.counts))
 	var running int64
-	for i := range h.bounds {
+	for i := range h.counts {
 		running += h.counts[i].Load()
 		cum[i] = running
 	}
-	return append([]float64(nil), h.bounds...), cum
+	return append([]float64(nil), h.bounds...), cum, math.Float64frombits(h.sum.Load())
 }
 
 // sameBounds reports whether two bucket layouts are identical.

@@ -123,17 +123,18 @@ func TestHistogramObserve(t *testing.T) {
 		h.Observe(v)
 		want += v // same left-to-right float64 accumulation as the histogram
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
+	bounds, cum, sum := h.Snapshot()
+	if sum != want {
+		t.Fatalf("sum = %g, want %g", sum, want)
 	}
-	if got := h.Sum(); got != want {
-		t.Fatalf("sum = %g, want %g", got, want)
+	// le=0.01: {0.005, 0.01}; le=0.1: +0.05; le=1: +0.5; +Inf: +5 = the count.
+	wantCum := []int64{2, 3, 4, 5}
+	if len(bounds) != 3 || len(cum) != len(wantCum) {
+		t.Fatalf("snapshot has %d bounds and %d counts, want 3 and %d", len(bounds), len(cum), len(wantCum))
 	}
-	bounds, cum := h.Buckets()
-	wantCum := []int64{2, 3, 4} // le=0.01: {0.005, 0.01}; le=0.1: +0.05; le=1: +0.5
-	for i := range bounds {
+	for i := range cum {
 		if cum[i] != wantCum[i] {
-			t.Fatalf("cumulative[le=%g] = %d, want %d", bounds[i], cum[i], wantCum[i])
+			t.Fatalf("cumulative[%d] = %d, want %d", i, cum[i], wantCum[i])
 		}
 	}
 }
@@ -247,5 +248,47 @@ func TestSnapshotShapes(t *testing.T) {
 	}
 	if byName["v_total"].Children["x"] != 9 {
 		t.Fatalf("vec snapshot wrong: %+v", byName["v_total"])
+	}
+}
+
+// TestHistogramRenderUnderLoad renders the exposition and the snapshot
+// while another goroutine observes. Every document must be consistent
+// with itself — buckets monotone, +Inf equal to _count, no finite bucket
+// above the count — which holds only if one pass over the buckets feeds
+// all of those lines.
+func TestHistogramRenderUnderLoad(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h_seconds", "hist", []float64{1, 2, 3})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := 0; ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(float64(v % 5))
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	var buf bytes.Buffer
+	for i := 0; i < 2000; i++ {
+		buf.Reset()
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("render %d: %v\n%s", i, err, buf.String())
+		}
+		hs := r.Snapshot()[0]
+		prev := int64(0)
+		for _, b := range hs.Buckets {
+			if b.Count < prev || b.Count > hs.Count {
+				t.Fatalf("snapshot %d: bucket le=%g holds %d after %d, count %d", i, b.UpperBound, b.Count, prev, hs.Count)
+			}
+			prev = b.Count
+		}
 	}
 }

@@ -30,13 +30,14 @@ func writeFamily(w io.Writer, e *entry) error {
 			fmt.Fprintf(bw, "%s{%s=%q} %d\n", e.name, e.vec.label, escapeLabel(k), children[k].Value())
 		}
 	case kindHistogram:
-		bounds, cum := e.hist.Buckets()
+		bounds, cum, sum := e.hist.Snapshot()
 		for i, b := range bounds {
 			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", e.name, formatFloat(b), cum[i])
 		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.name, e.hist.Count())
-		fmt.Fprintf(bw, "%s_sum %s\n", e.name, formatFloat(e.hist.Sum()))
-		fmt.Fprintf(bw, "%s_count %d\n", e.name, e.hist.Count())
+		count := cum[len(bounds)]
+		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.name, count)
+		fmt.Fprintf(bw, "%s_sum %s\n", e.name, formatFloat(sum))
+		fmt.Fprintf(bw, "%s_count %d\n", e.name, count)
 	}
 	return bw.Flush()
 }
@@ -99,9 +100,8 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 				ms.Children[k] = children[k].Value()
 			}
 		case kindHistogram:
-			ms.Count = e.hist.Count()
-			ms.Sum = e.hist.Sum()
-			bounds, cum := e.hist.Buckets()
+			bounds, cum, sum := e.hist.Snapshot()
+			ms.Count, ms.Sum = cum[len(bounds)], sum
 			for i, b := range bounds {
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{UpperBound: b, Count: cum[i]})
 			}

@@ -88,7 +88,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 		// enticement source. An unknown origin is recorded as metadata
 		// only ("marked empty"); adding an isolated marker node would skew
 		// every distance-based measure of origin-less conversations.
-		if firstRef := hostOfURL(tx.Referer()); firstRef != "" {
+		if firstRef := HostOfURL(tx.Referer()); firstRef != "" {
 			w.OriginKnown = true
 			w.OriginHost = firstRef
 			b.origin = w.ensureNode(firstRef, invalidAddr(), NodeOrigin)
@@ -133,7 +133,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 
 	// Redirect edge from a Location header.
 	if tx.IsRedirect() {
-		target := hostOfURL(tx.Location())
+		target := HostOfURL(tx.Location())
 		if target == "" {
 			target = serverHost // relative redirect: same host
 		}
@@ -148,7 +148,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	// follow the referring host's last activity within redirectClickGap —
 	// automatic redirections fire in milliseconds, link-clicks take
 	// seconds (Section III-C's delay insight).
-	if ref := hostOfURL(tx.Referer()); ref != "" && ref != serverHost && ref != victimHost {
+	if ref := HostOfURL(tx.Referer()); ref != "" && ref != serverHost && ref != victimHost {
 		if payload == PayloadHTML || (tx.StatusCode >= 300 && tx.StatusCode < 400) {
 			if seen, ok := b.lastActivity[ref]; ok && tx.ReqTime.Sub(seen) <= redirectClickGap {
 				from := w.ensureNode(ref, invalidAddr(), NodeIntermediary)
@@ -165,7 +165,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	// Meta/JavaScript/iframe redirects hidden in document bodies.
 	if payload == PayloadHTML || payload == PayloadJS {
 		for _, target := range SniffBodyRedirects(tx.Body) {
-			th := hostOfURL(target)
+			th := HostOfURL(target)
 			if th == "" || th == serverHost {
 				continue
 			}

@@ -1,19 +1,25 @@
 package wcg
 
 import (
+	"reflect"
 	"testing"
 )
 
 // FuzzDeobfuscate: the decoder must terminate and never panic on arbitrary
-// script text.
+// script text, and must decode it exactly as the regexp-only reference.
 func FuzzDeobfuscate(f *testing.F) {
 	f.Add(`String.fromCharCode(104,116,116,112)`)
 	f.Add(`\x68\x74%74%70`)
 	f.Add(`%5Cx68`)
 	f.Add(`String.fromCharCode(`)
 	f.Add(`String.fromCharCode(-1,99999999999999999999)`)
+	f.Add(`String.fromCharCode(92,120,54,56)%2525\x2541%C5%BF`)
+	f.Add(`String.fromCharCode(65, 0066,)String.fromCharCode(55296 ,1114111)`)
 	f.Fuzz(func(t *testing.T, body string) {
 		out := Deobfuscate(body)
+		if want := refDeobfuscate(body); out != want {
+			t.Fatalf("Deobfuscate(%q)\n got %q\nwant %q", body, out, want)
+		}
 		// Decoding only ever shrinks or preserves escape sequences; a
 		// pathological blow-up would indicate a decode loop bug.
 		if len(out) > 4*len(body)+16 {
@@ -22,19 +28,27 @@ func FuzzDeobfuscate(f *testing.F) {
 	})
 }
 
-// FuzzSniffBodyRedirects: sniffing arbitrary HTML must not panic and every
-// extracted URL must be non-empty.
+// FuzzSniffBodyRedirects: sniffing arbitrary HTML must not panic, every
+// extracted URL must be non-empty, and the URLs must be exactly those the
+// regexp-only reference extracts, in its order.
 func FuzzSniffBodyRedirects(f *testing.F) {
 	f.Add([]byte(`<meta http-equiv="refresh" content="0; url=http://a.b/c">`))
 	f.Add([]byte(`<iframe src="http://x.y/z">`))
 	f.Add([]byte(`window.location="http://q.r/s"`))
 	f.Add([]byte(``))
 	f.Add([]byte(`<<<>>>"'`))
+	f.Add([]byte("<META http-equiv=refre\u017fh url=a <meta http-equiv='refresh' URL=\u00a0b\t><IFRAME \u017frc='HTTP://c' src=http://\u212a"))
+	f.Add([]byte(`desktop.location = "a";window.location.href='%68ttp://b';top.location="c`))
+	f.Add([]byte(`<iframe src=String.fromCharCode(104,116,116,112)\x3a//d>location.href=''e'`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, u := range SniffBodyRedirects(body) {
+		got := SniffBodyRedirects(body)
+		for _, u := range got {
 			if u == "" {
 				t.Fatal("empty redirect target extracted")
 			}
+		}
+		if want := refSniffBodyRedirects(body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SniffBodyRedirects(%q)\n got %q\nwant %q", body, got, want)
 		}
 	})
 }

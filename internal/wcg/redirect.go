@@ -1,22 +1,29 @@
 package wcg
 
 import (
+	"bytes"
 	"regexp"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
+	"unicode/utf8"
 )
 
-// Redirect evidence patterns in document bodies (Section III-D: redirection
+// Redirect evidence in document bodies (Section III-D: redirection
 // evidence is often embedded in HTML or JavaScript, sometimes obfuscated).
+//
+// Bodies are hostile input and most of them hold no evidence at all, so
+// nothing here runs over a whole body: every pass finds its candidates by
+// byte search and matches only at a candidate. The two tag patterns stay
+// regexps because `s` also folds to U+017F under (?i); they run on one
+// tag's window at a time. redirect_ref_test.go keeps the regexp-only
+// sniffer this replaced as the oracle the tests compare against.
 var (
 	reMetaRefresh = regexp.MustCompile(`(?i)<meta[^>]*http-equiv=["']?refresh["']?[^>]*url=([^"'> ]+)`)
-	reJSLocation  = regexp.MustCompile(`(?i)(?:window\.location|document\.location|location\.href|top\.location)\s*=\s*["']([^"']+)["']`)
 	reIFrameSrc   = regexp.MustCompile(`(?i)<iframe[^>]*src=["']?(http[^"'> ]+)`)
-	reFromChar    = regexp.MustCompile(`String\.fromCharCode\(([0-9,\s]+)\)`)
-	reHexEscape   = regexp.MustCompile(`\\x([0-9a-fA-F]{2})`)
-	rePctEscape   = regexp.MustCompile(`%([0-9a-fA-F]{2})`)
+
+	fromCharCode = []byte("String.fromCharCode(")
+	hexEscape    = []byte(`\x`)
+	pctEscape    = []byte("%")
 )
 
 // Deobfuscate applies the lightweight decoding passes miscreants commonly
@@ -24,68 +31,291 @@ var (
 // escapes, and percent-encoding. The passes run until a fixed point (at
 // most four rounds) so stacked encodings unwrap.
 func Deobfuscate(body string) string {
-	for round := 0; round < 4; round++ {
-		decoded := reFromChar.ReplaceAllStringFunc(body, func(m string) string {
-			inner := reFromChar.FindStringSubmatch(m)[1]
-			var sb strings.Builder
-			for _, part := range strings.Split(inner, ",") {
-				code, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil || code < 0 || code > 0x10ffff {
-					return m
-				}
-				sb.WriteRune(rune(code))
-			}
-			return sb.String()
-		})
-		decoded = reHexEscape.ReplaceAllStringFunc(decoded, func(m string) string {
-			v, err := strconv.ParseUint(m[2:], 16, 8)
-			if err != nil {
-				return m
-			}
-			return string(rune(v))
-		})
-		decoded = rePctEscape.ReplaceAllStringFunc(decoded, func(m string) string {
-			v, err := strconv.ParseUint(m[1:], 16, 8)
-			if err != nil {
-				return m
-			}
-			return string(rune(v))
-		})
-		if decoded == body {
-			return decoded
-		}
-		body = decoded
+	b := []byte(body)
+	if d := deobfuscate(b); len(d) != len(b) {
+		return string(d)
 	}
 	return body
 }
 
-// SniffBodyRedirects extracts redirect target URLs from an HTML or
-// JavaScript body after deobfuscation: meta refreshes, JavaScript location
-// assignments, and iframe sources.
-func SniffBodyRedirects(body []byte) []string {
-	if len(body) == 0 {
-		return nil
+// deobfuscate is Deobfuscate on bytes. Every decode replaces an escape
+// with fewer bytes than it took, so an unchanged length means nothing
+// decoded, and then the result is b itself, not a copy.
+func deobfuscate(b []byte) []byte {
+	for round := 0; round < 4; round++ {
+		d := decodeEscapes(decodeEscapes(expandFromCharCode(b), hexEscape), pctEscape)
+		if len(d) == len(b) {
+			return d
+		}
+		b = d
 	}
-	text := Deobfuscate(string(body))
-	var out []string
-	seen := make(map[string]struct{})
-	add := func(matches [][]string) {
-		for _, m := range matches {
-			u := strings.TrimSpace(m[1])
-			if u == "" {
-				continue
+	return b
+}
+
+// expandFromCharCode replaces each String.fromCharCode(n, n, ...) whose
+// arguments are all code points with the characters they name; a call
+// with any other argument stays as it is.
+func expandFromCharCode(b []byte) []byte {
+	var out []byte
+	done := 0 // b[:done] is already in out, decoded
+	for i := 0; ; {
+		j := bytes.Index(b[i:], fromCharCode)
+		if j < 0 {
+			break
+		}
+		start := i + j
+		i = start + len(fromCharCode)
+		args := i
+		for i < len(b) && (b[i] == ',' || isDigit(b[i]) || isSpace(b[i])) {
+			i++
+		}
+		if i == args || i == len(b) || b[i] != ')' {
+			continue
+		}
+		var buf [64]byte // decode first: a call that stays as it is must not cost a copy of what precedes it
+		chars, ok := appendCharCodes(buf[:0], b[args:i])
+		if !ok {
+			continue
+		}
+		if out == nil {
+			out = make([]byte, 0, len(b))
+		}
+		out = append(append(out, b[done:start]...), chars...)
+		i++
+		done = i
+	}
+	if done == 0 {
+		return b
+	}
+	return append(out, b[done:]...)
+}
+
+// appendCharCodes appends the characters named by a fromCharCode argument
+// list such as "104, 116". ok is false when an argument is not a decimal
+// code point: empty, split by white space, or above U+10FFFF.
+func appendCharCodes(dst, args []byte) (_ []byte, ok bool) {
+	for more := true; more; {
+		arg := args
+		if c := bytes.IndexByte(args, ','); c >= 0 {
+			arg, args = args[:c], args[c+1:]
+		} else {
+			more = false
+		}
+		arg = bytes.TrimSpace(arg)
+		if len(arg) == 0 {
+			return dst, false
+		}
+		code := 0
+		for _, c := range arg {
+			if !isDigit(c) {
+				return dst, false
 			}
-			if _, ok := seen[u]; ok {
-				continue
+			if code = code*10 + int(c-'0'); code > utf8.MaxRune {
+				return dst, false
 			}
-			seen[u] = struct{}{}
-			out = append(out, u)
+		}
+		dst = utf8.AppendRune(dst, rune(code))
+	}
+	return dst, true
+}
+
+// decodeEscapes replaces each prefix followed by two hex digits with code
+// point U+00HH in UTF-8 (so %FF becomes two bytes, as string(rune(0xFF))
+// is). It returns b itself when there is nothing to decode.
+func decodeEscapes(b, prefix []byte) []byte {
+	var out []byte
+	done := 0 // b[:done] is already in out, decoded
+	for i := 0; ; {
+		j := bytes.Index(b[i:], prefix)
+		if j < 0 || i+j+len(prefix)+2 > len(b) {
+			break
+		}
+		start := i + j
+		i = start + len(prefix)
+		hi, lo := unhex(b[i]), unhex(b[i+1])
+		if hi < 0 || lo < 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]byte, 0, len(b))
+		}
+		out = append(out, b[done:start]...)
+		out = utf8.AppendRune(out, rune(hi<<4|lo))
+		i += 2
+		done = i
+	}
+	if done == 0 {
+		return b
+	}
+	return append(out, b[done:]...)
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isSpace is the regexp class \s.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r' }
+
+// unhex returns the value of a hex digit, or -1.
+func unhex(c byte) int {
+	switch {
+	case isDigit(c):
+		return int(c - '0')
+	case 'a' <= c|0x20 && c|0x20 <= 'f':
+		return int(c|0x20-'a') + 10
+	}
+	return -1
+}
+
+// hasFoldPrefix reports whether t starts with lit in either case. lit is
+// lower-case ASCII. Of the ASCII letters only k and s have a non-ASCII
+// simple fold (U+212A, U+017F); every literal passed here is free of
+// both, so this is what (?i) matches.
+func hasFoldPrefix(t []byte, lit string) bool {
+	if len(t) < len(lit) {
+		return false
+	}
+	for i := 0; i < len(lit); i++ {
+		c := t[i]
+		if 'A' <= c && c <= 'Z' {
+			c |= 0x20
+		}
+		if c != lit[i] {
+			return false
 		}
 	}
-	add(reMetaRefresh.FindAllStringSubmatch(text, -1))
-	add(reJSLocation.FindAllStringSubmatch(text, -1))
-	add(reIFrameSrc.FindAllStringSubmatch(text, -1))
-	return out
+	return true
+}
+
+// containsFold reports whether t holds lit in either case.
+func containsFold(t []byte, lit string) bool {
+	for ; len(t) >= len(lit); t = t[1:] {
+		if hasFoldPrefix(t, lit) {
+			return true
+		}
+	}
+	return false
+}
+
+// SniffBodyRedirects extracts redirect target URLs from an HTML or
+// JavaScript body after deobfuscation: meta refreshes, JavaScript location
+// assignments, and iframe sources. The returned strings are copies; none
+// aliases body.
+func SniffBodyRedirects(body []byte) []string {
+	text := deobfuscate(body)
+	var found targets
+	found.inTag(text, "<meta", "url=", reMetaRefresh)
+	found.inLocationAssignments(text)
+	found.inTag(text, "<iframe", "http", reIFrameSrc)
+	return found.urls
+}
+
+// targets collects sniffed URLs in order of discovery, each once.
+type targets struct {
+	urls []string
+	seen map[string]struct{}
+}
+
+func (f *targets) add(u []byte) {
+	u = bytes.TrimSpace(u)
+	if _, dup := f.seen[string(u)]; dup || len(u) == 0 {
+		return
+	}
+	if f.seen == nil {
+		f.seen = make(map[string]struct{})
+	}
+	s := string(u)
+	f.seen[s] = struct{}{}
+	f.urls = append(f.urls, s)
+}
+
+// inTag runs re on the window of each tag: from the tag's opening, found
+// in either case, to the next '>' or the end of the text. A match of
+// either tag pattern starts with its tag and cannot contain '>', so it
+// lies inside one window and FindAll within the window finds it; windows
+// do not overlap, so the text is matched over at most once. A window
+// without the pattern's mandatory literal is skipped, which is nearly
+// every <meta> of an ordinary page.
+func (f *targets) inTag(t []byte, tag, literal string, re *regexp.Regexp) {
+	for i := 0; ; {
+		j := bytes.IndexByte(t[i:], '<')
+		if j < 0 {
+			return
+		}
+		i += j
+		if !hasFoldPrefix(t[i:], tag) {
+			i++
+			continue
+		}
+		window := t[i:]
+		if end := bytes.IndexByte(window, '>'); end >= 0 {
+			window = window[:end]
+		}
+		if containsFold(window, literal) {
+			for _, m := range re.FindAllSubmatch(window, -1) {
+				f.add(m[1])
+			}
+		}
+		i += len(window)
+	}
+}
+
+// inLocationAssignments matches, at each "location" in either case,
+//
+//	(?i)(?:window\.location|document\.location|location\.href|top\.location)\s*=\s*["']([^"']+)["']
+//
+// by hand. Leftmost-first order is kept: a prefixed alternative starts
+// before location.href at the same "location", and at most one of the two
+// reaches the '=' (one wants it next, the other wants ".href"). Matches do
+// not overlap, so scanning resumes after the closing quote.
+func (f *targets) inLocationAssignments(t []byte) {
+	const location = "location"
+	for i := 0; i+len(location) <= len(t); i++ {
+		if t[i]|0x20 != 'l' || !hasFoldPrefix(t[i:], location) {
+			continue
+		}
+		at := i + len(location) // where the assignment has to start
+		var target []byte
+		n := 0
+		if before := t[:i]; hasFoldSuffix(before, "window.") || hasFoldSuffix(before, "document.") || hasFoldSuffix(before, "top.") {
+			target, n = quotedAssignment(t[at:])
+		}
+		if n == 0 && hasFoldPrefix(t[at:], ".href") {
+			at += len(".href")
+			target, n = quotedAssignment(t[at:])
+		}
+		if n > 0 {
+			f.add(target)
+			i = at + n - 1
+		}
+	}
+}
+
+func hasFoldSuffix(t []byte, lit string) bool {
+	return len(t) >= len(lit) && hasFoldPrefix(t[len(t)-len(lit):], lit)
+}
+
+// quotedAssignment matches \s*=\s*["']([^"']+)["'] at the start of t and
+// returns the quoted text and the length of the match, or 0 when t does
+// not start with one. The quotes need not pair, as in the pattern.
+func quotedAssignment(t []byte) (quoted []byte, n int) {
+	i := 0
+	for i < len(t) && isSpace(t[i]) {
+		i++
+	}
+	if i == len(t) || t[i] != '=' {
+		return nil, 0
+	}
+	for i++; i < len(t) && isSpace(t[i]); i++ {
+	}
+	if i == len(t) || (t[i] != '"' && t[i] != '\'') {
+		return nil, 0
+	}
+	i++
+	end := bytes.IndexAny(t[i:], `"'`)
+	if end <= 0 { // unterminated, or empty
+		return nil, 0
+	}
+	return t[i : i+end], i + end + 1
 }
 
 // Chain is one reconstructed redirection chain: the ordered node ids and

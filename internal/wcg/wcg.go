@@ -370,10 +370,11 @@ func topLevelDomain(host string) string {
 	return host
 }
 
-// hostOfURL extracts the host part of an absolute or schemeless URL,
-// lowercased: DNS names are case-insensitive, and node identity keys on
-// the host string.
-func hostOfURL(raw string) string {
+// HostOfURL extracts the host part of an absolute or schemeless URL,
+// lowercased: DNS names are case-insensitive, and node identity (here and
+// in the detector's cluster linkage) keys on the host string. A relative
+// or empty URL has no host of its own and yields "".
+func HostOfURL(raw string) string {
 	s := raw
 	if i := strings.Index(s, "://"); i >= 0 {
 		s = s[i+3:]

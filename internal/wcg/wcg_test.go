@@ -97,6 +97,7 @@ func TestHostOfURL(t *testing.T) {
 		{"https://a.b.co.uk/x", "a.b.co.uk"},
 		{"//cdn.example.com/lib.js", "cdn.example.com"},
 		{"/relative/path", ""},
+		{"", ""},
 		{"http://host.com", "host.com"},
 		{"http://host.com:8080/x", "host.com"},
 		{"bare-host.net/p", "bare-host.net"},
@@ -104,8 +105,8 @@ func TestHostOfURL(t *testing.T) {
 		{"HTTPS://MiXeD.CoM", "mixed.com"},
 	}
 	for _, tc := range cases {
-		if got := hostOfURL(tc.in); got != tc.want {
-			t.Errorf("hostOfURL(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := HostOfURL(tc.in); got != tc.want {
+			t.Errorf("HostOfURL(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
