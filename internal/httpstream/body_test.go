@@ -1,0 +1,393 @@
+package httpstream
+
+import (
+	"bytes"
+	"compress/flate"
+	"compress/gzip"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dynaminer/internal/pcap"
+)
+
+// refRetainedBody is the body step of streamParser.responses as it stood
+// before retainedBody/readBody replaced it, kept word for word as their
+// oracle: the whole body through io.ReadAll, the raw-remainder fallback,
+// decode, reslice to maxRetainedBody, detach. It additionally reports
+// whether the fallback was taken. A change to retainedBody changes this
+// reference only if it means to change what a Transaction keeps.
+func refRetainedBody(resp *http.Response, rest []byte) (body []byte, size int, err error, fellBack bool) {
+	body, bodyErr := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	size = len(body)
+	aliased := false
+	if bodyErr != nil && size == 0 && len(rest) > 0 {
+		body = rest
+		size = len(body)
+		aliased = true
+	}
+	body = refDecodeContent(body, resp.Header.Get("Content-Encoding"))
+	if len(body) > maxRetainedBody {
+		body = body[:maxRetainedBody]
+	}
+	if aliased {
+		body = detachBody(body)
+	}
+	return body, size, bodyErr, aliased
+}
+
+// refDecodeContent is decodeContent as it stood when it took the raw
+// header value.
+func refDecodeContent(body []byte, encoding string) []byte {
+	switch strings.ToLower(strings.TrimSpace(encoding)) {
+	case "gzip", "x-gzip":
+		zr, err := gzip.NewReader(bytes.NewReader(body))
+		if err != nil {
+			return body
+		}
+		defer zr.Close()
+		plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
+		if err != nil && len(plain) == 0 {
+			return body
+		}
+		return plain
+	case "deflate":
+		fr := flate.NewReader(bytes.NewReader(body))
+		defer fr.Close()
+		plain, err := io.ReadAll(io.LimitReader(fr, maxRetainedBody+1))
+		if err != nil && len(plain) == 0 {
+			return body
+		}
+		return plain
+	default:
+		return body
+	}
+}
+
+// diffResponses walks one server-direction stream with two parsers in
+// lockstep, the body of every response read by retainedBody on one and by
+// the reference on the other, and requires the same kept bytes, wire size
+// and error nil-ness, the same stream position afterwards (so pipelined
+// responses still line up), and the same messages from parseResponses as
+// the reference walk produced. It returns how often the reference took
+// the raw-remainder fallback.
+func diffResponses(t *testing.T, name string, data []byte, reqs []reqMsg) (fallbacks int) {
+	t.Helper()
+	got, ref := newStreamParser(), newStreamParser()
+	got.start(data)
+	ref.start(data)
+	whole := parseResponses(data, reqs)
+	for i := 0; ; i++ {
+		_, gotEnd := got.br.Peek(1)
+		_, refEnd := ref.br.Peek(1)
+		if (gotEnd != nil) != (refEnd != nil) {
+			t.Fatalf("%s: response %d: parsers disagree on end of stream", name, i)
+		}
+		var req *http.Request
+		if i < len(reqs) {
+			req = reqs[i].req
+		}
+		var gotResp, refResp *http.Response
+		if gotEnd == nil {
+			gotResp, gotEnd = http.ReadResponse(got.br, req)
+			refResp, refEnd = http.ReadResponse(ref.br, req)
+		}
+		if gotEnd != nil || refEnd != nil {
+			if len(whole) != i {
+				t.Fatalf("%s: parseResponses kept %d responses, the reference walk %d", name, len(whole), i)
+			}
+			return fallbacks
+		}
+		gotRest := data[got.cr.n-got.br.Buffered():]
+		refRest := data[ref.cr.n-ref.br.Buffered():]
+		if len(gotRest) != len(refRest) {
+			t.Fatalf("%s: response %d: body starts %d bytes from the end, reference %d", name, i, len(gotRest), len(refRest))
+		}
+		body, size, err := retainedBody(gotResp, gotRest)
+		wantBody, wantSize, wantErr, fellBack := refRetainedBody(refResp, refRest)
+		if fellBack {
+			fallbacks++
+		}
+		if !bytes.Equal(body, wantBody) || size != wantSize || (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: response %d (reference fell back: %v): kept %d bytes %.40q, size %d, err %v; reference kept %d bytes %.40q, size %d, err %v",
+				name, i, fellBack, len(body), body, size, err, len(wantBody), wantBody, wantSize, wantErr)
+		}
+		if g, w := got.cr.n-got.br.Buffered(), ref.cr.n-ref.br.Buffered(); g != w {
+			t.Fatalf("%s: response %d: stream at byte %d after the body, reference at %d", name, i, g, w)
+		}
+		checkRetained(t, body, gotResp.Header)
+		if i >= len(whole) || !bytes.Equal(whole[i].body, wantBody) || whole[i].bodySize != wantSize {
+			t.Fatalf("%s: parseResponses disagrees with the reference at response %d", name, i)
+		}
+		if wantErr != nil {
+			if len(whole) != i+1 {
+				t.Fatalf("%s: parseResponses kept %d responses past a body error at %d", name, len(whole), i)
+			}
+			return fallbacks
+		}
+	}
+}
+
+// corpusInputs returns every []byte argument of every checked-in fuzz
+// corpus file under testdata/, in file order.
+func corpusInputs(t *testing.T) map[string][][]byte {
+	t.Helper()
+	files, err := filepath.Glob("testdata/fuzz/*/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus under testdata/: %v", err)
+	}
+	out := make(map[string][][]byte, len(files))
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			quoted, ok := strings.CutPrefix(line, "[]byte(")
+			if !ok {
+				continue
+			}
+			s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			out[f] = append(out[f], []byte(s))
+		}
+		if len(out[f]) == 0 {
+			t.Fatalf("%s: no []byte argument", f)
+		}
+	}
+	return out
+}
+
+// TestBodyReaderMatchesReadAllReference is the differential that lets the
+// body reader change shape: over the malformed and content-coding cases of
+// this package's other tests, the fuzz seeds and corpus, and every framing
+// the reader treats differently, retainedBody keeps exactly what the
+// io.ReadAll reference keeps.
+func TestBodyReaderMatchesReadAllReference(t *testing.T) {
+	html := strings.Repeat("<div>malvertising chain hop</div>\n", 200)
+	gz := gzipBytes(t, html)
+	bigGz := gzipBytes(t, strings.Repeat("A", maxRetainedBody*3))
+	fl := deflateBytes(t, "<html>deflated content</html>")
+	big := strings.Repeat("B", maxRetainedBody*2+777)
+	withLength := func(head string, body []byte, announced int) string {
+		return fmt.Sprintf("HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s", head, announced, body)
+	}
+	chunked := func(parts ...string) string {
+		var sb strings.Builder
+		for _, p := range parts {
+			fmt.Fprintf(&sb, "%x\r\n%s\r\n", len(p), p)
+		}
+		return sb.String() + "0\r\n\r\n"
+	}
+	const chunkedHead = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+	const ok = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+	cases := map[string]string{
+		// malformed_test.go
+		"truncated gzip":          withLength("Content-Encoding: gzip\r\n", gz[:len(gz)/2], len(gz)),
+		"bad chunk size":          chunkedHead + "ZZZZ\r\n<html>not really chunked</html>\r\n0\r\n\r\n",
+		"bad chunk size, capped":  chunkedHead + "XXXX\r\n" + strings.Repeat("A", maxRetainedBody*2),
+		"not HTTP":                "\x00\x01\x02 this is not HTTP at all",
+		"chunked":                 chunkedHead + chunked("<html>chunked ok</html>") + ok,
+		"bad chunk size, gzip":    "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\n" + string(gz),
+		"bad chunk size, at end":  chunkedHead,
+		"bad chunk size, a byte":  chunkedHead + "Z",
+		"chunk cut after a byte":  chunkedHead + "10\r\nx",
+		"chunked, bad later size": chunkedHead + "3\r\nabc\r\nQQ\r\nrest",
+		// gzip_test.go
+		"gzip":                  withLength("Content-Encoding: gzip\r\n", gz, len(gz)) + ok,
+		"x-gzip, spaced":        withLength("Content-Encoding:   X-GZip \r\n", gz, len(gz)) + ok,
+		"deflate":               withLength("Content-Encoding: deflate\r\n", fl, len(fl)) + ok,
+		"corrupt gzip":          withLength("Content-Encoding: gzip\r\n", []byte("definitely-not-gzip"), 19) + ok,
+		"gzip over cap":         withLength("Content-Encoding: gzip\r\n", bigGz, len(bigGz)) + ok,
+		"unknown coding":        withLength("Content-Encoding: br\r\n", []byte(big), len(big)) + ok,
+		"corrupt gzip over cap": withLength("Content-Encoding: gzip\r\n", []byte(big), len(big)) + ok,
+		"gzip, chunked":         "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(string(gz[:40]), string(gz[40:])) + ok,
+		// Framings the reader sizes differently.
+		"length over what follows":                withLength("", nil, 999) + ok,
+		"204 with length":                         "HTTP/1.1 204 No Content\r\nContent-Length: 5\r\n\r\n" + ok,
+		"304 with length":                         "HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n" + ok,
+		"zero length":                             withLength("", nil, 0) + ok,
+		"length over the stream":                  withLength("", []byte("short"), 99),
+		"length 9e18":                             withLength("", []byte("0123456789"), 9000000000000000000),
+		"length, nothing follows":                 withLength("", nil, 5),
+		"exactly the cap":                         withLength("", []byte(big[:maxRetainedBody]), maxRetainedBody) + ok,
+		"over the cap":                            withLength("", []byte(big), len(big)) + ok,
+		"over the cap, cut":                       withLength("", []byte(big[:maxRetainedBody+100]), len(big)),
+		"under the cap, cut":                      withLength("", []byte(big[:1000]), len(big)),
+		"chunked over the cap":                    chunkedHead + chunked(big[:70000], big[70000:]) + ok,
+		"chunked over the cap, cut after it":      chunkedHead + chunked(big[:70000])[:69000],
+		"chunked over the cap, bad size after it": chunkedHead + fmt.Sprintf("%x\r\n%s\r\nQQ\r\n", 70000, big[:70000]),
+		"read to close":                           "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n<html>old school</html>",
+		"read to close over the cap":              "HTTP/1.0 200 OK\r\n\r\n" + big,
+		"read to close, empty":                    "HTTP/1.0 200 OK\r\n\r\n",
+		"pipelined":                               strings.Repeat(ok, 3) + withLength("", []byte(big), len(big)) + chunkedHead + chunked("a", "bc") + ok,
+	}
+	// Every case runs as the answer to a HEAD (a body-less first response,
+	// whatever its framing says), to GETs, and to no known request.
+	head := parseRequests([]byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\nGET /1 HTTP/1.1\r\nHost: a\r\n\r\n"))
+	get := parseRequests([]byte(strings.Repeat("GET /1 HTTP/1.1\r\nHost: a\r\n\r\n", 8)))
+	fallbacks := 0
+	for name, data := range cases {
+		fallbacks += diffResponses(t, name+" (after HEAD)", []byte(data), head)
+		fallbacks += diffResponses(t, name, []byte(data), get)
+		fallbacks += diffResponses(t, name+" (no requests)", []byte(data), nil)
+	}
+	if fallbacks == 0 {
+		t.Fatal("no case took the raw-remainder fallback")
+	}
+	for i, s := range malformedSeeds {
+		diffResponses(t, fmt.Sprintf("malformedSeeds[%d]", i), []byte(s), head)
+		diffResponses(t, fmt.Sprintf("malformedSeeds[%d] (GET)", i), []byte(s), get)
+	}
+	for file, args := range corpusInputs(t) {
+		// A FuzzExtractPair file holds a client and a server direction; the
+		// single-argument files are read as a server direction.
+		reqs := head
+		if len(args) == 2 {
+			reqs = parseRequests(args[0])
+		}
+		diffResponses(t, file, args[len(args)-1], reqs)
+	}
+}
+
+// TestIdentityBodyDoesNotPinDownload pins the retained-capacity bugfix: a
+// body kept as sent used to be a reslice of the whole download, so a
+// Transaction for a 1 MiB response held 1 MiB for a 64 KiB prefix.
+func TestIdentityBodyDoesNotPinDownload(t *testing.T) {
+	body := strings.Repeat("D", 1<<20)
+	reqs := "GET /big HTTP/1.1\r\nHost: a.com\r\n\r\nGET /next HTTP/1.1\r\nHost: a.com\r\n\r\n"
+	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	const next = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+	c2s, s2c := buildConv(reqs, resp+next)
+	txs := ExtractPair(c2s, s2c)
+	if len(txs) != 2 || txs[1].StatusCode != 200 || string(txs[1].Body) != "ok" {
+		t.Fatalf("pipelined response after the big body lost: %+v", txs)
+	}
+	if tx := txs[0]; cap(tx.Body) > maxRetainedBody || len(tx.Body) != maxRetainedBody || tx.BodySize != 1<<20 {
+		t.Fatalf("big body: len %d cap %d size %d, want len %d, cap at most that, size %d",
+			len(tx.Body), cap(tx.Body), tx.BodySize, maxRetainedBody, 1<<20)
+	}
+
+	// The same capture cut mid-body: the wire size is what arrived, and
+	// parsing stops after that transaction.
+	cut := len(resp) - len(body)/2
+	c2s, s2c = buildConv(reqs, resp[:cut])
+	txs = ExtractPair(c2s, s2c)
+	if len(txs) != 2 || txs[1].StatusCode != 0 {
+		t.Fatalf("cut capture: %d transactions, second status %d; want 2 with the second unanswered", len(txs), txs[len(txs)-1].StatusCode)
+	}
+	if tx := txs[0]; cap(tx.Body) > maxRetainedBody || len(tx.Body) != maxRetainedBody || tx.BodySize != len(body)/2 {
+		t.Fatalf("cut body: len %d cap %d size %d, want len %d, cap at most that, size %d",
+			len(tx.Body), cap(tx.Body), tx.BodySize, maxRetainedBody, len(body)/2)
+	}
+}
+
+var bodySink []byte
+
+// allocatedBytes returns the heap bytes f allocates, whatever a GC frees
+// meanwhile.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// bodyCost returns the allocations and bytes that reading the body of the
+// single response in data adds to parsing its head.
+func bodyCost(t *testing.T, data []byte) (allocs, size float64) {
+	t.Helper()
+	p := newStreamParser()
+	parse := func(readBody bool) func() {
+		return func() {
+			p.start(data)
+			resp, err := http.ReadResponse(p.br, nil)
+			if err != nil {
+				panic(err)
+			}
+			if readBody {
+				bodySink, _, _ = retainedBody(resp, data[p.cr.n-p.br.Buffered():])
+			}
+		}
+	}
+	// Bytes are the cheapest of many single runs: io.Discard's pooled
+	// buffer is remade whenever sync.Pool drops it (a GC; one Put in four
+	// under -race), which is the pool's cost and not the body's.
+	measure := func(f func()) (allocs, size float64) {
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, f)
+		least := ^uint64(0)
+		for i := 0; i < runs; i++ {
+			least = min(least, allocatedBytes(f))
+		}
+		return allocs, float64(least)
+	}
+	headAllocs, headBytes := measure(parse(false))
+	allAllocs, allBytes := measure(parse(true))
+	return allAllocs - headAllocs, allBytes - headBytes
+}
+
+// TestBodyBufferSizedOnce pins the two ends of sizing a body buffer from
+// its Content-Length: a complete body is one allocation of its own size
+// (io.ReadAll grew to 64 KiB through eleven), and an announced length the
+// stream cannot hold, or that a body-less status merely repeats, buys
+// nothing.
+func TestBodyBufferSizedOnce(t *testing.T) {
+	body := strings.Repeat("E", maxRetainedBody)
+	complete := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	if allocs, size := bodyCost(t, []byte(complete)); allocs != 1 || size > 1.01*maxRetainedBody {
+		t.Fatalf("complete %d-byte body: %v allocations, %.0f bytes; want 1 allocation of the body's size", len(body), allocs, size)
+	}
+	const hostile = "HTTP/1.1 200 OK\r\nContent-Length: 9000000000000000000\r\n\r\n0123456789"
+	if _, size := bodyCost(t, []byte(hostile)); size >= 1024 {
+		t.Fatalf("Content-Length 9e18 over 10 bytes allocates %.0f bytes for its body, want under 1 KiB", size)
+	}
+	if string(bodySink) != "0123456789" {
+		t.Fatalf("hostile length kept %q", bodySink)
+	}
+	bodyless := "HTTP/1.1 304 Not Modified\r\nContent-Length: 60000\r\n\r\n" + body
+	if allocs, _ := bodyCost(t, []byte(bodyless)); allocs != 0 {
+		t.Fatalf("a 304's Content-Length costs %v allocations, want none: it announces no bytes", allocs)
+	}
+}
+
+// TestExtractAllAllocatesLinearly is the oracle for the extraction slab:
+// ExtractPairInto once regrew its destination to an exact fit for every
+// conversation, copying every transaction extracted so far, so ExtractAll
+// allocated O(conversations x transactions) — 7.4x the bytes per
+// transaction at 4 000 conversations than at 500.
+func TestExtractAllAllocatesLinearly(t *testing.T) {
+	perTx := func(convs int) float64 {
+		c2s, s2c := buildConv(simpleGet+simpleGet, simpleResp+simpleResp)
+		streams := make([]*pcap.Stream, 0, 2*convs)
+		for i := 0; i < convs; i++ {
+			up, down := *c2s, *s2c
+			up.Key.SrcPort, down.Key.DstPort = uint16(1024+i), uint16(1024+i)
+			streams = append(streams, &up, &down)
+		}
+		ExtractAll(streams[:2]) // warm the parser pool
+		var txs []Transaction
+		allocated := allocatedBytes(func() { txs = ExtractAll(streams) })
+		if len(txs) != 2*convs {
+			t.Fatalf("%d conversations: %d transactions, want %d", convs, len(txs), 2*convs)
+		}
+		return float64(allocated) / float64(len(txs))
+	}
+	small, large := perTx(500), perTx(4000)
+	t.Logf("ExtractAll: %.0f B/tx at 500 conversations, %.0f B/tx at 4000", small, large)
+	if large > 1.5*small {
+		t.Fatalf("ExtractAll allocates %.0f B/tx at 4000 conversations against %.0f at 500 (%.2fx): extraction is not linear",
+			large, small, large/small)
+	}
+}

@@ -1,6 +1,7 @@
 package httpstream
 
 import (
+	"net/http"
 	"net/netip"
 	"testing"
 
@@ -50,8 +51,23 @@ func FuzzParseResponses(f *testing.F) {
 			"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n" +
 			"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		parseResponses(data, reqs)
+		for _, m := range parseResponses(data, reqs) {
+			checkRetained(t, m.body, m.resp.Header)
+		}
 	})
+}
+
+// checkRetained asserts the memory bound on a kept body: never more than
+// maxRetainedBody bytes, and for a body kept as sent no larger a backing
+// array either (a decoded one sits in the decoder's own bounded buffer).
+func checkRetained(t *testing.T, body []byte, respHdr http.Header) {
+	t.Helper()
+	if len(body) > maxRetainedBody {
+		t.Fatalf("kept %d body bytes, cap is %d", len(body), maxRetainedBody)
+	}
+	if contentCoding(respHdr.Get("Content-Encoding")) == "" && cap(body) > maxRetainedBody {
+		t.Fatalf("uncoded body pins %d bytes, cap is %d", cap(body), maxRetainedBody)
+	}
 }
 
 func FuzzExtractPair(f *testing.F) {
@@ -66,6 +82,8 @@ func FuzzExtractPair(f *testing.F) {
 		DstPort: 80,
 	}
 	f.Fuzz(func(t *testing.T, creq, sresp []byte) {
-		ExtractPair(&pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp})
+		for _, tx := range ExtractPair(&pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp}) {
+			checkRetained(t, tx.Body, tx.RespHdr)
+		}
 	})
 }

@@ -249,30 +249,7 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 			p.resps = out
 			return out
 		}
-		bodyStart := p.cr.n - p.br.Buffered()
-		body, bodyErr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		size := len(body)
-		aliased := false
-		if bodyErr != nil && size == 0 && bodyStart < len(data) {
-			// The framing was unusable from the first body byte (e.g. a
-			// garbage chunk-size line): degrade to the raw stream remainder
-			// so the transaction keeps its payload evidence instead of
-			// reporting an empty body.
-			body = data[bodyStart:]
-			size = len(body)
-			aliased = true
-		}
-		body = decodeContent(body, resp.Header.Get("Content-Encoding"))
-		if len(body) > maxRetainedBody {
-			body = body[:maxRetainedBody]
-		}
-		if aliased {
-			// The degraded body still points into the stream buffer, which
-			// may belong to a pooled assembler arena; detach the retained
-			// (truncation-bounded) prefix so the Transaction outlives it.
-			body = detachBody(body)
-		}
+		body, size, bodyErr := retainedBody(resp, data[p.cr.n-p.br.Buffered():])
 		out = append(out, respMsg{resp: resp, offset: offset, body: body, bodySize: size})
 		if bodyErr != nil {
 			// Truncated body (capture cut mid-transfer): keep the prefix, stop.
@@ -282,8 +259,87 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 	}
 }
 
+// retainedBody reads resp's body off the stream and returns what a
+// Transaction keeps of it — at most maxRetainedBody bytes, decoded — with
+// the body's size on the wire and the framing error, if any, that ends the
+// stream's parse. rest is the raw stream from the body's first byte on.
+//
+// A body is read into a buffer sized once (readBody): no body is longer
+// than rest, a Content-Length body is no longer than it announces, and a
+// body that stays as sent is only ever kept as a maxRetainedBody prefix,
+// so no more than that is buffered and the Transaction does not pin the
+// whole download. A coded body is buffered whole: decoding needs its bytes.
+func retainedBody(resp *http.Response, rest []byte) (body []byte, size int, err error) {
+	coding := contentCoding(resp.Header.Get("Content-Encoding"))
+	limit := len(rest)
+	if coding == "" {
+		limit = min(limit, maxRetainedBody)
+	}
+	start := min(limit, 512) // unknown length: io.ReadAll's first buffer
+	announced := resp.ContentLength
+	if resp.Body == http.NoBody {
+		announced = 0 // HEAD, 1xx/204/304: a Content-Length here announces no bytes
+	}
+	if announced >= 0 {
+		// No byte past the announced length can arrive, so the buffer is
+		// made at its final size (compared as int64: a hostile length
+		// must not wrap an int).
+		limit = int(min(int64(limit), announced))
+		start = limit
+	}
+	body, size, err = readBody(resp.Body, start, limit)
+	_ = resp.Body.Close()
+	aliased := false
+	if err != nil && size == 0 && len(rest) > 0 {
+		// The framing was unusable from the first body byte (e.g. a
+		// garbage chunk-size line): degrade to the raw stream remainder
+		// so the transaction keeps its payload evidence instead of
+		// reporting an empty body.
+		body = rest
+		size = len(body)
+		aliased = true
+	}
+	body = decodeContent(body, coding)
+	if len(body) > maxRetainedBody {
+		body = body[:maxRetainedBody]
+	}
+	if aliased {
+		// The degraded body still points into the stream buffer, which
+		// may belong to a pooled assembler arena; detach the retained
+		// (truncation-bounded) prefix so the Transaction outlives it.
+		body = detachBody(body)
+	}
+	return body, size, err
+}
+
+// readBody reads r to its end as io.ReadAll does, except that it keeps at
+// most limit bytes — the rest is read, counted and dropped — in a buffer
+// that starts at start bytes, so a caller that knows the length pays one
+// allocation and no regrowth. It returns the kept prefix, the number of
+// bytes read, and any error but io.EOF.
+func readBody(r io.Reader, start, limit int) (kept []byte, n int, err error) {
+	kept = make([]byte, 0, start)
+	for len(kept) < limit {
+		if len(kept) == cap(kept) {
+			// Doubling stops at limit, so the kept prefix never holds
+			// more memory than it may retain.
+			kept = append(make([]byte, 0, min(max(2*cap(kept), 512), limit)), kept...)
+		}
+		m, err := r.Read(kept[len(kept):cap(kept)])
+		kept = kept[:len(kept)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return kept, len(kept), err
+		}
+	}
+	dropped, err := io.Copy(io.Discard, r)
+	return kept, len(kept) + int(dropped), err
+}
+
 // detachBody copies a degraded body out of the stream buffer. Every other
-// body path allocates fresh bytes (io.ReadAll, content decoding); this one
+// body path allocates fresh bytes (readBody, content decoding); this one
 // is the rare malformed-framing fallback, so the copy is cold and bounded
 // by the maxRetainedBody truncation applied before the call.
 func detachBody(body []byte) []byte {
@@ -295,33 +351,43 @@ func detachBody(body []byte) []byte {
 	return out
 }
 
-// decodeContent undoes gzip/deflate content encodings so redirect sniffing
-// sees plaintext. The reported payload size stays the on-the-wire size;
-// only the retained body is decoded. Undecodable bodies are kept raw.
-func decodeContent(body []byte, encoding string) []byte {
-	switch strings.ToLower(strings.TrimSpace(encoding)) {
+// contentCoding names the Content-Encoding values decodeContent undoes:
+// "gzip", "deflate", or "" for a body that is kept as sent.
+func contentCoding(header string) string {
+	switch strings.ToLower(strings.TrimSpace(header)) {
 	case "gzip", "x-gzip":
-		zr, err := gzip.NewReader(bytes.NewReader(body))
+		return "gzip"
+	case "deflate":
+		return "deflate"
+	default:
+		return ""
+	}
+}
+
+// decodeContent undoes a gzip/deflate content coding (as contentCoding
+// names it) so redirect sniffing sees plaintext. The reported payload size
+// stays the on-the-wire size; only the retained body is decoded.
+// Undecodable bodies are kept raw.
+func decodeContent(body []byte, coding string) []byte {
+	var zr io.ReadCloser
+	switch coding {
+	case "gzip":
+		gz, err := gzip.NewReader(bytes.NewReader(body))
 		if err != nil {
 			return body
 		}
-		defer zr.Close()
-		plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
+		zr = gz
 	case "deflate":
-		fr := flate.NewReader(bytes.NewReader(body))
-		defer fr.Close()
-		plain, err := io.ReadAll(io.LimitReader(fr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
+		zr = flate.NewReader(bytes.NewReader(body))
 	default:
 		return body
 	}
+	defer zr.Close()
+	plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
+	if err != nil && len(plain) == 0 {
+		return body
+	}
+	return plain
 }
 
 // ExtractPair parses the two directions of one TCP conversation into
@@ -336,7 +402,8 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 // returns the extended slice. The parse state (reader stack and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
-// (ExtractAll) also reuses one destination slice across conversations.
+// (ExtractAll) also reuses one destination slice across conversations,
+// which append grows amortised, so n conversations cost O(transactions).
 //
 //dynalint:hotpath
 func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
@@ -351,12 +418,6 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		resps = p.responses(s2c.Data, reqs)
 	}
 	n := len(resps)
-	out := dst
-	if rem := len(reqs) - (cap(out) - len(out)); rem > 0 {
-		grown := make([]Transaction, len(out), len(out)+len(reqs))
-		copy(grown, out)
-		out = grown
-	}
 	for i, rm := range reqs {
 		tx := Transaction{
 			ClientIP:    c2s.Key.SrcIP,
@@ -381,7 +442,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		} else {
 			tx.RespHdr = http.Header{}
 		}
-		out = append(out, tx) //dynalint:ignore hotalloc capacity for every request is ensured by the grow block above
+		dst = append(dst, tx) //dynalint:ignore hotalloc amortised growth of the caller's slab: one allocation per doubling, none when dst has room
 	}
 	elapsed := parseClock().Sub(start).Seconds()
 	parseSeconds.Observe(elapsed)
@@ -390,7 +451,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 	}
 	parseBytes.Add(payloadBytes)
 	parseTransactions.Add(int64(len(reqs)))
-	return out
+	return dst
 }
 
 type convKey struct {
@@ -412,25 +473,30 @@ func canonicalConvKey(k pcap.FlowKey) convKey {
 // port is assumed to be client-to-server (clients use ephemeral high
 // ports).
 func ExtractAll(streams []*pcap.Stream) []Transaction {
-	groups := make(map[convKey][]*pcap.Stream)
-	var order []convKey
+	// One entry per conversation in first-seen order: a is the direction
+	// seen first, b the second (nil when only one was captured); further
+	// streams on the same key are ignored.
+	type conv struct{ a, b *pcap.Stream }
+	convs := make([]conv, 0, len(streams)/2+1)
+	index := make(map[convKey]int, len(streams)/2+1)
 	for _, s := range streams {
 		k := canonicalConvKey(s.Key)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		if i, ok := index[k]; !ok {
+			index[k] = len(convs)
+			convs = append(convs, conv{a: s})
+		} else if convs[i].b == nil {
+			convs[i].b = s
 		}
-		groups[k] = append(groups[k], s)
 	}
 	var all []Transaction
-	for _, k := range order {
-		ss := groups[k]
+	for _, cv := range convs {
+		a, b := cv.a, cv.b
 		var c2s, s2c *pcap.Stream
-		if len(ss) == 1 {
-			if looksLikeRequest(ss[0].Data) {
-				c2s = ss[0]
+		if b == nil {
+			if looksLikeRequest(a.Data) {
+				c2s = a
 			}
 		} else {
-			a, b := ss[0], ss[1]
 			aReq, bReq := looksLikeRequest(a.Data), looksLikeRequest(b.Data)
 			switch {
 			case aReq && !bReq:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -187,6 +188,53 @@ func TestPooledReassemblyAllocs(t *testing.T) {
 	run() // warm the pool and arenas
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("pooled reassembly allocates %.1f times per capture in steady state, want 0", allocs)
+	}
+}
+
+// TestColdReassemblyArenaSizedOnce pins what a cold assembler — a fresh
+// one, or a pooled one after a GC emptied the pool — costs per payload
+// byte: the payload arena made once from the capture's frame bytes and the
+// stream arena made once from that, about 2.3x. With the payload arena
+// grown through the capture by append instead, the call cost over 6x.
+func TestColdReassemblyArenaSizedOnce(t *testing.T) {
+	const conns, perConn, segment = 8, 256 << 10, 1400
+	var frames []*Frame
+	for conn := 0; conn < conns; conn++ {
+		base := Frame{
+			SrcIP:   netip.MustParseAddr("10.0.0.1"),
+			DstIP:   netip.MustParseAddr("10.0.0.2"),
+			SrcPort: uint16(40000 + conn),
+			DstPort: 80,
+			Seq:     100,
+			Flags:   FlagSYN,
+		}
+		syn := base
+		frames = append(frames, &syn)
+		for off := 0; off < perConn; off += segment {
+			f := base
+			f.Flags = FlagACK
+			f.Seq = 101 + uint32(off)
+			f.Payload = bytes.Repeat([]byte{byte(off)}, min(segment, perConn-off))
+			frames = append(frames, &f)
+		}
+	}
+	pkts := mkPackets(t, frames)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	streams := AssembleStreams(pkts)
+	runtime.ReadMemStats(&after)
+	payload := 0
+	for _, s := range streams {
+		payload += len(s.Data)
+	}
+	if payload != conns*perConn {
+		t.Fatalf("reassembled %d payload bytes, want %d", payload, conns*perConn)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(payload)
+	t.Logf("cold AssembleStreams: %.2f bytes allocated per payload byte", ratio)
+	if ratio > 2.6 {
+		t.Fatalf("cold AssembleStreams allocates %.2f bytes per payload byte, want at most 2.6", ratio)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -370,6 +371,14 @@ func AssembleStreamsInto(dst []*Stream, pkts []Packet) ([]*Stream, *Assembler) {
 }
 
 func feedAll(a *Assembler, pkts []Packet) *Assembler {
+	// Frame bytes bound the payload bytes Feed appends, so a cold
+	// assembler makes its payload arena once here instead of regrowing it
+	// through the capture; a warm one already has the room.
+	frameBytes := 0
+	for i := range pkts {
+		frameBytes += len(pkts[i].Data)
+	}
+	a.slab = slices.Grow(a.slab, frameBytes)
 	var f Frame
 	for i := range pkts {
 		if err := DecodeFrameInto(&f, pkts[i].Data); err != nil {
