@@ -60,14 +60,9 @@ const NumFeatures = features.NumFeatures
 
 // ReadPCAP parses a capture stream — classic pcap or pcapng, detected from
 // the magic — and extracts its HTTP transactions through the full
-// pipeline: packet decode, TCP reassembly, HTTP pairing.
-func ReadPCAP(r io.Reader) ([]Transaction, error) {
-	pkts, err := pcap.ReadAllAuto(r)
-	if err != nil {
-		return nil, err
-	}
-	return httpstream.FromPackets(pkts), nil
-}
+// pipeline: packet decode, TCP reassembly, HTTP pairing. The capture is
+// never held whole: each TCP conversation is parsed as it closes.
+func ReadPCAP(r io.Reader) ([]Transaction, error) { return httpstream.ReadCapture(r) }
 
 // ReadPCAPFile is ReadPCAP over a file path.
 func ReadPCAPFile(path string) ([]Transaction, error) {

@@ -2,9 +2,15 @@ package dynaminer
 
 import (
 	"bytes"
+	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
+	"time"
+
+	"dynaminer/internal/pcap"
 )
 
 // trainedOnSmallCorpus builds a classifier for the public-API tests.
@@ -103,6 +109,51 @@ func TestPCAPRoundTripThroughPublicAPI(t *testing.T) {
 	}
 	if FeatureName(0) != "Origin" {
 		t.Fatal("feature names broken")
+	}
+}
+
+// TestReusedTupleKeepsBothConnections: two connections on the same four
+// ports (a client reusing its source port) are two conversations. The
+// capture path once keyed a flow by its 4-tuple for the whole capture and
+// ignored a second SYN, so the second connection's segments — the same
+// sequence numbers over again — were dropped as retransmissions.
+func TestReusedTupleKeepsBothConnections(t *testing.T) {
+	var pkts []pcap.Packet
+	for i, page := range []string{"first", "second"} {
+		ts := time.Date(2016, 7, 10, 14, 0, i, 0, time.UTC)
+		conv, err := pcap.BuildConversation(pcap.Conversation{
+			ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("203.0.113.80"),
+			ClientPort: 49200, ServerPort: 80,
+			Exchanges: []pcap.Exchange{
+				{ClientToServer: true, Payload: []byte("GET /" + page + " HTTP/1.1\r\nHost: reuse.example\r\n\r\n"), Timestamp: ts},
+				{ClientToServer: false, Payload: []byte("HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(len(page)) + "\r\n\r\n" + page), Timestamp: ts.Add(40 * time.Millisecond)},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, conv...)
+	}
+	type writer interface{ WritePacket(pcap.Packet) error }
+	for format, w := range map[string]func(io.Writer) writer{
+		"pcap":   func(w io.Writer) writer { return pcap.NewWriter(w) },
+		"pcapng": func(w io.Writer) writer { return pcap.NewNGWriter(w) },
+	} {
+		var buf bytes.Buffer
+		out := w(&buf)
+		for _, p := range pkts {
+			if err := out.WritePacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		txs, err := ReadPCAP(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(txs) != 2 || txs[0].URI != "/first" || txs[1].URI != "/second" ||
+			string(txs[0].Body) != "first" || string(txs[1].Body) != "second" {
+			t.Fatalf("%s: recovered %d transactions %v, want /first and /second", format, len(txs), txs)
+		}
 	}
 }
 

@@ -305,8 +305,9 @@ func retainedBody(resp *http.Response, rest []byte) (body []byte, size int, err 
 	}
 	if aliased {
 		// The degraded body still points into the stream buffer, which
-		// may belong to a pooled assembler arena; detach the retained
-		// (truncation-bounded) prefix so the Transaction outlives it.
+		// the assembler reuses for the next conversation; detach the
+		// retained (truncation-bounded) prefix so the Transaction outlives
+		// it.
 		body = detachBody(body)
 	}
 	return body, size, err
@@ -402,8 +403,9 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 // returns the extended slice. The parse state (reader stack and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
-// (ExtractAll) also reuses one destination slice across conversations,
-// which append grows amortised, so n conversations cost O(transactions).
+// (ReadCapture, ExtractAll) also reuses one destination slice across
+// conversations, which append grows amortised, so n conversations cost
+// O(transactions).
 //
 //dynalint:hotpath
 func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
@@ -454,35 +456,54 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 	return dst
 }
 
-type convKey struct {
-	aIP, bIP     netip.Addr
-	aPort, bPort uint16
-}
-
-func canonicalConvKey(k pcap.FlowKey) convKey {
-	if c := k.SrcIP.Compare(k.DstIP); c < 0 || (c == 0 && k.SrcPort <= k.DstPort) {
-		return convKey{aIP: k.SrcIP, bIP: k.DstIP, aPort: k.SrcPort, bPort: k.DstPort}
+// orient names the client-to-server direction of a conversation whose
+// directions a and b (b may be nil) are in first-seen order. The client
+// side is recognized by its bytes starting with an HTTP method; if both or
+// neither direction qualifies, the direction targeting the lower port is
+// assumed to be client-to-server (clients use ephemeral high ports). A
+// conversation captured in one direction only yields nothing unless that
+// direction is the client's.
+func orient(a, b *pcap.Stream) (c2s, s2c *pcap.Stream) {
+	aReq := looksLikeRequest(a.Data)
+	if b == nil {
+		if aReq {
+			return a, nil
+		}
+		return nil, nil
 	}
-	return convKey{aIP: k.DstIP, bIP: k.SrcIP, aPort: k.DstPort, bPort: k.SrcPort}
+	bReq := looksLikeRequest(b.Data)
+	switch {
+	case aReq && !bReq:
+		return a, b
+	case bReq && !aReq:
+		return b, a
+	case a.Key.DstPort < a.Key.SrcPort:
+		return a, b
+	default:
+		return b, a
+	}
 }
 
-// ExtractAll pairs the directions of every conversation in streams and
-// returns all transactions sorted by request time. The client side of a
-// conversation is recognized by its bytes starting with an HTTP method; if
-// both or neither direction qualifies, the direction targeting the lower
-// port is assumed to be client-to-server (clients use ephemeral high
-// ports).
+// ExtractAll pairs the directions of every conversation in streams (see
+// orient) and returns all transactions sorted by request time. Two streams
+// pair when they belong to the same connection: reverse keys and the same
+// Conv.
 func ExtractAll(streams []*pcap.Stream) []Transaction {
 	// One entry per conversation in first-seen order: a is the direction
 	// seen first, b the second (nil when only one was captured); further
-	// streams on the same key are ignored.
+	// streams of the same conversation are ignored.
+	type convID struct {
+		key  pcap.FlowKey
+		conv int
+	}
 	type conv struct{ a, b *pcap.Stream }
 	convs := make([]conv, 0, len(streams)/2+1)
-	index := make(map[convKey]int, len(streams)/2+1)
+	index := make(map[convID]int, len(streams)/2+1)
 	for _, s := range streams {
-		k := canonicalConvKey(s.Key)
-		if i, ok := index[k]; !ok {
-			index[k] = len(convs)
+		key, _ := s.Key.Canonical()
+		id := convID{key, s.Conv}
+		if i, ok := index[id]; !ok {
+			index[id] = len(convs)
 			convs = append(convs, conv{a: s})
 		} else if convs[i].b == nil {
 			convs[i].b = s
@@ -490,32 +511,63 @@ func ExtractAll(streams []*pcap.Stream) []Transaction {
 	}
 	var all []Transaction
 	for _, cv := range convs {
-		a, b := cv.a, cv.b
-		var c2s, s2c *pcap.Stream
-		if b == nil {
-			if looksLikeRequest(a.Data) {
-				c2s = a
-			}
-		} else {
-			aReq, bReq := looksLikeRequest(a.Data), looksLikeRequest(b.Data)
-			switch {
-			case aReq && !bReq:
-				c2s, s2c = a, b
-			case bReq && !aReq:
-				c2s, s2c = b, a
-			case a.Key.DstPort < a.Key.SrcPort:
-				c2s, s2c = a, b
-			default:
-				c2s, s2c = b, a
-			}
+		if c2s, s2c := orient(cv.a, cv.b); c2s != nil {
+			all = ExtractPairInto(all, c2s, s2c)
 		}
-		if c2s == nil {
-			continue
-		}
-		all = ExtractPairInto(all, c2s, s2c)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].ReqTime.Before(all[j].ReqTime) })
 	return all
+}
+
+// capture collects the transactions of a capture as its conversations
+// close: txs[i] came from conversation conv[i].
+type capture struct {
+	txs  []Transaction
+	conv []int
+}
+
+// extract is the Assembler's sink: the conversation is parsed at once, out
+// of buffers that are recycled when it returns.
+func (c *capture) extract(a, b *pcap.Stream) {
+	c2s, s2c := orient(a, b)
+	if c2s == nil {
+		return
+	}
+	c.txs = ExtractPairInto(c.txs, c2s, s2c)
+	for len(c.conv) < len(c.txs) {
+		c.conv = append(c.conv, a.Conv)
+	}
+}
+
+// Sorting a capture stably by request time, then conversation, leaves the
+// transactions of one conversation in stream order: the order ExtractAll
+// gives the same conversations.
+func (c *capture) Len() int { return len(c.txs) }
+func (c *capture) Less(i, j int) bool {
+	if cmp := c.txs[i].ReqTime.Compare(c.txs[j].ReqTime); cmp != 0 {
+		return cmp < 0
+	}
+	return c.conv[i] < c.conv[j]
+}
+func (c *capture) Swap(i, j int) {
+	c.txs[i], c.txs[j] = c.txs[j], c.txs[i]
+	c.conv[i], c.conv[j] = c.conv[j], c.conv[i]
+}
+
+// ReadCapture is the end-to-end path from capture bytes — classic pcap or
+// pcapng — to HTTP transactions sorted by request time: records are decoded
+// one at a time, each TCP conversation is reassembled while it is open and
+// parsed the moment it closes, and nothing of the capture's size is held
+// but the transactions themselves.
+func ReadCapture(r io.Reader) ([]Transaction, error) {
+	var c capture
+	asm := pcap.NewAssembler(c.extract)
+	if err := pcap.Scan(r, asm.FeedPacket); err != nil {
+		return nil, err
+	}
+	asm.Flush()
+	sort.Stable(&c)
+	return c.txs, nil
 }
 
 var methodPrefixes = []string{"GET ", "POST ", "HEAD ", "PUT ", "DELETE ", "OPTIONS ", "PATCH ", "TRACE ", "CONNECT "}
@@ -528,12 +580,4 @@ func looksLikeRequest(data []byte) bool {
 		}
 	}
 	return false
-}
-
-// FromPackets is the end-to-end convenience: decode packets, reassemble
-// TCP, and extract every HTTP transaction in the capture.
-func FromPackets(pkts []pcap.Packet) []Transaction {
-	streams, asm := pcap.AssembleStreamsInto(nil, pkts)
-	defer asm.Release()
-	return ExtractAll(streams)
 }

@@ -1,6 +1,7 @@
 package httpstream
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/netip"
@@ -31,12 +32,36 @@ func mkStream(src, dst netip.Addr, sp, dp uint16, data string) *pcap.Stream {
 	if err != nil {
 		panic(err)
 	}
-	for _, s := range pcap.AssembleStreams(pkts) {
+	for _, s := range assemble(pkts) {
 		if s.Key.SrcIP == src && s.Key.SrcPort == sp {
 			return s
 		}
 	}
 	panic("stream not found")
+}
+
+// assemble reassembles packets into streams that own their bytes.
+func assemble(pkts []pcap.Packet) []*pcap.Stream {
+	streams, _ := pcap.AssembleStreamsInto(nil, pkts)
+	return streams
+}
+
+// readPackets writes pkts out as a classic pcap, in the order given, and
+// reads it back through ReadCapture.
+func readPackets(t *testing.T, pkts []pcap.Packet) []Transaction {
+	t.Helper()
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf)
+	for _, p := range pkts {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txs, err := ReadCapture(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return txs
 }
 
 // buildConv renders alternating request/response payload strings into a
@@ -56,7 +81,7 @@ func buildConv(reqData, respData string) (c2s, s2c *pcap.Stream) {
 	if err != nil {
 		panic(err)
 	}
-	for _, s := range pcap.AssembleStreams(pkts) {
+	for _, s := range assemble(pkts) {
 		if s.Key.DstPort == 80 {
 			c2s = s
 		} else {
@@ -67,7 +92,7 @@ func buildConv(reqData, respData string) (c2s, s2c *pcap.Stream) {
 }
 
 // buildConvPackets renders one request/response exchange into raw capture
-// packets (for paths, like FromPackets, that own the reassembly step).
+// packets (for ReadCapture, which owns the reassembly step).
 func buildConvPackets(t *testing.T, reqData, respData string) []pcap.Packet {
 	t.Helper()
 	pkts, err := pcap.BuildConversation(pcap.Conversation{
@@ -250,7 +275,7 @@ func TestExtractAllEndToEnd(t *testing.T) {
 		}
 		pkts = append(pkts, p...)
 	}
-	txs := FromPackets(pkts)
+	txs := readPackets(t, pkts)
 	if len(txs) != 3 {
 		t.Fatalf("transactions = %d, want 3", len(txs))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTruncatedGzipDegradesToPlaintextPrefix pins the degraded path for a
@@ -97,28 +98,27 @@ func TestProperlyChunkedStillDecodes(t *testing.T) {
 }
 
 // TestDegradedBodySurvivesPooledAssemblerReuse pins that the raw-fallback
-// body is detached from the stream buffer: FromPackets now draws its
-// assembler from a pool, so a body still aliasing the stream arena would
-// be overwritten by the next capture that reuses the assembler.
+// body is detached from the stream buffer: ReadCapture parses a
+// conversation out of buffers the assembler reuses for the next one, so a
+// body still aliasing them would be overwritten within the same capture.
 func TestDegradedBodySurvivesPooledAssemblerReuse(t *testing.T) {
 	payload := "ZZZZ\r\n<html>evidence we must keep</html>\r\n0\r\n\r\n"
 	resp := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nTransfer-Encoding: chunked\r\n\r\n" + payload
 	pkts := buildConvPackets(t, "GET /x HTTP/1.1\r\nHost: broken.example\r\n\r\n", resp)
 
-	txs := FromPackets(pkts)
-	if len(txs) != 1 || string(txs[0].Body) != payload {
-		t.Fatalf("degraded body = %.60q, want raw remainder", txs[0].Body)
-	}
-
-	// Churn the assembler pool with captures big enough to overwrite the
-	// arena bytes the first body would still be aliasing.
+	// Later conversations big enough to overwrite the buffer bytes the
+	// first body would still be aliasing.
 	filler := strings.Repeat("B", len(resp)*4)
+	fillResp := "HTTP/1.1 200 OK\r\nContent-Length: " + fmt.Sprint(len(filler)) + "\r\n\r\n" + filler
 	for i := 0; i < 4; i++ {
-		fillResp := "HTTP/1.1 200 OK\r\nContent-Length: " +
-			fmt.Sprint(len(filler)) + "\r\n\r\n" + filler
-		_ = FromPackets(buildConvPackets(t, "GET /fill HTTP/1.1\r\nHost: filler.example\r\n\r\n", fillResp))
+		fill := buildConvPackets(t, "GET /fill HTTP/1.1\r\nHost: filler.example\r\n\r\n", fillResp)
+		for j := range fill {
+			fill[j].Timestamp = fill[j].Timestamp.Add(time.Duration(i+1) * time.Second)
+		}
+		pkts = append(pkts, fill...)
 	}
-	if string(txs[0].Body) != payload {
-		t.Fatalf("degraded body corrupted by pooled assembler reuse: %.60q", txs[0].Body)
+	txs := readPackets(t, pkts)
+	if len(txs) != 5 || string(txs[0].Body) != payload {
+		t.Fatalf("%d transactions, degraded body = %.60q, want 5 and the raw remainder", len(txs), txs[0].Body)
 	}
 }

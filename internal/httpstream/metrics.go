@@ -25,9 +25,9 @@ var (
 
 // traceBinding mirrors the parse telemetry into a pipeline tracer's
 // httpstream.parse stage (histogram + slow EWMA). Like the registry
-// metrics above it is package-level — parsing is batch-shaped, one call
-// covering a whole TCP conversation, so it feeds stage latency rather
-// than opening spans inside any single transaction's tree.
+// metrics above it is package-level — one call parses a whole TCP
+// conversation as it closes, so it feeds stage latency rather than
+// opening spans inside any single transaction's tree.
 type traceBinding struct {
 	t     *obs.Tracer
 	stage obs.StageID

@@ -61,6 +61,16 @@ func (k FlowKey) Reverse() FlowKey {
 	return FlowKey{SrcIP: k.DstIP, DstIP: k.SrcIP, SrcPort: k.DstPort, DstPort: k.SrcPort}
 }
 
+// Canonical returns the key both directions of k's conversation share — k
+// or its reverse, whichever has the lower endpoint (by address, then port)
+// as the source — and whether k is the reversed one.
+func (k FlowKey) Canonical() (ck FlowKey, reversed bool) {
+	if c := k.SrcIP.Compare(k.DstIP); c < 0 || (c == 0 && k.SrcPort <= k.DstPort) {
+		return k, false
+	}
+	return k.Reverse(), true
+}
+
 // String renders the flow as "src:port->dst:port".
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)

@@ -25,7 +25,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := ReadAllAuto(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestReaderBigEndian(t *testing.T) {
 	buf.Write(rec)
 	buf.Write([]byte{9, 8, 7, 6})
 
-	got, err := ReadAll(&buf)
+	got, err := ReadAllAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReaderBigEndian(t *testing.T) {
 }
 
 func TestReaderBadMagic(t *testing.T) {
-	_, err := NewReader(bytes.NewReader(make([]byte, 24)))
+	_, err := newReader(newWindow(bytes.NewReader(make([]byte, 24))))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -86,7 +86,7 @@ func TestReaderTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	_, err := ReadAll(bytes.NewReader(trunc))
+	_, err := ReadAllAuto(bytes.NewReader(trunc))
 	if err == nil {
 		t.Fatal("expected error for truncated capture")
 	}
@@ -98,7 +98,7 @@ func TestEmptyCaptureFlush(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := ReadAllAuto(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +210,18 @@ func TestFlowKeyReverse(t *testing.T) {
 	}
 }
 
+// collecting returns an Assembler and the streams it has closed so far,
+// copied out of its buffers in the order they were shown to the sink.
+func collecting() (*Assembler, *[]*Stream) {
+	out := new([]*Stream)
+	return NewAssembler(func(a, b *Stream) {
+		*out = append(*out, a.clone())
+		if b != nil {
+			*out = append(*out, b.clone())
+		}
+	}), out
+}
+
 func mkDataFrame(seq uint32, payload string, syn bool) *Frame {
 	flags := uint8(FlagACK)
 	if syn {
@@ -227,11 +239,12 @@ func mkDataFrame(seq uint32, payload string, syn bool) *Frame {
 }
 
 func TestReassemblyInOrder(t *testing.T) {
-	a := NewAssembler()
+	a, out := collecting()
 	a.Feed(mkDataFrame(100, "", true), baseTime)
 	a.Feed(mkDataFrame(101, "hello ", false), baseTime.Add(time.Millisecond))
 	a.Feed(mkDataFrame(107, "world", false), baseTime.Add(2*time.Millisecond))
-	streams := a.Streams()
+	a.Flush()
+	streams := *out
 	if len(streams) != 1 {
 		t.Fatalf("streams = %d, want 1", len(streams))
 	}
@@ -244,13 +257,14 @@ func TestReassemblyInOrder(t *testing.T) {
 }
 
 func TestReassemblyOutOfOrderAndDup(t *testing.T) {
-	a := NewAssembler()
+	a, out := collecting()
 	a.Feed(mkDataFrame(100, "", true), baseTime)
 	a.Feed(mkDataFrame(107, "world", false), baseTime.Add(2*time.Millisecond))
 	a.Feed(mkDataFrame(101, "hello ", false), baseTime.Add(3*time.Millisecond))
 	a.Feed(mkDataFrame(101, "hello ", false), baseTime.Add(4*time.Millisecond)) // retransmit
 	a.Feed(mkDataFrame(104, "lo wor", false), baseTime.Add(5*time.Millisecond)) // overlap
-	streams := a.Streams()
+	a.Flush()
+	streams := *out
 	if len(streams) != 1 {
 		t.Fatalf("streams = %d, want 1", len(streams))
 	}
@@ -261,21 +275,23 @@ func TestReassemblyOutOfOrderAndDup(t *testing.T) {
 
 func TestReassemblyMidStreamCapture(t *testing.T) {
 	// No SYN observed: first data segment defines the origin.
-	a := NewAssembler()
+	a, out := collecting()
 	a.Feed(mkDataFrame(5000, "abc", false), baseTime)
 	a.Feed(mkDataFrame(5003, "def", false), baseTime.Add(time.Millisecond))
-	streams := a.Streams()
+	a.Flush()
+	streams := *out
 	if len(streams) != 1 || string(streams[0].Data) != "abcdef" {
 		t.Fatalf("mid-stream reassembly wrong: %+v", streams)
 	}
 }
 
 func TestStreamTimeAt(t *testing.T) {
-	a := NewAssembler()
+	a, out := collecting()
 	a.Feed(mkDataFrame(100, "", true), baseTime)
 	a.Feed(mkDataFrame(101, "aaaa", false), baseTime.Add(time.Millisecond))
 	a.Feed(mkDataFrame(105, "bbbb", false), baseTime.Add(5*time.Millisecond))
-	s := a.Streams()[0]
+	a.Flush()
+	s := (*out)[0]
 	if got := s.TimeAt(0); !got.Equal(baseTime.Add(time.Millisecond)) {
 		t.Fatalf("TimeAt(0) = %v", got)
 	}
@@ -307,7 +323,7 @@ func TestBuildConversationRoundTrip(t *testing.T) {
 	if len(pkts) < 8 {
 		t.Fatalf("too few packets: %d", len(pkts))
 	}
-	streams := AssembleStreams(pkts)
+	streams, _ := AssembleStreamsInto(nil, pkts)
 	if len(streams) != 2 {
 		t.Fatalf("streams = %d, want 2", len(streams))
 	}
@@ -350,7 +366,7 @@ func TestWriteConversationsMergesByTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	pkts, err := ReadAllAuto(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +409,7 @@ func TestWriteConversationsMergesByTime(t *testing.T) {
 		return best
 	}
 	small, large := merge(overlapping(100)), merge(overlapping(400))
-	pkts, err = ReadAll(bytes.NewReader(buf.Bytes()))
+	pkts, err = ReadAllAuto(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,13 +475,14 @@ func TestReassemblyProperty(t *testing.T) {
 			pieces = append(pieces, pieces[r.Intn(len(pieces))])
 		}
 		r.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
-		a := NewAssembler()
+		a, out := collecting()
 		a.Feed(mkDataFrame(100, "", true), baseTime)
 		for i, p := range pieces {
 			fr := mkDataFrame(101+uint32(p.off), string(p.buf), false)
 			a.Feed(fr, baseTime.Add(time.Duration(i)*time.Millisecond))
 		}
-		streams := a.Streams()
+		a.Flush()
+		streams := *out
 		return len(streams) == 1 && bytes.Equal(streams[0].Data, orig)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -491,7 +508,7 @@ func TestPcapRoundTripProperty(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		got, err := ReadAllAuto(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -592,7 +609,7 @@ func TestIPv6ExtensionHeaderWalk(t *testing.T) {
 
 func TestIPv6ReassemblyEndToEnd(t *testing.T) {
 	// A full v6 conversation through the assembler.
-	a := NewAssembler()
+	a, out := collecting()
 	mk := func(seq uint32, payload string, syn bool) *Frame {
 		flags := uint8(FlagACK)
 		if syn {
@@ -606,7 +623,8 @@ func TestIPv6ReassemblyEndToEnd(t *testing.T) {
 	a.Feed(mk(10, "", true), baseTime)
 	a.Feed(mk(11, "hello-", false), baseTime.Add(time.Millisecond))
 	a.Feed(mk(17, "v6", false), baseTime.Add(2*time.Millisecond))
-	streams := a.Streams()
+	a.Flush()
+	streams := *out
 	if len(streams) != 1 || string(streams[0].Data) != "hello-v6" {
 		t.Fatalf("v6 reassembly: %+v", streams)
 	}

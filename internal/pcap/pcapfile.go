@@ -27,6 +27,14 @@ const (
 	globalHeaderLen = 24
 	recordHeaderLen = 16
 	defaultSnapLen  = 262144
+
+	// maxRecordLen bounds the packet bytes of one record whatever its
+	// length field says, so a hostile length cannot size a buffer: the
+	// Writer's own snapshot length.
+	maxRecordLen = defaultSnapLen
+	// windowLen is the reader's buffer: a few dozen full-size frames per
+	// read of the underlying stream.
+	windowLen = 64 << 10
 )
 
 // ErrBadMagic reports a file that does not start with a classic pcap magic.
@@ -94,18 +102,93 @@ func (pw *Writer) WritePacket(p Packet) error {
 // Flush makes sure the global header exists even for empty captures.
 func (pw *Writer) Flush() error { return pw.writeHeader() }
 
-// Reader parses a classic pcap file in either byte order.
-type Reader struct {
-	r        io.Reader
-	order    binary.ByteOrder
-	snapLen  uint32
-	linkType uint32
+// ErrRecordTooLong reports a packet record or block whose length field
+// asks for more bytes than a packet of the capture may have.
+var ErrRecordTooLong = errors.New("pcap: packet record longer than the capture allows")
+
+// window is the one buffer every record of a capture is decoded out of: the
+// unread bytes of r are buf[start:end]. It starts at windowLen bytes and
+// grows only to hold a single record longer than that — which the readers
+// bound before they ask for it — so its size never follows the capture's.
+type window struct {
+	r          io.Reader
+	buf        []byte
+	start, end int
+	err        error // r's error, reported once the bytes read before it are used up
+	idle       int   // consecutive reads that returned nothing
+	keep       bool  // a full buffer is left to the records decoded out of it, not reused
 }
 
-// NewReader validates the global header of r and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [globalHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func newWindow(r io.Reader) *window {
+	return &window{r: r, buf: make([]byte, windowLen)}
+}
+
+// peek returns the next n bytes of r without consuming them; the slice is
+// valid until the next call on the window. When r ends first the error is
+// io.ReadFull's: io.EOF with nothing left, io.ErrUnexpectedEOF otherwise.
+func (w *window) peek(n int) ([]byte, error) {
+	for w.end-w.start < n {
+		if w.err != nil {
+			if w.err == io.EOF && w.end > w.start {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, w.err
+		}
+		if w.start+n > len(w.buf) {
+			buf := w.buf
+			if n > len(buf) {
+				buf = make([]byte, max(n, 2*len(buf)))
+			} else if w.keep {
+				buf = make([]byte, len(buf))
+			}
+			w.end = copy(buf, w.buf[w.start:w.end])
+			w.start, w.buf = 0, buf
+		}
+		m, err := w.r.Read(w.buf[w.end:])
+		w.end += m
+		w.err = err
+		if m > 0 || err != nil {
+			w.idle = 0
+		} else if w.idle++; w.idle >= 100 {
+			w.err = io.ErrNoProgress
+		}
+	}
+	return w.buf[w.start : w.start+n], nil
+}
+
+// take is peek, consuming the bytes.
+func (w *window) take(n int) ([]byte, error) {
+	b, err := w.peek(n)
+	w.start += len(b)
+	return b, err
+}
+
+// discard consumes n bytes without holding more than a window of them.
+func (w *window) discard(n int64) error {
+	for n > 0 {
+		if w.start == w.end {
+			if _, err := w.peek(1); err != nil {
+				return err
+			}
+		}
+		k := int(min(n, int64(w.end-w.start)))
+		w.start += k
+		n -= int64(k)
+	}
+	return nil
+}
+
+// reader parses a classic pcap file in either byte order.
+type reader struct {
+	w      *window
+	order  binary.ByteOrder
+	maxLen uint32 // longest record accepted: min(snaplen, maxRecordLen)
+}
+
+// newReader validates the global header at the head of w.
+func newReader(w *window) (*reader, error) {
+	hdr, err := w.take(globalHeaderLen)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: read global header: %w", err)
 	}
 	var order binary.ByteOrder
@@ -117,23 +200,18 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, ErrBadMagic
 	}
-	pr := &Reader{
-		r:        r,
-		order:    order,
-		snapLen:  order.Uint32(hdr[16:]),
-		linkType: order.Uint32(hdr[20:]),
+	if linkType := order.Uint32(hdr[20:]); linkType != LinkTypeEthernet {
+		return nil, fmt.Errorf("pcap: unsupported link type %d", linkType)
 	}
-	if pr.linkType != LinkTypeEthernet {
-		return nil, fmt.Errorf("pcap: unsupported link type %d", pr.linkType)
-	}
-	return pr, nil
+	return &reader{w: w, order: order, maxLen: min(order.Uint32(hdr[16:]), maxRecordLen)}, nil
 }
 
-// Next returns the next packet, or io.EOF at the end of the capture.
-func (pr *Reader) Next() (Packet, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
+// next returns the next packet, or io.EOF at the end of the capture. The
+// packet's Data is decoded in place: it is valid until the next call.
+func (pr *reader) next() (Packet, error) {
+	hdr, err := pr.w.take(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF {
 			return Packet{}, io.EOF
 		}
 		return Packet{}, fmt.Errorf("pcap: read record header: %w", err)
@@ -141,11 +219,11 @@ func (pr *Reader) Next() (Packet, error) {
 	sec := pr.order.Uint32(hdr[0:])
 	usec := pr.order.Uint32(hdr[4:])
 	capLen := pr.order.Uint32(hdr[8:])
-	if capLen > pr.snapLen {
-		return Packet{}, fmt.Errorf("pcap: record length %d exceeds snaplen %d", capLen, pr.snapLen)
+	if capLen > pr.maxLen {
+		return Packet{}, fmt.Errorf("%w: record of %d bytes, limit %d", ErrRecordTooLong, capLen, pr.maxLen)
 	}
-	data := make([]byte, capLen)
-	if _, err := io.ReadFull(pr.r, data); err != nil {
+	data, err := pr.w.take(int(capLen))
+	if err != nil {
 		return Packet{}, fmt.Errorf("pcap: read record body: %w", err)
 	}
 	return Packet{
@@ -154,21 +232,50 @@ func (pr *Reader) Next() (Packet, error) {
 	}, nil
 }
 
-// ReadAll drains the capture into memory.
-func ReadAll(r io.Reader) ([]Packet, error) {
-	pr, err := NewReader(r)
+// Scan decodes the capture on r — classic pcap or pcapng, told apart by the
+// leading magic — and calls fn with each packet in file order. A packet's
+// Data aliases the reader's one buffer and is valid only during the call.
+func Scan(r io.Reader, fn func(Packet)) error { return scan(newWindow(r), fn) }
+
+func scan(w *window, fn func(Packet)) error {
+	magic, err := w.peek(4)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("pcap: read magic: %w", err)
 	}
-	var pkts []Packet
+	var next func() (Packet, error)
+	if binary.LittleEndian.Uint32(magic) == blockSHB {
+		ng, err := newNGReader(w)
+		if err != nil {
+			return err
+		}
+		next = ng.next
+	} else {
+		pr, err := newReader(w)
+		if err != nil {
+			return err
+		}
+		next = pr.next
+	}
 	for {
-		p, err := pr.Next()
-		if errors.Is(err, io.EOF) {
-			return pkts, nil
+		p, err := next()
+		if err == io.EOF {
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		pkts = append(pkts, p)
+		fn(p)
 	}
+}
+
+// ReadAllAuto drains a capture of either format into memory: Scan, with the
+// reader's buffers left to the packets decoded out of them instead of reused.
+func ReadAllAuto(r io.Reader) ([]Packet, error) {
+	var pkts []Packet
+	w := newWindow(r)
+	w.keep = true
+	if err := scan(w, func(p Packet) { pkts = append(pkts, p) }); err != nil {
+		return nil, err
+	}
+	return pkts, nil
 }

@@ -1,9 +1,7 @@
 package pcap
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,12 +20,17 @@ const (
 	optEndOfOpts   = 0
 )
 
-// NGReader parses a pcapng capture: section header, interface description,
+// maxBlockBody bounds the body of a pcapng block that is read whole (packet
+// and interface blocks): the longest packet plus 4 KiB of block fields,
+// padding and options.
+const maxBlockBody = maxRecordLen + 4096
+
+// ngReader parses a pcapng capture: section header, interface description,
 // and enhanced/simple packet blocks. Unknown block types are skipped, as
 // the format prescribes. Multiple sections and interfaces are supported;
 // only Ethernet interfaces yield packets.
-type NGReader struct {
-	r     *bufio.Reader
+type ngReader struct {
+	w     *window
 	order binary.ByteOrder
 	// ifaces[i] describes interface i of the current section.
 	ifaces []ngInterface
@@ -38,24 +41,32 @@ type ngInterface struct {
 	tsUnit   time.Duration // duration of one timestamp tick
 }
 
-// NewNGReader validates the leading section header of r.
-func NewNGReader(r io.Reader) (*NGReader, error) {
-	ng := &NGReader{r: bufio.NewReader(r)}
-	if err := ng.readSectionHeader(); err != nil {
+// newNGReader validates the section header at the head of w.
+func newNGReader(w *window) (*ngReader, error) {
+	ng := &ngReader{w: w}
+	head, err := w.take(8)
+	if err != nil {
+		return nil, fmt.Errorf("pcapng: read section header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(head[0:]) != blockSHB {
+		return nil, ErrBadMagic
+	}
+	if err := ng.readSection([4]byte(head[4:])); err != nil {
 		return nil, err
 	}
 	return ng, nil
 }
 
-func (ng *NGReader) readSectionHeader() error {
-	var head [12]byte
-	if _, err := io.ReadFull(ng.r, head[:]); err != nil {
+// readSection consumes a section header block from its byte-order magic on
+// (the block type and the raw length field rawLen are already read): it
+// sets the section's byte order and forgets the previous section's
+// interfaces.
+func (ng *ngReader) readSection(rawLen [4]byte) error {
+	magic, err := ng.w.take(4)
+	if err != nil {
 		return fmt.Errorf("pcapng: read section header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(head[0:]) != blockSHB {
-		return ErrBadMagic
-	}
-	switch binary.LittleEndian.Uint32(head[8:]) {
+	switch binary.LittleEndian.Uint32(magic) {
 	case byteOrderMagic:
 		ng.order = binary.LittleEndian
 	case 0x4D3C2B1A:
@@ -63,13 +74,12 @@ func (ng *NGReader) readSectionHeader() error {
 	default:
 		return fmt.Errorf("pcapng: bad byte-order magic")
 	}
-	totalLen := ng.order.Uint32(head[4:])
+	totalLen := ng.order.Uint32(rawLen[:])
 	if totalLen < 28 || totalLen%4 != 0 {
 		return fmt.Errorf("pcapng: bad section header length %d", totalLen)
 	}
-	// Consume the remainder of the block (version, section length, options,
-	// trailing length).
-	if _, err := io.CopyN(io.Discard, ng.r, int64(totalLen-12)); err != nil {
+	// Version, section length, options and trailing length are not needed.
+	if err := ng.w.discard(int64(totalLen - 12)); err != nil {
 		return fmt.Errorf("pcapng: section header body: %w", err)
 	}
 	ng.ifaces = ng.ifaces[:0]
@@ -78,7 +88,7 @@ func (ng *NGReader) readSectionHeader() error {
 
 // parseIDB registers an interface from an IDB block body (without the
 // leading type/length and trailing length).
-func (ng *NGReader) parseIDB(body []byte) error {
+func (ng *ngReader) parseIDB(body []byte) error {
 	if len(body) < 8 {
 		return fmt.Errorf("pcapng: short interface description")
 	}
@@ -126,86 +136,82 @@ func tsResolUnit(v byte) time.Duration {
 	return time.Duration(float64(time.Second) / math.Pow(2, float64(exp)))
 }
 
-// Next returns the next packet, or io.EOF at the end of the capture.
-func (ng *NGReader) Next() (Packet, error) {
+// next returns the next packet, or io.EOF at the end of the capture. The
+// packet's Data is decoded in place: it is valid until the next call.
+func (ng *ngReader) next() (Packet, error) {
 	for {
-		var head [8]byte
-		if _, err := io.ReadFull(ng.r, head[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		head, err := ng.w.take(8)
+		if err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return Packet{}, io.EOF
 			}
 			return Packet{}, fmt.Errorf("pcapng: read block header: %w", err)
 		}
 		blockType := ng.order.Uint32(head[0:])
-		totalLen := ng.order.Uint32(head[4:])
 		if blockType == blockSHB {
-			// New section: re-parse with a fresh byte order. Push back the
-			// 8 bytes read is awkward with bufio; re-read manually.
-			var rest [4]byte
-			if _, err := io.ReadFull(ng.r, rest[:]); err != nil {
-				return Packet{}, fmt.Errorf("pcapng: section header: %w", err)
-			}
-			switch binary.LittleEndian.Uint32(rest[:]) {
-			case byteOrderMagic:
-				ng.order = binary.LittleEndian
-			case 0x4D3C2B1A:
-				ng.order = binary.BigEndian
-			default:
-				return Packet{}, fmt.Errorf("pcapng: bad byte-order magic")
-			}
-			totalLen = ng.order.Uint32(head[4:])
-			if totalLen < 28 || totalLen%4 != 0 {
-				return Packet{}, fmt.Errorf("pcapng: bad section length %d", totalLen)
-			}
-			if _, err := io.CopyN(io.Discard, ng.r, int64(totalLen-12)); err != nil {
+			// A new section may change the byte order, so its length is
+			// decoded only once its magic is read.
+			if err := ng.readSection([4]byte(head[4:])); err != nil {
 				return Packet{}, err
 			}
-			ng.ifaces = ng.ifaces[:0]
 			continue
 		}
+		totalLen := ng.order.Uint32(head[4:])
 		if totalLen < 12 || totalLen%4 != 0 {
 			return Packet{}, fmt.Errorf("pcapng: bad block length %d", totalLen)
 		}
-		body := make([]byte, totalLen-12)
-		if _, err := io.ReadFull(ng.r, body); err != nil {
-			return Packet{}, fmt.Errorf("pcapng: block body: %w", err)
+		n := int64(totalLen - 12)
+		var body, trail []byte
+		switch blockType {
+		case blockIDB, blockEPB, blockSPB:
+			if n > maxBlockBody {
+				return Packet{}, fmt.Errorf("%w: block of %d bytes, limit %d", ErrRecordTooLong, totalLen, maxBlockBody+12)
+			}
+			if _, err := ng.w.peek(int(n)); err != nil {
+				return Packet{}, fmt.Errorf("pcapng: block body: %w", err)
+			}
+			buf, err := ng.w.take(int(n) + 4)
+			if err != nil {
+				return Packet{}, fmt.Errorf("pcapng: block trailer: %w", err)
+			}
+			body, trail = buf[:n], buf[n:]
+		default:
+			// Name resolution, statistics, custom blocks: skipped, never
+			// buffered.
+			if err := ng.w.discard(n); err != nil {
+				return Packet{}, fmt.Errorf("pcapng: block body: %w", err)
+			}
+			if trail, err = ng.w.take(4); err != nil {
+				return Packet{}, fmt.Errorf("pcapng: block trailer: %w", err)
+			}
 		}
-		var trail [4]byte
-		if _, err := io.ReadFull(ng.r, trail[:]); err != nil {
-			return Packet{}, fmt.Errorf("pcapng: block trailer: %w", err)
-		}
-		if ng.order.Uint32(trail[:]) != totalLen {
+		if ng.order.Uint32(trail) != totalLen {
 			return Packet{}, fmt.Errorf("pcapng: trailer length mismatch")
 		}
 
+		var pkt Packet
+		var ok bool
 		switch blockType {
 		case blockIDB:
-			if err := ng.parseIDB(body); err != nil {
-				return Packet{}, err
-			}
+			err = ng.parseIDB(body)
 		case blockEPB:
-			pkt, ok, err := ng.parseEPB(body)
-			if err != nil {
-				return Packet{}, err
-			}
-			if ok {
-				return pkt, nil
-			}
+			pkt, ok, err = ng.parseEPB(body)
 		case blockSPB:
-			pkt, ok, err := ng.parseSPB(body)
-			if err != nil {
-				return Packet{}, err
-			}
-			if ok {
-				return pkt, nil
-			}
-		default:
-			// Name resolution, statistics, custom blocks: skip.
+			pkt, ok, err = ng.parseSPB(body)
+		}
+		if err != nil {
+			return Packet{}, err
+		}
+		if len(pkt.Data) > maxRecordLen {
+			return Packet{}, fmt.Errorf("%w: packet of %d bytes, limit %d", ErrRecordTooLong, len(pkt.Data), maxRecordLen)
+		}
+		if ok {
+			return pkt, nil
 		}
 	}
 }
 
-func (ng *NGReader) parseEPB(body []byte) (Packet, bool, error) {
+func (ng *ngReader) parseEPB(body []byte) (Packet, bool, error) {
 	if len(body) < 20 {
 		return Packet{}, false, fmt.Errorf("pcapng: short enhanced packet block")
 	}
@@ -224,15 +230,13 @@ func (ng *NGReader) parseEPB(body []byte) (Packet, bool, error) {
 		return Packet{}, false, nil // skip non-Ethernet interfaces
 	}
 	ticks := uint64(tsHigh)<<32 | uint64(tsLow)
-	data := make([]byte, capLen)
-	copy(data, body[20:20+capLen])
 	return Packet{
 		Timestamp: time.Unix(0, int64(ticks)*int64(iface.tsUnit)).UTC(),
-		Data:      data,
+		Data:      body[20 : 20+capLen],
 	}, true, nil
 }
 
-func (ng *NGReader) parseSPB(body []byte) (Packet, bool, error) {
+func (ng *ngReader) parseSPB(body []byte) (Packet, bool, error) {
 	if len(body) < 4 {
 		return Packet{}, false, fmt.Errorf("pcapng: short simple packet block")
 	}
@@ -247,9 +251,7 @@ func (ng *NGReader) parseSPB(body []byte) (Packet, bool, error) {
 	if origLen < len(data) {
 		data = data[:origLen]
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return Packet{Data: out}, true, nil
+	return Packet{Data: data}, true, nil
 }
 
 // NGWriter emits a little-endian pcapng capture with one Ethernet
@@ -318,31 +320,3 @@ func (nw *NGWriter) WritePacket(p Packet) error {
 // Flush ensures the section and interface headers exist for empty
 // captures.
 func (nw *NGWriter) Flush() error { return nw.writeHeader() }
-
-// ReadAllAuto detects the capture format (classic pcap or pcapng) from the
-// leading magic and drains it into memory.
-func ReadAllAuto(r io.Reader) ([]Packet, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("pcap: read magic: %w", err)
-	}
-	if binary.LittleEndian.Uint32(magic) == blockSHB {
-		ng, err := NewNGReader(br)
-		if err != nil {
-			return nil, err
-		}
-		var pkts []Packet
-		for {
-			p, err := ng.Next()
-			if errors.Is(err, io.EOF) {
-				return pkts, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			pkts = append(pkts, p)
-		}
-	}
-	return ReadAll(br)
-}

@@ -19,12 +19,12 @@ func TestNGWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ng, err := NewNGReader(bytes.NewReader(buf.Bytes()))
+	ng, err := newNGReader(newWindow(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range pkts {
-		got, err := ng.Next()
+		got, err := ng.next()
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
@@ -35,7 +35,7 @@ func TestNGWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("packet %d ts = %v, want %v", i, got.Timestamp, want.Timestamp)
 		}
 	}
-	if _, err := ng.Next(); err == nil {
+	if _, err := ng.next(); err == nil {
 		t.Fatal("expected EOF")
 	}
 }
@@ -46,7 +46,7 @@ func TestNGReaderRejectsClassic(t *testing.T) {
 	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNGReader(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := newNGReader(newWindow(bytes.NewReader(buf.Bytes()))); err == nil {
 		t.Fatal("classic pcap must be rejected by the NG reader")
 	}
 }
@@ -197,11 +197,11 @@ func TestNGReaderTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()[:buf.Len()-6]
-	ng, err := NewNGReader(bytes.NewReader(data))
+	ng, err := newNGReader(newWindow(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ng.Next(); err == nil {
+	if _, err := ng.next(); err == nil {
 		t.Fatal("truncated capture must error")
 	}
 }

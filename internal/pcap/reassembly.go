@@ -3,7 +3,6 @@ package pcap
 import (
 	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -11,17 +10,18 @@ import (
 // byte stream plus enough timing information to attribute byte offsets back
 // to capture timestamps.
 type Stream struct {
-	Key       FlowKey
+	Key FlowKey
+	// Conv names the stream's conversation — one TCP connection — within
+	// its capture: the first-seen ordinal of the connection's first
+	// payload-bearing direction. Both directions carry it, and a later
+	// connection on the same ports carries another.
+	Conv      int
 	Data      []byte
 	FirstSeen time.Time
 	LastSeen  time.Time
 
-	marks []streamMark
-}
-
-type streamMark struct {
-	offset int
-	ts     time.Time
+	ord   int       // first-seen ordinal of this direction within the capture
+	marks []segment // the segments Data was made of: off is an offset into Data
 }
 
 // TimeAt returns the capture timestamp of the segment containing byte
@@ -30,19 +30,26 @@ func (s *Stream) TimeAt(off int) time.Time {
 	if len(s.marks) == 0 {
 		return s.FirstSeen
 	}
-	idx := sort.Search(len(s.marks), func(i int) bool { return s.marks[i].offset > off }) - 1
+	idx := sort.Search(len(s.marks), func(i int) bool { return s.marks[i].off > off }) - 1
 	if idx < 0 {
 		idx = 0
 	}
 	return s.marks[idx].ts
 }
 
-// segment is a raw TCP payload pending reassembly. The bytes live in the
-// owning Assembler's payload slab as [off:end) so that feeding never
-// allocates per segment; offsets stay valid across slab growth.
+// clone copies s out of the conversation buffers it aliases.
+func (s *Stream) clone() *Stream {
+	c := *s
+	c.Data = slices.Clone(s.Data)
+	c.marks = slices.Clone(s.marks)
+	return &c
+}
+
+// segment is a TCP payload kept for reassembly: bytes [off, end) of its
+// direction's buffer.
 type segment struct {
 	relSeq   int64 // sequence relative to the ISN
-	off, end int   // payload byte range in Assembler.slab
+	off, end int
 	ts       time.Time
 }
 
@@ -52,37 +59,37 @@ type span struct {
 	start, end int64
 }
 
+// flowState is one direction of an open conversation.
 type flowState struct {
-	key    FlowKey
+	seen   bool // a frame of this direction has arrived
+	ord    int  // its first-seen ordinal
 	isn    uint32
 	sawISN bool
-	segs   []segment
-	// sorted tracks whether segs is already nondecreasing by relSeq, so
-	// the common in-order capture skips the per-Streams sort entirely.
-	sorted bool
+	sawFIN bool
+	finSeq uint32 // sequence number of the FIN itself
+	// buf holds the payload of every kept segment in arrival order, segs
+	// where each one sits in it.
+	buf  []byte
+	segs []segment
+	// inOrder holds while every kept segment begins at or after the end
+	// (next) of the one kept before it; buf is then the reassembled stream
+	// as it stands and the close step copies nothing.
+	inOrder bool
+	next    int64
 	// covered holds containment-pruned single-segment spans: starts and
 	// ends both strictly increasing. A newly fed segment fully inside one
 	// of these spans can never contribute bytes (first copy wins) and is
-	// dropped at feed time instead of being kept alive until Streams.
+	// dropped at feed time.
 	covered []span
+	// reach is the end of the bytes that have arrived without a gap from
+	// the stream's origin: every byte of [0, reach) is in buf.
+	reach int64
 	// hasData/tsFirst/tsLast fold the capture-timestamp envelope over
 	// every payload-bearing frame — including dropped duplicates — so
 	// FirstSeen/LastSeen match the keep-everything behavior exactly.
 	hasData bool
 	tsFirst time.Time
 	tsLast  time.Time
-}
-
-func (st *flowState) reset() {
-	st.key = FlowKey{}
-	st.isn = 0
-	st.sawISN = false
-	st.segs = st.segs[:0]
-	st.sorted = true
-	st.covered = st.covered[:0]
-	st.hasData = false
-	st.tsFirst = time.Time{}
-	st.tsLast = time.Time{}
 }
 
 // duplicate reports whether [start, end) is fully contained in a single
@@ -97,7 +104,8 @@ func (st *flowState) duplicate(start, end int64) bool {
 }
 
 // insertSpan records [start, end) in the covered set, pruning any spans the
-// new one contains so both starts and ends stay strictly increasing.
+// new one contains so both starts and ends stay strictly increasing, and
+// advances reach over the gap-free prefix.
 func (st *flowState) insertSpan(start, end int64) {
 	lo := sort.Search(len(st.covered), func(i int) bool { return st.covered[i].start >= start })
 	hi := lo
@@ -108,122 +116,240 @@ func (st *flowState) insertSpan(start, end int64) {
 		st.covered = append(st.covered, span{})
 		copy(st.covered[lo+1:], st.covered[lo:])
 		st.covered[lo] = span{start: start, end: end}
-		return
+	} else {
+		st.covered[lo] = span{start: start, end: end}
+		st.covered = append(st.covered[:lo+1], st.covered[hi:]...)
 	}
-	st.covered[lo] = span{start: start, end: end}
-	st.covered = append(st.covered[:lo+1], st.covered[hi:]...)
+	if start <= st.reach && end > st.reach {
+		// Spans before lo end below end; the ones after it join the prefix
+		// for as long as each starts inside it.
+		st.reach = end
+		for _, sp := range st.covered[lo+1:] {
+			if sp.start > st.reach {
+				break
+			}
+			st.reach = max(st.reach, sp.end)
+		}
+	}
 }
 
-// ensureSorted restores relSeq order with an in-place stable insertion
-// sort: zero-alloc (sort.SliceStable boxes its arguments), stable so the
+// sortSegs restores relSeq order with an in-place stable insertion sort:
+// zero-alloc (sort.SliceStable boxes its arguments), stable so the
 // first-fed copy of an equal-seq retransmission still wins, and O(n +
 // inversions) on the nearly-in-order captures that reach it.
-func (st *flowState) ensureSorted() {
-	if st.sorted {
-		return
-	}
+func (st *flowState) sortSegs() {
 	segs := st.segs
 	for i := 1; i < len(segs); i++ {
 		for j := i; j > 0 && segs[j].relSeq < segs[j-1].relSeq; j-- {
 			segs[j], segs[j-1] = segs[j-1], segs[j]
 		}
 	}
-	st.sorted = true
 }
 
-// Assembler reconstructs per-direction TCP byte streams from frames fed in
-// capture order. It tolerates out-of-order delivery, retransmissions, and
-// overlapping segments (first copy wins). It does not track TCP state
-// machines beyond the ISN: synthetic and well-formed captures are the
-// target, mirroring the paper's use of pre-recorded traces.
+// reopens reports whether a SYN announcing initial data sequence isn opens
+// a new connection rather than repeating the SYN that opened this one: the
+// direction already carried payload, or was opened at another sequence.
+func (st *flowState) reopens(isn uint32) bool {
+	return st.hasData || (st.sawISN && st.isn != isn)
+}
+
+// finished reports whether the direction has sent its FIN and every byte
+// before the FIN has arrived.
+func (st *flowState) finished() bool {
+	return st.sawFIN && (!st.sawISN || st.reach >= int64(int32(st.finSeq-st.isn)))
+}
+
+// conversation is one open TCP connection: dirs[0] is the direction sent by
+// the lower endpoint of key, dirs[1] its reverse.
+type conversation struct {
+	key  FlowKey // as FlowKey.Canonical gives it
+	ord  int     // first-seen ordinal of its first frame's direction
+	dirs [2]flowState
+	// What the sink is shown of dirs at close: streams, and under them the
+	// assembled bytes of a direction whose buf is not already its stream.
+	streams [2]Stream
+	carved  [2][]byte
+	spent   time.Duration // what Feed has taken on c so far; kept only while a tracer is attached
+}
+
+// Assembler reconstructs TCP byte streams from frames fed in capture order,
+// one conversation at a time. It tolerates out-of-order delivery,
+// retransmissions, and overlapping segments (first copy wins). It does not
+// track TCP state machines beyond the ISN and the FINs: synthetic and
+// well-formed captures are the target, mirroring the paper's use of
+// pre-recorded traces.
 //
-// All reassembly products — segment payloads, Stream.Data, timing marks,
-// and the Stream structs themselves — are carved from arenas owned by the
-// Assembler. Streams returned by Streams/StreamsInto are therefore only
-// valid until the Assembler is Released or fed again after a Streams call.
+// A conversation is closed — its directions assembled, shown to the sink,
+// and its buffers put back on the free lists — when both directions have
+// sent FIN and every byte before each FIN has arrived, when a SYN opens a
+// new connection on its ports, or at Flush. What the Assembler holds
+// therefore follows the conversations open at once, not the capture's
+// length; of a closed conversation it keeps only the key, so that a late
+// duplicate of one of its segments is dropped instead of starting a
+// conversation of its own.
 type Assembler struct {
-	flows map[FlowKey]*flowState
-	order []FlowKey // insertion order for deterministic output
+	// sink is shown each closed conversation that carried payload: a is
+	// the direction seen first, b the other (nil when only one carried
+	// payload). The streams alias recycled buffers and are valid only
+	// during the call.
+	sink func(a, b *Stream)
 
-	slab     []byte // payload arena shared by every segment
-	flowFree []*flowState
+	convs   map[FlowKey]*conversation // by canonical key; nil marks a closed conversation
+	nextOrd int
+	frame   Frame
 
-	// Product arenas, rebuilt by each StreamsInto call.
-	streams []Stream
-	data    []byte
-	marks   []streamMark
+	convFree []*conversation
+	bufFree  [][]byte
+
+	buffered  int // payload bytes held for open conversations
+	highWater int // the most buffered has been
+	late      int // segments dropped because their conversation had closed
 }
 
-// NewAssembler returns an empty Assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{flows: make(map[FlowKey]*flowState)}
+// NewAssembler returns an empty Assembler that shows every conversation it
+// closes to sink.
+func NewAssembler(sink func(a, b *Stream)) *Assembler {
+	return &Assembler{sink: sink, convs: make(map[FlowKey]*conversation)}
 }
 
-var assemblerPool = sync.Pool{New: func() any { return NewAssembler() }}
-
-// GetAssembler returns a reset Assembler from the package pool. Pair it
-// with Release once every Stream derived from it has been consumed.
-func GetAssembler() *Assembler {
-	return assemblerPool.Get().(*Assembler)
-}
-
-// Release resets the Assembler and returns it to the package pool. Streams
-// previously returned by this Assembler alias its arenas and must not be
-// used afterwards.
+// Release empties the Assembler for another capture: conversations still
+// open are dropped unseen, closed ones forgotten, ordinals restart; the
+// free lists keep their buffers.
 func (a *Assembler) Release() {
-	a.Reset()
-	assemblerPool.Put(a)
-}
-
-// Reset discards all fed flows and reassembly products while retaining
-// arena capacity for reuse.
-func (a *Assembler) Reset() {
-	for _, key := range a.order {
-		st := a.flows[key]
-		st.reset()
-		a.flowFree = append(a.flowFree, st)
+	for _, c := range a.convs {
+		if c != nil {
+			a.recycle(c)
+		}
 	}
-	clear(a.flows)
-	a.order = a.order[:0]
-	a.slab = a.slab[:0]
-	a.streams = a.streams[:0]
-	a.data = a.data[:0]
-	a.marks = a.marks[:0]
+	clear(a.convs)
+	a.nextOrd, a.late = 0, 0
 }
 
-func (a *Assembler) newFlow(key FlowKey) *flowState {
-	var st *flowState
-	if n := len(a.flowFree); n > 0 {
-		st = a.flowFree[n-1]
-		a.flowFree[n-1] = nil
-		a.flowFree = a.flowFree[:n-1]
+func (a *Assembler) open(key FlowKey) *conversation {
+	var c *conversation
+	if n := len(a.convFree); n > 0 {
+		c = a.convFree[n-1]
+		a.convFree = a.convFree[:n-1]
 	} else {
-		st = &flowState{sorted: true}
+		c = new(conversation)
 	}
-	st.key = key
-	return st
+	c.key, c.ord = key, a.nextOrd
+	a.convs[key] = c
+	return c
+}
+
+// recycle returns c and its buffers to the free lists.
+func (a *Assembler) recycle(c *conversation) {
+	for d := range c.dirs {
+		st := &c.dirs[d]
+		a.buffered -= len(st.buf)
+		for _, buf := range [2][]byte{st.buf, c.carved[d]} {
+			if buf != nil {
+				a.bufFree = append(a.bufFree, buf[:0])
+			}
+		}
+		*st = flowState{segs: st.segs[:0], covered: st.covered[:0]}
+		c.streams[d], c.carved[d] = Stream{}, nil
+	}
+	c.spent = 0
+	a.convFree = append(a.convFree, c)
+}
+
+func (a *Assembler) getBuf() []byte {
+	if n := len(a.bufFree); n > 0 {
+		buf := a.bufFree[n-1]
+		a.bufFree = a.bufFree[:n-1]
+		return buf
+	}
+	return make([]byte, 0, 4096)
+}
+
+// grow returns buf with room for n more bytes: moved into a free buffer
+// that has the room when there is one — so the buffers in circulation sort
+// themselves by the streams that need them instead of each growing to the
+// longest — and otherwise at least doubled (append's own growth of a large
+// slice is a quarter at a time, five times the final size in all).
+func (a *Assembler) grow(buf []byte, n int) []byte {
+	for i, free := range a.bufFree {
+		if cap(free) >= len(buf)+n {
+			a.bufFree[i] = buf[:0]
+			return append(free, buf...)
+		}
+	}
+	return slices.Grow(buf, max(n, cap(buf)))
+}
+
+// FeedPacket decodes one captured frame and feeds it; frames that are not
+// TCP over IP over Ethernet are irrelevant to HTTP analytics and skipped.
+//
+//dynalint:hotpath
+func (a *Assembler) FeedPacket(p Packet) {
+	if DecodeFrameInto(&a.frame, p.Data) == nil {
+		a.Feed(&a.frame, p.Timestamp)
+	}
 }
 
 // Feed ingests one decoded frame with its capture timestamp. Payload bytes
-// are appended to the assembler's slab (one amortized copy, no per-segment
-// allocation); frames whose payload is fully contained in a single earlier
-// segment are duplicates under first-copy-wins and are dropped here rather
-// than retained until Streams.
+// are appended to the buffer of the frame's direction (one amortized copy,
+// no per-segment allocation); frames whose payload is fully contained in a
+// single earlier segment are duplicates under first-copy-wins and are
+// dropped. The frame that completes its conversation closes it before Feed
+// returns.
+//
+//dynalint:hotpath
 func (a *Assembler) Feed(f *Frame, ts time.Time) {
-	key := f.Key()
-	st, ok := a.flows[key]
-	if !ok {
-		st = a.newFlow(key)
-		a.flows[key] = st
-		a.order = append(a.order, key)
+	tb := capTrace.Load()
+	var t0 time.Time
+	if tb != nil {
+		t0 = traceClock()
 	}
-	if f.Flags&FlagSYN != 0 && !st.sawISN {
+	key, reversed := f.Key().Canonical()
+	d := 0
+	if reversed {
+		d = 1
+	}
+	syn := f.Flags&FlagSYN != 0
+	c, known := a.convs[key]
+	switch {
+	case c == nil && known && !syn:
+		// Whatever a closed conversation still receives is a duplicate of
+		// what it had, or lies past its FIN.
+		a.late++
+		return
+	case c == nil:
+		c = a.open(key)
+	case syn && c.dirs[d].reopens(f.Seq+1):
+		a.close(c, tb)
+		c = a.open(key)
+	}
+	st := &c.dirs[d]
+	if !st.seen {
+		st.seen, st.ord, st.inOrder = true, a.nextOrd, true
+		a.nextOrd++
+	}
+	if syn && !st.sawISN {
 		st.isn = f.Seq + 1 // data begins after SYN consumes one sequence number
 		st.sawISN = true
 	}
-	if len(f.Payload) == 0 {
-		return
+	if len(f.Payload) > 0 {
+		a.keep(st, f, ts)
 	}
+	if f.Flags&FlagFIN != 0 && !st.sawFIN {
+		st.sawFIN, st.finSeq = true, f.Seq+uint32(len(f.Payload))
+	}
+	if tb != nil {
+		c.spent += traceClock().Sub(t0)
+	}
+	if c.dirs[0].sawFIN && c.dirs[1].sawFIN && c.dirs[0].finished() && c.dirs[1].finished() {
+		a.close(c, tb)
+	}
+}
+
+// keep files f's payload under its direction unless an earlier segment
+// already holds all of it.
+//
+//dynalint:hotpath
+func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 	if !st.sawISN {
 		// Mid-stream capture: treat the first data seq as the origin.
 		st.isn = f.Seq
@@ -247,144 +373,135 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 		return
 	}
 	st.insertSpan(rel, end)
-	off := len(a.slab)
-	a.slab = append(a.slab, f.Payload...)
-	if n := len(st.segs); n > 0 && rel < st.segs[n-1].relSeq {
-		st.sorted = false
+	if st.buf == nil {
+		st.buf = a.getBuf()
 	}
-	st.segs = append(st.segs, segment{relSeq: rel, off: off, end: off + len(f.Payload), ts: ts})
+	off := len(st.buf)
+	if len(f.Payload) > cap(st.buf)-off {
+		st.buf = a.grow(st.buf, len(f.Payload))
+	}
+	st.buf = append(st.buf, f.Payload...) //dynalint:ignore hotalloc room is ensured above; a recycled buffer already has it
+	if len(st.segs) > 0 && rel < st.next {
+		st.inOrder = false
+	}
+	st.next = end
+	st.segs = append(st.segs, segment{relSeq: rel, off: off, end: off + len(f.Payload), ts: ts}) //dynalint:ignore hotalloc amortised growth of a slice recycled with its conversation
+	if a.buffered += len(f.Payload); a.buffered > a.highWater {
+		a.highWater = a.buffered
+	}
 }
 
-// Streams finalizes reassembly and returns one Stream per flow direction in
-// first-seen order. Gaps in the sequence space are skipped (the stream
-// continues at the next available segment), matching what offline forensic
-// tooling does with lossy captures. The returned streams alias the
-// Assembler's arenas: they stay valid until the next StreamsInto/Reset/
-// Release on this Assembler.
-func (a *Assembler) Streams() []*Stream {
-	return a.StreamsInto(nil)
-}
-
-// StreamsInto appends the reassembled streams to dst and returns it,
-// carving Stream structs, Data, and timing marks from reused arenas so a
-// warm Assembler produces streams without allocating.
+// close assembles c's directions, shows them to the sink, recycles c and
+// leaves its key behind as closed. Gaps in the sequence space are skipped
+// (the stream continues at the next available segment), matching what
+// offline forensic tooling does with lossy captures. With a tracer bound
+// (tb), what reassembling c took — feeding its frames and assembling its
+// directions here — is one observation of the pcap.reassemble stage.
 //
 //dynalint:hotpath
-func (a *Assembler) StreamsInto(dst []*Stream) []*Stream {
-	nFlows, nSegs := 0, 0
-	for _, key := range a.order {
-		st := a.flows[key]
-		if len(st.segs) > 0 {
-			nFlows++
-			nSegs += len(st.segs)
-		}
+func (a *Assembler) close(c *conversation, tb *traceBinding) {
+	var t0 time.Time
+	if tb != nil {
+		t0 = traceClock()
 	}
-	// Pre-size every arena so the carving appends below never reallocate:
-	// pointers into a.streams and slices over a.data/a.marks stay valid.
-	if cap(a.streams) < nFlows {
-		a.streams = make([]Stream, 0, nFlows)
+	first := 0 // the direction whose frame opened the conversation
+	if c.dirs[1].seen && c.dirs[1].ord == c.ord {
+		first = 1
 	}
-	if cap(a.data) < len(a.slab) {
-		a.data = make([]byte, 0, cap(a.slab))
-	}
-	if cap(a.marks) < nSegs {
-		a.marks = make([]streamMark, 0, nSegs)
-	}
-	if cap(dst)-len(dst) < nFlows {
-		grown := make([]*Stream, len(dst), len(dst)+nFlows)
-		copy(grown, dst)
-		dst = grown
-	}
-	a.streams = a.streams[:0]
-	a.data = a.data[:0]
-	a.marks = a.marks[:0]
-
-	for _, key := range a.order {
-		st := a.flows[key]
+	var out [2]*Stream
+	n := 0
+	for _, d := range [2]int{first, 1 - first} {
+		st := &c.dirs[d]
 		if len(st.segs) == 0 {
 			continue
 		}
-		st.ensureSorted()
-
-		a.streams = append(a.streams, Stream{Key: key, FirstSeen: st.tsFirst, LastSeen: st.tsLast})
-		stream := &a.streams[len(a.streams)-1]
-		dataStart := len(a.data)
-		markStart := len(a.marks)
-		nextSeq := st.segs[0].relSeq
-		for i := range st.segs {
-			seg := &st.segs[i]
-			end := seg.relSeq + int64(seg.end-seg.off)
-			if end <= nextSeq {
-				continue // full retransmission
-			}
-			data := a.slab[seg.off:seg.end]
-			if seg.relSeq < nextSeq {
-				data = data[nextSeq-seg.relSeq:] // partial overlap
-			}
-			a.marks = append(a.marks, streamMark{offset: len(a.data) - dataStart, ts: seg.ts})
-			a.data = append(a.data, data...)
-			nextSeq = end
+		data := st.buf
+		if !st.inOrder {
+			data = a.carve(st)
+			c.carved[d] = data
 		}
-		stream.Data = a.data[dataStart:len(a.data):len(a.data)]
-		stream.marks = a.marks[markStart:len(a.marks):len(a.marks)]
-		dst = append(dst, stream) //dynalint:ignore hotalloc capacity for every stream is ensured by the grow block above
+		s := &c.streams[d]
+		*s = Stream{Key: c.key, Data: data, FirstSeen: st.tsFirst, LastSeen: st.tsLast, ord: st.ord, marks: st.segs}
+		if d == 1 {
+			s.Key = c.key.Reverse()
+		}
+		out[n] = s
+		n++
 	}
-	return dst
+	if tb != nil {
+		tb.t.ObserveStage(tb.stage, (c.spent + traceClock().Sub(t0)).Seconds())
+	}
+	if n > 0 {
+		for _, s := range out[:n] {
+			s.Conv = out[0].ord
+		}
+		a.sink(out[0], out[1])
+	}
+	a.recycle(c)
+	a.convs[c.key] = nil
 }
 
-// AssembleStreams is a convenience that decodes every packet (skipping
-// non-TCP frames) and returns the reassembled streams. The backing
-// Assembler is garbage-collected, never pooled, so the streams live as
-// long as the caller keeps them.
-func AssembleStreams(pkts []Packet) []*Stream {
-	tb := capTrace.Load()
-	var t0 time.Time
-	if tb != nil {
-		t0 = traceClock()
+// carve assembles the stream of a direction whose segments arrived out of
+// order or overlapping: sorted by sequence, each contributes the bytes past
+// what the ones before it reached. It rewrites st.segs into the kept
+// segments with off as the offset into the returned bytes.
+//
+//dynalint:hotpath
+func (a *Assembler) carve(st *flowState) []byte {
+	st.sortSegs()
+	out := a.getBuf()
+	kept := 0
+	nextSeq := st.segs[0].relSeq
+	for _, seg := range st.segs {
+		end := seg.relSeq + int64(seg.end-seg.off)
+		if end <= nextSeq {
+			continue // full retransmission
+		}
+		data := st.buf[seg.off:seg.end]
+		if seg.relSeq < nextSeq {
+			data = data[nextSeq-seg.relSeq:] // partial overlap
+		}
+		st.segs[kept] = segment{off: len(out), ts: seg.ts}
+		kept++
+		out = append(out, data...) //dynalint:ignore hotalloc amortised growth of a buffer from the free list
+		nextSeq = end
 	}
-	out := feedAll(NewAssembler(), pkts).Streams()
-	if tb != nil {
-		tb.t.ObserveStage(tb.stage, traceClock().Sub(t0).Seconds())
-	}
+	st.segs = st.segs[:kept]
 	return out
 }
 
-// AssembleStreamsInto is the pooled counterpart of AssembleStreams: it
-// draws an Assembler from the package pool, feeds every packet, and
-// appends the reassembled streams to dst. The caller must Release the
-// returned Assembler once it is done with the streams (they alias its
-// arenas).
-//
-//dynalint:hotpath
-func AssembleStreamsInto(dst []*Stream, pkts []Packet) ([]*Stream, *Assembler) {
+// Flush closes every conversation still open, in first-seen order: the
+// capture has ended.
+func (a *Assembler) Flush() {
+	var open []*conversation
+	for _, c := range a.convs {
+		if c != nil {
+			open = append(open, c)
+		}
+	}
+	slices.SortFunc(open, func(x, y *conversation) int { return x.ord - y.ord })
 	tb := capTrace.Load()
-	var t0 time.Time
-	if tb != nil {
-		t0 = traceClock()
+	for _, c := range open {
+		a.close(c, tb)
 	}
-	a := GetAssembler()
-	out := feedAll(a, pkts).StreamsInto(dst)
-	if tb != nil {
-		tb.t.ObserveStage(tb.stage, traceClock().Sub(t0).Seconds())
-	}
-	return out, a
 }
 
-func feedAll(a *Assembler, pkts []Packet) *Assembler {
-	// Frame bytes bound the payload bytes Feed appends, so a cold
-	// assembler makes its payload arena once here instead of regrowing it
-	// through the capture; a warm one already has the room.
-	frameBytes := 0
-	for i := range pkts {
-		frameBytes += len(pkts[i].Data)
-	}
-	a.slab = slices.Grow(a.slab, frameBytes)
-	var f Frame
-	for i := range pkts {
-		if err := DecodeFrameInto(&f, pkts[i].Data); err != nil {
-			continue // non-IP/TCP frame: irrelevant to HTTP analytics
+// AssembleStreamsInto is the collecting form of the Assembler: it decodes
+// and feeds every packet (skipping non-TCP frames), and appends a copy of
+// every reassembled stream to dst in first-seen order of the directions.
+// The copies own their bytes; the returned Assembler only offers Release.
+func AssembleStreamsInto(dst []*Stream, pkts []Packet) ([]*Stream, *Assembler) {
+	from := len(dst)
+	a := NewAssembler(func(x, y *Stream) {
+		dst = append(dst, x.clone())
+		if y != nil {
+			dst = append(dst, y.clone())
 		}
-		a.Feed(&f, pkts[i].Timestamp)
+	})
+	for i := range pkts {
+		a.FeedPacket(pkts[i])
 	}
-	return a
+	a.Flush()
+	slices.SortFunc(dst[from:], func(x, y *Stream) int { return x.ord - y.ord })
+	return dst, a
 }

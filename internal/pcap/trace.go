@@ -8,11 +8,12 @@ import (
 )
 
 // pcap has no owning serving instance, so its share of pipeline tracing
-// is a package-level binding: SetTracer points the batch reassembly
-// entry points at a tracer's pcap.reassemble stage (histogram + slow
-// EWMA), nil detaches. Reassembly is batch-shaped — many packets, many
-// flows per call — so it feeds stage latency rather than opening spans
-// inside any one transaction's tree.
+// is a package-level binding: SetTracer points the Assembler at a tracer's
+// pcap.reassemble stage (histogram + slow EWMA), nil detaches. One
+// observation covers reassembling one conversation — every Feed of one of
+// its frames and assembling its two directions as it closes. A conversation
+// holds many transactions, so it feeds stage latency rather than opening
+// spans inside any one transaction's tree.
 type traceBinding struct {
 	t     *obs.Tracer
 	stage obs.StageID
@@ -24,7 +25,7 @@ var capTrace atomic.Pointer[traceBinding]
 var traceClock = time.Now
 
 // SetTracer attaches (or, with nil, detaches) a pipeline tracer to the
-// package's batch reassembly timing.
+// package's reassembly timing.
 func SetTracer(t *obs.Tracer) {
 	if t == nil {
 		capTrace.Store(nil)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dynaminer/internal/httpstream"
-	"dynaminer/internal/pcap"
 	"dynaminer/internal/wcg"
 )
 
@@ -248,11 +247,10 @@ func TestRenderRoundTrip(t *testing.T) {
 	if err := ep.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := readAllPackets(buf.Bytes())
+	txs, err := httpstream.ReadCapture(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txs := httpstream.FromPackets(pkts)
 	if len(txs) != len(ep.Txs) {
 		t.Fatalf("pcap path recovered %d transactions, want %d", len(txs), len(ep.Txs))
 	}
@@ -281,11 +279,10 @@ func TestRenderBenignRoundTrip(t *testing.T) {
 	if err := ep.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := readAllPackets(buf.Bytes())
+	txs, err := httpstream.ReadCapture(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txs := httpstream.FromPackets(pkts)
 	if len(txs) != len(ep.Txs) {
 		t.Fatalf("recovered %d transactions, want %d", len(txs), len(ep.Txs))
 	}
@@ -411,11 +408,10 @@ func TestWritePCAPNGRoundTrip(t *testing.T) {
 	if err := ep.WritePCAPNG(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := pcap.ReadAllAuto(bytes.NewReader(buf.Bytes()))
+	txs, err := httpstream.ReadCapture(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txs := httpstream.FromPackets(pkts)
 	if len(txs) != len(ep.Txs) {
 		t.Fatalf("pcapng path recovered %d transactions, want %d", len(txs), len(ep.Txs))
 	}

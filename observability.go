@@ -96,10 +96,12 @@ func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTr
 func TraceHandler(t *Tracer) http.Handler { return obs.TraceHandler(t) }
 
 // SetCaptureTracer points the owning-instance-free capture layers — pcap
-// reassembly and HTTP stream parsing — at a pipeline tracer, so their
-// batch timing lands in the pcap.reassemble and httpstream.parse stage
-// histograms. nil detaches. The detector and proxy layers take their
-// tracer via config instead.
+// reassembly and HTTP stream parsing — at a pipeline tracer. Both stages
+// are observed once per TCP conversation, as it closes: what feeding its
+// frames and assembling its two directions took lands in
+// pcap.reassemble, parsing them into transactions in httpstream.parse.
+// nil detaches. The detector and proxy
+// layers take their tracer via config instead.
 func SetCaptureTracer(t *Tracer) {
 	pcap.SetTracer(t)
 	httpstream.SetTracer(t)
