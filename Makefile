@@ -47,8 +47,9 @@ lint:
 # janitor, internal/proxy the retry/breaker paths, internal/chaos the
 # fault-injection soak, internal/obs the admin server and sharded
 # counters, internal/ml the parallel batch scorer) and for internal/pcap,
-# whose streams alias buffers that are recycled under them. Slower; run
-# before touching engine or proxy locking.
+# whose streams alias buffers that are recycled under them. internal/graph
+# is not on the list because it starts no goroutine. Slower; run before
+# touching engine or proxy locking.
 tier2:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dynalint -root .
@@ -65,9 +66,12 @@ chaos:
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
 # of the checked-in seed corpus (testdata/fuzz), plus the frame decoder,
 # the capture readers (streaming against collecting, with an allocation
-# ceiling), the model-file loader differential and the body sniffer's two
-# differentials against its regexp-only reference. Regenerate the synth
-# seeds with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
+# ceiling), the model-file loader differential, the body sniffer's two
+# differentials against its regexp-only reference and the shortest-path
+# sweep's differential against the plain graph kernels (its minimizer is
+# capped at 1s: left at the default minute per new-coverage input it
+# stalled the run after ~3 s of a 10 s smoke). Regenerate the synth seeds
+# with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
@@ -79,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzPathStats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Bench: run the benchmark suite and record the parsed results as JSON.
 # BENCH_PATTERN narrows the run (CI smokes just the classify trio);

@@ -750,7 +750,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		// at the same instant the classify measurement does (only flag
 		// annotations separate them), so the stamp is shared.
 		fs = at.StartSpanAt(s.stg.featInc, start)
-		v, ok := s.incrementalVector(c)
+		v, ok := s.incrementalVector(c, fs)
 		if ok {
 			x, incremental = v, true
 		} else {
@@ -769,8 +769,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		}
 		g = wcg.FromTransactions(s.subset)
 		s.rebuild.Reset(g, s.scratch)
-		s.fvec = s.rebuild.FeaturesInto(s.fvec)
-		x = s.fvec
+		x = s.cachedVector(&s.rebuild, fs)
 		s.mx.rebuilds.Inc()
 		at.Annotate(cs, obs.SpanRebuild)
 	}
@@ -916,7 +915,7 @@ func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float
 // (valid until the next classify call). It reports false when the
 // incremental path is disabled or has fallen back for this watch, in
 // which case the caller rebuilds from scratch.
-func (s *shardState) incrementalVector(c *cluster) ([]float64, bool) {
+func (s *shardState) incrementalVector(c *cluster, span int) ([]float64, bool) {
 	if !s.incrementalEligible(c) {
 		return nil, false
 	}
@@ -936,8 +935,21 @@ func (s *shardState) incrementalVector(c *cluster) ([]float64, bool) {
 		}
 		c.fed++
 	}
-	s.fvec = c.cache.FeaturesInto(s.fvec)
-	return s.fvec, true
+	return s.cachedVector(c.cache, span), true
+}
+
+// cachedVector syncs cache into the shard's vector buffer under the open
+// feature span. A sync that had to recompute the topology slots costs
+// hundreds of times one that did not, so it is counted and the span
+// flagged: the two modes of the classify histograms stay attributable.
+func (s *shardState) cachedVector(cache *features.Cache, span int) []float64 {
+	runs := cache.TopologyRuns()
+	s.fvec = cache.FeaturesInto(s.fvec)
+	if cache.TopologyRuns() != runs {
+		s.mx.topologyRuns.Inc()
+		s.at.Annotate(span, obs.SpanTopology)
+	}
+	return s.fvec
 }
 
 // incrementalEligible reports whether the incremental feature path may be

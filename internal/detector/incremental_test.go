@@ -2,7 +2,9 @@ package detector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -111,6 +113,45 @@ func runDifferential(t *testing.T, ctx string, cfg Config, base Scorer, txs []ht
 	return is
 }
 
+// chainClientEpisode is the watched-infection shape the benchmark's
+// watch_chain workload replays (rebuilt here, not imported): a 3-hop
+// redirect chain, an executable download, then 295 call-back POSTs of
+// which 74 go to a host never seen before — each of those is one new leaf
+// on the victim hub, so the watched WCG grows to 79 nodes.
+func chainClientEpisode() []httpstream.Transaction {
+	const callbacks, newHosts = 295, 74
+	rng := rand.New(rand.NewSource(7))
+	gates := []string{"gate0.example", "gate1.example", "gate2.example", "gate3.example"}
+	var txs []httpstream.Transaction
+	at := time.Duration(0)
+	referer := ""
+	for h := 0; h < 3; h++ {
+		tx := mkTx(gates[h], "/gate.php", "GET", 302, "", 64, referer, at)
+		tx.RespHdr.Set("Location", "http://"+gates[h+1]+"/gate.php")
+		txs = append(txs, tx)
+		referer = "http://" + gates[h] + "/gate.php"
+		at += 100 * time.Millisecond
+	}
+	txs = append(txs, mkTx(gates[3], "/setup.exe", "GET", 200, "application/x-msdownload", 64, referer, at))
+	fresh := map[int]bool{0: true}
+	for _, k := range rng.Perm(callbacks - 1)[:newHosts-1] {
+		fresh[k+1] = true
+	}
+	var cnc []string
+	for k := 0; k < callbacks; k++ {
+		at += 400 * time.Millisecond
+		host := ""
+		if fresh[k] {
+			host = fmt.Sprintf("185.0.%d.%d", len(cnc)/200, 1+len(cnc)%200)
+			cnc = append(cnc, host)
+		} else {
+			host = cnc[rng.Intn(len(cnc))]
+		}
+		txs = append(txs, mkTx(host, "/gate.php", "POST", 200, "text/plain", 64, "", at))
+	}
+	return txs
+}
+
 // TestIncrementalClassifyMatchesScratch is the tentpole's correctness
 // gate: over 55 seeded synthetic episodes, the incremental classify path
 // must produce bit-identical feature vectors, scores, and alert sequences
@@ -130,6 +171,18 @@ func TestIncrementalClassifyMatchesScratch(t *testing.T) {
 	if classified == 0 {
 		t.Fatal("no episode triggered a classification; the differential covered nothing")
 	}
+	// The synthetic episodes stay under ~40 hosts; the chain client takes
+	// the watched graph to 79 nodes, one call-back host at a time.
+	chain := chainClientEpisode()
+	if n := wcg.FromTransactions(chain).Order(); n != 79 {
+		t.Fatalf("chain client WCG has %d nodes, want 79", n)
+	}
+	st := runDifferential(t, "chain-client", cfg, vecScorer{}, chain)
+	if want := len(chain) - 3; st.Classifications != want {
+		t.Fatalf("chain client: %d classifications, want %d (download + every call-back)", st.Classifications, want)
+	}
+	classified += st.Classifications
+	rebuilt += st.Rebuilds
 	// Synthetic episodes arrive in request-time order, so the incremental
 	// path must have served every classification.
 	if rebuilt != 0 {

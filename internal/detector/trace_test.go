@@ -231,3 +231,65 @@ func TestHealthAggregatesShards(t *testing.T) {
 		t.Fatalf("health after saturating one shard = %+v, want shedding", st)
 	}
 }
+
+// TestTopologyRecomputesCounted pins the attribution of the classify
+// histograms' two modes: on a hand-built watch, exactly the
+// classifications whose transaction changed the WCG's structure (the clue
+// itself, then the first call-back to each new host) move
+// dynaminer_detector_topology_recomputes_total and flag their feature
+// span "topology"; a repeat call-back does neither.
+func TestTopologyRecomputesCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		disable bool
+		want    []bool // per classification: did the topology recompute?
+	}{
+		{"incremental", false, []bool{true, false, true, false}},
+		{"rebuild-only", true, []bool{true, true, true, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tracer := obs.NewTracer(reg, obs.TraceConfig{Sample: 1})
+			e := New(Config{
+				Shards: 1, RedirectThreshold: 3, DisableIncremental: tc.disable,
+				Metrics: reg, Tracer: tracer,
+			}, constScorer(0.1))
+			txs := append(infectionStream(),
+				mkTx("d.evil", "/gate.php", "POST", 200, "text/plain", 40, "", 900*time.Millisecond),    // same host pair
+				mkTx("cnc.evil", "/gate.php", "POST", 200, "text/plain", 40, "", 1300*time.Millisecond), // new host
+				mkTx("cnc.evil", "/gate.php", "POST", 200, "text/plain", 40, "", 1700*time.Millisecond), // same again
+			)
+			for _, tx := range txs {
+				e.ProcessTraced(tx, nil)
+			}
+			wantRuns := 0
+			for _, topo := range tc.want {
+				if topo {
+					wantRuns++
+				}
+			}
+			if got := reg.CounterValue("dynaminer_detector_classifications_total"); got != int64(len(tc.want)) {
+				t.Fatalf("classifications = %d, want %d", got, len(tc.want))
+			}
+			if got := reg.CounterValue("dynaminer_detector_topology_recomputes_total"); got != int64(wantRuns) {
+				t.Fatalf("topology recomputes = %d, want %d", got, wantRuns)
+			}
+			var flagged []bool
+			for _, snap := range tracer.Snapshots() {
+				for _, sp := range snap.Spans {
+					if sp.Stage == "features.incremental" || sp.Stage == "features.rebuild" {
+						flagged = append(flagged, strings.Contains(sp.Flags, "topology"))
+					}
+				}
+			}
+			if len(flagged) != len(tc.want) {
+				t.Fatalf("%d feature spans in the ring, want %d", len(flagged), len(tc.want))
+			}
+			for i := range flagged {
+				if flagged[i] != tc.want[i] {
+					t.Fatalf("feature span %d topology flag = %v, want %v (all: %v)", i, flagged[i], tc.want[i], flagged)
+				}
+			}
+		})
+	}
+}

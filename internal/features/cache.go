@@ -33,6 +33,7 @@ type Cache struct {
 	edgeCount int
 	structVer uint64
 	gfValid   bool
+	topoRuns  uint64
 
 	// Running aggregates mirroring wcg.Summarize.
 	gets, posts, other      int
@@ -232,26 +233,31 @@ func (c *Cache) sync() {
 }
 
 // recomputeTopology refreshes the GF slots that depend on the simple
-// structural projection, through the reusable scratch workspace.
+// structural projection, through the reusable scratch workspace: one
+// shortest-path sweep for the five path-derived slots, one kernel each for
+// the rest.
 //
 //dynalint:hotpath
 func (c *Cache) recomputeTopology(g *graph.Digraph) {
+	c.topoRuns++
 	s := c.scratch
-	c.v[11] = float64(g.DiameterS(s))
+	ps := g.PathStatsS(knnRadius, s)
+	c.v[11] = float64(ps.Diameter)
 	c.buf = g.DegreeCentralityInto(c.buf, s)
 	c.v[15] = graph.Mean(c.buf)
-	c.buf = g.ClosenessCentralityInto(c.buf, s)
-	c.v[16] = graph.Mean(c.buf)
-	c.buf = g.BetweennessCentralityInto(c.buf, s)
-	c.v[17] = graph.Mean(c.buf)
-	c.buf = g.LoadCentralityInto(c.buf, s)
-	c.v[18] = graph.Mean(c.buf)
+	c.v[16] = ps.Closeness
+	c.v[17] = ps.Betweenness
+	c.v[18] = ps.Load
 	c.v[19] = float64(g.NodeConnectivityS(s))
 	c.v[20] = g.AvgClusteringCoefficientS(s)
 	c.buf = g.AvgNeighborDegreesInto(c.buf, s)
 	c.v[21] = graph.Mean(c.buf)
 	c.v[22] = g.AvgDegreeConnectivityS(s)
-	c.v[23] = g.AvgNodesWithinKS(knnRadius, s)
+	c.v[23] = ps.WithinK
 	c.buf = g.PageRankInto(c.buf, s, 0.85, 100, 1e-10)
 	c.v[24] = graph.Mean(c.buf)
 }
+
+// TopologyRuns is the number of syncs since NewCache or Reset that
+// recomputed the topology slots — the expensive kind of classification.
+func (c *Cache) TopologyRuns() uint64 { return c.topoRuns }

@@ -1,9 +1,15 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"net/http"
+	"net/netip"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"dynaminer/internal/graph"
 	"dynaminer/internal/httpstream"
@@ -117,33 +123,92 @@ func TestExtractMatchesPlainExtract(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsTopologyWhenStructUnchanged checks the dirty tracking:
-// appends that add only parallel edges must not trigger a topology
-// recompute, and must still produce correct vectors.
+// TestCacheSkipsTopologyWhenStructUnchanged checks the dirty tracking
+// against the cache's own count: the topology slots are recomputed at
+// exactly the syncs where StructVersion moved (the first included), which
+// on any episode that revisits a host pair is fewer than its transactions.
 func TestCacheSkipsTopologyWhenStructUnchanged(t *testing.T) {
 	episodes := synth.GenerateCorpus(synth.Config{Seed: 13, Infections: 2, Benign: 2})
 	for ei, ep := range episodes {
 		txs := byTime(ep.Txs)
 		ib := wcg.NewIncrementalBuilder()
 		cache := NewCache(ib.Live(), nil)
-		recomputes := 0
-		var lastVer uint64
+		var moves, lastVer uint64
 		for i, tx := range txs {
 			ib.Append(tx)
 			cache.Features()
 			if v := ib.Live().StructVersion(); i == 0 || v != lastVer {
-				recomputes++
+				moves++
 				lastVer = v
 			}
+			if got := cache.TopologyRuns(); got != moves {
+				t.Fatalf("episode %d tx %d: %d topology runs, StructVersion moved %d times", ei, i, got, moves)
+			}
 		}
-		// A transaction against an already-seen host pair adds parallel
-		// edges without moving StructVersion; every episode longer than
-		// its host set must therefore skip at least one recompute.
-		if len(txs) > 0 && recomputes > len(txs) {
-			t.Fatalf("episode %d: %d recomputes for %d transactions", ei, recomputes, len(txs))
+		if moves >= uint64(len(txs)) {
+			t.Fatalf("episode %d: every one of %d transactions changed the structure; nothing to skip", ei, len(txs))
 		}
 		// Regardless of skips, the final vector matches from-scratch.
 		requireSameVector(t, "final", cache.Features(), plainExtract(wcg.FromTransactions(txs)))
+	}
+}
+
+// TestCacheTopologyRecomputeAllocs pins the zero-allocation contract of
+// the expensive kind of sync: a warm cache re-deriving every topology slot
+// of a 100-node WCG — past the size at which the sweep used to start
+// goroutines — allocates nothing.
+func TestCacheTopologyRecomputeAllocs(t *testing.T) {
+	hub := func(seed int64) *wcg.WCG {
+		rng := rand.New(rand.NewSource(seed))
+		var txs []httpstream.Transaction
+		at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
+		for h := 0; h < 99; h++ {
+			hdr := http.Header{}
+			if h > 0 && rng.Intn(3) == 0 {
+				hdr.Set("Referer", fmt.Sprintf("http://host%d.example/", rng.Intn(h)))
+			}
+			txs = append(txs, httpstream.Transaction{
+				ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("198.51.100.7"),
+				Method: "GET", URI: "/", Host: fmt.Sprintf("host%d.example", h),
+				ReqHdr: hdr, RespHdr: http.Header{}, StatusCode: 200,
+				ReqTime: at, RespTime: at.Add(10 * time.Millisecond),
+			})
+			at = at.Add(time.Second)
+		}
+		return wcg.FromTransactions(txs)
+	}
+	a, b := hub(1), hub(2)
+	if a.Order() != 100 || b.Order() != 100 {
+		t.Fatalf("fixture WCGs have %d and %d nodes, want 100", a.Order(), b.Order())
+	}
+	cache := NewCache(a, nil)
+	var buf []float64
+	run := func() {
+		for _, w := range []*wcg.WCG{a, b} {
+			// Reset voids the cursor, so the sync that follows is a
+			// structural change as far as the cache can tell.
+			cache.Reset(w, nil)
+			buf = cache.FeaturesInto(buf)
+			if cache.TopologyRuns() != 1 {
+				panic("the sync after a Reset did not recompute the topology")
+			}
+		}
+	}
+	run() // warm the cache buffer, the scratch and both graphs
+	// Counted by hand rather than by testing.AllocsPerRun, which pins
+	// GOMAXPROCS to 1 — the setting under which a worker fan-out stays
+	// off and its goroutines and closures would go uncounted. The runtime
+	// may allocate on its own behind one round; it will not behind five.
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for round := 0; round < 5 && least > 0; round++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Fatalf("warm topology recompute at 100 nodes allocates at least %d times per pair, want 0", least)
 	}
 }
 

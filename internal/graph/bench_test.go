@@ -85,7 +85,6 @@ func BenchmarkCoreNumbers200(b *testing.B) {
 func benchScratch(b *testing.B, fn func(g *Digraph, s *Scratch)) {
 	g := benchGraph(200)
 	s := NewScratch()
-	s.ParallelCutoff = -1
 	fn(g, s) // warm the buffers
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,46 +93,18 @@ func benchScratch(b *testing.B, fn func(g *Digraph, s *Scratch)) {
 	}
 }
 
-func BenchmarkBetweennessScratch200(b *testing.B) {
-	dst := make([]float64, 0, 200)
-	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.BetweennessCentralityInto(dst, s) })
+// BenchmarkPathStatsScratch200 is the one sweep that stands where the
+// Diameter, Closeness, Betweenness, LoadCentrality and NodesWithinK
+// kernels above each run their own.
+func BenchmarkPathStatsScratch200(b *testing.B) {
+	benchScratch(b, func(g *Digraph, s *Scratch) { g.PathStatsS(2, s) })
 }
 
-func BenchmarkLoadCentralityScratch200(b *testing.B) {
-	dst := make([]float64, 0, 200)
-	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.LoadCentralityInto(dst, s) })
-}
-
-func BenchmarkClosenessScratch200(b *testing.B) {
-	dst := make([]float64, 0, 200)
-	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.ClosenessCentralityInto(dst, s) })
+func BenchmarkNodeConnectivityScratch200(b *testing.B) {
+	benchScratch(b, func(g *Digraph, s *Scratch) { g.NodeConnectivityS(s) })
 }
 
 func BenchmarkPageRankScratch200(b *testing.B) {
 	dst := make([]float64, 0, 200)
 	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.PageRankInto(dst, s, 0.85, 100, 1e-10) })
-}
-
-func BenchmarkDiameterScratch200(b *testing.B) {
-	benchScratch(b, func(g *Digraph, s *Scratch) { g.DiameterS(s) })
-}
-
-func BenchmarkCoreNumbersScratch200(b *testing.B) {
-	core := make([]int, 0, 200)
-	benchScratch(b, func(g *Digraph, s *Scratch) { core = g.CoreNumbersInto(core, s) })
-}
-
-// BenchmarkBetweennessScratchParallel200 exercises the deterministic
-// ordered fan-out (bit-identical to the sequential pass by construction).
-func BenchmarkBetweennessScratchParallel200(b *testing.B) {
-	g := benchGraph(200)
-	s := NewScratch()
-	s.ParallelCutoff = 1
-	dst := g.BetweennessCentralityInto(nil, s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = g.BetweennessCentralityInto(dst, s)
-	}
-	_ = dst
 }

@@ -1,42 +1,22 @@
 package graph
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
-)
-
-// DefaultParallelCutoff is the node count at or above which the per-source
-// fan-out passes (Brandes betweenness and closeness) run on a worker pool.
-// Below it the goroutine hand-off costs more than the BFS work it hides.
-const DefaultParallelCutoff = 64
+import "slices"
 
 // Scratch is a reusable workspace for the graph analytics passes: the
-// simple-projection adjacency, BFS queues and distance arrays, Brandes
-// dependency buffers, and core-number bucket arrays all live here and are
+// simple-projection adjacency, the shortest-path sweep's BFS and
+// dependency buffers, and the max-flow arc lists all live here and are
 // reused across calls, so repeated analysis of a growing graph reaches a
-// zero-allocation steady state (verified by the package benchmarks with
-// ReportAllocs). A Scratch may be moved between graphs; projections are
-// keyed on the graph identity and its mutation version and rebuilt only
-// when stale.
+// zero-allocation steady state (TestScratchSteadyStateAllocs). A Scratch
+// may be moved between graphs; projections are keyed on the graph identity
+// and its mutation version and rebuilt only when stale.
 //
 // Convention (enforced by the dynalint scratchsafe analyzer): functions
 // that take a *Scratch parameter treat it as temporaries only — they must
 // not return the scratch's slices or store them in struct fields. Results
-// go into caller-owned dst buffers.
+// go into caller-owned dst buffers or leave as scalars.
 //
-// A Scratch is not safe for concurrent use; the parallel fan-out it runs
-// internally is contained within each call.
+// A Scratch is not safe for concurrent use, and no pass starts a goroutine.
 type Scratch struct {
-	// ParallelCutoff overrides DefaultParallelCutoff when positive;
-	// negative disables the parallel fan-out entirely. Zero selects the
-	// default.
-	ParallelCutoff int
-	// Workers is the fan-out pool size; zero selects GOMAXPROCS. The
-	// numeric results do not depend on it (see parallelChunk).
-	Workers int
-
 	// Cached undirected/directed simple projections, keyed by graph
 	// identity and version.
 	undG   *Digraph
@@ -50,38 +30,28 @@ type Scratch struct {
 	arenaD []int
 	deg    []int
 
+	// Shortest-path sweep temporaries (PathStatsS; NodeConnectivityS
+	// borrows dist and queue for its connectivity pre-check).
+	dist  []int
+	queue []int
+	order []int
+	level []int
+	sigma []float64
+	delta []float64
+	load  []float64
+	betw  []float64
+	loadc []float64
+	preds [][]int
+
 	// Single-pass temporaries.
-	ws0    passWS
-	dist2  []int
 	fsum   []float64
 	fcnt   []int
 	marks  []bool
 	marks2 []bool
-	bins   []int
-	pos    []int
-	vert   []int
 	next   []float64
 
 	// Max-flow workspace for NodeConnectivityS.
 	flow flowWS
-
-	// Parallel fan-out state.
-	pool []*passWS
-	accs [][]float64
-}
-
-// passWS holds the per-source temporaries one worker needs for a BFS or
-// Brandes pass.
-type passWS struct {
-	dist  []int
-	queue []int
-	stack []int
-	order []int
-	sigma []float64
-	delta []float64
-	load  []float64
-	preds [][]int
-	pbuf  []int
 }
 
 // NewScratch returns an empty workspace.
@@ -109,27 +79,24 @@ func zeroFloats(s []float64) {
 	}
 }
 
-// size ensures the per-source temporaries cover n nodes.
-func (w *passWS) size(n int) {
-	w.dist = growInts(w.dist, n)
-	w.sigma = growFloats(w.sigma, n)
-	w.delta = growFloats(w.delta, n)
-	w.load = growFloats(w.load, n)
-	if cap(w.queue) < n {
-		w.queue = make([]int, 0, n)
+// sizeSweep ensures the shortest-path temporaries cover n nodes.
+func (s *Scratch) sizeSweep(n int) {
+	s.dist = growInts(s.dist, n)
+	s.order = growInts(s.order, n)
+	s.sigma = growFloats(s.sigma, n)
+	s.delta = growFloats(s.delta, n)
+	s.load = growFloats(s.load, n)
+	s.betw = growFloats(s.betw, n)
+	s.loadc = growFloats(s.loadc, n)
+	if cap(s.queue) < n {
+		s.queue = make([]int, 0, n)
 	}
-	if cap(w.stack) < n {
-		w.stack = make([]int, 0, n)
-	}
-	if cap(w.order) < n {
-		w.order = make([]int, 0, n)
-	}
-	if cap(w.preds) < n {
+	if cap(s.preds) < n {
 		preds := make([][]int, n)
-		copy(preds, w.preds)
-		w.preds = preds
+		copy(preds, s.preds[:cap(s.preds)])
+		s.preds = preds
 	}
-	w.preds = w.preds[:n]
+	s.preds = s.preds[:n]
 }
 
 // undirected returns the cached undirected simple projection of g,
@@ -230,154 +197,6 @@ func (s *Scratch) directed(g *Digraph) [][]int {
 	return s.dir
 }
 
-// bfsInto fills dist with BFS distances from src (-1 unreachable), reusing
-// queue as the frontier. It returns the queue in visit order.
-//
-//dynalint:hotpath
-func bfsInto(adj [][]int, src int, dist []int, queue []int) []int {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue = queue[:0]
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
-}
-
-// workers resolves the fan-out pool size.
-func (s *Scratch) workers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallel reports whether an n-node per-source pass should fan out.
-func (s *Scratch) parallel(n int) bool {
-	cutoff := s.ParallelCutoff
-	if cutoff == 0 {
-		cutoff = DefaultParallelCutoff
-	}
-	return cutoff > 0 && n >= cutoff && s.workers() > 1
-}
-
-// ensurePool grows the worker workspace pool to nw entries sized for n.
-func (s *Scratch) ensurePool(nw, n int) {
-	for len(s.pool) < nw {
-		s.pool = append(s.pool, &passWS{})
-	}
-	for i := 0; i < nw; i++ {
-		s.pool[i].size(n)
-	}
-}
-
-// fanOutIndependent runs source(src, ws) for every src in [0,n) on the
-// worker pool. Sources must be mutually independent (each writes only its
-// own output slots), which makes the result trivially bit-identical to a
-// sequential pass.
-func (s *Scratch) fanOutIndependent(n int, source func(src int, ws *passWS)) {
-	nw := s.workers()
-	if nw > n {
-		nw = n
-	}
-	s.ensurePool(nw, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		ws := s.pool[i]
-		wg.Add(1)
-		go func(ws *passWS) {
-			defer wg.Done()
-			for {
-				src := int(next.Add(1)) - 1
-				if src >= n {
-					return
-				}
-				source(src, ws)
-			}
-		}(ws)
-	}
-	wg.Wait()
-}
-
-// fanOutOrdered runs source(src, ws, buf) for every src in [0,n), where
-// each source deposits its whole contribution vector into a private buffer
-// (zeroed before the call, at most one addition per slot). Sources are
-// processed in rounds; after each round merge(buf) is invoked in ascending
-// source order. Because every source's vector is added to the caller's
-// accumulator exactly where the sequential loop would add it, the result is
-// bit-identical to the sequential pass for any worker count.
-func (s *Scratch) fanOutOrdered(n int, source func(src int, ws *passWS, buf []float64), merge func(buf []float64)) {
-	nw := s.workers()
-	round := 2 * nw // sources in flight per round
-	if round > n {
-		round = n
-	}
-	for len(s.accs) < round {
-		s.accs = append(s.accs, nil)
-	}
-	for i := 0; i < round; i++ {
-		s.accs[i] = growFloats(s.accs[i], n)
-	}
-	s.ensurePool(nw, n)
-	for base := 0; base < n; base += round {
-		hi := base + round
-		if hi > n {
-			hi = n
-		}
-		var next atomic.Int64
-		next.Store(int64(base))
-		var wg sync.WaitGroup
-		for i := 0; i < nw; i++ {
-			ws := s.pool[i]
-			wg.Add(1)
-			go func(ws *passWS) {
-				defer wg.Done()
-				for {
-					src := int(next.Add(1)) - 1
-					if src >= hi {
-						return
-					}
-					buf := s.accs[src-base]
-					zeroFloats(buf)
-					source(src, ws, buf)
-				}
-			}(ws)
-		}
-		wg.Wait()
-		for src := base; src < hi; src++ {
-			merge(s.accs[src-base])
-		}
-	}
-}
-
-// DiameterS is Diameter using scratch storage.
-//
-//dynalint:hotpath
-func (g *Digraph) DiameterS(s *Scratch) int {
-	adj := s.undirected(g)
-	s.ws0.size(len(adj))
-	best := 0
-	for src := range adj {
-		s.ws0.queue = bfsInto(adj, src, s.ws0.dist, s.ws0.queue)
-		for _, d := range s.ws0.dist {
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // DegreeCentralityInto writes DegreeCentrality into dst (resized as
 // needed) and returns it.
 //
@@ -397,208 +216,177 @@ func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
 	return dst
 }
 
-// ClosenessCentralityInto writes ClosenessCentrality into dst and returns
-// it. Each node's value is independent of the others, so the parallel
-// fan-out is bit-identical to the sequential pass.
-//
-//dynalint:hotpath
-func (g *Digraph) ClosenessCentralityInto(dst []float64, s *Scratch) []float64 {
-	adj := s.undirected(g)
-	n := len(adj)
-	dst = growFloats(dst, n)
-	zeroFloats(dst)
-	if n < 2 {
-		return dst
-	}
-	if s.parallel(n) {
-		//dynalint:ignore hotalloc the fan-out closure is allocated once per call and amortized over >= cutoff sources
-		s.fanOutIndependent(n, func(u int, ws *passWS) {
-			closenessSource(adj, u, ws, dst)
-		})
-		return dst
-	}
-	s.ws0.size(n)
-	for u := range adj {
-		closenessSource(adj, u, &s.ws0, dst)
-	}
-	return dst
+// PathStats is everything the feature extractor reads off shortest paths
+// in the undirected simple projection: the diameter, the mean number of
+// nodes within k hops, and the node-order means of Wasserman–Faust
+// closeness, Brandes betweenness and Goh load centrality.
+type PathStats struct {
+	Diameter int
+	WithinK  float64
+	// Node-order means of the three centrality vectors.
+	Closeness, Betweenness, Load float64
 }
 
-// closenessSource computes one node's Wasserman–Faust closeness and writes
-// it to dst[u]; no other slot is touched, so concurrent sources are safe.
+// PathStatsS computes PathStats with one Brandes BFS per source. Every
+// float comes out of the expression the plain kernel uses, over the same
+// operands in the same order, so the fields are bit-identical to
+// Diameter(), AvgNodesWithinK(k), Mean(ClosenessCentrality()),
+// Mean(BetweennessCentrality()) and Mean(LoadCentrality()).
 //
 //dynalint:hotpath
-func closenessSource(adj [][]int, u int, ws *passWS, dst []float64) {
+func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
+	adj := s.undirected(g)
 	n := len(adj)
-	ws.queue = bfsInto(adj, u, ws.dist, ws.queue)
-	sum, reach := 0, 0
-	for _, d := range ws.dist {
-		if d > 0 {
+	var ps PathStats
+	if n == 0 {
+		return ps
+	}
+	s.sizeSweep(n)
+	zeroFloats(s.betw)
+	zeroFloats(s.loadc)
+	within := 0
+	closeness := 0.0
+	for src := range adj {
+		s.bfsPaths(adj, src)
+		// The queue holds the reachable nodes in nondecreasing distance.
+		reached := s.queue[1:]
+		sum := 0
+		for _, v := range reached {
+			d := s.dist[v]
 			sum += d
-			reach++
+			if d <= k {
+				within++
+			}
+		}
+		if sum > 0 {
+			if ecc := s.dist[reached[len(reached)-1]]; ecc > ps.Diameter {
+				ps.Diameter = ecc
+			}
+			reach := len(reached)
+			frac := float64(reach) / float64(n-1)
+			closeness += frac * float64(reach) / float64(sum)
+		}
+		if n >= 3 {
+			s.accumulateDependencies()
+			s.accumulateLoad(src)
 		}
 	}
-	if sum > 0 {
-		frac := float64(reach) / float64(n-1)
-		dst[u] = frac * float64(reach) / float64(sum)
+	ps.WithinK = float64(within) / float64(n)
+	ps.Closeness = closeness / float64(n)
+	if n >= 3 {
+		norm := 1 / (float64(n-1) * float64(n-2))
+		for i := range s.betw {
+			s.betw[i] *= norm
+			s.loadc[i] *= norm
+		}
+		ps.Betweenness = Mean(s.betw)
+		ps.Load = Mean(s.loadc)
 	}
+	return ps
 }
 
-// brandesSource runs one Brandes accumulation from src, adding each node's
-// dependency into acc (the source itself excluded).
+// bfsPaths runs the forward half of Brandes' algorithm from src: BFS
+// distances (-1 unreachable), shortest-path counts and predecessor lists,
+// with the visit order left in s.queue and the dependencies zeroed for
+// the backward half.
 //
 //dynalint:hotpath
-func brandesSource(adj [][]int, src int, ws *passWS, acc []float64) {
-	n := len(adj)
-	ws.stack = ws.stack[:0]
-	ws.queue = ws.queue[:0]
-	for i := 0; i < n; i++ {
-		ws.sigma[i] = 0
-		ws.dist[i] = -1
-		ws.delta[i] = 0
-		ws.preds[i] = ws.preds[i][:0]
+func (s *Scratch) bfsPaths(adj [][]int, src int) {
+	dist, sigma, preds := s.dist, s.sigma, s.preds
+	for i := range dist {
+		sigma[i] = 0
+		dist[i] = -1
+		s.delta[i] = 0
+		preds[i] = preds[i][:0]
 	}
-	ws.sigma[src] = 1
-	ws.dist[src] = 0
-	ws.queue = append(ws.queue, src)
-	for head := 0; head < len(ws.queue); head++ {
-		v := ws.queue[head]
-		ws.stack = append(ws.stack, v)
+	sigma[src] = 1
+	dist[src] = 0
+	queue := s.queue[:0]
+	queue = append(queue, src)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range adj[v] {
-			if ws.dist[w] < 0 {
-				ws.dist[w] = ws.dist[v] + 1
-				ws.queue = append(ws.queue, w)
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
 			}
-			if ws.dist[w] == ws.dist[v]+1 {
-				ws.sigma[w] += ws.sigma[v]
-				ws.preds[w] = append(ws.preds[w], v)
+			if dist[w] == dist[v]+1 {
+				sigma[w] += sigma[v]
+				preds[w] = append(preds[w], v)
 			}
 		}
 	}
-	for i := len(ws.stack) - 1; i >= 0; i-- {
-		w := ws.stack[i]
-		for _, v := range ws.preds[w] {
-			ws.delta[v] += ws.sigma[v] / ws.sigma[w] * (1 + ws.delta[w])
+	s.queue = queue
+}
+
+// accumulateDependencies is the backward half of Brandes' algorithm:
+// nodes leave in reverse visit order and each adds its dependency on the
+// source bfsPaths last ran from (queue[0], itself excluded) into s.betw.
+//
+//dynalint:hotpath
+func (s *Scratch) accumulateDependencies() {
+	sigma, delta := s.sigma, s.delta
+	for i := len(s.queue) - 1; i > 0; i-- {
+		w := s.queue[i]
+		for _, v := range s.preds[w] {
+			delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
 		}
-		if w != src {
-			acc[w] += ws.delta[w]
-		}
+		s.betw[w] += delta[w]
 	}
 }
 
-// BetweennessCentralityInto writes BetweennessCentrality into dst and
-// returns it, fanning the per-source Brandes passes over the worker pool
-// for graphs at or above the parallel cutoff.
+// accumulateLoad routes one unit of commodity from src to every reachable
+// node along shortest paths (Goh load), adding the transit load into
+// s.loadc. Nodes are drained farthest level first and in ascending id
+// inside a level — the order LoadCentrality's stable sort by decreasing
+// distance produces — found by a counting sort over the BFS levels.
 //
 //dynalint:hotpath
-func (g *Digraph) BetweennessCentralityInto(dst []float64, s *Scratch) []float64 {
-	adj := s.undirected(g)
-	n := len(adj)
-	dst = growFloats(dst, n)
-	zeroFloats(dst)
-	if n < 3 {
-		return dst
+func (s *Scratch) accumulateLoad(src int) {
+	reached := s.queue[1:]
+	if len(reached) == 0 {
+		return
 	}
-	if s.parallel(n) {
-		// Each source adds at most once into each slot of its private
-		// buffer, so the ordered merge reproduces the sequential
-		// summation exactly.
-		//dynalint:ignore hotalloc the fan-out closures are allocated once per call and amortized over >= cutoff sources
-		s.fanOutOrdered(n,
-			func(src int, ws *passWS, buf []float64) { brandesSource(adj, src, ws, buf) },
-			func(buf []float64) {
-				for i, v := range buf {
-					dst[i] += v
-				}
-			})
-	} else {
-		s.ws0.size(n)
-		for src := 0; src < n; src++ {
-			brandesSource(adj, src, &s.ws0, dst)
-		}
+	dist, load := s.dist, s.load
+	ecc := dist[reached[len(reached)-1]]
+	s.level = growInts(s.level, ecc+1)
+	level := s.level // level[d]: next slot in order for a node at distance d
+	for d := range level {
+		level[d] = 0
 	}
-	norm := 1 / (float64(n-1) * float64(n-2))
-	for i := range dst {
-		dst[i] *= norm
+	for _, v := range reached {
+		level[dist[v]]++
 	}
-	return dst
-}
-
-// loadSource routes one unit of commodity from src to every reachable node
-// along shortest paths (Goh load), accumulating the transit load into acc.
-//
-//dynalint:hotpath
-func loadSource(adj [][]int, src int, ws *passWS, acc []float64) {
-	ws.queue = bfsInto(adj, src, ws.dist, ws.queue)
-	dist := ws.dist
-	ws.order = ws.order[:0]
+	at := 0
+	for d := ecc; d > 0; d-- {
+		at, level[d] = at+level[d], at
+	}
+	order := s.order[:len(reached)]
 	for v, d := range dist {
 		if d > 0 {
-			ws.order = append(ws.order, v)
+			order[level[d]] = v
+			level[d]++
+			load[v] = 1 // each node must receive one unit from src
 		}
-	}
-	order := ws.order
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && dist[order[j]] > dist[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for v := range ws.load {
-		ws.load[v] = 0
-	}
-	for _, v := range order {
-		ws.load[v] = 1 // each node must receive one unit from src
 	}
 	for _, w := range order {
-		ws.pbuf = ws.pbuf[:0]
-		for _, v := range adj[w] {
-			if dist[v] >= 0 && dist[v] == dist[w]-1 {
-				ws.pbuf = append(ws.pbuf, v)
-			}
-		}
-		if len(ws.pbuf) == 0 {
-			continue
-		}
-		share := ws.load[w] / float64(len(ws.pbuf))
-		for _, v := range ws.pbuf {
+		share := load[w] / float64(len(s.preds[w]))
+		for _, v := range s.preds[w] {
 			if v != src {
-				acc[v] += share
+				s.loadc[v] += share
 			}
-			ws.load[v] += share
+			load[v] += share
 		}
 	}
-}
-
-// LoadCentralityInto writes LoadCentrality into dst and returns it. Load
-// stays sequential even above the cutoff: a source adds to the same
-// accumulator slot many times during one pass, so a buffered parallel
-// merge could not reproduce the sequential summation order bit-for-bit —
-// and bit-identity with the plain implementation is the contract here.
-//
-//dynalint:hotpath
-func (g *Digraph) LoadCentralityInto(dst []float64, s *Scratch) []float64 {
-	adj := s.undirected(g)
-	n := len(adj)
-	dst = growFloats(dst, n)
-	zeroFloats(dst)
-	if n < 3 {
-		return dst
-	}
-	s.ws0.size(n)
-	for src := 0; src < n; src++ {
-		loadSource(adj, src, &s.ws0, dst)
-	}
-	norm := 1 / (float64(n-1) * float64(n-2))
-	for i := range dst {
-		dst[i] *= norm
-	}
-	return dst
 }
 
 // NodeConnectivityS is NodeConnectivity reusing the scratch projection,
-// the BFS buffers for the connectivity pre-checks, and the scratch's
+// the sweep buffers for the connectivity pre-check, and the scratch's
 // max-flow workspace for the inner vertex-split Dinic runs, so a warm
-// scratch computes connectivity without allocating.
+// scratch computes connectivity without allocating. Two exact bounds keep
+// the common shapes off the flow loops: a connected graph has κ ≥ 1 and
+// every graph κ ≤ δ, so a degree-1 node settles κ = 1 outright, and the
+// search stops the moment any pair's local connectivity reaches 1.
 //
 //dynalint:hotpath
 func (g *Digraph) NodeConnectivityS(s *Scratch) int {
@@ -607,12 +395,10 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 	if n < 2 {
 		return 0
 	}
-	s.ws0.size(n)
-	s.ws0.queue = bfsInto(adj, 0, s.ws0.dist, s.ws0.queue)
-	for _, d := range s.ws0.dist {
-		if d < 0 {
-			return 0 // disconnected
-		}
+	s.sizeSweep(n)
+	s.bfsPaths(adj, 0)
+	if len(s.queue) < n {
+		return 0 // disconnected
 	}
 	complete := true
 	for u := range adj {
@@ -630,6 +416,9 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 			st = u
 		}
 	}
+	if len(adj[st]) == 1 {
+		return 1
+	}
 	best := n
 	s.marks = growBools(s.marks, n)
 	for i := range s.marks {
@@ -644,6 +433,9 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 		}
 		if k := localNodeConnectivityS(adj, st, t, &s.flow); k < best {
 			best = k
+		}
+		if best == 1 {
+			return 1
 		}
 	}
 	s.marks2 = growBools(s.marks2, n)
@@ -660,6 +452,9 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 			}
 			if k := localNodeConnectivityS(adj, v, t, &s.flow); k < best {
 				best = k
+			}
+			if best == 1 {
+				return 1
 			}
 		}
 		for _, w := range adj[v] {
@@ -786,28 +581,6 @@ func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 	return total / float64(degrees)
 }
 
-// AvgNodesWithinKS is AvgNodesWithinK using scratch storage.
-//
-//dynalint:hotpath
-func (g *Digraph) AvgNodesWithinKS(k int, s *Scratch) float64 {
-	adj := s.undirected(g)
-	n := len(adj)
-	if n == 0 {
-		return 0
-	}
-	s.ws0.size(n)
-	sum := 0
-	for src := range adj {
-		s.ws0.queue = bfsInto(adj, src, s.ws0.dist, s.ws0.queue)
-		for v, d := range s.ws0.dist {
-			if v != src && d > 0 && d <= k {
-				sum++
-			}
-		}
-	}
-	return float64(sum) / float64(n)
-}
-
 // PageRankInto writes PageRank into dst and returns it, using scratch
 // storage for the directed projection and the iteration vectors.
 //
@@ -866,68 +639,4 @@ func (g *Digraph) PageRankInto(dst []float64, s *Scratch, d float64, iters int, 
 		copy(dst, rank)
 	}
 	return dst
-}
-
-// CoreNumbersInto writes CoreNumbers into dst and returns it.
-//
-//dynalint:hotpath
-func (g *Digraph) CoreNumbersInto(dst []int, s *Scratch) []int {
-	adj := s.undirected(g)
-	n := len(adj)
-	dst = growInts(dst, n)
-	s.dist2 = growInts(s.dist2, n) // degree array
-	deg := s.dist2
-	maxDeg := 0
-	for u := range adj {
-		deg[u] = len(adj[u])
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	s.bins = growInts(s.bins, maxDeg+2)
-	bins := s.bins
-	for i := range bins {
-		bins[i] = 0
-	}
-	for _, d := range deg[:n] {
-		bins[d]++
-	}
-	startIdx := 0
-	for d := 0; d <= maxDeg; d++ {
-		count := bins[d]
-		bins[d] = startIdx
-		startIdx += count
-	}
-	s.pos = growInts(s.pos, n)
-	s.vert = growInts(s.vert, n)
-	pos, vert := s.pos, s.vert
-	for u := 0; u < n; u++ {
-		pos[u] = bins[deg[u]]
-		vert[pos[u]] = u
-		bins[deg[u]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bins[d] = bins[d-1]
-	}
-	bins[0] = 0
-	core := dst
-	copy(core, deg[:n])
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		for _, u := range adj[v] {
-			if core[u] > core[v] {
-				du := core[u]
-				pu := pos[u]
-				pw := bins[du]
-				w := vert[pw]
-				if u != w {
-					pos[u], pos[w] = pw, pu
-					vert[pu], vert[pw] = w, u
-				}
-				bins[du]++
-				core[u]--
-			}
-		}
-	}
-	return core
 }

@@ -46,38 +46,44 @@ func sameScalar(t *testing.T, name string, got, want float64) {
 	}
 }
 
+// checkPathStats holds the one shortest-path sweep and the bounded
+// connectivity to the plain kernels they replace callers of.
+func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
+	t.Helper()
+	diameter := g.Diameter()
+	closeness := Mean(g.ClosenessCentrality())
+	betweenness := Mean(g.BetweennessCentrality())
+	load := Mean(g.LoadCentrality())
+	for _, k := range []int{2, 1} {
+		ps := g.PathStatsS(k, s)
+		if ps.Diameter != diameter {
+			t.Fatalf("PathStatsS.Diameter = %d, want %d", ps.Diameter, diameter)
+		}
+		sameScalar(t, "WithinK", ps.WithinK, g.AvgNodesWithinK(k))
+		sameScalar(t, "Closeness", ps.Closeness, closeness)
+		sameScalar(t, "Betweenness", ps.Betweenness, betweenness)
+		sameScalar(t, "Load", ps.Load, load)
+	}
+	if got, want := g.NodeConnectivityS(s), g.NodeConnectivity(); got != want {
+		t.Fatalf("NodeConnectivityS = %d, want %d", got, want)
+	}
+}
+
 // checkScratchMatches runs every scratch variant against its plain
 // counterpart on g, reusing s across calls.
 func checkScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
-	if got, want := g.DiameterS(s), g.Diameter(); got != want {
-		t.Fatalf("DiameterS = %d, want %d", got, want)
-	}
+	checkPathStats(t, g, s)
 	sameFloats(t, "DegreeCentrality", g.DegreeCentralityInto(nil, s), g.DegreeCentrality())
-	sameFloats(t, "ClosenessCentrality", g.ClosenessCentralityInto(nil, s), g.ClosenessCentrality())
-	sameFloats(t, "BetweennessCentrality", g.BetweennessCentralityInto(nil, s), g.BetweennessCentrality())
-	sameFloats(t, "LoadCentrality", g.LoadCentralityInto(nil, s), g.LoadCentrality())
-	if got, want := g.NodeConnectivityS(s), g.NodeConnectivity(); got != want {
-		t.Fatalf("NodeConnectivityS = %d, want %d", got, want)
-	}
 	sameScalar(t, "AvgClusteringCoefficient", g.AvgClusteringCoefficientS(s), g.AvgClusteringCoefficient())
 	sameFloats(t, "AvgNeighborDegrees", g.AvgNeighborDegreesInto(nil, s), g.AvgNeighborDegrees())
 	sameScalar(t, "AvgDegreeConnectivity", g.AvgDegreeConnectivityS(s), g.AvgDegreeConnectivity())
-	sameScalar(t, "AvgNodesWithinK", g.AvgNodesWithinKS(2, s), g.AvgNodesWithinK(2))
 	sameFloats(t, "PageRank", g.PageRankInto(nil, s, 0.85, 100, 1e-10), g.PageRank(0.85, 100, 1e-10))
-	gotCore := g.CoreNumbersInto(nil, s)
-	wantCore := g.CoreNumbers()
-	for i := range wantCore {
-		if gotCore[i] != wantCore[i] {
-			t.Fatalf("CoreNumbers[%d] = %d, want %d", i, gotCore[i], wantCore[i])
-		}
-	}
 }
 
 func TestScratchMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := NewScratch()
-	s.ParallelCutoff = -1 // sequential path
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(40)
 		g := randomMultigraph(rng, n, rng.Intn(4*n))
@@ -85,37 +91,98 @@ func TestScratchMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestScratchMatchesPlainParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
+// completeBipartite returns K(a,b) with every edge directed left to right.
+func completeBipartite(a, b int) *Digraph {
+	g := New(a + b)
+	for u := 0; u < a; u++ {
+		for v := a; v < a+b; v++ {
+			if err := g.AddEdge(u, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return g
+}
+
+// chainClientGraph is the shape a watched infection grows into on the
+// wire: a victim hub talking both ways to every host, a redirect chain
+// through the first four hosts, and call-back hosts as leaves.
+func chainClientGraph(n int) *Digraph {
+	g := New(n)
+	for v := 1; v < n; v++ {
+		_ = g.AddEdge(0, v) // request
+		_ = g.AddEdge(v, 0) // response
+	}
+	for v := 1; v < 4 && v+1 < n; v++ {
+		_ = g.AddEdge(v, v+1) // redirect
+	}
+	return g
+}
+
+// TestPathStatsMatchesPlain is the standing differential behind the fused
+// sweep: bit-for-bit against the five plain kernels (and NodeConnectivityS
+// against NodeConnectivity) on random multigraphs with self-loops, parallel
+// edges and several components, on the regular families, on the watched
+// chain-client shape at every size it passes through, and with one Scratch
+// carried from large graphs to small ones so stale buffer contents show.
+func TestPathStatsMatchesPlain(t *testing.T) {
 	s := NewScratch()
-	s.ParallelCutoff = 1 // force the fan-out even on tiny graphs
-	s.Workers = 4
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(80)
-		g := randomMultigraph(rng, n, rng.Intn(5*n))
-		checkScratchMatches(t, g, s)
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(80)
+		g := randomMultigraph(rng, n, rng.Intn(3*n))
+		checkPathStats(t, g, s)
+	}
+	for n := 0; n <= 12; n++ {
+		checkPathStats(t, New(n), s) // edgeless
+		checkPathStats(t, pathGraph(n), s)
+		checkPathStats(t, starGraph(n), s)
+		checkPathStats(t, completeGraph(n), s)
+		if n > 0 {
+			checkPathStats(t, cycleGraph(n), s)
+		}
+		for a := 1; a <= 4; a++ {
+			checkPathStats(t, completeBipartite(a, n), s)
+		}
+	}
+	for n := 5; n <= 79; n++ {
+		checkPathStats(t, chainClientGraph(n), s)
+	}
+	checkPathStats(t, benchGraph(200), s)
+	for n := 80; n >= 1; n -= 3 { // shrinking: every buffer is longer than n
+		checkPathStats(t, randomMultigraph(rng, n, 2*n), s)
 	}
 }
 
-// TestScratchParallelDeterministic pins the contract that the fan-out's
-// chunked accumulation gives bit-identical results regardless of worker
-// count — the parallel path must not perturb feature values.
-func TestScratchParallelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomMultigraph(rng, 150, 600)
-	seq := NewScratch()
-	seq.ParallelCutoff = -1
-	wantB := g.BetweennessCentralityInto(nil, seq)
-	wantL := g.LoadCentralityInto(nil, seq)
-	wantC := g.ClosenessCentralityInto(nil, seq)
-	for _, workers := range []int{1, 2, 3, 8} {
-		par := NewScratch()
-		par.ParallelCutoff = 1
-		par.Workers = workers
-		sameFloats(t, "betweenness", g.BetweennessCentralityInto(nil, par), wantB)
-		sameFloats(t, "load", g.LoadCentralityInto(nil, par), wantL)
-		sameFloats(t, "closeness", g.ClosenessCentralityInto(nil, par), wantC)
+// fuzzGraph decodes bytes as a node count (1-64) and an edge list.
+func fuzzGraph(data []byte) *Digraph {
+	if len(data) == 0 {
+		return New(0)
 	}
+	n := 1 + int(data[0])%64
+	g := New(n)
+	for i := 1; i+1 < len(data); i += 2 {
+		_ = g.AddEdge(int(data[i])%n, int(data[i+1])%n)
+	}
+	return g
+}
+
+// FuzzPathStats runs the same differential on graphs an input chooses:
+// the host graph of a watched client is drawn by whoever the client talks
+// to, which makes these kernels attacker-shaped input on the wire path.
+func FuzzPathStats(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 1, 1, 2})                   // path
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 0, 4, 4, 0}) // star with a reply
+	f.Add([]byte{5, 0, 0, 1, 1, 2, 3, 2, 3, 3, 2}) // self-loops, parallel edges, two components
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2}) // cycle with a chord
+	s := NewScratch()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			t.Skip()
+		}
+		checkPathStats(t, fuzzGraph(data), s)
+	})
 }
 
 // TestScratchInvalidation mutates the graph between calls and checks the
@@ -124,7 +191,6 @@ func TestScratchParallelDeterministic(t *testing.T) {
 func TestScratchInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := NewScratch()
-	s.ParallelCutoff = -1
 	g := randomMultigraph(rng, 10, 20)
 	checkScratchMatches(t, g, s)
 	for i := 0; i < 15; i++ {
@@ -158,28 +224,22 @@ func TestScratchTinyGraphs(t *testing.T) {
 }
 
 // TestScratchSteadyStateAllocs pins the zero-allocation contract for the
-// sequential analytics passes once the workspace has warmed up on a graph
-// of the same size.
+// analytics passes once the workspace has warmed up on a graph of the same
+// size — at 100 nodes, where the sweep used to fan out over goroutines.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := randomMultigraph(rng, 60, 200)
-	h := randomMultigraph(rng, 60, 210)
+	g := randomMultigraph(rng, 100, 330)
+	h := randomMultigraph(rng, 100, 350)
 	s := NewScratch()
-	s.ParallelCutoff = -1
 	dst := make([]float64, 0, g.N())
-	core := make([]int, 0, g.N())
 	all := func(g *Digraph) {
-		g.DiameterS(s)
-		dst = g.BetweennessCentralityInto(dst, s)
-		dst = g.LoadCentralityInto(dst, s)
-		dst = g.ClosenessCentralityInto(dst, s)
+		g.PathStatsS(2, s)
+		g.NodeConnectivityS(s)
 		dst = g.DegreeCentralityInto(dst, s)
 		dst = g.AvgNeighborDegreesInto(dst, s)
 		dst = g.PageRankInto(dst, s, 0.85, 100, 1e-10)
-		core = g.CoreNumbersInto(core, s)
 		g.AvgClusteringCoefficientS(s)
 		g.AvgDegreeConnectivityS(s)
-		g.AvgNodesWithinKS(2, s)
 	}
 	all(g) // warm up every buffer
 	all(h)

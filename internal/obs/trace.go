@@ -109,6 +109,10 @@ const (
 	SpanShed
 	// SpanError marks a span that ended by panic or transport error.
 	SpanError
+	// SpanTopology marks a feature span that recomputed the topology
+	// slots (the WCG's structure changed) — the slow mode of the
+	// otherwise sub-microsecond incremental classify.
+	SpanTopology
 )
 
 // String renders the set flags as a comma-joined list (export path only).
@@ -124,7 +128,7 @@ func (f SpanFlags) String() string {
 		{SpanRebuild, "rebuild"}, {SpanQuarantined, "quarantined"},
 		{SpanDegraded, "degraded"}, {SpanRetried, "retried"},
 		{SpanBreakerOpen, "breaker_open"}, {SpanShed, "shed"},
-		{SpanError, "error"},
+		{SpanError, "error"}, {SpanTopology, "topology"},
 	}
 	parts := make([]string, 0, 4)
 	for _, n := range names {
