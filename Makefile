@@ -46,14 +46,14 @@ lint:
 # package that spawns goroutines (the root package covers the monitor
 # janitor, internal/proxy the retry/breaker paths, internal/chaos the
 # fault-injection soak, internal/obs the admin server and sharded
-# counters, internal/ml the parallel batch scorer) and for internal/pcap,
-# whose streams alias buffers that are recycled under them. internal/graph
-# is not on the list because it starts no goroutine. Slower; run before
-# touching engine or proxy locking.
+# counters) and for internal/pcap, whose streams alias buffers that are
+# recycled under them. internal/graph and internal/ml are not on the list
+# because they start no goroutine. Slower; run before touching engine or
+# proxy locking.
 tier2:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dynalint -root .
-	$(GO) test -race . ./cmd/dynaminer ./internal/detector ./internal/proxy ./internal/httpstream ./internal/pcap ./internal/chaos ./internal/obs ./internal/ml
+	$(GO) test -race . ./cmd/dynaminer ./internal/detector ./internal/proxy ./internal/httpstream ./internal/pcap ./internal/chaos ./internal/obs
 
 # Chaos: the deterministic fault-injection soak (fixed seeds, see
 # internal/chaos and DESIGN.md "Fault tolerance"): seeded synth episodes
@@ -66,9 +66,10 @@ chaos:
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
 # of the checked-in seed corpus (testdata/fuzz), plus the frame decoder,
 # the capture readers (streaming against collecting, with an allocation
-# ceiling), the model-file loader differential, the body sniffer's two
-# differentials against its regexp-only reference and the shortest-path
-# sweep's differential against the plain graph kernels (its minimizer is
+# ceiling), the DMFB blob loader, the JSON importer against its recursive
+# test oracle, the body sniffer's two differentials against its
+# regexp-only reference and the shortest-path sweep's differential
+# against the plain graph kernels (its minimizer is
 # capped at 1s: left at the default minute per new-coverage input it
 # stalled the run after ~3 s of a 10 s smoke). Regenerate the synth seeds
 # with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.

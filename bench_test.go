@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/netip"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -402,7 +403,7 @@ func runEngineBench(b *testing.B, process func(Transaction) []Alert) {
 
 func BenchmarkShardedProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.flat)
 	runEngineBench(b, eng.Process)
 }
 
@@ -410,7 +411,7 @@ func BenchmarkShardedProcess(b *testing.B) {
 // one shard lock: the contended baseline BenchmarkShardedProcess spreads.
 func BenchmarkSingleEngineProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.New(detector.Config{RedirectThreshold: 3, Shards: 1}, clf.forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 3, Shards: 1}, clf.flat)
 	runEngineBench(b, eng.Process)
 }
 
@@ -466,7 +467,7 @@ func benchClassifyChain(b *testing.B, cfg detector.Config) {
 	b.ResetTimer()
 	var st detector.Stats
 	for i := 0; i < b.N; i++ {
-		eng := detector.New(cfg, clf.forest)
+		eng := detector.New(cfg, clf.flat)
 		for _, tx := range txs {
 			eng.Process(tx)
 		}
@@ -514,11 +515,9 @@ func BenchmarkClassifyTraced(b *testing.B) {
 	})
 }
 
-// Forest-representation benchmarks: the same trained ensemble scoring the
-// same 37-feature vectors through the pointer-tree representation and the
-// flattened struct-of-arrays slabs, plus the batch kernel that amortizes
-// dispatch across trees. CI gates ForestScoreFlat/ForestScorePointer so
-// the flat path can never regress below the pointer path it replaced.
+// Forest benchmarks: the trained ensemble scoring 37-feature vectors one
+// at a time and through the batch kernel that amortizes dispatch across
+// trees.
 
 func forestVectorsForBench(b *testing.B) [][]float64 {
 	b.Helper()
@@ -530,21 +529,8 @@ func forestVectorsForBench(b *testing.B) [][]float64 {
 	return ds.X[:n]
 }
 
-func BenchmarkForestScorePointer(b *testing.B) {
-	f := classifierForBench(b).forest
-	X := forestVectorsForBench(b)
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += f.Score(X[i%len(X)])
-	}
-	if sink < 0 {
-		b.Fatal("impossible score sum")
-	}
-}
-
 func BenchmarkForestScoreFlat(b *testing.B) {
-	ff := classifierForBench(b).forest.Flatten()
+	ff := classifierForBench(b).flat
 	X := forestVectorsForBench(b)
 	b.ResetTimer()
 	var sink float64
@@ -560,7 +546,7 @@ func BenchmarkForestScoreFlat(b *testing.B) {
 // (tree-outer traversal, zero allocations into a reused dst); the
 // per-sample metric is what compares against the single-vector benches.
 func BenchmarkScoreBatchFlat(b *testing.B) {
-	ff := classifierForBench(b).forest.Flatten()
+	ff := classifierForBench(b).flat
 	X := forestVectorsForBench(b)
 	dst := make([]float64, len(X))
 	b.ReportAllocs()
@@ -633,40 +619,32 @@ func BenchmarkExtractBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)), "ns/vector")
 }
 
-// Model-artifact benchmarks: the same trained ensemble deserialized from
-// its JSON wire form (full parse + node-stream rebuild) and from the flat
-// blob (header decode + checksum sweep + slab validation, no parse). CI
-// gates LoadFlatBlob/LoadForestJSON at a hard multiple.
-
-func modelArtifactsForBench(b *testing.B) (jsonBytes, blobBytes []byte) {
-	b.Helper()
-	clf := classifierForBench(b)
-	var jb bytes.Buffer
-	if err := clf.Save(&jb); err != nil {
-		b.Fatal(err)
-	}
-	return jb.Bytes(), clf.FlatForest().AppendFlatBlob(nil)
-}
+// Model-artifact benchmarks: importing a model saved as v1 JSON (full
+// parse + node-stream rebuild) and loading the DMFB blob every deployment
+// now writes (header decode + checksum sweep + slab validation, no parse).
 
 func BenchmarkLoadForestJSON(b *testing.B) {
-	jsonBytes, _ := modelArtifactsForBench(b)
+	jsonBytes, err := os.ReadFile("internal/ml/testdata/seed7.json")
+	if err != nil {
+		b.Fatal(err)
+	}
 	// Warm encoding/json's lazily built type caches so 1-iteration
 	// records measure steady-state load cost, not first-call setup.
-	if _, err := ml.LoadForest(bytes.NewReader(jsonBytes)); err != nil {
+	if _, err := ml.LoadFlatForest(bytes.NewReader(jsonBytes)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(jsonBytes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.LoadForest(bytes.NewReader(jsonBytes)); err != nil {
+		if _, err := ml.LoadFlatForest(bytes.NewReader(jsonBytes)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLoadFlatBlob(b *testing.B) {
-	_, blob := modelArtifactsForBench(b)
+	blob := classifierForBench(b).FlatForest().AppendFlatBlob(nil)
 	// Warm hash/crc32's lazily built slicing-by-8 table so 1-iteration
 	// records measure steady-state load cost, not first-call setup.
 	if _, err := ml.LoadFlatBlob(bytes.NewReader(blob)); err != nil {
@@ -677,23 +655,6 @@ func BenchmarkLoadFlatBlob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ml.LoadFlatBlob(bytes.NewReader(blob)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadFlatBlobMapped measures the zero-copy path over an
-// already-resident buffer — what serving off an mmap-ed model file costs.
-func BenchmarkLoadFlatBlobMapped(b *testing.B) {
-	_, blob := modelArtifactsForBench(b)
-	if _, err := ml.LoadFlatBlobMapped(blob); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ml.LoadFlatBlobMapped(blob); err != nil {
 			b.Fatal(err)
 		}
 	}

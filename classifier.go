@@ -1,7 +1,6 @@
 package dynaminer
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -23,19 +22,11 @@ type TrainConfig struct {
 	Seed int64
 }
 
-// Classifier is a trained ERF model over the 37 WCG features. It always
-// carries the flattened struct-of-arrays form (the one the detector and
-// every scoring method traverse); the pointer forest is retained when the
-// model was trained or JSON-loaded in this process and is nil for models
-// loaded from a flat blob, whose artifact is already the flat layout.
+// Classifier is a trained ERF model over the 37 WCG features, held in the
+// flat struct-of-arrays form that training produces, the DMFB artifact
+// stores, and the detector and every scoring method traverse.
 type Classifier struct {
-	forest *ml.Forest     // nil when loaded from a flat blob
-	flat   *ml.FlatForest // never nil
-}
-
-// fromForest wraps a pointer forest, flattening once up front.
-func fromForest(f *ml.Forest) *Classifier {
-	return &Classifier{forest: f, flat: f.Flatten()}
+	flat *ml.FlatForest
 }
 
 // conversations adapts a corpus to the core training pipelines.
@@ -54,7 +45,7 @@ func Train(episodes []Episode, cfg TrainConfig) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromForest(forest), nil
+	return &Classifier{flat: forest}, nil
 }
 
 // TrainForMonitoring fits an ERF on the corpus as the on-the-wire stage
@@ -68,7 +59,7 @@ func TrainForMonitoring(episodes []Episode, cfg TrainConfig) (*Classifier, error
 	if err != nil {
 		return nil, err
 	}
-	return fromForest(forest), nil
+	return &Classifier{flat: forest}, nil
 }
 
 // EpisodeDataset converts a labeled corpus into a feature matrix.
@@ -88,35 +79,14 @@ func (c *Classifier) IsInfection(w *WCG) bool { return c.Score(w) > 0.5 }
 // ScoreFeatures scores a precomputed feature vector (the detector's path).
 func (c *Classifier) ScoreFeatures(x []float64) float64 { return c.flat.Score(x) }
 
-// Forest exposes the underlying pointer ensemble for evaluation tooling.
-// It is nil for classifiers loaded from a flat blob, which carry only the
-// flattened form; FlatForest is always available and scores identically.
-func (c *Classifier) Forest() *ml.Forest { return c.forest }
-
-// FlatForest exposes the flattened ensemble every scoring path uses.
+// FlatForest exposes the ensemble every scoring path uses.
 func (c *Classifier) FlatForest() *ml.FlatForest { return c.flat }
 
-// scorer is the model handed to detector engines: always the flat form,
-// so engine construction never re-flattens.
+// scorer is the model handed to detector engines.
 func (c *Classifier) scorer() detector.Scorer { return c.flat }
 
-// Save persists the trained model as JSON — byte-identical whether the
-// classifier was trained, JSON-loaded, or blob-loaded.
-func (c *Classifier) Save(w io.Writer) error { return c.flat.Save(w) }
-
-// SaveFile persists the trained model to a file path.
-func (c *Classifier) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("save model: %w", err)
-	}
-	defer f.Close()
-	return c.Save(f)
-}
-
-// SaveBlob persists the trained model as the flat binary blob — the
-// zero-parse artifact Load reads back without JSON decoding (and
-// ml.LoadFlatBlobMapped can alias straight off a mapped file).
+// SaveBlob persists the trained model as the DMFB flat binary blob — the
+// one model artifact written, which Load reads back without parsing.
 func (c *Classifier) SaveBlob(w io.Writer) error { return c.flat.SaveFlatBlob(w) }
 
 // SaveBlobFile persists the flat binary blob to a file path.
@@ -129,23 +99,14 @@ func (c *Classifier) SaveBlobFile(path string) error {
 	return c.SaveBlob(f)
 }
 
-// Load reads a model previously written by Save or SaveBlob, sniffing the
-// format from the leading bytes: the flat-blob magic selects the binary
-// loader, anything else is parsed as JSON.
+// Load reads a model written by SaveBlob, or imports one saved as v1 JSON
+// by earlier versions (ml.LoadModel tells the two apart).
 func Load(r io.Reader) (*Classifier, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(4); err == nil && ml.IsFlatBlob(prefix) {
-		flat, err := ml.LoadFlatBlob(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Classifier{flat: flat}, nil
-	}
-	forest, err := ml.LoadForest(br)
+	flat, err := ml.LoadModel(r)
 	if err != nil {
 		return nil, err
 	}
-	return fromForest(forest), nil
+	return &Classifier{flat: flat}, nil
 }
 
 // LoadFile reads a model from a file path.

@@ -17,7 +17,7 @@ import (
 func trainMonitorModel(t *testing.T) (model, capture string) {
 	t.Helper()
 	corpus := writeTinyCorpus(t)
-	model = filepath.Join(t.TempDir(), "m.json")
+	model = filepath.Join(t.TempDir(), "m.dmfb")
 	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-monitor", "-trees", "8"}); err != nil {
 		t.Fatal(err)
 	}

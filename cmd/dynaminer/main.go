@@ -1,18 +1,18 @@
 // Command dynaminer is the train / classify / stream CLI over the library:
 //
-//	dynaminer train  -corpus dir/ -model model.json [-monitor]
-//	dynaminer train  -synthetic -model model.json [-monitor]
-//	dynaminer classify -model model.json capture.pcap...
-//	dynaminer stream   -model model.json -threshold 3 capture.pcap
+//	dynaminer train  -corpus dir/ -model model.dmfb [-monitor]
+//	dynaminer train  -synthetic -model model.dmfb [-monitor]
+//	dynaminer classify -model model.dmfb capture.pcap...
+//	dynaminer stream   -model model.dmfb -threshold 3 capture.pcap
 //	dynaminer features capture.pcap
 //	dynaminer summarize capture.pcap
 //	dynaminer dataset -corpus dir/ -out features.csv
-//	dynaminer proxy -model model.json -listen 127.0.0.1:8080
+//	dynaminer proxy -model model.dmfb -listen 127.0.0.1:8080
 //	dynaminer journal alerts.jsonl
 //	dynaminer checkpoint state.dmcp
 //	dynaminer metrics -addr 127.0.0.1:9090
 //	dynaminer trace -addr 127.0.0.1:9090 [-json] [-id N]
-//	dynaminer model convert -in model.json -out model.dmfb -format blob
+//	dynaminer model convert -in model.json -out model.dmfb
 //	dynaminer model info model.dmfb
 //
 // "stream" and "proxy" take -admin-addr to serve the observability
@@ -37,7 +37,8 @@
 //
 // "train -corpus" expects a directory produced by tracegen (pcap files and
 // a manifest.csv); "-synthetic" trains directly on a generated corpus
-// without touching disk. "classify" gives one offline verdict per capture;
+// without touching disk. Training writes the DMFB blob; every -model flag
+// also imports a v1 JSON model saved by earlier versions. "classify" gives one offline verdict per capture;
 // "stream" replays a capture through the on-the-wire engine and prints
 // alerts as they fire.
 package main
@@ -103,7 +104,7 @@ func run(args []string) error {
 func runProxy(args []string) error {
 	fs := flag.NewFlagSet("proxy", flag.ContinueOnError)
 	var (
-		modelPath   = fs.String("model", "model.json", "trained model path")
+		modelPath   = fs.String("model", "model.dmfb", "trained model path")
 		listen      = fs.String("listen", "127.0.0.1:8080", "proxy listen address")
 		threshold   = fs.Int("threshold", 3, "clue redirect threshold L")
 		block       = fs.Bool("block", true, "terminate sessions of alerted clients")
@@ -222,7 +223,7 @@ func runTrain(args []string) error {
 	var (
 		corpusDir = fs.String("corpus", "", "corpus directory (pcaps + manifest.csv)")
 		synthetic = fs.Bool("synthetic", false, "train on a freshly generated synthetic corpus")
-		modelPath = fs.String("model", "model.json", "output model path")
+		modelPath = fs.String("model", "model.dmfb", "output model path (DMFB blob)")
 		monitor   = fs.Bool("monitor", false, "train for on-the-wire monitoring (clue-subset representation)")
 		seed      = fs.Int64("seed", 1, "seed for generation and training")
 		trees     = fs.Int("trees", 20, "ensemble size N_t")
@@ -256,7 +257,7 @@ func runTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := clf.SaveFile(*modelPath); err != nil {
+	if err := clf.SaveBlobFile(*modelPath); err != nil {
 		return err
 	}
 	fmt.Printf("trained on %d episodes, model saved to %s\n", len(eps), *modelPath)
@@ -304,7 +305,7 @@ func loadCorpus(dir string) ([]dynaminer.Episode, error) {
 
 func runClassify(args []string) error {
 	fs := flag.NewFlagSet("classify", flag.ContinueOnError)
-	modelPath := fs.String("model", "model.json", "trained model path")
+	modelPath := fs.String("model", "model.dmfb", "trained model path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -335,7 +336,7 @@ func runClassify(args []string) error {
 func runStream(args []string) error {
 	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
 	var (
-		modelPath    = fs.String("model", "model.json", "trained model path")
+		modelPath    = fs.String("model", "model.dmfb", "trained model path")
 		threshold    = fs.Int("threshold", 3, "clue redirect threshold L")
 		asJSON       = fs.Bool("json", false, "emit alerts as JSON lines (SIEM-friendly)")
 		pace         = fs.Float64("pace", 0, "replay at capture pace divided by this factor (0 = as fast as possible)")

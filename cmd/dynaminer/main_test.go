@@ -48,7 +48,7 @@ func writeTinyCorpus(t *testing.T) string {
 
 func TestTrainClassifyStreamFeaturesFlow(t *testing.T) {
 	corpus := writeTinyCorpus(t)
-	model := filepath.Join(t.TempDir(), "model.json")
+	model := filepath.Join(t.TempDir(), "model.dmfb")
 
 	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-seed", "2", "-trees", "8"}); err != nil {
 		t.Fatalf("train: %v", err)
@@ -85,7 +85,7 @@ func TestTrainClassifyStreamFeaturesFlow(t *testing.T) {
 
 func TestTrainMonitorVariant(t *testing.T) {
 	corpus := writeTinyCorpus(t)
-	model := filepath.Join(t.TempDir(), "monitor.json")
+	model := filepath.Join(t.TempDir(), "monitor.dmfb")
 	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-monitor", "-trees", "6"}); err != nil {
 		t.Fatalf("train -monitor: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestSummarizeAndDataset(t *testing.T) {
 
 func TestStreamJSONOutput(t *testing.T) {
 	corpus := writeTinyCorpus(t)
-	model := filepath.Join(t.TempDir(), "m.json")
+	model := filepath.Join(t.TempDir(), "m.dmfb")
 	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-monitor", "-trees", "8"}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestStreamJSONOutput(t *testing.T) {
 
 func TestProxySubcommandServes(t *testing.T) {
 	corpus := writeTinyCorpus(t)
-	model := filepath.Join(t.TempDir(), "p.json")
+	model := filepath.Join(t.TempDir(), "p.dmfb")
 	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-monitor", "-trees", "6"}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestProxySubcommandServes(t *testing.T) {
 		t.Fatalf("proxy returned %v after close", err)
 	}
 	// Bad model path errors immediately.
-	if err := run([]string{"proxy", "-model", "/nope.json"}); err == nil {
+	if err := run([]string{"proxy", "-model", "/nope.dmfb"}); err == nil {
 		t.Fatal("missing model must error")
 	}
 }

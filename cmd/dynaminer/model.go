@@ -1,17 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"dynaminer"
 	"dynaminer/internal/ml"
 )
 
-// runModel dispatches the model artifact tooling: converting between the
-// JSON and flat-blob serializations and inspecting a saved model.
+// runModel dispatches the model artifact tooling: converting a saved model
+// to the DMFB blob and inspecting a saved model.
 func runModel(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: dynaminer model <convert|info> [flags]")
@@ -26,15 +26,15 @@ func runModel(args []string) error {
 	}
 }
 
-// runModelConvert rewrites a model in the requested serialization. Both
-// loaders and both writers preserve scores bit-for-bit, so converting is
-// always verdict-safe; JSON -> blob -> JSON round trips byte-identically.
+// runModelConvert rewrites a model as a DMFB blob, the one format written.
+// Its input is either a blob or a v1 JSON model from an earlier version;
+// the import preserves scores bit-for-bit, so converting is always
+// verdict-safe, and a blob converts to itself byte for byte.
 func runModelConvert(args []string) error {
 	fs := flag.NewFlagSet("model convert", flag.ContinueOnError)
 	var (
-		in     = fs.String("in", "", "input model path (JSON or flat blob; format is sniffed)")
-		out    = fs.String("out", "", "output model path")
-		format = fs.String("format", "blob", "output format: blob (zero-parse binary) or json")
+		in  = fs.String("in", "", "input model path (DMFB blob or v1 JSON; format is sniffed)")
+		out = fs.String("out", "", "output DMFB blob path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,22 +46,14 @@ func runModelConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "blob":
-		err = clf.SaveBlobFile(*out)
-	case "json":
-		err = clf.SaveFile(*out)
-	default:
-		return fmt.Errorf("model convert: unknown -format %q (want blob or json)", *format)
+	if err := clf.SaveBlobFile(*out); err != nil {
+		return err
 	}
+	fi, err := os.Stat(*out)
 	if err != nil {
 		return err
 	}
-	fi, statErr := os.Stat(*out)
-	if statErr != nil {
-		return statErr
-	}
-	fmt.Printf("wrote %s model to %s (%d bytes)\n", *format, *out, fi.Size())
+	fmt.Printf("wrote blob model to %s (%d bytes)\n", *out, fi.Size())
 	return nil
 }
 
@@ -75,13 +67,17 @@ func runModelInfo(args []string) error {
 		return fmt.Errorf("usage: dynaminer model info <model-path>")
 	}
 	path := fs.Arg(0)
-	format, err := sniffModelFormat(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	clf, err := dynaminer.LoadFile(path)
+	clf, err := dynaminer.Load(bytes.NewReader(data))
 	if err != nil {
 		return err
+	}
+	format := "json (v1, import-only)"
+	if ml.IsFlatBlob(data) {
+		format = "blob"
 	}
 	info := clf.Info()
 	fmt.Printf("path:       %s\n", path)
@@ -93,18 +89,4 @@ func runModelInfo(args []string) error {
 		info.Config.NumTrees, info.Config.MaxFeatures, info.Config.MinSamplesLeaf,
 		info.Config.MaxDepth, info.Config.Seed)
 	return nil
-}
-
-// sniffModelFormat reports "blob" or "json" from a model file's magic.
-func sniffModelFormat(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	prefix := make([]byte, 4)
-	if _, err := io.ReadFull(f, prefix); err == nil && ml.IsFlatBlob(prefix) {
-		return "blob", nil
-	}
-	return "json", nil
 }

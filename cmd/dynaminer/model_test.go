@@ -9,7 +9,16 @@ import (
 	"dynaminer"
 )
 
-// trainTinyModel trains a small synthetic model and saves it as JSON.
+// One model in its two historical forms, checked in beside the ml
+// package's import test (TestLoadModelImportsJSONFixture): the v1 JSON
+// `train -synthetic -seed 7 -trees 3` saved while training still wrote
+// JSON, and the blob `model convert` made of it.
+const (
+	fixtureJSON = "../../internal/ml/testdata/seed7.json"
+	fixtureBlob = "../../internal/ml/testdata/seed7.dmfb"
+)
+
+// trainTinyModel trains a small synthetic model and saves it as a blob.
 func trainTinyModel(t *testing.T) (*dynaminer.Classifier, string) {
 	t.Helper()
 	eps := dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 9, Infections: 10, Benign: 10})
@@ -17,51 +26,56 @@ func trainTinyModel(t *testing.T) (*dynaminer.Classifier, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := clf.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "model.dmfb")
+	if err := clf.SaveBlobFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return clf, path
 }
 
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestModelConvertRoundTrip converts the v1 JSON fixture and must write the
+// blob fixture byte for byte; converting that blob again changes nothing,
+// and the converted model scores and drives the monitor like the original.
 func TestModelConvertRoundTrip(t *testing.T) {
-	clf, jsonPath := trainTinyModel(t)
 	dir := t.TempDir()
 	blobPath := filepath.Join(dir, "model.dmfb")
-	backPath := filepath.Join(dir, "back.json")
+	againPath := filepath.Join(dir, "again.dmfb")
 
-	if err := run([]string{"model", "convert", "-in", jsonPath, "-out", blobPath, "-format", "blob"}); err != nil {
-		t.Fatalf("convert to blob: %v", err)
+	if err := run([]string{"model", "convert", "-in", fixtureJSON, "-out", blobPath}); err != nil {
+		t.Fatalf("convert json: %v", err)
 	}
-	if err := run([]string{"model", "convert", "-in", blobPath, "-out", backPath, "-format", "json"}); err != nil {
-		t.Fatalf("convert back to json: %v", err)
+	if !bytes.Equal(readFile(t, blobPath), readFile(t, fixtureBlob)) {
+		t.Fatal("converted JSON fixture differs from the blob fixture")
 	}
-	orig, err := os.ReadFile(jsonPath)
+	if err := run([]string{"model", "convert", "-in", blobPath, "-out", againPath}); err != nil {
+		t.Fatalf("convert blob: %v", err)
+	}
+	if !bytes.Equal(readFile(t, againPath), readFile(t, fixtureBlob)) {
+		t.Fatal("blob -> blob is not byte-identical")
+	}
+
+	fromJSON, err := dynaminer.LoadFile(fixtureJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := os.ReadFile(backPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, back) {
-		t.Fatal("json -> blob -> json is not byte-identical")
-	}
-
-	// The blob-loaded classifier must score identically and drive the
-	// monitor path (scorer) without a pointer forest.
 	fromBlob, err := dynaminer.LoadFile(blobPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromBlob.Forest() != nil {
-		t.Fatal("blob-loaded classifier unexpectedly carries a pointer forest")
-	}
 	eps := dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 77, Infections: 2, Benign: 2})
 	for i := range eps {
 		w := dynaminer.BuildWCG(eps[i].Txs)
-		if clf.Score(w) != fromBlob.Score(w) {
-			t.Fatalf("episode %d: blob-loaded model scores differently", i)
+		if fromJSON.Score(w) != fromBlob.Score(w) {
+			t.Fatalf("episode %d: converted model scores differently", i)
 		}
 	}
 	m := dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1}, fromBlob)
@@ -70,13 +84,23 @@ func TestModelConvertRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModelInfo(t *testing.T) {
-	_, jsonPath := trainTinyModel(t)
-	blobPath := filepath.Join(t.TempDir(), "model.dmfb")
-	if err := run([]string{"model", "convert", "-in", jsonPath, "-out", blobPath}); err != nil {
-		t.Fatalf("convert: %v", err)
+// TestTrainWritesFixtureBlob: `train` writes the DMFB blob, and at the
+// fixture's seed and tree count it writes the fixture itself — training
+// that flattens its trees in place grows the forest the JSON-writing
+// trainer saved.
+func TestTrainWritesFixtureBlob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.dmfb")
+	if err := run([]string{"train", "-synthetic", "-seed", "7", "-trees", "3", "-model", path}); err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range []string{jsonPath, blobPath} {
+	if !bytes.Equal(readFile(t, path), readFile(t, fixtureBlob)) {
+		t.Fatal("train -synthetic -seed 7 -trees 3 does not write the fixture blob")
+	}
+}
+
+func TestModelInfo(t *testing.T) {
+	_, blobPath := trainTinyModel(t)
+	for _, path := range []string{blobPath, fixtureJSON} {
 		if err := run([]string{"model", "info", path}); err != nil {
 			t.Fatalf("info %s: %v", path, err)
 		}
@@ -90,10 +114,13 @@ func TestModelErrors(t *testing.T) {
 	if err := run([]string{"model", "bogus"}); err == nil {
 		t.Fatal("unknown model subcommand must error")
 	}
-	if err := run([]string{"model", "convert", "-in", "nope.json"}); err == nil {
+	if err := run([]string{"model", "convert", "-in", "nope.dmfb"}); err == nil {
 		t.Fatal("convert without -out must error")
 	}
-	if err := run([]string{"model", "info", "does-not-exist.json"}); err == nil {
+	if err := run([]string{"model", "convert", "-in", fixtureJSON, "-out", filepath.Join(t.TempDir(), "m.json"), "-format", "json"}); err == nil {
+		t.Fatal("convert must not accept a -format flag: the blob is the only output")
+	}
+	if err := run([]string{"model", "info", "does-not-exist.dmfb"}); err == nil {
 		t.Fatal("info on missing file must error")
 	}
 }

@@ -52,7 +52,7 @@ func TestScoreRange(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	c, eps := trainedOnSmallCorpus(t)
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.SaveBlob(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -69,14 +69,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	c, _ := trainedOnSmallCorpus(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := c.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "model.dmfb")
+	if err := c.SaveBlobFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.dmfb")); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
@@ -234,7 +234,7 @@ func TestEpisodeDatasetAndForestAccess(t *testing.T) {
 	if ds.Len() != 20 || ds.NumFeatures() != NumFeatures {
 		t.Fatalf("dataset shape %d x %d", ds.Len(), ds.NumFeatures())
 	}
-	if c.Forest() == nil || c.Forest().NumTrees() != 20 {
+	if c.FlatForest() == nil || c.FlatForest().NumTrees() != 20 {
 		t.Fatal("forest accessor broken")
 	}
 	x := ExtractFeatures(EpisodeWCG(&eps[0]))

@@ -35,7 +35,7 @@ func trainSoakForest(t *testing.T, seed int64) *ml.FlatForest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.Flatten()
+	return f
 }
 
 // versionCRC extracts the blob CRC from a journal record's

@@ -96,7 +96,7 @@ func MonitorDataset(convs []LabeledConversation) *ml.Dataset {
 }
 
 // TrainOffline fits the Stage 1 ERF on whole-trace WCGs.
-func TrainOffline(convs []LabeledConversation, cfg TrainConfig) (*ml.Forest, error) {
+func TrainOffline(convs []LabeledConversation, cfg TrainConfig) (*ml.FlatForest, error) {
 	forest, err := ml.TrainForest(OfflineDataset(convs), cfg.forestConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: train offline classifier: %w", err)
@@ -105,7 +105,7 @@ func TrainOffline(convs []LabeledConversation, cfg TrainConfig) (*ml.Forest, err
 }
 
 // TrainMonitor fits the deployment-matched ERF for Stage 2.
-func TrainMonitor(convs []LabeledConversation, cfg TrainConfig) (*ml.Forest, error) {
+func TrainMonitor(convs []LabeledConversation, cfg TrainConfig) (*ml.FlatForest, error) {
 	forest, err := ml.TrainForest(MonitorDataset(convs), cfg.forestConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: train monitoring classifier: %w", err)

@@ -24,15 +24,13 @@ import (
 )
 
 // Scorer produces the infection probability of a feature vector. The ERF
-// classifier satisfies it in both representations (*ml.Forest and
-// *ml.FlatForest); the engine upgrades the former to the latter.
+// classifier (*ml.FlatForest) satisfies it.
 type Scorer interface {
 	Score(x []float64) float64
 }
 
 // VoteScorer is optionally implemented by scorers that can report the
-// per-tree vote tally alongside the ensemble score (*ml.Forest and
-// *ml.FlatForest both do).
+// per-tree vote tally alongside the ensemble score (*ml.FlatForest does).
 // ScoreWithVotes must accumulate in exactly the same order as Score so
 // the score it returns is bit-identical; the journal uses it to record
 // how contested each alert's verdict was.

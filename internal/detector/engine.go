@@ -86,7 +86,6 @@ func (e *Engine) ModelVersion() ModelVersion { return e.models.current().version
 // watches armed before the swap keep scoring through their pinned
 // version, watches armed after it pick up the new one. A rejected
 // candidate (nil, wrong feature dimensionality) leaves serving untouched.
-// A pointer-tree *ml.Forest is flattened first, exactly as in New.
 func (e *Engine) SwapModel(candidate Scorer) (ModelVersion, error) {
 	return e.models.swap(candidate)
 }

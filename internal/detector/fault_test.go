@@ -363,7 +363,7 @@ func TestShardProcessRecovers(t *testing.T) {
 
 // trainNarrowForest trains a real ERF on deliberately 5-dimensional
 // vectors — a stand-in for a model file from an older feature schema.
-func trainNarrowForest(tb testing.TB) *ml.Forest {
+func trainNarrowForest(tb testing.TB) *ml.FlatForest {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(3))
 	ds := &ml.Dataset{}
@@ -427,30 +427,4 @@ func TestMisdimensionedModelQuarantines(t *testing.T) {
 		}
 	}()
 	e.models.current().scorer.Score(make([]float64, 37))
-}
-
-// TestNewUpgradesForestToFlat pins the construction-time upgrade: a
-// pointer-tree *ml.Forest handed to New serves as a *ml.FlatForest, and
-// scorers that are not pointer forests (including a nil model for
-// extraction-only mode) pass through untouched.
-func TestNewUpgradesForestToFlat(t *testing.T) {
-	f := trainNarrowForest(t)
-	e := New(Config{Shards: 1}, f)
-	ff, ok := e.models.current().scorer.(*ml.FlatForest)
-	if !ok {
-		t.Fatalf("engine model is %T, want *ml.FlatForest", e.models.current().scorer)
-	}
-	x := []float64{0.5, -1, 2, 0, 1}
-	if math.Float64bits(f.Score(x)) != math.Float64bits(ff.Score(x)) {
-		t.Fatal("flattened engine model scores differently from the trained forest")
-	}
-	if e := New(Config{Shards: 1}, nil); e.models.current().scorer != nil {
-		t.Fatalf("nil model rewritten to %T", e.models.current().scorer)
-	}
-	if e := New(Config{Shards: 1}, constScorer(0.4)); e.models.current().scorer != (constScorer(0.4)) {
-		t.Fatalf("non-forest scorer rewritten to %T", e.models.current().scorer)
-	}
-	if e := New(Config{Shards: 1}, (*ml.Forest)(nil)); e.models.current().scorer.(*ml.Forest) != nil {
-		t.Fatal("typed-nil forest must pass through, not be flattened")
-	}
 }

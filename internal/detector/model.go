@@ -18,9 +18,9 @@ type ModelVersion struct {
 	// cross-restart identity.
 	Gen uint64
 	// CRC is the CRC-32 (IEEE) of the model's canonical DMFB blob encoding
-	// (ml.FlatForest.BlobCRC) — stable for the same trained forest across
-	// JSON, blob, and in-memory forms — and zero for scorers with no blob
-	// form (test doubles, extraction-only engines).
+	// (ml.FlatForest.BlobCRC) — stable for the same trained forest across a
+	// JSON import, the blob, and the in-memory form — and zero for scorers
+	// with no blob form (test doubles, extraction-only engines).
 	CRC uint32
 }
 
@@ -58,7 +58,6 @@ type modelHolder struct {
 // newModelHolder wraps the construction-time model as generation 1 and
 // registers the model-lifecycle metric family on reg.
 func newModelHolder(reg *obs.Registry, model Scorer) *modelHolder {
-	model = flattened(model)
 	h := &modelHolder{
 		reloads: reg.Counter("dynaminer_model_reloads_total",
 			"Successful model hot-swaps into running engines."),
@@ -77,19 +76,6 @@ func newModelHolder(reg *obs.Registry, model Scorer) *modelHolder {
 	h.cur.Store(ref)
 	h.noteActiveLocked(ref.version)
 	return h
-}
-
-// flattened upgrades a pointer-tree *ml.Forest to its struct-of-arrays
-// form, so every classification traverses contiguous slabs instead of
-// chasing node pointers; any other scorer passes through. The flat
-// representation scores bit-identically (pinned by ml's differential
-// tests), so the upgrade changes latency, never verdicts. Every model
-// enters the holder through here: at construction and on each swap.
-func flattened(model Scorer) Scorer {
-	if f, ok := model.(*ml.Forest); ok && f != nil {
-		return f.Flatten()
-	}
-	return model
 }
 
 // scorerCRC derives the model identity of a scorer: the blob CRC for flat
@@ -139,7 +125,6 @@ func validateCandidate(cur, candidate Scorer) error {
 // returning the new version. On rejection the serving model is untouched
 // and the failure is counted.
 func (h *modelHolder) swap(candidate Scorer) (ModelVersion, error) {
-	candidate = flattened(candidate)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.cur.Load()
@@ -157,7 +142,7 @@ func (h *modelHolder) swap(candidate Scorer) (ModelVersion, error) {
 }
 
 // reload obtains a candidate from load — typically a file read through the
-// full blob/JSON semantic screens — and swaps it in. A load error, a
+// full semantic screens of ml.LoadModel — and swaps it in. A load error, a
 // panicking loader, or a failed validation leaves the serving model
 // untouched and counts one reload failure; serving never stops.
 func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) {
@@ -176,8 +161,8 @@ func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) 
 	return h.swap(candidate)
 }
 
-// reloadFile reloads from a model file (DMFB blob or JSON, sniffed) read
-// through the full semantic screens.
+// reloadFile reloads from a model file (DMFB blob, or an imported v1 JSON)
+// read through the full semantic screens.
 func (h *modelHolder) reloadFile(path string) (ModelVersion, error) {
 	return h.reload(func() (Scorer, error) {
 		ff, err := ml.LoadModelFile(path)

@@ -31,7 +31,7 @@ func trainDimForest(tb testing.TB, dim int, seed int64) *ml.FlatForest {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return f.Flatten()
+	return f
 }
 
 // writeBlob saves a forest's DMFB blob under dir and returns the path.

@@ -18,12 +18,12 @@ func episodeWCGs(txss [][]httpstream.Transaction) []*wcg.WCG {
 }
 
 // batchScores featurizes every transaction stream through the batched
-// extractor and scores the whole batch with the flattened forest's
-// tree-outer kernel. Every score is bit-identical to the per-episode
+// extractor and scores the whole batch with the forest's tree-outer
+// kernel. Every score is bit-identical to the per-episode
 // forest.Score(features.Extract(wcg.FromTransactions(txs))) it replaces —
 // the experiment drivers rely on that to keep their published numbers
 // unchanged — but the featurization scaffolding and model dispatch are
 // built once per batch instead of once per episode.
-func batchScores(forest *ml.Forest, txss [][]httpstream.Transaction) []float64 {
-	return forest.Flatten().ScoreBatch(nil, features.ExtractBatch(episodeWCGs(txss)))
+func batchScores(forest *ml.FlatForest, txss [][]httpstream.Transaction) []float64 {
+	return forest.ScoreBatch(nil, features.ExtractBatch(episodeWCGs(txss)))
 }

@@ -103,13 +103,13 @@ func BuildMonitorDataset(eps []synth.Episode) *ml.Dataset {
 }
 
 // trainForest fits the paper-configuration ERF on the full dataset.
-func trainForest(ds *ml.Dataset, o Options) (*ml.Forest, error) {
+func trainForest(ds *ml.Dataset, o Options) (*ml.FlatForest, error) {
 	return ml.TrainForest(ds, ml.ForestConfig{NumTrees: o.Trees, Seed: o.Seed})
 }
 
 // trainMonitorForest fits the deployment-matched ERF used by the case
 // studies and the clue-threshold ablation.
-func trainMonitorForest(o Options) (*ml.Forest, error) {
+func trainMonitorForest(o Options) (*ml.FlatForest, error) {
 	o = o.withDefaults()
 	return core.TrainMonitor(conversations(GroundTruth(o)), core.TrainConfig{NumTrees: o.Trees, Seed: o.Seed})
 }

@@ -380,7 +380,7 @@ func Figure10(ds *ml.Dataset, o Options) (Figure10Result, error) {
 			testX[j] = ds.X[i]
 			labels = append(labels, ds.Y[i])
 		}
-		scores = append(scores, forest.ScoresParallel(testX, 0)...)
+		scores = append(scores, forest.ScoreBatch(nil, testX)...)
 	}
 	curve := ml.ROC(scores, labels)
 	return Figure10Result{Points: curve, AUC: ml.AUC(curve)}, nil

@@ -492,6 +492,39 @@ func TestLoadVsBetweennessRandomTrees(t *testing.T) {
 	}
 }
 
+// TestMeanBetweennessEqualsMeanLoad pins the identity behind features f18
+// and f19 on every graph, not only trees. From each source s, Brandes'
+// dependency and Goh's load both spread one unit over the d(s,t) − 1
+// interior nodes of the shortest paths to each reachable t, and both
+// share the 1/((n−1)(n−2)) normalisation, so both means are Σ (d − 1)
+// over ordered reachable pairs divided by n(n−1)(n−2). Per node the two
+// differ wherever shortest paths are not unique; the means agree up to
+// floating-point rounding. Random multigraphs bring the self-loops,
+// parallel edges, disconnected parts and tied shortest paths.
+func TestMeanBetweennessEqualsMeanLoad(t *testing.T) {
+	graphs := []*Digraph{pathGraph(6), starGraph(5), cycleGraph(7)}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 200; i++ {
+		n := 3 + rng.Intn(10)
+		g := New(n)
+		for v := 1; v < n; v++ {
+			_ = g.AddEdge(rng.Intn(v), v)
+		}
+		graphs = append(graphs, g)
+	}
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(60)
+		graphs = append(graphs, randomMultigraph(rng, n, rng.Intn(3*n+1)))
+	}
+	for i, g := range graphs {
+		b, l := Mean(g.BetweennessCentrality()), Mean(g.LoadCentrality())
+		if diff := math.Abs(b - l); diff > 1e-12*math.Max(math.Abs(b), math.Abs(l)) {
+			t.Fatalf("graph %d (%d nodes): mean betweenness %v, mean load %v, relative gap %.3g",
+				i, g.N(), b, l, diff/math.Max(math.Abs(b), math.Abs(l)))
+		}
+	}
+}
+
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("mean of nil must be 0")

@@ -9,12 +9,11 @@ import (
 	"unsafe"
 )
 
-// Flat model blob: a versioned little-endian binary artifact for
-// FlatForest. Unlike the JSON wire format, which costs a full parse and a
-// node-stream rebuild, the blob *is* the in-memory representation: six raw
-// slab sections behind a fixed header, so loading is O(header) parsing plus
-// one checksum sweep, and LoadFlatBlobMapped aliases the slabs directly
-// over the caller's (possibly mmap-ed) buffer without copying at all.
+// Flat model blob (DMFB): the versioned little-endian binary artifact of a
+// FlatForest and the one on-disk model form written. The blob *is* the
+// in-memory representation: six raw slab sections behind a fixed header,
+// so loading is O(header) parsing plus one checksum sweep, with the slabs
+// aliasing the loader's read buffer instead of being decoded.
 //
 // Layout (all integers little-endian; sections 8-byte aligned, packed in
 // order, no gaps — the section table is validated against this canonical
@@ -34,13 +33,12 @@ import (
 //	         right int32[nNodes], threshold float64[nNodes],
 //	         p0 float64[nNodes], p1 float64[nNodes]
 //
-// Every blob accepted by the loaders passes the same semantic screens as
-// LoadForest (feature bounds, finite thresholds, leaf probabilities in
-// [0, 1], preorder tree shape, depth cap) plus canonical-payload checks
-// (leaves carry -1/0/0, internals carry zero probabilities, right indices
-// match the preorder structure), so a loaded blob scores
-// math.Float64bits-identical to the JSON-loaded forest and re-serializes
-// to byte-identical JSON and blob forms.
+// Every accepted blob passes the same semantic screens as a JSON import
+// (feature bounds, finite thresholds, leaf probabilities in [0, 1],
+// preorder tree shape, depth cap) plus canonical-payload checks (leaves
+// carry -1/0/0, internals carry zero probabilities, right indices match
+// the preorder structure), so the one accepted encoding of a forest
+// re-encodes byte-identically.
 const (
 	flatBlobMagic      = "DMFB"
 	flatBlobVersion    = 1
@@ -55,32 +53,16 @@ const flatBlobMaxNodes = math.MaxInt32 - 1
 
 // hostLittleEndian reports whether the running machine stores integers
 // little-endian — the blob's on-disk order. On such hosts slab encoding
-// and decoding are single memmoves (or, for LoadFlatBlobMapped, free);
-// big-endian hosts take the per-element fallback and stay correct.
+// is a single memmove and decoding aliases the buffer; big-endian hosts
+// take the per-element fallback and stay correct.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// IsFlatBlob reports whether data begins with the flat-blob magic; callers
-// use it to sniff model files before choosing a loader.
+// IsFlatBlob reports whether data begins with the flat-blob magic.
 func IsFlatBlob(data []byte) bool {
 	return len(data) >= len(flatBlobMagic) && string(data[:len(flatBlobMagic)]) == flatBlobMagic
-}
-
-// Config returns the training configuration the forest was built with.
-func (ff *FlatForest) Config() ForestConfig { return ff.cfg }
-
-// Config returns the training configuration the forest was built with.
-func (f *Forest) Config() ForestConfig { return f.cfg }
-
-// NumNodes returns the total node count across all trees.
-func (f *Forest) NumNodes() int {
-	n := 0
-	for _, t := range f.trees {
-		n += t.NodeCount()
-	}
-	return n
 }
 
 // blobLayout computes the canonical section offsets for a blob with the
@@ -172,8 +154,9 @@ func (ff *FlatForest) AppendFlatBlob(dst []byte) []byte {
 // BlobCRC returns the CRC-32 (IEEE) of the forest's canonical flat-blob
 // encoding — the same checksum a DMFB artifact stores at offset 8. Because
 // the v1 layout is byte-reproducible from the forest's contents, the value
-// is a stable identity for the trained model: equal across JSON, blob, and
-// in-memory forms, different for any forest that scores differently.
+// is a stable identity for the trained model: equal across a JSON import,
+// the blob, and the in-memory form, different for any forest that scores
+// differently.
 func (ff *FlatForest) BlobCRC() uint32 {
 	return crc32.ChecksumIEEE(ff.AppendFlatBlob(nil)[16:])
 }
@@ -186,14 +169,14 @@ func (ff *FlatForest) SaveFlatBlob(w io.Writer) error {
 	return nil
 }
 
-// i32Section returns section i of data as an []int32, aliasing the buffer
+// i32Section returns a section of data as an []int32, aliasing the buffer
 // when the host representation permits and copying otherwise.
-func i32Section(data []byte, off, count uint64, alias bool) []int32 {
+func i32Section(data []byte, off, count uint64) []int32 {
 	raw := data[off : off+4*count]
 	if count == 0 {
 		return []int32{}
 	}
-	if alias && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%4 == 0 {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%4 == 0 {
 		return unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), count)
 	}
 	out := make([]int32, count)
@@ -203,14 +186,14 @@ func i32Section(data []byte, off, count uint64, alias bool) []int32 {
 	return out
 }
 
-// f64Section returns section i of data as a []float64, aliasing when
+// f64Section returns a section of data as a []float64, aliasing when
 // possible (see i32Section) and copying bit-exactly otherwise.
-func f64Section(data []byte, off, count uint64, alias bool) []float64 {
+func f64Section(data []byte, off, count uint64) []float64 {
 	raw := data[off : off+8*count]
 	if count == 0 {
 		return []float64{}
 	}
-	if alias && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), count)
 	}
 	out := make([]float64, count)
@@ -228,23 +211,14 @@ func LoadFlatBlob(r io.Reader) (*FlatForest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ml: load flat blob: %w", err)
 	}
-	return parseFlatBlob(data, true)
-}
-
-// LoadFlatBlobMapped decodes a blob directly over data — typically an
-// mmap-ed model file — without copying the slabs: the returned forest
-// aliases data, which must stay live and unmodified for the forest's
-// lifetime. On hosts whose memory representation does not match the wire
-// format (big-endian, misaligned buffer) the slabs are copied instead;
-// scoring is identical either way.
-func LoadFlatBlobMapped(data []byte) (*FlatForest, error) {
-	return parseFlatBlob(data, true)
+	return parseFlatBlob(data)
 }
 
 // parseFlatBlob validates the header, checksum, canonical layout, and
-// node-stream semantics, then materializes the forest (aliasing data when
-// alias is set and the host representation allows).
-func parseFlatBlob(data []byte, alias bool) (*FlatForest, error) {
+// node-stream semantics, then materializes the forest over data (aliasing
+// it when the host representation allows). data must stay unmodified for
+// the forest's lifetime.
+func parseFlatBlob(data []byte) (*FlatForest, error) {
 	if len(data) < flatBlobHeaderSize {
 		return nil, fmt.Errorf("ml: flat blob truncated: %d bytes, header is %d", len(data), flatBlobHeaderSize)
 	}
@@ -301,12 +275,12 @@ func parseFlatBlob(data []byte, alias bool) (*FlatForest, error) {
 		}
 	}
 	ff := &FlatForest{
-		treeStart: i32Section(data, wantOffs[0][0], wantOffs[0][1], alias),
-		feature:   i32Section(data, wantOffs[1][0], wantOffs[1][1], alias),
-		right:     i32Section(data, wantOffs[2][0], wantOffs[2][1], alias),
-		threshold: f64Section(data, wantOffs[3][0], wantOffs[3][1], alias),
-		p0:        f64Section(data, wantOffs[4][0], wantOffs[4][1], alias),
-		p1:        f64Section(data, wantOffs[5][0], wantOffs[5][1], alias),
+		treeStart: i32Section(data, wantOffs[0][0], wantOffs[0][1]),
+		feature:   i32Section(data, wantOffs[1][0], wantOffs[1][1]),
+		right:     i32Section(data, wantOffs[2][0], wantOffs[2][1]),
+		threshold: f64Section(data, wantOffs[3][0], wantOffs[3][1]),
+		p0:        f64Section(data, wantOffs[4][0], wantOffs[4][1]),
+		p1:        f64Section(data, wantOffs[5][0], wantOffs[5][1]),
 		cfg: ForestConfig{
 			NumTrees:       int(cfgRaw[0]),
 			MaxFeatures:    int(cfgRaw[1]),
@@ -322,13 +296,13 @@ func parseFlatBlob(data []byte, alias bool) (*FlatForest, error) {
 	return ff, nil
 }
 
-// validateSlabs runs the LoadForest semantic screens over the decoded
+// validateSlabs runs the JSON import's semantic screens over the decoded
 // slabs: every tree must be a canonical preorder node stream with in-range
 // features, finite thresholds, leaf probabilities in [0, 1], depth under
 // maxModelDepth, and right-child indices exactly matching the preorder
 // structure. Canonical zero payloads (leaf threshold/right, internal
-// probabilities) are enforced too, which is what makes blob→JSON→blob
-// round trips byte-identical.
+// probabilities) are enforced too, which is what makes an accepted blob
+// re-encode byte-identically.
 func (ff *FlatForest) validateSlabs() error {
 	nt := ff.NumTrees()
 	nn := int32(len(ff.feature))

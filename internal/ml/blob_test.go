@@ -11,17 +11,15 @@ import (
 	"unsafe"
 )
 
-// blobFixture trains a forest, flattens it, and returns the flat form with
-// its blob encoding.
+// blobFixture trains a forest and returns it with its blob encoding.
 func blobFixture(tb testing.TB) (*FlatForest, []byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(91))
 	ds := gaussDataset(200, 6, 3, 1.5, rng)
-	f, err := TrainForest(ds, ForestConfig{NumTrees: 7, Seed: 13})
+	ff, err := TrainForest(ds, ForestConfig{NumTrees: 7, Seed: 13})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ff := f.Flatten()
 	return ff, ff.AppendFlatBlob(nil)
 }
 
@@ -30,17 +28,13 @@ func refixBlobCRC(b []byte) []byte {
 	return b
 }
 
-// TestFlatBlobRoundTrip pins the full artifact cycle: JSON → flat → blob →
-// flat is score-bit-identical, the blob-loaded forest re-saves to
-// byte-identical JSON and byte-identical blob, and the config survives.
+// TestFlatBlobRoundTrip pins the artifact cycle: trained → blob → loaded
+// is score-bit-identical, the loaded forest re-encodes to byte-identical
+// JSON and blob, and the config survives.
 func TestFlatBlobRoundTrip(t *testing.T) {
 	ff, blob := blobFixture(t)
 
 	loaded, err := LoadFlatBlob(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := LoadFlatBlobMapped(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +48,8 @@ func TestFlatBlobRoundTrip(t *testing.T) {
 	}
 	for i, x := range probeVectors(200, ff.NumFeatures(), rand.New(rand.NewSource(5))) {
 		want := ff.Score(x)
-		for name, g := range map[string]*FlatForest{"loaded": loaded, "mapped": mapped} {
-			if got := g.Score(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("probe %d: %s scores %v, original %v", i, name, got, want)
-			}
+		if got := loaded.Score(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("probe %d: loaded scores %v, original %v", i, got, want)
 		}
 		s1, v1, n1 := ff.ScoreWithVotes(x)
 		s2, v2, n2 := loaded.ScoreWithVotes(x)
@@ -67,10 +59,10 @@ func TestFlatBlobRoundTrip(t *testing.T) {
 	}
 
 	var jsonA, jsonB bytes.Buffer
-	if err := ff.Save(&jsonA); err != nil {
+	if err := writeJSON(&jsonA, ff); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Save(&jsonB); err != nil {
+	if err := writeJSON(&jsonB, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(jsonA.Bytes(), jsonB.Bytes()) {
@@ -84,26 +76,26 @@ func TestFlatBlobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlatBlobMappedAliasesBuffer proves the mapped loader is zero-copy on
-// little-endian hosts: the forest's slabs point into the caller's buffer.
+// TestFlatBlobMappedAliasesBuffer proves blob decoding is zero-copy on
+// little-endian hosts: the parsed forest's slabs point into the buffer it
+// was parsed from, and LoadFlatBlob parses its own private copy of r, so
+// mutating the caller's bytes afterwards cannot reach the forest.
 func TestFlatBlobMappedAliasesBuffer(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("aliasing requires a little-endian host")
 	}
 	ff, blob := blobFixture(t)
-	mapped, err := LoadFlatBlobMapped(blob)
+	parsed, err := parseFlatBlob(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	offs, _ := blobLayout(int64(ff.NumTrees()), int64(ff.NumNodes()))
-	if unsafe.Pointer(&mapped.treeStart[0]) != unsafe.Pointer(&blob[offs[0][0]]) {
+	if unsafe.Pointer(&parsed.treeStart[0]) != unsafe.Pointer(&blob[offs[0][0]]) {
 		t.Fatal("treeStart slab does not alias the buffer")
 	}
-	if unsafe.Pointer(&mapped.threshold[0]) != unsafe.Pointer(&blob[offs[3][0]]) {
+	if unsafe.Pointer(&parsed.threshold[0]) != unsafe.Pointer(&blob[offs[3][0]]) {
 		t.Fatal("threshold slab does not alias the buffer")
 	}
-	// LoadFlatBlob must NOT share the caller's bytes beyond its private copy:
-	// it reads from r, so mutating blob afterwards cannot affect it.
 	reader, err := LoadFlatBlob(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +188,8 @@ func TestLoadFlatBlobRejections(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		mutated := corrupt(append([]byte(nil), blob...))
-		_, rerr := LoadFlatBlob(bytes.NewReader(mutated))
-		_, merr := LoadFlatBlobMapped(mutated)
-		if rerr == nil || merr == nil {
-			t.Errorf("%s: loaded without error (reader %v, mapped %v)", name, rerr, merr)
+		if _, err := LoadFlatBlob(bytes.NewReader(mutated)); err == nil {
+			t.Errorf("%s: loaded without error", name)
 		}
 	}
 	// Control: the untouched blob still loads.
@@ -210,7 +200,7 @@ func TestLoadFlatBlobRejections(t *testing.T) {
 
 // combChainForest hand-builds a left-linear chain of the given depth in
 // slab form — the shape the JSON depth test uses, but constructed directly
-// because the JSON loaders reject it before a blob could be written.
+// because no loader accepts it, so no accepted model could be saved as it.
 func combChainForest(depth int) *FlatForest {
 	n := 2*depth + 1
 	ff := &FlatForest{
@@ -240,8 +230,8 @@ func combChainForest(depth int) *FlatForest {
 }
 
 // TestLoadFlatBlobDepthBound pins that the blob loader enforces the same
-// depth cap as the JSON loaders, against an adversarial blob no JSON
-// document could produce.
+// depth cap as the JSON importer, against an adversarial blob no trained
+// forest could produce.
 func TestLoadFlatBlobDepthBound(t *testing.T) {
 	deep := combChainForest(maxModelDepth + 10).AppendFlatBlob(nil)
 	if _, err := LoadFlatBlob(bytes.NewReader(deep)); err == nil {
@@ -255,11 +245,11 @@ func TestLoadFlatBlobDepthBound(t *testing.T) {
 	}
 }
 
-// FuzzLoadFlatBlob throws arbitrary bytes at the blob loaders. Invariants:
-// no panic; the reader and mapped forms agree on accept/reject; any
-// accepted blob re-encodes byte-identically, re-saves as JSON that the
-// strict JSON loaders accept, and all four resulting representations score
-// bit-identically.
+// FuzzLoadFlatBlob throws arbitrary bytes at the blob loader. Invariants:
+// no panic; any accepted blob re-encodes byte-identically; written out as
+// v1 JSON it imports back to the same blob, and the recursive oracle
+// loader accepts it too; and the blob-loaded, imported and pointer forms
+// score bit-identically.
 func FuzzLoadFlatBlob(f *testing.F) {
 	ff, blob := blobFixture(f)
 	offs, _ := blobLayout(int64(ff.NumTrees()), int64(ff.NumNodes()))
@@ -277,46 +267,57 @@ func FuzzLoadFlatBlob(f *testing.F) {
 	f.Add(refixBlobCRC(badThr))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fromReader, rerr := LoadFlatBlob(bytes.NewReader(data))
-		mapped, merr := LoadFlatBlobMapped(append([]byte(nil), data...))
-		if (rerr == nil) != (merr == nil) {
-			t.Fatalf("blob loaders disagree: reader err %v, mapped err %v", rerr, merr)
-		}
-		if rerr != nil {
+		loaded, err := LoadFlatBlob(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
-		if reblob := fromReader.AppendFlatBlob(nil); !bytes.Equal(reblob, data) {
+		if reblob := loaded.AppendFlatBlob(nil); !bytes.Equal(reblob, data) {
 			t.Fatal("accepted blob does not re-encode byte-identically")
 		}
 		var asJSON bytes.Buffer
-		if err := fromReader.Save(&asJSON); err != nil {
-			t.Fatalf("accepted blob does not re-save as JSON: %v", err)
+		if err := writeJSON(&asJSON, loaded); err != nil {
+			t.Fatalf("accepted blob does not write as JSON: %v", err)
 		}
-		ptr, err := LoadForest(bytes.NewReader(asJSON.Bytes()))
+		imported, err := LoadFlatForest(bytes.NewReader(asJSON.Bytes()))
 		if err != nil {
-			t.Fatalf("JSON loader rejects a blob-validated model: %v", err)
+			t.Fatalf("JSON importer rejects a blob-validated model: %v", err)
 		}
-		dim := fromReader.NumFeatures()
-		if dim == 0 {
-			for _, fi := range fromReader.feature {
-				if int(fi)+1 > dim {
-					dim = int(fi) + 1
-				}
-			}
-			if dim == 0 {
-				dim = 1
-			}
+		if !bytes.Equal(imported.AppendFlatBlob(nil), data) {
+			t.Fatal("blob -> JSON -> blob is not byte-identical")
 		}
-		x := make([]float64, dim)
-		for i := range x {
-			x[i] = float64(i%7) - 3
+		ptr, err := refLoadForest(bytes.NewReader(asJSON.Bytes()))
+		if err != nil {
+			t.Fatalf("recursive loader rejects a blob-validated model: %v", err)
 		}
-		rs, ms, ps := fromReader.Score(x), mapped.Score(x), ptr.Score(x)
-		if math.Float64bits(rs) != math.Float64bits(ms) || math.Float64bits(rs) != math.Float64bits(ps) {
-			t.Fatalf("representations score differently: %v / %v / %v", rs, ms, ps)
+		x := probeFor(loaded)
+		rs, is, ps := loaded.Score(x), imported.Score(x), ptr.Score(x)
+		if math.Float64bits(rs) != math.Float64bits(is) || math.Float64bits(rs) != math.Float64bits(ps) {
+			t.Fatalf("representations score differently: %v / %v / %v", rs, is, ps)
 		}
 		if math.IsNaN(rs) || rs < 0 || rs > 1 {
 			t.Fatalf("validated model scored %v, outside [0, 1]", rs)
 		}
 	})
+}
+
+// probeFor builds a deterministic probe vector for ff: its declared
+// dimensionality, or (legacy models with no feature count) one past the
+// widest feature index any node references.
+func probeFor(ff *FlatForest) []float64 {
+	dim := ff.NumFeatures()
+	if dim == 0 {
+		for _, fi := range ff.feature {
+			if int(fi)+1 > dim {
+				dim = int(fi) + 1
+			}
+		}
+		if dim == 0 {
+			dim = 1
+		}
+	}
+	x := make([]float64, dim)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	return x
 }

@@ -74,16 +74,14 @@ func CrossValidateVoting(ds *Dataset, cfg ForestConfig, k int, rng *rand.Rand) (
 			return EvalResult{}, err
 		}
 		for _, i := range test {
-			votes := 0
-			for _, t := range f.trees {
-				if t.Predict(ds.X[i]) == LabelInfection {
-					votes++
-				}
-			}
-			frac := float64(votes) / float64(len(f.trees))
-			allScores = append(allScores, frac)
+			_, votes, trees := f.ScoreWithVotes(ds.X[i])
+			allScores = append(allScores, float64(votes)/float64(trees))
 			allLabels = append(allLabels, ds.Y[i])
-			c.Add(ds.Y[i], f.PredictVote(ds.X[i]))
+			pred := LabelBenign
+			if 2*votes > trees {
+				pred = LabelInfection
+			}
+			c.Add(ds.Y[i], pred)
 		}
 	}
 	return EvalResult{

@@ -3,16 +3,15 @@ package ml
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
-// FlatForest is the ensemble in a contiguous struct-of-arrays layout: every
-// tree's nodes live preorder in one shared slab, so a traversal touches
-// sequential memory instead of chasing treeNode pointers, and the whole
-// model is four flat arrays — the representation a model-distribution
-// control plane can ship as one blob.
+// FlatForest is the trained ensemble in a contiguous struct-of-arrays
+// layout: every tree's nodes live preorder in one shared slab, so a
+// traversal touches sequential memory instead of chasing pointers, and the
+// whole model is six flat arrays — the representation the DMFB blob stores
+// verbatim and a model-distribution control plane can ship as one file.
+// It is the package's only model type: TrainForest returns it, every
+// loader produces it, and every scoring path walks it.
 //
 // Layout invariants (pinned by the differential tests in flat_test.go):
 //   - nodes are preorder per tree; tree t occupies [treeStart[t],
@@ -23,11 +22,10 @@ import (
 //     p0[i]/p1[i]; threshold and right are zero.
 //
 // Score and ScoreWithVotes accumulate per-tree leaf probabilities in tree
-// order and divide once, exactly like *Forest — the two are bit-identical
-// (math.Float64bits) on every input, so a FlatForest can replace the
-// pointer forest anywhere, including under the detector's journal rescoring
-// contract. FlatForest is immutable after construction and safe for
-// concurrent use.
+// order and divide once, so they are bit-identical (math.Float64bits) to
+// the pointer walk over the trees as trained — the detector's journal
+// rescoring contract relies on that. FlatForest is immutable after
+// construction and safe for concurrent use.
 type FlatForest struct {
 	feature   []int32
 	threshold []float64
@@ -38,25 +36,32 @@ type FlatForest struct {
 	nf        int
 }
 
-// Flatten converts the pointer forest into its contiguous representation.
-func (f *Forest) Flatten() *FlatForest {
-	nodes := 0
-	for _, t := range f.trees {
-		nodes += t.NodeCount()
-	}
-	ff := &FlatForest{
+// newFlatForest allocates empty slabs sized for nodes nodes across trees
+// trees.
+func newFlatForest(nodes, trees int, cfg ForestConfig, nf int) *FlatForest {
+	return &FlatForest{
 		feature:   make([]int32, 0, nodes),
 		threshold: make([]float64, 0, nodes),
 		right:     make([]int32, 0, nodes),
 		p0:        make([]float64, 0, nodes),
 		p1:        make([]float64, 0, nodes),
-		treeStart: make([]int32, 0, len(f.trees)+1),
-		cfg:       f.cfg,
-		nf:        f.nf,
+		treeStart: make([]int32, 0, trees+1),
+		cfg:       cfg,
+		nf:        nf,
 	}
-	for _, t := range f.trees {
+}
+
+// flatten lays the grown trees out in the slabs, once, at the end of
+// training.
+func flatten(roots []*treeNode, cfg ForestConfig, nf int) *FlatForest {
+	nodes := 0
+	for _, r := range roots {
+		nodes += countNodes(r)
+	}
+	ff := newFlatForest(nodes, len(roots), cfg, nf)
+	for _, r := range roots {
 		ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
-		ff.flattenNode(t.root)
+		ff.flattenNode(r)
 	}
 	ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
 	return ff
@@ -67,21 +72,33 @@ func (f *Forest) Flatten() *FlatForest {
 func (ff *FlatForest) flattenNode(n *treeNode) int32 {
 	i := int32(len(ff.feature))
 	if n.leaf {
-		ff.feature = append(ff.feature, -1)
-		ff.threshold = append(ff.threshold, 0)
-		ff.right = append(ff.right, 0)
-		ff.p0 = append(ff.p0, n.probs[0])
-		ff.p1 = append(ff.p1, n.probs[1])
+		ff.appendLeaf(n.probs[0], n.probs[1])
 		return i
 	}
-	ff.feature = append(ff.feature, int32(n.feature))
-	ff.threshold = append(ff.threshold, n.threshold)
-	ff.right = append(ff.right, 0) // patched after the left subtree lands
-	ff.p0 = append(ff.p0, 0)
-	ff.p1 = append(ff.p1, 0)
+	ff.appendInternal(n.feature, n.threshold)
 	ff.flattenNode(n.left)
 	ff.right[i] = ff.flattenNode(n.right)
 	return i
+}
+
+// appendLeaf appends a leaf with its canonical zero threshold and right
+// index.
+func (ff *FlatForest) appendLeaf(p0, p1 float64) {
+	ff.feature = append(ff.feature, -1)
+	ff.threshold = append(ff.threshold, 0)
+	ff.right = append(ff.right, 0)
+	ff.p0 = append(ff.p0, p0)
+	ff.p1 = append(ff.p1, p1)
+}
+
+// appendInternal appends a split node; its right index is patched once the
+// left subtree has landed.
+func (ff *FlatForest) appendInternal(feature int, threshold float64) {
+	ff.feature = append(ff.feature, int32(feature))
+	ff.threshold = append(ff.threshold, threshold)
+	ff.right = append(ff.right, 0)
+	ff.p0 = append(ff.p0, 0)
+	ff.p1 = append(ff.p1, 0)
 }
 
 // NumTrees returns the ensemble size.
@@ -93,6 +110,9 @@ func (ff *FlatForest) NumFeatures() int { return ff.nf }
 
 // NumNodes returns the total node count across all trees.
 func (ff *FlatForest) NumNodes() int { return len(ff.feature) }
+
+// Config returns the training configuration the forest was built with.
+func (ff *FlatForest) Config() ForestConfig { return ff.cfg }
 
 // checkDim guards traversal against mis-dimensioned vectors: a short
 // vector would otherwise die as a bare index-out-of-range deep inside the
@@ -123,8 +143,8 @@ func (ff *FlatForest) leafFor(t int, x []float64) int32 {
 	}
 }
 
-// Score returns the averaged probability that x is an infection —
-// bit-identical to Forest.Score.
+// Score returns the averaged probability that x is an infection: the mean
+// of P(infection) over all trees.
 //
 //dynalint:hotpath
 func (ff *FlatForest) Score(x []float64) float64 {
@@ -137,10 +157,12 @@ func (ff *FlatForest) Score(x []float64) float64 {
 	return sum / float64(nt)
 }
 
-// ScoreWithVotes returns the ensemble score with the per-tree vote tally,
-// accumulating in exactly the same order as Score (and as the pointer
-// forest), so the score is bit-identical — the detector's alert journal
-// relies on that.
+// ScoreWithVotes returns the ensemble score with the per-tree vote tally:
+// how many trees put the infection class above 0.5 for x. A trained leaf
+// holds p0 = c0/n and p1 = c1/n, so p1 > 0.5 is exactly the per-tree
+// majority rule p1 > p0. The score accumulates in exactly the same order
+// as Score, so it is bit-identical — the detector's alert journal relies
+// on that.
 //
 //dynalint:hotpath
 func (ff *FlatForest) ScoreWithVotes(x []float64) (score float64, votes, trees int) {
@@ -157,24 +179,23 @@ func (ff *FlatForest) ScoreWithVotes(x []float64) (score float64, votes, trees i
 	return sum / float64(nt), votes, nt
 }
 
-// Predict classifies x by probability averaging with a 0.5 threshold.
-//
-//dynalint:hotpath
-func (ff *FlatForest) Predict(x []float64) int {
-	if ff.Score(x) > 0.5 {
-		return LabelInfection
-	}
-	return LabelBenign
-}
-
-// scoreBatchKernel scores X[i] into dst[i] tree-outer: each tree's slab
-// region stays hot in cache while every sample traverses it, amortizing
-// the per-tree dispatch across the batch. Per sample the leaf
+// ScoreBatch evaluates the ensemble over X, writing the score of X[i]
+// into dst[i]. dst is grown only when its capacity is insufficient; the
+// (possibly reallocated) slice is returned, and nothing allocates when
+// dst has room. The walk is tree-outer: each tree's slab region stays hot
+// in cache while every sample traverses it. Per sample the leaf
 // probabilities still accumulate in tree order with one final divide, so
 // every dst[i] is bit-identical to Score(X[i]).
 //
 //dynalint:hotpath
-func (ff *FlatForest) scoreBatchKernel(dst []float64, X [][]float64) {
+func (ff *FlatForest) ScoreBatch(dst []float64, X [][]float64) []float64 {
+	for _, x := range X {
+		ff.checkDim(x)
+	}
+	if cap(dst) < len(X) {
+		dst = make([]float64, len(X))
+	}
+	dst = dst[:len(X)]
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -188,95 +209,15 @@ func (ff *FlatForest) scoreBatchKernel(dst []float64, X [][]float64) {
 	for i := range dst {
 		dst[i] /= inv
 	}
-}
-
-// ScoreBatch evaluates the ensemble over X, writing the score of X[i]
-// into dst[i]. dst is grown only when its capacity is insufficient; the
-// (possibly reallocated) slice is returned, and nothing allocates when
-// dst has room.
-//
-//dynalint:hotpath
-func (ff *FlatForest) ScoreBatch(dst []float64, X [][]float64) []float64 {
-	for _, x := range X {
-		ff.checkDim(x)
-	}
-	if cap(dst) < len(X) {
-		dst = make([]float64, len(X))
-	}
-	dst = dst[:len(X)]
-	ff.scoreBatchKernel(dst, X)
 	return dst
 }
 
-// ScoreBatchParallel evaluates the ensemble over X with worker goroutines
-// (0 means GOMAXPROCS), fanning sample chunks out and running the batch
-// kernel per chunk. Each score is written only to its own index, so the
-// result is bit-identical to ScoreBatch regardless of scheduling. Small
-// batches run sequentially.
-func (ff *FlatForest) ScoreBatchParallel(X [][]float64, workers int) []float64 {
-	for _, x := range X {
-		ff.checkDim(x)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(X)/scoreChunk {
-		workers = len(X) / scoreChunk
-	}
-	out := make([]float64, len(X))
-	if len(X) < scoresParallelCutoff || workers < 2 {
-		ff.scoreBatchKernel(out, X)
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(scoreChunk)) - scoreChunk
-				if lo >= len(X) {
-					return
-				}
-				hi := lo + scoreChunk
-				if hi > len(X) {
-					hi = len(X)
-				}
-				ff.scoreBatchKernel(out[lo:hi], X[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// Save serializes the flat forest in the same wire format as Forest.Save:
-// preorder node arrays per tree. The output is byte-identical to saving
-// the pointer forest the FlatForest was flattened from, so either
-// representation loads from either loader.
-func (ff *FlatForest) Save(w io.Writer) error {
-	wire := forestWire{Version: forestWireVersion, Features: ff.nf, Config: ff.cfg}
-	nt := ff.NumTrees()
-	for t := 0; t < nt; t++ {
-		var tw treeWire
-		for i := ff.treeStart[t]; i < ff.treeStart[t+1]; i++ {
-			if ff.feature[i] < 0 {
-				tw.Nodes = append(tw.Nodes, nodeWire{Leaf: true, P0: ff.p0[i], P1: ff.p1[i]})
-			} else {
-				tw.Nodes = append(tw.Nodes, nodeWire{Feature: int(ff.feature[i]), Threshold: ff.threshold[i]})
-			}
-		}
-		wire.Trees = append(wire.Trees, tw)
-	}
-	return writeForestWire(w, wire)
-}
-
-// LoadFlatForest deserializes a forest written by Forest.Save or
-// FlatForest.Save straight into the contiguous representation — the
-// preorder wire nodes are the slab, only the right-child indices are
-// reconstructed. The node stream is validated like LoadForest: feature
-// bounds, finite thresholds, probability ranges, tree shape, and depth.
+// LoadFlatForest imports a model in the v1 JSON wire format straight into
+// the slabs — the preorder wire nodes are the slab, only the right-child
+// indices are reconstructed. JSON is import-only: nothing in the package
+// writes it, and SaveFlatBlob is the one writer. The node stream is
+// validated like a blob: feature bounds, finite thresholds, probability
+// ranges, tree shape, and depth.
 func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 	wire, err := readForestWire(r)
 	if err != nil {
@@ -286,16 +227,7 @@ func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 	for _, tw := range wire.Trees {
 		nodes += len(tw.Nodes)
 	}
-	ff := &FlatForest{
-		feature:   make([]int32, 0, nodes),
-		threshold: make([]float64, 0, nodes),
-		right:     make([]int32, 0, nodes),
-		p0:        make([]float64, 0, nodes),
-		p1:        make([]float64, 0, nodes),
-		treeStart: make([]int32, 0, len(wire.Trees)+1),
-		cfg:       wire.Config,
-		nf:        wire.Features,
-	}
+	ff := newFlatForest(nodes, len(wire.Trees), wire.Config, wire.Features)
 	for ti, tw := range wire.Trees {
 		ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
 		if err := ff.appendTree(tw.Nodes, wire.Features); err != nil {
@@ -309,10 +241,10 @@ func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 // appendTree validates one preorder node stream and appends it to the
 // slab, patching right-child indices with an explicit stack (no recursion,
 // so adversarial streams cannot exhaust the goroutine stack; depth is
-// bounded by maxModelDepth like the pointer loader).
+// bounded by maxModelDepth).
 func (ff *FlatForest) appendTree(nodes []nodeWire, features int) error {
 	base := int32(len(ff.feature))
-	// pending holds slab indices of internal nodes: awaiting[i] false while
+	// stack holds slab indices of internal nodes: inRight is false while
 	// the left subtree parses, true while the right subtree parses.
 	type frame struct {
 		idx     int32
@@ -325,11 +257,7 @@ func (ff *FlatForest) appendTree(nodes []nodeWire, features int) error {
 		}
 		i := base + int32(pos)
 		if nw.Leaf {
-			ff.feature = append(ff.feature, -1)
-			ff.threshold = append(ff.threshold, 0)
-			ff.right = append(ff.right, 0)
-			ff.p0 = append(ff.p0, nw.P0)
-			ff.p1 = append(ff.p1, nw.P1)
+			ff.appendLeaf(nw.P0, nw.P1)
 			// A completed subtree either starts its parent's right subtree
 			// or completes the parent too, recursively up the stack.
 			for {
@@ -349,11 +277,7 @@ func (ff *FlatForest) appendTree(nodes []nodeWire, features int) error {
 			}
 			continue
 		}
-		ff.feature = append(ff.feature, int32(nw.Feature))
-		ff.threshold = append(ff.threshold, nw.Threshold)
-		ff.right = append(ff.right, 0)
-		ff.p0 = append(ff.p0, 0)
-		ff.p1 = append(ff.p1, 0)
+		ff.appendInternal(nw.Feature, nw.Threshold)
 		stack = append(stack, frame{idx: i})
 	}
 	return fmt.Errorf("truncated node stream at %d", len(nodes))

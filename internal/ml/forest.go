@@ -27,15 +27,6 @@ func DefaultForestConfig() ForestConfig {
 	return ForestConfig{NumTrees: 20, Seed: 1}
 }
 
-// Forest is an Ensemble Random Forest. Its Predict combines trees by
-// averaging their probabilistic predictions — the variance-reducing choice
-// the paper makes over majority voting.
-type Forest struct {
-	trees []*Tree
-	cfg   ForestConfig
-	nf    int // feature dimensionality the forest was trained on
-}
-
 // LogMaxFeatures is the paper's N_f rule: log2(numFeatures) + 1.
 func LogMaxFeatures(numFeatures int) int {
 	if numFeatures <= 1 {
@@ -44,8 +35,20 @@ func LogMaxFeatures(numFeatures int) int {
 	return int(math.Log2(float64(numFeatures))) + 1
 }
 
-// TrainForest trains the ensemble on ds.
-func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
+// TrainForest trains the Ensemble Random Forest on ds and returns it in the
+// one form every scoring path and the DMFB artifact use. The trees grow as
+// linked nodes and are flattened into the slabs once, at the end.
+func TrainForest(ds *Dataset, cfg ForestConfig) (*FlatForest, error) {
+	roots, err := growForest(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return flatten(roots, cfg, ds.NumFeatures()), nil
+}
+
+// growForest grows the ensemble's trees, each on its own bootstrap sample,
+// from one seeded RNG.
+func growForest(ds *Dataset, cfg ForestConfig) ([]*treeNode, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,87 +60,15 @@ func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
 		maxF = LogMaxFeatures(ds.NumFeatures())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{cfg: cfg, trees: make([]*Tree, cfg.NumTrees), nf: ds.NumFeatures()}
-	treeCfg := TreeConfig{
-		MaxFeatures:    maxF,
-		MinSamplesLeaf: cfg.MinSamplesLeaf,
-		MaxDepth:       cfg.MaxDepth,
+	treeCfg := treeConfig{
+		maxFeatures:    maxF,
+		minSamplesLeaf: cfg.MinSamplesLeaf,
+		maxDepth:       cfg.MaxDepth,
 	}
-	for i := range f.trees {
+	roots := make([]*treeNode, cfg.NumTrees)
+	for i := range roots {
 		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		f.trees[i] = TrainTree(sample, treeCfg, rng)
+		roots[i] = trainTree(sample, treeCfg, rng)
 	}
-	return f, nil
-}
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// NumFeatures returns the feature dimensionality the forest was trained
-// on (0 for forests loaded from files written before versioned metadata).
-func (f *Forest) NumFeatures() int { return f.nf }
-
-// checkDim guards tree traversal against mis-dimensioned vectors: a short
-// vector would otherwise die as a bare index-out-of-range deep inside
-// PredictProba. The named panic lets the detector's quarantine ladder
-// catch and attribute the fault. Forests loaded from files written before
-// versioned metadata have nf == 0 and stay unguarded.
-func (f *Forest) checkDim(x []float64) {
-	if f.nf > 0 && len(x) != f.nf {
-		panic(fmt.Sprintf("ml: Forest.Score: feature vector has %d features, forest was trained on %d", len(x), f.nf))
-	}
-}
-
-// Score returns the averaged probability that x is an infection: the mean
-// of P(infection) over all trees.
-func (f *Forest) Score(x []float64) float64 {
-	f.checkDim(x)
-	sum := 0.0
-	for _, t := range f.trees {
-		sum += t.PredictProba(x)[LabelInfection]
-	}
-	return sum / float64(len(f.trees))
-}
-
-// ScoreWithVotes returns the ensemble score together with the per-tree
-// vote tally: how many of the ensemble's trees put the infection class
-// above 0.5 for x. The score accumulates in exactly the same order as
-// Score, so the two are bit-identical — the detector's alert journal
-// relies on that to record the precise decision value.
-func (f *Forest) ScoreWithVotes(x []float64) (score float64, votes, trees int) {
-	f.checkDim(x)
-	sum := 0.0
-	for _, t := range f.trees {
-		p := t.PredictProba(x)[LabelInfection]
-		sum += p
-		if p > 0.5 {
-			votes++
-		}
-	}
-	return sum / float64(len(f.trees)), votes, len(f.trees)
-}
-
-// Predict classifies x by probability averaging with a 0.5 threshold.
-func (f *Forest) Predict(x []float64) int {
-	if f.Score(x) > 0.5 {
-		return LabelInfection
-	}
-	return LabelBenign
-}
-
-// PredictVote classifies x by per-tree majority vote — the standard random
-// forest rule the paper's ERF deliberately replaces. Kept for the voting
-// ablation experiment.
-func (f *Forest) PredictVote(x []float64) int {
-	f.checkDim(x)
-	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) == LabelInfection {
-			votes++
-		}
-	}
-	if 2*votes > len(f.trees) {
-		return LabelInfection
-	}
-	return LabelBenign
+	return roots, nil
 }

@@ -3,29 +3,23 @@ package ml
 import (
 	"bytes"
 	"math"
-	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
 
-// FuzzLoadForest throws arbitrary bytes at both loaders. The invariants:
-// neither loader may panic; both must agree on accepting or rejecting the
-// input; and any model that loads must score without panicking, with
-// bit-identical results from the pointer and flat representations — i.e.
-// load-time validation is strong enough that nothing semantically broken
+// FuzzLoadForest throws arbitrary bytes at the JSON importer and at the
+// recursive oracle loader. The invariants: neither may panic; both must
+// agree on accepting or rejecting the input; and any model that imports
+// must score without panicking, bit-identically to the pointer walk — i.e.
+// import-time validation is strong enough that nothing semantically broken
 // reaches the serve path.
 func FuzzLoadForest(f *testing.F) {
-	rng := rand.New(rand.NewSource(12))
-	ds := gaussDataset(80, 5, 2, 1.5, rng)
-	trained, err := TrainForest(ds, ForestConfig{NumTrees: 3, Seed: 6})
+	valid, err := os.ReadFile("testdata/seed7.json")
 	if err != nil {
 		f.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := trained.Save(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add([]byte(`{"version":1,"features":2,"trees":[{"nodes":[{"leaf":true,"p1":1}]}]}`))
 	f.Add([]byte(`{"version":1,"features":2,"trees":[{"nodes":[{"f":9,"t":1},{"leaf":true},{"leaf":true}]}]}`))
 	f.Add([]byte(`{"version":1,"trees":[{"nodes":[{"f":0,"t":1}]}]}`))
@@ -33,32 +27,15 @@ func FuzzLoadForest(f *testing.F) {
 	f.Add([]byte(strings.Repeat(`{"f":0,"t":0.5},`, 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ptr, perr := LoadForest(bytes.NewReader(data))
+		ptr, perr := refLoadForest(bytes.NewReader(data))
 		flat, ferr := LoadFlatForest(bytes.NewReader(data))
 		if (perr == nil) != (ferr == nil) {
-			t.Fatalf("loaders disagree: pointer err %v, flat err %v", perr, ferr)
+			t.Fatalf("loaders disagree: recursive err %v, importer err %v", perr, ferr)
 		}
 		if perr != nil {
 			return
 		}
-		// Any accepted model must serve: probe with the declared
-		// dimensionality, or (legacy files with no feature count) the
-		// widest feature index any node references.
-		dim := flat.NumFeatures()
-		if dim == 0 {
-			for _, fi := range flat.feature {
-				if int(fi)+1 > dim {
-					dim = int(fi) + 1
-				}
-			}
-			if dim == 0 {
-				dim = 1
-			}
-		}
-		x := make([]float64, dim)
-		for i := range x {
-			x[i] = float64(i%7) - 3
-		}
+		x := probeFor(flat)
 		ps := ptr.Score(x)
 		fs := flat.Score(x)
 		if math.Float64bits(ps) != math.Float64bits(fs) {

@@ -31,9 +31,6 @@ func (c Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
 // Precision is TP / (TP + FP).
 func (c Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
 
-// Accuracy is the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 { return ratio(c.TP+c.TN, c.TP+c.TN+c.FP+c.FN) }
-
 // FScore is the harmonic mean of precision and recall.
 func (c Confusion) FScore() float64 {
 	p, r := c.Precision(), c.TPR()
@@ -107,21 +104,6 @@ func AUC(curve []ROCPoint) float64 {
 	return area
 }
 
-// ThresholdForFPR returns the lowest score threshold whose false positive
-// rate does not exceed maxFPR, plus the TPR achieved there — the "best
-// balance between true positive and false positive rates" tuning the paper
-// describes. With no admissible threshold it returns 1.01 (flag nothing).
-func ThresholdForFPR(scores []float64, y []int, maxFPR float64) (threshold, tpr float64) {
-	curve := ROC(scores, y)
-	threshold, tpr = 1.01, 0
-	for _, p := range curve {
-		if p.FPR <= maxFPR && p.TPR >= tpr {
-			threshold, tpr = p.Threshold, p.TPR
-		}
-	}
-	return threshold, tpr
-}
-
 // EvalResult aggregates the evaluation-metric row reported per classifier
 // configuration (the columns of Table III).
 type EvalResult struct {
@@ -134,11 +116,9 @@ type EvalResult struct {
 
 // Evaluate scores X with the forest, thresholds at 0.5 for the confusion
 // matrix, and computes TPR/FPR/F-score plus ROC area. Scoring runs through
-// the flattened representation's tree-outer batch kernel — bit-identical
-// to the pointer walk by the FlatForest contract, at roughly half the
-// per-sample cost.
-func Evaluate(f *Forest, X [][]float64, y []int) EvalResult {
-	scores := f.Flatten().ScoreBatchParallel(X, 0)
+// the tree-outer batch kernel, bit-identical to per-sample Score.
+func Evaluate(f *FlatForest, X [][]float64, y []int) EvalResult {
+	scores := f.ScoreBatch(nil, X)
 	var c Confusion
 	for i, s := range scores {
 		pred := LabelBenign

@@ -7,9 +7,9 @@ import (
 	"math"
 )
 
-// Wire formats for persisting a trained forest. Node is flattened into a
-// preorder array so the JSON stays compact and version-checkable — and so
-// the same format loads directly into the contiguous FlatForest slabs.
+// The v1 JSON wire format, which models were saved in before DMFB and which
+// LoadFlatForest still imports. Each tree is a preorder node array, so the
+// format loads directly into the contiguous FlatForest slabs.
 type forestWire struct {
 	Version  int          `json:"version"`
 	Features int          `json:"features"`
@@ -40,22 +40,11 @@ const maxLegacyFeature = 1 << 16
 // maxModelDepth bounds the tree depth any loader accepts. Trained CART
 // trees peel at worst one sample per level, so real depth stays well under
 // the training-set size; an adversarial node stream, by contrast, could
-// nest millions of internal nodes and blow the goroutine stack in the
-// recursive unflattener before this bound existed.
+// nest millions of internal nodes and blow the goroutine stack of any
+// recursive walk.
 const maxModelDepth = 4096
 
-// writeForestWire encodes one wire record (shared by both Save paths so
-// the two representations serialize byte-identically).
-func writeForestWire(w io.Writer, wire forestWire) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire); err != nil {
-		return fmt.Errorf("ml: save forest: %w", err)
-	}
-	return nil
-}
-
-// readForestWire decodes and structurally screens one wire record (shared
-// by both loaders).
+// readForestWire decodes and structurally screens one wire record.
 func readForestWire(r io.Reader) (forestWire, error) {
 	var wire forestWire
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
@@ -75,7 +64,7 @@ func readForestWire(r io.Reader) (forestWire, error) {
 
 // validateNode screens one wire node before it joins a model. A bad node
 // that loads silently fails much later — a Feature beyond the trained
-// dimensionality indexes out of range in the middle of PredictProba at
+// dimensionality indexes out of range in the middle of a tree walk at
 // serve time, a NaN threshold mis-routes every traversal (NaN compares
 // false), out-of-range leaf probabilities corrupt the ensemble average —
 // so every bound is enforced here, at load, with a clear error.
@@ -104,76 +93,4 @@ func validateNode(nw nodeWire, features, depth int) error {
 		return fmt.Errorf("non-finite threshold %v", nw.Threshold)
 	}
 	return nil
-}
-
-// Save serializes the trained forest as JSON.
-func (f *Forest) Save(w io.Writer) error {
-	wire := forestWire{Version: forestWireVersion, Features: f.nf, Config: f.cfg}
-	for _, t := range f.trees {
-		var tw treeWire
-		flattenTree(t.root, &tw.Nodes)
-		wire.Trees = append(wire.Trees, tw)
-	}
-	return writeForestWire(w, wire)
-}
-
-func flattenTree(n *treeNode, out *[]nodeWire) {
-	if n.leaf {
-		*out = append(*out, nodeWire{Leaf: true, P0: n.probs[0], P1: n.probs[1]})
-		return
-	}
-	*out = append(*out, nodeWire{Feature: n.feature, Threshold: n.threshold})
-	flattenTree(n.left, out)
-	flattenTree(n.right, out)
-}
-
-// LoadForest deserializes a forest previously written by Save (or by
-// FlatForest.Save — the wire format is shared). Node streams are validated
-// semantically: feature bounds against the trained dimensionality, finite
-// thresholds, leaf probabilities in [0, 1], and bounded depth, so a
-// corrupt or adversarial model file is rejected here instead of panicking
-// deep inside PredictProba at serve time.
-func LoadForest(r io.Reader) (*Forest, error) {
-	wire, err := readForestWire(r)
-	if err != nil {
-		return nil, err
-	}
-	f := &Forest{cfg: wire.Config, nf: wire.Features}
-	for ti, tw := range wire.Trees {
-		pos := 0
-		root, err := unflattenTree(tw.Nodes, &pos, wire.Features, 0)
-		if err != nil {
-			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
-		}
-		if pos != len(tw.Nodes) {
-			return nil, fmt.Errorf("ml: tree %d: %d trailing nodes", ti, len(tw.Nodes)-pos)
-		}
-		f.trees = append(f.trees, &Tree{root: root})
-	}
-	return f, nil
-}
-
-func unflattenTree(nodes []nodeWire, pos *int, features, depth int) (*treeNode, error) {
-	if *pos >= len(nodes) {
-		return nil, fmt.Errorf("truncated node stream at %d", *pos)
-	}
-	nw := nodes[*pos]
-	if err := validateNode(nw, features, depth); err != nil {
-		return nil, fmt.Errorf("node %d: %w", *pos, err)
-	}
-	*pos++
-	if nw.Leaf {
-		n := &treeNode{leaf: true}
-		n.probs[0], n.probs[1] = nw.P0, nw.P1
-		return n, nil
-	}
-	left, err := unflattenTree(nodes, pos, features, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	right, err := unflattenTree(nodes, pos, features, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	return &treeNode{feature: nw.Feature, threshold: nw.Threshold, left: left, right: right}, nil
 }

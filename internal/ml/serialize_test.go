@@ -2,12 +2,17 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
 
+// TestForestSaveLoadRoundTrip pins the artifact cycle of a trained
+// forest: the DMFB it saves loads back through LoadModel as the same
+// forest, scoring bit-identically and re-encoding byte for byte.
 func TestForestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	ds := gaussDataset(200, 6, 3, 1.5, rng)
@@ -16,58 +21,63 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	if err := f.SaveFlatBlob(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadForest(&buf)
+	saved := append([]byte(nil), buf.Bytes()...)
+	g, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTrees() != f.NumTrees() {
-		t.Fatalf("trees = %d, want %d", g.NumTrees(), f.NumTrees())
+	if g.NumTrees() != f.NumTrees() || g.Config() != f.Config() {
+		t.Fatalf("loaded %d trees %+v, want %d trees %+v", g.NumTrees(), g.Config(), f.NumTrees(), f.Config())
+	}
+	if !bytes.Equal(g.AppendFlatBlob(nil), saved) {
+		t.Fatal("loaded forest does not re-encode to the saved blob")
 	}
 	for i := 0; i < 100; i++ {
 		x := make([]float64, 6)
 		for j := range x {
 			x[j] = rng.NormFloat64() * 2
 		}
-		if f.Score(x) != g.Score(x) {
+		if math.Float64bits(f.Score(x)) != math.Float64bits(g.Score(x)) {
 			t.Fatalf("scores differ on probe %d", i)
 		}
 	}
 }
 
 func TestLoadForestErrors(t *testing.T) {
-	if _, err := LoadForest(strings.NewReader("not json")); err == nil {
+	if err := loadBoth(t, "not json"); err == nil {
 		t.Fatal("garbage must error")
 	}
-	if _, err := LoadForest(strings.NewReader(`{"version":99,"trees":[{"nodes":[]}]}`)); err == nil {
+	if err := loadBoth(t, `{"version":99,"trees":[{"nodes":[]}]}`); err == nil {
 		t.Fatal("bad version must error")
 	}
-	if _, err := LoadForest(strings.NewReader(`{"version":1,"trees":[]}`)); err == nil {
+	if err := loadBoth(t, `{"version":1,"trees":[]}`); err == nil {
 		t.Fatal("empty forest must error")
 	}
 	// Truncated node stream.
-	if _, err := LoadForest(strings.NewReader(`{"version":1,"trees":[{"nodes":[{"f":0,"t":1}]}]}`)); err == nil {
+	if err := loadBoth(t, `{"version":1,"trees":[{"nodes":[{"f":0,"t":1}]}]}`); err == nil {
 		t.Fatal("truncated tree must error")
 	}
 	// Trailing nodes.
 	trailing := `{"version":1,"trees":[{"nodes":[{"leaf":true,"p0":1},{"leaf":true,"p1":1}]}]}`
-	if _, err := LoadForest(strings.NewReader(trailing)); err == nil {
+	if err := loadBoth(t, trailing); err == nil {
 		t.Fatal("trailing nodes must error")
 	}
 }
 
-// loadBoth runs both loaders over the same document and asserts they agree
-// on rejection; it returns the pointer loader's error.
+// loadBoth runs the JSON importer and the recursive oracle loader over the
+// same document and asserts they agree on rejection; it returns the
+// importer's error.
 func loadBoth(t *testing.T, doc string) error {
 	t.Helper()
-	_, perr := LoadForest(strings.NewReader(doc))
+	_, perr := refLoadForest(strings.NewReader(doc))
 	_, ferr := LoadFlatForest(strings.NewReader(doc))
 	if (perr == nil) != (ferr == nil) {
-		t.Fatalf("loaders disagree on %q: pointer %v, flat %v", doc, perr, ferr)
+		t.Fatalf("loaders disagree on %q: recursive %v, importer %v", doc, perr, ferr)
 	}
-	return perr
+	return ferr
 }
 
 // TestLoadForestSemanticValidation pins the load-time screens added after
@@ -115,10 +125,9 @@ func TestLoadForestNonFiniteThreshold(t *testing.T) {
 }
 
 // TestLoadForestDepthBound feeds both loaders an adversarially deep
-// left-linear chain. Before the bound, the recursive unflattener would
-// recurse once per node — a large enough stream could exhaust the
-// goroutine stack; now anything past maxModelDepth is rejected with a
-// clear error.
+// left-linear chain. Before the bound, the recursive loader would recurse
+// once per node — a large enough stream could exhaust the goroutine
+// stack; now anything past maxModelDepth is rejected with a clear error.
 func TestLoadForestDepthBound(t *testing.T) {
 	deepChain := func(depth int) string {
 		var sb strings.Builder
@@ -154,15 +163,52 @@ func TestSaveLoadPreservesFeatureCount(t *testing.T) {
 	if f.NumFeatures() != 9 {
 		t.Fatalf("trained NumFeatures = %d", f.NumFeatures())
 	}
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	var blob, doc bytes.Buffer
+	if err := f.SaveFlatBlob(&blob); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadForest(&buf)
+	if err := writeJSON(&doc, f); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*bytes.Buffer{"blob": &blob, "json": &doc} {
+		g, err := LoadModel(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.NumFeatures() != 9 {
+			t.Fatalf("%s: loaded NumFeatures = %d", name, g.NumFeatures())
+		}
+	}
+}
+
+// TestLoadModelImportsJSONFixture pins JSON import against checked-in
+// artifacts. testdata/seed7.json is the v1 JSON that `dynaminer train
+// -synthetic -seed 7 -trees 3` saved while training still wrote JSON, and
+// testdata/seed7.dmfb is what `dynaminer model convert` turned it into.
+// The JSON must load to the forest whose blob is that fixture, byte for
+// byte, with the CRC the fixture stores; the blob loads to the same forest.
+// (cmd/dynaminer checks that training today writes the same blob.)
+func TestLoadModelImportsJSONFixture(t *testing.T) {
+	blob, err := os.ReadFile("testdata/seed7.dmfb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumFeatures() != 9 {
-		t.Fatalf("loaded NumFeatures = %d", g.NumFeatures())
+	wantCRC := binary.LittleEndian.Uint32(blob[8:])
+	for _, name := range []string{"testdata/seed7.json", "testdata/seed7.dmfb"} {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff, err := LoadModel(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(ff.AppendFlatBlob(nil), blob) {
+			t.Fatalf("%s does not re-encode to the blob fixture", name)
+		}
+		if got := ff.BlobCRC(); got != wantCRC {
+			t.Fatalf("%s: BlobCRC %08x, fixture stores %08x", name, got, wantCRC)
+		}
 	}
 }

@@ -2,28 +2,23 @@ package ml
 
 import (
 	"math/rand"
+	"sort"
 )
 
-// TreeConfig controls CART growth.
-type TreeConfig struct {
-	// MaxFeatures is the number of candidate features sampled at each
+// treeConfig controls CART growth.
+type treeConfig struct {
+	// maxFeatures is the number of candidate features sampled at each
 	// split; 0 means all features.
-	MaxFeatures int
-	// MinSamplesLeaf is the minimum samples each side of a split must keep.
-	MinSamplesLeaf int
-	// MaxDepth bounds tree depth; 0 means unbounded.
-	MaxDepth int
+	maxFeatures int
+	// minSamplesLeaf is the minimum samples each side of a split must keep.
+	minSamplesLeaf int
+	// maxDepth bounds tree depth; 0 means unbounded.
+	maxDepth int
 }
 
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.MinSamplesLeaf < 1 {
-		c.MinSamplesLeaf = 1
-	}
-	return c
-}
-
-// treeNode is one node of a CART tree. Leaves carry the class probability
-// distribution of the training samples that reached them.
+// treeNode is one node of a CART tree while it grows. Leaves carry the
+// class probability distribution of the training samples that reached
+// them. Trained trees leave the package only as FlatForest slabs.
 type treeNode struct {
 	feature   int
 	threshold float64
@@ -33,24 +28,14 @@ type treeNode struct {
 	leaf      bool
 }
 
-// Tree is a trained CART decision tree predicting class probabilities.
-type Tree struct {
-	root *treeNode
-	cfg  TreeConfig
-}
-
-// TrainTree grows a CART tree on ds using Gini impurity. rng drives the
-// per-split feature subsampling (pass nil for deterministic use of all
-// features).
-func TrainTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
-	cfg = cfg.withDefaults()
-	t := &Tree{cfg: cfg}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
+// trainTree grows a CART tree on ds using Gini impurity and returns its
+// root. rng drives the per-split feature subsampling (nil uses every
+// feature at every split).
+func trainTree(ds *Dataset, cfg treeConfig, rng *rand.Rand) *treeNode {
+	if cfg.minSamplesLeaf < 1 {
+		cfg.minSamplesLeaf = 1
 	}
-	t.root = growTracked(ds, idx, cfg, rng, 0, nil, len(idx), newTrainScratch(ds))
-	return t
+	return grow(ds, allIndices(ds.Len()), cfg, rng, 0, newTrainScratch(ds))
 }
 
 func classCounts(ds *Dataset, idx []int) [numClasses]int {
@@ -83,13 +68,21 @@ func makeLeaf(counts [numClasses]int, total int) *treeNode {
 	return n
 }
 
+// countNodes returns the number of nodes in the subtree rooted at n.
+func countNodes(n *treeNode) int {
+	if n.leaf {
+		return 1
+	}
+	return 1 + countNodes(n.left) + countNodes(n.right)
+}
+
 // trainScratch holds per-training reusable buffers: the feature
 // permutation featureSample re-deals at every split, and the sorted
 // value/label pairs bestSplit scans per candidate feature. Before the
 // scratch existed, both were freshly allocated at every split and
-// dominated training allocations. One scratch serves a whole tree (and a
-// whole forest): splits consume their candidate list fully before any
-// recursion, so reuse never aliases live data.
+// dominated training allocations. One scratch serves a whole tree:
+// splits consume their candidate list fully before any recursion, so
+// reuse never aliases live data.
 type trainScratch struct {
 	perm []int
 	buf  []valueLabel
@@ -126,48 +119,80 @@ func featureSample(sc *trainScratch, nf, m int, rng *rand.Rand) []int {
 	return all[:m]
 }
 
-// PredictProba returns P(class) for the sample.
-func (t *Tree) PredictProba(x []float64) [numClasses]float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
+// grow grows the subtree over the sample indices idx. sc is the
+// per-training scratch every split borrows its buffers from.
+func grow(ds *Dataset, idx []int, cfg treeConfig, rng *rand.Rand, depth int, sc *trainScratch) *treeNode {
+	counts := classCounts(ds, idx)
+	total := len(idx)
+	pure := counts[0] == total || counts[1] == total
+	if pure || total < 2*cfg.minSamplesLeaf || (cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
+		return makeLeaf(counts, total)
+	}
+	feature, threshold := bestSplit(ds, idx, counts, cfg, rng, sc)
+	if feature < 0 {
+		return makeLeaf(counts, total)
+	}
+	var left, right []int
+	for _, j := range idx {
+		if ds.X[j][feature] <= threshold {
+			left = append(left, j)
 		} else {
-			n = n.right
+			right = append(right, j)
 		}
 	}
-	return n.probs
+	if len(left) == 0 || len(right) == 0 {
+		return makeLeaf(counts, total)
+	}
+	return &treeNode{
+		feature:   feature,
+		threshold: threshold,
+		left:      grow(ds, left, cfg, rng, depth+1, sc),
+		right:     grow(ds, right, cfg, rng, depth+1, sc),
+	}
 }
 
-// Predict returns the majority class for the sample.
-func (t *Tree) Predict(x []float64) int {
-	p := t.PredictProba(x)
-	if p[LabelInfection] > p[LabelBenign] {
-		return LabelInfection
-	}
-	return LabelBenign
-}
+// bestSplit finds the Gini-optimal (feature, threshold) over a feature
+// subsample; it returns feature -1 when no split improves purity. The
+// candidate list and the value/label buffer come out of the training
+// scratch; both are fully consumed before bestSplit returns, so the
+// recursion into child splits can reuse them.
+func bestSplit(ds *Dataset, idx []int, counts [numClasses]int, cfg treeConfig, rng *rand.Rand, sc *trainScratch) (feature int, threshold float64) {
+	total := len(idx)
+	parentGini := gini(counts, total)
+	candidates := featureSample(sc, ds.NumFeatures(), cfg.maxFeatures, rng)
+	feature = -1
+	gain := 0.0
 
-// Depth returns the depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n.leaf {
-		return 0
+	if cap(sc.buf) < total {
+		sc.buf = make([]valueLabel, total)
 	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
+	buf := sc.buf[:total]
+	for _, f := range candidates {
+		for i, j := range idx {
+			buf[i] = valueLabel{v: ds.X[j][f], y: ds.Y[j]}
+		}
+		sort.Slice(buf, func(a, b int) bool { return buf[a].v < buf[b].v })
+		var leftCounts [numClasses]int
+		for i := 0; i+1 < total; i++ {
+			leftCounts[buf[i].y]++
+			if buf[i].v == buf[i+1].v {
+				continue
+			}
+			nl, nr := i+1, total-i-1
+			if nl < cfg.minSamplesLeaf || nr < cfg.minSamplesLeaf {
+				continue
+			}
+			var rightCounts [numClasses]int
+			rightCounts[0] = counts[0] - leftCounts[0]
+			rightCounts[1] = counts[1] - leftCounts[1]
+			g := parentGini -
+				(float64(nl)*gini(leftCounts, nl)+float64(nr)*gini(rightCounts, nr))/float64(total)
+			if g > gain {
+				gain = g
+				feature = f
+				threshold = (buf[i].v + buf[i+1].v) / 2
+			}
+		}
 	}
-	return r + 1
-}
-
-// NodeCount returns the total number of nodes in the tree.
-func (t *Tree) NodeCount() int { return countNodes(t.root) }
-
-func countNodes(n *treeNode) int {
-	if n.leaf {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
+	return feature, threshold
 }

@@ -47,7 +47,7 @@ type AlertRecord struct {
 	Score     float64   `json:"score"`
 	Threshold float64   `json:"threshold"`
 	// Votes/Trees are the per-tree tally when the scorer exposes one
-	// (ml.Forest does): Votes trees of Trees put the infection class
+	// (ml.FlatForest does): Votes trees of Trees put the infection class
 	// above 0.5.
 	Votes int `json:"votes,omitempty"`
 	Trees int `json:"trees,omitempty"`

@@ -32,9 +32,7 @@ type Summary struct {
 	AvgInterTransact   time.Duration
 	Redirects          RedirectStats
 	PostDownloadEdges  int
-	UploadBytes        int64 // total request-body bytes
-	ExfilBytes         int64 // request-body bytes in the post-download stage
-	HasCallback        bool  // at least one post-download POST request
+	HasCallback        bool // at least one post-download POST request
 	DNT                bool
 	XFlashVersionSet   bool
 	DownloadedExploits int
@@ -78,10 +76,8 @@ func (w *WCG) Summarize() Summary {
 			uriLenSum += e.URILen
 			uriCount++
 			reqTimes = append(reqTimes, e.Time)
-			s.UploadBytes += int64(e.UploadSize)
 			if e.Stage == StagePostDownload {
 				s.PostDownloadEdges++
-				s.ExfilBytes += int64(e.UploadSize)
 				if e.Method == "POST" {
 					s.HasCallback = true
 				}

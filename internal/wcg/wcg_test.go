@@ -575,23 +575,3 @@ func TestWriteGraphML(t *testing.T) {
 		t.Fatalf("invalid XML: %v", err)
 	}
 }
-
-func TestUploadAndExfilBytes(t *testing.T) {
-	txs := anglerEpisode()
-	// Give the post-download POST beacons upload payloads.
-	for i := range txs {
-		if txs[i].Method == "POST" {
-			txs[i].ReqBodySize = 512
-		}
-	}
-	// And a pre-download POST-free upload to check staging separation.
-	txs[0].ReqBodySize = 64
-	w := FromTransactions(txs)
-	s := w.Summarize()
-	if s.UploadBytes != 64+3*512 {
-		t.Fatalf("upload bytes = %d, want %d", s.UploadBytes, 64+3*512)
-	}
-	if s.ExfilBytes != 3*512 {
-		t.Fatalf("exfil bytes = %d, want %d (post-download uploads only)", s.ExfilBytes, 3*512)
-	}
-}

@@ -149,7 +149,7 @@ func TestEveryAlertJournaled(t *testing.T) {
 		if len(r.Features) != NumFeatures {
 			t.Fatalf("record %d: %d features, want %d", i, len(r.Features), NumFeatures)
 		}
-		if got := clf.forest.Score(r.Features); math.Float64bits(got) != math.Float64bits(r.Score) {
+		if got := clf.flat.Score(r.Features); math.Float64bits(got) != math.Float64bits(r.Score) {
 			t.Fatalf("record %d: recorded features rescore to %v, recorded score is %v (not bit-identical)", i, got, r.Score)
 		}
 		if r.ClueHost == "" || r.CluePayload == "" {
