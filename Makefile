@@ -69,7 +69,8 @@ chaos:
 # ceiling), the DMFB blob loader, the JSON importer against its recursive
 # test oracle, the body sniffer's two differentials against its
 # regexp-only reference and the shortest-path sweep's differential
-# against the plain graph kernels (its minimizer is
+# against the plain graph kernels, which live only as the test oracle in
+# internal/graph/plain_ref_test.go (its minimizer is
 # capped at 1s: left at the default minute per new-coverage input it
 # stalled the run after ~3 s of a 10 s smoke). Regenerate the synth seeds
 # with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.

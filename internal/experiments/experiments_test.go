@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"net/netip"
+	"os"
 	"strings"
 	"testing"
 
@@ -457,6 +458,9 @@ func TestExtendedFeatures(t *testing.T) {
 	if res.Extended.ROCArea < res.Base.ROCArea-0.02 {
 		t.Fatalf("extended AUC %v well below base %v", res.Extended.ROCArea, res.Base.ROCArea)
 	}
+	// testdata/a7_small.txt is the A7 section of
+	// `go run ./cmd/experiments -scale small -seed 3 -only a7`.
+	requireGolden(t, "testdata/a7_small.txt", res.String())
 }
 
 func TestLearningCurve(t *testing.T) {
@@ -497,6 +501,15 @@ func TestCrossFamily(t *testing.T) {
 	}
 }
 
+// TestWriteMarkdownReport holds the small-scale report byte for byte to
+// testdata/report_small.md, which is what
+//
+//	go run ./cmd/experiments -scale small -seed 3 -markdown internal/experiments/testdata/report_small.md
+//
+// writes. Every paper table and figure is in it, so a change to the
+// feature kernels, the forest or the detector that moves any cell fails
+// here; such a change is a result, not a refactor, and regenerates the
+// file on purpose.
 func TestWriteMarkdownReport(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteMarkdownReport(&sb, smallOpts); err != nil {
@@ -513,6 +526,34 @@ func TestWriteMarkdownReport(t *testing.T) {
 			t.Fatalf("report missing %q", want)
 		}
 	}
+	requireGolden(t, "testdata/report_small.md", out)
+}
+
+// requireGolden fails with the first differing line when got is not
+// byte-identical to the file at path.
+func requireGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
+	}
+	t.Fatalf("%s differs", path)
 }
 
 func TestIPToHostByServerFoldsCase(t *testing.T) {

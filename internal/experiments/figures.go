@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"dynaminer/internal/graph"
+	"dynaminer/internal/features"
 	"dynaminer/internal/ml"
 	"dynaminer/internal/synth"
 	"dynaminer/internal/wcg"
@@ -193,8 +193,13 @@ func (a *classAverager) result(title string) PropResult {
 	return res
 }
 
+// figure3Slots are the feature-vector slots (0-based) behind Figure 3's
+// rows, in row order: f7, f8, f12, f9, f11, f10, f16–f23 and f25.
+var figure3Slots = []int{6, 7, 11, 8, 10, 9, 15, 16, 17, 18, 19, 20, 21, 22, 24}
+
 // Figure3 computes the average graph-property measures per class
-// (nodes, edges, diameter, degree, volume, centralities, connectedness).
+// (nodes, edges, diameter, degree, volume, centralities, connectedness),
+// reading the values the detector serves off each episode's WCG.
 func Figure3(eps []synth.Episode) PropResult {
 	avg := newClassAverager([]string{
 		"nodes", "edges", "diameter", "max-degree", "volume", "density",
@@ -202,17 +207,13 @@ func Figure3(eps []synth.Episode) PropResult {
 		"load-centrality", "node-connectivity", "clustering-coeff",
 		"neighbor-degree", "degree-connectivity", "pagerank",
 	})
+	vals := make([]float64, len(figure3Slots))
 	for i := range eps {
-		g := wcg.FromTransactions(eps[i].Txs).Graph()
-		avg.add(eps[i].Infection, []float64{
-			float64(g.N()), float64(g.M()), float64(g.Diameter()),
-			float64(g.MaxDegree()), float64(g.Volume()), g.Density(),
-			graph.Mean(g.DegreeCentrality()), graph.Mean(g.ClosenessCentrality()),
-			graph.Mean(g.BetweennessCentrality()), graph.Mean(g.LoadCentrality()),
-			float64(g.NodeConnectivity()), g.AvgClusteringCoefficient(),
-			graph.Mean(g.AvgNeighborDegrees()), g.AvgDegreeConnectivity(),
-			graph.Mean(g.PageRank(0.85, 100, 1e-10)),
-		})
+		v := features.Extract(wcg.FromTransactions(eps[i].Txs))
+		for j, slot := range figure3Slots {
+			vals[j] = v[slot]
+		}
+		avg.add(eps[i].Infection, vals)
 	}
 	return avg.result("Figure 3: avg graph properties")
 }
@@ -276,23 +277,19 @@ type SeriesResult struct {
 }
 
 // Figures7to9 computes the distributions of average node connectivity
-// (Fig. 7), average betweenness centrality (Fig. 8), and average closeness
-// centrality (Fig. 9).
+// (Fig. 7, f20), average betweenness centrality (Fig. 8, f18), and average
+// closeness centrality (Fig. 9, f17), as served off each episode's WCG.
 func Figures7to9(eps []synth.Episode) []SeriesResult {
 	metrics := []string{"avg-node-connectivity", "avg-betweenness-centrality", "avg-closeness-centrality"}
+	slots := [3]int{19, 17, 16}
 	var inf, ben [3][]float64
 	for i := range eps {
-		g := wcg.FromTransactions(eps[i].Txs).Graph()
-		vals := [3]float64{
-			float64(g.NodeConnectivity()),
-			graph.Mean(g.BetweennessCentrality()),
-			graph.Mean(g.ClosenessCentrality()),
-		}
-		for m := 0; m < 3; m++ {
+		v := features.Extract(wcg.FromTransactions(eps[i].Txs))
+		for m, slot := range slots {
 			if eps[i].Infection {
-				inf[m] = append(inf[m], vals[m])
+				inf[m] = append(inf[m], v[slot])
 			} else {
-				ben[m] = append(ben[m], vals[m])
+				ben[m] = append(ben[m], v[slot])
 			}
 		}
 	}

@@ -234,8 +234,9 @@ func (c *Cache) sync() {
 
 // recomputeTopology refreshes the GF slots that depend on the simple
 // structural projection, through the reusable scratch workspace: one
-// shortest-path sweep for the five path-derived slots, one kernel each for
-// the rest.
+// shortest-path sweep for the path-derived slots, one kernel each for
+// the rest. f19 Avg-Load-Centrality is a copy of f18: mean load equals
+// mean betweenness on every graph.
 //
 //dynalint:hotpath
 func (c *Cache) recomputeTopology(g *graph.Digraph) {
@@ -247,7 +248,7 @@ func (c *Cache) recomputeTopology(g *graph.Digraph) {
 	c.v[15] = graph.Mean(c.buf)
 	c.v[16] = ps.Closeness
 	c.v[17] = ps.Betweenness
-	c.v[18] = ps.Load
+	c.v[18] = ps.Betweenness
 	c.v[19] = float64(g.NodeConnectivityS(s))
 	c.v[20] = g.AvgClusteringCoefficientS(s)
 	c.buf = g.AvgNeighborDegreesInto(c.buf, s)

@@ -17,12 +17,16 @@ import (
 	"dynaminer/internal/wcg"
 )
 
-// plainExtract is the pre-cache extractor body, kept verbatim as the
-// oracle: Summarize plus the plain (allocating, from-scratch) graph
-// measures. The cache must reproduce its output bit for bit.
+// plainExtract is the from-scratch oracle of the cache: Summarize for the
+// HLF, HF and TF slots, the degree, density, volume and reciprocity counts
+// written out inline over the multigraph, and the graph kernels on a fresh
+// scratch for the topology slots (internal/graph holds those kernels to
+// its plain oracle bit for bit, on these same synthetic WCGs). The cache
+// must reproduce it bit for bit.
 func plainExtract(w *wcg.WCG) []float64 {
 	s := w.Summarize()
 	g := w.Graph()
+	n, m := g.N(), g.M()
 	v := make([]float64, NumFeatures)
 
 	v[0] = boolFeature(w.OriginKnown)
@@ -32,25 +36,50 @@ func plainExtract(w *wcg.WCG) []float64 {
 	v[4] = s.AvgURIsPerHost
 	v[5] = s.AvgURILength
 
-	v[6] = float64(g.N())
-	v[7] = float64(g.M())
-	v[8] = float64(g.MaxDegree())
-	v[9] = g.Density()
-	v[10] = float64(g.Volume())
-	v[11] = float64(g.Diameter())
-	v[12] = g.AvgInDegree()
-	v[13] = g.AvgOutDegree()
-	v[14] = g.Reciprocity()
-	v[15] = graph.Mean(g.DegreeCentrality())
-	v[16] = graph.Mean(g.ClosenessCentrality())
-	v[17] = graph.Mean(g.BetweennessCentrality())
-	v[18] = graph.Mean(g.LoadCentrality())
-	v[19] = float64(g.NodeConnectivity())
-	v[20] = g.AvgClusteringCoefficient()
-	v[21] = graph.Mean(g.AvgNeighborDegrees())
-	v[22] = g.AvgDegreeConnectivity()
-	v[23] = g.AvgNodesWithinK(knnRadius)
-	v[24] = graph.Mean(g.PageRank(0.85, 100, 1e-10))
+	maxDegree := 0
+	simple := make(map[[2]int]bool) // distinct directed pairs, no self-loops
+	for u := 0; u < n; u++ {
+		maxDegree = max(maxDegree, g.Degree(u))
+		for _, x := range g.OutNeighbors(u) {
+			if x != u {
+				simple[[2]int{u, x}] = true
+			}
+		}
+	}
+	reciprocated := 0
+	for e := range simple {
+		if simple[[2]int{e[1], e[0]}] {
+			reciprocated++
+		}
+	}
+	sc := graph.NewScratch()
+	ps := g.PathStatsS(knnRadius, sc)
+
+	v[6] = float64(n)
+	v[7] = float64(m)
+	v[8] = float64(maxDegree)
+	if n >= 2 {
+		v[9] = float64(len(simple)) / float64(n*(n-1))
+	}
+	v[10] = float64(2 * m)
+	v[11] = float64(ps.Diameter)
+	if n > 0 {
+		v[12] = float64(m) / float64(n)
+	}
+	v[13] = v[12]
+	if len(simple) > 0 {
+		v[14] = float64(reciprocated) / float64(len(simple))
+	}
+	v[15] = graph.Mean(g.DegreeCentralityInto(nil, sc))
+	v[16] = ps.Closeness
+	v[17] = ps.Betweenness
+	v[18] = ps.Betweenness // f19 is served as f18
+	v[19] = float64(g.NodeConnectivityS(sc))
+	v[20] = g.AvgClusteringCoefficientS(sc)
+	v[21] = graph.Mean(g.AvgNeighborDegreesInto(nil, sc))
+	v[22] = g.AvgDegreeConnectivityS(sc)
+	v[23] = ps.WithinK
+	v[24] = graph.Mean(g.PageRankInto(nil, sc, 0.85, 100, 1e-10))
 
 	v[25] = float64(s.GETs)
 	v[26] = float64(s.POSTs)

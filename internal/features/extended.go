@@ -32,23 +32,25 @@ func ExtendedName(i int) string {
 }
 
 // ExtractExtended computes the 37 Table II features plus 8 extended graph
-// measures.
+// measures. The extended measures share the extraction's scratch, so they
+// read the projections it already built.
 func ExtractExtended(w *wcg.WCG) []float64 {
-	base := Extract(w)
+	s := graph.NewScratch()
+	base := NewCache(w, s).Features()
 	g := w.Graph()
 	out := make([]float64, 0, NumExtendedFeatures)
 	out = append(out, base...)
 
-	out = append(out, float64(g.Radius()))
-	ecc := g.Eccentricities()
+	out = append(out, float64(g.Radius(s)))
+	ecc := g.Eccentricities(s)
 	eccF := make([]float64, len(ecc))
 	for i, e := range ecc {
 		eccF[i] = float64(e)
 	}
 	out = append(out, graph.Mean(eccF))
-	out = append(out, float64(g.Degeneracy()))
-	out = append(out, g.DegreeAssortativity())
-	sccs := g.StronglyConnectedComponents()
+	out = append(out, float64(g.Degeneracy(s)))
+	out = append(out, g.DegreeAssortativity(s))
+	sccs := g.StronglyConnectedComponents(s)
 	out = append(out, float64(len(sccs)))
 	largest := 0
 	if len(sccs) > 0 {

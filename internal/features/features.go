@@ -58,7 +58,7 @@ var names = [NumFeatures]string{
 	"Avg-Degree-Centrality",      // f16
 	"Avg-Closeness-Centrality",   // f17
 	"Avg-Betweenness-Centrality", // f18
-	"Avg-Load-Centrality",        // f19
+	"Avg-Load-Centrality",        // f19: served as a copy of f18 (EXPERIMENTS.md divergence 3)
 	"Avg-Node-Centrality",        // f20
 	"Avg-Clustering-Coefficient", // f21
 	"Avg-Neighbor-Degree",        // f22

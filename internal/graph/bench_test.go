@@ -24,59 +24,12 @@ func benchGraph(n int) *Digraph {
 	return g
 }
 
-func BenchmarkBetweenness200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.BetweennessCentrality()
-	}
-}
-
-func BenchmarkLoadCentrality200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.LoadCentrality()
-	}
-}
-
-func BenchmarkCloseness200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.ClosenessCentrality()
-	}
-}
-
-func BenchmarkNodeConnectivity200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.NodeConnectivity()
-	}
-}
-
-func BenchmarkPageRank200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.PageRank(0.85, 100, 1e-10)
-	}
-}
-
-func BenchmarkDiameter200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Diameter()
-	}
-}
-
 func BenchmarkCoreNumbers200(b *testing.B) {
 	g := benchGraph(200)
+	s := NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.CoreNumbers()
+		g.CoreNumbers(s)
 	}
 }
 
@@ -94,8 +47,8 @@ func benchScratch(b *testing.B, fn func(g *Digraph, s *Scratch)) {
 }
 
 // BenchmarkPathStatsScratch200 is the one sweep that stands where the
-// Diameter, Closeness, Betweenness, LoadCentrality and NodesWithinK
-// kernels above each run their own.
+// Diameter, Closeness, Betweenness and NodesWithinK oracle kernels
+// (plain_ref_test.go) each run their own.
 func BenchmarkPathStatsScratch200(b *testing.B) {
 	benchScratch(b, func(g *Digraph, s *Scratch) { g.PathStatsS(2, s) })
 }

@@ -1,81 +1,5 @@
 package graph
 
-// NodeConnectivity is the minimum number of nodes whose removal disconnects
-// the undirected simple projection (or isolates a node), computed exactly
-// via vertex-split max-flow between a fixed source and every non-neighbor,
-// plus neighbor-of-source pairs — the standard exact algorithm. It returns
-// 0 for disconnected graphs and n-1 for complete graphs.
-func (g *Digraph) NodeConnectivity() int {
-	adj := g.undirectedSimple()
-	n := len(adj)
-	if n < 2 {
-		return 0
-	}
-	if !g.IsConnected() {
-		return 0
-	}
-	// Complete graph: connectivity is n-1 and no vertex cut exists.
-	complete := true
-	for u := range adj {
-		if len(adj[u]) != n-1 {
-			complete = false
-			break
-		}
-	}
-	if complete {
-		return n - 1
-	}
-	// Pick a minimum-degree node as the fixed endpoint.
-	s := 0
-	for u := range adj {
-		if len(adj[u]) < len(adj[s]) {
-			s = u
-		}
-	}
-	best := n // upper bound
-	isNbr := make([]bool, n)
-	for _, v := range adj[s] {
-		isNbr[v] = true
-	}
-	for t := 0; t < n; t++ {
-		if t == s || isNbr[t] {
-			continue
-		}
-		if k := localNodeConnectivity(adj, s, t); k < best {
-			best = k
-		}
-	}
-	// Also consider cuts separating neighbors of s from each other.
-	for _, v := range adj[s] {
-		vNbr := make(map[int]bool, len(adj[v]))
-		for _, w := range adj[v] {
-			vNbr[w] = true
-		}
-		for t := 0; t < n; t++ {
-			if t == v || t == s || vNbr[t] {
-				continue
-			}
-			if k := localNodeConnectivity(adj, v, t); k < best {
-				best = k
-			}
-		}
-	}
-	if best == n {
-		best = n - 1
-	}
-	return best
-}
-
-// localNodeConnectivity computes the maximum number of internally
-// node-disjoint paths between s and t via unit-capacity max-flow on the
-// vertex-split graph: node u becomes u_in (2u) and u_out (2u+1) joined by a
-// unit arc; each undirected edge {u,v} becomes arcs u_out->v_in and
-// v_out->u_in.
-func localNodeConnectivity(adj [][]int, s, t int) int {
-	var ws flowWS
-	return localNodeConnectivityS(adj, s, t, &ws)
-}
-
 // flowArc is one residual arc of the vertex-split flow network.
 type flowArc struct {
 	to, rev int
@@ -84,7 +8,7 @@ type flowArc struct {
 
 // flowWS holds the Dinic max-flow state for localNodeConnectivityS. The
 // arc lists, level/iterator arrays, and BFS queue are reused across the
-// O(n·deg) flow computations one NodeConnectivity call performs — and, via
+// O(n·deg) flow computations one NodeConnectivityS call performs — and, via
 // Scratch, across every call on that scratch.
 type flowWS struct {
 	arcs  [][]flowArc
@@ -158,9 +82,11 @@ func (ws *flowWS) dfs(u, sink, f int) int {
 	return 0
 }
 
-// localNodeConnectivityS is localNodeConnectivity running entirely on the
-// reusable workspace: identical arc construction order and Dinic phases,
-// so the flow value matches the allocating form exactly.
+// localNodeConnectivityS computes the maximum number of internally
+// node-disjoint paths between s and t via unit-capacity max-flow (Dinic)
+// on the vertex-split graph, in the reusable workspace: node u becomes
+// u_in (2u) and u_out (2u+1) joined by a unit arc; each undirected edge
+// {u,v} becomes arcs u_out->v_in and v_out->u_in.
 func localNodeConnectivityS(adj [][]int, s, t int, ws *flowWS) int {
 	n := len(adj)
 	nn := 2 * n

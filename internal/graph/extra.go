@@ -5,78 +5,75 @@ import (
 	"sort"
 )
 
+// The extended measures behind the A7 ablation (features.ExtractExtended).
+// They read the Scratch's cached projections and run the shortest-path
+// sweep's BFS, so after the feature extraction on the same scratch they
+// rebuild nothing. Their results are freshly allocated: A7 is an offline
+// experiment, not the wire path.
+
+// eccentricity is the greatest distance the BFS bfsPaths last ran
+// reached: its queue holds the reached nodes in nondecreasing distance.
+func (s *Scratch) eccentricity() int { return s.dist[s.queue[len(s.queue)-1]] }
+
 // Eccentricities returns, for each node, the greatest shortest-path
 // distance to any node reachable from it in the undirected simple
 // projection. Isolated nodes have eccentricity 0.
-func (g *Digraph) Eccentricities() []int {
-	adj := g.undirectedSimple()
+func (g *Digraph) Eccentricities(s *Scratch) []int {
+	adj := s.undirected(g)
+	s.sizeSweep(len(adj))
 	ecc := make([]int, len(adj))
 	for u := range adj {
-		for _, d := range bfsDistances(adj, u) {
-			if d > ecc[u] {
-				ecc[u] = d
-			}
-		}
+		s.bfsPaths(adj, u)
+		ecc[u] = s.eccentricity()
 	}
 	return ecc
 }
 
 // Radius is the minimum eccentricity over the largest weakly connected
 // component (the standard definition restricted to stay finite on
-// fragmented conversation graphs). Zero for graphs with fewer than two
-// nodes.
-func (g *Digraph) Radius() int {
-	comps := g.ConnectedComponents()
-	if len(comps) == 0 || len(comps[0]) < 2 {
-		return 0
+// fragmented conversation graphs); of equally large components, the one
+// holding the smallest node id counts. Zero when that component has fewer
+// than two nodes.
+func (g *Digraph) Radius(s *Scratch) int {
+	adj := s.undirected(g)
+	n := len(adj)
+	s.sizeSweep(n)
+	s.marks = growBools(s.marks, n)
+	for i := range s.marks {
+		s.marks[i] = false
 	}
-	inBig := make(map[int]bool, len(comps[0]))
-	for _, u := range comps[0] {
-		inBig[u] = true
-	}
-	ecc := g.Eccentricities()
-	radius := -1
-	for u := range ecc {
-		if !inBig[u] {
+	// Components are met in order of their smallest node; a strictly
+	// larger one replaces the best so far.
+	root, size := 0, 0
+	for src := range adj {
+		if s.marks[src] {
 			continue
 		}
-		if radius < 0 || ecc[u] < radius {
-			radius = ecc[u]
+		s.bfsPaths(adj, src)
+		for _, v := range s.queue {
+			s.marks[v] = true
+		}
+		if len(s.queue) > size {
+			root, size = src, len(s.queue)
 		}
 	}
-	if radius < 0 {
+	if size < 2 {
 		return 0
+	}
+	radius := n
+	for u := range adj {
+		s.bfsPaths(adj, u)
+		if s.dist[root] >= 0 { // u is in root's component
+			radius = min(radius, s.eccentricity())
+		}
 	}
 	return radius
 }
 
-// Center returns the nodes of the largest component whose eccentricity
-// equals the radius, in ascending id order.
-func (g *Digraph) Center() []int {
-	comps := g.ConnectedComponents()
-	if len(comps) == 0 || len(comps[0]) < 2 {
-		return nil
-	}
-	inBig := make(map[int]bool, len(comps[0]))
-	for _, u := range comps[0] {
-		inBig[u] = true
-	}
-	radius := g.Radius()
-	ecc := g.Eccentricities()
-	var center []int
-	for u := range ecc {
-		if inBig[u] && ecc[u] == radius {
-			center = append(center, u)
-		}
-	}
-	sort.Ints(center)
-	return center
-}
-
 // StronglyConnectedComponents returns the SCCs of the directed simple
 // projection via Tarjan's algorithm (iterative), largest first.
-func (g *Digraph) StronglyConnectedComponents() [][]int {
-	adj := g.directedSimple()
+func (g *Digraph) StronglyConnectedComponents(s *Scratch) [][]int {
+	adj := s.directed(g)
 	n := len(adj)
 	const unvisited = -1
 	index := make([]int, n)
@@ -156,8 +153,8 @@ func (g *Digraph) StronglyConnectedComponents() [][]int {
 // CoreNumbers returns the k-core number of every node in the undirected
 // simple projection: the largest k such that the node belongs to a
 // subgraph where every node has degree >= k (Batagelj-Zaveršnik peeling).
-func (g *Digraph) CoreNumbers() []int {
-	adj := g.undirectedSimple()
+func (g *Digraph) CoreNumbers(s *Scratch) []int {
+	adj := s.undirected(g)
 	n := len(adj)
 	deg := make([]int, n)
 	maxDeg := 0
@@ -214,9 +211,9 @@ func (g *Digraph) CoreNumbers() []int {
 }
 
 // Degeneracy is the maximum core number (the graph's degeneracy).
-func (g *Digraph) Degeneracy() int {
+func (g *Digraph) Degeneracy(s *Scratch) int {
 	best := 0
-	for _, c := range g.CoreNumbers() {
+	for _, c := range g.CoreNumbers(s) {
 		if c > best {
 			best = c
 		}
@@ -224,28 +221,11 @@ func (g *Digraph) Degeneracy() int {
 	return best
 }
 
-// DegreeHistogram returns counts[d] = number of nodes with undirected
-// simple degree d.
-func (g *Digraph) DegreeHistogram() []int {
-	adj := g.undirectedSimple()
-	maxDeg := 0
-	for u := range adj {
-		if len(adj[u]) > maxDeg {
-			maxDeg = len(adj[u])
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for u := range adj {
-		counts[len(adj[u])]++
-	}
-	return counts
-}
-
 // DegreeAssortativity is the Pearson correlation of degrees across the
 // undirected simple edges (Newman's assortativity coefficient). Zero for
 // graphs without at least two edges or with constant degree.
-func (g *Digraph) DegreeAssortativity() float64 {
-	adj := g.undirectedSimple()
+func (g *Digraph) DegreeAssortativity(s *Scratch) float64 {
+	adj := s.undirected(g)
 	var xs, ys []float64
 	for u := range adj {
 		for _, v := range adj[u] {

@@ -30,17 +30,13 @@ type Scratch struct {
 	arenaD []int
 	deg    []int
 
-	// Shortest-path sweep temporaries (PathStatsS; NodeConnectivityS
-	// borrows dist and queue for its connectivity pre-check).
+	// Shortest-path sweep temporaries (PathStatsS; NodeConnectivityS and
+	// the extra.go measures borrow its BFS).
 	dist  []int
 	queue []int
-	order []int
-	level []int
 	sigma []float64
 	delta []float64
-	load  []float64
 	betw  []float64
-	loadc []float64
 	preds [][]int
 
 	// Single-pass temporaries.
@@ -82,12 +78,9 @@ func zeroFloats(s []float64) {
 // sizeSweep ensures the shortest-path temporaries cover n nodes.
 func (s *Scratch) sizeSweep(n int) {
 	s.dist = growInts(s.dist, n)
-	s.order = growInts(s.order, n)
 	s.sigma = growFloats(s.sigma, n)
 	s.delta = growFloats(s.delta, n)
-	s.load = growFloats(s.load, n)
 	s.betw = growFloats(s.betw, n)
-	s.loadc = growFloats(s.loadc, n)
 	if cap(s.queue) < n {
 		s.queue = make([]int, 0, n)
 	}
@@ -99,9 +92,10 @@ func (s *Scratch) sizeSweep(n int) {
 	s.preds = s.preds[:n]
 }
 
-// undirected returns the cached undirected simple projection of g,
-// rebuilding it (into reused storage) when the graph mutated. Adjacency
-// lists are sorted ascending, matching Digraph.undirectedSimple.
+// undirected returns the cached undirected simple projection of g
+// (parallel edges collapsed, self-loops removed), rebuilding it into
+// reused storage when the graph mutated. Adjacency lists are sorted
+// ascending.
 //
 //dynalint:hotpath
 func (s *Scratch) undirected(g *Digraph) [][]int {
@@ -197,8 +191,9 @@ func (s *Scratch) directed(g *Digraph) [][]int {
 	return s.dir
 }
 
-// DegreeCentralityInto writes DegreeCentrality into dst (resized as
-// needed) and returns it.
+// DegreeCentralityInto writes every node's undirected simple degree
+// normalized by n-1 (the NetworkX convention; all zero below two nodes)
+// into dst, resized as needed, and returns it.
 //
 //dynalint:hotpath
 func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
@@ -219,19 +214,22 @@ func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
 // PathStats is everything the feature extractor reads off shortest paths
 // in the undirected simple projection: the diameter, the mean number of
 // nodes within k hops, and the node-order means of Wasserman–Faust
-// closeness, Brandes betweenness and Goh load centrality.
+// closeness and Brandes betweenness centrality. Mean Goh load centrality
+// is not among them: on every graph it equals mean betweenness (both are
+// Σ (d − 1) over ordered reachable pairs under one normalisation), so the
+// extractor serves f19 as a copy of f18.
 type PathStats struct {
 	Diameter int
 	WithinK  float64
-	// Node-order means of the three centrality vectors.
-	Closeness, Betweenness, Load float64
+	// Node-order means of the two centrality vectors.
+	Closeness, Betweenness float64
 }
 
 // PathStatsS computes PathStats with one Brandes BFS per source. Every
-// float comes out of the expression the plain kernel uses, over the same
-// operands in the same order, so the fields are bit-identical to
-// Diameter(), AvgNodesWithinK(k), Mean(ClosenessCentrality()),
-// Mean(BetweennessCentrality()) and Mean(LoadCentrality()).
+// float comes out of the expression the test oracle uses
+// (plain_ref_test.go), over the same operands in the same order, so the
+// fields are bit-identical to Diameter(), AvgNodesWithinK(k),
+// Mean(ClosenessCentrality()) and Mean(BetweennessCentrality()).
 //
 //dynalint:hotpath
 func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
@@ -243,7 +241,6 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 	}
 	s.sizeSweep(n)
 	zeroFloats(s.betw)
-	zeroFloats(s.loadc)
 	within := 0
 	closeness := 0.0
 	for src := range adj {
@@ -268,7 +265,6 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 		}
 		if n >= 3 {
 			s.accumulateDependencies()
-			s.accumulateLoad(src)
 		}
 	}
 	ps.WithinK = float64(within) / float64(n)
@@ -277,10 +273,8 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 		norm := 1 / (float64(n-1) * float64(n-2))
 		for i := range s.betw {
 			s.betw[i] *= norm
-			s.loadc[i] *= norm
 		}
 		ps.Betweenness = Mean(s.betw)
-		ps.Load = Mean(s.loadc)
 	}
 	return ps
 }
@@ -335,55 +329,14 @@ func (s *Scratch) accumulateDependencies() {
 	}
 }
 
-// accumulateLoad routes one unit of commodity from src to every reachable
-// node along shortest paths (Goh load), adding the transit load into
-// s.loadc. Nodes are drained farthest level first and in ascending id
-// inside a level — the order LoadCentrality's stable sort by decreasing
-// distance produces — found by a counting sort over the BFS levels.
-//
-//dynalint:hotpath
-func (s *Scratch) accumulateLoad(src int) {
-	reached := s.queue[1:]
-	if len(reached) == 0 {
-		return
-	}
-	dist, load := s.dist, s.load
-	ecc := dist[reached[len(reached)-1]]
-	s.level = growInts(s.level, ecc+1)
-	level := s.level // level[d]: next slot in order for a node at distance d
-	for d := range level {
-		level[d] = 0
-	}
-	for _, v := range reached {
-		level[dist[v]]++
-	}
-	at := 0
-	for d := ecc; d > 0; d-- {
-		at, level[d] = at+level[d], at
-	}
-	order := s.order[:len(reached)]
-	for v, d := range dist {
-		if d > 0 {
-			order[level[d]] = v
-			level[d]++
-			load[v] = 1 // each node must receive one unit from src
-		}
-	}
-	for _, w := range order {
-		share := load[w] / float64(len(s.preds[w]))
-		for _, v := range s.preds[w] {
-			if v != src {
-				s.loadc[v] += share
-			}
-			load[v] += share
-		}
-	}
-}
-
-// NodeConnectivityS is NodeConnectivity reusing the scratch projection,
-// the sweep buffers for the connectivity pre-check, and the scratch's
-// max-flow workspace for the inner vertex-split Dinic runs, so a warm
-// scratch computes connectivity without allocating. Two exact bounds keep
+// NodeConnectivityS is the minimum number of nodes whose removal
+// disconnects the undirected simple projection (or isolates a node): 0
+// for a disconnected graph, n-1 for a complete one, otherwise the exact
+// vertex-split max-flow search between a minimum-degree node and every
+// non-neighbour, plus neighbour-of-source pairs. It runs on the scratch
+// projection, the sweep's BFS for the connectivity pre-check, and the
+// scratch's max-flow workspace, so a warm scratch computes connectivity
+// without allocating. Two exact bounds keep
 // the common shapes off the flow loops: a connected graph has κ ≥ 1 and
 // every graph κ ≤ δ, so a degree-1 node settles κ = 1 outright, and the
 // search stops the moment any pair's local connectivity reaches 1.
@@ -475,9 +428,10 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// AvgClusteringCoefficientS is AvgClusteringCoefficient using scratch
-// storage; the mean is accumulated in node order, matching
-// Mean(ClusteringCoefficients()).
+// AvgClusteringCoefficientS is the mean local clustering coefficient
+// (f21) of the undirected simple projection: per node, the fraction of
+// pairs of its neighbours that are themselves adjacent (zero below
+// degree 2), accumulated in node order.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
@@ -515,7 +469,9 @@ func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
 	return sum / float64(n)
 }
 
-// AvgNeighborDegreesInto writes AvgNeighborDegrees into dst and returns it.
+// AvgNeighborDegreesInto writes, for each node, the mean undirected simple
+// degree of its neighbours (f22; zero for isolated nodes) into dst and
+// returns it.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
@@ -535,9 +491,11 @@ func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
 	return dst
 }
 
-// AvgDegreeConnectivityS is AvgDegreeConnectivity using scratch storage:
-// per-degree sums in slice buckets, combined in ascending-degree order —
-// the same deterministic order the map-based implementation sorts into.
+// AvgDegreeConnectivityS is "average degree for connected nodes" (f23) as
+// one scalar: the NetworkX average degree connectivity (for each degree
+// k, the mean neighbour degree over nodes of degree k) averaged over the
+// degrees present. Per-degree sums live in slice buckets and combine in
+// ascending-degree order, so the low bits are deterministic.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
@@ -581,8 +539,11 @@ func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 	return total / float64(degrees)
 }
 
-// PageRankInto writes PageRank into dst and returns it, using scratch
-// storage for the directed projection and the iteration vectors.
+// PageRankInto writes PageRank with damping factor d over the directed
+// simple projection into dst and returns it: power iteration for up to
+// iters rounds, stopping early when the L1 change drops below tol, with
+// dangling mass redistributed uniformly. The projection and the second
+// iteration vector live in the scratch.
 //
 //dynalint:hotpath
 func (g *Digraph) PageRankInto(dst []float64, s *Scratch, d float64, iters int, tol float64) []float64 {

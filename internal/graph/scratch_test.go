@@ -47,13 +47,12 @@ func sameScalar(t *testing.T, name string, got, want float64) {
 }
 
 // checkPathStats holds the one shortest-path sweep and the bounded
-// connectivity to the plain kernels they replace callers of.
+// connectivity to the oracle kernels in plain_ref_test.go.
 func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
 	diameter := g.Diameter()
 	closeness := Mean(g.ClosenessCentrality())
 	betweenness := Mean(g.BetweennessCentrality())
-	load := Mean(g.LoadCentrality())
 	for _, k := range []int{2, 1} {
 		ps := g.PathStatsS(k, s)
 		if ps.Diameter != diameter {
@@ -62,16 +61,16 @@ func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
 		sameScalar(t, "WithinK", ps.WithinK, g.AvgNodesWithinK(k))
 		sameScalar(t, "Closeness", ps.Closeness, closeness)
 		sameScalar(t, "Betweenness", ps.Betweenness, betweenness)
-		sameScalar(t, "Load", ps.Load, load)
 	}
 	if got, want := g.NodeConnectivityS(s), g.NodeConnectivity(); got != want {
 		t.Fatalf("NodeConnectivityS = %d, want %d", got, want)
 	}
 }
 
-// checkScratchMatches runs every scratch variant against its plain
-// counterpart on g, reusing s across calls.
-func checkScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
+// CheckScratchMatches runs every Scratch kernel against its oracle on g,
+// reusing s across calls. It is exported for the external differential
+// over synthetic WCGs (synth_wcg_test.go).
+func CheckScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
 	checkPathStats(t, g, s)
 	sameFloats(t, "DegreeCentrality", g.DegreeCentralityInto(nil, s), g.DegreeCentrality())
@@ -87,7 +86,7 @@ func TestScratchMatchesPlain(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(40)
 		g := randomMultigraph(rng, n, rng.Intn(4*n))
-		checkScratchMatches(t, g, s)
+		CheckScratchMatches(t, g, s)
 	}
 }
 
@@ -120,7 +119,7 @@ func chainClientGraph(n int) *Digraph {
 }
 
 // TestPathStatsMatchesPlain is the standing differential behind the fused
-// sweep: bit-for-bit against the five plain kernels (and NodeConnectivityS
+// sweep: bit-for-bit against the four oracle kernels (and NodeConnectivityS
 // against NodeConnectivity) on random multigraphs with self-loops, parallel
 // edges and several components, on the regular families, on the watched
 // chain-client shape at every size it passes through, and with one Scratch
@@ -192,7 +191,7 @@ func TestScratchInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := NewScratch()
 	g := randomMultigraph(rng, 10, 20)
-	checkScratchMatches(t, g, s)
+	CheckScratchMatches(t, g, s)
 	for i := 0; i < 15; i++ {
 		if rng.Intn(4) == 0 {
 			g.AddNode()
@@ -202,12 +201,12 @@ func TestScratchInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkScratchMatches(t, g, s)
+		CheckScratchMatches(t, g, s)
 	}
 	// Switch to a different graph mid-stream.
 	h := randomMultigraph(rng, 25, 70)
-	checkScratchMatches(t, h, s)
-	checkScratchMatches(t, g, s)
+	CheckScratchMatches(t, h, s)
+	CheckScratchMatches(t, g, s)
 }
 
 func TestScratchTinyGraphs(t *testing.T) {
@@ -219,7 +218,7 @@ func TestScratchTinyGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkScratchMatches(t, g, s)
+		CheckScratchMatches(t, g, s)
 	}
 }
 

@@ -54,25 +54,28 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				}
 			}
 		}
-		// The maintained counters must match a from-scratch recomputation.
+		// The maintained counters must match a from-scratch count of the
+		// distinct directed host pairs (self-loops excluded) and of those
+		// whose reverse pair also exists.
 		w := ib.Live()
 		g := w.Graph()
-		pairs, recip := w.SimpleEdgeStats()
-		wantDensity := g.Density()
-		var gotDensity float64
-		if n := len(w.Nodes); n >= 2 {
-			gotDensity = float64(pairs) / float64(n*(n-1))
+		simple := make(map[[2]int]bool)
+		for u := 0; u < g.N(); u++ {
+			for _, v := range g.OutNeighbors(u) {
+				if v != u {
+					simple[[2]int{u, v}] = true
+				}
+			}
 		}
-		if gotDensity != wantDensity {
-			t.Fatalf("episode %d: density from counters %v != %v", ei, gotDensity, wantDensity)
+		wantRecip := 0
+		for e := range simple {
+			if simple[[2]int{e[1], e[0]}] {
+				wantRecip++
+			}
 		}
-		wantRecip := g.Reciprocity()
-		var gotRecip float64
-		if pairs > 0 {
-			gotRecip = float64(recip) / float64(pairs)
-		}
-		if gotRecip != wantRecip {
-			t.Fatalf("episode %d: reciprocity from counters %v != %v", ei, gotRecip, wantRecip)
+		if pairs, recip := w.SimpleEdgeStats(); pairs != len(simple) || recip != wantRecip {
+			t.Fatalf("episode %d: counters give %d pairs (%d reciprocated), recount gives %d (%d)",
+				ei, pairs, recip, len(simple), wantRecip)
 		}
 		hosts, uris := w.HostURIStats()
 		s := w.Summarize()

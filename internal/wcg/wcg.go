@@ -372,8 +372,10 @@ func topLevelDomain(host string) string {
 
 // HostOfURL extracts the host part of an absolute or schemeless URL,
 // lowercased: DNS names are case-insensitive, and node identity (here and
-// in the detector's cluster linkage) keys on the host string. A relative
-// or empty URL has no host of its own and yields "".
+// in the detector's cluster linkage) keys on the host string. Userinfo
+// (the authority up to its last '@') and the port are dropped, and a
+// bracketed IPv6 literal yields the address inside the brackets. A
+// relative or empty URL has no host of its own and yields "".
 func HostOfURL(raw string) string {
 	s := raw
 	if i := strings.Index(s, "://"); i >= 0 {
@@ -383,11 +385,19 @@ func HostOfURL(raw string) string {
 	} else if strings.HasPrefix(s, "/") {
 		return "" // relative: same host
 	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '/', '?', '#', ':':
-			return strings.ToLower(s[:i])
+	if i := strings.IndexAny(s, "/?#"); i >= 0 {
+		s = s[:i] // the authority
+	}
+	if i := strings.LastIndexByte(s, '@'); i >= 0 {
+		s = s[i+1:]
+	}
+	if strings.HasPrefix(s, "[") {
+		s = s[1:]
+		if i := strings.IndexByte(s, ']'); i >= 0 {
+			s = s[:i]
 		}
+	} else if i := strings.IndexByte(s, ':'); i >= 0 {
+		s = s[:i]
 	}
 	return strings.ToLower(s)
 }

@@ -111,6 +111,33 @@ func TestHostOfURL(t *testing.T) {
 	}
 }
 
+// TestHostOfURLAuthority pins the authority forms a Location or Referer
+// can carry beyond host[:port]. Cutting at the first ':' gave "[2001" for
+// every IPv6 literal, so two IPv6 hosts sharing a first group became one
+// WCG node, and gave "user" for a URL with userinfo.
+func TestHostOfURLAuthority(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"http://[2001:db8::1]:8080/", "2001:db8::1"},
+		{"http://[2001:db8::2]/x", "2001:db8::2"},
+		{"//[2001:DB8::A]/lib.js", "2001:db8::a"},
+		{"http://[::1]", "::1"},
+		{"http://[2001:db8::1", "2001:db8::1"}, // unterminated bracket
+		{"http://user:pw@host.example/", "host.example"},
+		{"http://user@Host.Example:8080/p", "host.example"},
+		{"http://a@b:c@evil.example/", "evil.example"}, // up to the last '@'
+		{"http://user:pw@[2001:db8::3]:443/", "2001:db8::3"},
+		{"http://host.example/path@elsewhere", "host.example"},
+		{"http://host.example?next=a@b", "host.example"},
+		{"http://host.example#frag@x", "host.example"},
+		{"user:pw@bare.example/p", "bare.example"},
+	}
+	for _, tc := range cases {
+		if got := HostOfURL(tc.in); got != tc.want {
+			t.Errorf("HostOfURL(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestHostCaseFolding(t *testing.T) {
 	// Host, Referer, and Location headers that disagree on case must all
 	// resolve to one lowercase node per DNS name; otherwise referrer
