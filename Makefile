@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 lint bench benchcheck benchpair chaos fuzz
+.PHONY: all build tier1 tier2 lint benchcheck benchpair chaos fuzz
 
 all: tier1
 
@@ -66,14 +66,16 @@ chaos:
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
 # of the checked-in seed corpus (testdata/fuzz), plus the frame decoder,
 # the capture readers (streaming against collecting, with an allocation
-# ceiling), the DMFB blob loader, the JSON importer against its recursive
-# test oracle, the body sniffer's two differentials against its
-# regexp-only reference and the shortest-path sweep's differential
+# ceiling), the DMCP checkpoint reader (allocation ceiling, restore
+# against the info count), the DMFB blob loader, the JSON importer against
+# its recursive test oracle, the body sniffer's two differentials against
+# its regexp-only reference and the shortest-path sweep's differential
 # against the plain graph kernels, which live only as the test oracle in
-# internal/graph/plain_ref_test.go (its minimizer is
-# capped at 1s: left at the default minute per new-coverage input it
-# stalled the run after ~3 s of a 10 s smoke). Regenerate the synth seeds
-# with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
+# internal/graph/plain_ref_test.go. That differential and the checkpoint
+# reader cap their minimizers at 1s: left at the default minute per
+# new-coverage input, each stalled the run after ~3 s of a 10 s smoke.
+# Regenerate the synth seeds with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test
+# ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
@@ -81,29 +83,9 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseRequests$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/detector -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzPathStats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-
-# Bench: run the benchmark suite and record the parsed results as JSON.
-# BENCH_PATTERN narrows the run (CI smokes just the classify trio);
-# BENCH_OUT names the committed record for this PR. BENCH_GATE, when
-# set, is a benchjson ns/op ratio assertion such as
-# 'ClassifyInstrumented/ClassifyIncremental<=1.05' — the observability
-# overhead bar — and fails the target when violated. BENCH_BASELINE +
-# BENCH_BASELINE_GATE gate one benchmark's ns/op against a committed
-# prior record (e.g. 'ClassifyIncremental<=1.05' vs BENCH_8.json).
-BENCH_PATTERN ?= .
-BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_10.json
-BENCH_GATE ?=
-BENCH_BASELINE ?=
-BENCH_BASELINE_GATE ?=
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCHTIME) -count 1 -benchmem . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCH_OUT) \
-		$(if $(BENCH_GATE),-gate '$(BENCH_GATE)') \
-		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \
-		$(if $(BENCH_BASELINE_GATE),-baseline-gate '$(BENCH_BASELINE_GATE)')

@@ -190,7 +190,9 @@ func appendHeader(dst []byte, h http.Header) []byte {
 
 // ckptReader is a bounds-checked little-endian cursor over a checkpoint
 // body; every read returns a named error instead of panicking on
-// truncated or hostile input.
+// truncated or hostile input. No count field sizes an allocation: slices
+// and maps grow only as the entries they count are read, so a count that
+// no bytes back fails as truncated before it costs memory.
 type ckptReader struct {
 	b   []byte
 	off int
@@ -288,7 +290,7 @@ func (r *ckptReader) header() (http.Header, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	h := make(http.Header, n)
+	h := make(http.Header)
 	for i := uint32(0); i < n; i++ {
 		k, err := r.str()
 		if err != nil {
@@ -298,7 +300,7 @@ func (r *ckptReader) header() (http.Header, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]string, 0, nv)
+		var vals []string
 		for j := uint32(0); j < nv; j++ {
 			v, err := r.str()
 			if err != nil {
@@ -358,7 +360,6 @@ func (r *ckptReader) cluster() (*clusterSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs.txs = make([]httpstream.Transaction, 0, n)
 	for i := uint32(0); i < n; i++ {
 		tx, err := r.tx()
 		if err != nil {

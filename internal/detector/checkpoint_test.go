@@ -1,9 +1,14 @@
 package detector
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"net/http"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -259,4 +264,116 @@ func TestMarkAlertedDedup(t *testing.T) {
 	if alerts := recovered.Process(growth); len(alerts) != 0 {
 		t.Fatalf("marked watch re-fired the journaled alert: %+v", alerts)
 	}
+}
+
+// oneClusterCheckpoint is a one-shard, one-cluster DMCP artifact with a
+// valid CRC whose cluster claims txCount transactions encoded in txs. With
+// no txs it is 84 bytes long.
+func oneClusterCheckpoint(txCount uint32, txs []byte) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(checkpointMagic), make([]byte, checkpointHdrLen-len(checkpointMagic))...)
+	le.PutUint32(b[4:], checkpointVersion)
+	b = le.AppendUint64(b, 1) // model generation
+	b = le.AppendUint32(b, 0) // model CRC
+	b = le.AppendUint32(b, 1) // shards
+	b = le.AppendUint64(b, 0) // txSeen
+	b = le.AppendUint32(b, 1) // clusters
+	b = le.AppendUint64(b, 0) // cluster ID
+	b = appendAddr(b, netip.MustParseAddr("10.0.0.1"))
+	b = append(b, ckptWatching, 0)
+	b = le.AppendUint64(b, 0) // pinned generation
+	b = le.AppendUint32(b, 0) // pinned CRC
+	b = appendTime(b, time.Time{})
+	b = le.AppendUint32(b, txCount)
+	b = append(b, txs...)
+	return resealCheckpoint(b)
+}
+
+// resealCheckpoint stores the CRC of b's body in its header.
+func resealCheckpoint(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[8:], crc32.ChecksumIEEE(b[checkpointHdrLen:]))
+	return b
+}
+
+// hostileRequest is a transaction cut off after its request header's key
+// count, which claims keys entries.
+func hostileRequest(keys uint32) []byte {
+	b := appendAddr(nil, netip.MustParseAddr("10.0.0.1"))
+	b = appendAddr(b, netip.MustParseAddr("10.0.0.2"))
+	b = binary.LittleEndian.AppendUint16(b, 1234)
+	b = binary.LittleEndian.AppendUint16(b, 80)
+	b = appendString(b, "GET")
+	b = appendString(b, "/")
+	b = appendString(b, "h.test")
+	return binary.LittleEndian.AppendUint32(b, keys)
+}
+
+// TestHostileCheckpointCountsAllocateNothing is the regression test for
+// count fields that sized allocations before any bytes backed them: an
+// 84-byte checkpoint claiming 2^24 transactions made ReadCheckpointInfo
+// allocate 3.7 GB before it reported the truncation. A count no bytes back
+// must fail as truncated having cost next to nothing, in both readers.
+func TestHostileCheckpointCountsAllocateNothing(t *testing.T) {
+	const many = 1 << 20
+	hostileValues := binary.LittleEndian.AppendUint32(appendString(hostileRequest(1), "X-Key"), many)
+	cases := map[string][]byte{
+		"transactions":  oneClusterCheckpoint(many, nil),
+		"header keys":   oneClusterCheckpoint(1, hostileRequest(many)),
+		"header values": oneClusterCheckpoint(1, hostileValues),
+	}
+	for name, data := range cases {
+		for op, read := range map[string]func() error{
+			"info":    func() error { _, err := ReadCheckpointInfo(data); return err },
+			"restore": func() error { _, err := New(Config{Shards: 1}, constScorer(0.9)).RestoreCheckpoint(data); return err },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s/%s: %d-byte hostile checkpoint accepted", name, op, len(data))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s/%s: reading %d bytes allocated %d", name, op, len(data), got)
+			}
+		}
+	}
+}
+
+// FuzzReadCheckpoint drives the DMCP reader with arbitrary bodies, resealed
+// so mutations reach the parser rather than stop at the CRC screen
+// (TestCheckpointRejectsDamage covers that). No count field may size an
+// allocation: reading stays under a constant plus 64 bytes per input byte,
+// about three times what the densest encoding (transactions of one-key
+// headers) costs to decode. Whatever restores must restore without
+// panicking, as many clusters as the info reader counts.
+func FuzzReadCheckpoint(f *testing.F) {
+	live := New(Config{Shards: 2, RedirectThreshold: 3}, constScorer(0.9))
+	live.ProcessAll(interleaved(infectionStream()))
+	f.Add(live.AppendCheckpoint(nil))
+	tiny := appendTx(nil, &httpstream.Transaction{ReqHdr: http.Header{"": nil}, RespHdr: http.Header{"": nil}})
+	f.Add(oneClusterCheckpoint(64, bytes.Repeat(tiny, 64)))
+	f.Add(oneClusterCheckpoint(1<<20, nil))
+	f.Add(oneClusterCheckpoint(1, hostileRequest(1<<20)))
+	f.Add([]byte(checkpointMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= checkpointHdrLen {
+			data = resealCheckpoint(bytes.Clone(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		info, err := ReadCheckpointInfo(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(data)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, want at most %d", len(data), got, limit)
+		}
+		if err != nil || info.Shards < 1 || info.Shards > 8 {
+			return
+		}
+		n, err := New(Config{Shards: info.Shards}, constScorer(0.9)).RestoreCheckpoint(data)
+		if err == nil && n != info.Clusters {
+			t.Fatalf("restored %d clusters, info counts %d", n, info.Clusters)
+		}
+	})
 }

@@ -4,7 +4,8 @@
 // (Table III, Table IV, Figure 10), the independent validation against the
 // simulated AV ensemble (Table V), and both case studies (Section VI-C and
 // Table VI). Each experiment returns a structured result with a String
-// rendering; cmd/experiments and the root bench suite share this code.
+// rendering for cmd/experiments; the package tests pin the renderings
+// against golden files (DESIGN.md §4).
 package experiments
 
 import (

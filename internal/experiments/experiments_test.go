@@ -11,7 +11,8 @@ import (
 	"dynaminer/internal/synth"
 )
 
-// smallOpts keeps unit tests quick; the benches run paper scale.
+// smallOpts keeps unit tests quick; TestWriteMarkdownReportPaperScale
+// pins the paper-scale report.
 var smallOpts = Options{
 	Seed:            3,
 	TrainInfections: 160,
@@ -328,7 +329,7 @@ func TestTableVI(t *testing.T) {
 func TestAblations(t *testing.T) {
 	ds := BuildDataset(GroundTruth(smallOpts))
 
-	a1, err := AblationClueThreshold(smallOpts, 30)
+	a1, err := AblationClueThreshold(smallOpts, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +343,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("detection rate rose with threshold: %v", a1.Rows)
 		}
 	}
+	requireAblation(t, "A1", a1.String())
 
 	a2, err := AblationTrees(ds, smallOpts)
 	if err != nil {
@@ -354,6 +356,7 @@ func TestAblations(t *testing.T) {
 	if a2.Rows[3].ROCArea < a2.Rows[0].ROCArea {
 		t.Errorf("20 trees AUC %v below single tree %v", a2.Rows[3].ROCArea, a2.Rows[0].ROCArea)
 	}
+	requireAblation(t, "A2", a2.String())
 
 	a3, err := AblationVoting(ds, smallOpts)
 	if err != nil {
@@ -366,6 +369,7 @@ func TestAblations(t *testing.T) {
 	if a3.Rows[0].ROCArea < a3.Rows[1].ROCArea-0.02 {
 		t.Errorf("averaging AUC %v well below voting %v", a3.Rows[0].ROCArea, a3.Rows[1].ROCArea)
 	}
+	requireAblation(t, "A3", a3.String())
 }
 
 func TestEvasion(t *testing.T) {
@@ -406,7 +410,7 @@ func TestEvasion(t *testing.T) {
 }
 
 func TestPerFamily(t *testing.T) {
-	res, err := PerFamily(smallOpts, 20)
+	res, err := PerFamily(smallOpts, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +429,11 @@ func TestPerFamily(t *testing.T) {
 	if frac := float64(detected) / float64(total); frac < 0.85 {
 		t.Fatalf("overall per-family TPR = %v, want high", frac)
 	}
+	requireAblation(t, "A5", res.String())
 }
 
 func TestDetectionLatency(t *testing.T) {
-	res, err := DetectionLatency(smallOpts, 40)
+	res, err := DetectionLatency(smallOpts, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,6 +448,7 @@ func TestDetectionLatency(t *testing.T) {
 	if res.MedianRemaining <= 0 {
 		t.Fatal("alerts should preempt part of the conversation")
 	}
+	requireAblation(t, "A6", res.String())
 }
 
 func TestExtendedFeatures(t *testing.T) {
@@ -483,10 +489,11 @@ func TestLearningCurve(t *testing.T) {
 	if last.TPR < 0.9 {
 		t.Fatalf("full-data TPR = %v", last.TPR)
 	}
+	requireAblation(t, "A8", res.String())
 }
 
 func TestCrossFamily(t *testing.T) {
-	res, err := CrossFamily(smallOpts, 25)
+	res, err := CrossFamily(smallOpts, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +506,7 @@ func TestCrossFamily(t *testing.T) {
 	if res.MinTPR() < 0.6 {
 		t.Fatalf("worst held-out family TPR = %v", res.MinTPR())
 	}
+	requireAblation(t, "A9", res.String())
 }
 
 // TestWriteMarkdownReport holds the small-scale report byte for byte to
@@ -529,6 +537,22 @@ func TestWriteMarkdownReport(t *testing.T) {
 	requireGolden(t, "testdata/report_small.md", out)
 }
 
+// TestWriteMarkdownReportPaperScale holds the paper-scale report (the
+// zero Options are the paper's dataset sizes) byte for byte to
+// testdata/report_paper.md, which is what
+//
+//	go run ./cmd/experiments -seed 1 -markdown internal/experiments/testdata/report_paper.md
+//
+// writes. These are the numbers EXPERIMENTS.md quotes; a failure names
+// the first line that moved.
+func TestWriteMarkdownReportPaperScale(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteMarkdownReport(&sb, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	requireGolden(t, "testdata/report_paper.md", sb.String())
+}
+
 // requireGolden fails with the first differing line when got is not
 // byte-identical to the file at path.
 func requireGolden(t *testing.T, path, got string) {
@@ -537,10 +561,49 @@ func requireGolden(t *testing.T, path, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == string(want) {
+	requireLines(t, path, 1, got, string(want))
+}
+
+// requireAblation holds got to the body of the "==== <id>: ..." section of
+// testdata/ablations_small.txt, which is what
+//
+//	go run ./cmd/experiments -scale small -seed 3 -only a1,a2,a3,a5,a6,a8,a9 | grep -v '^done in' > internal/experiments/testdata/ablations_small.txt
+//
+// writes. The tests call the ablations with the episode counts
+// cmd/experiments uses, so each section is their String rendering.
+func requireAblation(t *testing.T, id, got string) {
+	t.Helper()
+	const path = "testdata/ablations_small.txt"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	start := 0
+	for start < len(lines) && !strings.HasPrefix(lines[start], "==== "+id+": ") {
+		start++
+	}
+	if start == len(lines) {
+		t.Fatalf("%s has no %s section", path, id)
+	}
+	start++
+	end := start
+	for end < len(lines) && !strings.HasPrefix(lines[end], "==== ") {
+		end++
+	}
+	// The blank line before the next header separates sections.
+	want := strings.TrimSuffix(strings.Join(lines[start:end], ""), "\n")
+	requireLines(t, path, start+1, got, want)
+}
+
+// requireLines fails with the first line where got and want differ,
+// numbered as a line of path when want starts at line first.
+func requireLines(t *testing.T, path string, first int, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) || i < len(wl); i++ {
 		var g, w string
 		if i < len(gl) {
@@ -550,7 +613,7 @@ func requireGolden(t *testing.T, path, got string) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+			t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q", path, first+i, g, w)
 		}
 	}
 	t.Fatalf("%s differs", path)

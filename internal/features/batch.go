@@ -5,64 +5,13 @@ import (
 	"dynaminer/internal/wcg"
 )
 
-// BatchExtractor materializes many WCG feature vectors into one contiguous
+// ExtractBatch materializes many WCG feature vectors into one contiguous
 // []float64 slab (stride NumFeatures), the layout ml.FlatForest.ScoreBatch
 // consumes. One Cache and one graph.Scratch are Reset-reused across every
-// episode, so a warm extractor featurizes a whole batch without allocating:
-// the per-episode NewCache + private-scratch churn of calling Extract in a
-// loop is the single largest allocation source in the offline pipeline.
-//
-// The returned vectors alias the extractor's slab and stay valid only
-// until the next Extract call; callers that retain vectors (dataset
-// builders) should use the one-shot ExtractBatch, whose slab the caller
-// owns outright.
-//
-// A BatchExtractor is not safe for concurrent use.
-type BatchExtractor struct {
-	cache   Cache
-	scratch *graph.Scratch
-	slab    []float64
-	views   [][]float64
-}
-
-// NewBatchExtractor returns an empty extractor with its own scratch.
-func NewBatchExtractor() *BatchExtractor {
-	return &BatchExtractor{scratch: graph.NewScratch()}
-}
-
-// Extract featurizes every WCG into the reused slab and returns one
-// stride-NumFeatures view per input. Views are invalidated by the next
-// Extract on this extractor.
-//
-//dynalint:hotpath
-func (be *BatchExtractor) Extract(ws []*wcg.WCG) [][]float64 {
-	n := len(ws) * NumFeatures
-	if cap(be.slab) < n {
-		be.slab = make([]float64, 0, n)
-	}
-	be.slab = be.slab[:n]
-	if cap(be.views) < len(ws) {
-		be.views = make([][]float64, 0, len(ws))
-	}
-	be.views = be.views[:len(ws)]
-	for i, w := range ws {
-		be.cache.Reset(w, be.scratch)
-		v := be.slab[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
-		be.views[i] = be.cache.FeaturesInto(v)
-	}
-	return be.views
-}
-
-// Slab returns the backing array of the last Extract: len(ws)*NumFeatures
-// floats, episode i at [i*NumFeatures, (i+1)*NumFeatures).
-func (be *BatchExtractor) Slab() []float64 { return be.slab }
-
-// ExtractBatch is the one-shot batch form of Extract: it featurizes every
-// WCG through one reused cache+scratch pair into a freshly allocated slab
-// and returns the per-episode views. The slab belongs to the caller, so
-// the vectors may be retained indefinitely (dataset builders); the
-// per-episode savings over looped Extract calls are identical to
-// BatchExtractor's.
+// episode: the per-episode NewCache + private-scratch churn of calling
+// Extract in a loop is the single largest allocation source in the offline
+// pipeline. The slab belongs to the caller, so the returned views may be
+// retained indefinitely (dataset builders).
 func ExtractBatch(ws []*wcg.WCG) [][]float64 {
 	slab := make([]float64, len(ws)*NumFeatures)
 	views := make([][]float64, len(ws))

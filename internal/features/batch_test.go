@@ -2,7 +2,9 @@ package features
 
 import (
 	"testing"
+	"unsafe"
 
+	"dynaminer/internal/graph"
 	"dynaminer/internal/synth"
 	"dynaminer/internal/wcg"
 )
@@ -25,15 +27,7 @@ func TestExtractBatchMatchesExtract(t *testing.T) {
 		t.Fatalf("vectors = %d, want %d", len(got), len(ws))
 	}
 	for i, w := range ws {
-		requireSameVector(t, "one-shot", got[i], Extract(w))
-	}
-
-	be := NewBatchExtractor()
-	for round := 0; round < 3; round++ { // reuse across rounds must not leak state
-		views := be.Extract(ws)
-		for i, w := range ws {
-			requireSameVector(t, "extractor", views[i], Extract(w))
-		}
+		requireSameVector(t, "batch", got[i], Extract(w))
 	}
 }
 
@@ -41,17 +35,13 @@ func TestExtractBatchMatchesExtract(t *testing.T) {
 // stride-NumFeatures views over one contiguous backing array.
 func TestExtractBatchSlabLayout(t *testing.T) {
 	ws := batchWCGs(59)
-	be := NewBatchExtractor()
-	views := be.Extract(ws)
-	slab := be.Slab()
-	if len(slab) != len(ws)*NumFeatures {
-		t.Fatalf("slab len = %d, want %d", len(slab), len(ws)*NumFeatures)
-	}
+	views := ExtractBatch(ws)
+	base := unsafe.Pointer(&views[0][0])
 	for i, v := range views {
 		if len(v) != NumFeatures {
 			t.Fatalf("vector %d len = %d", i, len(v))
 		}
-		if &v[0] != &slab[i*NumFeatures] {
+		if unsafe.Pointer(&v[0]) != unsafe.Add(base, i*NumFeatures*int(unsafe.Sizeof(v[0]))) {
 			t.Fatalf("vector %d is not a view over the slab", i)
 		}
 	}
@@ -61,9 +51,6 @@ func TestExtractBatchSlabLayout(t *testing.T) {
 func TestExtractBatchEmpty(t *testing.T) {
 	if got := ExtractBatch(nil); len(got) != 0 {
 		t.Fatalf("ExtractBatch(nil) = %d vectors", len(got))
-	}
-	if got := NewBatchExtractor().Extract(nil); len(got) != 0 {
-		t.Fatalf("Extract(nil) = %d vectors", len(got))
 	}
 }
 
@@ -82,19 +69,22 @@ func TestCacheResetMatchesFreshCache(t *testing.T) {
 	}
 }
 
-// TestExtractBatchAllocs pins the steady-state zero-alloc contract of the
-// batched extraction path: once the extractor's slab, views, cache buffer,
-// and scratch arenas are warm (and each WCG has materialized its graph),
-// re-featurizing a whole batch allocates nothing.
+// TestExtractBatchAllocs pins the steady-state zero-alloc contract of
+// ExtractBatch's loop: once the slab, the cache buffer and the scratch
+// arenas are warm (and each WCG has materialized its graph), Reset +
+// FeaturesInto re-featurizes a whole batch without allocating.
 func TestExtractBatchAllocs(t *testing.T) {
 	ws := batchWCGs(67)
-	be := NewBatchExtractor()
+	slab := make([]float64, len(ws)*NumFeatures)
+	scratch := graph.NewScratch()
+	var cache Cache
 	run := func() {
-		if views := be.Extract(ws); len(views) != len(ws) {
-			panic("batch extract lost vectors")
+		for i, w := range ws {
+			cache.Reset(w, scratch)
+			cache.FeaturesInto(slab[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures])
 		}
 	}
-	run() // warm slab, views, scratch, and per-WCG graph materialization
+	run() // warm the cache buffer, scratch, and per-WCG graph materialization
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("batched extraction allocates %.1f times per batch in steady state, want 0", allocs)
 	}

@@ -140,6 +140,34 @@ func TestScoreBatchReusesDst(t *testing.T) {
 	}
 }
 
+// BenchmarkScoreBatchFlat scores a 256-vector block per iteration through
+// the tree-outer batch kernel into a reused dst; ns/sample is the figure
+// to hold against the single-vector ml.score_ns_per_vector.
+func BenchmarkScoreBatchFlat(b *testing.B) {
+	ff, _ := blobFixture(b)
+	X := probeVectors(256, ff.NumFeatures(), rand.New(rand.NewSource(3)))
+	dst := make([]float64, len(X))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = ff.ScoreBatch(dst, X)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(X)), "ns/sample")
+}
+
+// BenchmarkTrainForest pins training cost and, via allocs/op, the
+// per-split scratch reuse in feature subsampling.
+func BenchmarkTrainForest(b *testing.B) {
+	ds := gaussDataset(1000, 37, 8, 1.0, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainForest(ds, ForestConfig{NumTrees: 5, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestScoreIntoReusesBuffer checks that scoring a batch into a caller's
 // buffer grows it only when needed, reuses a sufficient one without
 // allocating, and fills it with the per-sample scores.

@@ -11,7 +11,7 @@
 //   - Zero allocations on the observation hot path. Counter.Inc/Add,
 //     Gauge.Set/Add and Histogram.Observe touch only pre-allocated
 //     atomics; everything name- or label-shaped is resolved once at
-//     registration time (benchmark-pinned in bench_test.go).
+//     registration time (pinned by TestHotPathZeroAllocs).
 //   - One registry per serving instance. A Monitor, a detector Engine, or a
 //     Proxy owns (or is handed) a Registry; per-instance Stats structs are
 //     bridged views over it, so two engines in one process never mix
