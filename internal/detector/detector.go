@@ -1011,7 +1011,7 @@ func (c *cluster) buildMeta(tx *httpstream.Transaction, host string) txMeta {
 			m.locHost = host
 		}
 	}
-	if m.payload == wcg.PayloadHTML || m.payload == wcg.PayloadJS {
+	if m.payload.CarriesRedirects() {
 		for _, target := range wcg.SniffBodyRedirects(tx.Body) {
 			if th := wcg.HostOfURL(target); th != "" {
 				m.sniff = append(m.sniff, th)

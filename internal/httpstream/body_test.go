@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dynaminer/internal/pcap"
 )
@@ -76,8 +78,10 @@ func refDecodeContent(body []byte, encoding string) []byte {
 // the reference on the other, and requires the same kept bytes, wire size
 // and error nil-ness, the same stream position afterwards (so pipelined
 // responses still line up), and the same messages from parseResponses as
-// the reference walk produced. It returns how often the reference took
-// the raw-remainder fallback.
+// the reference walk produced. The retention rule applies on top of the
+// reference: a body whose class does not carry redirects, or that answers
+// no request, keeps nothing. It returns how often the reference took the
+// raw-remainder fallback.
 func diffResponses(t *testing.T, name string, data []byte, reqs []reqMsg) (fallbacks int) {
 	t.Helper()
 	got, ref := newStreamParser(), newStreamParser()
@@ -110,10 +114,14 @@ func diffResponses(t *testing.T, name string, data []byte, reqs []reqMsg) (fallb
 		if len(gotRest) != len(refRest) {
 			t.Fatalf("%s: response %d: body starts %d bytes from the end, reference %d", name, i, len(gotRest), len(refRest))
 		}
-		body, size, err := retainedBody(gotResp, gotRest)
+		keep := req != nil && ClassifyPayload(reqs[i].uri, gotResp.Header.Get("Content-Type")).CarriesRedirects()
+		body, size, err := retainedBody(gotResp, gotRest, keep)
 		wantBody, wantSize, wantErr, fellBack := refRetainedBody(refResp, refRest)
 		if fellBack {
 			fallbacks++
+		}
+		if !keep {
+			wantBody = nil
 		}
 		if !bytes.Equal(body, wantBody) || size != wantSize || (err != nil) != (wantErr != nil) {
 			t.Fatalf("%s: response %d (reference fell back: %v): kept %d bytes %.40q, size %d, err %v; reference kept %d bytes %.40q, size %d, err %v",
@@ -122,7 +130,7 @@ func diffResponses(t *testing.T, name string, data []byte, reqs []reqMsg) (fallb
 		if g, w := got.cr.n-got.br.Buffered(), ref.cr.n-ref.br.Buffered(); g != w {
 			t.Fatalf("%s: response %d: stream at byte %d after the body, reference at %d", name, i, g, w)
 		}
-		checkRetained(t, body, gotResp.Header)
+		checkRetained(t, body, keep)
 		if i >= len(whole) || !bytes.Equal(whole[i].body, wantBody) || whole[i].bodySize != wantSize {
 			t.Fatalf("%s: parseResponses disagrees with the reference at response %d", name, i)
 		}
@@ -211,6 +219,15 @@ func TestBodyReaderMatchesReadAllReference(t *testing.T) {
 		"unknown coding":        withLength("Content-Encoding: br\r\n", []byte(big), len(big)) + ok,
 		"corrupt gzip over cap": withLength("Content-Encoding: gzip\r\n", []byte(big), len(big)) + ok,
 		"gzip, chunked":         "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(string(gz[:40]), string(gz[40:])) + ok,
+		// Streamed decoding: the decompressor must see the body's bytes
+		// and then a clean end, whatever ended the body on the wire.
+		"gzip over cap, chunked":                  "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(string(bigGz[:100]), string(bigGz[100:])) + ok,
+		"gzip, chunked, cut":                      "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(string(gz))[:len(gz)/2],
+		"gzip, chunked, bad later size":           "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n\r\n" + fmt.Sprintf("%x\r\n%s\r\nQQ\r\n", len(gz), gz),
+		"empty gzip, length over what follows":    withLength("Content-Encoding: gzip\r\n", gzipBytes(t, ""), 999),
+		"corrupt deflate, length over the stream": withLength("Content-Encoding: deflate\r\n", []byte(big[:5000]), 9000),
+		"gzip, read to close":                     "HTTP/1.0 200 OK\r\nContent-Encoding: gzip\r\n\r\n" + string(bigGz),
+		"gzip with trailing bytes":                withLength("Content-Encoding: gzip\r\n", append(slices.Clone(gz), "trailing"...), len(gz)+8) + ok,
 		// Framings the reader sizes differently.
 		"length over what follows":                withLength("", nil, 999) + ok,
 		"204 with length":                         "HTTP/1.1 204 No Content\r\nContent-Length: 5\r\n\r\n" + ok,
@@ -232,13 +249,16 @@ func TestBodyReaderMatchesReadAllReference(t *testing.T) {
 		"pipelined":                               strings.Repeat(ok, 3) + withLength("", []byte(big), len(big)) + chunkedHead + chunked("a", "bc") + ok,
 	}
 	// Every case runs as the answer to a HEAD (a body-less first response,
-	// whatever its framing says), to GETs, and to no known request.
+	// whatever its framing says), to GETs of pages (kept bodies), to GETs
+	// of images (bodies read and dropped), and to no known request.
 	head := parseRequests([]byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\nGET /1 HTTP/1.1\r\nHost: a\r\n\r\n"))
 	get := parseRequests([]byte(strings.Repeat("GET /1 HTTP/1.1\r\nHost: a\r\n\r\n", 8)))
+	img := parseRequests([]byte(strings.Repeat("GET /1.png HTTP/1.1\r\nHost: a\r\n\r\n", 8)))
 	fallbacks := 0
 	for name, data := range cases {
 		fallbacks += diffResponses(t, name+" (after HEAD)", []byte(data), head)
 		fallbacks += diffResponses(t, name, []byte(data), get)
+		fallbacks += diffResponses(t, name+" (image)", []byte(data), img)
 		fallbacks += diffResponses(t, name+" (no requests)", []byte(data), nil)
 	}
 	if fallbacks == 0 {
@@ -317,7 +337,7 @@ func bodyCost(t *testing.T, data []byte) (allocs, size float64) {
 				panic(err)
 			}
 			if readBody {
-				bodySink, _, _ = retainedBody(resp, data[p.cr.n-p.br.Buffered():])
+				bodySink, _, _ = retainedBody(resp, data[p.cr.n-p.br.Buffered():], true)
 			}
 		}
 	}
@@ -359,6 +379,103 @@ func TestBodyBufferSizedOnce(t *testing.T) {
 	bodyless := "HTTP/1.1 304 Not Modified\r\nContent-Length: 60000\r\n\r\n" + body
 	if allocs, _ := bodyCost(t, []byte(bodyless)); allocs != 0 {
 		t.Fatalf("a 304's Content-Length costs %v allocations, want none: it announces no bytes", allocs)
+	}
+}
+
+// TestDroppedBodiesAllocateNothing pins what the retention rule saves: a
+// capture of 100 conversations, one 64 KiB image or EXE download each,
+// once kept a copy of every body. Now their size adds under a tenth of
+// their total to what ReadCapture allocates for the same capture with
+// one-byte bodies (parsed headers, the drain's buffer and the capture's
+// fixed costs, the same either way).
+func TestDroppedBodiesAllocateNothing(t *testing.T) {
+	const downloads, size = 100, 64 << 10
+	allocated := func(size int) uint64 {
+		var pkts []pcap.Packet
+		for i := 0; i < downloads; i++ {
+			uri, ctype := "/banner.png", "image/png"
+			if i%2 == 1 {
+				uri, ctype = "/update", "application/x-msdownload"
+			}
+			at := baseTime.Add(time.Duration(i) * time.Second)
+			conv, err := pcap.BuildConversation(pcap.Conversation{
+				ClientIP: clientIP, ServerIP: serverIP, ClientPort: uint16(40000 + i), ServerPort: 80,
+				Exchanges: []pcap.Exchange{
+					{ClientToServer: true, Payload: []byte("GET " + uri + " HTTP/1.1\r\nHost: cdn.example\r\n\r\n"), Timestamp: at},
+					{ClientToServer: false, Payload: fmt.Appendf(nil, "HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
+						ctype, size, strings.Repeat("\x89", size)), Timestamp: at.Add(40 * time.Millisecond)},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts = append(pkts, conv...)
+		}
+		var capture bytes.Buffer
+		w := pcap.NewWriter(&capture)
+		for _, p := range pkts {
+			if err := w.WritePacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func() {
+			txs, err := ReadCapture(bytes.NewReader(capture.Bytes()))
+			if err != nil || len(txs) != downloads {
+				t.Fatalf("%d transactions, error %v; want %d", len(txs), err, downloads)
+			}
+			for _, tx := range txs {
+				if tx.BodySize != size {
+					t.Fatalf("%s: BodySize %d, want %d", tx.URI, tx.BodySize, size)
+				}
+			}
+		}
+		// The cheapest of several runs, as in bodyCost: sync.Pool drops
+		// one Put in four under -race, and a remade io.Discard buffer is
+		// the pool's cost, not the bodies'.
+		least := ^uint64(0)
+		for range 10 {
+			least = min(least, allocatedBytes(read))
+		}
+		return least
+	}
+	small, full := allocated(1), allocated(size)
+	t.Logf("ReadCapture of %d downloads: %d bytes allocated with 1-byte bodies, %d with %d-byte bodies", downloads, small, full, size)
+	if full < small || full-small >= downloads*size/10 {
+		t.Fatalf("%d dropped bodies of %d bytes add %d allocated bytes to ReadCapture's %d: at least a tenth of them",
+			downloads, size, int64(full)-int64(small), small)
+	}
+}
+
+// TestCodedBodyDecodesAsItStreams pins streamed decoding: a 16 MiB
+// gzip-coded page was buffered whole before its first 64 KiB were
+// decoded; now ExtractPair keeps that prefix for well under 1 MiB.
+func TestCodedBodyDecodesAsItStreams(t *testing.T) {
+	page := strings.Repeat("<p>filler paragraph of a very long landing page</p>\n", (16<<20)/52+1)
+	var gz bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&gz, gzip.NoCompression) // 16 MiB on the wire too
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write([]byte(page)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	key := pcap.FlowKey{SrcIP: clientIP, DstIP: serverIP, SrcPort: 49200, DstPort: 80}
+	c2s := &pcap.Stream{Key: key, Data: []byte("GET /landing HTTP/1.1\r\nHost: a.example\r\n\r\nGET /next HTTP/1.1\r\nHost: a.example\r\n\r\n")}
+	s2c := &pcap.Stream{Key: key.Reverse(), Data: fmt.Appendf(nil,
+		"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Encoding: gzip\r\nContent-Length: %d\r\n\r\n%s"+
+			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", gz.Len(), gz.Bytes())}
+	var txs []Transaction
+	ExtractPair(c2s, s2c)
+	allocated := allocatedBytes(func() { txs = ExtractPair(c2s, s2c) })
+	t.Logf("%d-byte gzip page: ExtractPair allocated %d bytes", gz.Len(), allocated)
+	if len(txs) != 2 || txs[0].BodySize != gz.Len() || string(txs[0].Body) != page[:maxRetainedBody] || string(txs[1].Body) != "ok" {
+		t.Fatalf("%d transactions; first: size %d, kept %.40q", len(txs), txs[0].BodySize, txs[0].Body)
+	}
+	if allocated >= 1<<20 {
+		t.Fatalf("ExtractPair allocated %d bytes for a %d-byte gzip page, want under 1 MiB", allocated, gz.Len())
 	}
 }
 

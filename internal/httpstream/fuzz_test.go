@@ -1,7 +1,6 @@
 package httpstream
 
 import (
-	"net/http"
 	"net/netip"
 	"testing"
 
@@ -50,23 +49,25 @@ func FuzzParseResponses(f *testing.F) {
 		"HEAD /h HTTP/1.1\r\nHost: a\r\n\r\n" +
 			"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n" +
 			"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n"))
+	// diffResponses checks every body against the io.ReadAll reference
+	// (kept bytes, size, error nil-ness, stream position) and against
+	// checkRetained.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range parseResponses(data, reqs) {
-			checkRetained(t, m.body, m.resp.Header)
-		}
+		diffResponses(t, "fuzz input", data, reqs)
 	})
 }
 
-// checkRetained asserts the memory bound on a kept body: never more than
-// maxRetainedBody bytes, and for a body kept as sent no larger a backing
-// array either (a decoded one sits in the decoder's own bounded buffer).
-func checkRetained(t *testing.T, body []byte, respHdr http.Header) {
+// checkRetained asserts the retention rule and the memory bound on a body:
+// nothing kept unless the caller may keep it (its class carries
+// redirects), and never more than maxRetainedBody bytes nor a larger
+// backing array, whether kept as sent, decoded or degraded.
+func checkRetained(t *testing.T, body []byte, mayKeep bool) {
 	t.Helper()
-	if len(body) > maxRetainedBody {
-		t.Fatalf("kept %d body bytes, cap is %d", len(body), maxRetainedBody)
+	if !mayKeep && body != nil {
+		t.Fatalf("kept %d body bytes of a class that carries no redirects", len(body))
 	}
-	if contentCoding(respHdr.Get("Content-Encoding")) == "" && cap(body) > maxRetainedBody {
-		t.Fatalf("uncoded body pins %d bytes, cap is %d", cap(body), maxRetainedBody)
+	if len(body) > maxRetainedBody || cap(body) > maxRetainedBody {
+		t.Fatalf("kept %d body bytes in %d, cap is %d", len(body), cap(body), maxRetainedBody)
 	}
 }
 
@@ -83,7 +84,8 @@ func FuzzExtractPair(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, creq, sresp []byte) {
 		for _, tx := range ExtractPair(&pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp}) {
-			checkRetained(t, tx.Body, tx.RespHdr)
+			checkRetained(t, tx.Body, ClassifyPayload(tx.URI, tx.ContentType).CarriesRedirects())
 		}
+		diffResponses(t, "server direction", sresp, parseRequests(creq))
 	})
 }

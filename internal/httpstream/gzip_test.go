@@ -79,18 +79,18 @@ func TestCorruptGzipKeptRaw(t *testing.T) {
 
 func TestDecodeContentIdentity(t *testing.T) {
 	body := []byte("plain")
-	if got := decodeContent(body, ""); !bytes.Equal(got, body) {
-		t.Fatal("identity encoding changed body")
+	if got, ok := decode(bytes.NewReader(body), ""); ok || got != nil {
+		t.Fatalf("identity encoding decoded to %q: the body must be kept raw", got)
 	}
-	if got := decodeContent(body, "br"); !bytes.Equal(got, body) {
-		t.Fatal("unknown encoding must keep body raw")
+	if got, ok := decode(bytes.NewReader(body), contentCoding("br")); ok || got != nil {
+		t.Fatalf("unknown encoding decoded to %q: the body must be kept raw", got)
 	}
 }
 
 func TestDecodedBodyCapped(t *testing.T) {
 	huge := strings.Repeat("A", maxRetainedBody*3)
-	got := decodeContent(gzipBytes(t, huge), "gzip")
-	if len(got) > maxRetainedBody+1 {
-		t.Fatalf("decoded body not capped: %d", len(got))
+	got, ok := decode(bytes.NewReader(gzipBytes(t, huge)), "gzip")
+	if !ok || len(got) != maxRetainedBody || cap(got) > maxRetainedBody {
+		t.Fatalf("decoded body: ok %v, len %d, cap %d; want the first %d bytes in a buffer no larger", ok, len(got), cap(got), maxRetainedBody)
 	}
 }

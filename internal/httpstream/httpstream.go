@@ -23,7 +23,8 @@ import (
 
 // maxRetainedBody caps how much response body is kept on a Transaction.
 // DynaMiner is payload-agnostic, but the WCG construction stage sniffs
-// bodies for meta/JavaScript redirects, so a prefix is retained.
+// HTML and JS bodies for meta/JavaScript redirects, so a prefix of those
+// is retained.
 const maxRetainedBody = 64 * 1024
 
 // Transaction is one HTTP request/response pair between a client and a
@@ -45,8 +46,13 @@ type Transaction struct {
 	RespHdr     http.Header
 	RespTime    time.Time
 	ContentType string
-	BodySize    int
-	Body        []byte // response body prefix, at most maxRetainedBody bytes
+	BodySize    int // response body bytes on the wire, kept or not
+	// Body is a prefix of at most maxRetainedBody bytes (content-decoded
+	// on the capture path) of a body whose ClassifyPayload(URI,
+	// ContentType) CarriesRedirects — HTML or JS, the only bytes the
+	// redirect sniffer reads. It is nil for every other class, whose body
+	// is read, counted in BodySize and dropped.
+	Body []byte
 }
 
 // Referer returns the request Referer header ("" when absent).
@@ -119,6 +125,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 type reqMsg struct {
 	req      *http.Request
+	uri      string // req.URL.RequestURI(), the Transaction's URI
 	offset   int
 	bodySize int
 }
@@ -216,7 +223,7 @@ func (p *streamParser) requests(data []byte) []reqMsg {
 		// the exfiltration volume of post-infection dialogues.
 		n, err := io.Copy(io.Discard, req.Body)
 		_ = req.Body.Close()
-		out = append(out, reqMsg{req: req, offset: offset, bodySize: int(n)})
+		out = append(out, reqMsg{req: req, uri: req.URL.RequestURI(), offset: offset, bodySize: int(n)})
 		if err != nil {
 			p.reqs = out
 			return out
@@ -249,7 +256,11 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 			p.resps = out
 			return out
 		}
-		body, size, bodyErr := retainedBody(resp, data[p.cr.n-p.br.Buffered():])
+		// The body is kept only if it can hide a redirect, judged on the
+		// URI and Content-Type the Transaction will carry; a response
+		// with no request to pair with never becomes one.
+		keep := req != nil && ClassifyPayload(reqs[i].uri, resp.Header.Get("Content-Type")).CarriesRedirects()
+		body, size, bodyErr := retainedBody(resp, data[p.cr.n-p.br.Buffered():], keep)
 		out = append(out, respMsg{resp: resp, offset: offset, body: body, bodySize: size})
 		if bodyErr != nil {
 			// Truncated body (capture cut mid-transfer): keep the prefix, stop.
@@ -260,21 +271,27 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 }
 
 // retainedBody reads resp's body off the stream and returns what a
-// Transaction keeps of it — at most maxRetainedBody bytes, decoded — with
-// the body's size on the wire and the framing error, if any, that ends the
-// stream's parse. rest is the raw stream from the body's first byte on.
+// Transaction keeps of it, with the body's size on the wire and the
+// framing error, if any, that ends the stream's parse. rest is the raw
+// stream from the body's first byte on. Only a body the caller keeps (its
+// payload class carries redirects) is retained: at most maxRetainedBody
+// bytes, decoded. Any other body is read and counted into no buffer.
 //
-// A body is read into a buffer sized once (readBody): no body is longer
-// than rest, a Content-Length body is no longer than it announces, and a
-// body that stays as sent is only ever kept as a maxRetainedBody prefix,
-// so no more than that is buffered and the Transaction does not pin the
-// whole download. A coded body is buffered whole: decoding needs its bytes.
-func retainedBody(resp *http.Response, rest []byte) (body []byte, size int, err error) {
-	coding := contentCoding(resp.Header.Get("Content-Encoding"))
-	limit := len(rest)
-	if coding == "" {
-		limit = min(limit, maxRetainedBody)
+// A kept body is read into a buffer sized once (readBody): no body is
+// longer than rest, a Content-Length body is no longer than it announces,
+// and only a maxRetainedBody prefix is ever kept, so no more than that is
+// buffered and the Transaction does not pin the whole download. A coded
+// body is decoded as it streams (decodeBody), under the same bound.
+func retainedBody(resp *http.Response, rest []byte, keep bool) (body []byte, size int, err error) {
+	if !keep {
+		_, size, err = readBody(resp.Body, 0, 0)
+		_ = resp.Body.Close()
+		if err != nil && size == 0 {
+			size = len(rest) // the degraded size a kept body reports (below)
+		}
+		return nil, size, err
 	}
+	limit := min(len(rest), maxRetainedBody)
 	start := min(limit, 512) // unknown length: io.ReadAll's first buffer
 	announced := resp.ContentLength
 	if resp.Body == http.NoBody {
@@ -287,28 +304,26 @@ func retainedBody(resp *http.Response, rest []byte) (body []byte, size int, err 
 		limit = int(min(int64(limit), announced))
 		start = limit
 	}
-	body, size, err = readBody(resp.Body, start, limit)
+	coding := contentCoding(resp.Header.Get("Content-Encoding"))
+	if coding == "" {
+		body, size, err = readBody(resp.Body, start, limit)
+	} else {
+		body, size, err = decodeBody(resp.Body, coding, start, limit)
+	}
 	_ = resp.Body.Close()
-	aliased := false
 	if err != nil && size == 0 && len(rest) > 0 {
 		// The framing was unusable from the first body byte (e.g. a
 		// garbage chunk-size line): degrade to the raw stream remainder
 		// so the transaction keeps its payload evidence instead of
 		// reporting an empty body.
-		body = rest
-		size = len(body)
-		aliased = true
-	}
-	body = decodeContent(body, coding)
-	if len(body) > maxRetainedBody {
-		body = body[:maxRetainedBody]
-	}
-	if aliased {
-		// The degraded body still points into the stream buffer, which
-		// the assembler reuses for the next conversation; detach the
-		// retained (truncation-bounded) prefix so the Transaction outlives
-		// it.
-		body = detachBody(body)
+		size = len(rest)
+		if plain, ok := decode(bytes.NewReader(rest), coding); ok {
+			return plain, size, err
+		}
+		// The raw remainder points into the stream buffer, which the
+		// assembler reuses for the next conversation; detach the kept
+		// prefix so the Transaction outlives it.
+		return detachBody(rest[:min(len(rest), maxRetainedBody)]), size, err
 	}
 	return body, size, err
 }
@@ -352,8 +367,8 @@ func detachBody(body []byte) []byte {
 	return out
 }
 
-// contentCoding names the Content-Encoding values decodeContent undoes:
-// "gzip", "deflate", or "" for a body that is kept as sent.
+// contentCoding names the Content-Encoding values decode undoes: "gzip",
+// "deflate", or "" for a body that is kept as sent.
 func contentCoding(header string) string {
 	switch strings.ToLower(strings.TrimSpace(header)) {
 	case "gzip", "x-gzip":
@@ -365,30 +380,88 @@ func contentCoding(header string) string {
 	}
 }
 
-// decodeContent undoes a gzip/deflate content coding (as contentCoding
-// names it) so redirect sniffing sees plaintext. The reported payload size
-// stays the on-the-wire size; only the retained body is decoded.
-// Undecodable bodies are kept raw.
-func decodeContent(body []byte, coding string) []byte {
+// decode undoes a gzip/deflate content coding (as contentCoding names it)
+// on the coded bytes r yields, so redirect sniffing sees plaintext, and
+// returns at most maxRetainedBody bytes of it. ok is false when there is
+// no coding to undo or the body yields no plaintext; the caller then
+// keeps the body raw.
+func decode(r io.Reader, coding string) (plain []byte, ok bool) {
 	var zr io.ReadCloser
 	switch coding {
 	case "gzip":
-		gz, err := gzip.NewReader(bytes.NewReader(body))
+		gz, err := gzip.NewReader(r)
 		if err != nil {
-			return body
+			return nil, false
 		}
 		zr = gz
 	case "deflate":
-		zr = flate.NewReader(bytes.NewReader(body))
+		zr = flate.NewReader(r)
 	default:
-		return body
+		return nil, false
 	}
 	defer zr.Close()
-	plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
+	plain, _, err := readBody(io.LimitReader(zr, maxRetainedBody), 512, maxRetainedBody)
 	if err != nil && len(plain) == 0 {
-		return body
+		return nil, false
 	}
-	return plain
+	return plain, true
+}
+
+// decodeBody reads a coded body off r and returns at most
+// maxRetainedBody bytes of its plaintext, decoded as the body streams, so
+// a large coded page costs its kept prefix and the decompressor's state,
+// not its length. The body's size on the wire and its framing error are
+// taken at the raw reader (wireBody), beneath the decompressor and its
+// read-ahead, and the rest of the body is drained there after decoding
+// stops. A body that does not decode is kept raw: the first limit wire
+// bytes (start is the raw buffer's first size, as for readBody).
+func decodeBody(r io.Reader, coding string, start, limit int) (kept []byte, n int, err error) {
+	wire := &wireBody{r: r, raw: make([]byte, 0, start), limit: limit}
+	plain, ok := decode(wire, coding)
+	if ok {
+		wire.raw, wire.limit = nil, 0 // decoded: no raw fallback to keep
+	}
+	_, _ = io.Copy(io.Discard, wire)
+	if err = wire.end; err == io.EOF {
+		err = nil
+	}
+	if !ok {
+		plain = wire.raw
+	}
+	return plain, wire.n, err
+}
+
+// wireBody is the raw side of a coded body beneath its decompressor. It
+// counts the bytes read off the wire, tees the first limit of them into
+// raw, and ends its input at the body's end with io.EOF whatever ended
+// it, keeping the error in end: the decompressor sees exactly the bytes a
+// whole-body read would have handed it, followed by a clean end.
+type wireBody struct {
+	r     io.Reader
+	raw   []byte
+	limit int
+	n     int
+	end   error // io.EOF, or the framing error that cut the body
+}
+
+func (w *wireBody) Read(p []byte) (int, error) {
+	if w.end != nil {
+		return 0, io.EOF
+	}
+	m, err := w.r.Read(p)
+	w.n += m
+	if keep := min(m, w.limit-len(w.raw)); keep > 0 {
+		if len(w.raw)+keep > cap(w.raw) {
+			// Grown as readBody grows its buffer: never past limit.
+			w.raw = append(make([]byte, 0, min(max(2*cap(w.raw), len(w.raw)+keep, 512), w.limit)), w.raw...)
+		}
+		w.raw = append(w.raw, p[:keep]...)
+	}
+	if err != nil {
+		w.end = err
+		return m, io.EOF
+	}
+	return m, nil
 }
 
 // ExtractPair parses the two directions of one TCP conversation into
@@ -427,7 +500,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 			ClientPort:  c2s.Key.SrcPort,
 			ServerPort:  c2s.Key.DstPort,
 			Method:      rm.req.Method,
-			URI:         rm.req.URL.RequestURI(),
+			URI:         rm.uri,
 			Host:        rm.req.Host,
 			ReqHdr:      rm.req.Header,
 			ReqTime:     c2s.TimeAt(rm.offset),

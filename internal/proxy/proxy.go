@@ -566,9 +566,13 @@ func (p *Proxy) buildTransaction(r *http.Request, resp *http.Response, client ne
 		host = h
 	}
 	uri := r.URL.RequestURI()
-	body := prefix
-	if len(body) > 64<<10 {
-		body = body[:64<<10]
+	ctype := resp.Header.Get("Content-Type")
+	// Keep what the capture path keeps: a body only where a redirect can
+	// hide, at most 64 KiB, and copied out of the relay buffer so the
+	// clustered transaction does not pin it.
+	var body []byte
+	if httpstream.ClassifyPayload(uri, ctype).CarriesRedirects() {
+		body = append([]byte(nil), prefix[:min(len(prefix), 64<<10)]...)
 	}
 	return httpstream.Transaction{
 		ClientIP:    client,
@@ -580,7 +584,7 @@ func (p *Proxy) buildTransaction(r *http.Request, resp *http.Response, client ne
 		StatusCode:  resp.StatusCode,
 		RespHdr:     resp.Header,
 		RespTime:    respTime,
-		ContentType: resp.Header.Get("Content-Type"),
+		ContentType: ctype,
 		BodySize:    totalBody,
 		Body:        body,
 	}

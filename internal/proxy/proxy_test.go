@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"strings"
 	"sync"
@@ -275,6 +276,40 @@ func TestBufferPrefix(t *testing.T) {
 	}
 	if tail, _ := io.ReadAll(rest); len(tail) != 0 {
 		t.Fatal("short body must leave no tail")
+	}
+}
+
+// TestTransactionDoesNotPinRelayBuffer pins the proxied body's retention:
+// the transaction once kept a 64 KiB reslice of the relay's prefix buffer,
+// so a 1 MiB page pinned the whole 256 KiB-plus buffer for as long as its
+// cluster lived, and an image kept 64 KiB nothing reads.
+func TestTransactionDoesNotPinRelayBuffer(t *testing.T) {
+	page := strings.Repeat("<p>a very long landing page</p>\n", (1<<20)/32)
+	for _, tc := range []struct {
+		uri, ctype string
+		kept       bool
+	}{
+		{"/landing", "text/html", true},
+		{"/banner", "image/png", false},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "http://a.example"+tc.uri, nil)
+		resp := &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {tc.ctype}}}
+		prefix, rest, err := bufferPrefix(strings.NewReader(page), maxCapturedBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, _ := io.Copy(io.Discard, rest)
+		now := time.Now()
+		tx := (&Proxy{}).buildTransaction(r, resp, netip.MustParseAddr("10.0.0.5"), now, now, prefix, len(prefix)+int(tail))
+		if tx.BodySize != len(page) {
+			t.Fatalf("%s: BodySize %d, want %d", tc.ctype, tx.BodySize, len(page))
+		}
+		switch {
+		case !tc.kept && tx.Body != nil:
+			t.Fatalf("%s: kept %d body bytes (cap %d), want none", tc.ctype, len(tx.Body), cap(tx.Body))
+		case tc.kept && (string(tx.Body) != page[:64<<10] || cap(tx.Body) > 64<<10):
+			t.Fatalf("%s: kept %d body bytes in a %d-byte array, want the first %d in one no larger", tc.ctype, len(tx.Body), cap(tx.Body), 64<<10)
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	b.lastActivity[serverHost] = ts
 
 	// Meta/JavaScript/iframe redirects hidden in document bodies.
-	if payload == PayloadHTML || payload == PayloadJS {
+	if payload.CarriesRedirects() {
 		for _, target := range SniffBodyRedirects(tx.Body) {
 			th := HostOfURL(target)
 			if th == "" || th == serverHost {

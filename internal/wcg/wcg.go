@@ -12,7 +12,39 @@ import (
 	"time"
 
 	"dynaminer/internal/graph"
+	"dynaminer/internal/httpstream"
 )
+
+// PayloadClass is the payload class of a response edge. The classifier
+// lives in httpstream, whose capture path keeps a body only when its class
+// CarriesRedirects; the graph's annotations use it under these names.
+type PayloadClass = httpstream.PayloadClass
+
+// Payload classes (see httpstream.PayloadClass).
+const (
+	PayloadNone    = httpstream.PayloadNone
+	PayloadOther   = httpstream.PayloadOther
+	PayloadHTML    = httpstream.PayloadHTML
+	PayloadJS      = httpstream.PayloadJS
+	PayloadCSS     = httpstream.PayloadCSS
+	PayloadImage   = httpstream.PayloadImage
+	PayloadText    = httpstream.PayloadText
+	PayloadJSON    = httpstream.PayloadJSON
+	PayloadArchive = httpstream.PayloadArchive
+	PayloadPDF     = httpstream.PayloadPDF
+	PayloadEXE     = httpstream.PayloadEXE
+	PayloadJAR     = httpstream.PayloadJAR
+	PayloadSWF     = httpstream.PayloadSWF
+	PayloadXAP     = httpstream.PayloadXAP
+	PayloadDMG     = httpstream.PayloadDMG
+	PayloadCrypt   = httpstream.PayloadCrypt
+)
+
+// ClassifyPayload determines the payload class of a response from the
+// request URI and the response Content-Type (httpstream.ClassifyPayload).
+func ClassifyPayload(uri, contentType string) PayloadClass {
+	return httpstream.ClassifyPayload(uri, contentType)
+}
 
 // NodeType classifies a WCG node per Section III-A.
 type NodeType int

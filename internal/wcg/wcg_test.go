@@ -85,12 +85,6 @@ func TestExploitTypes(t *testing.T) {
 	}
 }
 
-func TestCryptExtensionCount(t *testing.T) {
-	if len(cryptExtensions) != CryptExtensionCount {
-		t.Fatalf("crypt extensions = %d, want %d", len(cryptExtensions), CryptExtensionCount)
-	}
-}
-
 func TestHostOfURL(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"http://evil.com/landing?id=1", "evil.com"},
