@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -116,4 +118,22 @@ func paceSleep(gap time.Duration, pace float64, drain, reload chan os.Signal, on
 			return false
 		}
 	}
+}
+
+// errDrained ends a capture scan that a drain signal interrupted.
+var errDrained = errors.New("replay interrupted")
+
+// stoppable reads a capture until the replay sets *stopped; the next read
+// then fails, so the scan stops instead of running to the end of the
+// capture.
+type stoppable struct {
+	r       io.Reader
+	stopped *bool
+}
+
+func (s stoppable) Read(p []byte) (int, error) {
+	if *s.stopped {
+		return 0, errDrained
+	}
+	return s.r.Read(p)
 }

@@ -369,10 +369,11 @@ func runStream(args []string) error {
 		dynaminer.SetCaptureTracer(cfg.Tracer)
 		defer dynaminer.SetCaptureTracer(nil)
 	}
-	txs, err := dynaminer.ReadPCAPFile(fs.Arg(0))
+	capture, err := os.Open(fs.Arg(0))
 	if err != nil {
-		return err
+		return fmt.Errorf("open capture: %w", err)
 	}
+	defer capture.Close()
 	if *journal != "" {
 		j, err := openJournal(*journal)
 		if err != nil {
@@ -411,19 +412,24 @@ func runStream(args []string) error {
 		return nil
 	}
 
-	// SIGINT/SIGTERM drain the replay — the journal flushes, a final
+	// Transactions are classified as the capture scan releases them, not
+	// after it has been read to the end. SIGINT/SIGTERM drain the replay —
+	// the scan stops at its next read, the journal flushes, a final
 	// checkpoint lands — instead of killing records on the floor; SIGHUP
 	// hot-swaps the model mid-stream without dropping a watch.
 	drain, hup, stopSignals := notifyLifecycle()
 	defer stopSignals()
 	interrupted := false
 	var prev time.Time
-stream:
-	for _, tx := range txs {
+	var emitErr error
+	_, scanErr := dynaminer.ScanPCAP(stoppable{capture, &interrupted}, func(tx *dynaminer.Transaction) {
+		if interrupted || emitErr != nil {
+			return
+		}
 		select {
 		case <-drain:
 			interrupted = true
-			break stream
+			return
 		case <-hup:
 			reloadOnHUP(m, *modelPath)
 		default:
@@ -432,15 +438,21 @@ stream:
 			if gap := tx.ReqTime.Sub(prev); gap > 0 &&
 				paceSleep(gap, *pace, drain, hup, func() { reloadOnHUP(m, *modelPath) }) {
 				interrupted = true
-				break stream
+				return
 			}
 		}
 		prev = tx.ReqTime
-		for _, a := range m.Process(tx) {
-			if err := emit(a); err != nil {
-				return err
+		for _, a := range m.Process(*tx) {
+			if emitErr = emit(a); emitErr != nil {
+				return
 			}
 		}
+	})
+	if emitErr != nil {
+		return emitErr
+	}
+	if scanErr != nil && !interrupted {
+		return fmt.Errorf("%s: %w", fs.Arg(0), scanErr)
 	}
 	if interrupted {
 		fmt.Println("interrupted: draining (journal flush + final checkpoint)")

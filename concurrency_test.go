@@ -80,8 +80,8 @@ func TestMonitorConcurrentClientsMatchSerial(t *testing.T) {
 
 // TestShardCountNeverChangesVerdicts is the standing N-shards ≡ 1-shard
 // oracle over the whole wire path: one multi-client capture goes through
-// Monitor.ProcessPCAP — reassembly, HTTP extraction, slab ingestion, a
-// trained classifier, the journal — at several shard counts, and
+// Monitor.ProcessPCAP — reassembly, HTTP extraction, watermark release to
+// the shard workers, a trained classifier, the journal — at several shard counts, and
 // everything except the shard-strided cluster IDs must come out the same.
 func TestShardCountNeverChangesVerdicts(t *testing.T) {
 	eps, clf := obsFixture(t)

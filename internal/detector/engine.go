@@ -31,16 +31,6 @@ type Engine struct {
 	// or a private one so the /metrics totals still sum the per-shard
 	// cells when the caller exports nothing. Immutable after construction.
 	reg *obs.Registry
-	// slabs pools ProcessAll's per-call scratch (the per-transaction result
-	// table and per-shard index groups), so steady-state slab ingestion
-	// stops allocating scaffolding proportional to the slab size.
-	slabs sync.Pool
-}
-
-// slabScratch is ProcessAll's pooled working state.
-type slabScratch struct {
-	results [][]Alert
-	groups  [][]int
 }
 
 // shard pairs one shard's detector state with the mutex that serializes
@@ -193,86 +183,119 @@ func (sh *shard) process(tx httpstream.Transaction, at *obs.ActiveTrace) (alerts
 	return st.process(tx)
 }
 
-// ProcessAll moves a transaction slab through the engine: transactions
-// are grouped by owning shard, the groups run concurrently, and the
-// per-transaction alert slices are merged back in input order. Because
-// every client's transactions live in exactly one shard and keep their
-// relative order, the merged alert stream is identical to feeding Process
-// one transaction at a time.
-func (e *Engine) ProcessAll(txs []httpstream.Transaction) []Alert {
-	if len(txs) == 0 {
-		return nil
-	}
-	ws, _ := e.slabs.Get().(*slabScratch)
-	if ws == nil {
-		ws = &slabScratch{}
-	}
-	if cap(ws.results) < len(txs) {
-		ws.results = make([][]Alert, len(txs))
-	}
-	results := ws.results[:len(txs)]
-	for i := range results {
-		results[i] = nil
-	}
-	if len(e.shards) == 1 {
-		for i := range txs {
-			results[i] = e.shards[0].process(txs[i], nil)
-		}
-	} else {
-		if cap(ws.groups) < len(e.shards) {
-			ws.groups = make([][]int, len(e.shards))
-		}
-		groups := ws.groups[:len(e.shards)]
-		for i := range groups {
-			groups[i] = groups[i][:0]
-		}
-		for i := range txs {
-			si := e.shardIndex(txs[i].ClientIP)
-			groups[si] = append(groups[si], i)
-		}
-		var wg sync.WaitGroup
-		for si, idxs := range groups {
-			if len(idxs) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(sh *shard, idxs []int) {
-				defer wg.Done()
+// feedDepth is how many delivered transactions a shard worker's channel
+// holds: room for a burst (a closing conversation's transactions are
+// released together) without letting a worker fall far behind the feeder.
+const feedDepth = 64
+
+// fedTx is one delivered transaction on its way to its shard's worker.
+type fedTx struct {
+	seq int // delivery order
+	tx  httpstream.Transaction
+}
+
+// raised is one alert beside the delivery order of the transaction that
+// raised it.
+type raised struct {
+	seq   int
+	alert Alert
+}
+
+// ProcessFeed moves a transaction stream through the engine while it is
+// still being produced. feed calls deliver once per transaction (the
+// pointer need only be valid during the call) and returns when the stream
+// ends. One worker goroutine per shard, alive for the whole call, takes
+// its shard's transactions in delivery order over a bounded channel, so
+// verdicts land — and are journaled — while feed is still running, and
+// distinct shards classify in parallel. ProcessFeed returns once every
+// delivered transaction has been processed: the alerts, merged back in
+// delivery order, and feed's error. Because every client's transactions
+// live in exactly one shard and keep their relative order, the alerts are
+// identical to calling Process once per delivered transaction.
+func (e *Engine) ProcessFeed(feed func(deliver func(*httpstream.Transaction)) error) ([]Alert, error) {
+	in := make([]chan fedTx, len(e.shards))
+	out := make([][]raised, len(e.shards))
+	var wg sync.WaitGroup
+	for i, sh := range e.shards {
+		in[i] = make(chan fedTx, feedDepth)
+		wg.Add(1)
+		go func(sh *shard, in <-chan fedTx, out *[]raised) {
+			defer wg.Done()
+			// process recovers per transaction; this guard covers what
+			// runs outside its body (the trace commit in its deferred
+			// finish). The fault is counted and the worker goes on with
+			// the rest of its channel, so the feeder can never block on a
+			// dead shard. process's deferred unlock has run by the time a
+			// panic lands here, so the lock is free to take.
+			drain := func() (done bool) {
 				defer func() {
-					// process recovers per transaction; this guard covers
-					// what runs outside its body (the trace commit in its
-					// deferred finish), so one shard's fault cannot leave
-					// the WaitGroup hanging. process's deferred unlock has
-					// run by the time a panic lands here, so the lock is
-					// free to take.
 					if r := recover(); r != nil {
 						sh.mu.Lock()
 						sh.st.mx.panics.Inc()
 						sh.mu.Unlock()
 					}
 				}()
-				for _, i := range idxs {
-					results[i] = sh.process(txs[i], nil)
+				for f := range in {
+					for _, a := range sh.process(f.tx, nil) {
+						*out = append(*out, raised{seq: f.seq, alert: a})
+					}
 				}
-			}(e.shards[si], idxs)
-		}
-		wg.Wait()
+				return true
+			}
+			for !drain() {
+			}
+		}(sh, in[i], &out[i])
 	}
+	seq := 0
+	err := func() error {
+		defer func() {
+			for _, c := range in {
+				close(c)
+			}
+		}()
+		return feed(func(tx *httpstream.Transaction) {
+			in[e.shardIndex(tx.ClientIP)] <- fedTx{seq: seq, tx: *tx}
+			seq++
+		})
+	}()
+	wg.Wait()
+	return mergeRaised(out), err
+}
+
+// mergeRaised merges the workers' alerts, each list already in delivery
+// order, into one list in delivery order (nil when there are none).
+func mergeRaised(out [][]raised) []Alert {
 	n := 0
-	for _, a := range results {
-		n += len(a)
+	for _, o := range out {
+		n += len(o)
 	}
-	var alerts []Alert
-	if n > 0 {
-		alerts = make([]Alert, 0, n)
-		for _, a := range results {
-			alerts = append(alerts, a...)
+	if n == 0 {
+		return nil
+	}
+	alerts := make([]Alert, 0, n)
+	for len(alerts) < n {
+		next := -1
+		for i, o := range out {
+			if len(o) > 0 && (next < 0 || o[0].seq < out[next][0].seq) {
+				next = i
+			}
 		}
+		alerts = append(alerts, out[next][0].alert)
+		out[next] = out[next][1:]
 	}
-	for i := range results {
-		results[i] = nil // release alert references before pooling
-	}
-	e.slabs.Put(ws)
+	return alerts
+}
+
+// ProcessAll moves a transaction slab through the engine: ProcessFeed over
+// the slab, so shards run concurrently and the alerts come back in input
+// order, identical to feeding Process one transaction at a time.
+func (e *Engine) ProcessAll(txs []httpstream.Transaction) []Alert {
+	alerts, _ := e.ProcessFeed(func(deliver func(*httpstream.Transaction)) error {
+		for i := range txs {
+			deliver(&txs[i])
+		}
+		return nil
+	})
 	return alerts
 }
 

@@ -178,8 +178,8 @@ func TestEngineRaceStress(t *testing.T) {
 }
 
 // TestProcessAllMatchesPerTx pins the slab contract directly: on a
-// multi-shard engine, ProcessAll (shard-grouped, concurrent shards,
-// order-preserving merge) must emit exactly the alert stream that
+// multi-shard engine, ProcessAll (a feed over the slab: one worker per
+// shard, order-preserving merge) must emit exactly the alert stream that
 // per-transaction Process calls produce on an identically configured
 // engine.
 func TestProcessAllMatchesPerTx(t *testing.T) {

@@ -476,7 +476,7 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 // returns the extended slice. The parse state (reader stack and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
-// (ReadCapture, ExtractAll) also reuses one destination slice across
+// (ScanCapture, ExtractAll) also reuses one destination slice across
 // conversations, which append grows amortised, so n conversations cost
 // O(transactions).
 //
@@ -592,24 +592,162 @@ func ExtractAll(streams []*pcap.Stream) []Transaction {
 	return all
 }
 
-// capture collects the transactions of a capture as its conversations
-// close: txs[i] came from conversation conv[i].
+// releaser is the state of one capture scan. The Assembler's sink parses
+// each conversation as it closes into pending, a min-heap by (ReqTime,
+// Conv, extraction order); after each packet every pending transaction
+// dated before the watermark is delivered, in heap order.
+//
+// The watermark is the highest min(time of the packet in hand, first-frame
+// time of the oldest open conversation) seen so far. On a time-ordered
+// capture no open or future conversation can yield a transaction dated
+// before it, so the delivered stream is exactly the order ReadCapture
+// sorts into. A capture that is not time-ordered can yield one: such a
+// late transaction is counted and delivered with the next release, never
+// dropped.
+type releaser struct {
+	asm     *pcap.Assembler
+	deliver func(tx *Transaction, conv int)
+	pending []pendingTx
+	scratch []Transaction // ExtractPairInto's destination, reused
+	seq     int           // transactions extracted so far
+	mark    time.Time     // the watermark; zero until the first packet
+	late    int
+	// out is what deliver is handed a pointer to: a field, so the pointer
+	// does not make every delivered transaction escape to the heap.
+	out Transaction
+}
+
+// pendingTx is one extracted transaction waiting for the watermark.
+type pendingTx struct {
+	tx   Transaction
+	conv int // the Stream.Conv of its conversation
+	seq  int // extraction order
+}
+
+func (p *pendingTx) less(q *pendingTx) bool {
+	if c := p.tx.ReqTime.Compare(q.tx.ReqTime); c != 0 {
+		return c < 0
+	}
+	if p.conv != q.conv {
+		return p.conv < q.conv
+	}
+	return p.seq < q.seq
+}
+
+// extract is the Assembler's sink: the conversation is parsed at once, out
+// of buffers that are recycled when it returns, and its transactions join
+// pending.
+func (r *releaser) extract(a, b *pcap.Stream) {
+	c2s, s2c := orient(a, b)
+	if c2s == nil {
+		return
+	}
+	r.scratch = ExtractPairInto(r.scratch[:0], c2s, s2c)
+	for i := range r.scratch {
+		tx := &r.scratch[i]
+		if tx.ReqTime.Before(r.mark) {
+			r.late++
+		}
+		r.push(pendingTx{tx: *tx, conv: a.Conv, seq: r.seq})
+		r.seq++
+	}
+	clear(r.scratch) // pending owns the headers and bodies now
+}
+
+// packet feeds one captured frame and releases what its time allows.
+func (r *releaser) packet(p pcap.Packet) {
+	r.asm.FeedPacket(p)
+	w := p.Timestamp
+	if oldest, ok := r.asm.Oldest(); ok && oldest.Before(w) {
+		w = oldest
+	}
+	if w.After(r.mark) {
+		r.mark = w
+	}
+	for len(r.pending) > 0 && r.pending[0].tx.ReqTime.Before(r.mark) {
+		r.pop()
+	}
+}
+
+// push adds e to the heap.
+func (r *releaser) push(e pendingTx) {
+	r.pending = append(r.pending, e)
+	h := r.pending
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop delivers the heap's least transaction and removes it.
+func (r *releaser) pop() {
+	h := r.pending
+	r.out = h[0].tx
+	conv := h[0].conv
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = pendingTx{} // pin nothing past its delivery
+	h = h[:n]
+	for i := 0; ; {
+		least, left := i, 2*i+1
+		if left < n && h[left].less(&h[least]) {
+			least = left
+		}
+		if right := left + 1; right < n && h[right].less(&h[least]) {
+			least = right
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	r.pending = h
+	r.deliver(&r.out, conv)
+}
+
+// scan is ScanCapture with each transaction's Stream.Conv beside it.
+func scan(rd io.Reader, deliver func(tx *Transaction, conv int)) (late int, err error) {
+	r := &releaser{deliver: deliver}
+	r.asm = pcap.NewAssembler(r.extract)
+	if err := pcap.Scan(rd, r.packet); err != nil {
+		return r.late, err
+	}
+	r.asm.Flush()
+	for len(r.pending) > 0 {
+		r.pop()
+	}
+	return r.late, nil
+}
+
+// ScanCapture is the end-to-end path from capture bytes — classic pcap or
+// pcapng — to a stream of HTTP transactions: records are decoded one at a
+// time, each TCP conversation is reassembled while it is open and parsed
+// the moment it closes, and each transaction is handed to deliver as soon
+// as no open or future conversation can yield an earlier one (see
+// releaser), not at the end of the capture. The pointer is valid only
+// during the call. On a time-ordered capture the stream is in request-time
+// order; late counts the transactions delivered out of it. When the
+// capture fails mid-read, what was delivered stays delivered and the rest
+// is dropped with the error.
+func ScanCapture(r io.Reader, deliver func(*Transaction)) (late int, err error) {
+	return scan(r, func(tx *Transaction, _ int) { deliver(tx) })
+}
+
+// capture collects a scan's transactions: txs[i] came from conversation
+// conv[i].
 type capture struct {
 	txs  []Transaction
 	conv []int
 }
 
-// extract is the Assembler's sink: the conversation is parsed at once, out
-// of buffers that are recycled when it returns.
-func (c *capture) extract(a, b *pcap.Stream) {
-	c2s, s2c := orient(a, b)
-	if c2s == nil {
-		return
-	}
-	c.txs = ExtractPairInto(c.txs, c2s, s2c)
-	for len(c.conv) < len(c.txs) {
-		c.conv = append(c.conv, a.Conv)
-	}
+func (c *capture) add(tx *Transaction, conv int) {
+	c.txs = append(c.txs, *tx)
+	c.conv = append(c.conv, conv)
 }
 
 // Sorting a capture stably by request time, then conversation, leaves the
@@ -627,18 +765,16 @@ func (c *capture) Swap(i, j int) {
 	c.conv[i], c.conv[j] = c.conv[j], c.conv[i]
 }
 
-// ReadCapture is the end-to-end path from capture bytes — classic pcap or
-// pcapng — to HTTP transactions sorted by request time: records are decoded
-// one at a time, each TCP conversation is reassembled while it is open and
-// parsed the moment it closes, and nothing of the capture's size is held
-// but the transactions themselves.
+// ReadCapture is the collecting form of ScanCapture: every transaction of
+// the capture, sorted by request time. The stream already is in that
+// order unless the capture is not time-ordered; the one stable sort puts
+// its late transactions in their place. Nothing of the capture's size is
+// held but the transactions themselves.
 func ReadCapture(r io.Reader) ([]Transaction, error) {
 	var c capture
-	asm := pcap.NewAssembler(c.extract)
-	if err := pcap.Scan(r, asm.FeedPacket); err != nil {
+	if _, err := scan(r, c.add); err != nil {
 		return nil, err
 	}
-	asm.Flush()
 	sort.Stable(&c)
 	return c.txs, nil
 }

@@ -3,10 +3,13 @@ package httpstream
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dynaminer/internal/pcap"
@@ -46,9 +49,8 @@ func assemble(pkts []pcap.Packet) []*pcap.Stream {
 	return streams
 }
 
-// readPackets writes pkts out as a classic pcap, in the order given, and
-// reads it back through ReadCapture.
-func readPackets(t *testing.T, pkts []pcap.Packet) []Transaction {
+// writePackets renders pkts as a classic pcap, in the order given.
+func writePackets(t *testing.T, pkts []pcap.Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := pcap.NewWriter(&buf)
@@ -57,7 +59,14 @@ func readPackets(t *testing.T, pkts []pcap.Packet) []Transaction {
 			t.Fatal(err)
 		}
 	}
-	txs, err := ReadCapture(&buf)
+	return buf.Bytes()
+}
+
+// readPackets writes pkts out as a classic pcap, in the order given, and
+// reads it back through ReadCapture.
+func readPackets(t *testing.T, pkts []pcap.Packet) []Transaction {
+	t.Helper()
+	txs, err := ReadCapture(bytes.NewReader(writePackets(t, pkts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +261,16 @@ func TestTruncatedResponseBodyKept(t *testing.T) {
 	}
 }
 
-func TestExtractAllEndToEnd(t *testing.T) {
-	var convs []pcap.Conversation
+// reversedPackets is three one-request conversations written one after
+// another, each dated a second before the one written ahead of it: a
+// capture that is not time-ordered.
+func reversedPackets(t *testing.T) []pcap.Packet {
+	t.Helper()
+	var pkts []pcap.Packet
 	for i := 0; i < 3; i++ {
 		req := fmt.Sprintf("GET /page%d HTTP/1.1\r\nHost: site%d.com\r\n\r\n", i, i)
 		resp := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"
-		convs = append(convs, pcap.Conversation{
+		p, err := pcap.BuildConversation(pcap.Conversation{
 			ClientIP:   clientIP,
 			ServerIP:   netip.MustParseAddr(fmt.Sprintf("203.0.113.%d", 10+i)),
 			ClientPort: uint16(49400 + i),
@@ -267,22 +280,161 @@ func TestExtractAllEndToEnd(t *testing.T) {
 				{ClientToServer: false, Payload: []byte(resp), Timestamp: baseTime.Add(time.Duration(2-i)*time.Second + 50*time.Millisecond)},
 			},
 		})
-	}
-	var pkts []pcap.Packet
-	for _, c := range convs {
-		p, err := pcap.BuildConversation(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pkts = append(pkts, p...)
 	}
-	txs := readPackets(t, pkts)
+	return pkts
+}
+
+func TestExtractAllEndToEnd(t *testing.T) {
+	txs := readPackets(t, reversedPackets(t))
 	if len(txs) != 3 {
 		t.Fatalf("transactions = %d, want 3", len(txs))
 	}
 	// Sorted by request time: conversation order is reversed.
 	if txs[0].Host != "site2.com" || txs[2].Host != "site0.com" {
 		t.Fatalf("not time-sorted: %s .. %s", txs[0].Host, txs[2].Host)
+	}
+}
+
+// scanned is what ScanCapture delivered, and how much of the capture had
+// been read at each delivery.
+type scanned struct {
+	txs  []Transaction
+	read []int
+	late int
+}
+
+// countingRead wraps r so that *n counts the bytes read from it.
+type countingRead struct {
+	r io.Reader
+	n *int
+}
+
+func (c countingRead) Read(p []byte) (int, error) {
+	m, err := c.r.Read(p)
+	*c.n += m
+	return m, err
+}
+
+// scanBytes runs ScanCapture over capture one byte per Read.
+func scanBytes(t *testing.T, capture []byte) scanned {
+	t.Helper()
+	var s scanned
+	read := 0
+	late, err := ScanCapture(countingRead{iotest.OneByteReader(bytes.NewReader(capture)), &read}, func(tx *Transaction) {
+		s.txs = append(s.txs, *tx)
+		s.read = append(s.read, read)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.late = late
+	return s
+}
+
+// TestScanCaptureReleasesBeforeEOF pins the release rule on a time-ordered
+// capture: a conversation's transactions are delivered once it has closed
+// and the capture has moved past them, long before the end of the
+// capture, and the stream is exactly what ReadCapture returns, with none
+// late.
+func TestScanCaptureReleasesBeforeEOF(t *testing.T) {
+	var pkts []pcap.Packet
+	for i := 0; i < 4; i++ {
+		p, err := pcap.BuildConversation(pcap.Conversation{
+			ClientIP: clientIP, ServerIP: serverIP, ClientPort: uint16(49600 + i), ServerPort: 80,
+			Exchanges: []pcap.Exchange{
+				{ClientToServer: true, Payload: []byte(fmt.Sprintf("GET /%d HTTP/1.1\r\nHost: a.com\r\n\r\n", i)), Timestamp: baseTime.Add(time.Duration(i) * time.Second)},
+				{ClientToServer: false, Payload: []byte(simpleResp), Timestamp: baseTime.Add(time.Duration(i)*time.Second + 40*time.Millisecond)},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, p...)
+	}
+	capture := writePackets(t, pkts)
+	s := scanBytes(t, capture)
+	want, err := ReadCapture(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.txs, want) || s.late != 0 {
+		t.Fatalf("ScanCapture delivered %d transactions (%d late), ReadCapture returned %d: want the same stream, none late", len(s.txs), s.late, len(want))
+	}
+	for i, n := range s.read[:len(s.read)-1] {
+		if n >= len(capture) {
+			t.Fatalf("transaction %d of %d delivered only once the whole %d-byte capture was read", i+1, len(s.txs), len(capture))
+		}
+	}
+}
+
+// TestScanCaptureCountsLateTransactions: on the time-reversed capture each
+// conversation closes after a later-dated one was released, so two of the
+// three transactions are late. They are delivered and counted, never
+// dropped, and ReadCapture still sorts them into place.
+func TestScanCaptureCountsLateTransactions(t *testing.T) {
+	capture := writePackets(t, reversedPackets(t))
+	s := scanBytes(t, capture)
+	if len(s.txs) != 3 || s.late != 2 {
+		t.Fatalf("delivered %d transactions, %d late; want 3, 2 late", len(s.txs), s.late)
+	}
+	if s.txs[0].Host != "site0.com" || s.txs[2].Host != "site2.com" {
+		t.Fatalf("delivered %s .. %s, want capture order", s.txs[0].Host, s.txs[2].Host)
+	}
+}
+
+// withRST returns a conversation's packets with its FIN teardown replaced by
+// one RST from the client.
+func withRST(t *testing.T, pkts []pcap.Packet) []pcap.Packet {
+	t.Helper()
+	n := len(pkts)
+	f, err := pcap.DecodeFrame(pkts[n-2].Data) // the client's FIN
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Flags = pcap.FlagRST | pcap.FlagACK
+	data, err := pcap.EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(pkts[:n-2:n-2], pcap.Packet{Timestamp: pkts[n-2].Timestamp, Data: data})
+}
+
+// TestRSTConversationReleasedBeforeEOF: a conversation the client resets
+// yields the transactions its FIN teardown would, and they are delivered
+// as soon as the capture moves past it — a reset conversation does not
+// hold the watermark until the end of the capture.
+func TestRSTConversationReleasedBeforeEOF(t *testing.T) {
+	first := buildConvPackets(t, simpleGet, simpleResp)
+	later, err := pcap.BuildConversation(pcap.Conversation{
+		ClientIP: clientIP, ServerIP: serverIP, ClientPort: 49201, ServerPort: 80,
+		Exchanges: []pcap.Exchange{
+			{ClientToServer: true, Payload: []byte("GET /later HTTP/1.1\r\nHost: b.com\r\n\r\n"), Timestamp: baseTime.Add(time.Second)},
+			{ClientToServer: false, Payload: []byte(simpleResp), Timestamp: baseTime.Add(time.Second + 40*time.Millisecond)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := writePackets(t, append(first[:len(first):len(first)], later...))
+	rst := writePackets(t, append(withRST(t, first), later...))
+	want, err := ReadCapture(bytes.NewReader(fin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCapture(bytes.NewReader(rst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the RST capture read %d transactions, the FIN capture %d: want the same two", len(got), len(want))
+	}
+	s := scanBytes(t, rst)
+	if len(s.txs) != 2 || s.txs[0].URI != "/index.html" || s.read[0] >= len(rst) {
+		t.Fatalf("the reset conversation's transaction was delivered after %d of %d bytes: want it before the end of the capture", s.read[0], len(rst))
 	}
 }
 

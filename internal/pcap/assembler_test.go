@@ -232,6 +232,98 @@ func TestConversationClosesWhenComplete(t *testing.T) {
 	}
 }
 
+// withRST returns a conversation's packets with its FIN teardown replaced by
+// one RST from the client.
+func withRST(t testing.TB, pkts []Packet) []Packet {
+	t.Helper()
+	n := len(pkts)
+	f, err := DecodeFrame(pkts[n-2].Data) // the client's FIN
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Flags = FlagRST | FlagACK
+	data, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(slices.Clone(pkts[:n-2]), Packet{Timestamp: pkts[n-2].Timestamp, Data: data})
+}
+
+// TestRSTClosesConversation pins the reset rule: an RST from either side
+// closes its conversation at once, with the same streams the FIN teardown
+// gives, and whatever reaches the key afterwards that is not a SYN is
+// dropped as late, as after a FIN close. A reset of a connection never
+// seen opens nothing.
+func TestRSTClosesConversation(t *testing.T) {
+	pkts := convPackets(t, 40000, baseTime, "GET / HTTP/1.1\r\n\r\n", "HTTP/1.1 204 No Content\r\n\r\n")
+	fin, finOut := collecting()
+	for _, p := range pkts {
+		fin.FeedPacket(p)
+	}
+	a, out := collecting()
+	for _, p := range withRST(t, pkts) {
+		a.FeedPacket(p)
+	}
+	if !sameStreams(*out, *finOut) || len(*out) != 2 {
+		t.Fatalf("RST closed %d streams, the FIN teardown %d: want the same two", len(*out), len(*finOut))
+	}
+	if _, open := a.Oldest(); open {
+		t.Fatal("the reset conversation is still open")
+	}
+	a.FeedPacket(pkts[3]) // the request, again
+	if a.late != 1 || len(*out) != 2 {
+		t.Fatalf("a segment after the RST: late = %d, streams = %d; want it dropped as late", a.late, len(*out))
+	}
+	stray := mkDataFrame(7000, "", false)
+	stray.SrcPort, stray.Flags = 41000, FlagRST
+	a.Feed(stray, baseTime)
+	if _, open := a.Oldest(); open || len(a.convs) != 1 {
+		t.Fatalf("a reset of an unseen connection left %d keys, open = %v", len(a.convs), open)
+	}
+}
+
+// TestOldestFollowsOpenConversations pins Oldest: the first-frame time of
+// the earliest-opened conversation still open, through closes out of open
+// order and a recycled conversation struct reopened for another key.
+func TestOldestFollowsOpenConversations(t *testing.T) {
+	a, _ := collecting()
+	if _, ok := a.Oldest(); ok {
+		t.Fatal("an empty Assembler reports an open conversation")
+	}
+	conv := func(port uint16, s int) []Packet {
+		return convPackets(t, port, baseTime.Add(time.Duration(s)*time.Second), "GET / HTTP/1.1\r\n\r\n", "HTTP/1.1 204 No Content\r\n\r\n")
+	}
+	x, y, z, w := conv(40001, 10), conv(40002, 20), conv(40003, 30), conv(40004, 40)
+	want := func(step string, oldest []Packet) {
+		t.Helper()
+		if got, ok := a.Oldest(); !ok || !got.Equal(oldest[0].Timestamp) {
+			t.Fatalf("%s: Oldest = %v, %v; want %v, the first frame of the oldest open conversation", step, got, ok, oldest[0].Timestamp)
+		}
+	}
+	a.FeedPacket(x[0])
+	a.FeedPacket(y[0])
+	a.FeedPacket(z[0])
+	want("three open", x)
+	for _, p := range y[1:] {
+		a.FeedPacket(p)
+	}
+	want("the middle one closed", x)
+	for _, p := range x[1:] {
+		a.FeedPacket(p)
+	}
+	want("the first one closed too", z)
+	a.FeedPacket(w[0]) // reuses a recycled conversation
+	want("a recycled conversation reopened", z)
+	for _, p := range z[1:] {
+		a.FeedPacket(p)
+	}
+	want("only the reopened one left", w)
+	a.Flush()
+	if _, ok := a.Oldest(); ok || len(a.opened) != 0 {
+		t.Fatalf("after Flush: %d FIFO entries, open = %v", len(a.opened), ok)
+	}
+}
+
 // TestLateSegmentsAfterCloseAreDropped is the tombstone rule: once a
 // conversation has closed, a duplicate of one of its segments, or bytes
 // past its FIN, are counted and dropped; they neither reach the closed

@@ -162,9 +162,10 @@ func (st *flowState) finished() bool {
 // conversation is one open TCP connection: dirs[0] is the direction sent by
 // the lower endpoint of key, dirs[1] its reverse.
 type conversation struct {
-	key  FlowKey // as FlowKey.Canonical gives it
-	ord  int     // first-seen ordinal of its first frame's direction
-	dirs [2]flowState
+	key   FlowKey   // as FlowKey.Canonical gives it
+	ord   int       // first-seen ordinal of its first frame's direction; -1 once recycled
+	first time.Time // capture time of its first frame
+	dirs  [2]flowState
 	// What the sink is shown of dirs at close: streams, and under them the
 	// assembled bytes of a direction whose buf is not already its stream.
 	streams [2]Stream
@@ -198,12 +199,25 @@ type Assembler struct {
 	nextOrd int
 	frame   Frame
 
+	// opened lists conversations in the order they opened, each with the
+	// ordinal it had then, from head on. An entry whose conversation has
+	// since closed (recycle sets its ord to -1, and a reopened one has
+	// another) is popped once it reaches the front (Oldest).
+	opened []openEntry
+	head   int
+
 	convFree []*conversation
 	bufFree  [][]byte
 
 	buffered  int // payload bytes held for open conversations
 	highWater int // the most buffered has been
 	late      int // segments dropped because their conversation had closed
+}
+
+// openEntry is one conversation of the Assembler's open-order FIFO.
+type openEntry struct {
+	c   *conversation
+	ord int
 }
 
 // NewAssembler returns an empty Assembler that shows every conversation it
@@ -222,10 +236,13 @@ func (a *Assembler) Release() {
 		}
 	}
 	clear(a.convs)
+	clear(a.opened)
+	a.opened, a.head = a.opened[:0], 0
 	a.nextOrd, a.late = 0, 0
 }
 
-func (a *Assembler) open(key FlowKey) *conversation {
+// open starts the conversation on key whose first frame arrived at ts.
+func (a *Assembler) open(key FlowKey, ts time.Time) *conversation {
 	var c *conversation
 	if n := len(a.convFree); n > 0 {
 		c = a.convFree[n-1]
@@ -233,9 +250,33 @@ func (a *Assembler) open(key FlowKey) *conversation {
 	} else {
 		c = new(conversation)
 	}
-	c.key, c.ord = key, a.nextOrd
+	c.key, c.ord, c.first = key, a.nextOrd, ts
 	a.convs[key] = c
+	if a.head > 0 && 2*a.head >= len(a.opened) {
+		// At least half the FIFO is popped: slide the rest down instead of
+		// growing, so each entry is moved a constant number of times.
+		n := copy(a.opened, a.opened[a.head:])
+		clear(a.opened[n:])
+		a.opened, a.head = a.opened[:n], 0
+	}
+	a.opened = append(a.opened, openEntry{c: c, ord: c.ord})
 	return c
+}
+
+// Oldest returns the capture time of the first frame of the open
+// conversation that opened earliest, and false when none is open. On a
+// time-ordered capture no transaction an open or future conversation
+// yields can be dated before min(Oldest, the last frame's time). It is
+// O(1) amortised: each closed conversation is popped once.
+func (a *Assembler) Oldest() (time.Time, bool) {
+	for ; a.head < len(a.opened); a.head++ {
+		if e := a.opened[a.head]; e.c.ord == e.ord {
+			return e.c.first, true
+		}
+		a.opened[a.head] = openEntry{}
+	}
+	a.opened, a.head = a.opened[:0], 0
+	return time.Time{}, false
 }
 
 // recycle returns c and its buffers to the free lists.
@@ -251,7 +292,7 @@ func (a *Assembler) recycle(c *conversation) {
 		*st = flowState{segs: st.segs[:0], covered: st.covered[:0]}
 		c.streams[d], c.carved[d] = Stream{}, nil
 	}
-	c.spent = 0
+	c.ord, c.spent = -1, 0
 	a.convFree = append(a.convFree, c)
 }
 
@@ -293,8 +334,8 @@ func (a *Assembler) FeedPacket(p Packet) {
 // are appended to the buffer of the frame's direction (one amortized copy,
 // no per-segment allocation); frames whose payload is fully contained in a
 // single earlier segment are duplicates under first-copy-wins and are
-// dropped. The frame that completes its conversation closes it before Feed
-// returns.
+// dropped. The frame that completes or resets its conversation closes it
+// before Feed returns.
 //
 //dynalint:hotpath
 func (a *Assembler) Feed(f *Frame, ts time.Time) {
@@ -309,18 +350,21 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 		d = 1
 	}
 	syn := f.Flags&FlagSYN != 0
+	rst := f.Flags&FlagRST != 0
 	c, known := a.convs[key]
 	switch {
 	case c == nil && known && !syn:
 		// Whatever a closed conversation still receives is a duplicate of
-		// what it had, or lies past its FIN.
+		// what it had, or lies past its FIN or RST.
 		a.late++
 		return
+	case c == nil && rst && len(f.Payload) == 0:
+		return // resetting a connection never seen opens nothing
 	case c == nil:
-		c = a.open(key)
+		c = a.open(key, ts)
 	case syn && c.dirs[d].reopens(f.Seq+1):
 		a.close(c, tb)
-		c = a.open(key)
+		c = a.open(key, ts)
 	}
 	st := &c.dirs[d]
 	if !st.seen {
@@ -340,7 +384,7 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 	if tb != nil {
 		c.spent += traceClock().Sub(t0)
 	}
-	if c.dirs[0].sawFIN && c.dirs[1].sawFIN && c.dirs[0].finished() && c.dirs[1].finished() {
+	if rst || c.dirs[0].sawFIN && c.dirs[1].sawFIN && c.dirs[0].finished() && c.dirs[1].finished() {
 		a.close(c, tb)
 	}
 }

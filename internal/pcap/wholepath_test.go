@@ -1,7 +1,8 @@
 package pcap_test
 
 // The whole-path differential: dynaminer.ReadPCAP — record reader,
-// conversation-scoped Assembler, extraction on close, one final sort —
+// conversation-scoped Assembler, extraction on close, watermark release,
+// one final sort —
 // against the capture path as it stood (reassembly_ref_test.go: a buffer
 // per packet, a whole-capture assembler, ExtractAll), reflect.DeepEqual on
 // the ordered transactions, over a 55-episode synthetic corpus written as
@@ -29,8 +30,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"dynaminer"
 	"dynaminer/internal/httpstream"
@@ -369,24 +372,43 @@ func TestReadPCAPAllocationIsOneValued(t *testing.T) {
 	}
 }
 
-// TestProcessPCAPMatchesReferencePath replays one capture of all 55
-// episodes (a client each, interleaved by time) through Monitor.ProcessPCAP
-// and the reference path's transactions through ProcessAll: the same
-// alerts in the same order, the same Stats, the same journal, at one shard
-// and at two.
-func TestProcessPCAPMatchesReferencePath(t *testing.T) {
-	episodes := corpus()
-	clf, err := dynaminer.TrainForMonitoring(episodes, dynaminer.TrainConfig{Seed: 5})
+// monitorModel is the classifier the ProcessPCAP tests replay captures
+// through, trained once per test binary on the 55-episode corpus.
+var monitorModel = sync.OnceValues(func() (*dynaminer.Classifier, error) {
+	return dynaminer.TrainForMonitoring(corpus(), dynaminer.TrainConfig{Seed: 5})
+})
+
+func trainedModel(t testing.TB) *dynaminer.Classifier {
+	t.Helper()
+	clf, err := monitorModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts := corpusPackets(t, episodes)
+	return clf
+}
+
+// TestProcessPCAPMatchesReferencePath replays one capture of all 55
+// episodes (a client each, interleaved by time) through Monitor.ProcessPCAP
+// — transactions classified as the capture scan releases them — and the
+// reference path's transactions through ProcessAll: the same alerts in the
+// same order, the same Stats, the same journal, at one shard and at two,
+// in order and disturbed the ways a real capture is.
+func TestProcessPCAPMatchesReferencePath(t *testing.T) {
+	clf := trainedModel(t)
+	pkts := corpusPackets(t, corpus())
 	rng := rand.New(rand.NewSource(1))
-	captures := map[string][]byte{
-		"pcap, in order":                  render(t, "pcap", pkts),
-		"pcapng, shuffled and duplicated": render(t, "pcapng", duplicated(t, shuffled(t, pkts, rng), rng)),
+	captures := []struct {
+		name    string
+		capture []byte
+	}{
+		{"pcap, in order", render(t, "pcap", pkts)},
+		{"pcapng, shuffled and duplicated", render(t, "pcapng", duplicated(t, shuffled(t, pkts, rng), rng))},
+		{"pcap, overlapped", render(t, "pcap", overlapped(t, pkts, rng))},
+		{"pcapng, FIN before the last segment", render(t, "pcapng", finFirst(t, pkts, rng))},
+		{"pcap, truncated at a packet boundary", render(t, "pcap", pkts[:len(pkts)*2/3])},
 	}
-	for name, capture := range captures {
+	for _, c := range captures {
+		name, capture := c.name, c.capture
 		ref, err := reference(bytes.NewReader(capture))
 		if err != nil {
 			t.Fatal(err)
@@ -430,6 +452,213 @@ func TestProcessPCAPMatchesReferencePath(t *testing.T) {
 			if !slices.Equal(gotJournal, wantJournal) {
 				t.Fatalf("%s, %d shards: journals differ (%d records against %d)", name, shards, len(gotJournal), len(wantJournal))
 			}
+		}
+	}
+}
+
+// newMonitor is a monitor of the given shards over the trained model whose
+// journal goes to w.
+func newMonitor(t testing.TB, shards int, w io.Writer) *dynaminer.Monitor {
+	return dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1, Shards: shards, Journal: obs.NewJournalWriter(w)}, trainedModel(t))
+}
+
+// firstRecord is a journal sink that closes arrived on its first record.
+// The journal writes under its own lock, one record per Write.
+type firstRecord struct {
+	arrived chan struct{}
+	records int
+}
+
+func (f *firstRecord) Write(p []byte) (int, error) {
+	if f.records++; f.records == 1 {
+		close(f.arrived)
+	}
+	return len(p), nil
+}
+
+// TestProcessPCAPJournalsBeforeEOF is the streaming gate: ProcessPCAP reads
+// the first half of a capture from a pipe, and the journal must receive a
+// record before the second half is written. A monitor that reads the
+// capture to its end before classifying never journals and fails here.
+func TestProcessPCAPJournalsBeforeEOF(t *testing.T) {
+	pkts := corpusPackets(t, corpus())
+	capture := render(t, "pcap", pkts)
+	half := len(render(t, "pcap", pkts[:len(pkts)/2])) // a record boundary
+	sink := &firstRecord{arrived: make(chan struct{})}
+	m := newMonitor(t, 2, sink)
+	r, w := io.Pipe()
+	type result struct {
+		alerts []dynaminer.Alert
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		alerts, err := m.ProcessPCAP(r)
+		done <- result{alerts, err}
+	}()
+	if _, err := w.Write(capture[:half]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sink.arrived:
+	case <-time.After(30 * time.Second):
+		w.CloseWithError(errors.New("test timed out"))
+		t.Fatal("no journal record 30 s after the first half of the capture was read: verdicts wait for the end of the capture")
+	}
+	if _, err := w.Write(capture[half:]); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	want, err := newMonitor(t, 2, io.Discard).ProcessPCAP(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.alerts) != len(want) || sink.records != len(want) {
+		t.Fatalf("through the pipe: %d alerts, %d journal records; in one piece: %d alerts", len(res.alerts), sink.records, len(want))
+	}
+}
+
+// alertKey names an alert, or the journal record of one.
+func alertKey(client string, cluster int, at time.Time) string {
+	return fmt.Sprintf("%s|%d|%d", client, cluster, at.UnixNano())
+}
+
+// TestProcessPCAPReturnsAlertsBesideError: when a capture fails mid-read,
+// the transactions released before the failure have been classified and
+// journaled. ProcessPCAP returns their alerts with the error — a prefix of
+// the whole capture's alerts, score bits included — and the journal holds
+// exactly those, at one shard and at two.
+func TestProcessPCAPReturnsAlertsBesideError(t *testing.T) {
+	pkts := corpusPackets(t, corpus())
+	capture := render(t, "pcap", pkts)
+	boom := errors.New("capture source failed")
+	someButNotAll := false
+	for _, shards := range []int{1, 2} {
+		full, err := newMonitor(t, shards, io.Discard).ProcessPCAP(bytes.NewReader(capture))
+		if err != nil || len(full) == 0 {
+			t.Fatalf("whole capture: %d alerts, error %v", len(full), err)
+		}
+		for _, k := range []int{len(pkts) / 2, len(pkts) * 3 / 4, len(pkts) - 2} {
+			boundary := len(render(t, "pcap", pkts[:k]))
+			readers := map[string]io.Reader{
+				// Cut inside the record header that follows the boundary.
+				"cut in a record header": bytes.NewReader(capture[:boundary+7]),
+				"reader that fails":      io.MultiReader(bytes.NewReader(capture[:boundary+100]), iotest.ErrReader(boom)),
+			}
+			for how, r := range readers {
+				what := fmt.Sprintf("%d shards, %s after packet %d of %d", shards, how, k, len(pkts))
+				var journal bytes.Buffer
+				got, err := newMonitor(t, shards, &journal).ProcessPCAP(r)
+				if err == nil {
+					t.Fatalf("%s: no error", what)
+				}
+				if len(got) > len(full) {
+					t.Fatalf("%s: %d alerts, the whole capture raises %d", what, len(got), len(full))
+				}
+				for i := range got {
+					g, w := got[i], full[i]
+					if g.Client != w.Client || !g.Time.Equal(w.Time) || g.ClusterID != w.ClusterID || g.TriggerHost != w.TriggerHost ||
+						math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+						t.Fatalf("%s: alert %d is %+v, the whole capture's is %+v", what, i, g, w)
+					}
+				}
+				records, err := obs.ReadJournal(&journal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gotKeys, wantKeys []string
+				for _, rec := range records {
+					gotKeys = append(gotKeys, alertKey(rec.Client, rec.ClusterID, rec.Time))
+				}
+				for _, a := range got {
+					wantKeys = append(wantKeys, alertKey(a.Client.String(), a.ClusterID, a.Time))
+				}
+				sort.Strings(gotKeys)
+				sort.Strings(wantKeys)
+				if !slices.Equal(gotKeys, wantKeys) {
+					t.Fatalf("%s: the journal holds %d records for the %d alerts returned, or other ones", what, len(gotKeys), len(wantKeys))
+				}
+				someButNotAll = someButNotAll || len(got) > 0 && len(got) < len(full)
+			}
+		}
+	}
+	if !someButNotAll {
+		t.Fatal("no cut returned some but not all of the alerts: the test exercised nothing")
+	}
+}
+
+// reversedCapture is three one-request conversations written one after
+// another, each dated a second before the one ahead of it: a capture that
+// is not time-ordered.
+func reversedCapture(t testing.TB) []byte {
+	var pkts []pcap.Packet
+	for i := 0; i < 3; i++ {
+		c, err := pcap.BuildConversation(pcap.Conversation{
+			ClientIP:   netip.MustParseAddr("10.0.0.5"),
+			ServerIP:   netip.AddrFrom4([4]byte{203, 0, 113, byte(10 + i)}),
+			ClientPort: uint16(49400 + i),
+			ServerPort: 80,
+			Exchanges: []pcap.Exchange{
+				{ClientToServer: true, Payload: []byte(fmt.Sprintf("GET /page%d HTTP/1.1\r\nHost: site%d.com\r\n\r\n", i, i)), Timestamp: time.Unix(1468159200+int64(2-i), 0)},
+				{ClientToServer: false, Payload: []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"), Timestamp: time.Unix(1468159200+int64(2-i), 50e6)},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, c...)
+	}
+	return render(t, "pcap", pkts)
+}
+
+// TestLateTransactionsAreDeliveredAndCounted: a transaction that surfaces
+// after a later-dated one was released (a capture that is not
+// time-ordered) still reaches the engine, at once, and is counted in
+// dynaminer_capture_late_transactions_total: as many as were delivered out
+// of request-time order. On the in-order corpus capture none are.
+func TestLateTransactionsAreDeliveredAndCounted(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		capture []byte
+		late    int
+	}{
+		{"time-reversed", reversedCapture(t), 2},
+		{"corpus, in order", render(t, "pcap", corpusPackets(t, corpus())), 0},
+	} {
+		name, capture := c.name, c.capture
+		txs, err := dynaminer.ReadPCAP(bytes.NewReader(capture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outOfOrder := 0
+		var latest time.Time
+		if _, err := dynaminer.ScanPCAP(bytes.NewReader(capture), func(tx *dynaminer.Transaction) {
+			if tx.ReqTime.Before(latest) {
+				outOfOrder++
+			}
+			if tx.ReqTime.After(latest) {
+				latest = tx.ReqTime
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m := newMonitor(t, 2, io.Discard)
+		if _, err := m.ProcessPCAP(bytes.NewReader(capture)); err != nil {
+			t.Fatal(err)
+		}
+		late := m.Registry().CounterValue("dynaminer_capture_late_transactions_total")
+		if got := m.Stats().Transactions; got != len(txs) {
+			t.Fatalf("%s: the engine saw %d transactions, the capture holds %d", name, got, len(txs))
+		}
+		if late != int64(outOfOrder) {
+			t.Fatalf("%s: %d late transactions counted, %d delivered out of order", name, late, outOfOrder)
+		}
+		if late != int64(c.late) {
+			t.Fatalf("%s: %d late transactions, want %d", name, late, c.late)
 		}
 	}
 }

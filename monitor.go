@@ -34,6 +34,8 @@ type Monitor struct {
 	janitorEvictions   *obs.Counter
 	checkpoints        *obs.Counter
 	checkpointFailures *obs.Counter
+	// Capture transactions ProcessPCAP delivered out of request-time order.
+	lateTxs *obs.Counter
 
 	mu             sync.Mutex
 	stop           chan struct{} // non-nil while the janitor is running; guarded by mu
@@ -74,6 +76,8 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 			"Watch-state checkpoints written successfully."),
 		checkpointFailures: reg.Counter("dynaminer_checkpoint_failures_total",
 			"Watch-state checkpoint writes that failed."),
+		lateTxs: reg.Counter("dynaminer_capture_late_transactions_total",
+			"Capture transactions delivered to the engine after a later one, because the capture is not time-ordered."),
 	}
 }
 
@@ -187,20 +191,28 @@ func (m *Monitor) EvictIdle(cutoff time.Time) int { return m.engine.EvictIdle(cu
 // Process ingests one transaction and returns any alerts it triggers.
 func (m *Monitor) Process(tx Transaction) []Alert { return m.engine.Process(tx) }
 
-// ProcessAll moves a transaction slab through the engine: each shard
-// processes its share of the slab, shards run concurrently, and alerts
-// come back in input order — bit-identical to calling Process per
-// transaction.
+// ProcessAll moves a transaction slab through the engine: one worker per
+// shard takes its shard's share in slab order, shards run concurrently,
+// and alerts come back in input order — bit-identical to calling Process
+// per transaction.
 func (m *Monitor) ProcessAll(txs []Transaction) []Alert { return m.engine.ProcessAll(txs) }
 
 // ProcessPCAP replays a capture through the engine, as in the forensic
-// case study, returning all alerts.
+// case study, and returns its alerts in transaction order. The capture is
+// classified while it is still being read: each transaction goes to its
+// shard's worker as soon as ScanPCAP releases it, so alerts are journaled
+// long before the capture ends. Transactions released out of order (a
+// capture that is not time-ordered) are counted in
+// dynaminer_capture_late_transactions_total. When the capture fails
+// mid-read, the transactions released before the failure have already
+// been classified and journaled: ProcessPCAP returns their alerts beside
+// the error.
 func (m *Monitor) ProcessPCAP(r io.Reader) ([]Alert, error) {
-	txs, err := ReadPCAP(r)
-	if err != nil {
-		return nil, err
-	}
-	return m.ProcessAll(txs), nil
+	return m.engine.ProcessFeed(func(deliver func(*Transaction)) error {
+		late, err := ScanPCAP(r, deliver)
+		m.lateTxs.Add(int64(late))
+		return err
+	})
 }
 
 // Stats returns a snapshot of engine counters, aggregated across shards.
