@@ -71,18 +71,20 @@ chaos:
 # its recursive test oracle, the body sniffer's two differentials against
 # its regexp-only reference and the shortest-path sweep's differential
 # against the plain graph kernels, which live only as the test oracle in
-# internal/graph/plain_ref_test.go. That differential and the checkpoint
-# reader cap their minimizers at 1s: left at the default minute per
-# new-coverage input, each stalled the run after ~3 s of a 10 s smoke.
+# internal/graph/plain_ref_test.go. The three HTTP parser targets run the
+# in-place parser in lockstep with its net/http oracle
+# (internal/httpstream/parse_ref_test.go). Those, that differential and the
+# checkpoint reader cap their minimizers at 1s: left at the default minute
+# per new-coverage input, each stalled the run after ~3 s of a 10 s smoke.
 # Regenerate the synth seeds with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test
 # ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReadAllAuto$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseRequests$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseRequests$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/detector -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)

@@ -2,11 +2,8 @@ package httpstream
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/gzip"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,130 +15,6 @@ import (
 
 	"dynaminer/internal/pcap"
 )
-
-// refRetainedBody is the body step of streamParser.responses as it stood
-// before retainedBody/readBody replaced it, kept word for word as their
-// oracle: the whole body through io.ReadAll, the raw-remainder fallback,
-// decode, reslice to maxRetainedBody, detach. It additionally reports
-// whether the fallback was taken. A change to retainedBody changes this
-// reference only if it means to change what a Transaction keeps.
-func refRetainedBody(resp *http.Response, rest []byte) (body []byte, size int, err error, fellBack bool) {
-	body, bodyErr := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	size = len(body)
-	aliased := false
-	if bodyErr != nil && size == 0 && len(rest) > 0 {
-		body = rest
-		size = len(body)
-		aliased = true
-	}
-	body = refDecodeContent(body, resp.Header.Get("Content-Encoding"))
-	if len(body) > maxRetainedBody {
-		body = body[:maxRetainedBody]
-	}
-	if aliased {
-		body = detachBody(body)
-	}
-	return body, size, bodyErr, aliased
-}
-
-// refDecodeContent is decodeContent as it stood when it took the raw
-// header value.
-func refDecodeContent(body []byte, encoding string) []byte {
-	switch strings.ToLower(strings.TrimSpace(encoding)) {
-	case "gzip", "x-gzip":
-		zr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			return body
-		}
-		defer zr.Close()
-		plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
-	case "deflate":
-		fr := flate.NewReader(bytes.NewReader(body))
-		defer fr.Close()
-		plain, err := io.ReadAll(io.LimitReader(fr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
-	default:
-		return body
-	}
-}
-
-// diffResponses walks one server-direction stream with two parsers in
-// lockstep, the body of every response read by retainedBody on one and by
-// the reference on the other, and requires the same kept bytes, wire size
-// and error nil-ness, the same stream position afterwards (so pipelined
-// responses still line up), and the same messages from parseResponses as
-// the reference walk produced. The retention rule applies on top of the
-// reference: a body whose class does not carry redirects, or that answers
-// no request, keeps nothing. It returns how often the reference took the
-// raw-remainder fallback.
-func diffResponses(t *testing.T, name string, data []byte, reqs []reqMsg) (fallbacks int) {
-	t.Helper()
-	got, ref := newStreamParser(), newStreamParser()
-	got.start(data)
-	ref.start(data)
-	whole := parseResponses(data, reqs)
-	for i := 0; ; i++ {
-		_, gotEnd := got.br.Peek(1)
-		_, refEnd := ref.br.Peek(1)
-		if (gotEnd != nil) != (refEnd != nil) {
-			t.Fatalf("%s: response %d: parsers disagree on end of stream", name, i)
-		}
-		var req *http.Request
-		if i < len(reqs) {
-			req = reqs[i].req
-		}
-		var gotResp, refResp *http.Response
-		if gotEnd == nil {
-			gotResp, gotEnd = http.ReadResponse(got.br, req)
-			refResp, refEnd = http.ReadResponse(ref.br, req)
-		}
-		if gotEnd != nil || refEnd != nil {
-			if len(whole) != i {
-				t.Fatalf("%s: parseResponses kept %d responses, the reference walk %d", name, len(whole), i)
-			}
-			return fallbacks
-		}
-		gotRest := data[got.cr.n-got.br.Buffered():]
-		refRest := data[ref.cr.n-ref.br.Buffered():]
-		if len(gotRest) != len(refRest) {
-			t.Fatalf("%s: response %d: body starts %d bytes from the end, reference %d", name, i, len(gotRest), len(refRest))
-		}
-		keep := req != nil && ClassifyPayload(reqs[i].uri, gotResp.Header.Get("Content-Type")).CarriesRedirects()
-		body, size, err := retainedBody(gotResp, gotRest, keep)
-		wantBody, wantSize, wantErr, fellBack := refRetainedBody(refResp, refRest)
-		if fellBack {
-			fallbacks++
-		}
-		if !keep {
-			wantBody = nil
-		}
-		if !bytes.Equal(body, wantBody) || size != wantSize || (err != nil) != (wantErr != nil) {
-			t.Fatalf("%s: response %d (reference fell back: %v): kept %d bytes %.40q, size %d, err %v; reference kept %d bytes %.40q, size %d, err %v",
-				name, i, fellBack, len(body), body, size, err, len(wantBody), wantBody, wantSize, wantErr)
-		}
-		if g, w := got.cr.n-got.br.Buffered(), ref.cr.n-ref.br.Buffered(); g != w {
-			t.Fatalf("%s: response %d: stream at byte %d after the body, reference at %d", name, i, g, w)
-		}
-		checkRetained(t, body, keep)
-		if i >= len(whole) || !bytes.Equal(whole[i].body, wantBody) || whole[i].bodySize != wantSize {
-			t.Fatalf("%s: parseResponses disagrees with the reference at response %d", name, i)
-		}
-		if wantErr != nil {
-			if len(whole) != i+1 {
-				t.Fatalf("%s: parseResponses kept %d responses past a body error at %d", name, len(whole), i)
-			}
-			return fallbacks
-		}
-	}
-}
 
 // corpusInputs returns every []byte argument of every checked-in fuzz
 // corpus file under testdata/, in file order.
@@ -176,10 +49,10 @@ func corpusInputs(t *testing.T) map[string][][]byte {
 }
 
 // TestBodyReaderMatchesReadAllReference is the differential that lets the
-// body reader change shape: over the malformed and content-coding cases of
-// this package's other tests, the fuzz seeds and corpus, and every framing
-// the reader treats differently, retainedBody keeps exactly what the
-// io.ReadAll reference keeps.
+// body framing change shape: over the malformed and content-coding cases
+// of this package's other tests, the fuzz seeds and corpus, and every
+// framing the parser treats differently, the in-place parser keeps exactly
+// what the net/http oracle with its io.ReadAll body step keeps.
 func TestBodyReaderMatchesReadAllReference(t *testing.T) {
 	html := strings.Repeat("<div>malvertising chain hop</div>\n", 200)
 	gz := gzipBytes(t, html)
@@ -251,9 +124,9 @@ func TestBodyReaderMatchesReadAllReference(t *testing.T) {
 	// Every case runs as the answer to a HEAD (a body-less first response,
 	// whatever its framing says), to GETs of pages (kept bodies), to GETs
 	// of images (bodies read and dropped), and to no known request.
-	head := parseRequests([]byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\nGET /1 HTTP/1.1\r\nHost: a\r\n\r\n"))
-	get := parseRequests([]byte(strings.Repeat("GET /1 HTTP/1.1\r\nHost: a\r\n\r\n", 8)))
-	img := parseRequests([]byte(strings.Repeat("GET /1.png HTTP/1.1\r\nHost: a\r\n\r\n", 8)))
+	head := []byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\nGET /1 HTTP/1.1\r\nHost: a\r\n\r\n")
+	get := []byte(strings.Repeat("GET /1 HTTP/1.1\r\nHost: a\r\n\r\n", 8))
+	img := []byte(strings.Repeat("GET /1.png HTTP/1.1\r\nHost: a\r\n\r\n", 8))
 	fallbacks := 0
 	for name, data := range cases {
 		fallbacks += diffResponses(t, name+" (after HEAD)", []byte(data), head)
@@ -271,11 +144,11 @@ func TestBodyReaderMatchesReadAllReference(t *testing.T) {
 	for file, args := range corpusInputs(t) {
 		// A FuzzExtractPair file holds a client and a server direction; the
 		// single-argument files are read as a server direction.
-		reqs := head
+		client := head
 		if len(args) == 2 {
-			reqs = parseRequests(args[0])
+			client = args[0]
 		}
-		diffResponses(t, file, args[len(args)-1], reqs)
+		diffResponses(t, file, args[len(args)-1], client)
 	}
 }
 
@@ -324,26 +197,26 @@ func allocatedBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// bodyCost returns the allocations and bytes that reading the body of the
-// single response in data adds to parsing its head.
+// bodyCost returns the allocations and bytes that keeping the body of the
+// single response in data adds to parsing it: the response parsed as the
+// answer to a page, whose body is kept, less the same response parsed as
+// the answer to an image, whose body is only counted.
 func bodyCost(t *testing.T, data []byte) (allocs, size float64) {
 	t.Helper()
-	p := newStreamParser()
-	parse := func(readBody bool) func() {
+	p := new(streamParser)
+	page := p.requests([]byte("GET /index.html HTTP/1.1\r\nHost: a\r\n\r\n"))[0]
+	image := p.requests([]byte("GET /banner.png HTTP/1.1\r\nHost: a\r\n\r\n"))[0]
+	parse := func(req reqMsg) func() {
 		return func() {
-			p.start(data)
-			resp, err := http.ReadResponse(p.br, nil)
-			if err != nil {
-				panic(err)
+			resps := p.responses(data, []reqMsg{req})
+			if len(resps) != 1 {
+				panic("want one response")
 			}
-			if readBody {
-				bodySink, _, _ = retainedBody(resp, data[p.cr.n-p.br.Buffered():], true)
-			}
+			bodySink = resps[0].body
 		}
 	}
-	// Bytes are the cheapest of many single runs: io.Discard's pooled
-	// buffer is remade whenever sync.Pool drops it (a GC; one Put in four
-	// under -race), which is the pool's cost and not the body's.
+	// Bytes are the cheapest of many single runs: a GC between the two
+	// ReadMemStats calls is not the body's cost.
 	measure := func(f func()) (allocs, size float64) {
 		const runs = 200
 		allocs = testing.AllocsPerRun(runs, f)
@@ -353,16 +226,15 @@ func bodyCost(t *testing.T, data []byte) (allocs, size float64) {
 		}
 		return allocs, float64(least)
 	}
-	headAllocs, headBytes := measure(parse(false))
-	allAllocs, allBytes := measure(parse(true))
+	headAllocs, headBytes := measure(parse(image))
+	allAllocs, allBytes := measure(parse(page))
 	return allAllocs - headAllocs, allBytes - headBytes
 }
 
-// TestBodyBufferSizedOnce pins the two ends of sizing a body buffer from
-// its Content-Length: a complete body is one allocation of its own size
-// (io.ReadAll grew to 64 KiB through eleven), and an announced length the
-// stream cannot hold, or that a body-less status merely repeats, buys
-// nothing.
+// TestBodyBufferSizedOnce pins the two ends of sizing a kept body's
+// buffer: a complete body is one allocation of its own size (io.ReadAll
+// grew to 64 KiB through eleven), and an announced length the stream
+// cannot hold, or that a body-less status merely repeats, buys nothing.
 func TestBodyBufferSizedOnce(t *testing.T) {
 	body := strings.Repeat("E", maxRetainedBody)
 	complete := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
@@ -386,8 +258,8 @@ func TestBodyBufferSizedOnce(t *testing.T) {
 // capture of 100 conversations, one 64 KiB image or EXE download each,
 // once kept a copy of every body. Now their size adds under a tenth of
 // their total to what ReadCapture allocates for the same capture with
-// one-byte bodies (parsed headers, the drain's buffer and the capture's
-// fixed costs, the same either way).
+// one-byte bodies (parsed headers and the capture's fixed costs, the same
+// either way).
 func TestDroppedBodiesAllocateNothing(t *testing.T) {
 	const downloads, size = 100, 64 << 10
 	allocated := func(size int) uint64 {
@@ -429,9 +301,9 @@ func TestDroppedBodiesAllocateNothing(t *testing.T) {
 				}
 			}
 		}
-		// The cheapest of several runs, as in bodyCost: sync.Pool drops
-		// one Put in four under -race, and a remade io.Discard buffer is
-		// the pool's cost, not the bodies'.
+		// The cheapest of several runs: sync.Pool drops one Put in four
+		// under -race, and a remade parser is the pool's cost, not the
+		// bodies'.
 		least := ^uint64(0)
 		for range 10 {
 			least = min(least, allocatedBytes(read))

@@ -1,7 +1,9 @@
 package httpstream
 
 import (
+	"net/http"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"dynaminer/internal/pcap"
@@ -30,12 +32,46 @@ var malformedSeeds = []string{
 	"GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\nGET /2 HTTP/1.1\r\n\r\n",
 }
 
+// The three targets run the in-place parser and the net/http oracle
+// (parse_ref_test.go) side by side: both must accept and reject the same
+// messages and agree on every parsed field, stream offset, kept body byte
+// and wire size. Each also holds the in-place parse to an allocation
+// ceiling, so no length field in the input can size an allocation.
+
+// decodeCost bounds what decoding one kept body allocates: the
+// decompressor's state and at most maxRetainedBody bytes of plaintext.
+const decodeCost = 192 << 10
+
+// checkAllocs fails t when a parse of input bytes that decoded the given
+// number of bodies allocated more than 64 bytes per input byte (a header
+// field's share of the head string, the map and the value backing, or a
+// kept body byte), decodeCost per decoded body, and decodeCost besides.
+func checkAllocs(t *testing.T, allocated uint64, input, decoded int) {
+	t.Helper()
+	if limit := uint64(64*input + (decoded+1)*decodeCost); allocated > limit {
+		t.Fatalf("parsing %d bytes (%d bodies decoded) allocated %d, want at most %d", input, decoded, allocated, limit)
+	}
+}
+
+// decoded counts the kept bodies among resps that a content coding was
+// undone on (or tried on).
+func decoded(hdrs []http.Header, bodies [][]byte) int {
+	n := 0
+	for i, h := range hdrs {
+		if bodies[i] != nil && contentCoding(h.Get("Content-Encoding")) != "" {
+			n++
+		}
+	}
+	return n
+}
+
 func FuzzParseRequests(f *testing.F) {
 	for _, s := range malformedSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		parseRequests(data)
+		checkAllocs(t, allocatedBytes(func() { new(streamParser).requests(data) }), len(data), 0)
+		diffRequests(t, "fuzz input", data)
 	})
 }
 
@@ -45,15 +81,19 @@ func FuzzParseResponses(f *testing.F) {
 	}
 	// A fixed pipelined request list so positional matching (HEAD and
 	// status-only semantics) is exercised against arbitrary response bytes.
-	reqs := parseRequests([]byte(
-		"HEAD /h HTTP/1.1\r\nHost: a\r\n\r\n" +
-			"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n" +
-			"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n"))
-	// diffResponses checks every body against the io.ReadAll reference
-	// (kept bytes, size, error nil-ness, stream position) and against
-	// checkRetained.
+	client := []byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\n" +
+		"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n" +
+		"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n")
+	reqs := new(streamParser).requests(client)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		diffResponses(t, "fuzz input", data, reqs)
+		var resps []respMsg
+		allocated := allocatedBytes(func() { resps = new(streamParser).responses(data, reqs) })
+		hdrs, bodies := make([]http.Header, len(resps)), make([][]byte, len(resps))
+		for i, r := range resps {
+			hdrs[i], bodies[i] = r.hdr, r.body
+		}
+		checkAllocs(t, allocated, len(data), decoded(hdrs, bodies))
+		diffResponses(t, "fuzz input", data, client)
 	})
 }
 
@@ -83,9 +123,17 @@ func FuzzExtractPair(f *testing.F) {
 		DstPort: 80,
 	}
 	f.Fuzz(func(t *testing.T, creq, sresp []byte) {
-		for _, tx := range ExtractPair(&pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp}) {
+		c2s, s2c := &pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp}
+		var got []Transaction
+		allocated := allocatedBytes(func() { got = ExtractPair(c2s, s2c) })
+		hdrs, bodies := make([]http.Header, len(got)), make([][]byte, len(got))
+		for i, tx := range got {
 			checkRetained(t, tx.Body, ClassifyPayload(tx.URI, tx.ContentType).CarriesRedirects())
+			hdrs[i], bodies[i] = tx.RespHdr, tx.Body
 		}
-		diffResponses(t, "server direction", sresp, parseRequests(creq))
+		checkAllocs(t, allocated, len(creq)+len(sresp), decoded(hdrs, bodies))
+		if want := refExtractPair(c2s, s2c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("in-place parse:\n%s\noracle:\n%s", short(got), short(want))
+		}
 	})
 }

@@ -5,17 +5,13 @@
 package httpstream
 
 import (
-	"bufio"
 	"bytes"
-	"compress/flate"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dynaminer/internal/pcap"
@@ -110,360 +106,6 @@ func (t *Transaction) String() string {
 	return fmt.Sprintf("%s %s -> %d %s (%d bytes)", t.Method, t.URL(), t.StatusCode, t.ContentType, t.BodySize)
 }
 
-// countingReader tracks consumed bytes so message start offsets inside a
-// stream can be recovered despite bufio read-ahead.
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
-
-type reqMsg struct {
-	req      *http.Request
-	uri      string // req.URL.RequestURI(), the Transaction's URI
-	offset   int
-	bodySize int
-}
-
-type respMsg struct {
-	resp     *http.Response
-	offset   int
-	body     []byte
-	bodySize int
-}
-
-// streamParser is the reusable parse state one ExtractPair call borrows
-// from parserPool: the byte/counting/bufio reader stack and the
-// reqMsg/respMsg product slices. Before the pool, every conversation
-// allocated all of it afresh — under steady-state ingestion that was the
-// dominant per-stream garbage outside net/http itself. A parser serves one
-// conversation at a time; release zeroes the message slices so pooled
-// parsers never pin request/response objects (or their bodies) across
-// uses.
-type streamParser struct {
-	rd    bytes.Reader
-	cr    countingReader
-	br    *bufio.Reader
-	reqs  []reqMsg
-	resps []respMsg
-}
-
-var parserPool = sync.Pool{
-	New: func() any { return newStreamParser() },
-}
-
-func newStreamParser() *streamParser {
-	p := &streamParser{}
-	p.br = bufio.NewReader(&p.cr)
-	return p
-}
-
-// start aims the reader stack at a new direction's bytes.
-//
-//dynalint:hotpath
-func (p *streamParser) start(data []byte) {
-	p.rd.Reset(data)
-	p.cr = countingReader{r: &p.rd}
-	p.br.Reset(&p.cr)
-}
-
-// release returns the parser to the pool. The message slices are cleared
-// element-wise first: their *http.Request/*http.Response references (and
-// body prefixes) now belong to the extracted Transactions, and a pooled
-// parser must not keep them alive.
-//
-//dynalint:hotpath
-func (p *streamParser) release() {
-	clear(p.reqs)
-	clear(p.resps)
-	p.reqs, p.resps = p.reqs[:0], p.resps[:0]
-	parserPool.Put(p)
-}
-
-// parseRequests parses consecutive HTTP requests from data with a fresh
-// parser (the pooled path goes through ExtractPair; the fuzz targets and
-// tests drive this entry).
-func parseRequests(data []byte) []reqMsg {
-	return newStreamParser().requests(data)
-}
-
-// parseResponses is the fresh-parser counterpart for responses.
-func parseResponses(data []byte, reqs []reqMsg) []respMsg {
-	return newStreamParser().responses(data, reqs)
-}
-
-// requests parses consecutive HTTP requests from data into the parser's
-// reused slice, recording each request's byte offset. Parsing stops at the
-// first malformed message.
-//
-//dynalint:hotpath
-func (p *streamParser) requests(data []byte) []reqMsg {
-	p.start(data)
-	out := p.reqs[:0]
-	for {
-		// ReadRequest allocates its Request before reading the first byte,
-		// so the terminal EOF call of every conversation would produce one
-		// dead Request; a peek keeps exhausted input allocation-free.
-		if _, err := p.br.Peek(1); err != nil {
-			p.reqs = out
-			return out
-		}
-		offset := p.cr.n - p.br.Buffered()
-		req, err := http.ReadRequest(p.br)
-		if err != nil {
-			p.reqs = out
-			return out
-		}
-		// Drain the request body, keeping only its size: uploaded bytes are
-		// the exfiltration volume of post-infection dialogues.
-		n, err := io.Copy(io.Discard, req.Body)
-		_ = req.Body.Close()
-		out = append(out, reqMsg{req: req, uri: req.URL.RequestURI(), offset: offset, bodySize: int(n)})
-		if err != nil {
-			p.reqs = out
-			return out
-		}
-	}
-}
-
-// responses parses consecutive HTTP responses from data into the parser's
-// reused slice. Each response is matched positionally against the request
-// list so HEAD and status-only semantics resolve correctly.
-//
-//dynalint:hotpath
-func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
-	p.start(data)
-	out := p.resps[:0]
-	for i := 0; ; i++ {
-		// Same dead-allocation avoidance as the request loop: ReadResponse
-		// builds its Response before touching the input.
-		if _, err := p.br.Peek(1); err != nil {
-			p.resps = out
-			return out
-		}
-		offset := p.cr.n - p.br.Buffered()
-		var req *http.Request
-		if i < len(reqs) {
-			req = reqs[i].req
-		}
-		resp, err := http.ReadResponse(p.br, req)
-		if err != nil {
-			p.resps = out
-			return out
-		}
-		// The body is kept only if it can hide a redirect, judged on the
-		// URI and Content-Type the Transaction will carry; a response
-		// with no request to pair with never becomes one.
-		keep := req != nil && ClassifyPayload(reqs[i].uri, resp.Header.Get("Content-Type")).CarriesRedirects()
-		body, size, bodyErr := retainedBody(resp, data[p.cr.n-p.br.Buffered():], keep)
-		out = append(out, respMsg{resp: resp, offset: offset, body: body, bodySize: size})
-		if bodyErr != nil {
-			// Truncated body (capture cut mid-transfer): keep the prefix, stop.
-			p.resps = out
-			return out
-		}
-	}
-}
-
-// retainedBody reads resp's body off the stream and returns what a
-// Transaction keeps of it, with the body's size on the wire and the
-// framing error, if any, that ends the stream's parse. rest is the raw
-// stream from the body's first byte on. Only a body the caller keeps (its
-// payload class carries redirects) is retained: at most maxRetainedBody
-// bytes, decoded. Any other body is read and counted into no buffer.
-//
-// A kept body is read into a buffer sized once (readBody): no body is
-// longer than rest, a Content-Length body is no longer than it announces,
-// and only a maxRetainedBody prefix is ever kept, so no more than that is
-// buffered and the Transaction does not pin the whole download. A coded
-// body is decoded as it streams (decodeBody), under the same bound.
-func retainedBody(resp *http.Response, rest []byte, keep bool) (body []byte, size int, err error) {
-	if !keep {
-		_, size, err = readBody(resp.Body, 0, 0)
-		_ = resp.Body.Close()
-		if err != nil && size == 0 {
-			size = len(rest) // the degraded size a kept body reports (below)
-		}
-		return nil, size, err
-	}
-	limit := min(len(rest), maxRetainedBody)
-	start := min(limit, 512) // unknown length: io.ReadAll's first buffer
-	announced := resp.ContentLength
-	if resp.Body == http.NoBody {
-		announced = 0 // HEAD, 1xx/204/304: a Content-Length here announces no bytes
-	}
-	if announced >= 0 {
-		// No byte past the announced length can arrive, so the buffer is
-		// made at its final size (compared as int64: a hostile length
-		// must not wrap an int).
-		limit = int(min(int64(limit), announced))
-		start = limit
-	}
-	coding := contentCoding(resp.Header.Get("Content-Encoding"))
-	if coding == "" {
-		body, size, err = readBody(resp.Body, start, limit)
-	} else {
-		body, size, err = decodeBody(resp.Body, coding, start, limit)
-	}
-	_ = resp.Body.Close()
-	if err != nil && size == 0 && len(rest) > 0 {
-		// The framing was unusable from the first body byte (e.g. a
-		// garbage chunk-size line): degrade to the raw stream remainder
-		// so the transaction keeps its payload evidence instead of
-		// reporting an empty body.
-		size = len(rest)
-		if plain, ok := decode(bytes.NewReader(rest), coding); ok {
-			return plain, size, err
-		}
-		// The raw remainder points into the stream buffer, which the
-		// assembler reuses for the next conversation; detach the kept
-		// prefix so the Transaction outlives it.
-		return detachBody(rest[:min(len(rest), maxRetainedBody)]), size, err
-	}
-	return body, size, err
-}
-
-// readBody reads r to its end as io.ReadAll does, except that it keeps at
-// most limit bytes — the rest is read, counted and dropped — in a buffer
-// that starts at start bytes, so a caller that knows the length pays one
-// allocation and no regrowth. It returns the kept prefix, the number of
-// bytes read, and any error but io.EOF.
-func readBody(r io.Reader, start, limit int) (kept []byte, n int, err error) {
-	kept = make([]byte, 0, start)
-	for len(kept) < limit {
-		if len(kept) == cap(kept) {
-			// Doubling stops at limit, so the kept prefix never holds
-			// more memory than it may retain.
-			kept = append(make([]byte, 0, min(max(2*cap(kept), 512), limit)), kept...)
-		}
-		m, err := r.Read(kept[len(kept):cap(kept)])
-		kept = kept[:len(kept)+m]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return kept, len(kept), err
-		}
-	}
-	dropped, err := io.Copy(io.Discard, r)
-	return kept, len(kept) + int(dropped), err
-}
-
-// detachBody copies a degraded body out of the stream buffer. Every other
-// body path allocates fresh bytes (readBody, content decoding); this one
-// is the rare malformed-framing fallback, so the copy is cold and bounded
-// by the maxRetainedBody truncation applied before the call.
-func detachBody(body []byte) []byte {
-	if len(body) == 0 {
-		return nil
-	}
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out
-}
-
-// contentCoding names the Content-Encoding values decode undoes: "gzip",
-// "deflate", or "" for a body that is kept as sent.
-func contentCoding(header string) string {
-	switch strings.ToLower(strings.TrimSpace(header)) {
-	case "gzip", "x-gzip":
-		return "gzip"
-	case "deflate":
-		return "deflate"
-	default:
-		return ""
-	}
-}
-
-// decode undoes a gzip/deflate content coding (as contentCoding names it)
-// on the coded bytes r yields, so redirect sniffing sees plaintext, and
-// returns at most maxRetainedBody bytes of it. ok is false when there is
-// no coding to undo or the body yields no plaintext; the caller then
-// keeps the body raw.
-func decode(r io.Reader, coding string) (plain []byte, ok bool) {
-	var zr io.ReadCloser
-	switch coding {
-	case "gzip":
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, false
-		}
-		zr = gz
-	case "deflate":
-		zr = flate.NewReader(r)
-	default:
-		return nil, false
-	}
-	defer zr.Close()
-	plain, _, err := readBody(io.LimitReader(zr, maxRetainedBody), 512, maxRetainedBody)
-	if err != nil && len(plain) == 0 {
-		return nil, false
-	}
-	return plain, true
-}
-
-// decodeBody reads a coded body off r and returns at most
-// maxRetainedBody bytes of its plaintext, decoded as the body streams, so
-// a large coded page costs its kept prefix and the decompressor's state,
-// not its length. The body's size on the wire and its framing error are
-// taken at the raw reader (wireBody), beneath the decompressor and its
-// read-ahead, and the rest of the body is drained there after decoding
-// stops. A body that does not decode is kept raw: the first limit wire
-// bytes (start is the raw buffer's first size, as for readBody).
-func decodeBody(r io.Reader, coding string, start, limit int) (kept []byte, n int, err error) {
-	wire := &wireBody{r: r, raw: make([]byte, 0, start), limit: limit}
-	plain, ok := decode(wire, coding)
-	if ok {
-		wire.raw, wire.limit = nil, 0 // decoded: no raw fallback to keep
-	}
-	_, _ = io.Copy(io.Discard, wire)
-	if err = wire.end; err == io.EOF {
-		err = nil
-	}
-	if !ok {
-		plain = wire.raw
-	}
-	return plain, wire.n, err
-}
-
-// wireBody is the raw side of a coded body beneath its decompressor. It
-// counts the bytes read off the wire, tees the first limit of them into
-// raw, and ends its input at the body's end with io.EOF whatever ended
-// it, keeping the error in end: the decompressor sees exactly the bytes a
-// whole-body read would have handed it, followed by a clean end.
-type wireBody struct {
-	r     io.Reader
-	raw   []byte
-	limit int
-	n     int
-	end   error // io.EOF, or the framing error that cut the body
-}
-
-func (w *wireBody) Read(p []byte) (int, error) {
-	if w.end != nil {
-		return 0, io.EOF
-	}
-	m, err := w.r.Read(p)
-	w.n += m
-	if keep := min(m, w.limit-len(w.raw)); keep > 0 {
-		if len(w.raw)+keep > cap(w.raw) {
-			// Grown as readBody grows its buffer: never past limit.
-			w.raw = append(make([]byte, 0, min(max(2*cap(w.raw), len(w.raw)+keep, 512), w.limit)), w.raw...)
-		}
-		w.raw = append(w.raw, p[:keep]...)
-	}
-	if err != nil {
-		w.end = err
-		return m, io.EOF
-	}
-	return m, nil
-}
-
 // ExtractPair parses the two directions of one TCP conversation into
 // transactions. c2s must be the client-to-server stream; s2c may be nil for
 // a capture that recorded only requests. Unmatched requests keep a zero
@@ -473,7 +115,7 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 }
 
 // ExtractPairInto appends the conversation's transactions to dst and
-// returns the extended slice. The parse state (reader stack and message
+// returns the extended slice. The parse state (head scratch and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
 // (ScanCapture, ExtractAll) also reuses one destination slice across
@@ -499,19 +141,19 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 			ServerIP:    c2s.Key.DstIP,
 			ClientPort:  c2s.Key.SrcPort,
 			ServerPort:  c2s.Key.DstPort,
-			Method:      rm.req.Method,
+			Method:      rm.method,
 			URI:         rm.uri,
-			Host:        rm.req.Host,
-			ReqHdr:      rm.req.Header,
+			Host:        rm.host,
+			ReqHdr:      rm.hdr,
 			ReqTime:     c2s.TimeAt(rm.offset),
 			ReqBodySize: rm.bodySize,
 		}
 		if i < n {
 			pm := resps[i]
-			tx.StatusCode = pm.resp.StatusCode
-			tx.RespHdr = pm.resp.Header
+			tx.StatusCode = pm.status
+			tx.RespHdr = pm.hdr
 			tx.RespTime = s2c.TimeAt(pm.offset)
-			tx.ContentType = pm.resp.Header.Get("Content-Type")
+			tx.ContentType = pm.ctype
 			tx.BodySize = pm.bodySize
 			tx.Body = pm.body
 		} else {
@@ -526,6 +168,9 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 	}
 	parseBytes.Add(payloadBytes)
 	parseTransactions.Add(int64(len(reqs)))
+	if p.unparsed > 0 {
+		parseUnparsed.Add(int64(p.unparsed))
+	}
 	return dst
 }
 

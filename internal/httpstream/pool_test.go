@@ -10,12 +10,10 @@ import (
 // TestPooledParseSteadyStateAllocs pins the zero-alloc contract of the
 // pooled parse scaffolding: once the pool is warm, a conversation whose
 // directions carry no messages runs ExtractPairInto with ZERO allocations
-// — the bytes.Reader/countingReader/bufio stack, the reqMsg/respMsg
-// slices, and the metrics all come from reuse. (Per parsed message,
-// net/http's ReadRequest/ReadResponse still allocate the Request and
-// Header objects the Transaction hands to its consumers — those leave
-// with the Transaction and are not the parser's to pool — which is why
-// the steady-state probe is an empty conversation, not a parsed one.)
+// — the head scratch, the reqMsg/respMsg slices, and the metrics all come
+// from reuse. What a parsed message allocates (its head's string, header
+// map and value backing, which leave with the Transaction) is pinned by
+// TestParsedMessageAllocs.
 func TestPooledParseSteadyStateAllocs(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
 	empty := *c2s
@@ -90,8 +88,8 @@ func TestPooledParserIsolation(t *testing.T) {
 }
 
 // BenchmarkExtractPairPooled tracks the per-conversation parse cost on a
-// pipelined 8-message conversation (allocs/op is the number to watch: the
-// pooled scaffolding contributes none).
+// pipelined 8-message conversation (allocs/op is the number to watch: four
+// per message head, one per kept body, none from the pooled scaffolding).
 func BenchmarkExtractPairPooled(b *testing.B) {
 	var reqs, resps strings.Builder
 	for i := 0; i < 8; i++ {

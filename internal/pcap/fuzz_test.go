@@ -55,6 +55,7 @@ func FuzzReadAllAuto(f *testing.F) {
 	nw := NewNGWriter(&ng)
 	_ = nw.WritePacket(Packet{Timestamp: time.Unix(100, 0), Data: []byte{1, 2, 3, 4}})
 	f.Add(ng.Bytes())
+	f.Add(nanoCapture(binary.BigEndian, []Packet{{Timestamp: time.Unix(100, 123456789), Data: []byte{1, 2, 3, 4}}}))
 	f.Add([]byte("not a capture at all"))
 	f.Add(hostileClassic(0xffffffff, 0xfffffff0))
 	f.Add(hostileNG(blockEPB, 0xfffffff0))

@@ -72,6 +72,49 @@ func TestReaderBigEndian(t *testing.T) {
 	}
 }
 
+// nanoCapture renders pkts as a classic capture with nanosecond
+// timestamps (magic 0xa1b23c4d) in the given byte order, as tcpdump
+// --time-stamp-precision nano writes it.
+func nanoCapture(order binary.AppendByteOrder, pkts []Packet) []byte {
+	b := order.AppendUint32(nil, 0xa1b23c4d)
+	b = order.AppendUint16(b, 2)
+	b = order.AppendUint16(b, 4)
+	b = append(b, make([]byte, 8)...) // thiszone, sigfigs
+	b = order.AppendUint32(b, defaultSnapLen)
+	b = order.AppendUint32(b, LinkTypeEthernet)
+	for _, p := range pkts {
+		b = order.AppendUint32(b, uint32(p.Timestamp.Unix()))
+		b = order.AppendUint32(b, uint32(p.Timestamp.Nanosecond()))
+		b = order.AppendUint32(b, uint32(len(p.Data)))
+		b = order.AppendUint32(b, uint32(len(p.Data)))
+		b = append(b, p.Data...)
+	}
+	return b
+}
+
+// TestReaderNanosecondMagic: a capture written with nanosecond timestamps,
+// in either byte order, reads back exact to the nanosecond.
+func TestReaderNanosecondMagic(t *testing.T) {
+	pkts := []Packet{
+		{Timestamp: baseTime.Add(123456789 * time.Nanosecond), Data: []byte{1, 2, 3}},
+		{Timestamp: baseTime.Add(time.Second + 999999999*time.Nanosecond), Data: []byte{4}},
+	}
+	for _, order := range []binary.AppendByteOrder{binary.LittleEndian, binary.BigEndian} {
+		got, err := ReadAllAuto(bytes.NewReader(nanoCapture(order, pkts)))
+		if err != nil {
+			t.Fatalf("%v: %v", order, err)
+		}
+		if len(got) != len(pkts) {
+			t.Fatalf("%v: %d packets, want %d", order, len(got), len(pkts))
+		}
+		for i := range pkts {
+			if !got[i].Timestamp.Equal(pkts[i].Timestamp) || !bytes.Equal(got[i].Data, pkts[i].Data) {
+				t.Fatalf("%v: packet %d read back as %v %v, want %v %v", order, i, got[i].Timestamp, got[i].Data, pkts[i].Timestamp, pkts[i].Data)
+			}
+		}
+	}
+}
+
 func TestReaderBadMagic(t *testing.T) {
 	_, err := newReader(newWindow(bytes.NewReader(make([]byte, 24))))
 	if !errors.Is(err, ErrBadMagic) {

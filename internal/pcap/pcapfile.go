@@ -16,10 +16,15 @@ import (
 	"time"
 )
 
-// Classic pcap magic numbers (microsecond resolution).
+// Classic pcap magic numbers, as a little-endian read of the file's first
+// four bytes sees them: microsecond resolution (what this package writes),
+// and nanosecond resolution (tcpdump --time-stamp-precision nano), each in
+// either byte order.
 const (
-	magicLE = 0xa1b2c3d4 // written natively little-endian by this package
-	magicBE = 0xd4c3b2a1
+	magicLE     = 0xa1b2c3d4 // written natively little-endian by this package
+	magicBE     = 0xd4c3b2a1
+	magicNanoLE = 0xa1b23c4d
+	magicNanoBE = 0x4d3cb2a1
 
 	// LinkTypeEthernet is the only link type this package handles.
 	LinkTypeEthernet = 1
@@ -178,11 +183,13 @@ func (w *window) discard(n int64) error {
 	return nil
 }
 
-// reader parses a classic pcap file in either byte order.
+// reader parses a classic pcap file in either byte order and either
+// timestamp resolution.
 type reader struct {
 	w      *window
 	order  binary.ByteOrder
 	maxLen uint32 // longest record accepted: min(snaplen, maxRecordLen)
+	tick   int64  // nanoseconds per unit of a record's sub-second field
 }
 
 // newReader validates the global header at the head of w.
@@ -192,18 +199,23 @@ func newReader(w *window) (*reader, error) {
 		return nil, fmt.Errorf("pcap: read global header: %w", err)
 	}
 	var order binary.ByteOrder
+	tick := int64(1000)
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
 	case magicLE:
 		order = binary.LittleEndian
 	case magicBE:
 		order = binary.BigEndian
+	case magicNanoLE:
+		order, tick = binary.LittleEndian, 1
+	case magicNanoBE:
+		order, tick = binary.BigEndian, 1
 	default:
 		return nil, ErrBadMagic
 	}
 	if linkType := order.Uint32(hdr[20:]); linkType != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", linkType)
 	}
-	return &reader{w: w, order: order, maxLen: min(order.Uint32(hdr[16:]), maxRecordLen)}, nil
+	return &reader{w: w, order: order, maxLen: min(order.Uint32(hdr[16:]), maxRecordLen), tick: tick}, nil
 }
 
 // next returns the next packet, or io.EOF at the end of the capture. The
@@ -217,7 +229,7 @@ func (pr *reader) next() (Packet, error) {
 		return Packet{}, fmt.Errorf("pcap: read record header: %w", err)
 	}
 	sec := pr.order.Uint32(hdr[0:])
-	usec := pr.order.Uint32(hdr[4:])
+	frac := pr.order.Uint32(hdr[4:])
 	capLen := pr.order.Uint32(hdr[8:])
 	if capLen > pr.maxLen {
 		return Packet{}, fmt.Errorf("%w: record of %d bytes, limit %d", ErrRecordTooLong, capLen, pr.maxLen)
@@ -227,7 +239,7 @@ func (pr *reader) next() (Packet, error) {
 		return Packet{}, fmt.Errorf("pcap: read record body: %w", err)
 	}
 	return Packet{
-		Timestamp: time.Unix(int64(sec), int64(usec)*1000).UTC(),
+		Timestamp: time.Unix(int64(sec), int64(frac)*pr.tick).UTC(),
 		Data:      data,
 	}, nil
 }
