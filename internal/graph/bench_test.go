@@ -61,3 +61,30 @@ func BenchmarkPageRankScratch200(b *testing.B) {
 	dst := make([]float64, 0, 200)
 	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.PageRankInto(dst, s, 0.85, 100, 1e-10) })
 }
+
+// pathStatsSink keeps the benchmarked sweep's result live.
+var pathStatsSink PathStats
+
+// benchPathStats times the sweep on g against a warmed scratch.
+func benchPathStats(b *testing.B, g *Digraph) {
+	s := NewScratch()
+	g.PathStatsS(2, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pathStatsSink = g.PathStatsS(2, s)
+	}
+}
+
+// BenchmarkPathStatsChainClient79 is the sweep at watch_chain's final
+// watched graph size: a victim, a four-host redirect chain and call-back
+// leaves, which reuse the victim's BFS.
+func BenchmarkPathStatsChainClient79(b *testing.B) {
+	benchPathStats(b, chainClientGraph(79))
+}
+
+// BenchmarkPathStatsStar4097 is the worst-case shape of one watched
+// client: 4 096 hosts on one victim, every one of them a leaf.
+func BenchmarkPathStatsStar4097(b *testing.B) {
+	benchPathStats(b, starGraph(4096))
+}

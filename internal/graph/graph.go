@@ -2,7 +2,9 @@
 // DynaMiner's web conversation graph (WCG) and the one library of graph
 // analytics the topology features of f7–f25 read: the Scratch kernels
 // (scratch.go) — one shortest-path sweep for diameter, closeness,
-// betweenness and within-k, plus node connectivity, degree centrality,
+// betweenness and within-k, in which the degree-1 neighbours of one hub
+// (a watched client's call-back hosts) reuse the hub's BFS bit for bit
+// rather than running their own, plus node connectivity, degree centrality,
 // clustering, neighbourhood statistics and PageRank — and the extended
 // A7 measures (extra.go) on the same cached projections and BFS. The
 // counting features (order, size, degree, density, volume, reciprocity)

@@ -4,9 +4,10 @@ import "slices"
 
 // Scratch is a reusable workspace for the graph analytics passes: the
 // simple-projection adjacency, the shortest-path sweep's BFS and
-// dependency buffers, and the max-flow arc lists all live here and are
-// reused across calls, so repeated analysis of a growing graph reaches a
-// zero-allocation steady state (TestScratchSteadyStateAllocs). A Scratch
+// dependency buffers and its hub's kept run, and the max-flow arc lists
+// all live here and are reused across calls, so repeated analysis of a
+// growing graph reaches a zero-allocation steady state
+// (TestScratchSteadyStateAllocs). A Scratch
 // may be moved between graphs; projections are keyed on the graph identity
 // and its mutation version and rebuilt only when stale.
 //
@@ -38,6 +39,16 @@ type Scratch struct {
 	delta []float64
 	betw  []float64
 	preds [][]int
+	// bfsRuns counts bfsPaths calls; tests read it to pin the sweep's work.
+	bfsRuns int
+
+	// The leaf hub's run, kept by PathStatsS for its degree-1 neighbours:
+	// the nonzero dependencies δ_h(w), and h's neighbours c with their
+	// first-level terms σ_h/σ_c·(1+δ_h(c)) in reverse visit order.
+	hubNZ    []int
+	hubDelta []float64
+	hubKids  []int
+	hubTerms []float64
 
 	// Single-pass temporaries.
 	fsum   []float64
@@ -217,7 +228,9 @@ func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
 // closeness and Brandes betweenness centrality. Mean Goh load centrality
 // is not among them: on every graph it equals mean betweenness (both are
 // Σ (d − 1) over ordered reachable pairs under one normalisation), so the
-// extractor serves f19 as a copy of f18.
+// extractor serves f19 as a copy of f18. PathStatsS computes it with one
+// BFS per node that is not a leaf of its hub: on a watched client's star
+// that is a handful of BFSes, however many call-back hosts it holds.
 type PathStats struct {
 	Diameter int
 	WithinK  float64
@@ -225,11 +238,18 @@ type PathStats struct {
 	Closeness, Betweenness float64
 }
 
-// PathStatsS computes PathStats with one Brandes BFS per source. Every
-// float comes out of the expression the test oracle uses
-// (plain_ref_test.go), over the same operands in the same order, so the
-// fields are bit-identical to Diameter(), AvgNodesWithinK(k),
-// Mean(ClosenessCentrality()) and Mean(BetweennessCentrality()).
+// PathStatsS computes PathStats with one Brandes BFS per source, except
+// for the degree-1 neighbours (leaves) of one hub, which reuse the hub's
+// BFS. The hub is the node of degree ≥ 2 with the most leaf neighbours,
+// lowest id on ties; on a watched WCG it is the victim, and most nodes are
+// its call-back leaves. A leaf L's BFS is the hub h's shifted by one hop,
+// so L's distance aggregates follow from h's integers, its dependencies
+// equal h's bit for bit everywhere but at h, and δ_L(h) re-sums h's
+// first-level terms without L's (DESIGN.md §8). Every float comes out of
+// the expression the test oracle uses (plain_ref_test.go), over the same
+// operands in the same order, so the fields are bit-identical to
+// Diameter(), AvgNodesWithinK(k), Mean(ClosenessCentrality()) and
+// Mean(BetweennessCentrality()).
 //
 //dynalint:hotpath
 func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
@@ -241,30 +261,47 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 	}
 	s.sizeSweep(n)
 	zeroFloats(s.betw)
+	hub := leafHub(adj)
+	var hubSum, hubReach, hubEcc, hubIn, hubNear int
+	if hub >= 0 {
+		s.bfsPaths(adj, hub)
+		hubSum, hubReach, hubEcc, hubIn = s.distAggregates(k)
+		_, _, _, hubNear = s.distAggregates(k - 1)
+		s.keepHubDependencies()
+	}
 	within := 0
 	closeness := 0.0
 	for src := range adj {
-		s.bfsPaths(adj, src)
-		// The queue holds the reachable nodes in nondecreasing distance.
-		reached := s.queue[1:]
-		sum := 0
-		for _, v := range reached {
-			d := s.dist[v]
-			sum += d
-			if d <= k {
-				within++
+		var sum, reach, ecc, in int
+		switch {
+		case src == hub:
+			sum, reach, ecc, in = hubSum, hubReach, hubEcc, hubIn
+			s.addHubDependencies()
+		case hub >= 0 && len(adj[src]) == 1 && adj[src][0] == hub:
+			// d_L(h) = 1 and d_L(w) = d_h(w) + 1 for every other w.
+			sum, reach, ecc, in = hubSum+hubReach-1, hubReach, hubEcc+1, hubNear
+			if k >= 2 {
+				in-- // L itself, at d_h = 1
+			}
+			if k >= 1 {
+				in++ // h, at d_L = 1
+			}
+			s.addHubDependencies()
+			s.betw[hub] += s.leafHubDependency(src)
+		default:
+			s.bfsPaths(adj, src)
+			sum, reach, ecc, in = s.distAggregates(k)
+			if n >= 3 {
+				s.accumulateDependencies()
 			}
 		}
+		within += in
 		if sum > 0 {
-			if ecc := s.dist[reached[len(reached)-1]]; ecc > ps.Diameter {
+			if ecc > ps.Diameter {
 				ps.Diameter = ecc
 			}
-			reach := len(reached)
 			frac := float64(reach) / float64(n-1)
 			closeness += frac * float64(reach) / float64(sum)
-		}
-		if n >= 3 {
-			s.accumulateDependencies()
 		}
 	}
 	ps.WithinK = float64(within) / float64(n)
@@ -279,6 +316,104 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 	return ps
 }
 
+// leafHub returns the node of degree ≥ 2 with the most degree-1
+// neighbours (lowest id on ties), or -1 when no node has one.
+//
+//dynalint:hotpath
+func leafHub(adj [][]int) int {
+	hub, most := -1, 0
+	for u, vs := range adj {
+		if len(vs) < 2 {
+			continue
+		}
+		leaves := 0
+		for _, v := range vs {
+			if len(adj[v]) == 1 {
+				leaves++
+			}
+		}
+		if leaves > most {
+			hub, most = u, leaves
+		}
+	}
+	return hub
+}
+
+// distAggregates reads the BFS bfsPaths last ran, its source excluded:
+// the distance sum, the number of nodes reached, the eccentricity and how
+// many lie within k hops.
+//
+//dynalint:hotpath
+func (s *Scratch) distAggregates(k int) (sum, reach, ecc, within int) {
+	// The queue holds the reachable nodes in nondecreasing distance.
+	reached := s.queue[1:]
+	for _, v := range reached {
+		d := s.dist[v]
+		sum += d
+		if d <= k {
+			within++
+		}
+	}
+	if len(reached) > 0 {
+		ecc = s.dist[reached[len(reached)-1]]
+	}
+	return sum, len(reached), ecc, within
+}
+
+// keepHubDependencies is accumulateDependencies for the hub's run: rather
+// than adding into s.betw, it keeps the nonzero dependencies and the
+// hub's first-level terms for addHubDependencies and leafHubDependency.
+//
+//dynalint:hotpath
+func (s *Scratch) keepHubDependencies() {
+	sigma, delta := s.sigma, s.delta
+	s.hubKids, s.hubTerms = s.hubKids[:0], s.hubTerms[:0]
+	for i := len(s.queue) - 1; i > 0; i-- {
+		w := s.queue[i]
+		for _, v := range s.preds[w] {
+			delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+		}
+		if s.dist[w] == 1 {
+			// σ_h = σ_w = 1: the term w adds to δ_h is exactly 1 + δ_h(w),
+			// whether or not the multiply-add above is fused.
+			s.hubKids = append(s.hubKids, w)
+			s.hubTerms = append(s.hubTerms, 1+delta[w])
+		}
+	}
+	s.hubNZ, s.hubDelta = s.hubNZ[:0], s.hubDelta[:0]
+	for _, w := range s.queue[1:] {
+		if delta[w] != 0 {
+			s.hubNZ = append(s.hubNZ, w)
+			s.hubDelta = append(s.hubDelta, delta[w])
+		}
+	}
+}
+
+// addHubDependencies adds the hub's kept dependencies into s.betw. Every
+// slot it skips would have received +0, which is exact.
+//
+//dynalint:hotpath
+func (s *Scratch) addHubDependencies() {
+	for i, w := range s.hubNZ {
+		s.betw[w] += s.hubDelta[i]
+	}
+}
+
+// leafHubDependency is δ_L(h) for the hub's leaf L: the hub's first-level
+// terms in the reverse visit order L's own backward pass adds them in,
+// L's term left out.
+//
+//dynalint:hotpath
+func (s *Scratch) leafHubDependency(leaf int) float64 {
+	dep := 0.0
+	for i, c := range s.hubKids {
+		if c != leaf {
+			dep += s.hubTerms[i]
+		}
+	}
+	return dep
+}
+
 // bfsPaths runs the forward half of Brandes' algorithm from src: BFS
 // distances (-1 unreachable), shortest-path counts and predecessor lists,
 // with the visit order left in s.queue and the dependencies zeroed for
@@ -286,6 +421,7 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 //
 //dynalint:hotpath
 func (s *Scratch) bfsPaths(adj [][]int, src int) {
+	s.bfsRuns++
 	dist, sigma, preds := s.dist, s.sigma, s.preds
 	for i := range dist {
 		sigma[i] = 0

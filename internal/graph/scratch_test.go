@@ -53,7 +53,7 @@ func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
 	diameter := g.Diameter()
 	closeness := Mean(g.ClosenessCentrality())
 	betweenness := Mean(g.BetweennessCentrality())
-	for _, k := range []int{2, 1} {
+	for _, k := range []int{0, 1, 2, 3} {
 		ps := g.PathStatsS(k, s)
 		if ps.Diameter != diameter {
 			t.Fatalf("PathStatsS.Diameter = %d, want %d", ps.Diameter, diameter)
@@ -151,6 +151,112 @@ func TestPathStatsMatchesPlain(t *testing.T) {
 	for n := 80; n >= 1; n -= 3 { // shrinking: every buffer is longer than n
 		checkPathStats(t, randomMultigraph(rng, n, 2*n), s)
 	}
+	// The shapes the sweep folds into its hub's BFS.
+	for n := 3; n <= 80; n++ {
+		checkPathStats(t, starGraph(n-1), s)
+	}
+	for trial := 0; trial < 300; trial++ {
+		checkPathStats(t, leafyGraph(rng, 1+rng.Intn(20), 1+rng.Intn(40)), s)
+		checkPathStats(t, tiedHubsGraph(rng, 1+rng.Intn(12), rng.Intn(4)), s)
+		checkPathStats(t, starBesideK2s(rng, 1+rng.Intn(30), 1+rng.Intn(5)), s)
+		checkPathStats(t, degreeTwoHubGraph(rng, 2+rng.Intn(20)), s)
+	}
+}
+
+// relabel returns g with node u renamed perm[u], so a family's hub and
+// leaves land at ids on every side of each other.
+func relabel(g *Digraph, perm []int) *Digraph {
+	h := New(g.N())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.OutNeighbors(u) {
+			_ = h.AddEdge(perm[u], perm[v])
+		}
+	}
+	return h
+}
+
+// leafyGraph is a random core of c nodes whose node 0 also carries the
+// given number of leaves (some wired both ways, as a request and its
+// response), relabelled at random so the leaves' ids lie on both sides
+// of the hub's.
+func leafyGraph(rng *rand.Rand, c, leaves int) *Digraph {
+	g := randomMultigraph(rng, c, rng.Intn(3*c))
+	for i := 0; i < leaves; i++ {
+		v := g.AddNode()
+		_ = g.AddEdge(0, v)
+		if rng.Intn(2) == 0 {
+			_ = g.AddEdge(v, 0)
+		}
+	}
+	return relabel(g, rng.Perm(g.N()))
+}
+
+// tiedHubsGraph is two hubs with the same number of leaves, joined by a
+// path of gap extra nodes (gap 0: adjacent hubs), relabelled at random so
+// either hub may hold the lower id.
+func tiedHubsGraph(rng *rand.Rand, leaves, gap int) *Digraph {
+	g := New(2)
+	prev := 0
+	for i := 0; i < gap; i++ {
+		v := g.AddNode()
+		_ = g.AddEdge(prev, v)
+		prev = v
+	}
+	_ = g.AddEdge(prev, 1)
+	for _, h := range []int{0, 1} {
+		for i := 0; i < leaves; i++ {
+			_ = g.AddEdge(h, g.AddNode())
+		}
+	}
+	return relabel(g, rng.Perm(g.N()))
+}
+
+// starBesideK2s is a star beside k2 separate edges, whose endpoints have
+// degree 1 but no hub.
+func starBesideK2s(rng *rand.Rand, leaves, k2 int) *Digraph {
+	g := starGraph(leaves)
+	for i := 0; i < k2; i++ {
+		_ = g.AddEdge(g.AddNode(), g.AddNode())
+	}
+	return relabel(g, rng.Perm(g.N()))
+}
+
+// degreeTwoHubGraph hangs one leaf off a node whose only other neighbour
+// is a random core (or two leaves off a lone node: the path P3).
+func degreeTwoHubGraph(rng *rand.Rand, c int) *Digraph {
+	if rng.Intn(4) == 0 {
+		return relabel(pathGraph(3), rng.Perm(3))
+	}
+	g := randomMultigraph(rng, c, 2*c)
+	h := g.AddNode()
+	_ = g.AddEdge(rng.Intn(c), h)
+	_ = g.AddEdge(h, g.AddNode())
+	return relabel(g, rng.Perm(g.N()))
+}
+
+// TestPathStatsFoldsLeaves pins the sweep's work, not its time: the
+// victim's leaves reuse the victim's BFS, so a watched chain client runs
+// one BFS per non-leaf node and a star runs exactly one.
+func TestPathStatsFoldsLeaves(t *testing.T) {
+	s := NewScratch()
+	runs := func(g *Digraph) int {
+		before := s.BFSRuns()
+		g.PathStatsS(2, s)
+		return s.BFSRuns() - before
+	}
+	for n := 6; n <= 79; n++ {
+		// Nodes 1-4 carry the redirect chain; 5..n-1 are the victim's leaves.
+		if got, want := runs(chainClientGraph(n)), n-(n-5); got != want {
+			t.Fatalf("chainClientGraph(%d): %d BFS runs, want %d", n, got, want)
+		}
+	}
+	if got := runs(starGraph(4096)); got != 1 {
+		t.Fatalf("4097-node star: %d BFS runs, want 1", got)
+	}
+	// Nodes 1 and 3 tie on one leaf each; only the lower id's leaf folds.
+	if got := runs(pathGraph(5)); got != 4 {
+		t.Fatalf("path of 5: %d BFS runs, want 4", got)
+	}
 }
 
 // fuzzGraph decodes bytes as a node count (1-64) and an edge list.
@@ -224,11 +330,14 @@ func TestScratchTinyGraphs(t *testing.T) {
 
 // TestScratchSteadyStateAllocs pins the zero-allocation contract for the
 // analytics passes once the workspace has warmed up on a graph of the same
-// size — at 100 nodes, where the sweep used to fan out over goroutines.
+// size — at 100 nodes, where the sweep used to fan out over goroutines,
+// and on the chain client and the 4 097-node star, whose leaves the sweep
+// folds into their hub's kept run.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomMultigraph(rng, 100, 330)
 	h := randomMultigraph(rng, 100, 350)
+	chain, star := chainClientGraph(79), starGraph(4096)
 	s := NewScratch()
 	dst := make([]float64, 0, g.N())
 	all := func(g *Digraph) {
@@ -240,15 +349,69 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		g.AvgClusteringCoefficientS(s)
 		g.AvgDegreeConnectivityS(s)
 	}
-	all(g) // warm up every buffer
-	all(h)
+	for _, x := range []*Digraph{g, h, chain, star} {
+		all(x) // warm up every buffer, the kept hub rows among them
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		// Alternating graphs forces a full projection rebuild per call,
 		// the incremental steady state, with no fresh allocations.
 		all(g)
 		all(h)
+		all(chain)
+		all(star)
 	})
 	if allocs > 0.5 {
 		t.Fatalf("steady-state analytics allocated %.1f objects/run, want 0", allocs)
+	}
+}
+
+// topologyTol is the relative tolerance of CheckTopologyIdentities: each
+// side is a sum of at most a few thousand rounded terms of one sign.
+const topologyTol = 1e-9
+
+// CheckTopologyIdentities asserts the closed forms three served slots
+// equal up to rounding (ROADMAP item 11): mean PageRank is 1/n, mean degree
+// centrality is 2·pairs/(n(n−1)) over the undirected simple pairs, and
+// mean betweenness is Σ(d−1) over ordered reachable pairs, normalised as
+// the sweep normalises it. Nothing served reads these forms; the check
+// pins what serving them would change.
+func CheckTopologyIdentities(t *testing.T, g *Digraph, s *Scratch) {
+	t.Helper()
+	n := g.N()
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > topologyTol*math.Abs(want) {
+			t.Fatalf("n=%d %s: %v, closed form %v (rel. err %.3g)", n, name, got, want, math.Abs(got-want)/math.Abs(want))
+		}
+	}
+	if n == 0 {
+		return
+	}
+	near("mean PageRank", Mean(g.PageRankInto(nil, s, 0.85, 100, 1e-10)), 1/float64(n))
+	if n < 2 {
+		return
+	}
+	adj := g.undirectedSimple()
+	pairs, excess := 0, 0
+	for u := range adj {
+		pairs += len(adj[u])
+		for _, d := range bfsDistances(adj, u) {
+			if d > 0 {
+				excess += d - 1
+			}
+		}
+	}
+	pairs /= 2
+	near("mean degree centrality", Mean(g.DegreeCentralityInto(nil, s)), 2*float64(pairs)/(float64(n)*float64(n-1)))
+	if n < 3 {
+		return
+	}
+	want := float64(excess) / (float64(n) * float64(n-1) * float64(n-2))
+	if got := g.PathStatsS(2, s).Betweenness; excess == 0 {
+		if got != 0 {
+			t.Fatalf("n=%d mean betweenness %v, want 0 (no path has an interior node)", n, got)
+		}
+	} else {
+		near("mean betweenness", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -28,5 +29,19 @@ func TestScratchMatchesPlainOnSynthWCGs(t *testing.T) {
 	}
 	for _, ep := range synth.GenerateCorpus(synth.Config{Seed: 41, Infections: 5, Benign: 5}) {
 		graph.CheckScratchMatches(t, wcg.FromTransactions(ep.Txs).Graph(), s)
+	}
+}
+
+// TestTopologyIdentities holds the closed forms of f25, f16 and f18 on
+// random multigraphs and on synthetic WCGs (CheckTopologyIdentities).
+func TestTopologyIdentities(t *testing.T) {
+	s := graph.NewScratch()
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(80)
+		graph.CheckTopologyIdentities(t, graph.RandomMultigraph(rng, n, rng.Intn(4*n)), s)
+	}
+	for _, ep := range synth.GenerateCorpus(synth.Config{Seed: 43, Infections: 10, Benign: 10}) {
+		graph.CheckTopologyIdentities(t, wcg.FromTransactions(ep.Txs).Graph(), s)
 	}
 }

@@ -202,6 +202,20 @@ func orient(a, b *pcap.Stream) (c2s, s2c *pcap.Stream) {
 	}
 }
 
+// extractConversation orients a conversation's directions a and b (b may
+// be nil) and appends its transactions to dst. A lone direction that does
+// not look like a request yields none, and its bytes count as unparsed.
+//
+//dynalint:hotpath
+func extractConversation(dst []Transaction, a, b *pcap.Stream) []Transaction {
+	c2s, s2c := orient(a, b)
+	if c2s == nil {
+		parseUnparsed.Add(int64(len(a.Data)))
+		return dst
+	}
+	return ExtractPairInto(dst, c2s, s2c)
+}
+
 // ExtractAll pairs the directions of every conversation in streams (see
 // orient) and returns all transactions sorted by request time. Two streams
 // pair when they belong to the same connection: reverse keys and the same
@@ -229,9 +243,7 @@ func ExtractAll(streams []*pcap.Stream) []Transaction {
 	}
 	var all []Transaction
 	for _, cv := range convs {
-		if c2s, s2c := orient(cv.a, cv.b); c2s != nil {
-			all = ExtractPairInto(all, c2s, s2c)
-		}
+		all = extractConversation(all, cv.a, cv.b)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].ReqTime.Before(all[j].ReqTime) })
 	return all
@@ -283,11 +295,7 @@ func (p *pendingTx) less(q *pendingTx) bool {
 // of buffers that are recycled when it returns, and its transactions join
 // pending.
 func (r *releaser) extract(a, b *pcap.Stream) {
-	c2s, s2c := orient(a, b)
-	if c2s == nil {
-		return
-	}
-	r.scratch = ExtractPairInto(r.scratch[:0], c2s, s2c)
+	r.scratch = extractConversation(r.scratch[:0], a, b)
 	for i := range r.scratch {
 		tx := &r.scratch[i]
 		if tx.ReqTime.Before(r.mark) {

@@ -22,7 +22,7 @@ var (
 	parseBytes = obs.Default().Counter("dynaminer_httpstream_bytes_total",
 		"TCP payload bytes fed through the HTTP parsers.")
 	parseUnparsed = obs.Default().Counter("dynaminer_httpstream_unparsed_bytes_total",
-		"Bytes of parsed directions from the first head the HTTP parser rejected to the direction's end: traffic that is not HTTP.")
+		"Bytes of parsed directions from the first head the HTTP parser rejected to the direction's end, and of lone directions that do not start with a request: traffic that is not HTTP.")
 )
 
 // traceBinding mirrors the parse telemetry into a pipeline tracer's

@@ -177,6 +177,52 @@ func TestNonHTTPCountsUnparsedBytes(t *testing.T) {
 	}
 }
 
+// TestLoneNonRequestDirectionCountsUnparsedBytes: a capture that holds only
+// the server's side of a conversation — a TLS ServerHello on 443, an SSH
+// banner on 22 — has no direction that looks like a request, so orient
+// pairs nothing. The scan and the collecting extractor both yield no
+// transaction and count every payload byte as unparsed.
+func TestLoneNonRequestDirectionCountsUnparsedBytes(t *testing.T) {
+	serverHello := append([]byte{0x16, 0x03, 0x03, 0x00, 0x2a, 0x02, 0x00, 0x00, 0x26, 0x03, 0x03},
+		bytes.Repeat([]byte{0xa5}, 38)...)
+	sshBanner := []byte("SSH-2.0-OpenSSH_9.6 Ubuntu-3\r\n")
+	for _, c := range []struct {
+		name    string
+		port    uint16
+		payload []byte
+	}{{"tls-server-hello", 443, serverHello}, {"ssh-banner", 22, sshBanner}} {
+		conv, err := pcap.BuildConversation(pcap.Conversation{
+			ClientIP: clientIP, ServerIP: serverIP, ClientPort: 49700, ServerPort: c.port,
+			Exchanges: []pcap.Exchange{{Payload: c.payload, Timestamp: baseTime}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pkts []pcap.Packet // the server's frames only
+		for _, p := range conv {
+			if f, err := pcap.DecodeFrame(p.Data); err != nil {
+				t.Fatal(err)
+			} else if f.SrcPort == c.port {
+				pkts = append(pkts, p)
+			}
+		}
+		for _, path := range []struct {
+			name    string
+			extract func() []Transaction
+		}{
+			{"scan", func() []Transaction { return readPackets(t, pkts) }},
+			{"collect", func() []Transaction { return ExtractAll(assemble(pkts)) }},
+		} {
+			before := parseUnparsed.Value()
+			txs := path.extract()
+			if unparsed := parseUnparsed.Value() - before; len(txs) != 0 || unparsed != int64(len(c.payload)) {
+				t.Errorf("%s via %s: %d transactions, %d bytes counted unparsed; want none and %d",
+					c.name, path.name, len(txs), unparsed, len(c.payload))
+			}
+		}
+	}
+}
+
 // TestUnparsedBytesStartAtTheRejectedHead: a conversation that turns into
 // something else after a good exchange counts only the bytes from the
 // first head the parser rejected.
