@@ -36,13 +36,14 @@ benchpair:
 
 # Project-invariant static analysis (see DESIGN.md "Enforced invariants"
 # and "Type-aware lint"). Type-checks every package against gc export
-# data and runs all ten analyzers; exits non-zero when any analyzer
-# reports a finding. Degradation to syntactic analysis prints a warning
-# on stderr.
+# data and runs the five analyzers; exits 1 when any analyzer reports a
+# finding, and 2 when a package fails to type-check (the package is
+# named on stderr).
 lint:
 	$(GO) run ./cmd/dynalint -root .
 
-# Tier 2: static analysis plus the race-detector stress suites for every
+# Tier 2: vet and the five dynalint analyzers (exit 2 when a package
+# fails to type-check) plus the race-detector stress suites for every
 # package that spawns goroutines (the root package covers the monitor
 # janitor, internal/proxy the retry/breaker paths, internal/chaos the
 # fault-injection soak, internal/obs the admin server and sharded

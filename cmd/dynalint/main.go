@@ -1,33 +1,25 @@
 // Command dynalint runs the project's invariant analyzers (see
 // internal/analysis) over the module tree and reports every violation in
-// "file:line: analyzer: message" form (or one JSON object per finding
-// with -json). It exits 0 when the tree is clean, 1 when it has
-// findings, and 2 on usage or parse errors, so it slots into make lint
-// and CI gates.
+// "file:line: analyzer: message" form. It exits 0 when the tree is clean,
+// 1 when it has findings, and 2 on usage, parse or type errors, so it
+// slots into make lint and CI gates.
 //
 // Usage:
 //
-//	dynalint [-root dir] [-skip list] [-tests] [-list] [-json] [-workers n]
+//	dynalint [-root dir] [-list]
 //
 // The driver type-checks each package with go/types, resolving imports
 // through `go list -export` data, and threads the result through the
-// analyzers; a package that fails to type-check (or a tree without a
-// go.mod) is analyzed syntactically instead, with a warning on stderr —
-// type information sharpens the analyzers but its absence never fails
-// the run. Packages are analyzed in parallel (-workers, default
-// GOMAXPROCS); output order is independent of worker count.
+// analyzers. A package that fails to type-check, or a tree without a
+// go.mod, is an error: dynalint names the package and exits 2 rather
+// than lint it with less information.
 //
-// -skip is a comma-separated list of path fragments; any file or
-// directory whose module-relative path contains one of them is excluded.
-// The default skips testdata and vendored trees. _test.go files are
-// excluded unless -tests is given: test fixtures intentionally exercise
-// mixed-case hosts and zero times, and the invariants bind production
-// code.
+// testdata, vendor and dot directories are skipped, and so are _test.go
+// files: test fixtures intentionally exercise zero times and unguarded
+// goroutines, and the invariants bind production code.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -37,10 +29,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"dynaminer/internal/analysis"
 )
@@ -54,11 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("dynalint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	root := fl.String("root", ".", "module directory to analyze")
-	skip := fl.String("skip", "testdata,vendor,.git", "comma-separated path fragments to exclude")
-	tests := fl.Bool("tests", false, "also analyze _test.go files")
 	list := fl.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fl.Bool("json", false, "emit findings as JSON, one object per line")
-	workers := fl.Int("workers", runtime.GOMAXPROCS(0), "packages analyzed concurrently (1 = serial)")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -68,20 +54,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	findings, err := lintTree(*root, splitSkips(*skip), *tests, *workers, stderr)
+	findings, err := lintTree(*root)
 	if err != nil {
 		fmt.Fprintf(stderr, "dynalint: %v\n", err)
 		return 2
 	}
-	if *jsonOut {
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "dynalint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f.String())
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f.String())
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "dynalint: %d finding(s)\n", len(findings))
@@ -90,116 +69,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// jsonFinding is the machine-readable finding shape. Field names are a
-// stable contract for CI tooling; add fields, never rename them.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits one JSON object per finding, newline-delimited.
-func writeJSON(w io.Writer, findings []analysis.Finding) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, f := range findings {
-		jf := jsonFinding{
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		}
-		if err := enc.Encode(jf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// splitSkips normalizes the -skip list.
-func splitSkips(s string) []string {
-	var out []string
-	for _, frag := range strings.Split(s, ",") {
-		if frag = strings.TrimSpace(frag); frag != "" {
-			out = append(out, frag)
-		}
-	}
-	return out
-}
-
-// skipped reports whether a module-relative slash path matches any skip
-// fragment.
-func skipped(rel string, skips []string) bool {
-	for _, frag := range skips {
-		if strings.Contains(rel, frag) {
-			return true
-		}
-	}
-	return false
-}
-
-// pkgJob is one package to analyze: its module-relative directory,
-// declared name, and parsed files (all on the shared FileSet).
-type pkgJob struct {
-	dir     string
-	pkgName string
-	files   []*ast.File
-}
-
-// moduleName extracts the module path from root/go.mod, or "" when the
-// tree has none (syntactic-only mode).
-func moduleName(root string) string {
+// moduleName extracts the module path from root/go.mod.
+func moduleName(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return ""
+		return "", fmt.Errorf("no go.mod under %s: the analyzers need type information", root)
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest)
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest), nil
 		}
 	}
-	return ""
+	return "", fmt.Errorf("%s/go.mod declares no module", root)
 }
 
-// lintTree walks root, parses every kept package onto one shared
-// FileSet, type-checks what it can, and runs the full analyzer suite —
-// packages in parallel across `workers` goroutines, results stitched
-// back in deterministic (dir, package) order. Findings carry
-// root-relative filenames; degraded packages warn on stderr.
-func lintTree(root string, skips []string, tests bool, workers int, stderr io.Writer) ([]analysis.Finding, error) {
+// lintTree walks root, parses and type-checks every kept package on one
+// shared FileSet, and runs the full analyzer suite over each in
+// (directory, package) order. Findings carry root-relative filenames.
+func lintTree(root string) ([]analysis.Finding, error) {
+	modPath, err := moduleName(root)
+	if err != nil {
+		return nil, err
+	}
 	byDir := map[string][]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel, relErr := filepath.Rel(root, path)
-		if relErr != nil {
-			return relErr
-		}
-		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if rel != "." && (strings.HasPrefix(d.Name(), ".") || skipped(rel+"/", skips)) {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "vendor") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(d.Name(), ".go") || skipped(rel, skips) {
-			return nil
+		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
+			byDir[filepath.Dir(path)] = append(byDir[filepath.Dir(path)], path)
 		}
-		if !tests && strings.HasSuffix(d.Name(), "_test.go") {
-			return nil
-		}
-		byDir[filepath.Dir(rel)] = append(byDir[filepath.Dir(rel)], path)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	dirs := make([]string, 0, len(byDir))
 	for dir := range byDir {
 		dirs = append(dirs, dir)
@@ -209,96 +119,38 @@ func lintTree(root string, skips []string, tests bool, workers int, stderr io.Wr
 	// One FileSet for the whole run: the type checker's import cache and
 	// every Pass must agree on positions.
 	fset := token.NewFileSet()
-	var jobs []pkgJob
+	checker := analysis.NewChecker(fset, root)
+	var all []analysis.Finding
 	for _, dir := range dirs {
-		sort.Strings(byDir[dir])
-		// A directory can hold more than one package (e.g. an external
-		// test package); analyze each separately.
-		byPkg := map[string][]*ast.File{}
+		var files []*ast.File
 		for _, path := range byDir[dir] {
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
-			byPkg[f.Name.Name] = append(byPkg[f.Name.Name], f)
+			files = append(files, f)
 		}
-		pkgNames := make([]string, 0, len(byPkg))
-		for name := range byPkg {
-			pkgNames = append(pkgNames, name)
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return nil, err
 		}
-		sort.Strings(pkgNames)
-		for _, name := range pkgNames {
-			jobs = append(jobs, pkgJob{dir: dir, pkgName: name, files: byPkg[name]})
+		pkgPath, importPath := filepath.ToSlash(rel), modPath
+		if pkgPath == "." {
+			pkgPath = ""
+		} else {
+			importPath += "/" + pkgPath
 		}
-	}
-
-	modPath := moduleName(root)
-	var checker *analysis.Checker
-	if modPath == "" {
-		fmt.Fprintf(stderr, "dynalint: warning: no go.mod under %s; running syntactic-only analysis\n", root)
-	} else {
-		checker = analysis.NewChecker(fset, root)
-		checker.Tests = tests
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([][]analysis.Finding, len(jobs))
-	warnings := make([]string, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], warnings[i] = lintPackage(fset, modPath, checker, jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	var all []analysis.Finding
-	for i := range jobs {
-		if warnings[i] != "" {
-			fmt.Fprintf(stderr, "dynalint: warning: %s\n", warnings[i])
+		info, err := checker.Check(importPath, files)
+		if err != nil {
+			return nil, fmt.Errorf("%s: type checking failed: %v", importPath, err)
 		}
-		findings := results[i]
-		for j := range findings {
-			if rel, err := filepath.Rel(root, findings[j].Pos.Filename); err == nil {
-				findings[j].Pos.Filename = filepath.ToSlash(rel)
+		findings := analysis.Run(analysis.NewPass(fset, pkgPath, files, info), analysis.All())
+		for i := range findings {
+			if rel, err := filepath.Rel(root, findings[i].Pos.Filename); err == nil {
+				findings[i].Pos.Filename = filepath.ToSlash(rel)
 			}
 		}
 		all = append(all, findings...)
 	}
 	return all, nil
-}
-
-// lintPackage analyzes one package, typed when the checker succeeds and
-// syntactic otherwise. The returned warning is non-empty on degradation.
-func lintPackage(fset *token.FileSet, modPath string, checker *analysis.Checker, job pkgJob) ([]analysis.Finding, string) {
-	pkgPath := job.dir
-	if pkgPath == "." {
-		pkgPath = ""
-	}
-	pass := analysis.NewPass(fset, pkgPath, job.files)
-	warning := ""
-	if checker != nil {
-		importPath := modPath
-		if pkgPath != "" {
-			importPath += "/" + pkgPath
-		}
-		info, pkg, err := checker.Check(importPath, job.files)
-		if err != nil {
-			warning = fmt.Sprintf("%s: type checking failed (%v); falling back to syntactic analysis", importPath, err)
-		} else {
-			pass.Info, pass.Pkg = info, pkg
-		}
-	}
-	return analysis.Run(pass, analysis.All()), warning
 }

@@ -1,46 +1,26 @@
 // Package analysis is dynalint's analyzer suite: project-specific static
-// checks that fossilize the invariants earlier PRs restored by hand, so
-// the bug classes they fixed cannot be reintroduced silently. The suite
-// is dependency-free — stdlib go/parser, go/ast, go/token and go/types
-// only — because the build environment cannot fetch golang.org/x/tools.
+// checks for the bug classes no test catches. Each analyzer stays only
+// while a mutant of the code it guards passes every tier-1 test but is
+// flagged here (DESIGN.md §7 lists the mutants). The suite is
+// dependency-free — stdlib go/parser, go/ast, go/token and go/types only
+// — because the build environment cannot fetch golang.org/x/tools.
 //
-// Since dynalint v2 the driver type-checks every package it can (see
-// Checker) and threads the *types.Info through the Pass. Analyzers that
-// need type identity (maporder, hotalloc, the typed lockscope rules)
-// consult it; every analyzer still degrades to its syntactic heuristics
-// when Pass.Info is nil, so a package that fails type checking is linted
-// best-effort instead of crashing the run.
+// Every Pass is type-checked (see Checker): the driver refuses a package
+// that does not type-check rather than linting it with less information.
 //
 // The analyzers and the invariant each one enforces:
 //
-//   - hostfold:  DNS names are case-insensitive, so raw Host fields must
-//     never be compared, map-indexed, or switched on without case folding
-//     (the PR-1 mixed-case session-split bug).
 //   - zerotime:  time.Time fields are formatted only behind an IsZero
 //     guard, and library packages never call time.Now() directly — they
-//     take an injectable Now hook so replays stay deterministic (the PR-1
-//     zero-timestamp alert bug).
+//     take an injectable Now hook so replays stay deterministic.
 //   - lockscope: struct fields annotated "guarded by <mu>" are only
-//     touched by functions that lock that mutex on the same receiver (the
-//     engine/proxy lock-discipline rule); with type information the
-//     receiver and mutex are matched by object identity, one level of
-//     pointer aliasing is resolved, and locking a mutex through a value
-//     receiver (a copy) is reported.
-//   - floatsafe: divisions flowing into feature-vector slots carry a
-//     zero-denominator guard, keeping the 37-feature vector finite as the
-//     ERF requires.
-//   - scratchsafe: functions taking a *graph.Scratch never retain the
-//     workspace's slices via returns, struct fields, or composite
-//     literals — the next measurement overwrites that storage in place
-//     (the zero-alloc incremental-classification invariant).
+//     touched by functions that lock that mutex on the same receiver,
+//     matched by object identity through one level of pointer aliasing;
+//     locking a mutex through a value receiver (a copy) is reported.
 //   - goguard: goroutines launched in the serving packages (module root,
 //     internal/detector, internal/proxy, internal/obs) carry their own
 //     recover() guard — a panic on a fresh stack bypasses the
 //     handler-level recovery and kills the process.
-//   - metricname: metrics registered on an obs registry use snake_case
-//     names with a unit suffix (_seconds/_bytes/_total) and are unique
-//     per package, keeping the PR-5 metric inventory greppable and
-//     Prometheus-legal.
 //   - maporder:  a for-range over a map whose body feeds an
 //     order-sensitive sink (slice append, counter-indexed slot write,
 //     float accumulation, serialization) without a deterministic order
@@ -48,11 +28,7 @@
 //     re-scoring.
 //   - hotalloc:  functions annotated "//dynalint:hotpath" must contain
 //     no allocation sites (make/new, unamortized append, string
-//     concat/conversion, interface boxing, escaping closures) — the
-//     PR 5/6 alloc-count tests as line-level findings.
-//   - panicmsg:  every panic in internal/ml and internal/detector
-//     carries the named "pkg: ..." prefix the detector's quarantine
-//     ladder attributes faults on.
+//     concat/conversion, interface boxing, escaping closures).
 //
 // A finding on a specific line can be suppressed with a
 // "//dynalint:ignore <analyzer> <reason>" comment on the same line or the
@@ -83,24 +59,18 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
 }
 
-// Pass is one analyzed package: its parsed files plus the metadata the
-// analyzers key scope decisions on.
+// Pass is one analyzed, type-checked package: its parsed files, their
+// type information, and the metadata the analyzers key scope decisions on.
 type Pass struct {
 	Fset *token.FileSet
 	// PkgPath is the module-relative directory of the package, e.g.
-	// "internal/features" ("" for the module root). floatsafe scopes on it.
+	// "internal/detector" ("" for the module root). goguard scopes on it.
 	PkgPath string
 	// PkgName is the declared package name; zerotime exempts "main".
 	PkgName string
 	Files   []*ast.File
-
-	// Info holds the go/types result for the package, or nil when the
-	// driver could not type-check it and the pass degraded to
-	// syntactic-only analysis. Analyzers must treat nil as "no type
-	// information", never as an error.
+	// Info is the go/types result for Files.
 	Info *types.Info
-	// Pkg is the type-checked package object paired with Info.
-	Pkg *types.Package
 
 	// ignores maps filename -> line -> analyzers suppressed on that line.
 	ignores map[string]map[int]map[string]bool
@@ -108,26 +78,6 @@ type Pass struct {
 	// on the previous line; a statement starting on that line extends the
 	// suppression over every line it spans.
 	above map[string]map[int]map[string]bool
-}
-
-// Typed reports whether the pass carries type information.
-func (p *Pass) Typed() bool { return p.Info != nil }
-
-// TypeOf returns the type of e, or nil when the pass is untyped or the
-// expression was not reached by the checker.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
-
-// ObjectOf returns the object an identifier denotes, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.ObjectOf(id)
 }
 
 // Analyzer is one dynalint check.
@@ -144,20 +94,19 @@ type Analyzer interface {
 // All returns the full suite in reporting order.
 func All() []Analyzer {
 	return []Analyzer{
-		Hostfold{}, Zerotime{}, Lockscope{}, Floatsafe{}, Scratchsafe{},
-		Goguard{}, Metricname{}, Maporder{}, Hotalloc{}, Panicmsg{},
+		Zerotime{}, Lockscope{}, Goguard{}, Maporder{}, Hotalloc{},
 	}
 }
 
 // NewPass assembles a Pass and indexes its ignore directives. Files must
-// all belong to the same package and have been parsed with
-// parser.ParseComments. Attach type information by setting Info and Pkg
-// before Run.
-func NewPass(fset *token.FileSet, pkgPath string, files []*ast.File) *Pass {
+// all belong to the same package, have been parsed with
+// parser.ParseComments, and have been type-checked into info.
+func NewPass(fset *token.FileSet, pkgPath string, files []*ast.File, info *types.Info) *Pass {
 	p := &Pass{
 		Fset:    fset,
 		PkgPath: pkgPath,
 		Files:   files,
+		Info:    info,
 		ignores: map[string]map[int]map[string]bool{},
 		above:   map[string]map[int]map[string]bool{},
 	}
@@ -177,7 +126,7 @@ func NewPass(fset *token.FileSet, pkgPath string, files []*ast.File) *Pass {
 	return p
 }
 
-// addIgnore suppresses one analyzer on one line.
+// addTo suppresses one analyzer on one line of m.
 func addTo(m map[string]map[int]map[string]bool, file string, line int, name string) {
 	byLine := m[file]
 	if byLine == nil {
@@ -326,12 +275,6 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// isEmptyStringLit reports whether e is the literal "".
-func isEmptyStringLit(e ast.Expr) bool {
-	lit, ok := unparen(e).(*ast.BasicLit)
-	return ok && lit.Kind == token.STRING && (lit.Value == `""` || lit.Value == "``")
 }
 
 // enclosingFunc returns the innermost FuncDecl or FuncLit body on the

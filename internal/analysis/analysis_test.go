@@ -14,32 +14,6 @@ import (
 	"testing"
 )
 
-// parsePass parses every .go file in dir into one Pass.
-func parsePass(t *testing.T, dir, pkgPath string) *Pass {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("read fixture dir: %v", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixtures in %s", dir)
-	}
-	return NewPass(fset, pkgPath, files)
-}
-
 // wantRe matches `// want "substring"` golden expectations.
 var wantRe = regexp.MustCompile(`//\s*want\s+"([^"]+)"`)
 
@@ -75,9 +49,9 @@ func expectations(t *testing.T, dir string) map[string]map[int]string {
 	return out
 }
 
-// typed fixture support: one FileSet+Checker pair shared by every typed
-// fixture test, rooted at the module directory so `go list -export`
-// resolves the full stdlib dependency closure once.
+// One FileSet+Checker pair shared by every fixture test, rooted at the
+// module directory so `go list -export` resolves the full stdlib
+// dependency closure once.
 var (
 	typedOnce    sync.Once
 	typedFset    *token.FileSet
@@ -93,8 +67,8 @@ func fixtureChecker() (*token.FileSet, *Checker) {
 }
 
 // parsePassTyped parses every .go file in dir into one Pass and
-// type-checks it under a synthetic import path; fixtures for typed
-// analyzers must type-check.
+// type-checks it under a synthetic import path; every fixture must
+// type-check.
 func parsePassTyped(t *testing.T, dir, pkgPath string) *Pass {
 	t.Helper()
 	fset, checker := fixtureChecker()
@@ -117,14 +91,12 @@ func parsePassTyped(t *testing.T, dir, pkgPath string) *Pass {
 	if len(files) == 0 {
 		t.Fatalf("no fixtures in %s", dir)
 	}
-	pass := NewPass(fset, pkgPath, files)
 	importPath := "dynaminer/fixture/" + filepath.ToSlash(dir)
-	info, pkg, err := checker.Check(importPath, files)
+	info, err := checker.Check(importPath, files)
 	if err != nil {
 		t.Fatalf("type-check fixtures in %s: %v", dir, err)
 	}
-	pass.Info, pass.Pkg = info, pkg
-	return pass
+	return NewPass(fset, pkgPath, files, info)
 }
 
 // parseSrcTyped parses one in-memory file into a typed Pass.
@@ -135,27 +107,17 @@ func parseSrcTyped(t *testing.T, pkgPath, name, src string) *Pass {
 	if err != nil {
 		t.Fatalf("parse %s: %v", name, err)
 	}
-	pass := NewPass(fset, pkgPath, []*ast.File{f})
-	info, pkg, err := checker.Check("dynaminer/fixture/src/"+name, []*ast.File{f})
+	info, err := checker.Check("dynaminer/fixture/src/"+name, []*ast.File{f})
 	if err != nil {
 		t.Fatalf("type-check %s: %v", name, err)
 	}
-	pass.Info, pass.Pkg = info, pkg
-	return pass
+	return NewPass(fset, pkgPath, []*ast.File{f}, info)
 }
 
-// runFixture analyzes testdata/<analyzer> and checks the findings
-// against the `// want` golden comments: one finding per want line with
-// a matching message, zero findings anywhere else (no false positives).
-func runFixture(t *testing.T, a Analyzer, pkgPath string) {
-	t.Helper()
-	dir := filepath.Join("testdata", a.Name())
-	checkFixture(t, a, parsePass(t, dir, pkgPath), dir)
-}
-
-// runTypedFixture is runFixture over a type-checked pass, with the
-// fixture directory named explicitly (the typed lockscope fixtures live
-// apart from the syntactic ones).
+// runTypedFixture analyzes testdata/<dir> over a type-checked pass and
+// checks the findings against the `// want` golden comments: one finding
+// per want line with a matching message, zero findings anywhere else (no
+// false positives).
 func runTypedFixture(t *testing.T, a Analyzer, dir, pkgPath string) {
 	t.Helper()
 	d := filepath.Join("testdata", dir)
@@ -202,84 +164,25 @@ func checkFixture(t *testing.T, a Analyzer, pass *Pass, dir string) {
 	}
 }
 
-func TestHostfoldFixtures(t *testing.T)  { runFixture(t, Hostfold{}, "internal/analysis/testdata") }
-func TestZerotimeFixtures(t *testing.T)  { runFixture(t, Zerotime{}, "internal/analysis/testdata") }
-func TestLockscopeFixtures(t *testing.T) { runFixture(t, Lockscope{}, "internal/analysis/testdata") }
-func TestScratchsafeFixtures(t *testing.T) {
-	runFixture(t, Scratchsafe{}, "internal/analysis/testdata")
+func TestZerotimeFixtures(t *testing.T) {
+	runTypedFixture(t, Zerotime{}, "zerotime", "internal/analysis/testdata")
 }
 
-// Floatsafe only runs over feature-extraction packages, so its fixture
-// is analyzed under that package path; a second test asserts the scoping
-// itself.
-func TestFloatsafeFixtures(t *testing.T) { runFixture(t, Floatsafe{}, "internal/features") }
+func TestLockscopeFixtures(t *testing.T) {
+	runTypedFixture(t, Lockscope{}, "lockscope", "internal/analysis/testdata")
+}
 
 // Goguard only runs over the serving packages, so its fixture is analyzed
 // under one of those package paths; a second test asserts the scoping
 // (internal/graph launches crash-loudly goroutines legitimately).
-func TestGoguardFixtures(t *testing.T) { runFixture(t, Goguard{}, "internal/detector") }
-
-// Metricname is unscoped, so its fixture runs under the testdata path.
-func TestMetricnameFixtures(t *testing.T) {
-	runFixture(t, Metricname{}, "internal/analysis/testdata")
+func TestGoguardFixtures(t *testing.T) {
+	runTypedFixture(t, Goguard{}, "goguard", "internal/detector")
 }
 
 func TestGoguardScopedToServingPackages(t *testing.T) {
-	pass := parsePass(t, filepath.Join("testdata", "goguard"), "internal/graph")
+	pass := parsePassTyped(t, filepath.Join("testdata", "goguard"), "internal/graph")
 	if findings := Run(pass, []Analyzer{Goguard{}}); len(findings) != 0 {
 		t.Fatalf("goguard fired outside the serving packages: %v", findings)
-	}
-}
-
-func TestFloatsafeScopedToFeatures(t *testing.T) {
-	pass := parsePass(t, filepath.Join("testdata", "floatsafe"), "internal/analysis/testdata")
-	if findings := Run(pass, []Analyzer{Floatsafe{}}); len(findings) != 0 {
-		t.Fatalf("floatsafe fired outside internal/features: %v", findings)
-	}
-}
-
-// parseSrc parses one in-memory file into a Pass.
-func parseSrc(t *testing.T, pkgPath, name, src string) *Pass {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse %s: %v", name, err)
-	}
-	return NewPass(fset, pkgPath, []*ast.File{f})
-}
-
-// TestHostfoldFlagsPrePR1Bug runs hostfold against a re-creation of the
-// exact pre-PR-1 detector code: the session clusterer compared and
-// map-indexed the raw Host header, so a mixed-case "Landing.SHADY"
-// opened a second cluster and the redirect chain escaped linkage. The
-// analyzer must flag both uses — the acceptance demonstration that the
-// bug class is now unwriteable.
-func TestHostfoldFlagsPrePR1Bug(t *testing.T) {
-	const prePR1 = `package detector
-
-func (e *Engine) clusterFor(tx *Transaction) *cluster {
-	for _, c := range e.clusters {
-		if _, ok := c.hosts[tx.Host]; ok {
-			return c
-		}
-	}
-	return nil
-}
-
-func (e *Engine) trusted(tx *Transaction, vendor string) bool {
-	return tx.Host == vendor
-}
-`
-	pass := parseSrc(t, "internal/detector", "pre_pr1.go", prePR1)
-	findings := Run(pass, []Analyzer{Hostfold{}})
-	if len(findings) != 2 {
-		t.Fatalf("hostfold findings = %d, want 2 (map index + comparison): %v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.Analyzer != "hostfold" || !strings.Contains(f.Message, "case-insensitive") {
-			t.Errorf("unexpected finding: %s", f)
-		}
 	}
 }
 
@@ -291,11 +194,13 @@ func TestZerotimeFlagsPrePR1Bug(t *testing.T) {
 
 import "time"
 
+type Alert struct{ Time time.Time }
+
 func printAlert(a Alert) string {
 	return a.Time.Format(time.RFC3339)
 }
 `
-	pass := parseSrc(t, "cmd/dynaminer", "pre_pr1.go", prePR1)
+	pass := parseSrcTyped(t, "cmd/dynaminer", "pre_pr1.go", prePR1)
 	findings := Run(pass, []Analyzer{Zerotime{}})
 	if len(findings) != 1 || !strings.Contains(findings[0].Message, "IsZero") {
 		t.Fatalf("zerotime findings = %v, want the unguarded Format flagged", findings)
@@ -306,25 +211,25 @@ func printAlert(a Alert) string {
 func TestIgnoreDirective(t *testing.T) {
 	const src = `package p
 
-type r struct{ Host string }
+import "time"
 
-func a(x r, y string) bool {
-	//dynalint:ignore hostfold above-line form
-	return x.Host == y
+func a() time.Time {
+	//dynalint:ignore zerotime above-line form
+	return time.Now()
 }
 
-func b(x r, y string) bool {
-	return x.Host == y //dynalint:ignore hostfold trailing form
+func b() time.Time {
+	return time.Now() //dynalint:ignore zerotime trailing form
 }
 
-func c(x r, y string) bool {
-	return x.Host == y // no directive: still flagged
+func c() time.Time {
+	return time.Now() // no directive: still flagged
 }
 `
-	pass := parseSrc(t, "p", "ignored.go", src)
-	findings := Run(pass, []Analyzer{Hostfold{}})
-	if len(findings) != 1 {
-		t.Fatalf("findings = %v, want exactly the undirected comparison", findings)
+	pass := parseSrcTyped(t, "p", "ignored.go", src)
+	findings := Run(pass, []Analyzer{Zerotime{}})
+	if len(findings) != 1 || findings[0].Pos.Line != 15 {
+		t.Fatalf("findings = %v, want exactly the undirected time.Now() on line 15", findings)
 	}
 }
 
@@ -337,20 +242,15 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name()] = true
 	}
-	for _, want := range []string{
-		"hostfold", "zerotime", "lockscope", "floatsafe", "scratchsafe",
-		"goguard", "metricname", "maporder", "hotalloc", "panicmsg",
-	} {
+	for _, want := range []string{"zerotime", "lockscope", "goguard", "maporder", "hotalloc"} {
 		if !names[want] {
 			t.Errorf("analyzer %s missing from All()", want)
 		}
 	}
-	if len(names) != 10 {
-		t.Errorf("suite has %d analyzers, want 10: %v", len(names), names)
+	if len(names) != 5 {
+		t.Errorf("suite has %d analyzers, want 5: %v", len(names), names)
 	}
 }
-
-// --- dynalint v2: typed analyzers ---
 
 func TestMaporderFixtures(t *testing.T) {
 	runTypedFixture(t, Maporder{}, "maporder", "internal/analysis/testdata")
@@ -360,47 +260,8 @@ func TestHotallocFixtures(t *testing.T) {
 	runTypedFixture(t, Hotalloc{}, "hotalloc", "internal/analysis/testdata")
 }
 
-// Panicmsg only runs over internal/ml and internal/detector, so its
-// fixture is analyzed under internal/ml.
-func TestPanicmsgFixtures(t *testing.T) {
-	runTypedFixture(t, Panicmsg{}, "panicmsg", "internal/ml")
-}
-
 func TestLockscopeTypedFixtures(t *testing.T) {
 	runTypedFixture(t, Lockscope{}, "lockscope_typed", "internal/analysis/testdata")
-}
-
-// TestPanicmsgScoped runs the bad panicmsg fixture under a package path
-// outside ml/detector: the quarantine ladder only attributes panics
-// crossing those boundaries, so nothing may be flagged.
-func TestPanicmsgScoped(t *testing.T) {
-	pass := parsePassTyped(t, filepath.Join("testdata", "panicmsg"), "internal/wcg")
-	if findings := Run(pass, []Analyzer{Panicmsg{}}); len(findings) != 0 {
-		t.Fatalf("panicmsg fired outside internal/ml and internal/detector: %v", findings)
-	}
-}
-
-// TestMaporderSyntacticFallback: without type information maporder still
-// catches ranges over locally-provable maps — the degraded mode the
-// driver falls back to when a package fails type checking.
-func TestMaporderSyntacticFallback(t *testing.T) {
-	const src = `package p
-
-func collect() []string {
-	m := make(map[string]string)
-	m["a"] = "b"
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`
-	pass := parseSrc(t, "p", "fallback.go", src)
-	findings := Run(pass, []Analyzer{Maporder{}})
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, "append inside map iteration") {
-		t.Fatalf("syntactic maporder findings = %v, want the unsorted append flagged", findings)
-	}
 }
 
 // TestIgnoreDirectiveMultiLineStatement is the regression test for the
@@ -423,7 +284,7 @@ func collect() []string {
 	return out
 }
 `
-	pass := parseSrc(t, "p", "multiline.go", src)
+	pass := parseSrcTyped(t, "p", "multiline.go", src)
 	if findings := Run(pass, []Analyzer{Maporder{}}); len(findings) != 0 {
 		t.Fatalf("directive above a multi-line statement failed to suppress: %v", findings)
 	}
@@ -474,36 +335,10 @@ func report(a, b int) {
 	}
 }
 `
-	pass := parseSrc(t, "examples/featurereport", "pre_v2_report.go", preV2)
+	pass := parseSrcTyped(t, "examples/featurereport", "pre_v2_report.go", preV2)
 	findings := Run(pass, []Analyzer{Maporder{}})
 	if len(findings) != 1 || !strings.Contains(findings[0].Message, "Printf inside map iteration") {
 		t.Fatalf("maporder findings = %v, want the Printf flagged", findings)
-	}
-}
-
-// TestLockscopeSyntacticFallbackStillRuns pins the degraded path: on an
-// untyped pass the pre-typed matcher still reports the plain unlocked
-// access (the lockscope fixture suite runs untyped for exactly this
-// reason).
-func TestLockscopeSyntacticFallbackStillRuns(t *testing.T) {
-	const src = `package p
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	// guarded by mu
-	n int
-}
-
-func bump(b *box) {
-	b.n++
-}
-`
-	pass := parseSrc(t, "p", "fallback_lock.go", src)
-	findings := Run(pass, []Analyzer{Lockscope{}})
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, "never locks") {
-		t.Fatalf("syntactic lockscope findings = %v, want the unlocked access flagged", findings)
 	}
 }
 
@@ -520,7 +355,7 @@ func alloc(n int) []int {
 	return out
 }
 `
-	pass := parseSrc(t, "p", "quiet.go", src)
+	pass := parseSrcTyped(t, "p", "quiet.go", src)
 	if findings := Run(pass, []Analyzer{Hotalloc{}}); len(findings) != 0 {
 		t.Fatalf("hotalloc fired without a hotpath annotation: %v", findings)
 	}

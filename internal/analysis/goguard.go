@@ -11,10 +11,10 @@ import (
 // whole process. So every go statement in the serving packages must carry
 // its own recover() guard (the janitor pattern in monitor.go).
 //
-// The analyzer is syntactic: a go statement launching a function literal
-// is checked for a recover() call anywhere in its body, nested deferred
-// closures included. A go statement calling a named function cannot be
-// verified without type information, so it is flagged unconditionally —
+// A go statement launching a function literal is checked for a recover()
+// call anywhere in its body, nested deferred closures included. A go
+// statement calling a named function is not followed into the callee, so
+// it is flagged unconditionally —
 // inline a guarded closure, or suppress with
 // "//dynalint:ignore goguard <reason>" when the callee is known to guard
 // itself.

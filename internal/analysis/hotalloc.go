@@ -18,9 +18,9 @@ import (
 //   - make and new calls;
 //   - append calls that may grow beyond capacity;
 //   - string concatenation (+ on strings builds a new string);
-//   - string<->[]byte/[]rune conversions (typed passes only);
-//   - arguments boxed into interface parameters (typed passes only;
-//     pointer-shaped values are exempt — they fit the interface word);
+//   - string<->[]byte/[]rune conversions;
+//   - arguments boxed into interface parameters (pointer-shaped values
+//     are exempt — they fit the interface word);
 //   - function literals (a closure that escapes allocates its context).
 //
 // Two idioms are recognized as cold and exempted without a directive:
@@ -245,7 +245,7 @@ func (h Hotalloc) checkFunc(pass *Pass, fd *ast.FuncDecl) []Finding {
 			if x.Op != token.ADD || coldGuarded(stack) {
 				return
 			}
-			if h.stringOperand(pass, x.X) || h.stringOperand(pass, x.Y) {
+			if isStringBasic(pass.Info.TypeOf(x.X)) || isStringBasic(pass.Info.TypeOf(x.Y)) {
 				report(x.Pos(), "string concatenation in a hotpath function allocates; build into a reused buffer in cold code")
 			}
 		case *ast.CallExpr:
@@ -253,16 +253,6 @@ func (h Hotalloc) checkFunc(pass *Pass, fd *ast.FuncDecl) []Finding {
 		}
 	})
 	return out
-}
-
-// stringOperand reports whether e is string-typed (typed passes) or a
-// string literal (the untyped fallback).
-func (Hotalloc) stringOperand(pass *Pass, e ast.Expr) bool {
-	if pass.Typed() {
-		return isStringBasic(pass.TypeOf(e))
-	}
-	lit, ok := unparen(e).(*ast.BasicLit)
-	return ok && lit.Kind == token.STRING
 }
 
 // checkCall flags allocating calls: make/new, unamortized appends,
@@ -290,12 +280,9 @@ func (h Hotalloc) checkCall(pass *Pass, stack []ast.Node, call *ast.CallExpr, re
 			return out
 		}
 	}
-	if !pass.Typed() {
-		return out
-	}
 	// Conversions: string <-> []byte/[]rune copy their payload.
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst, src := pass.TypeOf(call), pass.TypeOf(call.Args[0])
+		dst, src := pass.Info.TypeOf(call), pass.Info.TypeOf(call.Args[0])
 		if (isStringBasic(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringBasic(src)) {
 			if !coldGuarded(stack) {
 				report(call.Pos(), "string conversion in a hotpath function copies its payload; keep one representation on the hot path")
@@ -305,7 +292,7 @@ func (h Hotalloc) checkCall(pass *Pass, stack []ast.Node, call *ast.CallExpr, re
 	}
 	// Interface boxing: concrete non-pointer values stored in interface
 	// parameters escape to the heap.
-	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
+	sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature)
 	if !ok || call.Ellipsis != token.NoPos || coldGuarded(stack) {
 		return out
 	}
@@ -323,7 +310,7 @@ func (h Hotalloc) checkCall(pass *Pass, stack []ast.Node, call *ast.CallExpr, re
 		if !types.IsInterface(pt) {
 			continue
 		}
-		at := pass.TypeOf(arg)
+		at := pass.Info.TypeOf(arg)
 		if at == nil || types.IsInterface(at) || pointerShaped(at) {
 			continue
 		}

@@ -14,19 +14,17 @@ import (
 // blocklist and counters stay inside it; this analyzer keeps that split
 // from regressing as handlers grow.
 //
-// On a typed Pass, field and receiver identity resolve through go/types
-// objects: an access through a pointer alias (`e := eng; e.hits++` after
-// `eng.mu.Lock()`) matches the lock on the original receiver, and a
-// method that locks a mutex through a value receiver is flagged — the
-// receiver is a copy, so the lock protects nothing. Without type
-// information the analyzer falls back to textual chain matching: an
+// Field and receiver identity resolve through go/types objects: an
 // access `base.field` is sanctioned when the enclosing function anywhere
-// calls `base.<mu>.Lock()` or `base.<mu>.RLock()` with the identical
-// base chain.
+// calls `base.<mu>.Lock()` or `base.<mu>.RLock()` on the same variable
+// path, and an access through a pointer alias (`e := eng; e.hits++`
+// after `eng.mu.Lock()`) matches the lock on the original receiver. A
+// method that locks a mutex through a value receiver is flagged — the
+// receiver is a copy, so the lock protects nothing.
 //
-// In both modes the check is flow-insensitive. Functions whose name ends
-// in "Locked" are exempt (the caller holds the lock by contract), as is
-// anything under a //dynalint:ignore lockscope directive.
+// The check is flow-insensitive. Functions whose name ends in "Locked"
+// are exempt (the caller holds the lock by contract), as is anything
+// under a //dynalint:ignore lockscope directive.
 type Lockscope struct{}
 
 // Name implements Analyzer.
@@ -34,47 +32,7 @@ func (Lockscope) Name() string { return "lockscope" }
 
 // Doc implements Analyzer.
 func (Lockscope) Doc() string {
-	return `fields annotated "guarded by <mu>" accessed without locking that mutex (typed: resolves aliases, flags value-receiver mutex copies)`
-}
-
-// guardedField is one annotated struct field.
-type guardedField struct {
-	structName string
-	mu         string
-}
-
-// collectGuarded scans the package's struct declarations for fields whose
-// doc or trailing comment says "guarded by <name>", returning
-// fieldName -> annotation. Field names are package-unique enough for a
-// project lint; a collision shows up as a false positive to triage.
-func collectGuarded(files []*ast.File) map[string]guardedField {
-	guarded := map[string]guardedField{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				mu := guardAnnotation(field.Doc)
-				if mu == "" {
-					mu = guardAnnotation(field.Comment)
-				}
-				if mu == "" {
-					continue
-				}
-				for _, name := range field.Names {
-					guarded[name.Name] = guardedField{structName: ts.Name.Name, mu: mu}
-				}
-			}
-			return true
-		})
-	}
-	return guarded
+	return `fields annotated "guarded by <mu>" accessed without locking that mutex; mutexes locked through a value receiver`
 }
 
 // guardAnnotation extracts the mutex name from a "guarded by <mu>"
@@ -95,80 +53,9 @@ func guardAnnotation(cg *ast.CommentGroup) string {
 	return strings.Trim(rest[0], ".,;:")
 }
 
-// lockedChains collects "base|mu" keys for every <base>.<mu>.Lock/RLock
-// call in a function body (the syntactic fallback).
-func lockedChains(body *ast.BlockStmt) map[string]bool {
-	locked := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		muSel, ok := unparen(sel.X).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if base := chainText(muSel.X); base != "" {
-			locked[base+"|"+muSel.Sel.Name] = true
-		}
-		return true
-	})
-	return locked
-}
-
 // Run implements Analyzer.
 func (l Lockscope) Run(pass *Pass) []Finding {
-	if pass.Typed() {
-		return l.runTyped(pass)
-	}
-	return l.runSyntactic(pass)
-}
-
-// runSyntactic is the pre-typed matcher, kept as the degraded path.
-func (l Lockscope) runSyntactic(pass *Pass) []Finding {
-	guarded := collectGuarded(pass.Files)
-	if len(guarded) == 0 {
-		return nil
-	}
-	var out []Finding
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || strings.HasSuffix(fn.Name.Name, "Locked") {
-				continue
-			}
-			locked := lockedChains(fn.Body)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				g, isGuarded := guarded[sel.Sel.Name]
-				if !isGuarded {
-					return true
-				}
-				base := chainText(sel.X)
-				if base == "" || locked[base+"|"+g.mu] {
-					return true
-				}
-				out = append(out, pass.finding(l.Name(), sel.Pos(),
-					"%s.%s is guarded by %s.%s, but %s never locks it (lock it, or suffix the func name with Locked if the caller holds it)",
-					base, sel.Sel.Name, base, g.mu, fn.Name.Name))
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// runTyped resolves guarded fields and receiver chains through go/types
-// objects, so pointer aliases match and mutex copies are caught.
-func (l Lockscope) runTyped(pass *Pass) []Finding {
-	guarded := collectGuardedTyped(pass)
+	guarded := collectGuarded(pass)
 	var out []Finding
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -183,7 +70,7 @@ func (l Lockscope) runTyped(pass *Pass) []Finding {
 				continue
 			}
 			aliases := pointerAliases(pass, fn.Body)
-			locked := lockedChainsTyped(pass, fn.Body, aliases)
+			locked := lockedChains(pass, fn.Body, aliases)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
@@ -193,7 +80,7 @@ func (l Lockscope) runTyped(pass *Pass) []Finding {
 				if !isGuarded {
 					return true
 				}
-				base := typedChainKey(pass, sel.X, aliases)
+				base := chainKey(pass, sel.X, aliases)
 				if base == "" || locked[base+"|"+mu] {
 					return true
 				}
@@ -207,9 +94,9 @@ func (l Lockscope) runTyped(pass *Pass) []Finding {
 	return out
 }
 
-// collectGuardedTyped maps annotated field objects to their mutex field
-// name.
-func collectGuardedTyped(pass *Pass) map[types.Object]string {
+// collectGuarded maps the package's struct fields whose doc or trailing
+// comment says "guarded by <mu>" to that mutex field name.
+func collectGuarded(pass *Pass) map[types.Object]string {
 	guarded := map[types.Object]string{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -265,19 +152,19 @@ func pointerAliases(pass *Pass, body *ast.BlockStmt) map[types.Object]string {
 			if !ok {
 				continue
 			}
-			obj := pass.ObjectOf(id)
+			obj := pass.Info.ObjectOf(id)
 			if obj == nil {
 				continue
 			}
 			rhs := unparen(as.Rhs[i])
 			if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
 				rhs = unparen(u.X)
-			} else if t := pass.TypeOf(rhs); t == nil {
+			} else if t := pass.Info.TypeOf(rhs); t == nil {
 				continue
 			} else if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
 				continue
 			}
-			if key := typedChainKey(pass, rhs, aliases); key != "" {
+			if key := chainKey(pass, rhs, aliases); key != "" {
 				aliases[obj] = key
 			}
 		}
@@ -286,14 +173,14 @@ func pointerAliases(pass *Pass, body *ast.BlockStmt) map[types.Object]string {
 	return aliases
 }
 
-// typedChainKey renders a selector chain as a canonical key rooted at
+// chainKey renders a selector chain as a canonical key rooted at
 // the go/types object of its base identifier, following pointer aliases.
 // Two chains get the same key exactly when they provably denote the same
 // variable path.
-func typedChainKey(pass *Pass, e ast.Expr, aliases map[types.Object]string) string {
+func chainKey(pass *Pass, e ast.Expr, aliases map[types.Object]string) string {
 	switch x := unparen(e).(type) {
 	case *ast.Ident:
-		obj := pass.ObjectOf(x)
+		obj := pass.Info.ObjectOf(x)
 		if obj == nil {
 			return ""
 		}
@@ -302,20 +189,20 @@ func typedChainKey(pass *Pass, e ast.Expr, aliases map[types.Object]string) stri
 		}
 		return pass.Fset.Position(obj.Pos()).String()
 	case *ast.SelectorExpr:
-		base := typedChainKey(pass, x.X, aliases)
+		base := chainKey(pass, x.X, aliases)
 		if base == "" {
 			return ""
 		}
 		return base + "." + x.Sel.Name
 	case *ast.StarExpr:
-		return typedChainKey(pass, x.X, aliases)
+		return chainKey(pass, x.X, aliases)
 	}
 	return ""
 }
 
-// lockedChainsTyped collects "baseKey|mu" for every <base>.<mu>.Lock or
+// lockedChains collects "baseKey|mu" for every <base>.<mu>.Lock or
 // RLock call, with base resolved through objects and aliases.
-func lockedChainsTyped(pass *Pass, body *ast.BlockStmt, aliases map[types.Object]string) map[string]bool {
+func lockedChains(pass *Pass, body *ast.BlockStmt, aliases map[types.Object]string) map[string]bool {
 	locked := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -330,7 +217,7 @@ func lockedChainsTyped(pass *Pass, body *ast.BlockStmt, aliases map[types.Object
 		if !ok {
 			return true
 		}
-		if base := typedChainKey(pass, muSel.X, aliases); base != "" {
+		if base := chainKey(pass, muSel.X, aliases); base != "" {
 			locked[base+"|"+muSel.Sel.Name] = true
 		}
 		return true
@@ -346,12 +233,12 @@ func (l Lockscope) checkValueReceiver(pass *Pass, fn *ast.FuncDecl) []Finding {
 		return nil
 	}
 	recv := fn.Recv.List[0]
-	if rt := pass.TypeOf(recv.Type); rt == nil {
+	if rt := pass.Info.TypeOf(recv.Type); rt == nil {
 		return nil
 	} else if _, isPtr := rt.(*types.Pointer); isPtr {
 		return nil
 	}
-	recvObj := pass.ObjectOf(recv.Names[0])
+	recvObj := pass.Info.ObjectOf(recv.Names[0])
 	if recvObj == nil {
 		return nil
 	}
@@ -366,7 +253,7 @@ func (l Lockscope) checkValueReceiver(pass *Pass, fn *ast.FuncDecl) []Finding {
 			return true
 		}
 		root := rootIdent(sel.X)
-		if root == nil || pass.ObjectOf(root) != recvObj || !isMutexType(pass.TypeOf(sel.X)) {
+		if root == nil || pass.Info.ObjectOf(root) != recvObj || !isMutexType(pass.Info.TypeOf(sel.X)) {
 			return true
 		}
 		out = append(out, pass.finding(l.Name(), call.Pos(),

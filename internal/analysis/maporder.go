@@ -14,9 +14,8 @@ import (
 // the project's bit-identical re-scoring contracts (provenance-journal
 // vectors, flat-vs-pointer forest agreement, snapshot assembly).
 //
-// The analyzer flags a for-range over a map (resolved through go/types;
-// without type information it falls back to locally-provable map
-// declarations) whose body contains:
+// The analyzer flags a for-range over a map (resolved through go/types)
+// whose body contains:
 //
 //   - an append call — sanctioned when the enclosing function sorts
 //     after the loop (sort.* or slices.Sort* below the range statement),
@@ -60,82 +59,10 @@ var sortCallNames = map[string]bool{
 	"Slice": true, "SliceStable": true,
 }
 
-// isMapRange reports whether rs ranges over a map. With type information
-// the answer is exact; without it, only ranges over expressions whose
-// map-ness is locally provable (a map literal, or an identifier declared
-// in the enclosing function as a map) are recognized.
-func isMapRange(pass *Pass, stack []ast.Node, rs *ast.RangeStmt) bool {
-	if t := pass.TypeOf(rs.X); t != nil {
-		_, ok := t.Underlying().(*types.Map)
-		return ok
-	}
-	switch x := unparen(rs.X).(type) {
-	case *ast.CompositeLit:
-		_, ok := x.Type.(*ast.MapType)
-		return ok
-	case *ast.Ident:
-		fn := enclosingFunc(stack)
-		if fn == nil {
-			return false
-		}
-		return localMapIdent(funcBody(fn), x.Name)
-	}
-	return false
-}
-
-// localMapIdent reports whether the function body declares name as a map
-// via make(map...), a map literal, or an explicit map-typed var.
-func localMapIdent(body *ast.BlockStmt, name string) bool {
-	if body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				id, ok := unparen(lhs).(*ast.Ident)
-				if !ok || id.Name != name || i >= len(x.Rhs) {
-					continue
-				}
-				if exprIsMap(x.Rhs[i]) {
-					found = true
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range x.Names {
-				if id.Name != name {
-					continue
-				}
-				if _, ok := x.Type.(*ast.MapType); ok {
-					found = true
-				}
-				for _, v := range x.Values {
-					if exprIsMap(v) {
-						found = true
-					}
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// exprIsMap reports whether e is syntactically a map value: make(map...)
-// or a map composite literal.
-func exprIsMap(e ast.Expr) bool {
-	switch x := unparen(e).(type) {
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			_, isMap := x.Args[0].(*ast.MapType)
-			return isMap
-		}
-	case *ast.CompositeLit:
-		_, isMap := x.Type.(*ast.MapType)
-		return isMap
-	}
-	return false
+// isMapRange reports whether rs ranges over a map.
+func isMapRange(pass *Pass, rs *ast.RangeStmt) bool {
+	_, ok := pass.Info.TypeOf(rs.X).Underlying().(*types.Map)
+	return ok
 }
 
 // hasPostLoopSort reports whether the enclosing function calls a sort.*
@@ -174,23 +101,8 @@ func loopLocal(pass *Pass, body *ast.BlockStmt, dst ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	if obj := pass.ObjectOf(id); obj != nil {
-		return obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if lid, ok := unparen(lhs).(*ast.Ident); ok && lid.Name == id.Name {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+	obj := pass.Info.ObjectOf(id)
+	return obj != nil && obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
 }
 
 // mutatedIn reports whether the identifier name is assigned or
@@ -219,11 +131,10 @@ func mutatedIn(body *ast.BlockStmt, name string, skip ast.Node) bool {
 	return found
 }
 
-// isFloatExpr reports whether e has floating-point type. Without type
-// information the answer is false (the accumulation rule is typed-only:
-// flagging integer sums would drown the signal).
+// isFloatExpr reports whether e has floating-point type (the blank
+// identifier has none).
 func isFloatExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.TypeOf(e)
+	t := pass.Info.TypeOf(e)
 	if t == nil {
 		return false
 	}
@@ -237,34 +148,23 @@ func isMapIndexExpr(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	t := pass.TypeOf(ix.X)
-	if t == nil {
-		return false
-	}
-	_, isMap := t.Underlying().(*types.Map)
+	_, isMap := pass.Info.TypeOf(ix.X).Underlying().(*types.Map)
 	return isMap
 }
 
 // sliceIndexWrite reports whether lhs is an index expression into a
-// slice or array (not a map). Untyped passes answer false: m[k] = v into
-// a map is the dominant, order-insensitive case.
+// slice or array (not a map).
 func sliceIndexWrite(pass *Pass, lhs ast.Expr) (*ast.IndexExpr, bool) {
 	ix, ok := unparen(lhs).(*ast.IndexExpr)
 	if !ok {
 		return nil, false
 	}
-	t := pass.TypeOf(ix.X)
-	if t == nil {
-		return nil, false
-	}
-	switch t.Underlying().(type) {
+	switch t := pass.Info.TypeOf(ix.X).Underlying().(type) {
 	case *types.Slice, *types.Array:
 		return ix, true
 	case *types.Pointer:
-		if p, ok := t.Underlying().(*types.Pointer); ok {
-			if _, arr := p.Elem().Underlying().(*types.Array); arr {
-				return ix, true
-			}
+		if _, arr := t.Elem().Underlying().(*types.Array); arr {
+			return ix, true
 		}
 	}
 	return nil, false
@@ -276,7 +176,7 @@ func (m Maporder) Run(pass *Pass) []Finding {
 	for _, f := range pass.Files {
 		walkStack(f, func(stack []ast.Node) {
 			rs, ok := stack[len(stack)-1].(*ast.RangeStmt)
-			if !ok || rs.Body == nil || !isMapRange(pass, stack, rs) {
+			if !ok || rs.Body == nil || !isMapRange(pass, rs) {
 				return
 			}
 			sorted := hasPostLoopSort(enclosingFunc(stack), rs)
@@ -296,7 +196,7 @@ func (m Maporder) checkBody(pass *Pass, rs *ast.RangeStmt, sorted bool) []Findin
 		switch x := n.(type) {
 		case *ast.RangeStmt:
 			// A nested map range reports its own findings; avoid doubling.
-			if n != rs && isMapRange(pass, []ast.Node{x}, x) {
+			if n != rs && isMapRange(pass, x) {
 				return false
 			}
 		case *ast.CallExpr:

@@ -1,5 +1,4 @@
-// Fixture: every line marked `want` must be flagged by goguard. The
-// fixture is parsed, never compiled.
+// Fixture: every line marked `want` must be flagged by goguard.
 package fixtures
 
 import "time"
@@ -25,7 +24,7 @@ func unguardedLoop(e *engine) {
 	}
 }
 
-// namedFunction cannot be verified syntactically.
+// namedFunction is not followed into the callee.
 func namedFunction(e *engine) {
 	go e.sweep() // want "named function"
 }

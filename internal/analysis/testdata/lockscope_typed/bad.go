@@ -1,6 +1,5 @@
-// Fixture: every line marked `want` must be flagged by the typed
-// lockscope rules. This fixture only runs on a typed Pass — the cases
-// here need go/types object identity to resolve.
+// Fixture: every line marked `want` must be flagged by the lockscope
+// rules that need go/types object identity to resolve.
 package fixtures
 
 import "sync"

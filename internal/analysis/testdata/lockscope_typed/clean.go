@@ -1,6 +1,6 @@
-// Fixture: nothing in this file may be flagged. The pointer-alias cases
-// are exactly the false positives the syntactic matcher produced —
-// object resolution matches the alias and the original up.
+// Fixture: nothing in this file may be flagged. In the pointer-alias
+// cases a textual receiver match would report a false positive; object
+// resolution matches the alias and the original up.
 package fixtures
 
 import "sync"

@@ -10,28 +10,22 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 )
 
 // Checker type-checks parsed packages with stdlib go/types. Imports
 // resolve through compiled export data located by one `go list -export`
 // invocation per run, so the checker needs nothing outside the standard
-// toolchain and shares a single package cache across every Check call —
-// the driver analyzes packages in parallel, and Check serializes
-// internally because go/types mutates the shared importer state.
+// toolchain and shares a single package cache across every Check call.
+// A Checker is not safe for concurrent use: go/types mutates the shared
+// importer state.
 //
-// Check is best-effort by design: a package that does not type-check (a
-// missing dependency, a compile error, a tree without a go.mod) returns
-// an error and the caller degrades that package to syntactic-only
-// analysis instead of failing the run.
+// A package that does not type-check (a missing dependency, a compile
+// error, a tree without a go.mod) makes Check return an error; there is
+// no untyped fallback.
 type Checker struct {
 	fset *token.FileSet
 	dir  string
-	// Tests includes each package's test dependencies in the export-data
-	// listing (needed when _test.go files are being type-checked).
-	Tests bool
 
-	mu      sync.Mutex
 	loaded  bool
 	listErr error
 	exports map[string]string
@@ -52,12 +46,7 @@ func (c *Checker) loadExports() error {
 		return c.listErr
 	}
 	c.loaded = true
-	args := []string{"list", "-e", "-export", "-deps"}
-	if c.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, "-f", "{{.ImportPath}}={{.Export}}", "./...")
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...")
 	cmd.Dir = c.dir
 	out, err := cmd.Output()
 	if err != nil {
@@ -113,31 +102,15 @@ func NewInfo() *types.Info {
 }
 
 // Check type-checks one package's files under the given import path and
-// returns the filled Info. Any type error (the first is reported) means
-// the package could not be fully checked; callers degrade it to
-// syntactic analysis.
-func (c *Checker) Check(pkgPath string, files []*ast.File) (*types.Info, *types.Package, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// returns the filled Info, or the first type error.
+func (c *Checker) Check(pkgPath string, files []*ast.File) (*types.Info, error) {
 	if err := c.loadExports(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	info := NewInfo()
-	var firstErr error
-	conf := types.Config{
-		Importer: c,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
+	conf := types.Config{Importer: c}
+	if _, err := conf.Check(pkgPath, c.fset, files, info); err != nil {
+		return nil, err
 	}
-	pkg, err := conf.Check(pkgPath, c.fset, files, info)
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return info, pkg, nil
+	return info, nil
 }

@@ -3,16 +3,20 @@ package detector
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net/http"
 	"net/netip"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"dynaminer/internal/httpstream"
+	"dynaminer/internal/synth"
 )
 
 // readdress clones a transaction stream onto a different client address,
@@ -150,6 +154,79 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	}
 	if gotSeen != wantSeen {
 		t.Fatalf("restored txSeen = %d, want %d", gotSeen, wantSeen)
+	}
+}
+
+// corpusStream flattens a synth corpus into one time-ordered stream, one
+// client address per episode.
+func corpusStream(cfg synth.Config) []httpstream.Transaction {
+	var txs []httpstream.Transaction
+	for i, ep := range synth.GenerateCorpus(cfg) {
+		ip := netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)})
+		for _, tx := range ep.Txs {
+			tx.ClientIP = ip
+			txs = append(txs, tx)
+		}
+	}
+	sort.SliceStable(txs, func(i, j int) bool { return txs[i].ReqTime.Before(txs[j].ReqTime) })
+	return txs
+}
+
+// TestRollingRestoreMixedCaseHosts is the recovered ≡ uninterrupted
+// differential for hosts that arrive upper-cased: DNS names are
+// case-insensitive, so the restore replay must fold the Host header
+// exactly as live processing does. An engine checkpointed and restored
+// into a fresh engine every 7th transaction must alert — scores to the
+// bit, cluster IDs, WCGs in order — and watch exactly like one that never
+// stopped. One restore is not enough: a replayed cluster only diverges
+// once later traffic has to link to the hosts it restored.
+func TestRollingRestoreMixedCaseHosts(t *testing.T) {
+	txs := corpusStream(synth.Config{Seed: 1, Infections: 20, Benign: 5})
+	for i := range txs {
+		txs[i].Host = strings.ToUpper(txs[i].Host)
+	}
+	cfg := Config{Shards: 2, RedirectThreshold: 3}
+	uninterrupted := New(cfg, vecScorer{})
+	rolling := New(cfg, vecScorer{})
+	alerts := 0
+	for i, tx := range txs {
+		if i > 0 && i%7 == 0 {
+			fresh := New(cfg, vecScorer{})
+			if _, err := fresh.RestoreCheckpoint(rolling.AppendCheckpoint(nil)); err != nil {
+				t.Fatalf("restore before transaction %d: %v", i, err)
+			}
+			rolling = fresh
+		}
+		want := uninterrupted.Process(tx)
+		requireSameAlerts(t, fmt.Sprintf("transaction %d", i), rolling.Process(tx), want)
+		alerts += len(want)
+	}
+	if alerts == 0 {
+		t.Fatal("the corpus raised no alerts; the differential is vacuous")
+	}
+	want, got := uninterrupted.Watched(), rolling.Watched()
+	if len(got) != len(want) {
+		t.Fatalf("rolling restore watches %d WCGs, uninterrupted %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.ClusterID != w.ClusterID || g.Client != w.Client ||
+			g.Transactions != w.Transactions || g.Hosts != w.Hosts || !g.LastGrowth.Equal(w.LastGrowth) {
+			t.Fatalf("watch %d diverged:\n got %+v\nwant %+v", i, g, w)
+		}
+	}
+}
+
+// TestCheckpointBytesDeterministic: the same engine checkpointed twice
+// encodes to the same bytes. Nearly every synth transaction carries a
+// multi-key header, so an encoder that followed Go's randomized map order
+// would differ between the two calls.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	e := New(Config{Shards: 2, RedirectThreshold: 3}, vecScorer{})
+	e.ProcessAll(corpusStream(synth.Config{Seed: 1, Infections: 10, Benign: 10}))
+	first, second := e.AppendCheckpoint(nil), e.AppendCheckpoint(nil)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two checkpoints of one engine differ (%d vs %d bytes)", len(first), len(second))
 	}
 }
 

@@ -54,21 +54,21 @@ func wcgJSON(t *testing.T, w *wcg.WCG) []byte {
 	return buf.Bytes()
 }
 
-// requireSameAlerts compares two alert batches field by field, scores
-// bitwise, and the carried WCGs byte for byte.
-func requireSameAlerts(t *testing.T, ctx string, inc, scr []Alert) {
+// requireSameAlerts compares an alert batch against the reference batch
+// field by field, scores bitwise, and the carried WCGs byte for byte.
+func requireSameAlerts(t *testing.T, ctx string, got, want []Alert) {
 	t.Helper()
-	if len(inc) != len(scr) {
-		t.Fatalf("%s: %d alerts incremental, %d from scratch", ctx, len(inc), len(scr))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d alerts, want %d", ctx, len(got), len(want))
 	}
-	for i := range inc {
-		a, b := inc[i], scr[i]
+	for i := range got {
+		a, b := got[i], want[i]
 		if math.Float64bits(a.Score) != math.Float64bits(b.Score) {
-			t.Fatalf("%s: alert %d score %v != %v", ctx, i, a.Score, b.Score)
+			t.Fatalf("%s: alert %d score %v, want %v", ctx, i, a.Score, b.Score)
 		}
 		if !a.Time.Equal(b.Time) || a.Client != b.Client || a.ClusterID != b.ClusterID ||
 			a.TriggerHost != b.TriggerHost || a.TriggerPayload != b.TriggerPayload {
-			t.Fatalf("%s: alert %d fields diverged:\nincremental: %+v\nscratch:     %+v", ctx, i, a, b)
+			t.Fatalf("%s: alert %d fields diverged:\n got %+v\nwant %+v", ctx, i, a, b)
 		}
 		if !bytes.Equal(wcgJSON(t, a.WCG), wcgJSON(t, b.WCG)) {
 			t.Fatalf("%s: alert %d WCG serializations diverged", ctx, i)

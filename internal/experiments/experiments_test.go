@@ -620,12 +620,11 @@ func requireLines(t *testing.T, path string, first int, got, want string) {
 }
 
 func TestIPToHostByServerFoldsCase(t *testing.T) {
-	// Host headers off the wire are case-insensitive DNS names. Before
-	// dynalint's hostfold rule, the alert-attribution join compared
-	// tx.Host to the download's Server record case-sensitively, so a
-	// capture carrying "CDN.Example" silently lost the client->host
-	// mapping and the per-host alert rows under-counted. The join must
-	// fold case (regression test for the triaged hostfold finding).
+	// Host headers off the wire are case-insensitive DNS names. The
+	// alert-attribution join once compared tx.Host to the download's
+	// Server record case-sensitively, so a capture carrying "CDN.Example"
+	// silently lost the client->host mapping and the per-host alert rows
+	// under-counted. The join must fold case.
 	mixed := httpstream.Transaction{
 		ClientIP: netip.MustParseAddr("10.1.2.3"),
 		Host:     "CDN.Example",

@@ -11,10 +11,10 @@ import "slices"
 // may be moved between graphs; projections are keyed on the graph identity
 // and its mutation version and rebuilt only when stale.
 //
-// Convention (enforced by the dynalint scratchsafe analyzer): functions
-// that take a *Scratch parameter treat it as temporaries only — they must
-// not return the scratch's slices or store them in struct fields. Results
-// go into caller-owned dst buffers or leave as scalars.
+// Functions that take a *Scratch parameter treat it as temporaries only:
+// they never return the scratch's slices, and results go into caller-owned
+// dst buffers or leave as scalars. Scratch exports no field and no
+// accessor, so code outside this package cannot hold its slices at all.
 //
 // A Scratch is not safe for concurrent use, and no pass starts a goroutine.
 type Scratch struct {

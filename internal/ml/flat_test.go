@@ -170,7 +170,9 @@ func BenchmarkTrainForest(b *testing.B) {
 
 // TestScoreIntoReusesBuffer checks that scoring a batch into a caller's
 // buffer grows it only when needed, reuses a sufficient one without
-// allocating, and fills it with the per-sample scores.
+// allocating, and fills it with the per-sample scores. The per-vector
+// scorers the detector calls on every classification allocate nothing
+// either.
 func TestScoreIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dim = 6
@@ -195,6 +197,17 @@ func TestScoreIntoReusesBuffer(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScoreBatch with warm buffer allocated %.1f times per run", allocs)
+	}
+	for _, c := range []struct {
+		name  string
+		score func()
+	}{
+		{"Score", func() { ff.Score(X[0]) }},
+		{"ScoreWithVotes", func() { ff.ScoreWithVotes(X[0]) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, c.score); allocs != 0 {
+			t.Fatalf("%s allocated %.1f times per call", c.name, allocs)
+		}
 	}
 	// Short destinations grow.
 	short := make([]float64, 2)

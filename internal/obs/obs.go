@@ -22,8 +22,7 @@
 //     with no contention and reads it back for the per-shard Stats view,
 //     while Counter.Value sums all cells for the registry-wide total.
 //   - Metric names are validated at registration: snake_case with a unit
-//     suffix (_seconds, _bytes, _total), unique per registry, enforced
-//     statically by the dynalint metricname analyzer as well.
+//     suffix (_seconds, _bytes, _total), unique per registry.
 //   - No clocks of its own. The package never calls time.Now() bare; the
 //     registry carries an injectable clock (SetClock) defaulting to the
 //     wall clock, so replay-deterministic tests can freeze time.
@@ -41,8 +40,7 @@ import (
 // never calls time.Now() bare (the zerotime invariant).
 var defaultClock = time.Now
 
-// validSuffixes are the unit suffixes a metric name must carry, mirrored
-// by the dynalint metricname analyzer.
+// validSuffixes are the unit suffixes a metric name must carry.
 var validSuffixes = []string{"_seconds", "_bytes", "_total"}
 
 // ValidateMetricName reports why a metric name is unacceptable, or nil:
@@ -110,7 +108,7 @@ type entry struct {
 // registering the same name with the same type and shape returns the
 // existing metric (so engine shards sharing a registry bind to one
 // family), while a name collision across types panics — that is a
-// programming error the metricname analyzer catches statically.
+// programming error, caught the first time the registering code runs.
 //
 // Registry is safe for concurrent use; observations on the returned
 // metrics are lock-free.

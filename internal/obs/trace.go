@@ -52,8 +52,7 @@ var monoSince = time.Since
 
 // ValidateSpanName reports why a span (stage) name is unacceptable, or
 // nil: names must be lowercase dotted "stage.substage" — two or more
-// dot-separated snake_case segments ([a-z][a-z0-9_]*) — mirrored by the
-// dynalint metricname analyzer's span-literal check.
+// dot-separated snake_case segments ([a-z][a-z0-9_]*).
 func ValidateSpanName(name string) error {
 	if name == "" {
 		return fmt.Errorf("obs: empty span name")
@@ -313,8 +312,7 @@ func (t *Tracer) Sample() int {
 // Stage interns a span name, registering its latency histogram
 // (dynaminer_stage_<name>_seconds with dots folded to underscores) on
 // the tracer's registry. Get-or-create and setup-time only; the name
-// must be lowercase dotted stage.substage or Stage panics — the same
-// contract the dynalint metricname analyzer enforces statically.
+// must be lowercase dotted stage.substage or Stage panics.
 func (t *Tracer) Stage(name string) StageID {
 	if err := ValidateSpanName(name); err != nil {
 		panic(err)
