@@ -68,14 +68,16 @@ chaos:
 # of the checked-in seed corpus (testdata/fuzz), plus the frame decoder,
 # the capture readers (streaming against collecting, with an allocation
 # ceiling), the DMCP checkpoint reader (allocation ceiling, restore
-# against the info count), the DMFB blob loader, the JSON importer against
+# against the info count), the alert journal's torn-tail recovery
+# (allocation ceiling, a cut journal reads as its whole records), the
+# DMFB blob loader, the JSON importer against
 # its recursive test oracle, the body sniffer's two differentials against
 # its regexp-only reference and the shortest-path sweep's differential
 # against the plain graph kernels, which live only as the test oracle in
 # internal/graph/plain_ref_test.go. The three HTTP parser targets run the
 # in-place parser in lockstep with its net/http oracle
 # (internal/httpstream/parse_ref_test.go). Those, that differential and the
-# checkpoint reader cap their minimizers at 1s: left at the default minute
+# checkpoint and journal readers cap their minimizers at 1s: left at the default minute
 # per new-coverage input, each stalled the run after ~3 s of a 10 s smoke.
 # Regenerate the synth seeds with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test
 # ./internal/synth.
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/detector -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)

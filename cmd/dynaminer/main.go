@@ -408,7 +408,7 @@ func runStream(args []string) error {
 			return nil
 		}
 		fmt.Printf("ALERT %s  client=%s payload=%s host=%s score=%.2f wcg=%d nodes\n",
-			a.FormatTime("15:04:05.000"), a.Client, a.TriggerPayload, a.TriggerHost, a.Score, a.WCG.Order())
+			a.FormatTime("15:04:05.000"), a.Client, a.TriggerPayload, a.TriggerHost, a.Score, a.WCGOrder)
 		return nil
 	}
 

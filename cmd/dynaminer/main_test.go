@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -175,6 +177,87 @@ func TestStreamJSONOutput(t *testing.T) {
 		}
 	}
 	t.Fatal("no infection capture")
+}
+
+// captureStdout runs fn with os.Stdout sent to a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestStreamAlertLineWCGNodes pins the wcg=<n> nodes field of stream's
+// alert line: it is the node count of the graph the alert builds, as the
+// library's ProcessPCAP raises the same alerts over the same capture.
+func TestStreamAlertLineWCGNodes(t *testing.T) {
+	corpus := writeTinyCorpus(t)
+	model := filepath.Join(t.TempDir(), "m.dmfb")
+	if err := run([]string{"train", "-corpus", corpus, "-model", model, "-monitor", "-trees", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	clf, err := dynaminer.LoadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := regexp.MustCompile(` wcg=(\d+) nodes$`)
+	entries, _ := os.ReadDir(corpus)
+	checked := 0
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "infection-") {
+			continue
+		}
+		capture := filepath.Join(corpus, e.Name())
+		out := captureStdout(t, func() error { return run([]string{"stream", "-model", model, "-threshold", "1", capture}) })
+		var nodes []int
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "ALERT ") {
+				continue
+			}
+			m := field.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("%s: alert line without a wcg=<n> nodes field: %q", e.Name(), line)
+			}
+			n, _ := strconv.Atoi(m[1])
+			nodes = append(nodes, n)
+		}
+		f, err := os.Open(capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alerts, err := dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1}, clf).ProcessPCAP(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nodes) != len(alerts) {
+			t.Fatalf("%s: stream printed %d alert lines, ProcessPCAP raised %d alerts", e.Name(), len(nodes), len(alerts))
+		}
+		for i, a := range alerts {
+			if g := a.Graph(); nodes[i] != g.Order() || a.WCGOrder != g.Order() {
+				t.Fatalf("%s: alert %d prints wcg=%d, WCGOrder %d, Graph() has %d nodes", e.Name(), i, nodes[i], a.WCGOrder, g.Order())
+			}
+		}
+		checked += len(alerts)
+	}
+	if checked == 0 {
+		t.Fatal("no infection capture raised an alert: nothing is pinned")
+	}
 }
 
 func TestProxySubcommandServes(t *testing.T) {

@@ -153,7 +153,7 @@ func main() {
 		Transport:       hostPinnedTransport{target: web.URL},
 		OnAlert: func(a dynaminer.Alert) {
 			fmt.Printf(">>> ALERT: %s payload from %s (score %.2f, WCG %d nodes)\n",
-				a.TriggerPayload, a.TriggerHost, a.Score, a.WCG.Order())
+				a.TriggerPayload, a.TriggerHost, a.Score, a.WCGOrder)
 		},
 	}, clf)
 	if *adminAddr != "" {

@@ -167,8 +167,32 @@ type Alert struct {
 	TriggerHost string
 	// TriggerPayload is the payload class of the triggering download.
 	TriggerPayload wcg.PayloadClass
-	// WCG is the potential-infection graph at alert time.
-	WCG *wcg.WCG
+	// WCGOrder and WCGSize are the node and edge counts of the
+	// potential-infection WCG at alert time.
+	WCGOrder, WCGSize int
+
+	// txs and watch are the frozen view Graph builds from: the cluster's
+	// transaction history at alert time, shared with the cluster (which
+	// only ever appends to it), and a copy of the watch's indices into it.
+	txs   []httpstream.Transaction
+	watch []int
+}
+
+// Graph builds the potential-infection WCG as it stood at alert time:
+// wcg.FromTransactions over the watch, byte-identical (WriteJSON) to the
+// finalized form of the graph the engine scored. Every call builds a
+// fresh graph from the alert's frozen view of its watch, so a caller that
+// needs it twice keeps the result; nothing the engine does later changes
+// what Graph returns. A zero Alert has no graph: nil.
+func (a Alert) Graph() *wcg.WCG {
+	if len(a.watch) == 0 {
+		return nil
+	}
+	subset := make([]httpstream.Transaction, len(a.watch))
+	for i, j := range a.watch {
+		subset[i] = a.txs[j]
+	}
+	return wcg.FromTransactions(subset)
 }
 
 // FormatTime renders the alert timestamp in the given layout, or "unset"
@@ -184,10 +208,6 @@ func (a Alert) FormatTime(layout string) string {
 // MarshalJSON renders the alert as a SIEM-friendly JSON object (the WCG is
 // summarized, not embedded).
 func (a Alert) MarshalJSON() ([]byte, error) {
-	order, size := 0, 0
-	if a.WCG != nil {
-		order, size = a.WCG.Order(), a.WCG.Size()
-	}
 	// An unset timestamp serializes as "", never as the zero time's
 	// "0001-01-01T00:00:00Z".
 	ts := ""
@@ -210,8 +230,8 @@ func (a Alert) MarshalJSON() ([]byte, error) {
 		Score:     a.Score,
 		Host:      a.TriggerHost,
 		Payload:   a.TriggerPayload.String(),
-		WCGOrder:  order,
-		WCGSize:   size,
+		WCGOrder:  a.WCGOrder,
+		WCGSize:   a.WCGSize,
 	})
 }
 
@@ -696,11 +716,11 @@ func (s *shardState) dropCluster(target *cluster) {
 // The hot path is incremental: new watch transactions are appended to the
 // cluster's live WCG and the cached feature vector is refreshed in place,
 // so the per-update cost no longer re-copies the cumulative subset,
-// rebuilds the graph, or re-derives all 37 features. The WCG itself is
-// materialized (snapshotted) only when an alert actually fires. The
-// from-scratch path remains as the explicit fallback — selected by
-// Config.DisableIncremental or by out-of-order arrival — and produces
-// bit-identical scores and alerts.
+// rebuilds the graph, or re-derives all 37 features. An alert copies no
+// graph: it keeps a frozen view of the watch and builds its WCG only on
+// request (Alert.Graph). The from-scratch path remains as the explicit
+// fallback — selected by Config.DisableIncremental or by out-of-order
+// arrival — and produces bit-identical scores and alerts.
 func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if s.restoring {
 		return nil // checkpoint replay rebuilds structure, never verdicts
@@ -736,7 +756,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		at.Annotate(cs, obs.SpanDegraded)
 	}
 	var x []float64
-	var g *wcg.WCG // nil on the incremental path until an alert needs it
+	var g *wcg.WCG // the graph scored: the live WCG or the rebuild
 	incremental := false
 	fs := -1 // the feature span, left open for scoreVector to close at its t0
 	if s.incrementalEligible(c) {
@@ -750,7 +770,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		fs = at.StartSpanAt(s.stg.featInc, start)
 		v, ok := s.incrementalVector(c, fs)
 		if ok {
-			x, incremental = v, true
+			x, g, incremental = v, c.ib.Live(), true
 		} else {
 			at.Annotate(fs, obs.SpanError)
 			at.EndSpan(fs)
@@ -823,11 +843,9 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if when.IsZero() {
 		when = c.txs[idx].ReqTime
 	}
-	if g == nil {
-		// Incremental path: materialize the alert's WCG only now — a
-		// finalized clone immune to later appends to the live graph.
-		g = c.ib.Snapshot()
-	}
+	// The alert's frozen view: the history prefix is shared, since the
+	// cluster only appends past it, and the watch indices are copied,
+	// since a re-armed watch is cut back and rebuilt in place.
 	alert := Alert{
 		Time:           when,
 		Client:         c.client,
@@ -835,9 +853,12 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		Score:          score,
 		TriggerHost:    trigger.host,
 		TriggerPayload: trigger.payload,
-		WCG:            g,
+		WCGOrder:       g.Order(),
+		WCGSize:        g.Size(),
+		txs:            c.txs[:len(c.txs):len(c.txs)],
+		watch:          append([]int(nil), c.watch...),
 	}
-	s.journalAlert(c, ref, &alert, x, incremental)
+	s.journalAlert(c, ref, &alert, g.StructVersion(), x, incremental)
 	at.EndSpan(cs)
 	return []Alert{alert}
 }
@@ -866,12 +887,13 @@ func (s *shardState) scoreVector(model Scorer, x []float64, prev int) float64 {
 }
 
 // journalAlert appends the alert's provenance record: the arming clue,
-// the WCG shape, the exact feature vector and score the classifier used
+// the shape of the WCG that was scored (structVersion is its structural
+// version), the exact feature vector and score the classifier used
 // (the vector is copied before the reusable buffer is overwritten by the
 // next classification), and the degraded-mode flags active at decision
 // time. The journal's Append never panics, so a failing sink costs the
 // record, never the alert.
-func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float64, incremental bool) {
+func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, structVersion uint64, x []float64, incremental bool) {
 	if s.journal == nil {
 		return
 	}
@@ -886,9 +908,9 @@ func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, x []float
 		ClueHost:         c.clueHost,
 		CluePayload:      c.cluePayload.String(),
 		ClueRedirects:    c.clueRedirects,
-		WCGNodes:         a.WCG.Order(),
-		WCGEdges:         a.WCG.Size(),
-		WCGStructVersion: a.WCG.StructVersion(),
+		WCGNodes:         a.WCGOrder,
+		WCGEdges:         a.WCGSize,
+		WCGStructVersion: structVersion,
 		Incremental:      incremental,
 		Features:         append([]float64(nil), x...),
 		Score:            a.Score,

@@ -73,7 +73,7 @@ func TestClueFiresAndAlerts(t *testing.T) {
 	if a.Score != 0.9 || a.Client != clientIP {
 		t.Fatalf("alert fields wrong: %+v", a)
 	}
-	if a.WCG == nil || a.WCG.Order() < 4 {
+	if g := a.Graph(); g == nil || g.Order() < 4 || g.Order() != a.WCGOrder || g.Size() != a.WCGSize {
 		t.Fatal("alert must carry the potential-infection WCG")
 	}
 	if a.Time.IsZero() {

@@ -70,7 +70,7 @@ func requireSameAlerts(t *testing.T, ctx string, got, want []Alert) {
 			a.TriggerHost != b.TriggerHost || a.TriggerPayload != b.TriggerPayload {
 			t.Fatalf("%s: alert %d fields diverged:\n got %+v\nwant %+v", ctx, i, a, b)
 		}
-		if !bytes.Equal(wcgJSON(t, a.WCG), wcgJSON(t, b.WCG)) {
+		if !bytes.Equal(wcgJSON(t, a.Graph()), wcgJSON(t, b.Graph())) {
 			t.Fatalf("%s: alert %d WCG serializations diverged", ctx, i)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -161,4 +162,59 @@ func TestReadJournalToleratesTornTail(t *testing.T) {
 	if recs, err = ReadJournal(bytes.NewBufferString(in)); err != nil || len(recs) != 1 {
 		t.Fatalf("torn tail + blank line: recs=%d err=%v, want 1 record, nil error", len(recs), err)
 	}
+}
+
+// FuzzReadJournal drives the torn-tail recovery. Arbitrary bytes never
+// panic the reader, and reading stays under a constant plus 1 KiB per
+// input byte: the densest journal is a run of three-byte "{}" lines, each
+// a ~224-byte record plus the decoder's per-call state, about 500 bytes
+// per input byte. And a journal that Append wrote, with the fuzzed bytes
+// as one record's clue host, cut at the fuzzed offset reads back without
+// error as exactly the records whose line the cut left whole.
+func FuzzReadJournal(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte("{}\n{}\n{}"), uint16(7))
+	f.Add([]byte("{\"time\":\"2026-08-05T00:00:00Z\"}\n{\"bad\n\n"), uint16(300))
+	f.Add([]byte("{\"features\":[1,2,3]}\nnot json\n{}\n"), uint16(1000))
+	f.Add([]byte("payload.example"), uint16(65535))
+
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = ReadJournal(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128<<10+1024*len(data)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, want at most %d", len(data), got, limit)
+		}
+
+		var full bytes.Buffer
+		j := NewJournalWriter(&full)
+		var ends []int // offset just past each record's JSON, before its newline
+		for i := 0; i < 3; i++ {
+			rec := sampleRecord(i)
+			if i == 1 {
+				rec.ClueHost = string(data)
+			}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, full.Len()-1)
+		}
+		whole, err := ReadJournal(bytes.NewReader(full.Bytes()))
+		if err != nil || len(whole) != len(ends) {
+			t.Fatalf("the uncut journal read %d records of %d, error %v", len(whole), len(ends), err)
+		}
+		k := int(cut) % (full.Len() + 1)
+		got, err := ReadJournal(bytes.NewReader(full.Bytes()[:k]))
+		if err != nil {
+			t.Fatalf("cut at byte %d of %d: %v", k, full.Len(), err)
+		}
+		n := 0
+		for n < len(ends) && ends[n] <= k {
+			n++
+		}
+		if len(got) != n || (n > 0 && !reflect.DeepEqual(got, whole[:n])) {
+			t.Fatalf("cut at byte %d of %d: read %d records, want the %d whole ones", k, full.Len(), len(got), n)
+		}
+	})
 }

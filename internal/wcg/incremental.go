@@ -49,14 +49,10 @@ func (ib *IncrementalBuilder) Len() int { return ib.count }
 // Live returns the live, un-finalized WCG. Conversation stages and node
 // roles are not assigned — none of the 37 features read them — and the
 // graph mutates on the next Append; callers must not retain it across
-// appends (use Snapshot for a stable copy).
+// appends (FromTransactions over the same prefix builds a stable copy).
 func (ib *IncrementalBuilder) Live() *WCG { return ib.b.w }
 
 // Finalize assigns conversation stages and node roles and returns the
 // live WCG. The builder stays usable: later Appends grow the same graph
 // and a later Finalize re-runs the (idempotent) finalization.
 func (ib *IncrementalBuilder) Finalize() *WCG { return ib.b.WCG() }
-
-// Snapshot finalizes and deep-clones the live WCG — the form alerts hand
-// out, immune to subsequent appends.
-func (ib *IncrementalBuilder) Snapshot() *WCG { return ib.b.WCG().Clone() }

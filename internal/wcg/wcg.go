@@ -299,52 +299,6 @@ func (w *WCG) Graph() *graph.Digraph {
 	return g
 }
 
-// Clone returns a deep copy sharing no mutable state with w: alerts hand
-// out clones of the live incremental WCG so later appends cannot mutate
-// an already-emitted graph. The structural projection is rebuilt lazily.
-func (w *WCG) Clone() *WCG {
-	c := &WCG{
-		Nodes:         make([]*Node, len(w.Nodes)),
-		Edges:         make([]*Edge, len(w.Edges)),
-		OriginKnown:   w.OriginKnown,
-		OriginHost:    w.OriginHost,
-		DNT:           w.DNT,
-		XFlashVersion: w.XFlashVersion,
-		byHost:        make(map[string]int, len(w.byHost)),
-		simplePairs:   w.simplePairs,
-		recipPairs:    w.recipPairs,
-		structVersion: w.structVersion,
-		uniqueHosts:   w.uniqueHosts,
-		uriTotal:      w.uriTotal,
-	}
-	for i, n := range w.Nodes {
-		nn := *n
-		nn.URIs = make(map[string]struct{}, len(n.URIs))
-		for u := range n.URIs {
-			nn.URIs[u] = struct{}{}
-		}
-		nn.Payloads = make(map[PayloadClass]int, len(n.Payloads))
-		for k, v := range n.Payloads {
-			nn.Payloads[k] = v
-		}
-		c.Nodes[i] = &nn
-	}
-	for i, e := range w.Edges {
-		ee := *e
-		c.Edges[i] = &ee
-	}
-	for k, v := range w.byHost {
-		c.byHost[k] = v
-	}
-	if w.pairSeen != nil {
-		c.pairSeen = make(map[uint64]struct{}, len(w.pairSeen))
-		for k := range w.pairSeen {
-			c.pairSeen[k] = struct{}{}
-		}
-	}
-	return c
-}
-
 // Order is the number of nodes (feature f7).
 func (w *WCG) Order() int { return len(w.Nodes) }
 

@@ -155,8 +155,23 @@ func TestEveryAlertJournaled(t *testing.T) {
 		if r.ClueHost == "" || r.CluePayload == "" {
 			t.Fatalf("record %d: clue provenance missing: %+v", i, r)
 		}
-		if r.WCGNodes != a.WCG.Order() || r.WCGEdges != a.WCG.Size() {
-			t.Fatalf("record %d: WCG %dn/%de, alert WCG %dn/%de", i, r.WCGNodes, r.WCGEdges, a.WCG.Order(), a.WCG.Size())
+		// The record's shape and the alert's summary fields are read off
+		// the live graph at alert time; the graph the alert builds on
+		// request must agree with both.
+		g := a.Graph()
+		if r.WCGNodes != g.Order() || r.WCGEdges != g.Size() || r.WCGStructVersion != g.StructVersion() {
+			t.Fatalf("record %d: WCG %dn/%de/v%d, alert Graph() %dn/%de/v%d", i,
+				r.WCGNodes, r.WCGEdges, r.WCGStructVersion, g.Order(), g.Size(), g.StructVersion())
+		}
+		var summary struct{ WCGOrder, WCGSize int }
+		if data, err := json.Marshal(a); err != nil {
+			t.Fatal(err)
+		} else if err := json.Unmarshal(data, &summary); err != nil {
+			t.Fatal(err)
+		}
+		if summary.WCGOrder != g.Order() || summary.WCGSize != g.Size() || a.WCGOrder != g.Order() || a.WCGSize != g.Size() {
+			t.Fatalf("alert %d: JSON wcgOrder/wcgSize %d/%d, fields %d/%d, Graph() %d/%d", i,
+				summary.WCGOrder, summary.WCGSize, a.WCGOrder, a.WCGSize, g.Order(), g.Size())
 		}
 		if r.Trees == 0 || r.Votes < 1 || r.Votes > r.Trees {
 			t.Fatalf("record %d: implausible vote tally %d/%d", i, r.Votes, r.Trees)

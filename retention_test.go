@@ -85,8 +85,8 @@ func TestEngineNeverReadsDroppedBodies(t *testing.T) {
 		r := run{alerts: m.ProcessAll(txs), stats: m.Stats(), watched: m.Watched()}
 		for _, a := range r.alerts {
 			var g bytes.Buffer
-			if a.WCG != nil {
-				if err := a.WCG.WriteJSON(&g); err != nil {
+			if w := a.Graph(); w != nil {
+				if err := w.WriteJSON(&g); err != nil {
 					t.Fatal(err)
 				}
 			}
