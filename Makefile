@@ -70,28 +70,29 @@ chaos:
 # ceiling), the DMCP checkpoint reader (allocation ceiling, restore
 # against the info count), the alert journal's torn-tail recovery
 # (allocation ceiling, a cut journal reads as its whole records), the
-# DMFB blob loader, the JSON importer against
-# its recursive test oracle, the body sniffer's two differentials against
-# its regexp-only reference and the shortest-path sweep's differential
+# DMFB blob loader (allocation ceiling), the JSON importer against
+# its recursive test oracle (allocation ceiling), the body sniffer's two
+# differentials against its regexp-only reference (each with an allocation
+# ceiling) and the shortest-path sweep's differential
 # against the plain graph kernels, which live only as the test oracle in
 # internal/graph/plain_ref_test.go. The three HTTP parser targets run the
 # in-place parser in lockstep with its net/http oracle
-# (internal/httpstream/parse_ref_test.go). Those, that differential and the
-# checkpoint and journal readers cap their minimizers at 1s: left at the default minute
-# per new-coverage input, each stalled the run after ~3 s of a 10 s smoke.
+# (internal/httpstream/parse_ref_test.go). Every target caps its minimizer
+# at 1s: left at the default minute per new-coverage input, the minimizer
+# stalled a 10 s smoke after ~3 s.
 # Regenerate the synth seeds with DYNAMINER_WRITE_FUZZ_CORPUS=1 go test
 # ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReadAllAuto$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReadAllAuto$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseRequests$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/detector -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzPathStats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -1,0 +1,104 @@
+package dynaminer
+
+import (
+	"bytes"
+	"net/netip"
+	"sync"
+	"testing"
+
+	"dynaminer/internal/pcap"
+)
+
+// renderedCapture is a classic pcap with what its frames hold.
+type renderedCapture struct {
+	bytes   []byte
+	convs   int   // TCP conversations
+	payload int64 // TCP payload bytes of every frame
+}
+
+// renderCapture renders eps as one capture, each episode from its own
+// client address 10.net.x.y so sessions never merge.
+func renderCapture(t *testing.T, eps []Episode, net byte) renderedCapture {
+	t.Helper()
+	var convs []pcap.Conversation
+	for i := range eps {
+		ep := eps[i]
+		ep.Txs = append([]Transaction(nil), ep.Txs...) // the fixture is shared
+		addr := netip.AddrFrom4([4]byte{10, net, byte(i / 200), byte(1 + i%200)})
+		for j := range ep.Txs {
+			ep.Txs[j].ClientIP = addr
+		}
+		convs = append(convs, ep.Conversations()...)
+	}
+	var buf bytes.Buffer
+	if err := pcap.WriteConversations(&buf, convs); err != nil {
+		t.Fatal(err)
+	}
+	c := renderedCapture{bytes: buf.Bytes(), convs: len(convs)}
+	if err := pcap.Scan(bytes.NewReader(c.bytes), func(p pcap.Packet) {
+		f, err := pcap.DecodeFrame(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.payload += int64(len(f.Payload))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCaptureTelemetryIsPerMonitor: two monitors in one process, each on
+// its own registry, replay two different captures at once. Each registry
+// counts its own capture's transactions and TCP payload bytes and nothing
+// of the other's.
+func TestCaptureTelemetryIsPerMonitor(t *testing.T) {
+	eps, clf := obsFixture(t)
+	third := len(eps) / 3
+	captures := []renderedCapture{renderCapture(t, eps[:third], 50), renderCapture(t, eps[third:], 51)}
+	monitors := make([]*Monitor, len(captures))
+	errs := make([]error, len(captures))
+	var wg sync.WaitGroup
+	for i := range captures {
+		monitors[i] = NewMonitor(MonitorConfig{RedirectThreshold: 1, Shards: 2}, clf)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = monitors[i].ProcessPCAP(bytes.NewReader(captures[i].bytes))
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range monitors {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		reg := m.Registry()
+		if txs, got := m.Stats().Transactions, reg.CounterValue("dynaminer_httpstream_transactions_total"); txs == 0 || got != int64(txs) {
+			t.Errorf("monitor %d: registry counts %d parsed transactions, the engine saw %d", i, got, txs)
+		}
+		if got := reg.CounterValue("dynaminer_httpstream_bytes_total"); got != captures[i].payload {
+			t.Errorf("monitor %d: registry counts %d payload bytes, its capture holds %d", i, got, captures[i].payload)
+		}
+	}
+}
+
+// TestTracedMonitorTracesItsCapture: a monitor whose config carries a
+// tracer observes its capture's pcap.reassemble and httpstream.parse
+// stages, once per conversation, with nothing else set up.
+func TestTracedMonitorTracesItsCapture(t *testing.T) {
+	eps, clf := obsFixture(t)
+	capture := renderCapture(t, eps[:10], 52)
+	reg := NewMetricsRegistry()
+	m := NewMonitor(MonitorConfig{RedirectThreshold: 1, Metrics: reg, Tracer: NewTracer(reg, TraceConfig{Sample: 1})}, clf)
+	if _, err := m.ProcessPCAP(bytes.NewReader(capture.bytes)); err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int64)
+	for _, s := range reg.Snapshot() {
+		counts[s.Name] = s.Count
+	}
+	for _, name := range []string{"dynaminer_stage_pcap_reassemble_seconds", "dynaminer_stage_httpstream_parse_seconds"} {
+		if counts[name] != int64(capture.convs) {
+			t.Errorf("%s holds %d observations, want one per conversation (%d)", name, counts[name], capture.convs)
+		}
+	}
+}

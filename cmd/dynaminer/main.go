@@ -125,6 +125,9 @@ func runProxy(args []string) error {
 	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold, Shards: *shards}
 	var tracer *dynaminer.Tracer
 	if *traceSample > 0 {
+		// The tracer shares the engine's registry so that its stage
+		// histograms, pcap.reassemble and httpstream.parse among them, are
+		// served on the Monitor's /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		cfg.Metrics = reg
 		tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
@@ -157,11 +160,11 @@ func runProxy(args []string) error {
 		}
 	}
 	if *adminAddr != "" {
-		adm, err := dynaminer.StartAdminWith(*adminAddr, dynaminer.AdminOptions{
+		adm, err := dynaminer.StartAdmin(*adminAddr, p.Registry(), dynaminer.AdminOptions{
 			Extra:  dynaminer.ReloadHandlers(p, func() string { return *modelPath }),
 			Health: p.Health,
 			Tracer: tracer,
-		}, p.Registry(), dynaminer.DefaultMetricsRegistry())
+		})
 		if err != nil {
 			return err
 		}
@@ -359,15 +362,12 @@ func runStream(args []string) error {
 	}
 	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold}
 	if *traceSample > 0 {
-		// The tracer and engine must share a registry, so create it here
-		// (the engine only auto-creates one when none is supplied). Attach
-		// the capture layers before the pcap is read so reassembly and
-		// parse timing land in the stage histograms.
+		// The tracer shares the engine's registry so that its stage
+		// histograms, pcap.reassemble and httpstream.parse among them, are
+		// served on the Monitor's /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		cfg.Metrics = reg
 		cfg.Tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
-		dynaminer.SetCaptureTracer(cfg.Tracer)
-		defer dynaminer.SetCaptureTracer(nil)
 	}
 	capture, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -422,7 +422,7 @@ func runStream(args []string) error {
 	interrupted := false
 	var prev time.Time
 	var emitErr error
-	_, scanErr := dynaminer.ScanPCAP(stoppable{capture, &interrupted}, func(tx *dynaminer.Transaction) {
+	_, scanErr := m.ScanPCAP(stoppable{capture, &interrupted}, func(tx *dynaminer.Transaction) {
 		if interrupted || emitErr != nil {
 			return
 		}

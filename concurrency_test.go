@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dynaminer/internal/obs"
-	"dynaminer/internal/pcap"
 )
 
 // TestMonitorConcurrentClientsMatchSerial drives one Monitor from many
@@ -85,20 +84,7 @@ func TestMonitorConcurrentClientsMatchSerial(t *testing.T) {
 // everything except the shard-strided cluster IDs must come out the same.
 func TestShardCountNeverChangesVerdicts(t *testing.T) {
 	eps, clf := obsFixture(t)
-	var convs []pcap.Conversation
-	for i := range eps {
-		ep := eps[i]
-		ep.Txs = append([]Transaction(nil), ep.Txs...) // the fixture is shared
-		addr := netip.AddrFrom4([4]byte{10, 41, byte(i / 200), byte(1 + i%200)})
-		for j := range ep.Txs {
-			ep.Txs[j].ClientIP = addr
-		}
-		convs = append(convs, ep.Conversations()...)
-	}
-	var capture bytes.Buffer
-	if err := pcap.WriteConversations(&capture, convs); err != nil {
-		t.Fatal(err)
-	}
+	capture := renderCapture(t, eps, 41)
 
 	type outcome struct {
 		perClient map[string][]string
@@ -112,7 +98,7 @@ func TestShardCountNeverChangesVerdicts(t *testing.T) {
 			Shards:            shards,
 			Journal:           obs.NewJournalWriter(&journal),
 		}, clf)
-		alerts, err := m.ProcessPCAP(bytes.NewReader(capture.Bytes()))
+		alerts, err := m.ProcessPCAP(bytes.NewReader(capture.bytes))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,21 +58,9 @@ type (
 // NumFeatures is the dimensionality of the paper's feature vector (37).
 const NumFeatures = features.NumFeatures
 
-// ScanPCAP parses a capture stream — classic pcap or pcapng, detected from
-// the magic — through the full pipeline (packet decode, TCP reassembly,
-// HTTP pairing) and hands fn each transaction as soon as no open or later
-// conversation can yield an earlier one, while the capture is still being
-// read; the pointer is valid only during the call. The capture is never
-// held whole: each TCP conversation is parsed as it closes. On a
-// time-ordered capture the transactions arrive in request-time order; late
-// counts those that arrived after a later one. On a read error the
-// transactions already handed over stay handed over.
-func ScanPCAP(r io.Reader, fn func(*Transaction)) (late int, err error) {
-	return httpstream.ScanCapture(r, fn)
-}
-
-// ReadPCAP is the collecting form of ScanPCAP: every transaction of the
-// capture, sorted by request time, or nothing but the error.
+// ReadPCAP is the collecting form of Monitor.ScanPCAP, with no monitor to
+// count it: every transaction of the capture, sorted by request time, or
+// nothing but the error.
 func ReadPCAP(r io.Reader) ([]Transaction, error) { return httpstream.ReadCapture(r) }
 
 // ReadPCAPFile is ReadPCAP over a file path.

@@ -157,11 +157,11 @@ func main() {
 		},
 	}, clf)
 	if *adminAddr != "" {
-		adm, err := dynaminer.StartAdminWith(*adminAddr, dynaminer.AdminOptions{
+		adm, err := dynaminer.StartAdmin(*adminAddr, p.Registry(), dynaminer.AdminOptions{
 			Extra:  dynaminer.ReloadHandlers(p, func() string { return *saveModel }),
 			Health: p.Health,
 			Tracer: tracer,
-		}, p.Registry())
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -200,7 +200,7 @@ func TestAlertGraphFrozenWhileFeeding(t *testing.T) {
 	}()
 	fed := 0
 	_, err := e.ProcessFeed(func(deliver func(*httpstream.Transaction)) error {
-		_, err := httpstream.ScanCapture(r, func(tx *httpstream.Transaction) {
+		_, err := httpstream.ScanCapture(r, nil, func(tx *httpstream.Transaction) {
 			fed++
 			deliver(tx)
 		})

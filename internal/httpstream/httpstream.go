@@ -111,11 +111,12 @@ func (t *Transaction) String() string {
 // a capture that recorded only requests. Unmatched requests keep a zero
 // StatusCode.
 func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
-	return ExtractPairInto(nil, c2s, s2c)
+	return ExtractPairInto(nil, c2s, s2c, nil)
 }
 
 // ExtractPairInto appends the conversation's transactions to dst and
-// returns the extended slice. The parse state (head scratch and message
+// returns the extended slice, counting the parse on tm (nil counts
+// nothing). The parse state (head scratch and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
 // (ScanCapture, ExtractAll) also reuses one destination slice across
@@ -123,8 +124,11 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 // O(transactions).
 //
 //dynalint:hotpath
-func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
-	start := parseClock()
+func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream, tm *Telemetry) []Transaction {
+	var start time.Time
+	if tm != nil {
+		start = parseClock()
+	}
 	p := parserPool.Get().(*streamParser)
 	defer p.release()
 	payloadBytes := int64(len(c2s.Data))
@@ -161,15 +165,8 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		}
 		dst = append(dst, tx) //dynalint:ignore hotalloc amortised growth of the caller's slab: one allocation per doubling, none when dst has room
 	}
-	elapsed := parseClock().Sub(start).Seconds()
-	parseSeconds.Observe(elapsed)
-	if tb := parseTrace.Load(); tb != nil {
-		tb.t.ObserveStage(tb.stage, elapsed)
-	}
-	parseBytes.Add(payloadBytes)
-	parseTransactions.Add(int64(len(reqs)))
-	if p.unparsed > 0 {
-		parseUnparsed.Add(int64(p.unparsed))
+	if tm != nil {
+		tm.parsed(start, payloadBytes, len(reqs), p.unparsed)
 	}
 	return dst
 }
@@ -204,22 +201,25 @@ func orient(a, b *pcap.Stream) (c2s, s2c *pcap.Stream) {
 
 // extractConversation orients a conversation's directions a and b (b may
 // be nil) and appends its transactions to dst. A lone direction that does
-// not look like a request yields none, and its bytes count as unparsed.
+// not look like a request yields none, and tm counts its bytes as
+// unparsed.
 //
 //dynalint:hotpath
-func extractConversation(dst []Transaction, a, b *pcap.Stream) []Transaction {
+func extractConversation(dst []Transaction, a, b *pcap.Stream, tm *Telemetry) []Transaction {
 	c2s, s2c := orient(a, b)
 	if c2s == nil {
-		parseUnparsed.Add(int64(len(a.Data)))
+		if tm != nil {
+			tm.unparsed.Add(int64(len(a.Data)))
+		}
 		return dst
 	}
-	return ExtractPairInto(dst, c2s, s2c)
+	return ExtractPairInto(dst, c2s, s2c, tm)
 }
 
 // ExtractAll pairs the directions of every conversation in streams (see
 // orient) and returns all transactions sorted by request time. Two streams
 // pair when they belong to the same connection: reverse keys and the same
-// Conv.
+// Conv. It counts nothing: no owner's telemetry is at hand.
 func ExtractAll(streams []*pcap.Stream) []Transaction {
 	// One entry per conversation in first-seen order: a is the direction
 	// seen first, b the second (nil when only one was captured); further
@@ -243,7 +243,7 @@ func ExtractAll(streams []*pcap.Stream) []Transaction {
 	}
 	var all []Transaction
 	for _, cv := range convs {
-		all = extractConversation(all, cv.a, cv.b)
+		all = extractConversation(all, cv.a, cv.b, nil)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].ReqTime.Before(all[j].ReqTime) })
 	return all
@@ -263,6 +263,7 @@ func ExtractAll(streams []*pcap.Stream) []Transaction {
 // dropped.
 type releaser struct {
 	asm     *pcap.Assembler
+	tm      *Telemetry
 	deliver func(tx *Transaction, conv int)
 	pending []pendingTx
 	scratch []Transaction // ExtractPairInto's destination, reused
@@ -295,7 +296,7 @@ func (p *pendingTx) less(q *pendingTx) bool {
 // of buffers that are recycled when it returns, and its transactions join
 // pending.
 func (r *releaser) extract(a, b *pcap.Stream) {
-	r.scratch = extractConversation(r.scratch[:0], a, b)
+	r.scratch = extractConversation(r.scratch[:0], a, b, r.tm)
 	for i := range r.scratch {
 		tx := &r.scratch[i]
 		if tx.ReqTime.Before(r.mark) {
@@ -364,9 +365,12 @@ func (r *releaser) pop() {
 }
 
 // scan is ScanCapture with each transaction's Stream.Conv beside it.
-func scan(rd io.Reader, deliver func(tx *Transaction, conv int)) (late int, err error) {
-	r := &releaser{deliver: deliver}
+func scan(rd io.Reader, tm *Telemetry, deliver func(tx *Transaction, conv int)) (late int, err error) {
+	r := &releaser{tm: tm, deliver: deliver}
 	r.asm = pcap.NewAssembler(r.extract)
+	if tm != nil {
+		r.asm.Trace(tm.tracer)
+	}
 	if err := pcap.Scan(rd, r.packet); err != nil {
 		return r.late, err
 	}
@@ -386,9 +390,10 @@ func scan(rd io.Reader, deliver func(tx *Transaction, conv int)) (late int, err 
 // during the call. On a time-ordered capture the stream is in request-time
 // order; late counts the transactions delivered out of it. When the
 // capture fails mid-read, what was delivered stays delivered and the rest
-// is dropped with the error.
-func ScanCapture(r io.Reader, deliver func(*Transaction)) (late int, err error) {
-	return scan(r, func(tx *Transaction, _ int) { deliver(tx) })
+// is dropped with the error. tm, the owner's telemetry, counts the scan;
+// nil counts nothing.
+func ScanCapture(r io.Reader, tm *Telemetry, deliver func(*Transaction)) (late int, err error) {
+	return scan(r, tm, func(tx *Transaction, _ int) { deliver(tx) })
 }
 
 // capture collects a scan's transactions: txs[i] came from conversation
@@ -422,10 +427,10 @@ func (c *capture) Swap(i, j int) {
 // the capture, sorted by request time. The stream already is in that
 // order unless the capture is not time-ordered; the one stable sort puts
 // its late transactions in their place. Nothing of the capture's size is
-// held but the transactions themselves.
+// held but the transactions themselves. It counts nothing.
 func ReadCapture(r io.Reader) ([]Transaction, error) {
 	var c capture
-	if _, err := scan(r, c.add); err != nil {
+	if _, err := scan(r, nil, c.add); err != nil {
 		return nil, err
 	}
 	sort.Stable(&c)

@@ -324,7 +324,7 @@ func scanBytes(t *testing.T, capture []byte) scanned {
 	t.Helper()
 	var s scanned
 	read := 0
-	late, err := ScanCapture(countingRead{iotest.OneByteReader(bytes.NewReader(capture)), &read}, func(tx *Transaction) {
+	late, err := ScanCapture(countingRead{iotest.OneByteReader(bytes.NewReader(capture)), &read}, nil, func(tx *Transaction) {
 		s.txs = append(s.txs, *tx)
 		s.read = append(s.read, read)
 	})

@@ -1,48 +1,62 @@
 package httpstream
 
 import (
-	"sync/atomic"
 	"time"
 
 	"dynaminer/internal/obs"
 )
 
-// httpstream is a library with no owning serving instance, so its parse
-// telemetry lives on the process-wide obs.Default registry. The clock is
-// a function value (never a bare time.Now() call — the zerotime
-// invariant) so the package can be pointed at a fake clock if a test
-// ever needs to.
-var (
-	parseClock = time.Now
+// parseClock is a function value (never a bare time.Now() call — the
+// zerotime invariant) so the package can be pointed at a fake clock if a
+// test ever needs to.
+var parseClock = time.Now
 
-	parseSeconds = obs.Default().Histogram("dynaminer_httpstream_parse_seconds",
-		"Wall time parsing one TCP conversation into transactions.", obs.LatencyBuckets)
-	parseTransactions = obs.Default().Counter("dynaminer_httpstream_transactions_total",
-		"Transactions extracted from parsed streams.")
-	parseBytes = obs.Default().Counter("dynaminer_httpstream_bytes_total",
-		"TCP payload bytes fed through the HTTP parsers.")
-	parseUnparsed = obs.Default().Counter("dynaminer_httpstream_unparsed_bytes_total",
-		"Bytes of parsed directions from the first head the HTTP parser rejected to the direction's end, and of lone directions that do not start with a request: traffic that is not HTTP.")
-)
+// Telemetry is what one owner of a capture path — a Monitor — counts of
+// it: four series on the owner's registry and, when the owner traces, the
+// pcap.reassemble and httpstream.parse stages of its tracer. Both stages
+// are observed once per TCP conversation, as it closes, so they feed
+// stage latency rather than opening spans inside any one transaction's
+// tree. A nil *Telemetry counts nothing.
+type Telemetry struct {
+	parseSeconds *obs.Histogram
+	transactions *obs.Counter
+	bytes        *obs.Counter
+	unparsed     *obs.Counter
 
-// traceBinding mirrors the parse telemetry into a pipeline tracer's
-// httpstream.parse stage (histogram + slow EWMA). Like the registry
-// metrics above it is package-level — one call parses a whole TCP
-// conversation as it closes, so it feeds stage latency rather than
-// opening spans inside any single transaction's tree.
-type traceBinding struct {
-	t     *obs.Tracer
-	stage obs.StageID
+	tracer *obs.Tracer // nil when the owner does not trace
+	parse  obs.StageID
 }
 
-var parseTrace atomic.Pointer[traceBinding]
-
-// SetTracer attaches (or, with nil, detaches) a pipeline tracer to the
-// package's parse timing.
-func SetTracer(t *obs.Tracer) {
-	if t == nil {
-		parseTrace.Store(nil)
-		return
+// NewTelemetry registers the capture path's series on reg and binds the
+// httpstream.parse stage of t (nil: no stage is observed); scan hands t to
+// its Assembler, which binds pcap.reassemble.
+func NewTelemetry(reg *obs.Registry, t *obs.Tracer) *Telemetry {
+	tm := &Telemetry{
+		parseSeconds: reg.Histogram("dynaminer_httpstream_parse_seconds",
+			"Wall time parsing one TCP conversation into transactions.", obs.LatencyBuckets),
+		transactions: reg.Counter("dynaminer_httpstream_transactions_total",
+			"Transactions extracted from parsed streams."),
+		bytes: reg.Counter("dynaminer_httpstream_bytes_total",
+			"TCP payload bytes fed through the HTTP parsers."),
+		unparsed: reg.Counter("dynaminer_httpstream_unparsed_bytes_total",
+			"Bytes of parsed directions from the first head the HTTP parser rejected to the direction's end, and of lone directions that do not start with a request: traffic that is not HTTP."),
+		tracer: t,
 	}
-	parseTrace.Store(&traceBinding{t: t, stage: t.Stage("httpstream.parse")})
+	if t != nil {
+		tm.parse = t.Stage("httpstream.parse")
+	}
+	return tm
+}
+
+// parsed records one conversation whose parse began at start: its payload
+// bytes, the transactions it yielded and its unparsed bytes.
+func (tm *Telemetry) parsed(start time.Time, payload int64, txs, unparsed int) {
+	elapsed := parseClock().Sub(start).Seconds()
+	tm.parseSeconds.Observe(elapsed)
+	tm.tracer.ObserveStage(tm.parse, elapsed)
+	tm.bytes.Add(payload)
+	tm.transactions.Add(int64(txs))
+	if unparsed > 0 {
+		tm.unparsed.Add(int64(unparsed))
+	}
 }

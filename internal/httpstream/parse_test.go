@@ -8,8 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"dynaminer/internal/obs"
 	"dynaminer/internal/pcap"
 )
+
+// scanCounted runs pkts through ScanCapture counting on a fresh
+// Telemetry, and returns the transactions and the bytes counted unparsed.
+func scanCounted(t *testing.T, pkts []pcap.Packet) ([]Transaction, int64) {
+	t.Helper()
+	tm := NewTelemetry(obs.NewRegistry(), nil)
+	var txs []Transaction
+	if _, err := ScanCapture(bytes.NewReader(writePackets(t, pkts)), tm, func(tx *Transaction) {
+		txs = append(txs, *tx)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return txs, tm.unparsed.Value()
+}
 
 // TestParserQuirks runs each of net/http's parsing quirks through the
 // in-place parser and the oracle: the transactions must be DeepEqual, and
@@ -169,9 +184,7 @@ func TestNonHTTPCountsUnparsedBytes(t *testing.T) {
 		}
 		pkts = append(pkts, conv...)
 	}
-	before := parseUnparsed.Value()
-	txs := readPackets(t, pkts)
-	unparsed := parseUnparsed.Value() - before
+	txs, unparsed := scanCounted(t, pkts)
 	if want := len(clientHello) + len(serverHello) + len(sshServer) + len(sshClient); len(txs) != 0 || unparsed != int64(want) {
 		t.Fatalf("%d transactions, %d bytes counted unparsed; want none and %d", len(txs), unparsed, want)
 	}
@@ -180,8 +193,9 @@ func TestNonHTTPCountsUnparsedBytes(t *testing.T) {
 // TestLoneNonRequestDirectionCountsUnparsedBytes: a capture that holds only
 // the server's side of a conversation — a TLS ServerHello on 443, an SSH
 // banner on 22 — has no direction that looks like a request, so orient
-// pairs nothing. The scan and the collecting extractor both yield no
-// transaction and count every payload byte as unparsed.
+// pairs nothing. The scan and the extraction of the lone direction both
+// yield no transaction and count every payload byte as unparsed; the
+// collecting extractor, which counts nothing, yields no transaction either.
 func TestLoneNonRequestDirectionCountsUnparsedBytes(t *testing.T) {
 	serverHello := append([]byte{0x16, 0x03, 0x03, 0x00, 0x2a, 0x02, 0x00, 0x00, 0x26, 0x03, 0x03},
 		bytes.Repeat([]byte{0xa5}, 38)...)
@@ -208,17 +222,21 @@ func TestLoneNonRequestDirectionCountsUnparsedBytes(t *testing.T) {
 		}
 		for _, path := range []struct {
 			name    string
-			extract func() []Transaction
+			extract func() ([]Transaction, int64)
 		}{
-			{"scan", func() []Transaction { return readPackets(t, pkts) }},
-			{"collect", func() []Transaction { return ExtractAll(assemble(pkts)) }},
+			{"scan", func() ([]Transaction, int64) { return scanCounted(t, pkts) }},
+			{"extract", func() ([]Transaction, int64) {
+				tm := NewTelemetry(obs.NewRegistry(), nil)
+				return extractConversation(nil, assemble(pkts)[0], nil, tm), tm.unparsed.Value()
+			}},
 		} {
-			before := parseUnparsed.Value()
-			txs := path.extract()
-			if unparsed := parseUnparsed.Value() - before; len(txs) != 0 || unparsed != int64(len(c.payload)) {
+			if txs, unparsed := path.extract(); len(txs) != 0 || unparsed != int64(len(c.payload)) {
 				t.Errorf("%s via %s: %d transactions, %d bytes counted unparsed; want none and %d",
 					c.name, path.name, len(txs), unparsed, len(c.payload))
 			}
+		}
+		if txs := ExtractAll(assemble(pkts)); len(txs) != 0 {
+			t.Errorf("%s via collect: %d transactions; want none", c.name, len(txs))
 		}
 	}
 }

@@ -22,9 +22,9 @@ func TestPooledParseSteadyStateAllocs(t *testing.T) {
 	emptyResp.Data = nil
 	dst := make([]Transaction, 0, 8)
 	// Warm the pool and any lazy metric state.
-	dst = ExtractPairInto(dst[:0], &empty, &emptyResp)
+	dst = ExtractPairInto(dst[:0], &empty, &emptyResp, nil)
 	if n := testing.AllocsPerRun(200, func() {
-		dst = ExtractPairInto(dst[:0], &empty, &emptyResp)
+		dst = ExtractPairInto(dst[:0], &empty, &emptyResp, nil)
 	}); n != 0 {
 		t.Fatalf("pooled parse scaffolding allocates %v per conversation, want 0", n)
 	}
@@ -36,12 +36,12 @@ func TestPooledParseSteadyStateAllocs(t *testing.T) {
 func TestExtractPairIntoAppends(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
 	dst := make([]Transaction, 0, 4)
-	dst = ExtractPairInto(dst, c2s, s2c)
+	dst = ExtractPairInto(dst, c2s, s2c, nil)
 	if len(dst) != 1 {
 		t.Fatalf("first extract: %d transactions, want 1", len(dst))
 	}
 	first := dst[0]
-	out := ExtractPairInto(dst, c2s, s2c)
+	out := ExtractPairInto(dst, c2s, s2c, nil)
 	if len(out) != 2 {
 		t.Fatalf("second extract: %d transactions, want 2", len(out))
 	}
@@ -101,7 +101,7 @@ func BenchmarkExtractPairPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ExtractPairInto(dst[:0], c2s, s2c)
+		dst = ExtractPairInto(dst[:0], c2s, s2c, nil)
 	}
 	if len(dst) != 8 {
 		b.Fatalf("extracted %d transactions, want 8", len(dst))

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -249,7 +250,9 @@ func TestLoadFlatBlobDepthBound(t *testing.T) {
 // no panic; any accepted blob re-encodes byte-identically; written out as
 // v1 JSON it imports back to the same blob, and the recursive oracle
 // loader accepts it too; and the blob-loaded, imported and pointer forms
-// score bit-identically.
+// score bit-identically. The loader allocates at most 64 KiB + 8 B per input
+// byte: no length field sizes an allocation. The constant also covers
+// what the fuzz worker itself allocates during the call.
 func FuzzLoadFlatBlob(f *testing.F) {
 	ff, blob := blobFixture(f)
 	offs, _ := blobLayout(int64(ff.NumTrees()), int64(ff.NumNodes()))
@@ -267,7 +270,14 @@ func FuzzLoadFlatBlob(f *testing.F) {
 	f.Add(refixBlobCRC(badThr))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadFlatBlob(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err := LoadFlatBlob(r)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(data)); got > limit {
+			t.Fatalf("loading %d bytes allocated %d, want at most %d", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}

@@ -24,7 +24,7 @@ type Admin struct {
 	done      chan struct{}
 }
 
-// AdminOptions extends the admin surface beyond the metric registries.
+// AdminOptions extends the admin surface beyond the metric registry.
 type AdminOptions struct {
 	// Extra mounts caller-supplied endpoints (model reload, checkpoint
 	// triggers) on the same listener; patterns colliding with built-in
@@ -43,27 +43,15 @@ type AdminOptions struct {
 	RuntimeInterval time.Duration
 }
 
-// StartAdmin binds addr and serves /metrics (Prometheus text format,
-// concatenating every registry in order), /healthz, /snapshot (JSON
-// metric dump for the CLI), and /debug/pprof/. The serve loop runs in a
+// StartAdmin binds addr and serves reg's /metrics (Prometheus text
+// format), /healthz, /snapshot (JSON metric dump for the CLI) and
+// /debug/pprof/, plus what opts adds: extra endpoints, a readiness source
+// for /healthz, and a tracer for /trace. While the admin server runs, a
+// runtime health collector refreshes process gauges (goroutines, heap,
+// GC pause, scheduler latency) on reg. The serve loop runs in a
 // recover-guarded goroutine; Close shuts the listener down and waits for
 // the loop to exit.
-func StartAdmin(addr string, regs ...*Registry) (*Admin, error) {
-	return StartAdminWith(addr, AdminOptions{}, regs...)
-}
-
-// StartAdminHandlers is StartAdmin plus caller-supplied endpoints — the
-// hook lifecycle control planes (model reload, checkpoint triggers) use
-// to ride the same listener as /metrics.
-func StartAdminHandlers(addr string, extra map[string]http.Handler, regs ...*Registry) (*Admin, error) {
-	return StartAdminWith(addr, AdminOptions{Extra: extra}, regs...)
-}
-
-// StartAdminWith is the full-surface variant: extra endpoints, a
-// readiness source for /healthz, and a tracer for /trace. While the
-// admin server runs, a runtime health collector refreshes process gauges
-// (goroutines, heap, GC pause, scheduler latency) on the first registry.
-func StartAdminWith(addr string, opts AdminOptions, regs ...*Registry) (*Admin, error) {
+func StartAdmin(addr string, reg *Registry, opts AdminOptions) (*Admin, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: admin listen %s: %w", addr, err)
@@ -71,22 +59,14 @@ func StartAdminWith(addr string, opts AdminOptions, regs ...*Registry) (*Admin, 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		for _, r := range regs {
-			if err := r.WritePrometheus(w); err != nil {
-				return
-			}
-		}
+		_ = reg.WritePrometheus(w) // a failed write is the client gone
 	})
 	mux.Handle("/healthz", HealthzHandler(opts.Health))
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		var snap []MetricSnapshot
-		for _, r := range regs {
-			snap = append(snap, r.Snapshot()...)
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
+		_ = enc.Encode(reg.Snapshot())
 	})
 	builtin := map[string]bool{
 		"/metrics": true, "/healthz": true, "/snapshot": true, "/debug/pprof/": true,
@@ -118,12 +98,10 @@ func StartAdminWith(addr string, opts AdminOptions, regs ...*Registry) (*Admin, 
 	}
 
 	a := &Admin{
-		ln:   ln,
-		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		done: make(chan struct{}),
-	}
-	if len(regs) > 0 && regs[0] != nil {
-		a.collector = StartRuntimeCollector(regs[0], opts.RuntimeInterval)
+		ln:        ln,
+		srv:       &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+		collector: StartRuntimeCollector(reg, opts.RuntimeInterval),
+		done:      make(chan struct{}),
 	}
 	go func() {
 		defer close(a.done)
@@ -166,9 +144,7 @@ func (a *Admin) Addr() string { return a.ln.Addr().String() }
 func (a *Admin) Close() error {
 	var err error
 	a.closeOnce.Do(func() {
-		if a.collector != nil {
-			a.collector.Close()
-		}
+		a.collector.Close()
 		err = a.srv.Close()
 		<-a.done
 	})

@@ -30,7 +30,7 @@ func TestAdminEndpoints(t *testing.T) {
 	r.Counter("dynaminer_test_events_total", "events").Add(11)
 	r.Histogram("dynaminer_test_lat_seconds", "latency", LatencyBuckets).Observe(0.02)
 
-	a, err := StartAdmin("127.0.0.1:0", r)
+	a, err := StartAdmin("127.0.0.1:0", r, AdminOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAdminEndpoints(t *testing.T) {
 }
 
 func TestAdminCloseIdempotentAndReleasesPort(t *testing.T) {
-	a, err := StartAdmin("127.0.0.1:0", NewRegistry())
+	a, err := StartAdmin("127.0.0.1:0", NewRegistry(), AdminOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAdminCloseIdempotentAndReleasesPort(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	// The port must be re-bindable after Close.
-	b, err := StartAdmin(addr, NewRegistry())
+	b, err := StartAdmin(addr, NewRegistry(), AdminOptions{})
 	if err != nil {
 		t.Fatalf("rebind %s after Close: %v", addr, err)
 	}

@@ -15,8 +15,7 @@
 //   - One registry per serving instance. A Monitor, a detector Engine, or a
 //     Proxy owns (or is handed) a Registry; per-instance Stats structs are
 //     bridged views over it, so two engines in one process never mix
-//     counters. Process-wide library metrics (the httpstream parsers) live
-//     on the package Default registry.
+//     counters.
 //   - Sharded writers. A Counter hands out cache-line-padded Cells via
 //     NewCell, one per engine shard; each shard increments its own cell
 //     with no contention and reads it back for the per-shard Stats view,
@@ -122,20 +121,6 @@ type Registry struct {
 // NewRegistry returns an empty registry using the wall clock.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry), now: defaultClock}
-}
-
-// defaultRegistry carries process-wide library metrics (httpstream
-// parsing); serving instances own their own registries.
-var (
-	defaultOnce     sync.Once
-	defaultRegistry *Registry
-)
-
-// Default returns the process-wide registry for library metrics that have
-// no owning instance.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultRegistry = NewRegistry() })
-	return defaultRegistry
 }
 
 // SetClock injects the registry's time source (admin uptime, timing

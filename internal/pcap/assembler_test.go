@@ -357,12 +357,12 @@ func TestLateSegmentsAfterCloseAreDropped(t *testing.T) {
 func TestReassembleStageCoversFeedAndClose(t *testing.T) {
 	tick := baseTime
 	traceClock = func() time.Time { tick = tick.Add(time.Millisecond); return tick } // every interval timed reads 1 ms
+	defer func() { traceClock = time.Now }()
 	tr := obs.NewTracer(nil, obs.TraceConfig{})
-	SetTracer(tr)
-	defer func() { traceClock = time.Now; SetTracer(nil) }()
 
 	pkts := convPackets(t, 40000, baseTime, "GET / HTTP/1.1\r\n\r\n", "HTTP/1.1 204 No Content\r\n\r\n")
 	a, out := collecting()
+	a.Trace(tr)
 	for _, p := range pkts {
 		a.FeedPacket(p)
 	}

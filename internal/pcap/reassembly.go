@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"dynaminer/internal/obs"
 )
 
 // Stream is one direction of a reassembled TCP conversation: a contiguous
@@ -212,6 +214,9 @@ type Assembler struct {
 	buffered  int // payload bytes held for open conversations
 	highWater int // the most buffered has been
 	late      int // segments dropped because their conversation had closed
+
+	tracer *obs.Tracer // set by Trace; nil times nothing
+	stage  obs.StageID
 }
 
 // openEntry is one conversation of the Assembler's open-order FIFO.
@@ -339,9 +344,8 @@ func (a *Assembler) FeedPacket(p Packet) {
 //
 //dynalint:hotpath
 func (a *Assembler) Feed(f *Frame, ts time.Time) {
-	tb := capTrace.Load()
 	var t0 time.Time
-	if tb != nil {
+	if a.tracer != nil {
 		t0 = traceClock()
 	}
 	key, reversed := f.Key().Canonical()
@@ -363,7 +367,7 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 	case c == nil:
 		c = a.open(key, ts)
 	case syn && c.dirs[d].reopens(f.Seq+1):
-		a.close(c, tb)
+		a.close(c)
 		c = a.open(key, ts)
 	}
 	st := &c.dirs[d]
@@ -381,11 +385,11 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 	if f.Flags&FlagFIN != 0 && !st.sawFIN {
 		st.sawFIN, st.finSeq = true, f.Seq+uint32(len(f.Payload))
 	}
-	if tb != nil {
+	if a.tracer != nil {
 		c.spent += traceClock().Sub(t0)
 	}
 	if rst || c.dirs[0].sawFIN && c.dirs[1].sawFIN && c.dirs[0].finished() && c.dirs[1].finished() {
-		a.close(c, tb)
+		a.close(c)
 	}
 }
 
@@ -439,13 +443,13 @@ func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 // leaves its key behind as closed. Gaps in the sequence space are skipped
 // (the stream continues at the next available segment), matching what
 // offline forensic tooling does with lossy captures. With a tracer bound
-// (tb), what reassembling c took — feeding its frames and assembling its
+// (Trace), what reassembling c took — feeding its frames and assembling its
 // directions here — is one observation of the pcap.reassemble stage.
 //
 //dynalint:hotpath
-func (a *Assembler) close(c *conversation, tb *traceBinding) {
+func (a *Assembler) close(c *conversation) {
 	var t0 time.Time
-	if tb != nil {
+	if a.tracer != nil {
 		t0 = traceClock()
 	}
 	first := 0 // the direction whose frame opened the conversation
@@ -472,8 +476,8 @@ func (a *Assembler) close(c *conversation, tb *traceBinding) {
 		out[n] = s
 		n++
 	}
-	if tb != nil {
-		tb.t.ObserveStage(tb.stage, (c.spent + traceClock().Sub(t0)).Seconds())
+	if a.tracer != nil {
+		a.tracer.ObserveStage(a.stage, (c.spent + traceClock().Sub(t0)).Seconds())
 	}
 	if n > 0 {
 		for _, s := range out[:n] {
@@ -524,9 +528,8 @@ func (a *Assembler) Flush() {
 		}
 	}
 	slices.SortFunc(open, func(x, y *conversation) int { return x.ord - y.ord })
-	tb := capTrace.Load()
 	for _, c := range open {
-		a.close(c, tb)
+		a.close(c)
 	}
 }
 

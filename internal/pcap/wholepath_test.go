@@ -619,7 +619,9 @@ func reversedCapture(t testing.TB) []byte {
 // after a later-dated one was released (a capture that is not
 // time-ordered) still reaches the engine, at once, and is counted in
 // dynaminer_capture_late_transactions_total: as many as were delivered out
-// of request-time order. On the in-order corpus capture none are.
+// of request-time order. Both capture paths count it, Monitor.ScanPCAP (what
+// dynaminer stream runs) and ProcessPCAP. On the in-order corpus capture
+// none are.
 func TestLateTransactionsAreDeliveredAndCounted(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -636,15 +638,20 @@ func TestLateTransactionsAreDeliveredAndCounted(t *testing.T) {
 		}
 		outOfOrder := 0
 		var latest time.Time
-		if _, err := dynaminer.ScanPCAP(bytes.NewReader(capture), func(tx *dynaminer.Transaction) {
+		scanner := newMonitor(t, 2, io.Discard)
+		scanLate, err := scanner.ScanPCAP(bytes.NewReader(capture), func(tx *dynaminer.Transaction) {
 			if tx.ReqTime.Before(latest) {
 				outOfOrder++
 			}
 			if tx.ReqTime.After(latest) {
 				latest = tx.ReqTime
 			}
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if counted := scanner.Registry().CounterValue("dynaminer_capture_late_transactions_total"); scanLate != outOfOrder || counted != int64(outOfOrder) {
+			t.Fatalf("%s: ScanPCAP returned %d late and counted %d, %d delivered out of order", name, scanLate, counted, outOfOrder)
 		}
 		m := newMonitor(t, 2, io.Discard)
 		if _, err := m.ProcessPCAP(bytes.NewReader(capture)); err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dynaminer/internal/detector"
+	"dynaminer/internal/httpstream"
 	"dynaminer/internal/obs"
 	"dynaminer/internal/proxy"
 )
@@ -34,7 +35,10 @@ type Monitor struct {
 	janitorEvictions   *obs.Counter
 	checkpoints        *obs.Counter
 	checkpointFailures *obs.Counter
-	// Capture transactions ProcessPCAP delivered out of request-time order.
+	// The capture path's counters and stage binding, on the engine's
+	// registry and tracer, and the transactions ScanPCAP delivered out of
+	// request-time order.
+	capture *httpstream.Telemetry
 	lateTxs *obs.Counter
 
 	mu             sync.Mutex
@@ -76,6 +80,7 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 			"Watch-state checkpoints written successfully."),
 		checkpointFailures: reg.Counter("dynaminer_checkpoint_failures_total",
 			"Watch-state checkpoint writes that failed."),
+		capture: httpstream.NewTelemetry(reg, cfg.Tracer),
 		lateTxs: reg.Counter("dynaminer_capture_late_transactions_total",
 			"Capture transactions delivered to the engine after a later one, because the capture is not time-ordered."),
 	}
@@ -91,21 +96,21 @@ func (m *Monitor) Registry() *obs.Registry { return m.engine.Registry() }
 // quarantined or shedding), a JSON /snapshot, /debug/pprof/, /trace when
 // the monitor has a tracer, and the model-lifecycle controls POST
 // /reload and POST /rollback (see ReloadHandlers) — on addr, exposing
-// the monitor's registry plus the process-wide library registry. A
-// runtime health collector refreshes process gauges while the server
-// runs. It returns the bound address (useful with ":0"). Nothing listens
-// unless this is called; Close shuts the server down.
+// the monitor's registry. A runtime health collector refreshes process
+// gauges while the server runs. It returns the bound address (useful with
+// ":0"). Nothing listens unless this is called; Close shuts the server
+// down.
 func (m *Monitor) StartAdmin(addr string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.admin != nil {
 		return m.admin.Addr(), nil
 	}
-	admin, err := obs.StartAdminWith(addr, obs.AdminOptions{
+	admin, err := obs.StartAdmin(addr, m.engine.Registry(), obs.AdminOptions{
 		Extra:  ReloadHandlers(m, m.ModelPath),
 		Health: m.engine.Health,
 		Tracer: m.tracer,
-	}, m.engine.Registry(), obs.Default())
+	})
 	if err != nil {
 		return "", err
 	}
@@ -197,20 +202,34 @@ func (m *Monitor) Process(tx Transaction) []Alert { return m.engine.Process(tx) 
 // per transaction.
 func (m *Monitor) ProcessAll(txs []Transaction) []Alert { return m.engine.ProcessAll(txs) }
 
+// ScanPCAP parses a capture stream — classic pcap or pcapng, detected from
+// the magic — through the full pipeline (packet decode, TCP reassembly,
+// HTTP pairing) and hands fn each transaction as soon as no open or later
+// conversation can yield an earlier one, while the capture is still being
+// read; the pointer is valid only during the call. The capture is never
+// held whole: each TCP conversation is parsed as it closes. On a
+// time-ordered capture the transactions arrive in request-time order; late
+// counts those that arrived after a later one, and so does
+// dynaminer_capture_late_transactions_total. The monitor's registry and
+// tracer count the scan (the dynaminer_httpstream_* series and the
+// pcap.reassemble and httpstream.parse stages). On a read error the
+// transactions already handed over stay handed over.
+func (m *Monitor) ScanPCAP(r io.Reader, fn func(*Transaction)) (late int, err error) {
+	late, err = httpstream.ScanCapture(r, m.capture, fn)
+	m.lateTxs.Add(int64(late))
+	return late, err
+}
+
 // ProcessPCAP replays a capture through the engine, as in the forensic
 // case study, and returns its alerts in transaction order. The capture is
 // classified while it is still being read: each transaction goes to its
 // shard's worker as soon as ScanPCAP releases it, so alerts are journaled
-// long before the capture ends. Transactions released out of order (a
-// capture that is not time-ordered) are counted in
-// dynaminer_capture_late_transactions_total. When the capture fails
-// mid-read, the transactions released before the failure have already
-// been classified and journaled: ProcessPCAP returns their alerts beside
-// the error.
+// long before the capture ends. When the capture fails mid-read, the
+// transactions released before the failure have already been classified
+// and journaled: ProcessPCAP returns their alerts beside the error.
 func (m *Monitor) ProcessPCAP(r io.Reader) ([]Alert, error) {
 	return m.engine.ProcessFeed(func(deliver func(*Transaction)) error {
-		late, err := ScanPCAP(r, deliver)
-		m.lateTxs.Add(int64(late))
+		_, err := m.ScanPCAP(r, deliver)
 		return err
 	})
 }

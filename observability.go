@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"time"
 
-	"dynaminer/internal/httpstream"
 	"dynaminer/internal/obs"
-	"dynaminer/internal/pcap"
 )
 
 // Re-exported observability types (see internal/obs and DESIGN.md §10).
@@ -56,37 +54,21 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// DefaultMetricsRegistry returns the process-wide registry that owning-
-// instance-free library packages (e.g. the HTTP stream parsers) publish
-// on.
-func DefaultMetricsRegistry() *MetricsRegistry { return obs.Default() }
-
-// StartAdmin serves the observability endpoints for the given registries
-// on addr. Monitor.StartAdmin is the usual entry point; this form suits
-// deployments that compose their own registry set (e.g. a Proxy's
-// registry plus the default). Nothing listens unless this is called.
-func StartAdmin(addr string, regs ...*MetricsRegistry) (*AdminServer, error) {
-	return obs.StartAdmin(addr, regs...)
-}
-
-// StartAdminHandlers is StartAdmin plus caller-supplied endpoints (e.g.
-// ReloadHandlers); extra patterns never shadow the built-in ones.
-func StartAdminHandlers(addr string, extra map[string]http.Handler, regs ...*MetricsRegistry) (*AdminServer, error) {
-	return obs.StartAdminHandlers(addr, extra, regs...)
-}
-
-// StartAdminWith is the full-surface admin form: extra endpoints, a
-// readiness source for /healthz (JSON conditions, 503 while any holds),
-// and a tracer for /trace. While the server runs, a runtime health
-// collector refreshes process gauges on the first registry.
-func StartAdminWith(addr string, opts AdminOptions, regs ...*MetricsRegistry) (*AdminServer, error) {
-	return obs.StartAdminWith(addr, opts, regs...)
+// StartAdmin serves the observability endpoints for reg on addr, plus
+// what opts adds: extra endpoints (e.g. ReloadHandlers; they never shadow
+// the built-in ones), a readiness source for /healthz (JSON conditions,
+// 503 while any holds) and a tracer for /trace. While the server runs, a
+// runtime health collector refreshes process gauges on reg.
+// Monitor.StartAdmin is the usual entry point; this form serves a Proxy's
+// registry. Nothing listens unless this is called.
+func StartAdmin(addr string, reg *MetricsRegistry, opts AdminOptions) (*AdminServer, error) {
+	return obs.StartAdmin(addr, reg, opts)
 }
 
 // NewTracer returns a pipeline tracer registering its stage histograms
 // and self-telemetry on reg (nil selects a private registry). Pass it as
-// MonitorConfig.Tracer / ProxyConfig.Detector.Tracer, and to
-// SetCaptureTracer for the capture layers.
+// MonitorConfig.Tracer / ProxyConfig.Detector.Tracer; a Monitor's capture
+// path observes its pcap.reassemble and httpstream.parse stages.
 func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTracer(reg, cfg) }
 
 // TraceHandler serves a tracer's ring over HTTP: Chrome trace-event JSON
@@ -94,18 +76,6 @@ func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTr
 // for a human-readable summary, ?id=N for one trace. Monitor.StartAdmin
 // mounts it on /trace automatically when the monitor has a tracer.
 func TraceHandler(t *Tracer) http.Handler { return obs.TraceHandler(t) }
-
-// SetCaptureTracer points the owning-instance-free capture layers — pcap
-// reassembly and HTTP stream parsing — at a pipeline tracer. Both stages
-// are observed once per TCP conversation, as it closes: what feeding its
-// frames and assembling its two directions took lands in
-// pcap.reassemble, parsing them into transactions in httpstream.parse.
-// nil detaches. The detector and proxy
-// layers take their tracer via config instead.
-func SetCaptureTracer(t *Tracer) {
-	pcap.SetTracer(t)
-	httpstream.SetTracer(t)
-}
 
 // StartRuntimeCollector publishes runtime health telemetry on reg,
 // refreshed every interval (zero selects 10s) until Close. Monitor and
