@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 lint benchcheck benchpair chaos fuzz
+.PHONY: all build tier1 tier2 lint benchcheck benchpair chaos fuzz loc
 
 all: tier1
 
@@ -33,6 +33,11 @@ WORKLOAD ?= all
 PAIRS ?= 10
 benchpair:
 	bash tools/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# Non-test Go lines of the root package and internal/: the count
+# ROADMAP item 4 ("One of everything") tracks against its target.
+loc:
+	@(ls *.go | grep -v _test; find internal -name '*.go' -not -name '*_test.go') | xargs cat | wc -l
 
 # Project-invariant static analysis (see DESIGN.md "Enforced invariants"
 # and "Type-aware lint"). Type-checks every package against gc export

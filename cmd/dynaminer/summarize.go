@@ -77,9 +77,9 @@ func runSummarize(args []string) error {
 	for _, n := range w.Nodes {
 		payloads := 0
 		for _, c := range n.Payloads {
-			payloads += c
+			payloads += int(c)
 		}
-		fmt.Printf("  %-30s %-12s %5d %9d\n", n.Host, n.Type, len(n.URIs), payloads)
+		fmt.Printf("  %-30s %-12s %5d %9d\n", n.Host, n.Type, n.URIs, payloads)
 	}
 	return nil
 }

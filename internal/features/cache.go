@@ -103,7 +103,8 @@ func (c *Cache) FeaturesInto(dst []float64) []float64 {
 func (c *Cache) sync() {
 	w := c.w
 	g := w.Graph() // materialized once, then grown in place by the builder
-	for _, e := range w.Edges[c.edgeCount:] {
+	for i := c.edgeCount; i < len(w.Edges); i++ {
+		e := &w.Edges[i]
 		switch e.Kind {
 		case wcg.EdgeRequest:
 			switch e.Method {
@@ -114,7 +115,7 @@ func (c *Cache) sync() {
 			default:
 				c.other++
 			}
-			if e.Referer != "" {
+			if e.Referred {
 				c.refSet++
 			} else {
 				c.refEmpty++

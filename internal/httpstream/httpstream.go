@@ -60,8 +60,13 @@ func (t *Transaction) Location() string { return t.RespHdr.Get("Location") }
 // UserAgent returns the request User-Agent header.
 func (t *Transaction) UserAgent() string { return t.ReqHdr.Get("User-Agent") }
 
-// DNT reports whether the client sent "DNT: 1".
-func (t *Transaction) DNT() bool { return t.ReqHdr.Get("DNT") == "1" }
+// DNT reports whether the client sent "DNT: 1". It reads the canonical
+// key directly, with Get's first-value semantics: Get canonicalizes
+// "DNT" to "Dnt" on every call, which allocates.
+func (t *Transaction) DNT() bool {
+	v := t.ReqHdr["Dnt"]
+	return len(v) > 0 && v[0] == "1"
+}
 
 // XFlashVersion returns the x-flash-version request header value.
 func (t *Transaction) XFlashVersion() string { return t.ReqHdr.Get("X-Flash-Version") }

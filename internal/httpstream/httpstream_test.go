@@ -136,6 +136,38 @@ const simpleResp = "HTTP/1.1 200 OK\r\n" +
 	"\r\n" +
 	"<html></html"
 
+// TestHeaderAccessorsDoNotAllocate: the header accessors, which the WCG
+// builder and the detector call per transaction, look up canonical keys.
+// http.Header.Get canonicalizes its key first, which allocates for any
+// key not already canonical ("DNT" becomes "Dnt").
+func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
+	c2s, s2c := buildConv(simpleGet, simpleResp)
+	tx := ExtractPair(c2s, s2c)[0]
+	tx.RespHdr.Set("Location", "http://example.net/next")
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += len(tx.Referer()) + len(tx.Location()) + len(tx.UserAgent()) +
+			len(tx.XFlashVersion()) + len(tx.SessionID())
+		if tx.DNT() {
+			sink++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("header accessors allocate %.1f times per call set, want 0", allocs)
+	}
+	// DNT keeps Get's semantics: the first value decides, absent is false.
+	for _, vals := range [][]string{nil, {"1"}, {"0"}, {"1", "0"}, {"0", "1"}, {""}} {
+		h := http.Header{}
+		for _, v := range vals {
+			h.Add("DNT", v)
+		}
+		tx.ReqHdr = h
+		if got, want := tx.DNT(), h.Get("DNT") == "1"; got != want {
+			t.Fatalf("DNT values %q: DNT() = %v, want %v", vals, got, want)
+		}
+	}
+}
+
 func TestExtractPairBasic(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
 	txs := ExtractPair(c2s, s2c)

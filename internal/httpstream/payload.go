@@ -29,7 +29,9 @@ const (
 	PayloadDMG
 	PayloadCrypt
 
-	numPayloadClasses
+	// NumPayloadClasses is the size of the closed enum: every class is
+	// below it, so a per-class count fits a [NumPayloadClasses] array.
+	NumPayloadClasses
 )
 
 var payloadNames = map[PayloadClass]string{

@@ -69,7 +69,7 @@ func TestBodyKeptIffClassCarriesRedirects(t *testing.T) {
 	for _, r := range byExtension {
 		covered[r.want] = true
 	}
-	for c := PayloadOther; c < numPayloadClasses; c++ {
+	for c := PayloadOther; c < NumPayloadClasses; c++ {
 		if !covered[c] {
 			t.Fatalf("no row reaches %v by extension", c)
 		}

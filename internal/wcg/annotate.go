@@ -68,7 +68,7 @@ func (w *WCG) Summarize() Summary {
 			default:
 				s.OtherMethods++
 			}
-			if e.Referer != "" {
+			if e.Referred {
 				s.RefererSet++
 			} else {
 				s.RefererEmpty++
@@ -124,7 +124,7 @@ func (w *WCG) Summarize() Summary {
 			continue
 		}
 		s.UniqueHosts++
-		hostURIs += len(n.URIs)
+		hostURIs += n.URIs
 	}
 	if s.UniqueHosts > 0 {
 		s.AvgURIsPerHost = float64(hostURIs) / float64(s.UniqueHosts)

@@ -70,7 +70,7 @@ func (b *Builder) addRedirect(from, to int, ts time.Time) {
 		return
 	}
 	b.redirSeen[k] = struct{}{}
-	b.w.addEdge(&Edge{
+	b.w.addEdge(Edge{
 		From: from, To: to, Kind: EdgeRedirect, Time: ts,
 		CrossDomain: registeredDomain(b.w.Nodes[from].Host) != registeredDomain(b.w.Nodes[to].Host),
 	})
@@ -110,10 +110,10 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 		w.XFlashVersion = v
 	}
 
-	w.addEdge(&Edge{
+	referer := tx.Referer()
+	w.addEdge(Edge{
 		From: b.victim, To: server, Kind: EdgeRequest, Time: tx.ReqTime,
-		Method: tx.Method, URILen: len(tx.URI), UploadSize: tx.ReqBodySize,
-		Referer: tx.Referer(), UserAgent: tx.UserAgent(),
+		Method: tx.Method, URILen: len(tx.URI), Referred: referer != "",
 	})
 	var payload PayloadClass
 	if tx.StatusCode > 0 {
@@ -121,7 +121,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 		if tx.BodySize == 0 && !tx.IsRedirect() {
 			payload = PayloadNone
 		}
-		w.addEdge(&Edge{
+		w.addEdge(Edge{
 			From: server, To: b.victim, Kind: EdgeResponse, Time: tx.RespTime,
 			StatusCode: tx.StatusCode, PayloadType: payload, PayloadSize: tx.BodySize,
 		})
@@ -148,7 +148,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	// follow the referring host's last activity within redirectClickGap —
 	// automatic redirections fire in milliseconds, link-clicks take
 	// seconds (Section III-C's delay insight).
-	if ref := HostOfURL(tx.Referer()); ref != "" && ref != serverHost && ref != victimHost {
+	if ref := HostOfURL(referer); ref != "" && ref != serverHost && ref != victimHost {
 		if payload == PayloadHTML || (tx.StatusCode >= 300 && tx.StatusCode < 400) {
 			if seen, ok := b.lastActivity[ref]; ok && tx.ReqTime.Sub(seen) <= redirectClickGap {
 				from := w.ensureNode(ref, invalidAddr(), NodeIntermediary)
@@ -218,12 +218,13 @@ func (w *WCG) assignStages() {
 		}
 	}
 	if tFirst.IsZero() {
-		for _, e := range w.Edges {
-			e.Stage = StagePreDownload
+		for i := range w.Edges {
+			w.Edges[i].Stage = StagePreDownload
 		}
 		return
 	}
-	for _, e := range w.Edges {
+	for i := range w.Edges {
+		e := &w.Edges[i]
 		switch {
 		case e.Time.Before(tFirst):
 			e.Stage = StagePreDownload
@@ -266,7 +267,8 @@ func (w *WCG) classifyNodes(victim, origin int) {
 			nonRedirect[e.To] = true
 		}
 	}
-	for _, n := range w.Nodes {
+	for i := range w.Nodes {
+		n := &w.Nodes[i]
 		if n.ID == victim || n.ID == origin {
 			continue
 		}

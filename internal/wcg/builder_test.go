@@ -120,3 +120,22 @@ func TestBuilderEmpty(t *testing.T) {
 		t.Fatal("empty builder size wrong")
 	}
 }
+
+// TestBuilderAllocsPerTransaction holds the watched-graph append to an
+// allocation ceiling per transaction, on the episode the on-the-wire
+// stage watches longest: a 3-hop 302 chain, an EXE, then 295 POST
+// call-backs to 74 hosts (299 transactions). Edges and nodes stored by
+// value leave only amortized slice and map growth; a heap edge or node
+// per transaction, or a header lookup that allocates, breaks the ceiling.
+func TestBuilderAllocsPerTransaction(t *testing.T) {
+	txs := chainEpisode(295, 74)
+	allocs := testing.AllocsPerRun(20, func() {
+		ib := NewIncrementalBuilder()
+		for i := range txs {
+			ib.Append(txs[i])
+		}
+	})
+	if perTx := allocs / float64(len(txs)); perTx > 2.5 {
+		t.Fatalf("%.2f allocs per appended transaction over %d, want <= 2.5", perTx, len(txs))
+	}
+}

@@ -31,7 +31,7 @@ func (w *WCG) DOT(title string) string {
 		}
 		fmt.Fprintf(&sb, "  n%d [label=%q, fillcolor=%q];\n", n.ID, n.Host, color)
 	}
-	edges := make([]*Edge, len(w.Edges))
+	edges := make([]Edge, len(w.Edges))
 	copy(edges, w.Edges)
 	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Time.Before(edges[j].Time) })
 	for _, e := range edges {

@@ -85,7 +85,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		wantURIs := 0
 		for _, n := range w.Nodes {
 			if n.Type != NodeOrigin {
-				wantURIs += len(n.URIs)
+				wantURIs += n.URIs
 			}
 		}
 		if uris != wantURIs {

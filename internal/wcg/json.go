@@ -57,16 +57,21 @@ func (w *WCG) WriteJSON(out io.Writer) error {
 			ID:   n.ID,
 			Host: n.Host,
 			Type: n.Type.String(),
-			URIs: len(n.URIs),
+			URIs: n.URIs,
 		}
 		if n.IP.IsValid() {
 			nw.IP = n.IP.String()
 		}
-		if len(n.Payloads) > 0 {
-			nw.Payloads = make(map[string]int, len(n.Payloads))
-			for c, count := range n.Payloads {
-				nw.Payloads[c.String()] = count
+		// Only the classes seen: the encoder sorts map keys, so the
+		// bytes do not depend on how the counts are stored.
+		for c, count := range n.Payloads {
+			if count == 0 {
+				continue
 			}
+			if nw.Payloads == nil {
+				nw.Payloads = make(map[string]int)
+			}
+			nw.Payloads[PayloadClass(c).String()] = int(count)
 		}
 		wire.Nodes = append(wire.Nodes, nw)
 	}

@@ -333,7 +333,7 @@ func (c Chain) Hops() int { return len(c.Nodes) - 1 }
 // continues a chain ending at B if it is not earlier than the chain's last
 // hop). Each redirect edge belongs to exactly one chain.
 func (w *WCG) RedirectChains() []Chain {
-	var redirs []*Edge
+	var redirs []Edge
 	for _, e := range w.Edges {
 		if e.Kind == EdgeRedirect {
 			redirs = append(redirs, e)

@@ -47,7 +47,7 @@ func ClassifyPayload(uri, contentType string) PayloadClass {
 }
 
 // NodeType classifies a WCG node per Section III-A.
-type NodeType int
+type NodeType uint8
 
 // Node roles. A node is Malicious if at least one exploit payload was
 // downloaded from it to the victim; Intermediary if it only chains
@@ -80,7 +80,7 @@ func (t NodeType) String() string {
 
 // EdgeKind is the relation an edge encodes (Section III-A: Φ requests,
 // Ψ responses, Σ redirects).
-type EdgeKind int
+type EdgeKind uint8
 
 // Edge kinds.
 const (
@@ -105,7 +105,7 @@ func (k EdgeKind) String() string {
 
 // Stage is the conversation stage of an edge (Section III-C): 0 for
 // pre-download, 1 for download, 2 for post-download.
-type Stage int
+type Stage uint8
 
 // Conversation stages.
 const (
@@ -135,31 +135,34 @@ type Node struct {
 	Host     string // hostname, or IP string when no Host header was seen
 	IP       netip.Addr
 	Type     NodeType
-	URIs     map[string]struct{}
-	Payloads map[PayloadClass]int // payloads originating from or received by this node
+	URIs     int                                 // distinct URIs requested from this host
+	Payloads [httpstream.NumPayloadClasses]int32 // payloads originating from or received by this node, by class
 }
 
 // Edge is one relation between two hosts, annotated per Section III-C.
+// The graph stores edges by value, so appending one copies it, and a
+// slice that grows copies them all: TestEdgeStaysCompact holds the size.
 type Edge struct {
 	From, To    int
-	Kind        EdgeKind
-	Stage       Stage
 	Time        time.Time
 	Method      string
 	URILen      int
-	UploadSize  int // request-body bytes (exfiltration volume)
 	StatusCode  int
 	PayloadType PayloadClass
 	PayloadSize int
-	Referer     string
-	UserAgent   string
+	Kind        EdgeKind
+	Stage       Stage
+	Referred    bool // request edges: the request carried a Referer
 	CrossDomain bool // redirect edges: target registered domain differs
 }
 
-// WCG is a fully annotated web conversation graph.
+// WCG is a fully annotated web conversation graph. Nodes and edges are
+// stored by value and addressed by index (an edge's From and To are node
+// IDs, which are indexes into Nodes); a pointer into either slice is
+// valid only until the next append.
 type WCG struct {
-	Nodes []*Node
-	Edges []*Edge
+	Nodes []Node
+	Edges []Edge
 
 	// Origin metadata: the enticement source per Section III-B.
 	OriginKnown bool
@@ -169,8 +172,9 @@ type WCG struct {
 	DNT           bool
 	XFlashVersion string
 
-	byHost map[string]int
-	g      *graph.Digraph // structural projection, maintained in place
+	byHost  map[string]int
+	uriSeen map[nodeURI]struct{} // distinct (node, URI) pairs behind Node.URIs
+	g       *graph.Digraph       // structural projection, maintained in place
 
 	// Simple-projection bookkeeping, maintained on every addEdge so
 	// density/reciprocity stay O(1) and topology changes are detectable
@@ -207,34 +211,23 @@ func (w *WCG) HostURIStats() (hosts, uris int) {
 	return w.uniqueHosts, w.uriTotal
 }
 
-// NodeByHost returns the node for host, or nil. Hosts are stored
-// lowercased (DNS names are case-insensitive), so the lookup folds case.
-func (w *WCG) NodeByHost(host string) *Node {
-	if id, ok := w.byHost[strings.ToLower(host)]; ok {
-		return w.Nodes[id]
-	}
-	return nil
+// nodeURI keys one distinct URI requested from one node.
+type nodeURI struct {
+	node int
+	uri  string
 }
 
 // ensureNode returns the id of the node for host, creating it as typ if it
 // does not exist yet. An existing node's type is never downgraded.
 func (w *WCG) ensureNode(host string, ip netip.Addr, typ NodeType) int {
 	if id, ok := w.byHost[host]; ok {
-		n := w.Nodes[id]
-		if !n.IP.IsValid() && ip.IsValid() {
+		if n := &w.Nodes[id]; !n.IP.IsValid() && ip.IsValid() {
 			n.IP = ip
 		}
 		return id
 	}
 	id := len(w.Nodes)
-	w.Nodes = append(w.Nodes, &Node{
-		ID:       id,
-		Host:     host,
-		IP:       ip,
-		Type:     typ,
-		URIs:     make(map[string]struct{}),
-		Payloads: make(map[PayloadClass]int),
-	})
+	w.Nodes = append(w.Nodes, Node{ID: id, Host: host, IP: ip, Type: typ})
 	w.byHost[host] = id
 	if typ != NodeOrigin {
 		w.uniqueHosts++
@@ -248,7 +241,7 @@ func (w *WCG) ensureNode(host string, ip netip.Addr, typ NodeType) int {
 
 // addEdge appends e, extends the structural graph in place, and updates
 // the simple-pair bookkeeping.
-func (w *WCG) addEdge(e *Edge) {
+func (w *WCG) addEdge(e Edge) {
 	w.Edges = append(w.Edges, e)
 	if w.g != nil {
 		_ = w.g.AddEdge(e.From, e.To) // ids are internally consistent
@@ -269,14 +262,19 @@ func (w *WCG) addEdge(e *Edge) {
 	}
 }
 
-// addURI records a distinct URI on node id, keeping the non-origin URI
-// total in sync with the per-node sets.
+// addURI records a distinct URI on node id, keeping the node's count and
+// the non-origin URI total in sync with the graph's (node, URI) set.
 func (w *WCG) addURI(id int, uri string) {
-	n := w.Nodes[id]
-	if _, ok := n.URIs[uri]; ok {
+	k := nodeURI{id, uri}
+	if _, ok := w.uriSeen[k]; ok {
 		return
 	}
-	n.URIs[uri] = struct{}{}
+	if w.uriSeen == nil {
+		w.uriSeen = make(map[nodeURI]struct{})
+	}
+	w.uriSeen[k] = struct{}{}
+	n := &w.Nodes[id]
+	n.URIs++
 	if n.Type != NodeOrigin {
 		w.uriTotal++
 	}
