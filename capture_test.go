@@ -83,12 +83,13 @@ func TestCaptureTelemetryIsPerMonitor(t *testing.T) {
 
 // TestTracedMonitorTracesItsCapture: a monitor whose config carries a
 // tracer observes its capture's pcap.reassemble and httpstream.parse
-// stages, once per conversation, with nothing else set up.
+// stages, once per conversation, with nothing else set up; an untraced
+// monitor still observes httpstream.parse, the one parse histogram.
 func TestTracedMonitorTracesItsCapture(t *testing.T) {
 	eps, clf := obsFixture(t)
 	capture := renderCapture(t, eps[:10], 52)
 	reg := NewMetricsRegistry()
-	m := NewMonitor(MonitorConfig{RedirectThreshold: 1, Metrics: reg, Tracer: NewTracer(reg, TraceConfig{Sample: 1})}, clf)
+	m := NewMonitor(MonitorConfig{RedirectThreshold: 1, Metrics: reg, Tracer: NewTracer(reg, 1)}, clf)
 	if _, err := m.ProcessPCAP(bytes.NewReader(capture.bytes)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +101,19 @@ func TestTracedMonitorTracesItsCapture(t *testing.T) {
 		if counts[name] != int64(capture.convs) {
 			t.Errorf("%s holds %d observations, want one per conversation (%d)", name, counts[name], capture.convs)
 		}
+	}
+
+	untraced := NewMonitor(MonitorConfig{RedirectThreshold: 1}, clf)
+	if _, err := untraced.ProcessPCAP(bytes.NewReader(capture.bytes)); err != nil {
+		t.Fatal(err)
+	}
+	var parses int64 = -1
+	for _, s := range untraced.Registry().Snapshot() {
+		if s.Name == "dynaminer_stage_httpstream_parse_seconds" {
+			parses = s.Count
+		}
+	}
+	if parses != int64(capture.convs) {
+		t.Errorf("untraced monitor: dynaminer_stage_httpstream_parse_seconds holds %d observations, want one per conversation (%d)", parses, capture.convs)
 	}
 }

@@ -11,7 +11,7 @@
 //	dynaminer journal alerts.jsonl
 //	dynaminer checkpoint state.dmcp
 //	dynaminer metrics -addr 127.0.0.1:9090
-//	dynaminer trace -addr 127.0.0.1:9090 [-json] [-id N]
+//	dynaminer trace -addr 127.0.0.1:9090 [-id N]
 //	dynaminer model convert -in model.json -out model.dmfb
 //	dynaminer model info model.dmfb
 //
@@ -24,10 +24,10 @@
 // "metrics" fetches and renders a live admin server's /snapshot.
 //
 // Both also take -trace-sample N to record a pipeline trace for every Nth
-// transaction (slow and alert-raising ones are always kept); the admin
-// server then serves the ring on /trace, and "trace" fetches it as a
-// flame summary, as Chrome trace-event JSON (-json, loadable in
-// chrome://tracing or Perfetto), or as one span tree by -id.
+// transaction (alert-raising ones are always kept); the admin server then
+// serves the ring on /trace, and "trace" fetches it as Chrome trace-event
+// JSON (loadable in chrome://tracing or Perfetto), or as one span tree by
+// -id.
 //
 // Both long-running modes drain gracefully on SIGINT/SIGTERM (intake
 // stops, the journal is flushed, a final checkpoint is written when
@@ -112,7 +112,7 @@ func runProxy(args []string) error {
 		adminAddr   = fs.String("admin-addr", "", "serve /metrics, /healthz, /snapshot, /debug/pprof/ and the POST /reload and /rollback model controls on this address (empty = no admin server)")
 		journal     = fs.String("journal", "", "append one JSONL provenance record per alert to this file")
 		checkpoint  = fs.String("checkpoint", "", "restore watch state from this DMCP file on start and checkpoint to it on drain (empty = stateless)")
-		traceSample = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth proxied request (0 = tracing off; slow and alert-raising requests are always kept)")
+		traceSample = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth proxied request (0 = tracing off; alert-raising requests are always kept)")
 	)
 	openJournal := journalFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -126,11 +126,10 @@ func runProxy(args []string) error {
 	var tracer *dynaminer.Tracer
 	if *traceSample > 0 {
 		// The tracer shares the engine's registry so that its stage
-		// histograms, pcap.reassemble and httpstream.parse among them, are
-		// served on the Monitor's /metrics.
+		// histograms are served on the Monitor's /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		cfg.Metrics = reg
-		tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
+		tracer = dynaminer.NewTracer(reg, *traceSample)
 		cfg.Tracer = tracer
 	}
 	var j *dynaminer.Journal
@@ -347,7 +346,7 @@ func runStream(args []string) error {
 		journal      = fs.String("journal", "", "append one JSONL provenance record per alert to this file")
 		checkpoint   = fs.String("checkpoint", "", "recover watch state from this DMCP file on start and checkpoint to it periodically and on exit (empty = stateless)")
 		ckptInterval = fs.Duration("checkpoint-interval", 30*time.Second, "background checkpoint cadence (with -checkpoint)")
-		traceSample  = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth transaction (0 = tracing off; slow and alert-raising transactions are always kept)")
+		traceSample  = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth transaction (0 = tracing off; alert-raising transactions are always kept)")
 	)
 	openJournal := journalFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -363,11 +362,11 @@ func runStream(args []string) error {
 	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold}
 	if *traceSample > 0 {
 		// The tracer shares the engine's registry so that its stage
-		// histograms, pcap.reassemble and httpstream.parse among them, are
-		// served on the Monitor's /metrics.
+		// histograms, pcap.reassemble among them, are served on the
+		// Monitor's /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		cfg.Metrics = reg
-		cfg.Tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
+		cfg.Tracer = dynaminer.NewTracer(reg, *traceSample)
 	}
 	capture, err := os.Open(fs.Arg(0))
 	if err != nil {

@@ -75,24 +75,21 @@ func featureWidth(recs []dynaminer.AlertRecord) int {
 	return len(recs[0].Features)
 }
 
-// runTrace fetches a live admin server's /trace ring. The default is the
-// human-readable flame summary; -json emits the Chrome trace-event form
-// (validated before printing, so a broken payload fails loudly instead
-// of producing a file chrome://tracing rejects); -id renders one trace's
-// span tree as JSON — the form journal trace= IDs resolve through.
+// runTrace fetches a live admin server's /trace ring as Chrome
+// trace-event JSON (chrome://tracing / Perfetto); -id fetches one trace's
+// span tree as a TraceSnapshot — the form journal trace= IDs resolve
+// through. Either is validated before printing, so a broken payload fails
+// loudly instead of producing a file its reader rejects.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9090", "admin server address (host:port)")
-	asJSON := fs.Bool("json", false, "emit Chrome trace-event JSON (chrome://tracing / Perfetto)")
 	id := fs.Uint64("id", 0, "fetch one trace by trace_id (as stamped on journal records)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	url := "http://" + *addr + "/trace?format=flame"
+	url := "http://" + *addr + "/trace"
 	if *id != 0 {
 		url = fmt.Sprintf("http://%s/trace?id=%d", *addr, *id)
-	} else if *asJSON {
-		url = "http://" + *addr + "/trace"
 	}
 	resp, err := http.Get(url)
 	if err != nil {
@@ -106,19 +103,17 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *id != 0 || *asJSON {
-		if *asJSON {
-			var f struct {
-				TraceEvents []map[string]any `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(body, &f); err != nil {
-				return fmt.Errorf("trace: invalid trace-event JSON: %w", err)
-			}
-		} else {
-			var snap dynaminer.TraceSnapshot
-			if err := json.Unmarshal(body, &snap); err != nil {
-				return fmt.Errorf("trace: invalid trace snapshot: %w", err)
-			}
+	if *id != 0 {
+		var snap dynaminer.TraceSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			return fmt.Errorf("trace: invalid trace snapshot: %w", err)
+		}
+	} else {
+		var f struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(body, &f); err != nil {
+			return fmt.Errorf("trace: invalid trace-event JSON: %w", err)
 		}
 	}
 	os.Stdout.Write(body)

@@ -85,7 +85,7 @@ func main() {
 	journalPath := flag.String("journal", "", "append one JSONL provenance record per alert to this file")
 	saveModel := flag.String("save-model", "", "write the trained model as a DMFB blob to this path (a ready-made artifact for POST /reload)")
 	linger := flag.Bool("linger", false, "keep the proxy and admin endpoints serving after the scripted walk until SIGINT/SIGTERM")
-	traceSample := flag.Int("trace-sample", 0, "record a pipeline trace for every Nth proxied request (0 = tracing off; slow and alert-raising requests are always kept)")
+	traceSample := flag.Int("trace-sample", 0, "record a pipeline trace for every Nth proxied request (0 = tracing off; alert-raising requests are always kept)")
 	flag.Parse()
 
 	// Train the deployment-matched classifier.
@@ -111,7 +111,7 @@ func main() {
 		// land next to the detector counters on /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		detCfg.Metrics = reg
-		tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
+		tracer = dynaminer.NewTracer(reg, *traceSample)
 		detCfg.Tracer = tracer
 	}
 	var j *dynaminer.Journal

@@ -298,7 +298,7 @@ func TestMaxWatchedShedsLargest(t *testing.T) {
 // the faulting transaction's trace is closed and committed, not leaked
 // into the next transaction's.
 func TestShardProcessRecovers(t *testing.T) {
-	tracer := obs.NewTracer(nil, obs.TraceConfig{Sample: 1})
+	tracer := obs.NewTracer(nil, 1)
 	s := New(Config{Shards: 1, Tracer: tracer}, constScorer(0))
 	state := s.shards[0].st
 	roots := func(snap obs.TraceSnapshot) (spans []obs.TraceSpan) {

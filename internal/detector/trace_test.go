@@ -20,7 +20,7 @@ import (
 func traceFixture(t *testing.T, disableIncremental bool) (*obs.Tracer, []obs.AlertRecord) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(reg, obs.TraceConfig{Sample: 1})
+	tracer := obs.NewTracer(reg, 1)
 	var buf bytes.Buffer
 	e := New(Config{
 		Shards:             1,
@@ -156,9 +156,9 @@ func TestUntracedEngineUnchanged(t *testing.T) {
 }
 
 // TestQuarantineSpanAttribution: a scorer panic flags the trace with
-// error+quarantined so slow-path exemplars carry fault attribution.
+// error+quarantined so the kept trace carries its fault attribution.
 func TestQuarantineSpanAttribution(t *testing.T) {
-	tracer := obs.NewTracer(nil, obs.TraceConfig{Sample: 1})
+	tracer := obs.NewTracer(nil, 1)
 	e := New(Config{Shards: 1, RedirectThreshold: 3, Tracer: tracer}, panicScorer{})
 	for _, tx := range infectionStream() {
 		if got := e.ProcessTraced(tx, nil); got != nil {
@@ -249,7 +249,7 @@ func TestTopologyRecomputesCounted(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			tracer := obs.NewTracer(reg, obs.TraceConfig{Sample: 1})
+			tracer := obs.NewTracer(reg, 1)
 			e := New(Config{
 				Shards: 1, RedirectThreshold: 3, DisableIncremental: tc.disable,
 				Metrics: reg, Tracer: tracer,

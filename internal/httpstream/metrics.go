@@ -12,11 +12,12 @@ import (
 var parseClock = time.Now
 
 // Telemetry is what one owner of a capture path — a Monitor — counts of
-// it: four series on the owner's registry and, when the owner traces, the
-// pcap.reassemble and httpstream.parse stages of its tracer. Both stages
-// are observed once per TCP conversation, as it closes, so they feed
-// stage latency rather than opening spans inside any one transaction's
-// tree. A nil *Telemetry counts nothing.
+// it: four series on the owner's registry, the httpstream.parse stage
+// histogram among them, and, when the owner traces, the pcap.reassemble
+// stage of its tracer. Both stages are observed once per TCP
+// conversation, as it closes, so they feed stage latency rather than
+// opening spans inside any one transaction's tree. A nil *Telemetry
+// counts nothing.
 type Telemetry struct {
 	parseSeconds *obs.Histogram
 	transactions *obs.Counter
@@ -24,15 +25,14 @@ type Telemetry struct {
 	unparsed     *obs.Counter
 
 	tracer *obs.Tracer // nil when the owner does not trace
-	parse  obs.StageID
 }
 
-// NewTelemetry registers the capture path's series on reg and binds the
-// httpstream.parse stage of t (nil: no stage is observed); scan hands t to
-// its Assembler, which binds pcap.reassemble.
+// NewTelemetry registers the capture path's series on reg; scan hands t
+// (nil: the owner does not trace) to its Assembler, which binds
+// pcap.reassemble.
 func NewTelemetry(reg *obs.Registry, t *obs.Tracer) *Telemetry {
-	tm := &Telemetry{
-		parseSeconds: reg.Histogram("dynaminer_httpstream_parse_seconds",
+	return &Telemetry{
+		parseSeconds: reg.Histogram("dynaminer_stage_httpstream_parse_seconds",
 			"Wall time parsing one TCP conversation into transactions.", obs.LatencyBuckets),
 		transactions: reg.Counter("dynaminer_httpstream_transactions_total",
 			"Transactions extracted from parsed streams."),
@@ -42,18 +42,12 @@ func NewTelemetry(reg *obs.Registry, t *obs.Tracer) *Telemetry {
 			"Bytes of parsed directions from the first head the HTTP parser rejected to the direction's end, and of lone directions that do not start with a request: traffic that is not HTTP."),
 		tracer: t,
 	}
-	if t != nil {
-		tm.parse = t.Stage("httpstream.parse")
-	}
-	return tm
 }
 
 // parsed records one conversation whose parse began at start: its payload
 // bytes, the transactions it yielded and its unparsed bytes.
 func (tm *Telemetry) parsed(start time.Time, payload int64, txs, unparsed int) {
-	elapsed := parseClock().Sub(start).Seconds()
-	tm.parseSeconds.Observe(elapsed)
-	tm.tracer.ObserveStage(tm.parse, elapsed)
+	tm.parseSeconds.Observe(parseClock().Sub(start).Seconds())
 	tm.bytes.Add(payload)
 	tm.transactions.Add(int64(txs))
 	if unparsed > 0 {

@@ -36,11 +36,8 @@ type AdminOptions struct {
 	// holds. Nil preserves the legacy unconditional plain-text "ok".
 	Health HealthFunc
 	// Tracer, when set, mounts the /trace endpoint (Chrome trace-event
-	// JSON, ?format=flame, ?id=N lookup).
+	// JSON, ?id=N lookup).
 	Tracer *Tracer
-	// RuntimeInterval tunes the runtime health collector ticker that runs
-	// for the admin server's lifetime; 0 selects the 10s default.
-	RuntimeInterval time.Duration
 }
 
 // StartAdmin binds addr and serves reg's /metrics (Prometheus text
@@ -100,7 +97,7 @@ func StartAdmin(addr string, reg *Registry, opts AdminOptions) (*Admin, error) {
 	a := &Admin{
 		ln:        ln,
 		srv:       &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		collector: StartRuntimeCollector(reg, opts.RuntimeInterval),
+		collector: StartRuntimeCollector(reg, defaultCollectPeriod),
 		done:      make(chan struct{}),
 	}
 	go func() {

@@ -111,14 +111,18 @@ func (c *RuntimeCollector) Collect() {
 	}
 }
 
+// defaultCollectPeriod is the runtime collector's refresh period when
+// none is given, and the one an admin server's collector always runs at.
+const defaultCollectPeriod = 10 * time.Second
+
 // StartRuntimeCollector builds a collector on reg and refreshes it every
-// interval (0 selects 10s) until Close. The ticker goroutine is
-// recover-guarded: a panicking collection stops telemetry, never the
-// process.
+// interval (0 selects defaultCollectPeriod) until Close. The ticker
+// goroutine is recover-guarded: a panicking collection stops telemetry,
+// never the process.
 func StartRuntimeCollector(reg *Registry, interval time.Duration) *RuntimeCollector {
 	c := NewRuntimeCollector(reg)
 	if interval <= 0 {
-		interval = 10 * time.Second
+		interval = defaultCollectPeriod
 	}
 	c.started = true
 	go func() {

@@ -22,9 +22,8 @@
 //     while Counter.Value sums all cells for the registry-wide total.
 //   - Metric names are validated at registration: snake_case with a unit
 //     suffix (_seconds, _bytes, _total), unique per registry.
-//   - No clocks of its own. The package never calls time.Now() bare; the
-//     registry carries an injectable clock (SetClock) defaulting to the
-//     wall clock, so replay-deterministic tests can freeze time.
+//   - No bare clock reads. The package never calls time.Now() bare; it
+//     reads the wall clock through defaultClock, which tests can replace.
 package obs
 
 import (
@@ -115,31 +114,11 @@ type Registry struct {
 	mu     sync.Mutex
 	byName map[string]*entry // guarded by mu
 	order  []*entry          // guarded by mu; registration order
-	now    func() time.Time  // guarded by mu
 }
 
-// NewRegistry returns an empty registry using the wall clock.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*entry), now: defaultClock}
-}
-
-// SetClock injects the registry's time source (admin uptime, timing
-// helpers); nil restores the wall clock.
-func (r *Registry) SetClock(now func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if now == nil {
-		now = defaultClock
-	}
-	r.now = now
-}
-
-// Now reads the registry's clock.
-func (r *Registry) Now() time.Time {
-	r.mu.Lock()
-	now := r.now
-	r.mu.Unlock()
-	return now()
+	return &Registry{byName: make(map[string]*entry)}
 }
 
 // register looks up or creates an entry, enforcing name and kind rules.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestValidateMetricName(t *testing.T) {
@@ -152,19 +151,6 @@ func TestGaugeVecChildren(t *testing.T) {
 	v.Delete("evil.example")
 	if v.Len() != 0 {
 		t.Fatalf("Len after Delete = %d, want 0", v.Len())
-	}
-}
-
-func TestRegistryClock(t *testing.T) {
-	r := NewRegistry()
-	fixed := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	r.SetClock(func() time.Time { return fixed })
-	if !r.Now().Equal(fixed) {
-		t.Fatal("injected clock not consulted")
-	}
-	r.SetClock(nil)
-	if r.Now().IsZero() {
-		t.Fatal("nil clock did not restore the wall clock")
 	}
 }
 

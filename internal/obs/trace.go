@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -19,28 +18,23 @@ import (
 // parse → feature extraction → forest scoring → alert/journal write) into
 // a fixed-size ring of pre-allocated slots. Recording is zero-alloc on
 // the hot path — ActiveTrace comes from a pool, spans live in a fixed
-// array, stage names are interned to StageIDs at setup time — and the
-// keep/discard decision combines head-based sampling (every Nth
-// transaction) with always-keep promotion for slow spans (per-stage EWMA
-// threshold) and alert-raising transactions. Kept trees export as Chrome
-// trace-event JSON (chrome://tracing / Perfetto), a human-readable flame
-// summary, and resolve by the trace_id stamped onto journaled
-// AlertRecords.
+// array, stage names are interned to StageIDs at setup time. A tree is
+// kept for one of two reasons: head-based sampling picked its transaction
+// (every Nth), or the transaction raised an alert. Kept trees export as
+// Chrome trace-event JSON (chrome://tracing / Perfetto) and resolve by the
+// trace_id stamped onto journaled AlertRecords.
 
 // maxTraceSpans bounds one transaction's span tree; together with the
 // ring size it fixes the tracer's memory footprint
-// (ring × sizeof(traceRecord) ≈ ring × 1.2 KiB).
+// (traceRing × sizeof(traceRecord) ≈ 256 × 1.2 KiB).
 const maxTraceSpans = 24
 
 // traceStackDepth bounds span nesting (open, not-yet-ended spans).
 const traceStackDepth = 8
 
-// DefaultTraceRing is the ring capacity when TraceConfig.Ring is zero.
-const DefaultTraceRing = 256
-
-// defaultSlowFactor promotes a span when it runs this many times slower
-// than its stage's EWMA latency.
-const defaultSlowFactor = 4.0
+// traceRing is the number of kept span trees the ring holds; the oldest
+// is evicted first.
+const traceRing = 256
 
 // monoSince is the monotonic elapsed-time clock, as a function value for
 // the zerotime convention. Span stamps are offsets from the tracer's
@@ -150,35 +144,10 @@ type Span struct {
 	Dur    time.Duration
 }
 
-// stageInfo is one interned stage: its name, its registry histogram, and
-// the EWMA latency that defines "slow" for promotion.
+// stageInfo is one interned stage: its name and its registry histogram.
 type stageInfo struct {
 	name string
 	hist *Histogram
-	ewma atomic.Uint64 // float64 bits of the stage's EWMA latency, seconds
-}
-
-// updateEWMA folds one observation into the stage EWMA (alpha 1/8) and
-// reports whether it exceeded slowFactor times the prior average. The
-// first observation only warms the average.
-//
-//dynalint:hotpath
-func (s *stageInfo) updateEWMA(x, slowFactor float64) bool {
-	for {
-		old := s.ewma.Load()
-		slow := false
-		var next float64
-		if old == 0 {
-			next = x
-		} else {
-			prev := math.Float64frombits(old)
-			slow = x > slowFactor*prev
-			next = prev + (x-prev)/8
-		}
-		if s.ewma.CompareAndSwap(old, math.Float64bits(next)) {
-			return slow
-		}
-	}
 }
 
 // traceRecord is one committed span tree, fixed-size so ring slots never
@@ -189,13 +158,12 @@ type traceRecord struct {
 	n       int
 	dropped int32
 	sampled bool
-	slow    bool
 	alert   bool
 	spans   [maxTraceSpans]Span
 }
 
 // traceSlot is one ring position; the per-slot mutex is taken only on
-// commit (kept traces: sampled, slow, or alerting) and on export reads —
+// commit (kept traces: sampled or alerting) and on export reads —
 // never on the sampled-out hot path.
 type traceSlot struct {
 	mu   sync.Mutex
@@ -203,36 +171,18 @@ type traceSlot struct {
 	rec  traceRecord
 }
 
-// TraceConfig tunes a Tracer. The zero value records promotion-only
-// (slow and alert traces) into a DefaultTraceRing-slot ring.
-type TraceConfig struct {
-	// Sample keeps every Nth transaction's trace (head-based sampling);
-	// 1 keeps every trace, 0 keeps none by sampling (slow and alert
-	// promotion still apply).
-	Sample int
-	// Ring is the trace ring capacity; 0 selects DefaultTraceRing.
-	Ring int
-	// SlowFactor promotes a span slower than SlowFactor times its stage
-	// EWMA; 0 selects the default (4x).
-	SlowFactor float64
-	// Now supplies span timestamps; nil selects the wall clock.
-	Now func() time.Time
-}
-
 // Tracer records per-transaction span trees. One tracer is shared by
 // every pipeline component of a serving instance (engine shards, proxy,
 // parsers); Stage interning and ring commits are locked, span recording
 // is not.
 type Tracer struct {
-	reg        *Registry
-	sample     uint64
-	slowFactor float64
+	reg    *Registry
+	sample uint64
 	// base is the instant the tracer was built; every span stamp is a
 	// monotonic offset from it (one cheap monotonic read per boundary),
 	// and wall-clock trace starts are reconstructed as base+offset only
 	// when a trace is actually committed.
-	base  time.Time
-	since func() time.Duration
+	base time.Time
 
 	// txs counts every Begin; it is both the sampling phase and the
 	// trace-id source, so ids are unique and dense per tracer.
@@ -249,51 +199,29 @@ type Tracer struct {
 
 	recorded  *Counter
 	sampled   *Counter
-	slowKept  *Counter
 	alertKept *Counter
 	spanDrops *Counter
 }
 
-// NewTracer builds a tracer whose per-stage histograms register on reg
+// NewTracer builds a tracer that keeps every sample-th transaction's
+// span tree (1 keeps every tree, 0 keeps none by sampling) plus every
+// alert-raising transaction's. Its per-stage histograms register on reg
 // (dynaminer_stage_<stage>_seconds families); a nil reg gets a private
 // registry, which keeps the tracer functional but unexported.
-func NewTracer(reg *Registry, cfg TraceConfig) *Tracer {
+func NewTracer(reg *Registry, sample int) *Tracer {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	ring := cfg.Ring
-	if ring <= 0 {
-		ring = DefaultTraceRing
-	}
-	sf := cfg.SlowFactor
-	if sf <= 0 {
-		sf = defaultSlowFactor
-	}
-	var base time.Time
-	var since func() time.Duration
-	if cfg.Now == nil {
-		base = defaultClock()
-		// The production clock: base carries a monotonic reading, so
-		// monoSince resolves to one monotonic-clock read per stamp.
-		since = func() time.Duration { return monoSince(base) }
-	} else {
-		now := cfg.Now
-		base = now()
-		since = func() time.Duration { return now().Sub(base) }
-	}
 	t := &Tracer{
-		reg:        reg,
-		sample:     uint64(max(cfg.Sample, 0)),
-		slowFactor: sf,
-		base:       base,
-		since:      since,
-		byName:     make(map[string]StageID),
-		ring:       make([]traceSlot, ring),
-		recorded:   reg.Counter("dynaminer_trace_recorded_total", "span trees committed to the trace ring (sampled, slow-promoted, or alerting)"),
-		sampled:    reg.Counter("dynaminer_trace_sampled_total", "span trees kept by head-based every-Nth sampling"),
-		slowKept:   reg.Counter("dynaminer_trace_slow_total", "span trees promoted because a stage exceeded its EWMA slow threshold"),
-		alertKept:  reg.Counter("dynaminer_trace_alerts_total", "span trees promoted because the transaction raised an alert"),
-		spanDrops:  reg.Counter("dynaminer_trace_span_drops_total", "spans dropped because a trace exceeded its fixed span capacity"),
+		reg:       reg,
+		sample:    uint64(max(sample, 0)),
+		base:      defaultClock(),
+		byName:    make(map[string]StageID),
+		ring:      make([]traceSlot, traceRing),
+		recorded:  reg.Counter("dynaminer_trace_recorded_total", "span trees committed to the trace ring (sampled or alerting)"),
+		sampled:   reg.Counter("dynaminer_trace_sampled_total", "span trees kept by head-based every-Nth sampling"),
+		alertKept: reg.Counter("dynaminer_trace_alerts_total", "span trees kept because the transaction raised an alert"),
+		spanDrops: reg.Counter("dynaminer_trace_span_drops_total", "spans dropped because a trace exceeded its fixed span capacity"),
 	}
 	empty := make([]*stageInfo, 0, 16)
 	t.stages.Store(&empty)
@@ -301,13 +229,12 @@ func NewTracer(reg *Registry, cfg TraceConfig) *Tracer {
 	return t
 }
 
-// Sample returns the configured every-Nth sampling interval.
-func (t *Tracer) Sample() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.sample)
-}
+// since reads the monotonic offset of now from the tracer's base: the
+// production base carries a monotonic reading, so this is one
+// monotonic-clock read.
+//
+//dynalint:hotpath
+func (t *Tracer) since() time.Duration { return monoSince(t.base) }
 
 // Stage interns a span name, registering its latency histogram
 // (dynaminer_stage_<name>_seconds with dots folded to underscores) on
@@ -337,35 +264,9 @@ func (t *Tracer) Stage(name string) StageID {
 	return id
 }
 
-// StageName resolves an interned StageID back to its dotted name.
-func (t *Tracer) StageName(id StageID) string {
-	if t == nil {
-		return ""
-	}
-	stages := *t.stages.Load()
-	if int(id) < 0 || int(id) >= len(stages) {
-		return ""
-	}
-	return stages[id].name
-}
-
-// StageEWMA returns a stage's current EWMA latency in seconds (0 until
-// the first observation).
-func (t *Tracer) StageEWMA(id StageID) float64 {
-	if t == nil {
-		return 0
-	}
-	stages := *t.stages.Load()
-	if int(id) < 0 || int(id) >= len(stages) {
-		return 0
-	}
-	return math.Float64frombits(stages[id].ewma.Load())
-}
-
 // ObserveStage records a stage latency outside any span tree — the hook
-// batch-shaped pipeline components (pcap reassembly, httpstream parse)
-// use to feed the per-stage histograms and EWMAs without carrying an
-// ActiveTrace.
+// pcap reassembler, a batch-shaped pipeline component, uses to feed its
+// stage histogram without carrying an ActiveTrace.
 //
 //dynalint:hotpath
 func (t *Tracer) ObserveStage(id StageID, seconds float64) {
@@ -377,7 +278,6 @@ func (t *Tracer) ObserveStage(id StageID, seconds float64) {
 		return
 	}
 	stages[id].hist.Observe(seconds)
-	stages[id].updateEWMA(seconds, t.slowFactor)
 }
 
 // ActiveTrace is one transaction's in-progress span tree. It is owned by
@@ -391,7 +291,6 @@ type ActiveTrace struct {
 	// materialized when the trace commits.
 	startMono time.Duration
 	sampled   bool
-	slow      bool
 	alert     bool
 	dropped   int32
 	n         int
@@ -451,7 +350,6 @@ func (t *Tracer) BeginIn(at *ActiveTrace) *ActiveTrace {
 	at.id = n
 	at.startMono = t.since()
 	at.sampled = t.sample > 0 && n%t.sample == 0
-	at.slow = false
 	at.alert = false
 	at.dropped = 0
 	at.n = 0
@@ -460,9 +358,8 @@ func (t *Tracer) BeginIn(at *ActiveTrace) *ActiveTrace {
 }
 
 // Finish closes any spans a panic unwound past, commits the tree to the
-// ring when it is kept (sampled, slow-promoted, or alerting), and
-// returns the recorder to the pool. The ActiveTrace must not be used
-// afterwards.
+// ring when it is kept (sampled or alerting), and returns the recorder to
+// the pool. The ActiveTrace must not be used afterwards.
 //
 //dynalint:hotpath
 func (t *Tracer) Finish(at *ActiveTrace) {
@@ -489,7 +386,7 @@ func (t *Tracer) FinishIn(at *ActiveTrace) {
 			at.closeSpan(int(at.open[at.openN]), end)
 		}
 	}
-	if at.sampled || at.slow || at.alert {
+	if at.sampled || at.alert {
 		t.commit(at)
 	}
 }
@@ -502,15 +399,12 @@ func (t *Tracer) commit(at *ActiveTrace) {
 	r := &slot.rec
 	r.id, r.start = at.id, t.base.Add(at.startMono)
 	r.n, r.dropped = at.n, at.dropped
-	r.sampled, r.slow, r.alert = at.sampled, at.slow, at.alert
+	r.sampled, r.alert = at.sampled, at.alert
 	r.spans = at.spans
 	slot.mu.Unlock()
 	t.recorded.Inc()
 	if at.sampled {
 		t.sampled.Inc()
-	}
-	if at.slow {
-		t.slowKept.Inc()
 	}
 	if at.alert {
 		t.alertKept.Inc()
@@ -582,10 +476,10 @@ func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 	return idx
 }
 
-// EndSpan closes the span at idx, observing its stage histogram and
-// EWMA; children left open (a panic unwound past their EndSpan) close at
-// the same instant. Closing an already-closed or invalid index is a
-// no-op.
+// EndSpan closes the span at idx, observing its stage histogram when the
+// trace is sampled; children left open (a panic unwound past their
+// EndSpan) close at the same instant. Closing an already-closed or
+// invalid index is a no-op.
 //
 //dynalint:hotpath
 func (a *ActiveTrace) EndSpan(idx int) {
@@ -621,10 +515,9 @@ func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
 }
 
 // closeSpan finalizes one open span at the given end offset. The stage
-// EWMA folds in every closed span — slow promotion is never blind — but
-// the registry histogram observes only head-sampled traces, keeping the
-// exported distribution an unbiased every-Nth view at a fraction of the
-// atomic traffic.
+// histogram observes only head-sampled traces, keeping the exported
+// distribution an unbiased every-Nth view at a fraction of the atomic
+// traffic.
 //
 //dynalint:hotpath
 func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
@@ -637,18 +530,14 @@ func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 		d = 0
 	}
 	sp.Dur = d
+	if !a.sampled {
+		return
+	}
 	stages := *a.t.stages.Load()
 	if int(sp.Stage) < 0 || int(sp.Stage) >= len(stages) {
 		return
 	}
-	si := stages[sp.Stage]
-	secs := d.Seconds()
-	if a.sampled {
-		si.hist.Observe(secs)
-	}
-	if si.updateEWMA(secs, a.t.slowFactor) {
-		a.slow = true
-	}
+	stages[sp.Stage].hist.Observe(d.Seconds())
 }
 
 // Annotate ORs flags onto the span at idx.
@@ -672,7 +561,7 @@ func (a *ActiveTrace) SetArg(idx int, arg int32) {
 	a.spans[idx].Arg = arg
 }
 
-// MarkAlert promotes this trace to always-keep (an alert-raising
+// MarkAlert keeps this trace whatever the sampling (an alert-raising
 // transaction) and flags its root span.
 //
 //dynalint:hotpath
@@ -701,7 +590,6 @@ type TraceSnapshot struct {
 	ID           uint64      `json:"trace_id"`
 	Start        time.Time   `json:"start"`
 	Sampled      bool        `json:"sampled,omitempty"`
-	Slow         bool        `json:"slow,omitempty"`
 	Alert        bool        `json:"alert,omitempty"`
 	DroppedSpans int         `json:"dropped_spans,omitempty"`
 	Spans        []TraceSpan `json:"spans"`
@@ -713,7 +601,6 @@ func snapshotRecord(r *traceRecord, stages []*stageInfo) TraceSnapshot {
 		ID:           r.id,
 		Start:        r.start,
 		Sampled:      r.sampled,
-		Slow:         r.slow,
 		Alert:        r.alert,
 		DroppedSpans: int(r.dropped),
 		Spans:        make([]TraceSpan, 0, r.n),
@@ -833,109 +720,16 @@ func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 	return enc.Encode(file)
 }
 
-// WriteFlameSummary renders a human-readable breakdown: a per-stage
-// aggregate table over every kept trace, then the slowest kept tree
-// rendered as an indented flame.
-func (t *Tracer) WriteFlameSummary(w io.Writer) error {
-	snaps := t.Snapshots()
-	type agg struct {
-		name  string
-		count int
-		total float64 // µs
-		max   float64 // µs
-	}
-	byStage := map[string]*agg{}
-	var rootTotal float64
-	slowest := -1
-	var slowestRoot float64
-	for i, tr := range snaps {
-		for j, sp := range tr.Spans {
-			a := byStage[sp.Stage]
-			if a == nil {
-				a = &agg{name: sp.Stage}
-				byStage[sp.Stage] = a
-			}
-			a.count++
-			a.total += sp.Dur
-			if sp.Dur > a.max {
-				a.max = sp.Dur
-			}
-			if j == 0 {
-				rootTotal += sp.Dur
-				if sp.Dur > slowestRoot {
-					slowestRoot, slowest = sp.Dur, i
-				}
-			}
-		}
-	}
-	if _, err := fmt.Fprintf(w, "traces kept: %d (ring %d)  span trees export at /trace as chrome://tracing JSON\n",
-		len(snaps), len(t.ring)); err != nil {
-		return err
-	}
-	if len(snaps) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(byStage))
-	for n := range byStage {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return byStage[names[i]].total > byStage[names[j]].total })
-	fmt.Fprintf(w, "%-28s %8s %12s %12s %12s %7s\n", "stage", "count", "total_ms", "mean_us", "max_us", "%root")
-	for _, n := range names {
-		a := byStage[n]
-		pct := 0.0
-		if rootTotal > 0 {
-			pct = 100 * a.total / rootTotal
-		}
-		fmt.Fprintf(w, "%-28s %8d %12.3f %12.1f %12.1f %6.1f%%\n",
-			a.name, a.count, a.total/1e3, a.total/float64(a.count), a.max, pct)
-	}
-	if slowest >= 0 {
-		tr := snaps[slowest]
-		fmt.Fprintf(w, "\nslowest trace %d (%.1fus", tr.ID, slowestRoot)
-		if tr.Alert {
-			fmt.Fprint(w, ", alert")
-		}
-		if tr.Slow {
-			fmt.Fprint(w, ", slow-promoted")
-		}
-		fmt.Fprintln(w, "):")
-		writeSpanTree(w, tr.Spans, -1, 1)
-	}
-	return nil
-}
-
-// writeSpanTree renders the children of parent as an indented flame.
-func writeSpanTree(w io.Writer, spans []TraceSpan, parent, depth int) {
-	for i, sp := range spans {
-		if sp.Parent != parent {
-			continue
-		}
-		line := strings.Repeat("  ", depth) + sp.Stage
-		fmt.Fprintf(w, "%-30s %10.1fus", line, sp.Dur)
-		if sp.Flags != "" {
-			fmt.Fprintf(w, "  [%s]", sp.Flags)
-		}
-		if sp.Arg != 0 {
-			fmt.Fprintf(w, "  arg=%d", sp.Arg)
-		}
-		fmt.Fprintln(w)
-		writeSpanTree(w, spans, i, depth+1)
-	}
-}
-
-// TraceHandler serves a tracer over HTTP: Chrome trace-event JSON by
-// default, ?format=flame for the human-readable summary, ?id=N to
-// resolve one AlertRecord.TraceID to its span tree. Mounted as the
-// /trace admin endpoint.
+// TraceHandler serves a tracer over HTTP: the ring as Chrome trace-event
+// JSON, or with ?id=N the one span tree an AlertRecord.TraceID names.
+// Mounted as the /trace admin endpoint.
 func TraceHandler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {
 			http.Error(w, "tracing disabled", http.StatusNotFound)
 			return
 		}
-		q := r.URL.Query()
-		if idStr := q.Get("id"); idStr != "" {
+		if idStr := r.URL.Query().Get("id"); idStr != "" {
 			id, err := strconv.ParseUint(idStr, 10, 64)
 			if err != nil {
 				http.Error(w, "bad trace id", http.StatusBadRequest)
@@ -952,15 +746,7 @@ func TraceHandler(t *Tracer) http.Handler {
 			_ = enc.Encode(snap)
 			return
 		}
-		switch q.Get("format") {
-		case "flame":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = t.WriteFlameSummary(w)
-		case "", "chrome", "json":
-			w.Header().Set("Content-Type", "application/json")
-			_ = t.WriteTraceEvents(w)
-		default:
-			http.Error(w, "unknown format (want chrome or flame)", http.StatusBadRequest)
-		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = t.WriteTraceEvents(w)
 	})
 }

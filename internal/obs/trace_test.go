@@ -1,8 +1,8 @@
 package obs
 
 // Tracing-layer tests: the zero-alloc pin for the sampled-out hot path,
-// head sampling, slow/alert promotion, ring eviction, and the three
-// export surfaces (Chrome trace-event JSON, flame summary, /trace).
+// head sampling, alert promotion, ring eviction, and the two export
+// surfaces (Chrome trace-event JSON, /trace).
 
 import (
 	"bytes"
@@ -13,16 +13,21 @@ import (
 	"time"
 )
 
-// fakeTraceClock is a deterministic manual clock for span timing tests:
-// EWMA promotion only behaves predictably when durations are chosen, not
-// measured.
+// fakeTraceClock is a deterministic manual clock for span timing tests,
+// installed as the package's defaultClock and monoSince until the test
+// ends; a tracer built afterwards stamps its spans with it. Tests that
+// install it must not run in parallel.
 type fakeTraceClock struct{ at time.Time }
 
-func newFakeTraceClock() *fakeTraceClock {
-	return &fakeTraceClock{at: time.Unix(1700000000, 0)}
+func newFakeTraceClock(t *testing.T) *fakeTraceClock {
+	c := &fakeTraceClock{at: time.Unix(1700000000, 0)}
+	clock, since := defaultClock, monoSince
+	defaultClock = func() time.Time { return c.at }
+	monoSince = func(base time.Time) time.Duration { return c.at.Sub(base) }
+	t.Cleanup(func() { defaultClock, monoSince = clock, since })
+	return c
 }
 
-func (c *fakeTraceClock) now() time.Time          { return c.at }
 func (c *fakeTraceClock) advance(d time.Duration) { c.at = c.at.Add(d) }
 func (c *fakeTraceClock) spanOf(s StageID, at *ActiveTrace, d time.Duration) {
 	i := at.StartSpan(s)
@@ -32,11 +37,8 @@ func (c *fakeTraceClock) spanOf(s StageID, at *ActiveTrace, d time.Duration) {
 
 // TestTraceHotPathAllocs is the tentpole perf pin: a sampled-out
 // transaction (Begin, a nested span pair, Finish) must not allocate.
-// The clock is frozen so zero-duration spans can never trip the EWMA
-// slow promotion into a (still alloc-free, but different) commit path.
 func TestTraceHotPathAllocs(t *testing.T) {
-	frozen := time.Unix(1700000000, 0)
-	tr := NewTracer(nil, TraceConfig{Sample: 1 << 40, Now: func() time.Time { return frozen }})
+	tr := NewTracer(nil, 1<<40)
 	root := tr.Stage("test.root")
 	child := tr.Stage("test.child")
 	allocs := testing.AllocsPerRun(200, func() {
@@ -89,8 +91,8 @@ func TestTraceNilSafety(t *testing.T) {
 // ids are dense from 1, and the sampled counter agrees.
 func TestTraceHeadSampling(t *testing.T) {
 	reg := NewRegistry()
-	clock := newFakeTraceClock()
-	tr := NewTracer(reg, TraceConfig{Sample: 4, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(reg, 4)
 	st := tr.Stage("test.stage")
 	for i := 0; i < 10; i++ {
 		at := tr.Begin()
@@ -104,7 +106,7 @@ func TestTraceHeadSampling(t *testing.T) {
 	if snaps[0].ID != 4 || snaps[1].ID != 8 {
 		t.Fatalf("kept trace ids %d,%d; want 4,8 (every 4th, ids dense from 1)", snaps[0].ID, snaps[1].ID)
 	}
-	if !snaps[0].Sampled || snaps[0].Slow || snaps[0].Alert {
+	if !snaps[0].Sampled || snaps[0].Alert {
 		t.Fatalf("kept trace promotion bits wrong: %+v", snaps[0])
 	}
 	if got := reg.CounterValue("dynaminer_trace_sampled_total"); got != 2 {
@@ -115,51 +117,12 @@ func TestTraceHeadSampling(t *testing.T) {
 	}
 }
 
-// TestTraceSlowPromotion: with sampling off, a span far above its warmed
-// stage EWMA promotes its whole trace into the ring.
-func TestTraceSlowPromotion(t *testing.T) {
-	reg := NewRegistry()
-	clock := newFakeTraceClock()
-	tr := NewTracer(reg, TraceConfig{Sample: 0, Now: clock.now})
-	st := tr.Stage("test.stage")
-
-	// Warm the EWMA: steady 1ms spans. The first observation seeds the
-	// average without promoting; none of these may be kept.
-	for i := 0; i < 8; i++ {
-		at := tr.Begin()
-		clock.spanOf(st, at, time.Millisecond)
-		tr.Finish(at)
-	}
-	if got := len(tr.Snapshots()); got != 0 {
-		t.Fatalf("steady-state spans kept %d traces, want 0", got)
-	}
-	ewma := tr.StageEWMA(st)
-	if ewma <= 0 || ewma > 0.002 {
-		t.Fatalf("stage EWMA = %v after 1ms spans, want ~0.001", ewma)
-	}
-
-	// One 100ms span: >4x the ~1ms EWMA, so the trace is slow-promoted.
-	at := tr.Begin()
-	clock.spanOf(st, at, 100*time.Millisecond)
-	tr.Finish(at)
-	snaps := tr.Snapshots()
-	if len(snaps) != 1 {
-		t.Fatalf("slow span kept %d traces, want 1", len(snaps))
-	}
-	if !snaps[0].Slow || snaps[0].Sampled || snaps[0].Alert {
-		t.Fatalf("slow trace promotion bits wrong: %+v", snaps[0])
-	}
-	if got := reg.CounterValue("dynaminer_trace_slow_total"); got != 1 {
-		t.Fatalf("slow counter = %v, want 1", got)
-	}
-}
-
 // TestTraceAlertPromotion: MarkAlert always keeps the trace and flags its
 // root span, regardless of sampling.
 func TestTraceAlertPromotion(t *testing.T) {
 	reg := NewRegistry()
-	clock := newFakeTraceClock()
-	tr := NewTracer(reg, TraceConfig{Sample: 0, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(reg, 0)
 	st := tr.Stage("test.stage")
 	at := tr.Begin()
 	id := at.ID()
@@ -187,28 +150,29 @@ func TestTraceAlertPromotion(t *testing.T) {
 // TestTraceRingEviction: committing more traces than the ring holds
 // evicts oldest-first, and evicted ids stop resolving.
 func TestTraceRingEviction(t *testing.T) {
-	clock := newFakeTraceClock()
-	tr := NewTracer(nil, TraceConfig{Sample: 1, Ring: 4, Now: clock.now})
+	const extra = 6
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(nil, 1)
 	st := tr.Stage("test.stage")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < traceRing+extra; i++ {
 		at := tr.Begin()
 		clock.spanOf(st, at, time.Millisecond)
 		tr.Finish(at)
 	}
 	snaps := tr.Snapshots()
-	if len(snaps) != 4 {
-		t.Fatalf("ring of 4 holds %d traces", len(snaps))
+	if len(snaps) != traceRing {
+		t.Fatalf("ring of %d holds %d traces", traceRing, len(snaps))
 	}
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if snaps[i].ID != want {
-			t.Fatalf("ring keeps ids %v, want the newest 7..10", snaps)
+	for i, snap := range snaps {
+		if want := uint64(extra + 1 + i); snap.ID != want {
+			t.Fatalf("ring slot %d holds trace %d, want %d: the newest %d, oldest first", i, snap.ID, want, traceRing)
 		}
 	}
-	if _, ok := tr.Find(3); ok {
-		t.Fatal("evicted trace 3 still resolvable")
+	if _, ok := tr.Find(extra); ok {
+		t.Fatalf("evicted trace %d still resolvable", extra)
 	}
-	if _, ok := tr.Find(10); !ok {
-		t.Fatal("newest trace 10 not resolvable")
+	if _, ok := tr.Find(traceRing + extra); !ok {
+		t.Fatalf("newest trace %d not resolvable", traceRing+extra)
 	}
 }
 
@@ -216,8 +180,8 @@ func TestTraceRingEviction(t *testing.T) {
 // open-span stack, child spans sit inside the root's interval, and spans
 // abandoned by a panic-style unwind are closed by Finish.
 func TestTraceSpanNesting(t *testing.T) {
-	clock := newFakeTraceClock()
-	tr := NewTracer(nil, TraceConfig{Sample: 1, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(nil, 1)
 	root := tr.Stage("test.root")
 	inner := tr.Stage("test.inner")
 	leaf := tr.Stage("test.leaf")
@@ -267,8 +231,8 @@ func TestTraceSpanNesting(t *testing.T) {
 // counted, and surfaced on the snapshot — never reallocated.
 func TestTraceSpanOverflow(t *testing.T) {
 	reg := NewRegistry()
-	clock := newFakeTraceClock()
-	tr := NewTracer(reg, TraceConfig{Sample: 1, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(reg, 1)
 	st := tr.Stage("test.stage")
 	at := tr.Begin()
 	for i := 0; i < maxTraceSpans+5; i++ {
@@ -292,13 +256,10 @@ func TestTraceSpanOverflow(t *testing.T) {
 // histogram name, and panics on names the dynalint analyzer would reject.
 func TestStageValidation(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, TraceConfig{})
+	tr := NewTracer(reg, 0)
 	a := tr.Stage("features.incremental")
 	if b := tr.Stage("features.incremental"); b != a {
 		t.Fatalf("re-interning returned %d, first intern %d", b, a)
-	}
-	if got := tr.StageName(a); got != "features.incremental" {
-		t.Fatalf("StageName = %q", got)
 	}
 	tr.ObserveStage(a, 0.001)
 	found := false
@@ -325,8 +286,8 @@ func TestStageValidation(t *testing.T) {
 // TestWriteTraceEvents checks the Chrome trace-event export: a valid JSON
 // object whose events carry microsecond timestamps on the trace's track.
 func TestWriteTraceEvents(t *testing.T) {
-	clock := newFakeTraceClock()
-	tr := NewTracer(nil, TraceConfig{Sample: 1, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(nil, 1)
 	root := tr.Stage("test.root")
 	child := tr.Stage("test.child")
 	at := tr.Begin()
@@ -368,11 +329,11 @@ func TestWriteTraceEvents(t *testing.T) {
 	}
 }
 
-// TestTraceHandler exercises the /trace endpoint formats: trace-event
-// JSON by default, flame text, id resolution, and the error statuses.
+// TestTraceHandler exercises the /trace endpoint: trace-event JSON, id
+// resolution, and the error statuses.
 func TestTraceHandler(t *testing.T) {
-	clock := newFakeTraceClock()
-	tr := NewTracer(nil, TraceConfig{Sample: 1, Now: clock.now})
+	clock := newFakeTraceClock(t)
+	tr := NewTracer(nil, 1)
 	st := tr.Stage("test.stage")
 	at := tr.Begin()
 	id := at.ID()
@@ -394,12 +355,6 @@ func TestTraceHandler(t *testing.T) {
 		t.Fatalf("/trace default = %d %q", w.Code, w.Body.String())
 	}
 
-	w = get("/trace?format=flame")
-	if w.Code != 200 || !strings.Contains(w.Body.String(), "traces kept: 1") ||
-		!strings.Contains(w.Body.String(), "test.stage") {
-		t.Fatalf("/trace?format=flame = %d %q", w.Code, w.Body.String())
-	}
-
 	w = get("/trace?id=" + itoa(id))
 	var snap TraceSnapshot
 	if w.Code != 200 || json.Unmarshal(w.Body.Bytes(), &snap) != nil || snap.ID != id {
@@ -411,9 +366,6 @@ func TestTraceHandler(t *testing.T) {
 	}
 	if w = get("/trace?id=notanumber"); w.Code != 400 {
 		t.Fatalf("/trace with junk id = %d", w.Code)
-	}
-	if w = get("/trace?format=weird"); w.Code != 400 {
-		t.Fatalf("/trace with junk format = %d", w.Code)
 	}
 
 	w = httptest.NewRecorder()

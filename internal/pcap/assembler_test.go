@@ -358,7 +358,8 @@ func TestReassembleStageCoversFeedAndClose(t *testing.T) {
 	tick := baseTime
 	traceClock = func() time.Time { tick = tick.Add(time.Millisecond); return tick } // every interval timed reads 1 ms
 	defer func() { traceClock = time.Now }()
-	tr := obs.NewTracer(nil, obs.TraceConfig{})
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(reg, 0)
 
 	pkts := convPackets(t, 40000, baseTime, "GET / HTTP/1.1\r\n\r\n", "HTTP/1.1 204 No Content\r\n\r\n")
 	a, out := collecting()
@@ -370,7 +371,13 @@ func TestReassembleStageCoversFeedAndClose(t *testing.T) {
 		t.Fatalf("streams = %d, want the conversation closed by its last packet", len(*out))
 	}
 	want := time.Duration(len(pkts)+1) * time.Millisecond
-	if got := tr.StageEWMA(tr.Stage("pcap.reassemble")); got != want.Seconds() {
+	var got float64
+	for _, s := range reg.Snapshot() {
+		if s.Name == "dynaminer_stage_pcap_reassemble_seconds" {
+			got = s.Sum
+		}
+	}
+	if got != want.Seconds() {
 		t.Fatalf("pcap.reassemble observed %v s for %d packets and one close, want %v s", got, len(pkts), want.Seconds())
 	}
 }

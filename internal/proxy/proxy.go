@@ -406,7 +406,7 @@ func (p *Proxy) roundTrip(out *http.Request, at *obs.ActiveTrace) (*http.Respons
 	for attempt := 0; ; attempt++ {
 		// One proxy.upstream span per attempt, the attempt number as its
 		// Arg; failed attempts are flagged SpanError, re-sent ones also
-		// SpanRetried — the flame view shows exactly where a slow exchange
+		// SpanRetried — the span tree shows exactly where a slow exchange
 		// spent its retry budget.
 		us := at.StartSpan(p.stg.upstream)
 		at.SetArg(us, int32(attempt))

@@ -33,15 +33,12 @@ type (
 	// readiness source for /healthz, and a tracer for /trace.
 	AdminOptions = obs.AdminOptions
 	// Tracer records per-transaction span trees across the wire path —
-	// reassembly, parse, feature extraction, scoring, journaling — into a
-	// fixed-size ring with head sampling plus always-keep promotion of
-	// slow and alert-raising transactions. See DESIGN.md §15.
+	// feature extraction, scoring, journaling — into a fixed-size ring,
+	// keeping every Nth transaction's tree and every alert-raising
+	// transaction's. See DESIGN.md §15.
 	Tracer = obs.Tracer
-	// TraceConfig tunes a Tracer: sampling period, ring size, slow-trace
-	// promotion factor.
-	TraceConfig = obs.TraceConfig
-	// TraceSnapshot is one exported trace: its ID, promotion reasons, and
-	// span tree.
+	// TraceSnapshot is one exported trace: its ID, why it was kept
+	// (sampled, alert), and its span tree.
 	TraceSnapshot = obs.TraceSnapshot
 	// HealthStatus is the /healthz readiness report: per-condition
 	// booleans plus the serving model generation.
@@ -65,16 +62,18 @@ func StartAdmin(addr string, reg *MetricsRegistry, opts AdminOptions) (*AdminSer
 	return obs.StartAdmin(addr, reg, opts)
 }
 
-// NewTracer returns a pipeline tracer registering its stage histograms
-// and self-telemetry on reg (nil selects a private registry). Pass it as
-// MonitorConfig.Tracer / ProxyConfig.Detector.Tracer; a Monitor's capture
-// path observes its pcap.reassemble and httpstream.parse stages.
-func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTracer(reg, cfg) }
+// NewTracer returns a pipeline tracer that keeps the span tree of every
+// sample-th transaction (0: none by sampling) and of every alert-raising
+// one, registering its stage histograms and self-telemetry on reg (nil
+// selects a private registry). Pass it as MonitorConfig.Tracer /
+// ProxyConfig.Detector.Tracer; a Monitor's capture path also observes
+// its pcap.reassemble stage.
+func NewTracer(reg *MetricsRegistry, sample int) *Tracer { return obs.NewTracer(reg, sample) }
 
 // TraceHandler serves a tracer's ring over HTTP: Chrome trace-event JSON
-// by default (load it in chrome://tracing or Perfetto), ?format=flame
-// for a human-readable summary, ?id=N for one trace. Monitor.StartAdmin
-// mounts it on /trace automatically when the monitor has a tracer.
+// (load it in chrome://tracing or Perfetto), or with ?id=N one trace.
+// Monitor.StartAdmin mounts it on /trace automatically when the monitor
+// has a tracer.
 func TraceHandler(t *Tracer) http.Handler { return obs.TraceHandler(t) }
 
 // StartRuntimeCollector publishes runtime health telemetry on reg,

@@ -12,7 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -24,9 +24,9 @@ import (
 func TestSeededRunAlertTraceLinkage(t *testing.T) {
 	eps, clf := obsFixture(t)
 	reg := NewMetricsRegistry()
-	// Promotion-only sampling: the ring holds alert traces alone, sized
-	// so no alert of the run is evicted.
-	tracer := NewTracer(reg, TraceConfig{Sample: 0, Ring: 4096})
+	// No sampling: the ring holds alert traces alone, and the run raises
+	// fewer alerts than the ring holds, so none is evicted.
+	tracer := NewTracer(reg, 0)
 	var buf bytes.Buffer
 	cfg := MonitorConfig{RedirectThreshold: 1, Shards: 2, Metrics: reg, Tracer: tracer}
 	cfg.Journal = obs.NewJournalWriter(&buf)
@@ -99,6 +99,10 @@ func TestSeededRunAlertTraceLinkage(t *testing.T) {
 	if got := int(reg.CounterValue("dynaminer_trace_alerts_total")); got != len(alerts) {
 		t.Fatalf("trace alert counter = %d, run raised %d alerts", got, len(alerts))
 	}
+	// Unsampled, a tree is kept for its alert and for nothing else.
+	if got := int(reg.CounterValue("dynaminer_trace_recorded_total")); got != len(alerts) {
+		t.Fatalf("tracer kept %d span trees, run raised %d alerts", got, len(alerts))
+	}
 	// Every pipeline stage histogram observed traffic during the run.
 	for _, h := range []string{
 		"dynaminer_stage_detector_process_seconds",
@@ -125,7 +129,7 @@ func TestSeededRunAlertTraceLinkage(t *testing.T) {
 func TestAdminSurfaceUnderConcurrentLoad(t *testing.T) {
 	eps, clf := obsFixture(t)
 	reg := NewMetricsRegistry()
-	tracer := NewTracer(reg, TraceConfig{Sample: 2})
+	tracer := NewTracer(reg, 2)
 	cfg := MonitorConfig{RedirectThreshold: 1, Shards: 2, Metrics: reg, Tracer: tracer}
 	m := NewMonitor(cfg, clf)
 	addr, err := m.StartAdmin("127.0.0.1:0")
@@ -187,14 +191,15 @@ func TestAdminSurfaceUnderConcurrentLoad(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	// The flame summary and id-resolution formats must also hold up
-	// after the run.
-	code, body, err := fetch("/trace?format=flame")
-	if err != nil || code != http.StatusOK || !strings.Contains(string(body), "traces kept:") {
-		t.Fatalf("/trace?format=flame = %d, %v\n%s", code, err, body)
-	}
+	// Id resolution must also hold up after the run.
 	snaps := tracer.Snapshots()
 	if len(snaps) == 0 {
 		t.Fatal("Sample=2 over the seeded run kept no traces")
+	}
+	last := snaps[len(snaps)-1].ID
+	code, body, err := fetch("/trace?id=" + strconv.FormatUint(last, 10))
+	var snap TraceSnapshot
+	if err != nil || code != http.StatusOK || json.Unmarshal(body, &snap) != nil || snap.ID != last {
+		t.Fatalf("/trace?id=%d = %d, %v\n%s", last, code, err, body)
 	}
 }
