@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"dynaminer/internal/httpstream"
@@ -114,9 +113,9 @@ func appendClusterState(dst []byte, c *cluster) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, pin.Gen)
 	dst = binary.LittleEndian.AppendUint32(dst, pin.CRC)
 	dst = appendTime(dst, c.lastActive)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.txs)))
-	for i := range c.txs {
-		dst = appendTx(dst, &c.txs[i])
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.hist)))
+	for i := range c.hist {
+		dst = appendTx(dst, &c.hist[i].tx)
 	}
 	return dst
 }
@@ -582,26 +581,13 @@ func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 // snapshot's irreproducible flags are applied afterwards. The caller
 // holds the shard lock.
 func (s *shardState) restoreCluster(cs *clusterSnapshot) {
-	c := &cluster{
-		id:       cs.id,
-		client:   cs.client,
-		hosts:    make(map[string]struct{}),
-		sessions: make(map[string]struct{}),
-		hostLast: make(map[string]time.Time),
-	}
-	s.clusters = append(s.clusters, c)
-	s.byClient[cs.client] = append(s.byClient[cs.client], c)
-	s.mx.clusters.Inc()
+	c := s.newCluster(cs.id, cs.client)
 
 	s.restoring = true
 	defer func() { s.restoring = false }()
 	for i := range cs.txs {
 		tx := cs.txs[i]
-		host := strings.ToLower(tx.Host)
-		if host == "" {
-			host = tx.ServerIP.String()
-		}
-		s.processInCluster(c, tx, host)
+		s.processInCluster(c, tx, keysOf(&tx, txHost(&tx)))
 	}
 
 	// Reconcile with the snapshot: a watch the original engine closed (a

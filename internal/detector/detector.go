@@ -171,10 +171,10 @@ type Alert struct {
 	// potential-infection WCG at alert time.
 	WCGOrder, WCGSize int
 
-	// txs and watch are the frozen view Graph builds from: the cluster's
-	// transaction history at alert time, shared with the cluster (which
-	// only ever appends to it), and a copy of the watch's indices into it.
-	txs   []httpstream.Transaction
+	// hist and watch are the frozen view Graph builds from: the cluster's
+	// history at alert time, shared with the cluster (which only ever
+	// appends to it), and a copy of the watch's indices into it.
+	hist  []entry
 	watch []int
 }
 
@@ -190,7 +190,7 @@ func (a Alert) Graph() *wcg.WCG {
 	}
 	subset := make([]httpstream.Transaction, len(a.watch))
 	for i, j := range a.watch {
-		subset[i] = a.txs[j]
+		subset[i] = a.hist[j].tx
 	}
 	return wcg.FromTransactions(subset)
 }
@@ -305,20 +305,45 @@ type txMeta struct {
 	payload   wcg.PayloadClass
 }
 
+// entry is one transaction of a cluster's history beside its linkage facts.
+type entry struct {
+	tx   httpstream.Transaction
+	meta txMeta
+}
+
+// hostSeen is what a cluster knows of one host: when it last served the
+// cluster, or served == false for a host seen only as a Referer.
+type hostSeen struct {
+	last   time.Time
+	served bool
+}
+
+// histCap is a new cluster's history capacity: most benign sessions run
+// to a dozen transactions, so two allocations cover them.
+const histCap = 8
+
+// txKeys are the header facts cluster routing and linkage read, taken
+// from a transaction once.
+type txKeys struct {
+	host string // lowercased Host, or the server address
+	ref  string // host of the Referer URL
+	sid  string // SessionID
+}
+
+// cluster is one session's state: the host table and session set that
+// route transactions to it, and its history.
 type cluster struct {
 	id         int
 	client     netip.Addr
-	txs        []httpstream.Transaction
-	metas      []txMeta
-	hosts      map[string]struct{}
-	sessions   map[string]struct{}
-	hostLast   map[string]time.Time
+	hist       []entry
+	hosts      map[string]hostSeen
+	sessions   map[string]struct{} // made on the first session ID
 	lastActive time.Time
 	redirects  int // running count of redirect evidence (sum-of-all rule)
 
 	watching  bool
 	alerted   bool
-	watch     []int // indices into txs forming the potential-infection WCG
+	watch     []int // indices into hist forming the potential-infection WCG
 	snapshot  []int // the watch set at the moment the clue fired
 	watchLast time.Time
 	related   map[string]struct{}
@@ -509,23 +534,35 @@ func (s *shardState) process(tx httpstream.Transaction) []Alert {
 	if s.txSeen%evictEvery == 0 {
 		s.evictIdle(tx.ReqTime.Add(-s.cfg.ClusterTTL))
 	}
-	host := strings.ToLower(tx.Host)
-	if host == "" {
-		host = tx.ServerIP.String()
-	}
+	host := txHost(&tx)
 	if s.trusted(host) {
 		s.mx.weeded.Inc()
 		return nil
 	}
-	c := s.clusterFor(&tx, host)
-	return s.processInCluster(c, tx, host)
+	k := keysOf(&tx, host)
+	return s.processInCluster(s.clusterFor(&tx, k), tx, k)
+}
+
+// txHost is the host a transaction is clustered under: its lowercased
+// Host header, or the server address when the request named none.
+func txHost(tx *httpstream.Transaction) string {
+	if tx.Host == "" {
+		return tx.ServerIP.String()
+	}
+	return strings.ToLower(tx.Host)
+}
+
+// keysOf reads the header facts routing and linkage need; host is
+// txHost(tx).
+func keysOf(tx *httpstream.Transaction, host string) txKeys {
+	return txKeys{host: host, ref: refererHost(tx), sid: tx.SessionID()}
 }
 
 // processInCluster runs the per-cluster pipeline under a panic guard:
 // a fault anywhere past cluster assignment discards the transaction's
 // alerts and advances the cluster on the quarantine ladder instead of
 // unwinding through the caller.
-func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, host string) (alerts []Alert) {
+func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k txKeys) (alerts []Alert) {
 	defer func() {
 		if r := recover(); r != nil {
 			alerts = nil
@@ -533,7 +570,7 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, hos
 			s.quarantine(c)
 		}
 	}()
-	if len(c.txs) >= s.cfg.MaxClusterTxs {
+	if len(c.hist) >= s.cfg.MaxClusterTxs {
 		// The session is still active even though its history is capped:
 		// keep lastActive fresh so TTL eviction does not destroy the
 		// cluster (and any watched WCG) mid-session, and make the drop
@@ -544,11 +581,10 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, hos
 		}
 		return nil
 	}
-	meta := c.buildMeta(&tx, host)
-	idx := len(c.txs)
-	c.txs = append(c.txs, tx)
-	c.metas = append(c.metas, meta)
-	c.noteActivity(&tx, meta)
+	meta := c.buildMeta(&tx, k)
+	idx := len(c.hist)
+	c.hist = append(c.hist, entry{tx: tx, meta: meta})
+	c.noteActivity(&tx, meta, k.sid)
 
 	// A watched WCG that stopped growing is closed; later clues in the
 	// same session open a fresh potential-infection WCG with fresh
@@ -684,29 +720,43 @@ func (s *shardState) quarantine(c *cluster) {
 
 // dropCluster removes one session cluster from the engine.
 func (s *shardState) dropCluster(target *cluster) {
+	s.removeClusters(func(c *cluster) bool { return c == target })
+}
+
+// removeClusters removes every cluster drop selects from the shard's
+// cluster list and its client index, keeps the watched gauge and the
+// eviction counter in step, and returns how many it removed.
+func (s *shardState) removeClusters(drop func(*cluster) bool) int {
 	kept := s.clusters[:0]
 	for _, c := range s.clusters {
-		if c != target {
+		if !drop(c) {
 			kept = append(kept, c)
+			continue
+		}
+		if c.watching {
+			s.mx.watched.Dec()
+		}
+		list := s.byClient[c.client]
+		keptList := list[:0]
+		for _, o := range list {
+			if o != c {
+				keptList = append(keptList, o)
+			}
+		}
+		if len(keptList) == 0 {
+			delete(s.byClient, c.client)
+		} else {
+			s.byClient[c.client] = keptList
 		}
 	}
+	removed := len(s.clusters) - len(kept)
+	if removed == 0 {
+		return 0
+	}
+	clear(s.clusters[len(kept):]) // let the removed clusters be collected
 	s.clusters = kept
-	list := s.byClient[target.client]
-	keptList := list[:0]
-	for _, c := range list {
-		if c != target {
-			keptList = append(keptList, c)
-		}
-	}
-	if len(keptList) == 0 {
-		delete(s.byClient, target.client)
-	} else {
-		s.byClient[target.client] = keptList
-	}
-	if target.watching {
-		s.mx.watched.Dec()
-	}
-	s.mx.evicted.Inc()
+	s.mx.evicted.Add(int64(removed))
+	return removed
 }
 
 // classify scores the cluster's potential-infection WCG and emits an
@@ -783,7 +833,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		fs = at.StartSpan(s.stg.featRebuild)
 		s.subset = s.subset[:0]
 		for _, i := range c.watch {
-			s.subset = append(s.subset, c.txs[i])
+			s.subset = append(s.subset, c.hist[i].tx)
 		}
 		g = wcg.FromTransactions(s.subset)
 		s.rebuild.Reset(g, s.scratch)
@@ -830,7 +880,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		// First crossing on a non-download update (s.g. a C&C call-back):
 		// attribute the alert to the latest download in the WCG.
 		for i := len(c.watch) - 1; i >= 0; i-- {
-			if m := c.metas[c.watch[i]]; m.download {
+			if m := c.hist[c.watch[i]].meta; m.download {
 				trigger = m
 				break
 			}
@@ -839,9 +889,9 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	// Transactions that never got a response (s.g. upstream timeouts in
 	// extraction-only replays) carry a zero RespTime; fall back to the
 	// request time so alerts are always stamped.
-	when := c.txs[idx].RespTime
+	when := c.hist[idx].tx.RespTime
 	if when.IsZero() {
-		when = c.txs[idx].ReqTime
+		when = c.hist[idx].tx.ReqTime
 	}
 	// The alert's frozen view: the history prefix is shared, since the
 	// cluster only appends past it, and the watch indices are copied,
@@ -855,7 +905,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		TriggerPayload: trigger.payload,
 		WCGOrder:       g.Order(),
 		WCGSize:        g.Size(),
-		txs:            c.txs[:len(c.txs):len(c.txs)],
+		hist:           c.hist[:len(c.hist):len(c.hist)],
 		watch:          append([]int(nil), c.watch...),
 	}
 	s.journalAlert(c, ref, &alert, g.StructVersion(), x, incremental)
@@ -945,7 +995,7 @@ func (s *shardState) incrementalVector(c *cluster, span int) ([]float64, bool) {
 		c.fed = 0
 	}
 	for _, i := range c.watch[c.fed:] {
-		if !c.ib.Append(c.txs[i]) {
+		if !c.ib.Append(c.hist[i].tx) {
 			// Out-of-order arrival voids the byte-identity contract with
 			// the batch builder: abandon the live graph and serve the rest
 			// of this watch from scratch.
@@ -999,7 +1049,7 @@ func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transa
 	collect := func(c *cluster, idxs []int) {
 		subset := make([]httpstream.Transaction, 0, len(idxs))
 		for _, i := range idxs {
-			subset = append(subset, c.txs[i])
+			subset = append(subset, c.hist[i].tx)
 		}
 		out = append(out, subset)
 	}
@@ -1020,17 +1070,17 @@ func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transa
 
 // buildMeta derives the linkage facts of a transaction against the
 // cluster's current state. Must run before noteActivity.
-func (c *cluster) buildMeta(tx *httpstream.Transaction, host string) txMeta {
+func (c *cluster) buildMeta(tx *httpstream.Transaction, k txKeys) txMeta {
 	m := txMeta{
-		host:    host,
-		refHost: refererHost(tx),
+		host:    k.host,
+		refHost: k.ref,
 		post:    tx.Method == "POST",
 		payload: wcg.ClassifyPayload(tx.URI, tx.ContentType),
 	}
 	if tx.IsRedirect() {
 		m.locHost = wcg.HostOfURL(tx.Location())
 		if m.locHost == "" {
-			m.locHost = host
+			m.locHost = k.host
 		}
 	}
 	if m.payload.CarriesRedirects() {
@@ -1042,27 +1092,32 @@ func (c *cluster) buildMeta(tx *httpstream.Transaction, host string) txMeta {
 	}
 	m.download = m.payload.IsExploitType() && tx.StatusCode >= 200 && tx.StatusCode < 300
 	if m.refHost != "" {
-		if last, ok := c.hostLast[m.refHost]; ok && tx.ReqTime.Sub(last) <= clickGap {
+		if h := c.hosts[m.refHost]; h.served && tx.ReqTime.Sub(h.last) <= clickGap {
 			m.refRecent = true
 		}
 	}
 	return m
 }
 
-// noteActivity updates the cluster's host and session bookkeeping.
-func (c *cluster) noteActivity(tx *httpstream.Transaction, m txMeta) {
-	c.hosts[m.host] = struct{}{}
+// noteActivity updates the cluster's host table and session set; sid is
+// the transaction's SessionID.
+func (c *cluster) noteActivity(tx *httpstream.Transaction, m txMeta, sid string) {
 	if m.refHost != "" {
-		c.hosts[m.refHost] = struct{}{}
-	}
-	if sid := tx.SessionID(); sid != "" {
-		c.sessions[sid] = struct{}{}
+		if _, ok := c.hosts[m.refHost]; !ok {
+			c.hosts[m.refHost] = hostSeen{}
+		}
 	}
 	ts := tx.RespTime
 	if ts.IsZero() {
 		ts = tx.ReqTime
 	}
-	c.hostLast[m.host] = ts
+	c.hosts[m.host] = hostSeen{last: ts, served: true}
+	if sid != "" {
+		if c.sessions == nil {
+			c.sessions = make(map[string]struct{})
+		}
+		c.sessions[sid] = struct{}{}
+	}
 	c.lastActive = tx.ReqTime
 }
 
@@ -1076,10 +1131,10 @@ func (c *cluster) buildPotentialWCG(trigger int, horizon time.Duration) {
 	c.related = make(map[string]struct{})
 	include := make([]bool, trigger+1)
 	include[trigger] = true
-	c.addRelated(c.metas[trigger])
-	oldest := c.txs[trigger].ReqTime.Add(-horizon)
+	c.addRelated(c.hist[trigger].meta)
+	oldest := c.hist[trigger].tx.ReqTime.Add(-horizon)
 	first := trigger
-	for first > 0 && !c.txs[first-1].ReqTime.Before(oldest) {
+	for first > 0 && !c.hist[first-1].tx.ReqTime.Before(oldest) {
 		first--
 	}
 	for changed := true; changed; {
@@ -1088,9 +1143,9 @@ func (c *cluster) buildPotentialWCG(trigger int, horizon time.Duration) {
 			if include[i] {
 				continue
 			}
-			if c.relatedTx(c.metas[i]) {
+			if m := c.hist[i].meta; c.relatedTx(m) {
 				include[i] = true
-				c.addRelated(c.metas[i])
+				c.addRelated(m)
 				changed = true
 			}
 		}
@@ -1151,7 +1206,7 @@ func (c *cluster) addRelated(m txMeta) {
 // include appends a related transaction to the watched WCG.
 func (c *cluster) include(idx int) {
 	c.watch = append(c.watch, idx)
-	c.addRelated(c.metas[idx])
+	c.addRelated(c.hist[idx].meta)
 }
 
 // closeWatch finalizes the current potential-infection WCG and returns the
@@ -1208,37 +1263,7 @@ func (s *shardState) watched() []WatchedWCG {
 // cutoff and returns how many were removed. process calls this every
 // evictEvery transactions with the configured TTL.
 func (s *shardState) evictIdle(cutoff time.Time) int {
-	evicted := 0
-	kept := s.clusters[:0]
-	for _, c := range s.clusters {
-		if c.lastActive.Before(cutoff) {
-			evicted++
-			if c.watching {
-				s.mx.watched.Dec()
-			}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	if evicted == 0 {
-		return 0
-	}
-	s.clusters = kept
-	for client, list := range s.byClient {
-		keptList := list[:0]
-		for _, c := range list {
-			if !c.lastActive.Before(cutoff) {
-				keptList = append(keptList, c)
-			}
-		}
-		if len(keptList) == 0 {
-			delete(s.byClient, client)
-			continue
-		}
-		s.byClient[client] = keptList
-	}
-	s.mx.evicted.Add(int64(evicted))
-	return evicted
+	return s.removeClusters(func(c *cluster) bool { return c.lastActive.Before(cutoff) })
 }
 
 func refererHost(tx *httpstream.Transaction) string {
@@ -1249,25 +1274,24 @@ func refererHost(tx *httpstream.Transaction) string {
 // first by session ID, then by referrer linkage to a cluster's known
 // hosts, then by recency within the session gap; otherwise a new cluster
 // is opened (Section V-B's grouping heuristic).
-func (s *shardState) clusterFor(tx *httpstream.Transaction, host string) *cluster {
+func (s *shardState) clusterFor(tx *httpstream.Transaction, k txKeys) *cluster {
 	clusters := s.byClient[tx.ClientIP]
 
-	if sid := tx.SessionID(); sid != "" {
+	if k.sid != "" {
 		for i := len(clusters) - 1; i >= 0; i-- {
-			if _, ok := clusters[i].sessions[sid]; ok {
+			if _, ok := clusters[i].sessions[k.sid]; ok {
 				return clusters[i]
 			}
 		}
 	}
-	ref := refererHost(tx)
 	for i := len(clusters) - 1; i >= 0; i-- {
 		c := clusters[i]
-		if ref != "" {
-			if _, ok := c.hosts[ref]; ok {
+		if k.ref != "" {
+			if _, ok := c.hosts[k.ref]; ok {
 				return c
 			}
 		}
-		if _, ok := c.hosts[host]; ok {
+		if _, ok := c.hosts[k.host]; ok {
 			return c
 		}
 	}
@@ -1277,15 +1301,20 @@ func (s *shardState) clusterFor(tx *httpstream.Transaction, host string) *cluste
 			return last
 		}
 	}
+	return s.newCluster(s.idBase+s.idStep*len(s.clusters), tx.ClientIP)
+}
+
+// newCluster opens an empty session cluster and registers it with the
+// shard.
+func (s *shardState) newCluster(id int, client netip.Addr) *cluster {
 	c := &cluster{
-		id:       s.idBase + s.idStep*len(s.clusters),
-		client:   tx.ClientIP,
-		hosts:    make(map[string]struct{}),
-		sessions: make(map[string]struct{}),
-		hostLast: make(map[string]time.Time),
+		id:     id,
+		client: client,
+		hist:   make([]entry, 0, histCap),
+		hosts:  make(map[string]hostSeen),
 	}
 	s.clusters = append(s.clusters, c)
-	s.byClient[tx.ClientIP] = append(clusters, c)
+	s.byClient[client] = append(s.byClient[client], c)
 	s.mx.clusters.Inc()
 	return c
 }

@@ -167,12 +167,105 @@ func TestSessionClusteringByCookie(t *testing.T) {
 	}
 }
 
+// TestSessionClusteringByReferer: past the session gap, a Referer naming
+// one of a cluster's hosts links a transaction to it, and so does a host it
+// already served. A cluster that never sees a cookie makes no session set.
 func TestSessionClusteringByReferer(t *testing.T) {
 	e := New(Config{Shards: 1}, constScorer(0))
 	e.Process(mkTx("first.com", "/", "GET", 200, "text/html", 10, "", 0))
 	e.Process(mkTx("second.com", "/p", "GET", 200, "text/html", 10, "http://first.com/", 10*time.Minute))
 	if e.Stats().Clusters != 1 {
 		t.Fatalf("clusters = %d, want 1 (referer links them)", e.Stats().Clusters)
+	}
+	e.Process(mkTx("first.com", "/q", "GET", 200, "text/html", 10, "", 20*time.Minute))
+	if e.Stats().Clusters != 1 {
+		t.Fatalf("clusters = %d, want 1 (the served host links them)", e.Stats().Clusters)
+	}
+	if c := e.shards[0].st.clusters[0]; c.sessions != nil || len(c.hist) != 3 {
+		t.Fatalf("cluster holds %d transactions and session set %v; want 3 and nil", len(c.hist), c.sessions)
+	}
+}
+
+// TestHostTableRefererOnlyHostNotRecent: refRecent needs a host that served
+// the cluster within clickGap. A host the cluster knows only from a Referer
+// header never sets it, however recently it was named; nor at the zero
+// time, where a served host does.
+func TestHostTableRefererOnlyHostNotRecent(t *testing.T) {
+	untimed := func(tx httpstream.Transaction) httpstream.Transaction {
+		tx.ReqTime, tx.RespTime = time.Time{}, time.Time{}
+		return tx
+	}
+	e := New(Config{Shards: 1}, constScorer(0))
+	for _, tx := range []httpstream.Transaction{
+		mkTx("a.com", "/", "GET", 200, "text/html", 10, "http://r.com/", 0),
+		mkTx("b.com", "/", "GET", 200, "text/html", 10, "http://r.com/", 100*time.Millisecond),
+		mkTx("c.com", "/", "GET", 200, "text/html", 10, "http://a.com/", 200*time.Millisecond),
+		mkTx("d.com", "/", "GET", 200, "text/html", 10, "http://a.com/", 5*time.Second),
+		untimed(mkTx("e.com", "/", "GET", 200, "text/html", 10, "http://r.com/", 0)),
+		untimed(mkTx("f.com", "/", "GET", 200, "text/html", 10, "", 0)),
+		untimed(mkTx("g.com", "/", "GET", 200, "text/html", 10, "http://f.com/", 0)),
+	} {
+		e.Process(tx)
+	}
+	if got := e.Stats().Clusters; got != 1 {
+		t.Fatalf("clusters = %d, want 1", got)
+	}
+	c := e.shards[0].st.clusters[0]
+	if h, ok := c.hosts["r.com"]; !ok || h.served {
+		t.Fatalf("r.com in the host table: %+v, %v; want present and not served", h, ok)
+	}
+	for i, want := range []bool{false, false, true, false, false, false, true} {
+		if m := c.hist[i].meta; m.refRecent != want {
+			t.Errorf("transaction %d (%s, Referer %s): refRecent = %v, want %v", i, m.host, m.refHost, m.refRecent, want)
+		}
+	}
+}
+
+// TestClusterBookkeepingAllocs pins what one benign session costs the
+// engine: a fresh engine fed a 12-transaction session with cookies and
+// referrers, less the engine alone. A cluster costs its struct, its host
+// table, one session set and its growing history.
+func TestClusterBookkeepingAllocs(t *testing.T) {
+	page := func(host, uri, ct, ref string, at time.Duration) httpstream.Transaction {
+		tx := mkTx(host, uri, "GET", 200, ct, 2000, ref, at)
+		tx.ReqHdr.Set("Cookie", "sid=5f2a; theme=dark")
+		return tx
+	}
+	home := mkTx("www.news.example", "/", "GET", 200, "text/html", 30000, "", 0)
+	home.RespHdr.Set("Set-Cookie", "sid=5f2a; Path=/")
+	const story = "http://www.news.example/story/7"
+	session := []httpstream.Transaction{
+		home,
+		page("static.news.example", "/site.css", "text/css", "http://www.news.example/", 80*time.Millisecond),
+		page("static.news.example", "/site.js", "application/javascript", "http://www.news.example/", 90*time.Millisecond),
+		page("img.cdn.example", "/logo.png", "image/png", "http://www.news.example/", 120*time.Millisecond),
+		page("www.news.example", "/story/7", "text/html", "http://www.news.example/", 9*time.Second),
+		page("static.news.example", "/story.css", "text/css", story, 9100*time.Millisecond),
+		page("img.cdn.example", "/7/hero.jpg", "image/jpeg", story, 9150*time.Millisecond),
+		page("img.cdn.example", "/7/inline.jpg", "image/jpeg", story, 9160*time.Millisecond),
+		page("ads.example", "/banner.js", "application/javascript", story, 9200*time.Millisecond),
+		page("ads.example", "/pixel.gif", "image/gif", "http://ads.example/banner.js", 9400*time.Millisecond),
+		page("www.news.example", "/comments/7", "text/html", story, 40*time.Second),
+		page("img.cdn.example", "/avatar.png", "image/png", "http://www.news.example/comments/7", 40100*time.Millisecond),
+	}
+	cfg := Config{Shards: 1}
+	feed := func() *Engine {
+		e := New(cfg, constScorer(0))
+		for _, tx := range session {
+			e.Process(tx)
+		}
+		return e
+	}
+	if st := feed().Stats(); st.Clusters != 1 || st.CluesFired != 0 {
+		t.Fatalf("the session opened %d clusters and fired %d clues; want 1 and 0", st.Clusters, st.CluesFired)
+	}
+	engine := testing.AllocsPerRun(20, func() { New(cfg, constScorer(0)) })
+	fed := testing.AllocsPerRun(20, func() { feed() })
+	const ceiling = 10
+	got := fed - engine
+	t.Logf("one %d-transaction session: %.0f allocations", len(session), got)
+	if got > ceiling {
+		t.Fatalf("one %d-transaction benign session allocates %.0f objects, want at most %d", len(session), got, ceiling)
 	}
 }
 
