@@ -269,6 +269,56 @@ func TestClusterBookkeepingAllocs(t *testing.T) {
 	}
 }
 
+// TestWatchedChainAllocs pins what the on-the-wire loop costs per
+// transaction on a watched client: a 3-hop redirect chain and an EXE
+// download that arm the watch, then 295 POST call-backs, every fourth to a
+// host not contacted before (78 hosts in all). Every call-back
+// re-classifies the growing watched WCG, and a quarter of them change its
+// topology. Each run feeds one more such client to the same engine, so the
+// shard's analytics workspace is warm, as it is once an engine has served
+// its first watched client.
+func TestWatchedChainAllocs(t *testing.T) {
+	const callbacks, runs = 295, 5
+	chain := func(client int) []httpstream.Transaction {
+		txs := infectionStream()
+		at := 600 * time.Millisecond
+		for k := 0; k < callbacks; k++ {
+			host := k / 4 // a fresh host on every fourth call-back
+			if k%4 != 0 {
+				host = k * 37 % (k/4 + 1)
+			}
+			txs = append(txs, mkTx(fmt.Sprintf("cb%d.example", host), "/gate.php", "POST", 200, "text/plain", 64, "", at))
+			at += 400 * time.Millisecond
+		}
+		for i := range txs {
+			txs[i].ClientIP = netip.AddrFrom4([4]byte{10, 1, 0, byte(client)})
+		}
+		return txs
+	}
+	clients := make([][]httpstream.Transaction, runs+2) // one to warm the engine, one for AllocsPerRun's own warm-up
+	for i := range clients {
+		clients[i] = chain(i)
+	}
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+	next := 0
+	feed := func() {
+		for _, tx := range clients[next] {
+			e.Process(tx)
+		}
+		next++
+	}
+	feed()
+	if st := e.Stats(); st.Clusters != 1 || st.Alerts != 1 || st.Classifications != callbacks+1 || st.Rebuilds != 0 {
+		t.Fatalf("one chain gave %+v; want one cluster, one alert, %d incremental classifications", st, callbacks+1)
+	}
+	const ceiling = 1.0
+	got := testing.AllocsPerRun(runs, feed) / float64(len(clients[0]))
+	t.Logf("one watched client, %d transactions: %.2f allocations per transaction", len(clients[0]), got)
+	if got > ceiling {
+		t.Fatalf("a watched chain allocates %.2f objects per transaction, want at most %.1f", got, ceiling)
+	}
+}
+
 func TestSessionGapOpensNewCluster(t *testing.T) {
 	e := New(Config{Shards: 1, SessionGap: time.Minute}, constScorer(0))
 	e.Process(mkTx("one.com", "/", "GET", 200, "text/html", 10, "", 0))

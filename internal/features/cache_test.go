@@ -40,10 +40,10 @@ func plainExtract(w *wcg.WCG) []float64 {
 	simple := make(map[[2]int]bool) // distinct directed pairs, no self-loops
 	for u := 0; u < n; u++ {
 		maxDegree = max(maxDegree, g.Degree(u))
-		for _, x := range g.OutNeighbors(u) {
-			if x != u {
-				simple[[2]int{u, x}] = true
-			}
+	}
+	for _, e := range w.Edges {
+		if e.From != e.To {
+			simple[[2]int{e.From, e.To}] = true
 		}
 	}
 	reciprocated := 0

@@ -7,9 +7,12 @@
 // rather than running their own, plus node connectivity, degree centrality,
 // clustering, neighbourhood statistics and PageRank — and the extended
 // A7 measures (extra.go) on the same cached projections and BFS. The
+// graph keeps its edge log, multigraph degrees and both simple
+// projections (as sorted pair sets) current as each edge arrives, so the
 // counting features (order, size, degree, density, volume, reciprocity)
-// are maintained by the WCG itself. Mean load centrality is not computed:
-// it equals mean betweenness on every graph, and f19 is served as f18.
+// read O(1) counters and the Scratch kernels lay out their adjacency
+// without sorting. Mean load centrality is not computed: it equals mean
+// betweenness on every graph, and f19 is served as f18.
 //
 // The semantics of every measure follow the NetworkX definitions that the
 // paper's feature names are drawn from: distance-based measures operate on
@@ -19,75 +22,110 @@
 // as the bit-for-bit test oracle in plain_ref_test.go.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
+
+// setCap is the capacity each sorted pair set starts at, so a small
+// graph's sets do not regrow on their first few pairs.
+const setCap = 16
 
 // Digraph is a directed multigraph over nodes 0..N-1. Parallel edges and
 // self-loops are permitted; most analytics project them away as documented
 // on each method. The zero value is an empty graph.
+//
+// The graph stores what its readers read and keeps it current as each
+// edge arrives: the edge log, every node's multigraph degree, and the
+// directed and undirected simple projections as sorted pair sets, from
+// which Scratch lays out its adjacency without sorting.
 type Digraph struct {
-	out [][]int // out[u] lists v for every edge u->v (with multiplicity)
-	in  [][]int // in[v] lists u for every edge u->v (with multiplicity)
-	m   int     // total number of edges including parallels
+	edges []uint64 // every edge u<<32|v, in insertion order
+	deg   []int    // multigraph degree (in + out) per node
+	dir   []uint64 // directed simple projection: sorted distinct u<<32|v, u != v
+	und   []uint64 // undirected simple projection: sorted distinct min<<32|max
+	recip int      // pairs in dir whose reverse pair is in dir too
 
-	// version counts mutations; Scratch uses it to invalidate cached
-	// projections of this graph.
+	// version counts changes to the simple projections; Scratch uses it
+	// to invalidate its cached adjacency of this graph.
 	version uint64
 }
 
-// Version returns the mutation counter, incremented by every AddNode and
-// AddEdge. Two calls observing the same version see the same topology.
+// Version counts changes to the simple projections: it moves on every
+// AddNode and on the first edge between an ordered pair of distinct
+// nodes, and stays put on parallel edges and self-loops. Two calls
+// observing the same version see the same simple projections.
 func (g *Digraph) Version() uint64 { return g.version }
 
 // New returns a Digraph with n isolated nodes.
 func New(n int) *Digraph {
-	return &Digraph{
-		out: make([][]int, n),
-		in:  make([][]int, n),
-	}
+	return &Digraph{deg: make([]int, n)}
 }
 
 // N returns the number of nodes (the graph order).
-func (g *Digraph) N() int { return len(g.out) }
+func (g *Digraph) N() int { return len(g.deg) }
 
 // M returns the number of edges including parallel edges (the graph size).
-func (g *Digraph) M() int { return g.m }
+func (g *Digraph) M() int { return len(g.edges) }
+
+// SimpleM returns the number of edges of the directed simple projection:
+// distinct ordered pairs, self-loops excluded.
+func (g *Digraph) SimpleM() int { return len(g.dir) }
+
+// Reciprocal returns how many edges of the directed simple projection
+// have their reverse edge in it too.
+func (g *Digraph) Reciprocal() int { return g.recip }
 
 // AddNode appends a new isolated node and returns its id.
 func (g *Digraph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	g.deg = append(g.deg, 0)
 	g.version++
-	return len(g.out) - 1
+	return len(g.deg) - 1
 }
 
 // AddEdge inserts a directed edge u->v. Parallel edges accumulate.
 func (g *Digraph) AddEdge(u, v int) error {
-	if u < 0 || u >= len(g.out) || v < 0 || v >= len(g.out) {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.out))
+	n := len(g.deg)
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
-	g.m++
+	p := pair(u, v)
+	g.edges = append(g.edges, p)
+	g.deg[u]++
+	g.deg[v]++
+	if u == v {
+		return nil
+	}
+	i, seen := slices.BinarySearch(g.dir, p)
+	if seen {
+		return nil
+	}
+	g.dir = insertPair(g.dir, i, p)
+	if _, rev := slices.BinarySearch(g.dir, pair(v, u)); rev {
+		g.recip += 2 // both directions just became reciprocal
+	} else {
+		// The first edge either way between u and v.
+		q := pair(min(u, v), max(u, v))
+		j, _ := slices.BinarySearch(g.und, q)
+		g.und = insertPair(g.und, j, q)
+	}
 	g.version++
 	return nil
 }
 
-// OutDegree returns the multigraph out-degree of u.
-func (g *Digraph) OutDegree(u int) int { return len(g.out[u]) }
+// pair packs an ordered node pair into one sortable key.
+func pair(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
 
-// InDegree returns the multigraph in-degree of u.
-func (g *Digraph) InDegree(u int) int { return len(g.in[u]) }
+// insertPair inserts p at index i of the sorted set s.
+func insertPair(s []uint64, i int, p uint64) []uint64 {
+	if s == nil {
+		s = make([]uint64, 0, setCap)
+	}
+	return slices.Insert(s, i, p)
+}
 
 // Degree returns the total multigraph degree (in + out) of u.
-func (g *Digraph) Degree(u int) int { return len(g.in[u]) + len(g.out[u]) }
-
-// OutNeighbors returns the multiset of successors of u. The returned slice
-// aliases internal storage and must not be modified.
-func (g *Digraph) OutNeighbors(u int) []int { return g.out[u] }
-
-// InNeighbors returns the multiset of predecessors of u. The returned slice
-// aliases internal storage and must not be modified.
-func (g *Digraph) InNeighbors(u int) []int { return g.in[u] }
+func (g *Digraph) Degree(u int) int { return g.deg[u] }
 
 // Mean is the arithmetic mean of xs, or zero when xs is empty.
 func Mean(xs []float64) float64 {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -111,8 +112,8 @@ func TestDegreesAndVolume(t *testing.T) {
 	_ = g.AddEdge(0, 1)
 	_ = g.AddEdge(0, 1) // parallel edge
 	_ = g.AddEdge(1, 2)
-	if g.OutDegree(0) != 2 || g.InDegree(1) != 2 || g.Degree(1) != 3 {
-		t.Fatalf("degrees wrong: out0=%d in1=%d deg1=%d", g.OutDegree(0), g.InDegree(1), g.Degree(1))
+	if out0 := len(g.outLists()[0]); out0 != 2 || g.Degree(1) != 3 {
+		t.Fatalf("degrees wrong: out0=%d deg1=%d", out0, g.Degree(1))
 	}
 	if g.Volume() != 6 {
 		t.Fatalf("volume = %d, want 6", g.Volume())
@@ -123,6 +124,129 @@ func TestDegreesAndVolume(t *testing.T) {
 	if g.MaxDegree() != 3 {
 		t.Fatalf("max degree = %d, want 3", g.MaxDegree())
 	}
+}
+
+// checkProjections holds the graph's maintained state to a recount from
+// its edge log: both sorted pair sets, SimpleM, Reciprocal and every
+// node's degree.
+func checkProjections(t *testing.T, g *Digraph) {
+	t.Helper()
+	deg := make([]int, g.N())
+	set := make(map[uint64]bool)
+	var dir, und []uint64
+	for _, p := range g.edges {
+		u, v := int(p>>32), int(p&0xffffffff)
+		deg[u]++
+		deg[v]++
+		if u != v {
+			set[p] = true
+			dir = append(dir, p)
+			und = append(und, pair(min(u, v), max(u, v)))
+		}
+	}
+	slices.Sort(dir)
+	dir = slices.Compact(dir)
+	slices.Sort(und)
+	und = slices.Compact(und)
+	if !slices.Equal(g.dir, dir) || g.SimpleM() != len(dir) {
+		t.Fatalf("directed set %x (SimpleM %d), edge log gives %x", g.dir, g.SimpleM(), dir)
+	}
+	if !slices.Equal(g.und, und) {
+		t.Fatalf("undirected set %x, edge log gives %x", g.und, und)
+	}
+	recip := 0
+	for p := range set {
+		if set[p<<32|p>>32] {
+			recip++
+		}
+	}
+	if g.Reciprocal() != recip {
+		t.Fatalf("Reciprocal() = %d, brute force gives %d", g.Reciprocal(), recip)
+	}
+	for u, d := range deg {
+		if g.Degree(u) != d {
+			t.Fatalf("Degree(%d) = %d, edge log gives %d", u, g.Degree(u), d)
+		}
+	}
+}
+
+// projectionTracker appends to a graph one step at a time, checking after
+// each step that the projections match the edge log and that Version
+// moved exactly on AddNode and on the first edge of an ordered pair.
+type projectionTracker struct {
+	g    *Digraph
+	seen map[uint64]bool // ordered pairs of distinct nodes added so far
+}
+
+func newProjectionTracker() *projectionTracker {
+	return &projectionTracker{g: New(0), seen: make(map[uint64]bool)}
+}
+
+func (tr *projectionTracker) addNode(t *testing.T) {
+	t.Helper()
+	v := tr.g.Version()
+	tr.g.AddNode()
+	if got := tr.g.Version(); got != v+1 {
+		t.Fatalf("AddNode moved Version %d -> %d", v, got)
+	}
+	checkProjections(t, tr.g)
+}
+
+func (tr *projectionTracker) addEdge(t *testing.T, u, v int) {
+	t.Helper()
+	want := tr.g.Version()
+	if err := tr.g.AddEdge(u, v); err != nil {
+		t.Fatal(err)
+	}
+	if p := pair(u, v); u != v && !tr.seen[p] {
+		tr.seen[p] = true
+		want++
+	}
+	if got := tr.g.Version(); got != want {
+		t.Fatalf("AddEdge(%d,%d) moved Version to %d, want %d", u, v, got, want)
+	}
+	checkProjections(t, tr.g)
+}
+
+// replay appends g's nodes, then g's edge log, one step at a time.
+func (tr *projectionTracker) replay(t *testing.T, g *Digraph) {
+	t.Helper()
+	for i := 0; i < g.N(); i++ {
+		tr.addNode(t)
+	}
+	for _, p := range g.edges {
+		tr.addEdge(t, int(p>>32), int(p&0xffffffff))
+	}
+}
+
+// TestSimpleProjectionTracksAppends holds the sorted pair sets the graph
+// keeps as edges arrive to a recount from the edge log after every step:
+// on seeded random AddNode/AddEdge sequences with parallel edges and
+// self-loops, and replayed on the watched chain client and the
+// 4 097-node star.
+func TestSimpleProjectionTracksAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 40; trial++ {
+		tr := newProjectionTracker()
+		tr.addNode(t)
+		for step := 0; step < 150; step++ {
+			n := tr.g.N()
+			switch r := rng.Intn(10); {
+			case r == 0:
+				tr.addNode(t)
+			case r == 1:
+				u := rng.Intn(n)
+				tr.addEdge(t, u, u) // self-loop
+			case r == 2 && tr.g.M() > 0:
+				p := tr.g.edges[rng.Intn(tr.g.M())]
+				tr.addEdge(t, int(p>>32), int(p&0xffffffff)) // parallel edge
+			default:
+				tr.addEdge(t, rng.Intn(n), rng.Intn(n))
+			}
+		}
+	}
+	newProjectionTracker().replay(t, chainClientGraph(79))
+	newProjectionTracker().replay(t, starGraph(4096))
 }
 
 func TestDensity(t *testing.T) {

@@ -10,13 +10,25 @@ import "sort"
 // exported so the external graph_test differential over synthetic WCGs
 // can use them too.
 
+// outLists re-derives the multiset successor lists from the edge log:
+// out[u] lists v for every edge u->v, in insertion order. The oracles
+// read it rather than the graph's maintained projections.
+func (g *Digraph) outLists() [][]int {
+	out := make([][]int, g.N())
+	for _, p := range g.edges {
+		u, v := int(p>>32), int(p&0xffffffff)
+		out[u] = append(out[u], v)
+	}
+	return out
+}
+
 // undirectedSimple returns, for each node, the sorted set of distinct
 // neighbors in the undirected simple projection (parallel edges collapsed,
 // self-loops removed).
 func (g *Digraph) undirectedSimple() [][]int {
-	n := len(g.out)
+	n := g.N()
 	adj := make([][]int, n)
-	seen := make(map[[2]int]struct{}, g.m)
+	seen := make(map[[2]int]struct{}, g.M())
 	add := func(u, v int) {
 		if u == v {
 			return
@@ -32,7 +44,7 @@ func (g *Digraph) undirectedSimple() [][]int {
 		adj[key[0]] = append(adj[key[0]], key[1])
 		adj[key[1]] = append(adj[key[1]], key[0])
 	}
-	for u, vs := range g.out {
+	for u, vs := range g.outLists() {
 		for _, v := range vs {
 			add(u, v)
 		}
@@ -46,9 +58,9 @@ func (g *Digraph) undirectedSimple() [][]int {
 // directedSimple returns, for each node, the sorted set of distinct
 // successors (parallel edges collapsed; self-loops removed).
 func (g *Digraph) directedSimple() [][]int {
-	n := len(g.out)
+	n := g.N()
 	adj := make([][]int, n)
-	for u, vs := range g.out {
+	for u, vs := range g.outLists() {
 		set := make(map[int]struct{}, len(vs))
 		for _, v := range vs {
 			if v != u {
@@ -67,7 +79,7 @@ func (g *Digraph) directedSimple() [][]int {
 // maximum possible: m_simple / (n*(n-1)). Zero for graphs with fewer than
 // two nodes.
 func (g *Digraph) Density() float64 {
-	n := len(g.out)
+	n := g.N()
 	if n < 2 {
 		return 0
 	}
@@ -79,14 +91,14 @@ func (g *Digraph) Density() float64 {
 }
 
 // Volume is the sum of multigraph degrees over all nodes (2·M).
-func (g *Digraph) Volume() int { return 2 * g.m }
+func (g *Digraph) Volume() int { return 2 * g.M() }
 
 // AvgInDegree is the mean multigraph in-degree (M/N).
 func (g *Digraph) AvgInDegree() float64 {
-	if len(g.out) == 0 {
+	if g.N() == 0 {
 		return 0
 	}
-	return float64(g.m) / float64(len(g.out))
+	return float64(g.M()) / float64(g.N())
 }
 
 // AvgOutDegree is the mean multigraph out-degree (M/N). It equals
@@ -97,7 +109,7 @@ func (g *Digraph) AvgOutDegree() float64 { return g.AvgInDegree() }
 // the empty graph.
 func (g *Digraph) MaxDegree() int {
 	best := 0
-	for u := range g.out {
+	for u := 0; u < g.N(); u++ {
 		if d := g.Degree(u); d > best {
 			best = d
 		}
@@ -530,7 +542,7 @@ func (g *Digraph) ConnectedComponents() [][]int {
 // IsConnected reports whether the undirected simple projection is a single
 // connected component. Graphs with fewer than two nodes are connected.
 func (g *Digraph) IsConnected() bool {
-	if len(g.out) < 2 {
+	if g.N() < 2 {
 		return true
 	}
 	return len(g.ConnectedComponents()) == 1

@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // Scratch is a reusable workspace for the graph analytics passes: the
 // simple-projection adjacency, the shortest-path sweep's BFS and
 // dependency buffers and its hub's kept run, and the max-flow arc lists
@@ -9,7 +7,7 @@ import "slices"
 // growing graph reaches a zero-allocation steady state
 // (TestScratchSteadyStateAllocs). A Scratch
 // may be moved between graphs; projections are keyed on the graph identity
-// and its mutation version and rebuilt only when stale.
+// and its version and laid out again only when stale.
 //
 // Functions that take a *Scratch parameter treat it as temporaries only:
 // they never return the scratch's slices, and results go into caller-owned
@@ -26,7 +24,6 @@ type Scratch struct {
 	dirG   *Digraph
 	dirV   uint64
 	dir    [][]int
-	pairs  []uint64
 	arenaU []int
 	arenaD []int
 	deg    []int
@@ -104,40 +101,25 @@ func (s *Scratch) sizeSweep(n int) {
 }
 
 // undirected returns the cached undirected simple projection of g
-// (parallel edges collapsed, self-loops removed), rebuilding it into
-// reused storage when the graph mutated. Adjacency lists are sorted
-// ascending.
+// (parallel edges collapsed, self-loops removed), laid out into reused
+// storage from the graph's sorted pair set when the graph's version
+// moved. Adjacency lists are sorted ascending.
 //
 //dynalint:hotpath
 func (s *Scratch) undirected(g *Digraph) [][]int {
 	if s.undG == g && s.undV == g.version {
 		return s.und
 	}
-	n := len(g.out)
-	s.pairs = s.pairs[:0]
-	for u, vs := range g.out {
-		for _, v := range vs {
-			if u == v {
-				continue
-			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			s.pairs = append(s.pairs, uint64(a)<<32|uint64(b))
-		}
-	}
-	slices.Sort(s.pairs)
-	s.pairs = slices.Compact(s.pairs)
+	n := g.N()
 	s.deg = growInts(s.deg, n)
 	for i := range s.deg {
 		s.deg[i] = 0
 	}
-	for _, p := range s.pairs {
+	for _, p := range g.und {
 		s.deg[int(p>>32)]++
 		s.deg[int(p&0xffffffff)]++
 	}
-	s.arenaU = growInts(s.arenaU, 2*len(s.pairs))
+	s.arenaU = growInts(s.arenaU, 2*len(g.und))
 	if cap(s.und) < n {
 		s.und = make([][]int, n)
 	}
@@ -150,7 +132,7 @@ func (s *Scratch) undirected(g *Digraph) [][]int {
 	// Pairs are sorted by (min,max), so each node receives its smaller
 	// neighbors (ascending) before its larger ones (ascending): the lists
 	// come out sorted without a per-node sort.
-	for _, p := range s.pairs {
+	for _, p := range g.und {
 		a, b := int(p>>32), int(p&0xffffffff)
 		s.und[a] = append(s.und[a], b)
 		s.und[b] = append(s.und[b], a)
@@ -160,32 +142,23 @@ func (s *Scratch) undirected(g *Digraph) [][]int {
 }
 
 // directed returns the cached directed simple projection (distinct
-// successors, self-loops removed, sorted ascending).
+// successors, self-loops removed, sorted ascending), laid out from the
+// graph's sorted pair set.
 //
 //dynalint:hotpath
 func (s *Scratch) directed(g *Digraph) [][]int {
 	if s.dirG == g && s.dirV == g.version {
 		return s.dir
 	}
-	n := len(g.out)
-	s.pairs = s.pairs[:0]
-	for u, vs := range g.out {
-		for _, v := range vs {
-			if u != v {
-				s.pairs = append(s.pairs, uint64(u)<<32|uint64(v))
-			}
-		}
-	}
-	slices.Sort(s.pairs)
-	s.pairs = slices.Compact(s.pairs)
+	n := g.N()
 	s.deg = growInts(s.deg, n)
 	for i := range s.deg {
 		s.deg[i] = 0
 	}
-	for _, p := range s.pairs {
+	for _, p := range g.dir {
 		s.deg[int(p>>32)]++
 	}
-	s.arenaD = growInts(s.arenaD, len(s.pairs))
+	s.arenaD = growInts(s.arenaD, len(g.dir))
 	if cap(s.dir) < n {
 		s.dir = make([][]int, n)
 	}
@@ -195,7 +168,7 @@ func (s *Scratch) directed(g *Digraph) [][]int {
 		s.dir[u] = s.arenaD[off : off : off+s.deg[u]]
 		off += s.deg[u]
 	}
-	for _, p := range s.pairs {
+	for _, p := range g.dir {
 		s.dir[int(p>>32)] = append(s.dir[int(p>>32)], int(p&0xffffffff))
 	}
 	s.dirG, s.dirV = g, g.version

@@ -167,8 +167,8 @@ func TestPathStatsMatchesPlain(t *testing.T) {
 // leaves land at ids on every side of each other.
 func relabel(g *Digraph, perm []int) *Digraph {
 	h := New(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.OutNeighbors(u) {
+	for u, vs := range g.outLists() {
+		for _, v := range vs {
 			_ = h.AddEdge(perm[u], perm[v])
 		}
 	}
@@ -286,7 +286,9 @@ func FuzzPathStats(f *testing.F) {
 		if len(data) > 1024 {
 			t.Skip()
 		}
-		checkPathStats(t, fuzzGraph(data), s)
+		g := fuzzGraph(data)
+		newProjectionTracker().replay(t, g)
+		checkPathStats(t, g, s)
 	})
 }
 
@@ -353,8 +355,8 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		all(x) // warm up every buffer, the kept hub rows among them
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		// Alternating graphs forces a full projection rebuild per call,
-		// the incremental steady state, with no fresh allocations.
+		// Alternating graphs lays both projections out again from each
+		// graph's pair sets on every call, with no fresh allocations.
 		all(g)
 		all(h)
 		all(chain)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"dynaminer/internal/graph"
 	"dynaminer/internal/httpstream"
 )
 
@@ -35,7 +36,7 @@ type redirKey struct {
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		w:            &WCG{byHost: make(map[string]int)},
+		w:            &WCG{byHost: make(map[string]int), g: graph.New(0)},
 		victim:       -1,
 		origin:       -1,
 		lastActivity: make(map[string]time.Time),

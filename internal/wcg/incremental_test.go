@@ -58,13 +58,10 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		// distinct directed host pairs (self-loops excluded) and of those
 		// whose reverse pair also exists.
 		w := ib.Live()
-		g := w.Graph()
 		simple := make(map[[2]int]bool)
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.OutNeighbors(u) {
-				if v != u {
-					simple[[2]int{u, v}] = true
-				}
+		for _, e := range w.Edges {
+			if e.From != e.To {
+				simple[[2]int{e.From, e.To}] = true
 			}
 		}
 		wantRecip := 0
@@ -117,6 +114,35 @@ func TestStructVersionStaysPutOnParallelEdges(t *testing.T) {
 	ib.Append(tx("b.example.com", "/", base.Add(2*time.Second)))
 	if v3 := ib.Live().StructVersion(); v3 == v1 {
 		t.Fatal("new host did not move StructVersion")
+	}
+}
+
+// TestStructVersionIdentity pins the value the journal records as
+// wcg_struct_version: after every append, StructVersion is the node count
+// plus the number of distinct directed host pairs (self-loops excluded),
+// counted here off the WCG's own edge list.
+func TestStructVersionIdentity(t *testing.T) {
+	episodes := synth.GenerateCorpus(synth.Config{Seed: 1, Infections: 100, Benign: 100})
+	for ei, ep := range episodes {
+		ib := NewIncrementalBuilder()
+		pairs := make(map[[2]int]bool)
+		seen := 0
+		for i, tx := range sortedByReqTime(ep.Txs) {
+			if !ib.Append(tx) {
+				t.Fatalf("episode %d: in-order append %d rejected", ei, i)
+			}
+			w := ib.Live()
+			for _, e := range w.Edges[seen:] {
+				if e.From != e.To {
+					pairs[[2]int{e.From, e.To}] = true
+				}
+			}
+			seen = len(w.Edges)
+			if got, want := w.StructVersion(), uint64(len(w.Nodes)+len(pairs)); got != want {
+				t.Fatalf("episode %d tx %d: StructVersion %d, want %d nodes + %d pairs = %d",
+					ei, i, got, len(w.Nodes), len(pairs), want)
+			}
+		}
 	}
 }
 

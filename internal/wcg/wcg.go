@@ -174,16 +174,7 @@ type WCG struct {
 
 	byHost  map[string]int
 	uriSeen map[nodeURI]struct{} // distinct (node, URI) pairs behind Node.URIs
-	g       *graph.Digraph       // structural projection, maintained in place
-
-	// Simple-projection bookkeeping, maintained on every addEdge so
-	// density/reciprocity stay O(1) and topology changes are detectable
-	// without diffing the graph. pairSeen keys directed simple pairs
-	// (from<<32|to, self-loops excluded).
-	pairSeen      map[uint64]struct{}
-	simplePairs   int // distinct directed pairs = directed simple edge count
-	recipPairs    int // directed pairs whose reverse pair also exists
-	structVersion uint64
+	g       *graph.Digraph       // structural projection, grown in place
 
 	// Host/URI aggregates for the O(1) feature path: non-origin node
 	// count and total distinct URIs across non-origin nodes.
@@ -192,17 +183,17 @@ type WCG struct {
 }
 
 // StructVersion counts changes to the simple structural projection: it
-// bumps when a node or a previously unseen directed pair appears, and
-// stays put when an append only adds parallel edges or annotations. The
-// feature cache recomputes the expensive graph measures only when this
-// moves.
-func (w *WCG) StructVersion() uint64 { return w.structVersion }
+// is the graph's version, which moves when a node or a previously unseen
+// directed pair appears and stays put when an append only adds parallel
+// edges or annotations. The feature cache recomputes the expensive graph
+// measures only when this moves.
+func (w *WCG) StructVersion() uint64 { return w.g.Version() }
 
 // SimpleEdgeStats returns the number of directed simple edges (parallel
 // edges collapsed, self-loops excluded) and how many of them have their
 // reverse edge present — the O(1) inputs to density and reciprocity.
 func (w *WCG) SimpleEdgeStats() (pairs, reciprocal int) {
-	return w.simplePairs, w.recipPairs
+	return w.g.SimpleM(), w.g.Reciprocal()
 }
 
 // HostURIStats returns the number of non-origin nodes and the total count
@@ -232,34 +223,14 @@ func (w *WCG) ensureNode(host string, ip netip.Addr, typ NodeType) int {
 	if typ != NodeOrigin {
 		w.uniqueHosts++
 	}
-	w.structVersion++
-	if w.g != nil {
-		w.g.AddNode()
-	}
+	w.g.AddNode()
 	return id
 }
 
-// addEdge appends e, extends the structural graph in place, and updates
-// the simple-pair bookkeeping.
+// addEdge appends e and extends the structural graph in place.
 func (w *WCG) addEdge(e Edge) {
 	w.Edges = append(w.Edges, e)
-	if w.g != nil {
-		_ = w.g.AddEdge(e.From, e.To) // ids are internally consistent
-	}
-	if e.From != e.To {
-		key := uint64(e.From)<<32 | uint64(e.To)
-		if w.pairSeen == nil {
-			w.pairSeen = make(map[uint64]struct{})
-		}
-		if _, ok := w.pairSeen[key]; !ok {
-			w.pairSeen[key] = struct{}{}
-			w.simplePairs++
-			w.structVersion++
-			if _, ok := w.pairSeen[uint64(e.To)<<32|uint64(e.From)]; ok {
-				w.recipPairs += 2 // both directions just became reciprocal
-			}
-		}
-	}
+	_ = w.g.AddEdge(e.From, e.To) // ids are internally consistent
 }
 
 // addURI records a distinct URI on node id, keeping the node's count and
@@ -281,21 +252,10 @@ func (w *WCG) addURI(id int, uri string) {
 }
 
 // Graph returns the structural projection of the WCG as a directed
-// multigraph over node ids. It is built once and then grown in place by
-// ensureNode/addEdge, so repeated calls on a growing WCG are O(1); the
-// incremental adjacency is identical to a from-scratch build because both
-// append edges in w.Edges order.
-func (w *WCG) Graph() *graph.Digraph {
-	if w.g != nil {
-		return w.g
-	}
-	g := graph.New(len(w.Nodes))
-	for _, e := range w.Edges {
-		_ = g.AddEdge(e.From, e.To) // ids are internally consistent
-	}
-	w.g = g
-	return g
-}
+// multigraph over node ids. The builder grows it in place as nodes and
+// edges arrive, in w.Edges order, so it always matches a from-scratch
+// build over the same edges.
+func (w *WCG) Graph() *graph.Digraph { return w.g }
 
 // Order is the number of nodes (feature f7).
 func (w *WCG) Order() int { return len(w.Nodes) }
