@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 lint benchcheck benchpair chaos fuzz loc
+.PHONY: all build tier1 tier2 benchcheck benchpair chaos fuzz loc
 
 all: tier1
 
@@ -39,26 +39,17 @@ benchpair:
 loc:
 	@(ls *.go | grep -v _test; find internal -name '*.go' -not -name '*_test.go') | xargs cat | wc -l
 
-# Project-invariant static analysis (see DESIGN.md "Enforced invariants"
-# and "Type-aware lint"). Type-checks every package against gc export
-# data and runs the five analyzers; exits 1 when any analyzer reports a
-# finding, and 2 when a package fails to type-check (the package is
-# named on stderr).
-lint:
-	$(GO) run ./cmd/dynalint -root .
-
-# Tier 2: vet and the five dynalint analyzers (exit 2 when a package
-# fails to type-check) plus the race-detector stress suites for every
-# package that spawns goroutines (the root package covers the monitor
-# janitor, internal/proxy the retry/breaker paths, internal/chaos the
-# fault-injection soak, internal/obs the admin server and sharded
-# counters) and for internal/pcap, whose streams alias buffers that are
+# Tier 2: vet plus the race-detector stress suites for every package
+# that spawns goroutines (the root package covers the monitor janitor,
+# internal/proxy the retry/breaker paths and the backoff jitter's own
+# lock, internal/chaos the fault-injection soak, internal/obs the admin
+# server and sharded counters) and for internal/pcap, whose streams alias
+# buffers that are
 # recycled under them. internal/graph and internal/ml are not on the list
 # because they start no goroutine. Slower; run before touching engine or
 # proxy locking.
 tier2:
 	$(GO) vet ./...
-	$(GO) run ./cmd/dynalint -root .
 	$(GO) test -race . ./cmd/dynaminer ./internal/detector ./internal/proxy ./internal/httpstream ./internal/pcap ./internal/chaos ./internal/obs
 
 # Chaos: the deterministic fault-injection soak (fixed seeds, see

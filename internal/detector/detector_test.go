@@ -597,8 +597,7 @@ func TestAlertZeroTimeRendering(t *testing.T) {
 	// An alert that somehow carries no timestamp must not render as the
 	// zero time ("0001-01-01...", year 1): JSON serializes it as "" and
 	// FormatTime says "unset", so a SIEM timeline is never silently
-	// corrupted (regression guard for the PR-1 zero-timestamp bug, now
-	// also enforced by dynalint's zerotime analyzer).
+	// corrupted.
 	var a Alert
 	if got := a.FormatTime(time.RFC3339); got != "unset" {
 		t.Fatalf("FormatTime on zero alert = %q, want \"unset\"", got)

@@ -83,8 +83,6 @@ func (c *Cache) Features() []float64 {
 
 // FeaturesInto syncs the cache with the WCG and writes the 37 features
 // into dst (grown if needed), returning it.
-//
-//dynalint:hotpath
 func (c *Cache) FeaturesInto(dst []float64) []float64 {
 	c.sync()
 	if cap(dst) < NumFeatures {
@@ -98,8 +96,6 @@ func (c *Cache) FeaturesInto(dst []float64) []float64 {
 // sync folds the edges appended since the last call into the running
 // aggregates, reassembles the O(1) slots, and recomputes the topology
 // slots when the structural projection changed.
-//
-//dynalint:hotpath
 func (c *Cache) sync() {
 	w := c.w
 	g := w.Graph() // materialized once, then grown in place by the builder
@@ -238,8 +234,6 @@ func (c *Cache) sync() {
 // shortest-path sweep for the path-derived slots, one kernel each for
 // the rest. f19 Avg-Load-Centrality is a copy of f18: mean load equals
 // mean betweenness on every graph.
-//
-//dynalint:hotpath
 func (c *Cache) recomputeTopology(g *graph.Digraph) {
 	c.topoRuns++
 	s := c.scratch

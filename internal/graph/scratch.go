@@ -61,7 +61,6 @@ type Scratch struct {
 // NewScratch returns an empty workspace.
 func NewScratch() *Scratch { return &Scratch{} }
 
-//dynalint:hotpath
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
@@ -69,7 +68,6 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-//dynalint:hotpath
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -104,8 +102,6 @@ func (s *Scratch) sizeSweep(n int) {
 // (parallel edges collapsed, self-loops removed), laid out into reused
 // storage from the graph's sorted pair set when the graph's version
 // moved. Adjacency lists are sorted ascending.
-//
-//dynalint:hotpath
 func (s *Scratch) undirected(g *Digraph) [][]int {
 	if s.undG == g && s.undV == g.version {
 		return s.und
@@ -144,8 +140,6 @@ func (s *Scratch) undirected(g *Digraph) [][]int {
 // directed returns the cached directed simple projection (distinct
 // successors, self-loops removed, sorted ascending), laid out from the
 // graph's sorted pair set.
-//
-//dynalint:hotpath
 func (s *Scratch) directed(g *Digraph) [][]int {
 	if s.dirG == g && s.dirV == g.version {
 		return s.dir
@@ -178,8 +172,6 @@ func (s *Scratch) directed(g *Digraph) [][]int {
 // DegreeCentralityInto writes every node's undirected simple degree
 // normalized by n-1 (the NetworkX convention; all zero below two nodes)
 // into dst, resized as needed, and returns it.
-//
-//dynalint:hotpath
 func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
 	adj := s.undirected(g)
 	n := len(adj)
@@ -223,8 +215,6 @@ type PathStats struct {
 // operands in the same order, so the fields are bit-identical to
 // Diameter(), AvgNodesWithinK(k), Mean(ClosenessCentrality()) and
 // Mean(BetweennessCentrality()).
-//
-//dynalint:hotpath
 func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 	adj := s.undirected(g)
 	n := len(adj)
@@ -291,8 +281,6 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 
 // leafHub returns the node of degree ≥ 2 with the most degree-1
 // neighbours (lowest id on ties), or -1 when no node has one.
-//
-//dynalint:hotpath
 func leafHub(adj [][]int) int {
 	hub, most := -1, 0
 	for u, vs := range adj {
@@ -315,8 +303,6 @@ func leafHub(adj [][]int) int {
 // distAggregates reads the BFS bfsPaths last ran, its source excluded:
 // the distance sum, the number of nodes reached, the eccentricity and how
 // many lie within k hops.
-//
-//dynalint:hotpath
 func (s *Scratch) distAggregates(k int) (sum, reach, ecc, within int) {
 	// The queue holds the reachable nodes in nondecreasing distance.
 	reached := s.queue[1:]
@@ -336,8 +322,6 @@ func (s *Scratch) distAggregates(k int) (sum, reach, ecc, within int) {
 // keepHubDependencies is accumulateDependencies for the hub's run: rather
 // than adding into s.betw, it keeps the nonzero dependencies and the
 // hub's first-level terms for addHubDependencies and leafHubDependency.
-//
-//dynalint:hotpath
 func (s *Scratch) keepHubDependencies() {
 	sigma, delta := s.sigma, s.delta
 	s.hubKids, s.hubTerms = s.hubKids[:0], s.hubTerms[:0]
@@ -364,8 +348,6 @@ func (s *Scratch) keepHubDependencies() {
 
 // addHubDependencies adds the hub's kept dependencies into s.betw. Every
 // slot it skips would have received +0, which is exact.
-//
-//dynalint:hotpath
 func (s *Scratch) addHubDependencies() {
 	for i, w := range s.hubNZ {
 		s.betw[w] += s.hubDelta[i]
@@ -375,8 +357,6 @@ func (s *Scratch) addHubDependencies() {
 // leafHubDependency is δ_L(h) for the hub's leaf L: the hub's first-level
 // terms in the reverse visit order L's own backward pass adds them in,
 // L's term left out.
-//
-//dynalint:hotpath
 func (s *Scratch) leafHubDependency(leaf int) float64 {
 	dep := 0.0
 	for i, c := range s.hubKids {
@@ -391,8 +371,6 @@ func (s *Scratch) leafHubDependency(leaf int) float64 {
 // distances (-1 unreachable), shortest-path counts and predecessor lists,
 // with the visit order left in s.queue and the dependencies zeroed for
 // the backward half.
-//
-//dynalint:hotpath
 func (s *Scratch) bfsPaths(adj [][]int, src int) {
 	s.bfsRuns++
 	dist, sigma, preds := s.dist, s.sigma, s.preds
@@ -425,8 +403,6 @@ func (s *Scratch) bfsPaths(adj [][]int, src int) {
 // accumulateDependencies is the backward half of Brandes' algorithm:
 // nodes leave in reverse visit order and each adds its dependency on the
 // source bfsPaths last ran from (queue[0], itself excluded) into s.betw.
-//
-//dynalint:hotpath
 func (s *Scratch) accumulateDependencies() {
 	sigma, delta := s.sigma, s.delta
 	for i := len(s.queue) - 1; i > 0; i-- {
@@ -449,8 +425,6 @@ func (s *Scratch) accumulateDependencies() {
 // the common shapes off the flow loops: a connected graph has κ ≥ 1 and
 // every graph κ ≤ δ, so a degree-1 node settles κ = 1 outright, and the
 // search stops the moment any pair's local connectivity reaches 1.
-//
-//dynalint:hotpath
 func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 	adj := s.undirected(g)
 	n := len(adj)
@@ -529,7 +503,6 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 	return best
 }
 
-//dynalint:hotpath
 func growBools(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
@@ -541,8 +514,6 @@ func growBools(s []bool, n int) []bool {
 // (f21) of the undirected simple projection: per node, the fraction of
 // pairs of its neighbours that are themselves adjacent (zero below
 // degree 2), accumulated in node order.
-//
-//dynalint:hotpath
 func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
 	adj := s.undirected(g)
 	n := len(adj)
@@ -581,8 +552,6 @@ func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
 // AvgNeighborDegreesInto writes, for each node, the mean undirected simple
 // degree of its neighbours (f22; zero for isolated nodes) into dst and
 // returns it.
-//
-//dynalint:hotpath
 func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
 	adj := s.undirected(g)
 	dst = growFloats(dst, len(adj))
@@ -605,8 +574,6 @@ func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
 // k, the mean neighbour degree over nodes of degree k) averaged over the
 // degrees present. Per-degree sums live in slice buckets and combine in
 // ascending-degree order, so the low bits are deterministic.
-//
-//dynalint:hotpath
 func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 	adj := s.undirected(g)
 	maxDeg := 0
@@ -653,8 +620,6 @@ func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 // iters rounds, stopping early when the L1 change drops below tol, with
 // dangling mass redistributed uniformly. The projection and the second
 // iteration vector live in the scratch.
-//
-//dynalint:hotpath
 func (g *Digraph) PageRankInto(dst []float64, s *Scratch, d float64, iters int, tol float64) []float64 {
 	adj := s.directed(g)
 	n := len(adj)

@@ -127,8 +127,6 @@ func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
 // (ScanCapture, ExtractAll) also reuses one destination slice across
 // conversations, which append grows amortised, so n conversations cost
 // O(transactions).
-//
-//dynalint:hotpath
 func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream, tm *Telemetry) []Transaction {
 	var start time.Time
 	if tm != nil {
@@ -168,7 +166,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream, tm *Telemetry) []
 		} else {
 			tx.RespHdr = http.Header{}
 		}
-		dst = append(dst, tx) //dynalint:ignore hotalloc amortised growth of the caller's slab: one allocation per doubling, none when dst has room
+		dst = append(dst, tx) // amortised growth of the caller's slab: one allocation per doubling, none when dst has room
 	}
 	if tm != nil {
 		tm.parsed(start, payloadBytes, len(reqs), p.unparsed)
@@ -208,8 +206,6 @@ func orient(a, b *pcap.Stream) (c2s, s2c *pcap.Stream) {
 // be nil) and appends its transactions to dst. A lone direction that does
 // not look like a request yields none, and tm counts its bytes as
 // unparsed.
-//
-//dynalint:hotpath
 func extractConversation(dst []Transaction, a, b *pcap.Stream, tm *Telemetry) []Transaction {
 	c2s, s2c := orient(a, b)
 	if c2s == nil {

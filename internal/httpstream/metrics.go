@@ -6,9 +6,9 @@ import (
 	"dynaminer/internal/obs"
 )
 
-// parseClock is a function value (never a bare time.Now() call — the
-// zerotime invariant) so the package can be pointed at a fake clock if a
-// test ever needs to.
+// parseClock is a function value (never a bare time.Now() call, which
+// TestNoBareClockReads forbids) so the package can be pointed at a fake
+// clock if a test ever needs to.
 var parseClock = time.Now
 
 // Telemetry is what one owner of a capture path — a Monitor — counts of

@@ -75,8 +75,6 @@ var parserPool = sync.Pool{
 }
 
 // release returns the parser to the pool.
-//
-//dynalint:hotpath
 func (p *streamParser) release() {
 	clear(p.reqs)
 	clear(p.resps)
@@ -92,8 +90,6 @@ func (p *streamParser) release() {
 // reused slice, recording each request's byte offset and body size.
 // Parsing stops at the first malformed head, or after a body the stream
 // cuts or whose framing breaks.
-//
-//dynalint:hotpath
 func (p *streamParser) requests(data []byte) []reqMsg {
 	out := p.reqs[:0]
 	for pos := 0; pos < len(data); {
@@ -121,8 +117,6 @@ func (p *streamParser) requests(data []byte) []reqMsg {
 // list, so HEAD answers frame no body, and a body is kept only if it can
 // hide a redirect, judged on the URI and Content-Type the Transaction will
 // carry; a response with no request to pair with never becomes one.
-//
-//dynalint:hotpath
 func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 	out := p.resps[:0]
 	for i, pos := 0, 0; pos < len(data); i++ {
@@ -322,12 +316,10 @@ const (
 // its header map: every key and value is a substring of that string, and
 // the values of distinct keys share one []string. It reports which of the
 // keys above the map holds.
-//
-//dynalint:hotpath
 func (p *streamParser) header() (s string, h http.Header, has int) {
-	s = string(p.buf)                     //dynalint:ignore hotalloc the head's one copy: every field of the message is a substring of it
-	h = make(http.Header, len(p.fields))  //dynalint:ignore hotalloc the Transaction's header map
-	vals := make([]string, len(p.fields)) //dynalint:ignore hotalloc one backing for every key's first value
+	s = string(p.buf)                     // the head's one copy: every field of the message is a substring of it
+	h = make(http.Header, len(p.fields))  // the Transaction's header map
+	vals := make([]string, len(p.fields)) // one backing for every key's first value
 	for i, f := range p.fields {
 		k := s[f.key.lo:f.key.hi]
 		vals[i] = s[f.val.lo:f.val.hi]
@@ -350,7 +342,7 @@ func (p *streamParser) header() (s string, h http.Header, has int) {
 			has |= hasContentEncoding
 		}
 		if vv, dup := h[k]; dup {
-			h[k] = append(vv, vals[i]) //dynalint:ignore hotalloc a repeated key grows its own slice, as textproto's does
+			h[k] = append(vv, vals[i]) // a repeated key grows its own slice, as textproto's does
 		} else {
 			h[k] = vals[i : i+1 : i+1]
 		}

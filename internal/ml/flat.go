@@ -125,8 +125,6 @@ func (ff *FlatForest) checkDim(x []float64) {
 }
 
 // leafFor walks one tree to the leaf x lands in and returns its slab index.
-//
-//dynalint:hotpath
 func (ff *FlatForest) leafFor(t int, x []float64) int32 {
 	feats, thr, right := ff.feature, ff.threshold, ff.right
 	i := ff.treeStart[t]
@@ -145,8 +143,6 @@ func (ff *FlatForest) leafFor(t int, x []float64) int32 {
 
 // Score returns the averaged probability that x is an infection: the mean
 // of P(infection) over all trees.
-//
-//dynalint:hotpath
 func (ff *FlatForest) Score(x []float64) float64 {
 	ff.checkDim(x)
 	sum := 0.0
@@ -163,8 +159,6 @@ func (ff *FlatForest) Score(x []float64) float64 {
 // majority rule p1 > p0. The score accumulates in exactly the same order
 // as Score, so it is bit-identical — the detector's alert journal relies
 // on that.
-//
-//dynalint:hotpath
 func (ff *FlatForest) ScoreWithVotes(x []float64) (score float64, votes, trees int) {
 	ff.checkDim(x)
 	sum := 0.0
@@ -186,8 +180,6 @@ func (ff *FlatForest) ScoreWithVotes(x []float64) (score float64, votes, trees i
 // in cache while every sample traverses it. Per sample the leaf
 // probabilities still accumulate in tree order with one final divide, so
 // every dst[i] is bit-identical to Score(X[i]).
-//
-//dynalint:hotpath
 func (ff *FlatForest) ScoreBatch(dst []float64, X [][]float64) []float64 {
 	for _, x := range X {
 		ff.checkDim(x)

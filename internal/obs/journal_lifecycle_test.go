@@ -44,31 +44,52 @@ func TestJournalFsyncEvery(t *testing.T) {
 	}
 }
 
+// TestJournalFsyncInterval runs the interval policy under a clock decades
+// from the wall clock, through both constructors: a sync the wall clock
+// decided would fire on the first append or never.
 func TestJournalFsyncInterval(t *testing.T) {
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	w := &syncCountingWriter{}
-	j := NewJournalWriterWith(w, JournalConfig{FsyncInterval: time.Second, Now: clock})
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, cfg JournalConfig) *Journal
+	}{
+		{"writer", func(t *testing.T, cfg JournalConfig) *Journal {
+			return NewJournalWriterWith(&syncCountingWriter{}, cfg)
+		}},
+		{"path", func(t *testing.T, cfg JournalConfig) *Journal {
+			j, err := NewJournalWith(filepath.Join(t.TempDir(), "alerts.jsonl"), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { j.Close() })
+			return j
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Date(1996, 8, 5, 12, 0, 0, 0, time.UTC)
+			clock := func() time.Time { return now }
+			j := tc.open(t, JournalConfig{FsyncInterval: time.Second, Now: clock})
 
-	if err := j.Append(sampleRecord(0)); err != nil { // within the interval
-		t.Fatal(err)
-	}
-	if w.syncs != 0 {
-		t.Fatalf("sync fired inside the interval (%d)", w.syncs)
-	}
-	now = now.Add(2 * time.Second)
-	if err := j.Append(sampleRecord(1)); err != nil { // interval elapsed
-		t.Fatal(err)
-	}
-	if w.syncs != 1 {
-		t.Fatalf("syncs after interval elapsed: %d, want 1", w.syncs)
-	}
-	// The interval clock resets at the sync.
-	if err := j.Append(sampleRecord(2)); err != nil {
-		t.Fatal(err)
-	}
-	if w.syncs != 1 {
-		t.Fatalf("sync fired again without the interval elapsing (%d)", w.syncs)
+			if err := j.Append(sampleRecord(0)); err != nil { // within the interval
+				t.Fatal(err)
+			}
+			if j.Syncs() != 0 {
+				t.Fatalf("sync fired inside the interval (%d)", j.Syncs())
+			}
+			now = now.Add(2 * time.Second)
+			if err := j.Append(sampleRecord(1)); err != nil { // interval elapsed
+				t.Fatal(err)
+			}
+			if j.Syncs() != 1 {
+				t.Fatalf("syncs after interval elapsed: %d, want 1", j.Syncs())
+			}
+			// The interval clock resets at the sync.
+			if err := j.Append(sampleRecord(2)); err != nil {
+				t.Fatal(err)
+			}
+			if j.Syncs() != 1 {
+				t.Fatalf("sync fired again without the interval elapsing (%d)", j.Syncs())
+			}
+		})
 	}
 }
 

@@ -23,7 +23,8 @@
 //   - Metric names are validated at registration: snake_case with a unit
 //     suffix (_seconds, _bytes, _total), unique per registry.
 //   - No bare clock reads. The package never calls time.Now() bare; it
-//     reads the wall clock through defaultClock, which tests can replace.
+//     reads the wall clock through defaultClock, which tests can replace
+//     (TestNoBareClockReads in the module root holds the rule).
 package obs
 
 import (
@@ -35,7 +36,7 @@ import (
 )
 
 // defaultClock is the wall clock, as a function value so library code
-// never calls time.Now() bare (the zerotime invariant).
+// never calls time.Now() bare (TestNoBareClockReads).
 var defaultClock = time.Now
 
 // validSuffixes are the unit suffixes a metric name must carry.

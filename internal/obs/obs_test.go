@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +153,40 @@ func TestGaugeVecChildren(t *testing.T) {
 	v.Delete("evil.example")
 	if v.Len() != 0 {
 		t.Fatalf("Len after Delete = %d, want 0", v.Len())
+	}
+}
+
+// TestGaugeVecSortedOnEveryCall renders a 12-child gauge family 20 times:
+// the exposition lists the children in label order every time, whatever
+// order the child map iterates in, and the snapshot holds every child.
+func TestGaugeVecSortedOnEveryCall(t *testing.T) {
+	r := NewRegistry()
+	v := r.GaugeVec("dynaminer_breaker_state_total", "breaker state by host", "host")
+	var want []string
+	for i := 11; i >= 0; i-- {
+		host := fmt.Sprintf("h%02d.example", i)
+		v.With(host).Set(int64(i))
+		want = append(want, fmt.Sprintf("dynaminer_breaker_state_total{host=%q} %d", host, i))
+	}
+	slices.Reverse(want)
+	for call := 0; call < 20; call++ {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "dynaminer_breaker_state_total{") {
+				got = append(got, line)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: exposition children\n%s\nwant, in label order,\n%s", call, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		snap := r.Snapshot()
+		if len(snap) != 1 || len(snap[0].Children) != 12 || snap[0].Children["h07.example"] != 7 {
+			t.Fatalf("call %d: snapshot %+v, want the 12 children", call, snap)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ const traceStackDepth = 8
 // is evicted first.
 const traceRing = 256
 
-// monoSince is the monotonic elapsed-time clock, as a function value for
-// the zerotime convention. Span stamps are offsets from the tracer's
+// monoSince is the monotonic elapsed-time clock, as a function value so
+// tests can replace it. Span stamps are offsets from the tracer's
 // base instant read through this clock: one monotonic read costs roughly
 // half a full time.Now (no wall-clock component), and the hot path takes
 // one per span boundary, so the difference is the bulk of the tracer's
@@ -232,8 +232,6 @@ func NewTracer(reg *Registry, sample int) *Tracer {
 // since reads the monotonic offset of now from the tracer's base: the
 // production base carries a monotonic reading, so this is one
 // monotonic-clock read.
-//
-//dynalint:hotpath
 func (t *Tracer) since() time.Duration { return monoSince(t.base) }
 
 // Stage interns a span name, registering its latency histogram
@@ -267,8 +265,6 @@ func (t *Tracer) Stage(name string) StageID {
 // ObserveStage records a stage latency outside any span tree — the hook
 // pcap reassembler, a batch-shaped pipeline component, uses to feed its
 // stage histogram without carrying an ActiveTrace.
-//
-//dynalint:hotpath
 func (t *Tracer) ObserveStage(id StageID, seconds float64) {
 	if t == nil {
 		return
@@ -301,8 +297,6 @@ type ActiveTrace struct {
 
 // rel reads the clock once and returns the offset from the trace start
 // (clamped non-negative for misaligned injected clocks).
-//
-//dynalint:hotpath
 func (a *ActiveTrace) rel() time.Duration {
 	d := a.t.since() - a.startMono
 	if d < 0 {
@@ -313,8 +307,6 @@ func (a *ActiveTrace) rel() time.Duration {
 
 // relAt converts an externally read timestamp (an instrumented layer's
 // own latency-clock reading) to an offset from the trace start.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) relAt(at time.Time) time.Duration {
 	d := at.Sub(a.t.base) - a.startMono
 	if d < 0 {
@@ -326,8 +318,6 @@ func (a *ActiveTrace) relAt(at time.Time) time.Duration {
 // Begin starts a transaction trace: bumps the transaction counter,
 // decides head-based sampling, and hands out a pooled recorder. The
 // sampled-out path allocates nothing (pinned by TestTraceHotPathAllocs).
-//
-//dynalint:hotpath
 func (t *Tracer) Begin() *ActiveTrace {
 	if t == nil {
 		return nil
@@ -339,8 +329,6 @@ func (t *Tracer) Begin() *ActiveTrace {
 // caller embeds (one per engine shard) and reuses across transactions,
 // skipping the pool round-trip. A trace begun this way must be finished
 // with FinishIn, never Finish: the recorder does not belong to the pool.
-//
-//dynalint:hotpath
 func (t *Tracer) BeginIn(at *ActiveTrace) *ActiveTrace {
 	if t == nil || at == nil {
 		return nil
@@ -360,8 +348,6 @@ func (t *Tracer) BeginIn(at *ActiveTrace) *ActiveTrace {
 // Finish closes any spans a panic unwound past, commits the tree to the
 // ring when it is kept (sampled or alerting), and returns the recorder to
 // the pool. The ActiveTrace must not be used afterwards.
-//
-//dynalint:hotpath
 func (t *Tracer) Finish(at *ActiveTrace) {
 	if t == nil || at == nil {
 		return
@@ -373,8 +359,6 @@ func (t *Tracer) Finish(at *ActiveTrace) {
 // FinishIn is Finish for a trace begun with BeginIn: the caller keeps
 // owning the recorder (commit copies the kept tree into the ring), so
 // nothing is returned to the pool.
-//
-//dynalint:hotpath
 func (t *Tracer) FinishIn(at *ActiveTrace) {
 	if t == nil || at == nil {
 		return
@@ -427,8 +411,6 @@ func (a *ActiveTrace) ID() uint64 {
 // span, and returns its index (-1 when untraced or out of capacity). The
 // first span of a trace starts at offset zero without a clock read: the
 // root span begins when the trace does.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) StartSpan(stage StageID) int {
 	if a == nil {
 		return -1
@@ -444,8 +426,6 @@ func (a *ActiveTrace) StartSpan(stage StageID) int {
 // an instrumented layer that already read a latency clock for its own
 // metrics (the detector's classify measurement) passes that reading
 // through so one boundary never costs two clock reads.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) StartSpanAt(stage StageID, at time.Time) int {
 	if a == nil {
 		return -1
@@ -453,7 +433,6 @@ func (a *ActiveTrace) StartSpanAt(stage StageID, at time.Time) int {
 	return a.startSpanRel(stage, a.relAt(at))
 }
 
-//dynalint:hotpath
 func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 	if a.n >= maxTraceSpans || a.openN >= traceStackDepth {
 		a.dropped++
@@ -480,8 +459,6 @@ func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 // trace is sampled; children left open (a panic unwound past their
 // EndSpan) close at the same instant. Closing an already-closed or
 // invalid index is a no-op.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) EndSpan(idx int) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
@@ -492,8 +469,6 @@ func (a *ActiveTrace) EndSpan(idx int) {
 // EndSpanAt closes the span at idx at an externally read timestamp — the
 // end-of-measurement clock reading an instrumented layer already took for
 // its own latency metric.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) EndSpanAt(idx int, at time.Time) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
@@ -501,7 +476,6 @@ func (a *ActiveTrace) EndSpanAt(idx int, at time.Time) {
 	a.endSpanRel(idx, a.relAt(at))
 }
 
-//dynalint:hotpath
 func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
 	for a.openN > 0 {
 		top := int(a.open[a.openN-1])
@@ -518,8 +492,6 @@ func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
 // histogram observes only head-sampled traces, keeping the exported
 // distribution an unbiased every-Nth view at a fraction of the atomic
 // traffic.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 	sp := &a.spans[idx]
 	if sp.Dur >= 0 {
@@ -541,8 +513,6 @@ func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 }
 
 // Annotate ORs flags onto the span at idx.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) Annotate(idx int, flags SpanFlags) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
@@ -552,8 +522,6 @@ func (a *ActiveTrace) Annotate(idx int, flags SpanFlags) {
 
 // SetArg sets the span's stage-specific attribution value (shard index,
 // retry attempt).
-//
-//dynalint:hotpath
 func (a *ActiveTrace) SetArg(idx int, arg int32) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
@@ -563,8 +531,6 @@ func (a *ActiveTrace) SetArg(idx int, arg int32) {
 
 // MarkAlert keeps this trace whatever the sampling (an alert-raising
 // transaction) and flags its root span.
-//
-//dynalint:hotpath
 func (a *ActiveTrace) MarkAlert() {
 	if a == nil {
 		return

@@ -36,12 +36,15 @@ func (c *fakeTraceClock) spanOf(s StageID, at *ActiveTrace, d time.Duration) {
 }
 
 // TestTraceHotPathAllocs is the tentpole perf pin: a sampled-out
-// transaction (Begin, a nested span pair, Finish) must not allocate.
+// transaction (Begin, a nested span pair, Finish) and a stage observation
+// outside any tree (ObserveStage, once per reassembled conversation) must
+// not allocate.
 func TestTraceHotPathAllocs(t *testing.T) {
 	tr := NewTracer(nil, 1<<40)
 	root := tr.Stage("test.root")
 	child := tr.Stage("test.child")
 	allocs := testing.AllocsPerRun(200, func() {
+		tr.ObserveStage(child, 0.001)
 		at := tr.Begin()
 		r := at.StartSpan(root)
 		c := at.StartSpan(child)
@@ -253,7 +256,7 @@ func TestTraceSpanOverflow(t *testing.T) {
 }
 
 // TestStageValidation: Stage interns idempotently, registers the folded
-// histogram name, and panics on names the dynalint analyzer would reject.
+// histogram name, and panics on names ValidateSpanName rejects.
 func TestStageValidation(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 0)

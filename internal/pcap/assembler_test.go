@@ -500,6 +500,39 @@ func TestIngestAllocsPerPacket(t *testing.T) {
 	}
 }
 
+// TestCarveReusesFreeBuffers holds the out-of-order path of a warm
+// Assembler at zero allocations: a conversation whose segments arrive out
+// of order and overlapping is carved into a buffer from the free list, and
+// that buffer goes back to the list when the conversation is recycled.
+func TestCarveReusesFreeBuffers(t *testing.T) {
+	carved := 0
+	a := NewAssembler(func(x, _ *Stream) {
+		if string(x.Data) == "0123456789abcdefghij" {
+			carved++
+		}
+	})
+	frames := retransmissionHeavyFrames()
+	rst := mkDataFrame(121, "", false)
+	rst.Flags = FlagRST
+	frames = append(frames, rst)
+	round := func() {
+		for i, f := range frames {
+			a.Feed(f, baseTime.Add(time.Duration(i)*time.Millisecond))
+		}
+		a.Release()
+	}
+	round() // warm: the free lists now hold a conversation and its buffers
+	if carved != 1 {
+		t.Fatalf("the warm-up round closed %d carved conversations, want 1", carved)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("an out-of-order conversation on a warm Assembler allocates %.1f times, want 0", allocs)
+	}
+	if carved != 102 {
+		t.Fatalf("%d conversations carved, want 102", carved)
+	}
+}
+
 func BenchmarkIngest(b *testing.B) {
 	capture := concurrentCapture(b, 10, 200000)
 	b.SetBytes(int64(len(capture)))

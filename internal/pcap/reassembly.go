@@ -327,8 +327,6 @@ func (a *Assembler) grow(buf []byte, n int) []byte {
 
 // FeedPacket decodes one captured frame and feeds it; frames that are not
 // TCP over IP over Ethernet are irrelevant to HTTP analytics and skipped.
-//
-//dynalint:hotpath
 func (a *Assembler) FeedPacket(p Packet) {
 	if DecodeFrameInto(&a.frame, p.Data) == nil {
 		a.Feed(&a.frame, p.Timestamp)
@@ -341,8 +339,6 @@ func (a *Assembler) FeedPacket(p Packet) {
 // single earlier segment are duplicates under first-copy-wins and are
 // dropped. The frame that completes or resets its conversation closes it
 // before Feed returns.
-//
-//dynalint:hotpath
 func (a *Assembler) Feed(f *Frame, ts time.Time) {
 	var t0 time.Time
 	if a.tracer != nil {
@@ -395,8 +391,6 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 
 // keep files f's payload under its direction unless an earlier segment
 // already holds all of it.
-//
-//dynalint:hotpath
 func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 	if !st.sawISN {
 		// Mid-stream capture: treat the first data seq as the origin.
@@ -428,12 +422,12 @@ func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 	if len(f.Payload) > cap(st.buf)-off {
 		st.buf = a.grow(st.buf, len(f.Payload))
 	}
-	st.buf = append(st.buf, f.Payload...) //dynalint:ignore hotalloc room is ensured above; a recycled buffer already has it
+	st.buf = append(st.buf, f.Payload...) // room is ensured above; a recycled buffer already has it
 	if len(st.segs) > 0 && rel < st.next {
 		st.inOrder = false
 	}
 	st.next = end
-	st.segs = append(st.segs, segment{relSeq: rel, off: off, end: off + len(f.Payload), ts: ts}) //dynalint:ignore hotalloc amortised growth of a slice recycled with its conversation
+	st.segs = append(st.segs, segment{relSeq: rel, off: off, end: off + len(f.Payload), ts: ts}) // amortised growth of a slice recycled with its conversation
 	if a.buffered += len(f.Payload); a.buffered > a.highWater {
 		a.highWater = a.buffered
 	}
@@ -445,8 +439,6 @@ func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 // offline forensic tooling does with lossy captures. With a tracer bound
 // (Trace), what reassembling c took — feeding its frames and assembling its
 // directions here — is one observation of the pcap.reassemble stage.
-//
-//dynalint:hotpath
 func (a *Assembler) close(c *conversation) {
 	var t0 time.Time
 	if a.tracer != nil {
@@ -493,8 +485,6 @@ func (a *Assembler) close(c *conversation) {
 // order or overlapping: sorted by sequence, each contributes the bytes past
 // what the ones before it reached. It rewrites st.segs into the kept
 // segments with off as the offset into the returned bytes.
-//
-//dynalint:hotpath
 func (a *Assembler) carve(st *flowState) []byte {
 	st.sortSegs()
 	out := a.getBuf()
@@ -511,7 +501,7 @@ func (a *Assembler) carve(st *flowState) []byte {
 		}
 		st.segs[kept] = segment{off: len(out), ts: seg.ts}
 		kept++
-		out = append(out, data...) //dynalint:ignore hotalloc amortised growth of a buffer from the free list
+		out = append(out, data...) // amortised growth of a buffer from the free list
 		nextSeq = end
 	}
 	st.segs = st.segs[:kept]

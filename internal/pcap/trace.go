@@ -6,7 +6,8 @@ import (
 	"dynaminer/internal/obs"
 )
 
-// traceClock is a function value per the zerotime invariant.
+// traceClock is the wall clock as a function value: library code never
+// calls time.Now() bare (TestNoBareClockReads).
 var traceClock = time.Now
 
 // Trace points the Assembler's reassembly timing at the pcap.reassemble

@@ -244,6 +244,34 @@ func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 	if ct.calls() != calls {
 		t.Fatal("re-opened circuit contacted the upstream")
 	}
+	// The cooldown restarts at the failed probe, by the injected clock:
+	// one more cooldown admits a second probe.
+	clock.Advance(2 * time.Minute)
+	proxyGet(t, p, "http://down.example/")
+	if ct.calls() != calls+1 {
+		t.Fatalf("attempts = %d one cooldown after the failed probe, want %d (a second probe)", ct.calls(), calls+1)
+	}
+}
+
+// TestJitterConcurrentDraws draws backoff jitter from 8 goroutines at once:
+// under -race it proves the jitter source takes its own lock.
+func TestJitterConcurrentDraws(t *testing.T) {
+	p := New(Config{}, constScorer(0))
+	const d = 100 * time.Millisecond
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if j := p.jitter(d); j < d/2 || j > d {
+					t.Errorf("jitter(%v) = %v, want within [%v, %v]", d, j, d/2, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // hostRoutedTransport fails for one host and succeeds for everything

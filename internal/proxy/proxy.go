@@ -113,7 +113,7 @@ type Stats struct {
 // Proxy is an http.Handler implementing a detecting forward proxy. Safe
 // for concurrent use: detection runs on a sharded engine whose per-client
 // shard locks let distinct clients classify in parallel, while p.mu guards
-// only the blocklist and the proxy counters.
+// only the blocklist and the circuit breakers.
 type Proxy struct {
 	cfg       Config
 	transport http.RoundTripper
@@ -131,10 +131,24 @@ type Proxy struct {
 	tracer *obs.Tracer
 	stg    proxyStages
 
+	rng lockedRand // retry-backoff jitter
+
 	mu       sync.Mutex
 	blocked  map[netip.Addr]time.Time // guarded by mu; client -> block expiry
 	breakers map[string]*breaker      // guarded by mu; upstream host -> circuit
-	rng      *rand.Rand               // guarded by mu; retry-backoff jitter
+}
+
+// lockedRand is a random source behind its own lock: its one method takes
+// the lock, so no caller can draw without it.
+type lockedRand struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}
+
+func (l *lockedRand) int63n(n int64) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Int63n(n)
 }
 
 var _ http.Handler = (*Proxy)(nil)
@@ -182,7 +196,7 @@ func New(cfg Config, model detector.Scorer) *Proxy {
 		tracer:    cfg.Detector.Tracer,
 		blocked:   make(map[netip.Addr]time.Time),
 		breakers:  make(map[string]*breaker),
-		rng:       rand.New(rand.NewSource(1)),
+		rng:       lockedRand{r: rand.New(rand.NewSource(1))},
 	}
 	if p.tracer != nil {
 		p.stg = newProxyStages(p.tracer)
@@ -461,9 +475,7 @@ func (p *Proxy) jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return d/2 + time.Duration(p.rng.Int63n(int64(d/2)+1))
+	return d/2 + time.Duration(p.rng.int63n(int64(d/2)+1))
 }
 
 // buildUpstreamRequest converts the proxied request into an origin request

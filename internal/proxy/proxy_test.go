@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dynaminer/internal/detector"
+	"dynaminer/internal/wcg"
 )
 
 // constScorer returns a fixed infection probability.
@@ -173,6 +174,41 @@ func TestProxyDetectsAndAlerts(t *testing.T) {
 	}
 	if p.Stats().Alerts != 1 {
 		t.Fatalf("stats = %+v", p.Stats())
+	}
+}
+
+// TestProxyRequestTimeFromClock pins the transaction's request time to the
+// injected clock: every request edge of the alert's graph is stamped with
+// an instant Config.Now handed out, years from the wall clock.
+func TestProxyRequestTimeFromClock(t *testing.T) {
+	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
+	start := clock.t
+	var alerts []detector.Alert
+	cfg := Config{
+		Detector: detector.Config{RedirectThreshold: 3},
+		Now:      clock.Now,
+		OnAlert:  func(a detector.Alert) { alerts = append(alerts, a) },
+	}
+	_, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	driveInfection(t, client)
+	cleanup() // waits for every handler, so alerts is settled
+	end := clock.Now()
+
+	if len(alerts) != 1 {
+		t.Fatalf("alerts = %d, want 1", len(alerts))
+	}
+	requests := 0
+	for _, e := range alerts[0].Graph().Edges {
+		if e.Kind != wcg.EdgeRequest {
+			continue
+		}
+		requests++
+		if e.Time.Before(start) || e.Time.After(end) {
+			t.Fatalf("request edge stamped %v, outside the injected clock's [%v, %v]", e.Time, start, end)
+		}
+	}
+	if requests == 0 {
+		t.Fatal("the alert's graph has no request edge")
 	}
 }
 

@@ -546,6 +546,30 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// TestWriteJSONOmitsZeroEdgeTime pins the export of an unstamped edge: it
+// carries no time field, never the zero time's year 1, while stamped edges
+// keep theirs.
+func TestWriteJSONOmitsZeroEdgeTime(t *testing.T) {
+	w := FromTransactions(anglerEpisode())
+	w.Edges[0].Time = time.Time{}
+	var buf strings.Builder
+	if err := w.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Edges []map[string]any `json:"edges"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &decoded); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if ts, ok := decoded.Edges[0]["time"]; ok {
+		t.Fatalf("unstamped edge exported time %q, want no time field", ts)
+	}
+	if _, ok := decoded.Edges[1]["time"]; !ok {
+		t.Fatal("stamped edge exported no time")
+	}
+}
+
 func TestRedirectLoopHandled(t *testing.T) {
 	// A <-> B redirect loop must not hang chain reconstruction and must
 	// produce finite chains.

@@ -12,7 +12,7 @@ import (
 	"dynaminer/internal/obs"
 )
 
-// Model lifecycle and crash recovery (DESIGN.md §14): hot-swapping the
+// Model lifecycle and crash recovery (DESIGN.md §13): hot-swapping the
 // serving forest without dropping a watch, checkpointing in-flight state,
 // and rebuilding it after a restart.
 
@@ -94,11 +94,6 @@ func (m *Monitor) StartCheckpointer(path string, interval time.Duration) {
 	m.ckptStop, m.ckptDone = stop, done
 	go func() {
 		defer close(done)
-		defer func() {
-			// Last-resort guard: a checkpoint fault must never take the
-			// process down.
-			recover()
-		}()
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
@@ -106,7 +101,12 @@ func (m *Monitor) StartCheckpointer(path string, interval time.Duration) {
 			case <-stop:
 				return
 			case <-tick.C:
-				_ = m.WriteCheckpoint(path)
+				func() {
+					// Last-resort guard, per write: a checkpoint fault must
+					// never take the process down, nor end later writes.
+					defer func() { recover() }()
+					_ = m.WriteCheckpoint(path)
+				}()
 			}
 		}
 	}()

@@ -140,11 +140,6 @@ func (m *Monitor) StartJanitor(interval time.Duration) {
 	m.stop, m.done = stop, done
 	go func() {
 		defer close(done)
-		defer func() {
-			// Last-resort guard: a janitor fault must never take the
-			// process down.
-			recover()
-		}()
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
@@ -152,9 +147,14 @@ func (m *Monitor) StartJanitor(interval time.Duration) {
 			case <-stop:
 				return
 			case <-tick.C:
-				n := m.engine.EvictIdle(m.now().Add(-m.ttl))
-				m.janitorSweeps.Inc()
-				m.janitorEvictions.Add(int64(n))
+				func() {
+					// Last-resort guard, per sweep: a janitor fault must
+					// never take the process down, nor end later sweeps.
+					defer func() { recover() }()
+					n := m.engine.EvictIdle(m.now().Add(-m.ttl))
+					m.janitorSweeps.Inc()
+					m.janitorEvictions.Add(int64(n))
+				}()
 			}
 		}
 	}()

@@ -35,7 +35,7 @@ type (
 	// Tracer records per-transaction span trees across the wire path —
 	// feature extraction, scoring, journaling — into a fixed-size ring,
 	// keeping every Nth transaction's tree and every alert-raising
-	// transaction's. See DESIGN.md §15.
+	// transaction's. See DESIGN.md §14.
 	Tracer = obs.Tracer
 	// TraceSnapshot is one exported trace: its ID, why it was kept
 	// (sampled, alert), and its span tree.
