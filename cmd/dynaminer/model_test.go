@@ -12,10 +12,12 @@ import (
 // One model in its two historical forms, checked in beside the ml
 // package's import test (TestLoadModelImportsJSONFixture): the v1 JSON
 // `train -synthetic -seed 7 -trees 3` saved while training still wrote
-// JSON, and the blob `model convert` made of it.
+// JSON, and the blob `model convert` made of it. trainedBlob is what that
+// command writes today, from today's feature vectors.
 const (
 	fixtureJSON = "../../internal/ml/testdata/seed7.json"
 	fixtureBlob = "../../internal/ml/testdata/seed7.dmfb"
+	trainedBlob = "../../internal/ml/testdata/seed7_trained.dmfb"
 )
 
 // trainTinyModel trains a small synthetic model and saves it as a blob.
@@ -85,16 +87,17 @@ func TestModelConvertRoundTrip(t *testing.T) {
 }
 
 // TestTrainWritesFixtureBlob: `train` writes the DMFB blob, and at the
-// fixture's seed and tree count it writes the fixture itself — training
-// that flattens its trees in place grows the forest the JSON-writing
-// trainer saved.
+// fixture's seed and tree count it writes testdata/seed7_trained.dmfb
+// byte for byte. Any change to the training corpus, the feature vectors
+// or the forest moves it; such a change rewrites the file with that
+// command, on purpose.
 func TestTrainWritesFixtureBlob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.dmfb")
 	if err := run([]string{"train", "-synthetic", "-seed", "7", "-trees", "3", "-model", path}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(readFile(t, path), readFile(t, fixtureBlob)) {
-		t.Fatal("train -synthetic -seed 7 -trees 3 does not write the fixture blob")
+	if !bytes.Equal(readFile(t, path), readFile(t, trainedBlob)) {
+		t.Fatal("train -synthetic -seed 7 -trees 3 does not write testdata/seed7_trained.dmfb")
 	}
 }
 

@@ -276,7 +276,9 @@ func TestClusterBookkeepingAllocs(t *testing.T) {
 // re-classifies the growing watched WCG, and a quarter of them change its
 // topology. Each run feeds one more such client to the same engine, so the
 // shard's analytics workspace is warm, as it is once an engine has served
-// its first watched client.
+// its first watched client. Each client's feature cache is new, so a cache
+// buffer resized to exactly n on every new host would show here (0.76
+// allocations per transaction when it was).
 func TestWatchedChainAllocs(t *testing.T) {
 	const callbacks, runs = 295, 5
 	chain := func(client int) []httpstream.Transaction {
@@ -311,7 +313,7 @@ func TestWatchedChainAllocs(t *testing.T) {
 	if st := e.Stats(); st.Clusters != 1 || st.Alerts != 1 || st.Classifications != callbacks+1 || st.Rebuilds != 0 {
 		t.Fatalf("one chain gave %+v; want one cluster, one alert, %d incremental classifications", st, callbacks+1)
 	}
-	const ceiling = 1.0
+	const ceiling = 0.6
 	got := testing.AllocsPerRun(runs, feed) / float64(len(clients[0]))
 	t.Logf("one watched client, %d transactions: %.2f allocations per transaction", len(clients[0]), got)
 	if got > ceiling {

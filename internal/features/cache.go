@@ -45,8 +45,6 @@ type Cache struct {
 	lastReq                 time.Time
 	reqCount                int
 	gapSum                  time.Duration
-
-	buf []float64 // reusable buffer for the GF vector means
 }
 
 // NewCache returns a cache over w. The scratch may be shared with other
@@ -61,10 +59,10 @@ func NewCache(w *wcg.WCG, s *graph.Scratch) *Cache {
 
 // Reset rebinds the cache to w, zeroing the sync cursor and every running
 // aggregate so the next FeaturesInto recomputes from scratch — bit-identical
-// to a fresh NewCache(w, s) — while retaining the reusable mean buffer. A
-// nil s keeps the cache's current scratch (allocating one only if the cache
-// never had any), which is what lets one cache+scratch pair sweep a whole
-// batch of WCGs without per-episode allocation.
+// to a fresh NewCache(w, s). A nil s keeps the cache's current scratch
+// (allocating one only if the cache never had any), which is what lets one
+// cache+scratch pair sweep a whole batch of WCGs without per-episode
+// allocation.
 func (c *Cache) Reset(w *wcg.WCG, s *graph.Scratch) {
 	if s == nil {
 		s = c.scratch
@@ -72,8 +70,7 @@ func (c *Cache) Reset(w *wcg.WCG, s *graph.Scratch) {
 	if s == nil {
 		s = graph.NewScratch()
 	}
-	buf := c.buf
-	*c = Cache{w: w, scratch: s, buf: buf}
+	*c = Cache{w: w, scratch: s}
 }
 
 // Features returns a freshly allocated feature vector, syncing first.
@@ -232,26 +229,35 @@ func (c *Cache) sync() {
 // recomputeTopology refreshes the GF slots that depend on the simple
 // structural projection, through the reusable scratch workspace: one
 // shortest-path sweep for the path-derived slots, one kernel each for
-// the rest. f19 Avg-Load-Centrality is a copy of f18: mean load equals
-// mean betweenness on every graph.
+// connectivity, clustering and the neighbour degrees. Three slots are
+// served as their closed forms (DESIGN.md §8, EXPERIMENTS.md divergence
+// 3), each an integer ratio rounded once: f16 Avg-Degree-Centrality is
+// 2·pairs/(n(n−1)) over the undirected simple pairs, f18
+// Avg-Betweenness-Centrality is the sweep's Σ(d−1)/(n(n−1)(n−2)) (f19
+// Avg-Load-Centrality is the same sum under the same normalisation), and
+// f25 Avg-PageRank is 1/n.
 func (c *Cache) recomputeTopology(g *graph.Digraph) {
 	c.topoRuns++
 	s := c.scratch
+	n := g.N()
 	ps := g.PathStatsS(knnRadius, s)
 	c.v[11] = float64(ps.Diameter)
-	c.buf = g.DegreeCentralityInto(c.buf, s)
-	c.v[15] = graph.Mean(c.buf)
+	c.v[15] = 0
+	if n >= 2 {
+		c.v[15] = float64(2*g.UndirectedM()) / float64(n*(n-1))
+	}
 	c.v[16] = ps.Closeness
 	c.v[17] = ps.Betweenness
 	c.v[18] = ps.Betweenness
 	c.v[19] = float64(g.NodeConnectivityS(s))
 	c.v[20] = g.AvgClusteringCoefficientS(s)
-	c.buf = g.AvgNeighborDegreesInto(c.buf, s)
-	c.v[21] = graph.Mean(c.buf)
+	c.v[21] = g.AvgNeighborDegreeS(s)
 	c.v[22] = g.AvgDegreeConnectivityS(s)
 	c.v[23] = ps.WithinK
-	c.buf = g.PageRankInto(c.buf, s, 0.85, 100, 1e-10)
-	c.v[24] = graph.Mean(c.buf)
+	c.v[24] = 0
+	if n > 0 {
+		c.v[24] = 1 / float64(n)
+	}
 }
 
 // TopologyRuns is the number of syncs since NewCache or Reset that

@@ -19,10 +19,11 @@ import (
 
 // plainExtract is the from-scratch oracle of the cache: Summarize for the
 // HLF, HF and TF slots, the degree, density, volume and reciprocity counts
-// written out inline over the multigraph, and the graph kernels on a fresh
-// scratch for the topology slots (internal/graph holds those kernels to
-// its plain oracle bit for bit, on these same synthetic WCGs). The cache
-// must reproduce it bit for bit.
+// written out inline over the multigraph, closedForms for the three slots
+// served as closed forms, and the graph kernels on a fresh scratch for the
+// other topology slots (internal/graph holds those kernels to its plain
+// oracle bit for bit, on these same synthetic WCGs). The cache must
+// reproduce it bit for bit.
 func plainExtract(w *wcg.WCG) []float64 {
 	s := w.Summarize()
 	g := w.Graph()
@@ -70,16 +71,14 @@ func plainExtract(w *wcg.WCG) []float64 {
 	if len(simple) > 0 {
 		v[14] = float64(reciprocated) / float64(len(simple))
 	}
-	v[15] = graph.Mean(g.DegreeCentralityInto(nil, sc))
+	v[15], v[17], v[24] = closedForms(w)
 	v[16] = ps.Closeness
-	v[17] = ps.Betweenness
-	v[18] = ps.Betweenness // f19 is served as f18
+	v[18] = v[17] // f19 is served as f18
 	v[19] = float64(g.NodeConnectivityS(sc))
 	v[20] = g.AvgClusteringCoefficientS(sc)
-	v[21] = graph.Mean(g.AvgNeighborDegreesInto(nil, sc))
+	v[21] = g.AvgNeighborDegreeS(sc)
 	v[22] = g.AvgDegreeConnectivityS(sc)
 	v[23] = ps.WithinK
-	v[24] = graph.Mean(g.PageRankInto(nil, sc, 0.85, 100, 1e-10))
 
 	v[25] = float64(s.GETs)
 	v[26] = float64(s.POSTs)
@@ -98,6 +97,55 @@ func plainExtract(w *wcg.WCG) []float64 {
 	}
 	v[36] = s.AvgInterTransact.Seconds()
 	return v
+}
+
+// closedForms computes the three closed forms the extractor serves from
+// the WCG's edge list alone, each an integer ratio rounded once: f16 mean
+// degree centrality 2·pairs/(n(n−1)) over the distinct unordered host
+// pairs, f18 (and f19) mean betweenness Σ(d−1)/(n(n−1)(n−2)) over ordered
+// pairs joined by a path, by BFS over those pairs, and f25 mean PageRank
+// 1/n. internal/graph holds each to the plain kernel it stands for within
+// 1e-9 (TestTopologyIdentities).
+func closedForms(w *wcg.WCG) (degree, betweenness, pageRank float64) {
+	n := w.Graph().N()
+	if n == 0 {
+		return 0, 0, 0
+	}
+	pageRank = 1 / float64(n)
+	adj := make([][]int, n)
+	seen := make(map[[2]int]bool)
+	for _, e := range w.Edges {
+		u, v := min(e.From, e.To), max(e.From, e.To)
+		if u != v && !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			adj[u] = append(adj[u], v)
+			adj[v] = append(adj[v], u)
+		}
+	}
+	if n >= 2 {
+		degree = float64(2*len(seen)) / float64(n*(n-1))
+	}
+	excess := 0
+	for src := range adj {
+		dist := make([]int, n)
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+			for _, v := range adj[queue[0]] {
+				if dist[v] < 0 {
+					dist[v] = dist[queue[0]] + 1
+					excess += dist[v] - 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	if n >= 3 {
+		betweenness = float64(excess) / float64(n*(n-1)*(n-2))
+	}
+	return degree, betweenness, pageRank
 }
 
 func byTime(txs []httpstream.Transaction) []httpstream.Transaction {
@@ -122,7 +170,8 @@ func requireSameVector(t *testing.T, ctx string, got, want []float64) {
 // TestCacheMatchesPlainExtractIncrementally streams synthetic episodes
 // through an incremental builder, syncing a single Cache after every
 // append, and checks the cached vector is bit-identical to the plain
-// extractor run from scratch on the same prefix.
+// extractor run from scratch on the same prefix: among the slots, f16,
+// f18, f19 and f25 to their integer closed forms (closedForms).
 func TestCacheMatchesPlainExtractIncrementally(t *testing.T) {
 	episodes := synth.GenerateCorpus(synth.Config{Seed: 29, Infections: 6, Benign: 5})
 	scratch := graph.NewScratch()
@@ -182,31 +231,53 @@ func TestCacheSkipsTopologyWhenStructUnchanged(t *testing.T) {
 	}
 }
 
+// clientWCG is one client's requests to the given number of distinct
+// hosts, a second apart. With rng set, about a third of them carry a
+// Referer naming an earlier host; without, the WCG is a star.
+func clientWCG(hosts int, rng *rand.Rand) *wcg.WCG {
+	var txs []httpstream.Transaction
+	at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
+	for h := 0; h < hosts; h++ {
+		hdr := http.Header{}
+		if rng != nil && h > 0 && rng.Intn(3) == 0 {
+			hdr.Set("Referer", fmt.Sprintf("http://host%d.example/", rng.Intn(h)))
+		}
+		txs = append(txs, httpstream.Transaction{
+			ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("198.51.100.7"),
+			Method: "GET", URI: "/", Host: fmt.Sprintf("host%d.example", h),
+			ReqHdr: hdr, RespHdr: http.Header{}, StatusCode: 200,
+			ReqTime: at, RespTime: at.Add(10 * time.Millisecond),
+		})
+		at = at.Add(time.Second)
+	}
+	return wcg.FromTransactions(txs)
+}
+
+// BenchmarkTopologyStar4097 is one FeaturesInto after a structural change
+// on the worst-case shape of one watched client: 4 096 hosts on one
+// victim. Reset voids the cache's cursor, so every sync re-folds the
+// edges and recomputes the topology slots, as a new host does.
+func BenchmarkTopologyStar4097(b *testing.B) {
+	w := clientWCG(4096, nil)
+	if w.Order() != 4097 {
+		b.Fatalf("star WCG has %d nodes, want 4097", w.Order())
+	}
+	cache := NewCache(w, nil)
+	v := cache.FeaturesInto(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache.Reset(w, nil)
+		v = cache.FeaturesInto(v)
+	}
+}
+
 // TestCacheTopologyRecomputeAllocs pins the zero-allocation contract of
 // the expensive kind of sync: a warm cache re-deriving every topology slot
 // of a 100-node WCG — past the size at which the sweep used to start
 // goroutines — allocates nothing.
 func TestCacheTopologyRecomputeAllocs(t *testing.T) {
-	hub := func(seed int64) *wcg.WCG {
-		rng := rand.New(rand.NewSource(seed))
-		var txs []httpstream.Transaction
-		at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
-		for h := 0; h < 99; h++ {
-			hdr := http.Header{}
-			if h > 0 && rng.Intn(3) == 0 {
-				hdr.Set("Referer", fmt.Sprintf("http://host%d.example/", rng.Intn(h)))
-			}
-			txs = append(txs, httpstream.Transaction{
-				ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("198.51.100.7"),
-				Method: "GET", URI: "/", Host: fmt.Sprintf("host%d.example", h),
-				ReqHdr: hdr, RespHdr: http.Header{}, StatusCode: 200,
-				ReqTime: at, RespTime: at.Add(10 * time.Millisecond),
-			})
-			at = at.Add(time.Second)
-		}
-		return wcg.FromTransactions(txs)
-	}
-	a, b := hub(1), hub(2)
+	a, b := clientWCG(99, rand.New(rand.NewSource(1))), clientWCG(99, rand.New(rand.NewSource(2)))
 	if a.Order() != 100 || b.Order() != 100 {
 		t.Fatalf("fixture WCGs have %d and %d nodes, want 100", a.Order(), b.Order())
 	}

@@ -55,16 +55,16 @@ var names = [NumFeatures]string{
 	"Avg-In-Degree",              // f13
 	"Avg-Out-Degree",             // f14
 	"Reciprocity",                // f15
-	"Avg-Degree-Centrality",      // f16
+	"Avg-Degree-Centrality",      // f16: served as 2·pairs/(n(n−1)) (EXPERIMENTS.md divergence 3)
 	"Avg-Closeness-Centrality",   // f17
-	"Avg-Betweenness-Centrality", // f18
+	"Avg-Betweenness-Centrality", // f18: served as Σ(d−1)/(n(n−1)(n−2)) (EXPERIMENTS.md divergence 3)
 	"Avg-Load-Centrality",        // f19: served as a copy of f18 (EXPERIMENTS.md divergence 3)
 	"Avg-Node-Centrality",        // f20
 	"Avg-Clustering-Coefficient", // f21
 	"Avg-Neighbor-Degree",        // f22
 	"Avg-Degree-Connectivity",    // f23
 	"Avg-K-Nearest-Neighbors",    // f24
-	"Avg-PageRank",               // f25
+	"Avg-PageRank",               // f25: served as 1/n (EXPERIMENTS.md divergence 3)
 	"GETs",                       // f26
 	"POSTs",                      // f27
 	"Other-Methods",              // f28

@@ -57,11 +57,6 @@ func BenchmarkNodeConnectivityScratch200(b *testing.B) {
 	benchScratch(b, func(g *Digraph, s *Scratch) { g.NodeConnectivityS(s) })
 }
 
-func BenchmarkPageRankScratch200(b *testing.B) {
-	dst := make([]float64, 0, 200)
-	benchScratch(b, func(g *Digraph, s *Scratch) { dst = g.PageRankInto(dst, s, 0.85, 100, 1e-10) })
-}
-
 // pathStatsSink keeps the benchmarked sweep's result live.
 var pathStatsSink PathStats
 

@@ -25,11 +25,9 @@ func (ws *flowWS) size(nn int) {
 		copy(grown, ws.arcs)
 		ws.arcs = grown
 	}
-	ws.level = growInts(ws.level, nn)
-	ws.iter = growInts(ws.iter, nn)
-	if cap(ws.queue) < nn {
-		ws.queue = make([]int, 0, nn)
-	}
+	ws.level = grow(ws.level, nn)
+	ws.iter = grow(ws.iter, nn)
+	ws.queue = grow(ws.queue, nn)[:0]
 	for i := 0; i < nn; i++ {
 		ws.arcs[i] = ws.arcs[i][:0]
 	}

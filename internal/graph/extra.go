@@ -11,8 +11,8 @@ import (
 // rebuild nothing. Their results are freshly allocated: A7 is an offline
 // experiment, not the wire path.
 
-// eccentricity is the greatest distance the BFS bfsPaths last ran
-// reached: its queue holds the reached nodes in nondecreasing distance.
+// eccentricity is the greatest distance the last bfs reached: its queue
+// holds the reached nodes in nondecreasing distance.
 func (s *Scratch) eccentricity() int { return s.dist[s.queue[len(s.queue)-1]] }
 
 // Eccentricities returns, for each node, the greatest shortest-path
@@ -23,7 +23,7 @@ func (g *Digraph) Eccentricities(s *Scratch) []int {
 	s.sizeSweep(len(adj))
 	ecc := make([]int, len(adj))
 	for u := range adj {
-		s.bfsPaths(adj, u)
+		s.bfs(adj, u)
 		ecc[u] = s.eccentricity()
 	}
 	return ecc
@@ -38,10 +38,8 @@ func (g *Digraph) Radius(s *Scratch) int {
 	adj := s.undirected(g)
 	n := len(adj)
 	s.sizeSweep(n)
-	s.marks = growBools(s.marks, n)
-	for i := range s.marks {
-		s.marks[i] = false
-	}
+	s.marks = grow(s.marks, n)
+	clear(s.marks)
 	// Components are met in order of their smallest node; a strictly
 	// larger one replaces the best so far.
 	root, size := 0, 0
@@ -49,7 +47,7 @@ func (g *Digraph) Radius(s *Scratch) int {
 		if s.marks[src] {
 			continue
 		}
-		s.bfsPaths(adj, src)
+		s.bfs(adj, src)
 		for _, v := range s.queue {
 			s.marks[v] = true
 		}
@@ -62,7 +60,7 @@ func (g *Digraph) Radius(s *Scratch) int {
 	}
 	radius := n
 	for u := range adj {
-		s.bfsPaths(adj, u)
+		s.bfs(adj, u)
 		if s.dist[root] >= 0 { // u is in root's component
 			radius = min(radius, s.eccentricity())
 		}

@@ -2,24 +2,27 @@
 // DynaMiner's web conversation graph (WCG) and the one library of graph
 // analytics the topology features of f7–f25 read: the Scratch kernels
 // (scratch.go) — one shortest-path sweep for diameter, closeness,
-// betweenness and within-k, in which the degree-1 neighbours of one hub
-// (a watched client's call-back hosts) reuse the hub's BFS bit for bit
-// rather than running their own, plus node connectivity, degree centrality,
-// clustering, neighbourhood statistics and PageRank — and the extended
-// A7 measures (extra.go) on the same cached projections and BFS. The
-// graph keeps its edge log, multigraph degrees and both simple
+// within-k and the integer sum behind mean betweenness, in which the
+// degree-1 neighbours of one hub (a watched client's call-back hosts)
+// reuse the hub's BFS rather than running their own, plus node
+// connectivity, clustering and neighbourhood statistics — and the
+// extended A7 measures (extra.go) on the same cached projections and BFS.
+// The graph keeps its edge log, multigraph degrees and both simple
 // projections (as sorted pair sets) current as each edge arrives, so the
 // counting features (order, size, degree, density, volume, reciprocity)
 // read O(1) counters and the Scratch kernels lay out their adjacency
-// without sorting. Mean load centrality is not computed: it equals mean
-// betweenness on every graph, and f19 is served as f18.
+// without sorting. Mean degree centrality, mean betweenness (and with it
+// mean load centrality) and mean PageRank are served as closed forms
+// over those counters and the sweep's integers (DESIGN.md §8); no
+// kernel computes the vectors.
 //
 // The semantics of every measure follow the NetworkX definitions that the
 // paper's feature names are drawn from: distance-based measures operate on
 // the undirected simple projection of the multigraph, degree-based measures
 // on the multigraph itself, and PageRank on the directed simple projection.
-// The plain, allocating kernels the Scratch kernels replaced live on only
-// as the bit-for-bit test oracle in plain_ref_test.go.
+// The plain, allocating kernels live on only as the test oracle in
+// plain_ref_test.go: bit for bit for every Scratch kernel, and within
+// 1e-9 for the three closed forms, whose definitions they are.
 package graph
 
 import (
@@ -27,9 +30,10 @@ import (
 	"slices"
 )
 
-// setCap is the capacity each sorted pair set starts at, so a small
-// graph's sets do not regrow on their first few pairs.
-const setCap = 16
+// minCap is the capacity each sorted pair set and each Scratch buffer
+// starts at, so a small graph's do not regrow on its first few nodes and
+// pairs.
+const minCap = 16
 
 // Digraph is a directed multigraph over nodes 0..N-1. Parallel edges and
 // self-loops are permitted; most analytics project them away as documented
@@ -71,6 +75,10 @@ func (g *Digraph) M() int { return len(g.edges) }
 // SimpleM returns the number of edges of the directed simple projection:
 // distinct ordered pairs, self-loops excluded.
 func (g *Digraph) SimpleM() int { return len(g.dir) }
+
+// UndirectedM returns the number of edges of the undirected simple
+// projection: distinct unordered pairs of distinct nodes.
+func (g *Digraph) UndirectedM() int { return len(g.und) }
 
 // Reciprocal returns how many edges of the directed simple projection
 // have their reverse edge in it too.
@@ -119,7 +127,7 @@ func pair(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
 // insertPair inserts p at index i of the sorted set s.
 func insertPair(s []uint64, i int, p uint64) []uint64 {
 	if s == nil {
-		s = make([]uint64, 0, setCap)
+		s = make([]uint64, 0, minCap)
 	}
 	return slices.Insert(s, i, p)
 }

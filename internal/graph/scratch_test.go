@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -24,21 +25,8 @@ func randomMultigraph(rng *rand.Rand, n, edges int) *Digraph {
 	return g
 }
 
-// sameFloats asserts bitwise equality — the scratch variants promise the
+// sameScalar asserts bitwise equality — the scratch variants promise the
 // identical arithmetic in the identical order, not just approximation.
-func sameFloats(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: len %d != %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d]: %v (bits %x) != %v (bits %x)",
-				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
 func sameScalar(t *testing.T, name string, got, want float64) {
 	t.Helper()
 	if math.Float64bits(got) != math.Float64bits(want) {
@@ -47,12 +35,16 @@ func sameScalar(t *testing.T, name string, got, want float64) {
 }
 
 // checkPathStats holds the one shortest-path sweep and the bounded
-// connectivity to the oracle kernels in plain_ref_test.go.
+// connectivity to the oracle kernels in plain_ref_test.go: diameter,
+// within-k and closeness bit for bit, and mean betweenness bit for bit to
+// its integer closed form, which in turn lies within topologyTol of mean
+// plain Brandes betweenness.
 func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
 	diameter := g.Diameter()
 	closeness := Mean(g.ClosenessCentrality())
-	betweenness := Mean(g.BetweennessCentrality())
+	betweenness := meanBetweennessForm(g)
+	nearForm(t, g, "mean Brandes betweenness", Mean(g.BetweennessCentrality()), betweenness)
 	for _, k := range []int{0, 1, 2, 3} {
 		ps := g.PathStatsS(k, s)
 		if ps.Diameter != diameter {
@@ -73,11 +65,9 @@ func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
 func CheckScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
 	checkPathStats(t, g, s)
-	sameFloats(t, "DegreeCentrality", g.DegreeCentralityInto(nil, s), g.DegreeCentrality())
 	sameScalar(t, "AvgClusteringCoefficient", g.AvgClusteringCoefficientS(s), g.AvgClusteringCoefficient())
-	sameFloats(t, "AvgNeighborDegrees", g.AvgNeighborDegreesInto(nil, s), g.AvgNeighborDegrees())
+	sameScalar(t, "AvgNeighborDegree", g.AvgNeighborDegreeS(s), Mean(g.AvgNeighborDegrees()))
 	sameScalar(t, "AvgDegreeConnectivity", g.AvgDegreeConnectivityS(s), g.AvgDegreeConnectivity())
-	sameFloats(t, "PageRank", g.PageRankInto(nil, s, 0.85, 100, 1e-10), g.PageRank(0.85, 100, 1e-10))
 }
 
 func TestScratchMatchesPlain(t *testing.T) {
@@ -330,29 +320,30 @@ func TestScratchTinyGraphs(t *testing.T) {
 	}
 }
 
+// topologyKernels runs every Scratch kernel the feature extractor's
+// topology recompute runs (features.Cache), in its order.
+func topologyKernels(g *Digraph, s *Scratch) {
+	g.PathStatsS(2, s)
+	g.NodeConnectivityS(s)
+	g.AvgClusteringCoefficientS(s)
+	g.AvgNeighborDegreeS(s)
+	g.AvgDegreeConnectivityS(s)
+}
+
 // TestScratchSteadyStateAllocs pins the zero-allocation contract for the
 // analytics passes once the workspace has warmed up on a graph of the same
 // size — at 100 nodes, where the sweep used to fan out over goroutines,
 // and on the chain client and the 4 097-node star, whose leaves the sweep
-// folds into their hub's kept run.
+// folds into their hub's BFS.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomMultigraph(rng, 100, 330)
 	h := randomMultigraph(rng, 100, 350)
 	chain, star := chainClientGraph(79), starGraph(4096)
 	s := NewScratch()
-	dst := make([]float64, 0, g.N())
-	all := func(g *Digraph) {
-		g.PathStatsS(2, s)
-		g.NodeConnectivityS(s)
-		dst = g.DegreeCentralityInto(dst, s)
-		dst = g.AvgNeighborDegreesInto(dst, s)
-		dst = g.PageRankInto(dst, s, 0.85, 100, 1e-10)
-		g.AvgClusteringCoefficientS(s)
-		g.AvgDegreeConnectivityS(s)
-	}
+	all := func(g *Digraph) { topologyKernels(g, s) }
 	for _, x := range []*Digraph{g, h, chain, star} {
-		all(x) // warm up every buffer, the kept hub rows among them
+		all(x) // warm up every buffer
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		// Alternating graphs lays both projections out again from each
@@ -367,53 +358,86 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// topologyTol is the relative tolerance of CheckTopologyIdentities: each
-// side is a sum of at most a few thousand rounded terms of one sign.
+// TestScratchGrowthAllocs pins the amortised growth of the workspace: a
+// star grown one leaf at a time to 4 097 nodes, with every topology kernel
+// run after each new leaf as a watched client's cache runs them, makes at
+// most 100 allocations inside the kernels over all 4 096 steps. Buffers
+// resized to exactly n made several on every step.
+func TestScratchGrowthAllocs(t *testing.T) {
+	g, s := New(1), NewScratch()
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < 4096; i++ {
+		if err := g.AddEdge(0, g.AddNode()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		topologyKernels(g, s)
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	t.Logf("%d allocations over 4 096 steps", total)
+	if total > 100 {
+		t.Fatalf("growing a star to %d nodes: the kernels allocated %d times, want at most 100", g.N(), total)
+	}
+}
+
+// topologyTol is the relative tolerance between a served closed form and
+// the plain kernel it stands for: each kernel's mean is a sum of at most a
+// few thousand rounded terms of one sign.
 const topologyTol = 1e-9
 
-// CheckTopologyIdentities asserts the closed forms three served slots
-// equal up to rounding (ROADMAP item 11): mean PageRank is 1/n, mean degree
-// centrality is 2·pairs/(n(n−1)) over the undirected simple pairs, and
-// mean betweenness is Σ(d−1) over ordered reachable pairs, normalised as
-// the sweep normalises it. Nothing served reads these forms; the check
-// pins what serving them would change.
-func CheckTopologyIdentities(t *testing.T, g *Digraph, s *Scratch) {
+// nearForm fails unless got lies within topologyTol of the closed form
+// want, relative to it (so a zero form admits only zero).
+func nearForm(t *testing.T, g *Digraph, name string, got, want float64) {
 	t.Helper()
+	if math.Abs(got-want) > topologyTol*math.Abs(want) {
+		t.Fatalf("n=%d %s: %v, closed form %v (rel. err %.3g)", g.N(), name, got, want, math.Abs(got-want)/math.Abs(want))
+	}
+}
+
+// meanBetweennessForm is the integer closed form of mean betweenness,
+// computed from the oracle's own BFS: Σ(d − 1) over ordered pairs of
+// distinct nodes joined by a path, over n(n−1)(n−2), rounded once.
+func meanBetweennessForm(g *Digraph) float64 {
 	n := g.N()
-	near := func(name string, got, want float64) {
-		t.Helper()
-		if math.Abs(got-want) > topologyTol*math.Abs(want) {
-			t.Fatalf("n=%d %s: %v, closed form %v (rel. err %.3g)", n, name, got, want, math.Abs(got-want)/math.Abs(want))
-		}
-	}
-	if n == 0 {
-		return
-	}
-	near("mean PageRank", Mean(g.PageRankInto(nil, s, 0.85, 100, 1e-10)), 1/float64(n))
-	if n < 2 {
-		return
+	if n < 3 {
+		return 0
 	}
 	adj := g.undirectedSimple()
-	pairs, excess := 0, 0
+	excess := 0
 	for u := range adj {
-		pairs += len(adj[u])
 		for _, d := range bfsDistances(adj, u) {
 			if d > 0 {
 				excess += d - 1
 			}
 		}
 	}
-	pairs /= 2
-	near("mean degree centrality", Mean(g.DegreeCentralityInto(nil, s)), 2*float64(pairs)/(float64(n)*float64(n-1)))
-	if n < 3 {
+	return float64(excess) / float64(n*(n-1)*(n-2))
+}
+
+// CheckTopologyIdentities holds the closed forms the feature extractor
+// serves for three Table II slots to the plain kernels that define them
+// (plain_ref_test.go), within topologyTol: f25 mean PageRank is 1/n, f16
+// mean degree centrality is 2·pairs/(n(n−1)) over the undirected simple
+// pairs, and f18 (and f19) mean betweenness is PathStatsS's integer ratio.
+func CheckTopologyIdentities(t *testing.T, g *Digraph, s *Scratch) {
+	t.Helper()
+	n := g.N()
+	if n == 0 {
 		return
 	}
-	want := float64(excess) / (float64(n) * float64(n-1) * float64(n-2))
-	if got := g.PathStatsS(2, s).Betweenness; excess == 0 {
-		if got != 0 {
-			t.Fatalf("n=%d mean betweenness %v, want 0 (no path has an interior node)", n, got)
-		}
-	} else {
-		near("mean betweenness", got, want)
+	nearForm(t, g, "mean PageRank", Mean(g.PageRank(0.85, 100, 1e-10)), 1/float64(n))
+	if n < 2 {
+		return
 	}
+	pairs := 0
+	for _, vs := range g.undirectedSimple() {
+		pairs += len(vs)
+	}
+	if pairs /= 2; pairs != g.UndirectedM() {
+		t.Fatalf("UndirectedM = %d, the oracle projection has %d pairs", g.UndirectedM(), pairs)
+	}
+	nearForm(t, g, "mean degree centrality", Mean(g.DegreeCentrality()), float64(2*pairs)/float64(n*(n-1)))
+	nearForm(t, g, "mean betweenness", Mean(g.BetweennessCentrality()), g.PathStatsS(2, s).Betweenness)
 }

@@ -187,7 +187,9 @@ func TestSaveLoadPreservesFeatureCount(t *testing.T) {
 // testdata/seed7.dmfb is what `dynaminer model convert` turned it into.
 // The JSON must load to the forest whose blob is that fixture, byte for
 // byte, with the CRC the fixture stores; the blob loads to the same forest.
-// (cmd/dynaminer checks that training today writes the same blob.)
+// The pair pins import and conversion, not training: training today reads
+// different feature vectors (f16, f18, f19 and f25 are served as closed
+// forms), and cmd/dynaminer pins what it writes as seed7_trained.dmfb.
 func TestLoadModelImportsJSONFixture(t *testing.T) {
 	blob, err := os.ReadFile("testdata/seed7.dmfb")
 	if err != nil {
