@@ -1009,9 +1009,10 @@ func (s *shardState) incrementalVector(c *cluster, span int) ([]float64, bool) {
 }
 
 // cachedVector syncs cache into the shard's vector buffer under the open
-// feature span. A sync that had to recompute the topology slots costs
-// hundreds of times one that did not, so it is counted and the span
-// flagged: the two modes of the classify histograms stay attributable.
+// feature span. A sync that had to refresh the topology slots — O(n) for
+// a new leaf host, the full sweep for any other structural change — costs
+// many times one that did not, so it is counted and the span flagged: the
+// modes of the classify histograms stay attributable.
 func (s *shardState) cachedVector(cache *features.Cache, span int) []float64 {
 	runs := cache.TopologyRuns()
 	s.fvec = cache.FeaturesInto(s.fvec)

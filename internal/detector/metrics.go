@@ -55,7 +55,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		alerts:          cell("dynaminer_detector_alerts_total", "Infection alerts emitted."),
 		dropped:         cell("dynaminer_detector_dropped_total", "Transactions dropped by the MaxClusterTxs cap."),
 		rebuilds:        cell("dynaminer_detector_rebuilds_total", "Classifications served by the from-scratch rebuild path."),
-		topologyRuns:    cell("dynaminer_detector_topology_recomputes_total", "Classifications that recomputed the topology features because the WCG's structure changed."),
+		topologyRuns:    cell("dynaminer_detector_topology_recomputes_total", "Classifications that refreshed the topology features because the WCG's undirected structure changed: O(n) for a new leaf host, the full sweep for anything else."),
 		panics:          cell("dynaminer_detector_panics_total", "Recovered per-transaction faults (panics and non-finite scores)."),
 		quarantined:     cell("dynaminer_detector_quarantined_total", "Clusters placed in quarantine after their first fault."),
 		degraded:        cell("dynaminer_detector_degraded_total", "Watched-WCG updates skipped in degraded mode."),

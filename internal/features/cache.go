@@ -14,12 +14,15 @@ import (
 // density/volume/reciprocity GF slots, which reduce to counters the WCG
 // already maintains) in O(1) per edge, using the exact arithmetic of the
 // from-scratch extractor so the resulting floats are bit-identical. The
-// expensive topology-bound GF slots — diameter, the centrality family,
-// connectivity, clustering, neighborhood statistics, PageRank — recompute
-// through the reusable graph.Scratch only when the WCG's StructVersion
-// moved, i.e. when an append introduced a new host or a first edge between
-// a host pair; appends that only add parallel request/response edges or
-// annotations skip them entirely.
+// topology-bound GF slots — diameter, the centrality family,
+// connectivity, clustering, neighbourhood statistics — follow the
+// undirected simple projection through a graph.Topology the cache keeps,
+// which classifies each sync's change (DESIGN.md §8): none (parallel
+// edges, annotations, a first reverse-direction edge on an existing host
+// pair) refreshes nothing; one new leaf on an existing node (a new
+// call-back host) updates the slots from kept per-node integers in O(n);
+// anything else re-runs the sweep and the kernels through the reusable
+// graph.Scratch, which also refreshes the kept integers.
 //
 // A Cache observes its WCG strictly through appends (the only mutation the
 // builder performs) and is not safe for concurrent use.
@@ -29,10 +32,12 @@ type Cache struct {
 
 	v [NumFeatures]float64
 
-	// Sync cursor and topology dirty tracking.
+	// Sync cursor, and the topology slots' kept state: valid once a sync
+	// has recomputed it for w, kept (with its storage) across Reset.
 	edgeCount int
-	structVer uint64
+	topo      graph.Topology
 	gfValid   bool
+	change    graph.Change // of the last sync
 	topoRuns  uint64
 
 	// Running aggregates mirroring wcg.Summarize.
@@ -60,9 +65,9 @@ func NewCache(w *wcg.WCG, s *graph.Scratch) *Cache {
 // Reset rebinds the cache to w, zeroing the sync cursor and every running
 // aggregate so the next FeaturesInto recomputes from scratch — bit-identical
 // to a fresh NewCache(w, s). A nil s keeps the cache's current scratch
-// (allocating one only if the cache never had any), which is what lets one
-// cache+scratch pair sweep a whole batch of WCGs without per-episode
-// allocation.
+// (allocating one only if the cache never had any), and the topology
+// state keeps its storage, which is what lets one cache+scratch pair sweep
+// a whole batch of WCGs without per-episode allocation.
 func (c *Cache) Reset(w *wcg.WCG, s *graph.Scratch) {
 	if s == nil {
 		s = c.scratch
@@ -70,7 +75,7 @@ func (c *Cache) Reset(w *wcg.WCG, s *graph.Scratch) {
 	if s == nil {
 		s = graph.NewScratch()
 	}
-	*c = Cache{w: w, scratch: s}
+	*c = Cache{w: w, scratch: s, topo: c.topo}
 }
 
 // Features returns a freshly allocated feature vector, syncing first.
@@ -91,8 +96,8 @@ func (c *Cache) FeaturesInto(dst []float64) []float64 {
 }
 
 // sync folds the edges appended since the last call into the running
-// aggregates, reassembles the O(1) slots, and recomputes the topology
-// slots when the structural projection changed.
+// aggregates, reassembles the O(1) slots, and refreshes the topology
+// slots when the undirected simple projection changed.
 func (c *Cache) sync() {
 	w := c.w
 	g := w.Graph() // materialized once, then grown in place by the builder
@@ -219,41 +224,39 @@ func (c *Cache) sync() {
 		c.v[36] = (c.gapSum / time.Duration(c.reqCount-1)).Seconds()
 	}
 
-	if sv := w.StructVersion(); !c.gfValid || sv != c.structVer {
-		c.recomputeTopology(g)
-		c.structVer = sv
+	var ts graph.TopologyStats
+	if c.gfValid {
+		ts, c.change = c.topo.Update(g, c.scratch)
+	} else {
+		ts, c.change = c.topo.Recompute(g, knnRadius, c.scratch), graph.Recomputed
 		c.gfValid = true
+	}
+	if c.change != graph.Unchanged {
+		c.topoRuns++
+		c.setTopology(ts, n, g.UndirectedM())
 	}
 }
 
-// recomputeTopology refreshes the GF slots that depend on the simple
-// structural projection, through the reusable scratch workspace: one
-// shortest-path sweep for the path-derived slots, one kernel each for
-// connectivity, clustering and the neighbour degrees. Three slots are
-// served as their closed forms (DESIGN.md §8, EXPERIMENTS.md divergence
-// 3), each an integer ratio rounded once: f16 Avg-Degree-Centrality is
-// 2·pairs/(n(n−1)) over the undirected simple pairs, f18
-// Avg-Betweenness-Centrality is the sweep's Σ(d−1)/(n(n−1)(n−2)) (f19
-// Avg-Load-Centrality is the same sum under the same normalisation), and
-// f25 Avg-PageRank is 1/n.
-func (c *Cache) recomputeTopology(g *graph.Digraph) {
-	c.topoRuns++
-	s := c.scratch
-	n := g.N()
-	ps := g.PathStatsS(knnRadius, s)
-	c.v[11] = float64(ps.Diameter)
+// setTopology writes the topology slots. Three are served as their closed
+// forms (DESIGN.md §8, EXPERIMENTS.md divergence 3), each an integer
+// ratio rounded once: f16 Avg-Degree-Centrality is 2·pairs/(n(n−1)) over
+// the undirected simple pairs, f18 Avg-Betweenness-Centrality is the
+// sweep's Σ(d−1)/(n(n−1)(n−2)) (f19 Avg-Load-Centrality is the same sum
+// under the same normalisation), and f25 Avg-PageRank is 1/n.
+func (c *Cache) setTopology(ts graph.TopologyStats, n, pairs int) {
+	c.v[11] = float64(ts.Diameter)
 	c.v[15] = 0
 	if n >= 2 {
-		c.v[15] = float64(2*g.UndirectedM()) / float64(n*(n-1))
+		c.v[15] = float64(2*pairs) / float64(n*(n-1))
 	}
-	c.v[16] = ps.Closeness
-	c.v[17] = ps.Betweenness
-	c.v[18] = ps.Betweenness
-	c.v[19] = float64(g.NodeConnectivityS(s))
-	c.v[20] = g.AvgClusteringCoefficientS(s)
-	c.v[21] = g.AvgNeighborDegreeS(s)
-	c.v[22] = g.AvgDegreeConnectivityS(s)
-	c.v[23] = ps.WithinK
+	c.v[16] = ts.Closeness
+	c.v[17] = ts.Betweenness
+	c.v[18] = ts.Betweenness
+	c.v[19] = float64(ts.Connectivity)
+	c.v[20] = ts.Clustering
+	c.v[21] = ts.NeighborDegree
+	c.v[22] = ts.DegreeConnectivity
+	c.v[23] = ts.WithinK
 	c.v[24] = 0
 	if n > 0 {
 		c.v[24] = 1 / float64(n)
@@ -261,5 +264,6 @@ func (c *Cache) recomputeTopology(g *graph.Digraph) {
 }
 
 // TopologyRuns is the number of syncs since NewCache or Reset that
-// recomputed the topology slots — the expensive kind of classification.
+// refreshed the topology slots, by a leaf update or a full recompute —
+// the kinds of classification that cost more than O(new edges).
 func (c *Cache) TopologyRuns() uint64 { return c.topoRuns }

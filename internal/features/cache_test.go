@@ -201,33 +201,209 @@ func TestExtractMatchesPlainExtract(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsTopologyWhenStructUnchanged checks the dirty tracking
-// against the cache's own count: the topology slots are recomputed at
-// exactly the syncs where StructVersion moved (the first included), which
-// on any episode that revisits a host pair is fewer than its transactions.
+// projection recounts the undirected simple projection of w from its
+// edge list: each node's set of distinct neighbours, and the pair count.
+func projection(w *wcg.WCG) (nbrs []map[int]bool, pairs int) {
+	nbrs = make([]map[int]bool, len(w.Nodes))
+	for i := range nbrs {
+		nbrs[i] = map[int]bool{}
+	}
+	for _, e := range w.Edges {
+		if e.From != e.To && !nbrs[e.From][e.To] {
+			nbrs[e.From][e.To], nbrs[e.To][e.From] = true, true
+			pairs++
+		}
+	}
+	return nbrs, pairs
+}
+
+// changeTracker classifies each sync's change to the undirected simple
+// projection from the WCG's edge list, independently of the cache: the
+// first sync and anything but no change or one new leaf recompute.
+type changeTracker struct {
+	synced   bool
+	n, pairs int
+	attach   int // the existing node the last NewLeaf joined
+}
+
+func (ct *changeTracker) next(w *wcg.WCG) graph.Change {
+	nbrs, pairs := projection(w)
+	n, oldN, oldPairs, first := len(nbrs), ct.n, ct.pairs, !ct.synced
+	ct.synced, ct.n, ct.pairs, ct.attach = true, n, pairs, -1
+	switch {
+	case first:
+		return graph.Recomputed
+	case n == oldN && pairs == oldPairs:
+		return graph.Unchanged
+	case n == oldN+1 && pairs == oldPairs+1 && len(nbrs[oldN]) == 1:
+		for a := range nbrs[oldN] {
+			ct.attach = a
+		}
+		return graph.NewLeaf
+	}
+	return graph.Recomputed
+}
+
+// TestCacheSkipsTopologyWhenStructUnchanged checks the cache's change
+// classification against a recount from the edge list, sync by sync: no
+// change to the undirected simple projection refreshes nothing, one new
+// leaf takes the leaf update, anything else (the first sync included)
+// recomputes, and TopologyRuns counts both kinds of refresh. On episodes
+// that revisit a host, fewer syncs refresh than transactions arrive.
 func TestCacheSkipsTopologyWhenStructUnchanged(t *testing.T) {
 	episodes := synth.GenerateCorpus(synth.Config{Seed: 13, Infections: 2, Benign: 2})
 	for ei, ep := range episodes {
 		txs := byTime(ep.Txs)
 		ib := wcg.NewIncrementalBuilder()
 		cache := NewCache(ib.Live(), nil)
-		var moves, lastVer uint64
+		var ct changeTracker
+		var refreshes uint64
+		var kinds [3]int
 		for i, tx := range txs {
 			ib.Append(tx)
 			cache.Features()
-			if v := ib.Live().StructVersion(); i == 0 || v != lastVer {
-				moves++
-				lastVer = v
+			want := ct.next(ib.Live())
+			if got := cache.LastChange(); got != want {
+				t.Fatalf("episode %d tx %d: sync classified %d, the edge list says %d", ei, i, got, want)
 			}
-			if got := cache.TopologyRuns(); got != moves {
-				t.Fatalf("episode %d tx %d: %d topology runs, StructVersion moved %d times", ei, i, got, moves)
+			kinds[want]++
+			if want != graph.Unchanged {
+				refreshes++
+			}
+			if got := cache.TopologyRuns(); got != refreshes {
+				t.Fatalf("episode %d tx %d: %d topology runs, %d refreshes", ei, i, got, refreshes)
 			}
 		}
-		if moves >= uint64(len(txs)) {
-			t.Fatalf("episode %d: every one of %d transactions changed the structure; nothing to skip", ei, len(txs))
+		if kinds[graph.Unchanged] == 0 || kinds[graph.NewLeaf] == 0 {
+			t.Fatalf("episode %d: syncs by kind %v; want skips and leaf updates", ei, kinds)
 		}
 		// Regardless of skips, the final vector matches from-scratch.
 		requireSameVector(t, "final", cache.Features(), plainExtract(wcg.FromTransactions(txs)))
+	}
+
+	// A request that saw no response, then one to the same host that
+	// did: the second's response is the first edge from the host back
+	// to the client. It moves StructVersion (a new directed pair) but not
+	// the undirected projection, so it refreshes nothing.
+	txs := []httpstream.Transaction{
+		callback("a.example", 200, 0), callback("b.example", 0, 1), callback("b.example", 200, 2),
+	}
+	ib := wcg.NewIncrementalBuilder()
+	cache := NewCache(ib.Live(), nil)
+	for i, want := range []graph.Change{graph.Recomputed, graph.NewLeaf, graph.Unchanged} {
+		before := ib.Live().StructVersion()
+		ib.Append(txs[i])
+		cache.Features()
+		if got := cache.LastChange(); got != want {
+			t.Fatalf("reverse pair, tx %d: classified %d, want %d", i, got, want)
+		}
+		if i == 2 && ib.Live().StructVersion() == before {
+			t.Fatal("the first response from b.example did not move StructVersion")
+		}
+	}
+	if got := cache.TopologyRuns(); got != 2 {
+		t.Fatalf("reverse pair: %d topology runs, want 2", got)
+	}
+	requireSameVector(t, "reverse pair", cache.Features(), plainExtract(wcg.FromTransactions(txs)))
+}
+
+// callback is one request from the client to host, sec seconds into the
+// session, answered with status (0: no response seen).
+func callback(host string, status, sec int) httpstream.Transaction {
+	at := time.Date(2016, 3, 1, 9, 0, sec, 0, time.UTC)
+	return httpstream.Transaction{
+		ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("198.51.100.7"),
+		Method: "POST", URI: "/gate.php", Host: host,
+		ReqHdr: http.Header{}, RespHdr: http.Header{}, StatusCode: status,
+		ReqTime: at, RespTime: at.Add(10 * time.Millisecond),
+	}
+}
+
+// randomSession is one client's transactions half a second apart to
+// hosts drawn at random, a third of them new: some unanswered, some
+// redirected to a new or a known host, some with a Referer naming a known
+// host (a redirect edge between two hosts when it clicks within the
+// builder's gap).
+func randomSession(rng *rand.Rand, n int) []httpstream.Transaction {
+	var hosts []string
+	pick := func() string {
+		if len(hosts) == 0 || rng.Intn(3) == 0 {
+			hosts = append(hosts, fmt.Sprintf("h%d.example", len(hosts)))
+			return hosts[len(hosts)-1]
+		}
+		return hosts[rng.Intn(len(hosts))]
+	}
+	at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
+	txs := make([]httpstream.Transaction, n)
+	for i := range txs {
+		req, resp := http.Header{}, http.Header{}
+		if len(hosts) > 0 && rng.Intn(3) == 0 {
+			req.Set("Referer", "http://"+hosts[rng.Intn(len(hosts))]+"/")
+		}
+		host := pick()
+		status := []int{0, 200, 200, 302}[rng.Intn(4)]
+		if status == 302 {
+			resp.Set("Location", "http://"+pick()+"/")
+		}
+		txs[i] = httpstream.Transaction{
+			ClientIP: netip.MustParseAddr("10.0.0.5"), ServerIP: netip.MustParseAddr("198.51.100.7"),
+			Method: "GET", URI: fmt.Sprintf("/p%d", rng.Intn(4)), Host: host,
+			ReqHdr: req, RespHdr: resp, StatusCode: status, ContentType: "text/html", BodySize: 64,
+			ReqTime: at, RespTime: at.Add(10 * time.Millisecond),
+		}
+		at = at.Add(500 * time.Millisecond)
+	}
+	return txs
+}
+
+// TestCacheMatchesPlainExtractOnEveryChange grows random sessions' WCGs
+// through every kind of change a WCG sees after its first sync — a
+// call-back leaf on the client, a redirect target's leaf on another host,
+// a first edge between two known nodes, two new nodes at once, a first
+// reverse-direction edge, repeats — and holds the cache to the plain
+// extractor on every prefix, bit for bit.
+func TestCacheMatchesPlainExtractOnEveryChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	scratch := graph.NewScratch()
+	var leafOnClient, leafElsewhere, pairOfKnown, other, reverseOnly int
+	for session := 0; session < 30; session++ {
+		txs := randomSession(rng, 50)
+		ib := wcg.NewIncrementalBuilder()
+		cache := NewCache(ib.Live(), scratch)
+		var ct changeTracker
+		var buf []float64
+		for i, tx := range txs {
+			n, ver := ib.Live().Order(), ib.Live().StructVersion()
+			ib.Append(tx)
+			buf = cache.FeaturesInto(buf)
+			requireSameVector(t, fmt.Sprintf("session %d tx %d", session, i), buf, plainExtract(wcg.FromTransactions(txs[:i+1])))
+			want := ct.next(ib.Live())
+			if got := cache.LastChange(); got != want {
+				t.Fatalf("session %d tx %d: classified %d, want %d", session, i, got, want)
+			}
+			switch {
+			case i == 0:
+			case want == graph.NewLeaf && ct.attach == 0:
+				leafOnClient++
+			case want == graph.NewLeaf:
+				leafElsewhere++
+			case want == graph.Recomputed && ib.Live().Order() == n:
+				pairOfKnown++
+			case want == graph.Recomputed:
+				other++
+			case ib.Live().StructVersion() != ver:
+				reverseOnly++
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"leaf on the client", leafOnClient}, {"leaf elsewhere", leafElsewhere}, {"pair of known nodes", pairOfKnown},
+		{"other recompute", other}, {"reverse pair only", reverseOnly}} {
+		if c.n == 0 {
+			t.Fatalf("no %s in the random sessions", c.name)
+		}
 	}
 }
 
@@ -256,7 +432,8 @@ func clientWCG(hosts int, rng *rand.Rand) *wcg.WCG {
 // BenchmarkTopologyStar4097 is one FeaturesInto after a structural change
 // on the worst-case shape of one watched client: 4 096 hosts on one
 // victim. Reset voids the cache's cursor, so every sync re-folds the
-// edges and recomputes the topology slots, as a new host does.
+// edges and recomputes the topology slots, as any structural change but a
+// new leaf does (BenchmarkTopologyLeafDelta4097 is the leaf's cost).
 func BenchmarkTopologyStar4097(b *testing.B) {
 	w := clientWCG(4096, nil)
 	if w.Order() != 4097 {
@@ -269,6 +446,68 @@ func BenchmarkTopologyStar4097(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache.Reset(w, nil)
 		v = cache.FeaturesInto(v)
+	}
+}
+
+// starGrowth is one client calling back to the given number of new
+// hosts, a second apart: the star of BenchmarkTopologyStar4097, one leaf
+// per transaction.
+func starGrowth(hosts int) []httpstream.Transaction {
+	txs := make([]httpstream.Transaction, hosts)
+	for h := range txs {
+		txs[h] = callback(fmt.Sprintf("host%d.example", h), 200, h)
+	}
+	return txs
+}
+
+// BenchmarkTopologyLeafDelta4097 grows that star leaf by leaf to 4 097
+// nodes through one cache, one FeaturesInto per new host: the watched
+// client's loop, in which every sync after the first is a leaf update.
+// ns/leaf is the mean over the 4 096 leaves, each transaction's append
+// included.
+func BenchmarkTopologyLeafDelta4097(b *testing.B) {
+	txs := starGrowth(4096)
+	scratch := graph.NewScratch()
+	var v []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ib := wcg.NewIncrementalBuilder()
+		cache := NewCache(ib.Live(), scratch)
+		for _, tx := range txs {
+			ib.Append(tx)
+			v = cache.FeaturesInto(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(txs)), "ns/leaf")
+}
+
+// TestCacheLeafGrowthAllocs pins the amortised growth of the leaf update:
+// growing the star to 4 097 nodes through one cache, one sync per new
+// host, allocates O(log n) times inside the syncs in all, because the
+// kept per-node state and the scratch's buffers grow by doubling.
+func TestCacheLeafGrowthAllocs(t *testing.T) {
+	txs := starGrowth(4096)
+	ib := wcg.NewIncrementalBuilder()
+	cache := NewCache(ib.Live(), nil)
+	var buf []float64
+	var total uint64
+	var before, after runtime.MemStats
+	for i, tx := range txs {
+		ib.Append(tx)
+		runtime.ReadMemStats(&before)
+		buf = cache.FeaturesInto(buf)
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+		if i > 0 && cache.LastChange() != graph.NewLeaf {
+			t.Fatalf("host %d: classified %d, want a leaf update", i, cache.LastChange())
+		}
+	}
+	if n := ib.Live().Order(); n != 4097 {
+		t.Fatalf("star has %d nodes, want 4097", n)
+	}
+	t.Logf("%d allocations over 4 096 syncs", total)
+	if total > 64 {
+		t.Fatalf("growing a star to 4 097 nodes: the syncs allocated %d times, want at most 64", total)
 	}
 }
 

@@ -5,8 +5,10 @@
 // within-k and the integer sum behind mean betweenness, in which the
 // degree-1 neighbours of one hub (a watched client's call-back hosts)
 // reuse the hub's BFS rather than running their own, plus node
-// connectivity, clustering and neighbourhood statistics — and the
-// extended A7 measures (extra.go) on the same cached projections and BFS.
+// connectivity, clustering and neighbourhood statistics — the Topology
+// that keeps their per-node integers for one growing graph, so a new leaf
+// updates every slot in O(n) (topology.go), and the extended A7 measures
+// (extra.go) on the same cached projections and BFS.
 // The graph keeps its edge log, multigraph degrees and both simple
 // projections (as sorted pair sets) current as each edge arrives, so the
 // counting features (order, size, degree, density, volume, reciprocity)

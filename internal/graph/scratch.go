@@ -159,7 +159,12 @@ type PathStats struct {
 // expressions the test oracle uses (plain_ref_test.go), over the same
 // operands in the same order, so they are bit-identical to Diameter(),
 // AvgNodesWithinK(k) and Mean(ClosenessCentrality()).
-func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
+func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats { return g.pathStats(k, s, nil) }
+
+// pathStats is PathStatsS. A non-nil t receives every source's
+// (Σ distance, reach) and the sweep's integer diameter, within-k count and
+// betweenness sum.
+func (g *Digraph) pathStats(k int, s *Scratch, t *Topology) PathStats {
 	adj := s.undirected(g)
 	n := len(adj)
 	var ps PathStats
@@ -194,15 +199,20 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 			s.bfs(adj, src)
 			sum, reach, ecc, in = s.distAggregates(k)
 		}
+		if t != nil {
+			t.nodes[src].sum, t.nodes[src].reach = sum, reach
+		}
 		within += in
 		excess += sum - reach
 		if sum > 0 {
 			if ecc > ps.Diameter {
 				ps.Diameter = ecc
 			}
-			frac := float64(reach) / float64(n-1)
-			closeness += frac * float64(reach) / float64(sum)
+			closeness += closenessTerm(sum, reach, n)
 		}
+	}
+	if t != nil {
+		t.diameter, t.within, t.excess = ps.Diameter, within, excess
 	}
 	ps.WithinK = float64(within) / float64(n)
 	ps.Closeness = closeness / float64(n)
@@ -210,6 +220,13 @@ func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats {
 		ps.Betweenness = float64(excess) / float64(n*(n-1)*(n-2))
 	}
 	return ps
+}
+
+// closenessTerm is one source's Wasserman–Faust closeness: the share of
+// the other nodes it reaches times the reciprocal of their mean distance.
+func closenessTerm(sum, reach, n int) float64 {
+	frac := float64(reach) / float64(n-1)
+	return frac * float64(reach) / float64(sum)
 }
 
 // leafHub returns the node of degree ≥ 2 with the most degree-1
@@ -363,7 +380,11 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 // (f21) of the undirected simple projection: per node, the fraction of
 // pairs of its neighbours that are themselves adjacent (zero below
 // degree 2), accumulated in node order.
-func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
+func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 { return g.clustering(s, nil) }
+
+// clustering is AvgClusteringCoefficientS. A non-nil t receives every
+// node's count of links among its neighbours.
+func (g *Digraph) clustering(s *Scratch, t *Topology) float64 {
 	adj := s.undirected(g)
 	n := len(adj)
 	if n == 0 {
@@ -374,45 +395,60 @@ func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
 	sum := 0.0
 	for u := range adj {
 		k := len(adj[u])
-		if k < 2 {
-			continue
-		}
-		for _, v := range adj[u] {
-			s.marks[v] = true
-		}
 		links := 0
-		for _, v := range adj[u] {
-			for _, w := range adj[v] {
-				if w > v && s.marks[w] {
-					links++
+		if k >= 2 {
+			for _, v := range adj[u] {
+				s.marks[v] = true
+			}
+			for _, v := range adj[u] {
+				for _, w := range adj[v] {
+					if w > v && s.marks[w] {
+						links++
+					}
 				}
 			}
+			for _, v := range adj[u] {
+				s.marks[v] = false
+			}
+			sum += clusteringTerm(links, k)
 		}
-		for _, v := range adj[u] {
-			s.marks[v] = false
+		if t != nil {
+			t.nodes[u].links = links
 		}
-		sum += 2 * float64(links) / (float64(k) * float64(k-1))
 	}
 	return sum / float64(n)
+}
+
+// clusteringTerm is the local clustering coefficient of a node of degree
+// k ≥ 2 whose neighbours share links edges.
+func clusteringTerm(links, k int) float64 {
+	return 2 * float64(links) / (float64(k) * float64(k-1))
 }
 
 // AvgNeighborDegreeS is the mean over nodes of each node's mean
 // neighbour degree in the undirected simple projection (f22; an isolated
 // node's is zero), summed in node order: bit-identical to the Mean of the
 // AvgNeighborDegrees vector.
-func (g *Digraph) AvgNeighborDegreeS(s *Scratch) float64 {
+func (g *Digraph) AvgNeighborDegreeS(s *Scratch) float64 { return g.neighborDegree(s, nil) }
+
+// neighborDegree is AvgNeighborDegreeS. A non-nil t receives every node's
+// degree and the sum of its neighbours' degrees.
+func (g *Digraph) neighborDegree(s *Scratch, t *Topology) float64 {
 	adj := s.undirected(g)
 	if len(adj) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for u := range adj {
-		if len(adj[u]) == 0 {
-			continue // adding the vector's zero would leave sum as it is
-		}
 		deg := 0
 		for _, v := range adj[u] {
 			deg += len(adj[v])
+		}
+		if t != nil {
+			t.nodes[u].deg, t.nodes[u].nbr = len(adj[u]), deg
+		}
+		if len(adj[u]) == 0 {
+			continue // adding the vector's zero would leave sum as it is
 		}
 		sum += float64(deg) / float64(len(adj[u]))
 	}
@@ -448,6 +484,13 @@ func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 		s.fsum[k] += float64(sum) / float64(k)
 		s.fcnt[k]++
 	}
+	return s.degreeConnectivity(maxDeg)
+}
+
+// degreeConnectivity combines the per-degree neighbour-degree sums and
+// node counts in s.fsum and s.fcnt, degrees 1 to maxDeg, in ascending
+// degree order: the mean over the degrees present of each degree's mean.
+func (s *Scratch) degreeConnectivity(maxDeg int) float64 {
 	degrees := 0
 	total := 0.0
 	for k := 1; k <= maxDeg; k++ {

@@ -262,23 +262,60 @@ func fuzzGraph(data []byte) *Digraph {
 	return g
 }
 
+// fuzzEdit applies the edit two bytes encode to g: an edge between ids
+// taken modulo n+2, where id n (and n+1) name new nodes added first. It
+// covers a leaf on any node, a first edge, a reverse or parallel edge or
+// a self-loop between existing nodes, and a new component.
+func fuzzEdit(g *Digraph, x, y byte) {
+	n := g.N()
+	u, v := int(x)%(n+2), int(y)%(n+2)
+	for g.N() <= max(u, v) {
+		g.AddNode()
+	}
+	_ = g.AddEdge(u, v)
+}
+
 // FuzzPathStats runs the same differential on graphs an input chooses:
 // the host graph of a watched client is drawn by whoever the client talks
 // to, which makes these kernels attacker-shaped input on the wire path.
+// With the top bit of the first byte set, the input is a graph, then one
+// edit (its last two bytes, fuzzEdit): a Topology recomputed on the graph
+// and updated through the edit must serve what the kernels compute on
+// the edited graph from scratch, bit for bit.
 func FuzzPathStats(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, 0, 1, 1, 2})                   // path
-	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 0, 4, 4, 0}) // star with a reply
-	f.Add([]byte{5, 0, 0, 1, 1, 2, 3, 2, 3, 3, 2}) // self-loops, parallel edges, two components
-	f.Add([]byte{3, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2}) // cycle with a chord
+	f.Add([]byte{2, 0, 1, 1, 2})                         // path
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 0, 4, 4, 0})       // star with a reply
+	f.Add([]byte{5, 0, 0, 1, 1, 2, 3, 2, 3, 3, 2})       // self-loops, parallel edges, two components
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})       // cycle with a chord
+	f.Add([]byte{0x84, 0, 1, 0, 2, 0, 3, 0, 5})          // star, then a leaf on its hub
+	f.Add([]byte{0x84, 0, 1, 0, 2, 2, 3, 3, 5})          // path, then a leaf on its end
+	f.Add([]byte{0x82, 0, 1, 1, 2, 1, 0})                // path, then a first reverse edge
+	f.Add([]byte{0x83, 0, 1, 1, 2, 0, 2})                // path, then a chord
+	f.Add([]byte{0x82, 0, 1, 1, 2, 3, 4})                // path, then a new component
+	f.Add([]byte{0x85, 0, 1, 0, 2, 3, 4, 0, 6, 7, 7, 7}) // two components, then a new node on a self-loop
 	s := NewScratch()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
 			t.Skip()
 		}
+		var edit []byte
+		if len(data) >= 3 && data[0]&0x80 != 0 {
+			data, edit = data[:len(data)-2], data[len(data)-2:]
+		}
 		g := fuzzGraph(data)
 		newProjectionTracker().replay(t, g)
 		checkPathStats(t, g, s)
+		if edit != nil {
+			var top Topology
+			before := top.Recompute(g, 2, s)
+			fuzzEdit(g, edit[0], edit[1])
+			st, change := top.Update(g, s)
+			if change == Unchanged {
+				st = before
+			}
+			checkTopology(t, "graph, then one edit", g, 2, st, s)
+		}
 	})
 }
 

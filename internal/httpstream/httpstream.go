@@ -51,35 +51,43 @@ type Transaction struct {
 	Body []byte
 }
 
-// Referer returns the request Referer header ("" when absent).
-func (t *Transaction) Referer() string { return t.ReqHdr.Get("Referer") }
+// The header accessors below read their canonical key directly, with
+// http.Header.Get's first-value semantics: Get canonicalizes its key on
+// every call, a cost paid per transaction by the WCG builder and the
+// detector.
 
-// Location returns the response Location header ("" when absent).
-func (t *Transaction) Location() string { return t.RespHdr.Get("Location") }
-
-// UserAgent returns the request User-Agent header.
-func (t *Transaction) UserAgent() string { return t.ReqHdr.Get("User-Agent") }
-
-// DNT reports whether the client sent "DNT: 1". It reads the canonical
-// key directly, with Get's first-value semantics: Get canonicalizes
-// "DNT" to "Dnt" on every call, which allocates.
-func (t *Transaction) DNT() bool {
-	v := t.ReqHdr["Dnt"]
-	return len(v) > 0 && v[0] == "1"
+// first returns the first value of h under the canonical key, or "".
+func first(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
+// Referer returns the request Referer header ("" when absent).
+func (t *Transaction) Referer() string { return first(t.ReqHdr, "Referer") }
+
+// Location returns the response Location header ("" when absent).
+func (t *Transaction) Location() string { return first(t.RespHdr, "Location") }
+
+// UserAgent returns the request User-Agent header.
+func (t *Transaction) UserAgent() string { return first(t.ReqHdr, "User-Agent") }
+
+// DNT reports whether the client sent "DNT: 1" (canonical key "Dnt").
+func (t *Transaction) DNT() bool { return first(t.ReqHdr, "Dnt") == "1" }
+
 // XFlashVersion returns the x-flash-version request header value.
-func (t *Transaction) XFlashVersion() string { return t.ReqHdr.Get("X-Flash-Version") }
+func (t *Transaction) XFlashVersion() string { return first(t.ReqHdr, "X-Flash-Version") }
 
 // SessionID extracts a session identifier from cookies: the response
 // Set-Cookie wins, then the request Cookie header. Only the first
 // name=value pair is used, mirroring the session-URI heuristic the paper
 // cites for grouping transactions.
 func (t *Transaction) SessionID() string {
-	if sc := t.RespHdr.Get("Set-Cookie"); sc != "" {
+	if sc := first(t.RespHdr, "Set-Cookie"); sc != "" {
 		return firstCookiePair(sc)
 	}
-	if c := t.ReqHdr.Get("Cookie"); c != "" {
+	if c := first(t.ReqHdr, "Cookie"); c != "" {
 		return firstCookiePair(c)
 	}
 	return ""

@@ -139,7 +139,9 @@ const simpleResp = "HTTP/1.1 200 OK\r\n" +
 // TestHeaderAccessorsDoNotAllocate: the header accessors, which the WCG
 // builder and the detector call per transaction, look up canonical keys.
 // http.Header.Get canonicalizes its key first, which allocates for any
-// key not already canonical ("DNT" becomes "Dnt").
+// key not already canonical ("DNT" becomes "Dnt"). Each accessor keeps
+// Get's semantics: the first value decides, and an absent key or an empty
+// value list reads as "".
 func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
 	tx := ExtractPair(c2s, s2c)[0]
@@ -155,15 +157,41 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("header accessors allocate %.1f times per call set, want 0", allocs)
 	}
-	// DNT keeps Get's semantics: the first value decides, absent is false.
-	for _, vals := range [][]string{nil, {"1"}, {"0"}, {"1", "0"}, {"0", "1"}, {""}} {
-		h := http.Header{}
-		for _, v := range vals {
-			h.Add("DNT", v)
+	session := func(req, resp http.Header) string {
+		if sc := resp.Get("Set-Cookie"); sc != "" {
+			return firstCookiePair(sc)
 		}
-		tx.ReqHdr = h
-		if got, want := tx.DNT(), h.Get("DNT") == "1"; got != want {
-			t.Fatalf("DNT values %q: DNT() = %v, want %v", vals, got, want)
+		return firstCookiePair(req.Get("Cookie"))
+	}
+	for _, vals := range [][]string{nil, {}, {"1"}, {"0"}, {"1", "0"}, {"0", "1"}, {""}, {"", "1"}, {"a=1; b", "c=2"}} {
+		for _, key := range []string{"Referer", "Location", "User-Agent", "DNT", "X-Flash-Version", "Set-Cookie", "Cookie"} {
+			h := http.Header{}
+			if vals != nil {
+				h[http.CanonicalHeaderKey(key)] = vals
+			}
+			tx.ReqHdr, tx.RespHdr = h, h
+			var got, want string
+			switch key {
+			case "Referer":
+				got, want = tx.Referer(), h.Get(key)
+			case "Location":
+				got, want = tx.Location(), h.Get(key)
+			case "User-Agent":
+				got, want = tx.UserAgent(), h.Get(key)
+			case "DNT":
+				got, want = fmt.Sprint(tx.DNT()), fmt.Sprint(h.Get(key) == "1")
+			case "X-Flash-Version":
+				got, want = tx.XFlashVersion(), h.Get(key)
+			case "Set-Cookie":
+				tx.ReqHdr = http.Header{"Cookie": {"fallback=1"}}
+				got, want = tx.SessionID(), session(tx.ReqHdr, h)
+			case "Cookie":
+				tx.RespHdr = http.Header{}
+				got, want = tx.SessionID(), session(h, tx.RespHdr)
+			}
+			if got != want {
+				t.Fatalf("%s values %q: accessor reads %q, http.Header.Get %q", key, vals, got, want)
+			}
 		}
 	}
 }

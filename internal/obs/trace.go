@@ -102,9 +102,10 @@ const (
 	SpanShed
 	// SpanError marks a span that ended by panic or transport error.
 	SpanError
-	// SpanTopology marks a feature span that recomputed the topology
-	// slots (the WCG's structure changed) — the slow mode of the
-	// otherwise sub-microsecond incremental classify.
+	// SpanTopology marks a feature span that refreshed the topology
+	// slots (the WCG's undirected structure changed: O(n) for a new leaf
+	// host, the full sweep otherwise) — the slow modes of the otherwise
+	// sub-microsecond incremental classify.
 	SpanTopology
 )
 
