@@ -66,8 +66,8 @@ chaos:
 # ceiling), the DMCP checkpoint reader (allocation ceiling, restore
 # against the info count), the alert journal's torn-tail recovery
 # (allocation ceiling, a cut journal reads as its whole records), the
-# DMFB blob loader (allocation ceiling), the JSON importer against
-# its recursive test oracle (allocation ceiling), the body sniffer's two
+# DMFB blob loader against its recursive test oracle (allocation
+# ceiling), the body sniffer's two
 # differentials against its regexp-only reference (each with an allocation
 # ceiling) and the shortest-path sweep's differential
 # against the plain graph kernels, which live only as the test oracle in
@@ -91,7 +91,6 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/detector -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -29,19 +29,10 @@ type Classifier struct {
 	flat *ml.FlatForest
 }
 
-// conversations adapts a corpus to the core training pipelines.
-func conversations(episodes []Episode) []core.LabeledConversation {
-	convs := make([]core.LabeledConversation, len(episodes))
-	for i := range episodes {
-		convs[i] = core.LabeledConversation{Infection: episodes[i].Infection, Txs: episodes[i].Txs}
-	}
-	return convs
-}
-
 // Train fits an ERF classifier on a labeled episode corpus (Stage 1:
 // offline whole-trace classification).
 func Train(episodes []Episode, cfg TrainConfig) (*Classifier, error) {
-	forest, err := core.TrainOffline(conversations(episodes), core.TrainConfig{NumTrees: cfg.NumTrees, Seed: cfg.Seed})
+	forest, err := core.TrainOffline(episodes, core.TrainConfig{NumTrees: cfg.NumTrees, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +46,7 @@ func Train(episodes []Episode, cfg TrainConfig) (*Classifier, error) {
 // Use Train for offline (whole-trace) classification and this for live
 // deployment.
 func TrainForMonitoring(episodes []Episode, cfg TrainConfig) (*Classifier, error) {
-	forest, err := core.TrainMonitor(conversations(episodes), core.TrainConfig{NumTrees: cfg.NumTrees, Seed: cfg.Seed})
+	forest, err := core.TrainMonitor(episodes, core.TrainConfig{NumTrees: cfg.NumTrees, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +55,7 @@ func TrainForMonitoring(episodes []Episode, cfg TrainConfig) (*Classifier, error
 
 // EpisodeDataset converts a labeled corpus into a feature matrix.
 func EpisodeDataset(episodes []Episode) *ml.Dataset {
-	return core.OfflineDataset(conversations(episodes))
+	return core.OfflineDataset(episodes)
 }
 
 // Score returns the ensemble-averaged probability that the WCG is a
@@ -99,24 +90,22 @@ func (c *Classifier) SaveBlobFile(path string) error {
 	return c.SaveBlob(f)
 }
 
-// Load reads a model written by SaveBlob, or imports one saved as v1 JSON
-// by earlier versions (ml.LoadModel tells the two apart).
+// Load reads a DMFB model written by SaveBlob.
 func Load(r io.Reader) (*Classifier, error) {
-	flat, err := ml.LoadModel(r)
+	flat, err := ml.LoadFlatBlob(r)
 	if err != nil {
 		return nil, err
 	}
 	return &Classifier{flat: flat}, nil
 }
 
-// LoadFile reads a model from a file path.
+// LoadFile reads a DMFB model from a file path.
 func LoadFile(path string) (*Classifier, error) {
-	f, err := os.Open(path)
+	flat, err := ml.LoadModelFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("load model: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return &Classifier{flat: flat}, nil
 }
 
 // ModelInfo summarizes a trained model's shape and configuration.

@@ -12,7 +12,6 @@
 //	dynaminer checkpoint state.dmcp
 //	dynaminer metrics -addr 127.0.0.1:9090
 //	dynaminer trace -addr 127.0.0.1:9090 [-id N]
-//	dynaminer model convert -in model.json -out model.dmfb
 //	dynaminer model info model.dmfb
 //
 // "stream" and "proxy" take -admin-addr to serve the observability
@@ -37,8 +36,8 @@
 //
 // "train -corpus" expects a directory produced by tracegen (pcap files and
 // a manifest.csv); "-synthetic" trains directly on a generated corpus
-// without touching disk. Training writes the DMFB blob; every -model flag
-// also imports a v1 JSON model saved by earlier versions. "classify" gives one offline verdict per capture;
+// without touching disk. Training writes the DMFB blob, the one model
+// format every -model flag reads. "classify" gives one offline verdict per capture;
 // "stream" replays a capture through the on-the-wire engine and prints
 // alerts as they fire.
 package main

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dynaminer"
 )
 
-// One model in its two historical forms, checked in beside the ml
-// package's import test (TestLoadModelImportsJSONFixture): the v1 JSON
-// `train -synthetic -seed 7 -trees 3` saved while training still wrote
-// JSON, and the blob `model convert` made of it. trainedBlob is what that
-// command writes today, from today's feature vectors.
+// The checked-in DMFB fixtures beside the ml package's fixture test
+// (TestSeedBlobFixtures). fixtureBlob was written before the served
+// feature vectors changed; trainedBlob is what `train -synthetic -seed 7
+// -trees 3` writes today, from today's feature vectors.
 const (
-	fixtureJSON = "../../internal/ml/testdata/seed7.json"
 	fixtureBlob = "../../internal/ml/testdata/seed7.dmfb"
 	trainedBlob = "../../internal/ml/testdata/seed7_trained.dmfb"
 )
@@ -44,43 +43,26 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestModelConvertRoundTrip converts the v1 JSON fixture and must write the
-// blob fixture byte for byte; converting that blob again changes nothing,
-// and the converted model scores and drives the monitor like the original.
-func TestModelConvertRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	blobPath := filepath.Join(dir, "model.dmfb")
-	againPath := filepath.Join(dir, "again.dmfb")
-
-	if err := run([]string{"model", "convert", "-in", fixtureJSON, "-out", blobPath}); err != nil {
-		t.Fatalf("convert json: %v", err)
-	}
-	if !bytes.Equal(readFile(t, blobPath), readFile(t, fixtureBlob)) {
-		t.Fatal("converted JSON fixture differs from the blob fixture")
-	}
-	if err := run([]string{"model", "convert", "-in", blobPath, "-out", againPath}); err != nil {
-		t.Fatalf("convert blob: %v", err)
-	}
-	if !bytes.Equal(readFile(t, againPath), readFile(t, fixtureBlob)) {
-		t.Fatal("blob -> blob is not byte-identical")
-	}
-
-	fromJSON, err := dynaminer.LoadFile(fixtureJSON)
+// TestSeedBlobDrivesMonitor: a blob written before the served feature
+// vectors changed still loads, scores like the same bytes read through
+// dynaminer.Load, and drives the monitor.
+func TestSeedBlobDrivesMonitor(t *testing.T) {
+	fromFile, err := dynaminer.LoadFile(fixtureBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBlob, err := dynaminer.LoadFile(blobPath)
+	fromReader, err := dynaminer.Load(bytes.NewReader(readFile(t, fixtureBlob)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eps := dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 77, Infections: 2, Benign: 2})
 	for i := range eps {
 		w := dynaminer.BuildWCG(eps[i].Txs)
-		if fromJSON.Score(w) != fromBlob.Score(w) {
-			t.Fatalf("episode %d: converted model scores differently", i)
+		if fromFile.Score(w) != fromReader.Score(w) {
+			t.Fatalf("episode %d: the two loads score differently", i)
 		}
 	}
-	m := dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1}, fromBlob)
+	m := dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1}, fromFile)
 	for i := range eps {
 		m.ProcessAll(eps[i].Txs)
 	}
@@ -103,7 +85,7 @@ func TestTrainWritesFixtureBlob(t *testing.T) {
 
 func TestModelInfo(t *testing.T) {
 	_, blobPath := trainTinyModel(t)
-	for _, path := range []string{blobPath, fixtureJSON} {
+	for _, path := range []string{blobPath, fixtureBlob, trainedBlob} {
 		if err := run([]string{"model", "info", path}); err != nil {
 			t.Fatalf("info %s: %v", path, err)
 		}
@@ -117,13 +99,19 @@ func TestModelErrors(t *testing.T) {
 	if err := run([]string{"model", "bogus"}); err == nil {
 		t.Fatal("unknown model subcommand must error")
 	}
-	if err := run([]string{"model", "convert", "-in", "nope.dmfb"}); err == nil {
-		t.Fatal("convert without -out must error")
-	}
-	if err := run([]string{"model", "convert", "-in", fixtureJSON, "-out", filepath.Join(t.TempDir(), "m.json"), "-format", "json"}); err == nil {
-		t.Fatal("convert must not accept a -format flag: the blob is the only output")
+	if err := run([]string{"model", "convert", "-in", fixtureBlob, "-out", filepath.Join(t.TempDir(), "m.dmfb")}); err == nil ||
+		!strings.Contains(err.Error(), "unknown model subcommand") {
+		t.Fatalf("convert must be an unknown subcommand, got %v", err)
 	}
 	if err := run([]string{"model", "info", "does-not-exist.dmfb"}); err == nil {
 		t.Fatal("info on missing file must error")
+	}
+	// A v1 JSON model, the format written before DMFB, is not a model.
+	doc := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(doc, []byte(`{"version":1,"features":1,"trees":[{"nodes":[{"leaf":true,"p1":1}]}]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"model", "info", doc}); err == nil || !strings.Contains(err.Error(), `"DMFB" magic`) {
+		t.Fatalf("info on a v1 JSON model must fail naming the DMFB magic, got %v", err)
 	}
 }

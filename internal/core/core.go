@@ -12,17 +12,10 @@ import (
 
 	"dynaminer/internal/detector"
 	"dynaminer/internal/features"
-	"dynaminer/internal/httpstream"
 	"dynaminer/internal/ml"
+	"dynaminer/internal/synth"
 	"dynaminer/internal/wcg"
 )
-
-// LabeledConversation is one training conversation: a transaction stream
-// with its ground-truth label.
-type LabeledConversation struct {
-	Infection bool
-	Txs       []httpstream.Transaction
-}
 
 // TrainConfig parameterizes both training pipelines. The zero value
 // selects the paper's best configuration: N_t = 20 trees with
@@ -53,12 +46,12 @@ func label(infection bool) int {
 // dataset lands in one slab and the featurization scaffolding is built
 // once instead of per conversation; each vector is bit-identical to
 // features.Extract on the same WCG.
-func OfflineDataset(convs []LabeledConversation) *ml.Dataset {
-	ws := make([]*wcg.WCG, len(convs))
-	ds := &ml.Dataset{Y: make([]int, 0, len(convs))}
-	for i := range convs {
-		ws[i] = wcg.FromTransactions(convs[i].Txs)
-		ds.Y = append(ds.Y, label(convs[i].Infection))
+func OfflineDataset(eps []synth.Episode) *ml.Dataset {
+	ws := make([]*wcg.WCG, len(eps))
+	ds := &ml.Dataset{Y: make([]int, 0, len(eps))}
+	for i := range eps {
+		ws[i] = wcg.FromTransactions(eps[i].Txs)
+		ds.Y = append(ds.Y, label(eps[i].Infection))
 	}
 	ds.X = features.ExtractBatch(ws)
 	return ds
@@ -76,18 +69,18 @@ var monitorExtraction = detector.Config{RedirectThreshold: 1}
 // never fire a clue contribute their whole trace, and benign conversations
 // always also contribute theirs, so the negative class covers both
 // representations.
-func MonitorDataset(convs []LabeledConversation) *ml.Dataset {
+func MonitorDataset(eps []synth.Episode) *ml.Dataset {
 	ds := &ml.Dataset{}
 	var ws []*wcg.WCG
-	for i := range convs {
-		y := label(convs[i].Infection)
-		subs := detector.ClueSubsets(monitorExtraction, convs[i].Txs)
+	for i := range eps {
+		y := label(eps[i].Infection)
+		subs := detector.ClueSubsets(monitorExtraction, eps[i].Txs)
 		for _, sub := range subs {
 			ws = append(ws, wcg.FromTransactions(sub))
 			ds.Y = append(ds.Y, y)
 		}
-		if len(subs) == 0 || !convs[i].Infection {
-			ws = append(ws, wcg.FromTransactions(convs[i].Txs))
+		if len(subs) == 0 || !eps[i].Infection {
+			ws = append(ws, wcg.FromTransactions(eps[i].Txs))
 			ds.Y = append(ds.Y, y)
 		}
 	}
@@ -96,8 +89,8 @@ func MonitorDataset(convs []LabeledConversation) *ml.Dataset {
 }
 
 // TrainOffline fits the Stage 1 ERF on whole-trace WCGs.
-func TrainOffline(convs []LabeledConversation, cfg TrainConfig) (*ml.FlatForest, error) {
-	forest, err := ml.TrainForest(OfflineDataset(convs), cfg.forestConfig())
+func TrainOffline(eps []synth.Episode, cfg TrainConfig) (*ml.FlatForest, error) {
+	forest, err := ml.TrainForest(OfflineDataset(eps), cfg.forestConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: train offline classifier: %w", err)
 	}
@@ -105,8 +98,8 @@ func TrainOffline(convs []LabeledConversation, cfg TrainConfig) (*ml.FlatForest,
 }
 
 // TrainMonitor fits the deployment-matched ERF for Stage 2.
-func TrainMonitor(convs []LabeledConversation, cfg TrainConfig) (*ml.FlatForest, error) {
-	forest, err := ml.TrainForest(MonitorDataset(convs), cfg.forestConfig())
+func TrainMonitor(eps []synth.Episode, cfg TrainConfig) (*ml.FlatForest, error) {
+	forest, err := ml.TrainForest(MonitorDataset(eps), cfg.forestConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: train monitoring classifier: %w", err)
 	}

@@ -7,14 +7,9 @@ import (
 	"dynaminer/internal/synth"
 )
 
-func corpus(t *testing.T) []LabeledConversation {
+func corpus(t *testing.T) []synth.Episode {
 	t.Helper()
-	eps := synth.GenerateCorpus(synth.Config{Seed: 5, Infections: 80, Benign: 100})
-	convs := make([]LabeledConversation, len(eps))
-	for i := range eps {
-		convs[i] = LabeledConversation{Infection: eps[i].Infection, Txs: eps[i].Txs}
-	}
-	return convs
+	return synth.GenerateCorpus(synth.Config{Seed: 5, Infections: 80, Benign: 100})
 }
 
 func TestOfflineDatasetShape(t *testing.T) {

@@ -87,11 +87,11 @@ func (e *Engine) ReloadModel(load func() (Scorer, error)) (ModelVersion, error) 
 	return e.models.reload(load)
 }
 
-// ReloadModelFile reads a model file (DMFB blob or JSON, sniffed) through
-// the full semantic screens and hot-swaps it into every shard. On any
-// failure — unreadable file, corrupt blob, failed screens, wrong feature
-// dimensionality — the serving model keeps scoring and the failure is
-// counted in dynaminer_model_reload_failures_total.
+// ReloadModelFile reads a DMFB model file through the full semantic
+// screens and hot-swaps it into every shard. On any failure — unreadable
+// file, corrupt blob, failed screens, wrong feature dimensionality — the
+// serving model keeps scoring and the failure is counted in
+// dynaminer_model_reload_failures_total.
 func (e *Engine) ReloadModelFile(path string) (ModelVersion, error) {
 	return e.models.reloadFile(path)
 }

@@ -18,8 +18,8 @@ type ModelVersion struct {
 	// cross-restart identity.
 	Gen uint64
 	// CRC is the CRC-32 (IEEE) of the model's canonical DMFB blob encoding
-	// (ml.FlatForest.BlobCRC) — stable for the same trained forest across a
-	// JSON import, the blob, and the in-memory form — and zero for scorers
+	// (ml.FlatForest.BlobCRC) — stable for the same trained forest across
+	// the blob and the in-memory form — and zero for scorers
 	// with no blob form (test doubles, extraction-only engines).
 	CRC uint32
 }
@@ -142,7 +142,7 @@ func (h *modelHolder) swap(candidate Scorer) (ModelVersion, error) {
 }
 
 // reload obtains a candidate from load — typically a file read through the
-// full semantic screens of ml.LoadModel — and swaps it in. A load error, a
+// full semantic screens of ml.LoadFlatBlob — and swaps it in. A load error, a
 // panicking loader, or a failed validation leaves the serving model
 // untouched and counts one reload failure; serving never stops.
 func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) {
@@ -161,8 +161,8 @@ func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) 
 	return h.swap(candidate)
 }
 
-// reloadFile reloads from a model file (DMFB blob, or an imported v1 JSON)
-// read through the full semantic screens.
+// reloadFile reloads from a DMFB model file read through the full
+// semantic screens.
 func (h *modelHolder) reloadFile(path string) (ModelVersion, error) {
 	return h.reload(func() (Scorer, error) {
 		ff, err := ml.LoadModelFile(path)

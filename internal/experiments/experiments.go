@@ -82,25 +82,16 @@ func ValidationSet(o Options) []synth.Episode {
 	})
 }
 
-// conversations adapts a corpus to the core training pipelines.
-func conversations(eps []synth.Episode) []core.LabeledConversation {
-	convs := make([]core.LabeledConversation, len(eps))
-	for i := range eps {
-		convs[i] = core.LabeledConversation{Infection: eps[i].Infection, Txs: eps[i].Txs}
-	}
-	return convs
-}
-
 // BuildDataset featurizes a labeled corpus into an ML design matrix
 // (Stage 1's whole-trace representation).
 func BuildDataset(eps []synth.Episode) *ml.Dataset {
-	return core.OfflineDataset(conversations(eps))
+	return core.OfflineDataset(eps)
 }
 
 // BuildMonitorDataset featurizes a corpus the way the on-the-wire stage
 // sees it (clue-extracted potential-infection subsets).
 func BuildMonitorDataset(eps []synth.Episode) *ml.Dataset {
-	return core.MonitorDataset(conversations(eps))
+	return core.MonitorDataset(eps)
 }
 
 // trainForest fits the paper-configuration ERF on the full dataset.
@@ -112,7 +103,7 @@ func trainForest(ds *ml.Dataset, o Options) (*ml.FlatForest, error) {
 // studies and the clue-threshold ablation.
 func trainMonitorForest(o Options) (*ml.FlatForest, error) {
 	o = o.withDefaults()
-	return core.TrainMonitor(conversations(GroundTruth(o)), core.TrainConfig{NumTrees: o.Trees, Seed: o.Seed})
+	return core.TrainMonitor(GroundTruth(o), core.TrainConfig{NumTrees: o.Trees, Seed: o.Seed})
 }
 
 func newRNG(o Options, salt int64) *rand.Rand {

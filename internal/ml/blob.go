@@ -33,18 +33,30 @@ import (
 //	         right int32[nNodes], threshold float64[nNodes],
 //	         p0 float64[nNodes], p1 float64[nNodes]
 //
-// Every accepted blob passes the same semantic screens as a JSON import
-// (feature bounds, finite thresholds, leaf probabilities in [0, 1],
-// preorder tree shape, depth cap) plus canonical-payload checks (leaves
-// carry -1/0/0, internals carry zero probabilities, right indices match
-// the preorder structure), so the one accepted encoding of a forest
-// re-encodes byte-identically.
+// Every accepted blob passes semantic screens (feature bounds, finite
+// thresholds, leaf probabilities in [0, 1], preorder tree shape, depth
+// cap) plus canonical-payload checks (leaves carry -1/0/0, internals carry
+// zero probabilities, right indices match the preorder structure), so the
+// one accepted encoding of a forest re-encodes byte-identically.
 const (
 	flatBlobMagic      = "DMFB"
 	flatBlobVersion    = 1
 	flatBlobHeaderSize = 168
 	flatBlobSections   = 6
 )
+
+// maxLegacyFeature bounds node feature indices in blobs that declare no
+// feature count (features == 0): real models have a few dozen features,
+// and an absurd index would otherwise make every consumer that sizes a
+// vector off the model allocate gigabytes.
+const maxLegacyFeature = 1 << 16
+
+// maxModelDepth bounds the tree depth the loader accepts. Trained CART
+// trees peel at worst one sample per level, so real depth stays well under
+// the training-set size; an adversarial node stream, by contrast, could
+// nest millions of internal nodes and blow the goroutine stack of any
+// recursive walk.
+const maxModelDepth = 4096
 
 // flatBlobMaxNodes bounds node counts so slab indices (int32) cannot
 // overflow; the canonical-size check against len(data) rejects absurd
@@ -59,11 +71,6 @@ var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
-
-// IsFlatBlob reports whether data begins with the flat-blob magic.
-func IsFlatBlob(data []byte) bool {
-	return len(data) >= len(flatBlobMagic) && string(data[:len(flatBlobMagic)]) == flatBlobMagic
-}
 
 // blobLayout computes the canonical section offsets for a blob with the
 // given tree and node counts, returning the six {offset, count} pairs in
@@ -154,9 +161,8 @@ func (ff *FlatForest) AppendFlatBlob(dst []byte) []byte {
 // BlobCRC returns the CRC-32 (IEEE) of the forest's canonical flat-blob
 // encoding — the same checksum a DMFB artifact stores at offset 8. Because
 // the v1 layout is byte-reproducible from the forest's contents, the value
-// is a stable identity for the trained model: equal across a JSON import,
-// the blob, and the in-memory form, different for any forest that scores
-// differently.
+// is a stable identity for the trained model: equal for the blob and the
+// in-memory form, different for any forest that scores differently.
 func (ff *FlatForest) BlobCRC() uint32 {
 	return crc32.ChecksumIEEE(ff.AppendFlatBlob(nil)[16:])
 }
@@ -203,27 +209,36 @@ func f64Section(data []byte, off, count uint64) []float64 {
 	return out
 }
 
-// LoadFlatBlob reads a blob from r and returns the decoded forest. The
-// slabs alias the private read buffer, so the load is zero-parse: O(header)
-// decoding plus the checksum sweep.
+// LoadFlatBlob reads a blob from r and returns the decoded forest: the one
+// model reader, so a forest it returns is fully screened whatever fed it.
+// The slabs alias the private read buffer, so the load is zero-parse:
+// O(header) decoding plus the checksum sweep and one pass over the nodes.
 func LoadFlatBlob(r io.Reader) (*FlatForest, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ml: load flat blob: %w", err)
 	}
-	return parseFlatBlob(data)
+	ff, err := decodeFlatBlob(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := ff.validateSlabs(); err != nil {
+		return nil, err
+	}
+	return ff, nil
 }
 
-// parseFlatBlob validates the header, checksum, canonical layout, and
-// node-stream semantics, then materializes the forest over data (aliasing
-// it when the host representation allows). data must stay unmodified for
-// the forest's lifetime.
-func parseFlatBlob(data []byte) (*FlatForest, error) {
+// decodeFlatBlob validates the magic, header, checksum and canonical
+// layout, then materializes the forest over data (aliasing it when the
+// host representation allows) without screening its node streams:
+// LoadFlatBlob runs validateSlabs next. data must stay unmodified for the
+// forest's lifetime.
+func decodeFlatBlob(data []byte) (*FlatForest, error) {
+	if len(data) < len(flatBlobMagic) || string(data[:len(flatBlobMagic)]) != flatBlobMagic {
+		return nil, fmt.Errorf("ml: not a DMFB model: file starts %q, want the %q magic", data[:min(len(data), len(flatBlobMagic))], flatBlobMagic)
+	}
 	if len(data) < flatBlobHeaderSize {
 		return nil, fmt.Errorf("ml: flat blob truncated: %d bytes, header is %d", len(data), flatBlobHeaderSize)
-	}
-	if !IsFlatBlob(data) {
-		return nil, fmt.Errorf("ml: bad flat blob magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != flatBlobVersion {
 		return nil, fmt.Errorf("ml: unsupported flat blob version %d", v)
@@ -274,7 +289,7 @@ func parseFlatBlob(data []byte) (*FlatForest, error) {
 			}
 		}
 	}
-	ff := &FlatForest{
+	return &FlatForest{
 		treeStart: i32Section(data, wantOffs[0][0], wantOffs[0][1]),
 		feature:   i32Section(data, wantOffs[1][0], wantOffs[1][1]),
 		right:     i32Section(data, wantOffs[2][0], wantOffs[2][1]),
@@ -289,20 +304,13 @@ func parseFlatBlob(data []byte) (*FlatForest, error) {
 			Seed:           cfgRaw[4],
 		},
 		nf: int(features),
-	}
-	if err := ff.validateSlabs(); err != nil {
-		return nil, err
-	}
-	return ff, nil
+	}, nil
 }
 
-// validateSlabs runs the JSON import's semantic screens over the decoded
-// slabs: every tree must be a canonical preorder node stream with in-range
-// features, finite thresholds, leaf probabilities in [0, 1], depth under
-// maxModelDepth, and right-child indices exactly matching the preorder
-// structure. Canonical zero payloads (leaf threshold/right, internal
-// probabilities) are enforced too, which is what makes an accepted blob
-// re-encode byte-identically.
+// validateSlabs screens the decoded slabs: every tree must be a preorder
+// node stream of nodes that pass validateNode, with depth under
+// maxModelDepth and right-child indices exactly matching the preorder
+// structure.
 func (ff *FlatForest) validateSlabs() error {
 	nt := ff.NumTrees()
 	nn := int32(len(ff.feature))
@@ -320,39 +328,28 @@ func (ff *FlatForest) validateSlabs() error {
 	return nil
 }
 
-// validateTreeSlab checks one tree's nodes [base, end) with the same
-// explicit stack walk as appendTree, verifying instead of patching the
-// right-child indices.
+// validateTreeSlab checks one tree's nodes [base, end) with an explicit
+// stack walk (no recursion, so an adversarial stream cannot exhaust the
+// goroutine stack), verifying the right-child indices against the
+// preorder structure.
 func (ff *FlatForest) validateTreeSlab(base, end int32) error {
+	// stack holds slab indices of internal nodes: inRight is false while
+	// the left subtree is walked, true while the right subtree is.
 	type frame struct {
 		idx     int32
 		inRight bool
 	}
 	var stack []frame
 	for i := base; i < end; i++ {
-		var nw nodeWire
-		leaf := ff.feature[i] < 0
-		if leaf {
-			if ff.feature[i] != -1 {
-				return fmt.Errorf("node %d: non-canonical leaf marker %d", i-base, ff.feature[i])
-			}
-			if math.Float64bits(ff.threshold[i]) != 0 || ff.right[i] != 0 {
-				return fmt.Errorf("node %d: leaf carries non-zero threshold/right payload", i-base)
-			}
-			nw = nodeWire{Leaf: true, P0: ff.p0[i], P1: ff.p1[i]}
-		} else {
-			if math.Float64bits(ff.p0[i]) != 0 || math.Float64bits(ff.p1[i]) != 0 {
-				return fmt.Errorf("node %d: internal node carries non-zero probabilities", i-base)
-			}
-			nw = nodeWire{Feature: int(ff.feature[i]), Threshold: ff.threshold[i]}
-		}
-		if err := validateNode(nw, ff.nf, len(stack)); err != nil {
+		if err := ff.validateNode(i, len(stack)); err != nil {
 			return fmt.Errorf("node %d: %w", i-base, err)
 		}
-		if !leaf {
+		if ff.feature[i] >= 0 {
 			stack = append(stack, frame{idx: i})
 			continue
 		}
+		// A completed subtree either starts its parent's right subtree or
+		// completes the parent too, recursively up the stack.
 		for {
 			if len(stack) == 0 {
 				if i != end-1 {
@@ -372,4 +369,47 @@ func (ff *FlatForest) validateTreeSlab(base, end int32) error {
 		}
 	}
 	return fmt.Errorf("truncated node stream at %d", end-base)
+}
+
+// validateNode screens slab node i at the given depth before the forest
+// can serve. A bad node that loads silently fails much later — a feature
+// beyond the trained dimensionality indexes out of range in the middle of
+// a tree walk at serve time, a NaN threshold mis-routes every traversal
+// (NaN compares false), out-of-range leaf probabilities corrupt the
+// ensemble average — so every bound is enforced here, at load, with a
+// clear error. The canonical zero payloads (leaf threshold and right
+// index, internal probabilities) are what make an accepted blob re-encode
+// byte-identically.
+func (ff *FlatForest) validateNode(i int32, depth int) error {
+	if depth > maxModelDepth {
+		return fmt.Errorf("exceeds max depth %d", maxModelDepth)
+	}
+	f := ff.feature[i]
+	if f < 0 {
+		if f != -1 {
+			return fmt.Errorf("non-canonical leaf marker %d", f)
+		}
+		if math.Float64bits(ff.threshold[i]) != 0 || ff.right[i] != 0 {
+			return fmt.Errorf("leaf carries non-zero threshold/right payload")
+		}
+		for _, p := range [2]float64{ff.p0[i], ff.p1[i]} {
+			if math.IsNaN(p) || p < 0 || p > 1 {
+				return fmt.Errorf("leaf probability %v outside [0, 1]", p)
+			}
+		}
+		return nil
+	}
+	if math.Float64bits(ff.p0[i]) != 0 || math.Float64bits(ff.p1[i]) != 0 {
+		return fmt.Errorf("internal node carries non-zero probabilities")
+	}
+	if ff.nf > 0 && int(f) >= ff.nf {
+		return fmt.Errorf("feature index %d out of range for %d-feature model", f, ff.nf)
+	}
+	if ff.nf == 0 && f >= maxLegacyFeature {
+		return fmt.Errorf("feature index %d implausible for a model with no feature count", f)
+	}
+	if math.IsNaN(ff.threshold[i]) || math.IsInf(ff.threshold[i], 0) {
+		return fmt.Errorf("non-finite threshold %v", ff.threshold[i])
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // FlatForest is the trained ensemble in a contiguous struct-of-arrays
 // layout: every tree's nodes live preorder in one shared slab, so a
@@ -105,7 +102,7 @@ func (ff *FlatForest) appendInternal(feature int, threshold float64) {
 func (ff *FlatForest) NumTrees() int { return len(ff.treeStart) - 1 }
 
 // NumFeatures returns the feature dimensionality the forest was trained
-// on (0 for models loaded from files written before versioned metadata).
+// on (0 for a blob that declares no feature count).
 func (ff *FlatForest) NumFeatures() int { return ff.nf }
 
 // NumNodes returns the total node count across all trees.
@@ -202,75 +199,4 @@ func (ff *FlatForest) ScoreBatch(dst []float64, X [][]float64) []float64 {
 		dst[i] /= inv
 	}
 	return dst
-}
-
-// LoadFlatForest imports a model in the v1 JSON wire format straight into
-// the slabs — the preorder wire nodes are the slab, only the right-child
-// indices are reconstructed. JSON is import-only: nothing in the package
-// writes it, and SaveFlatBlob is the one writer. The node stream is
-// validated like a blob: feature bounds, finite thresholds, probability
-// ranges, tree shape, and depth.
-func LoadFlatForest(r io.Reader) (*FlatForest, error) {
-	wire, err := readForestWire(r)
-	if err != nil {
-		return nil, err
-	}
-	nodes := 0
-	for _, tw := range wire.Trees {
-		nodes += len(tw.Nodes)
-	}
-	ff := newFlatForest(nodes, len(wire.Trees), wire.Config, wire.Features)
-	for ti, tw := range wire.Trees {
-		ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
-		if err := ff.appendTree(tw.Nodes, wire.Features); err != nil {
-			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
-		}
-	}
-	ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
-	return ff, nil
-}
-
-// appendTree validates one preorder node stream and appends it to the
-// slab, patching right-child indices with an explicit stack (no recursion,
-// so adversarial streams cannot exhaust the goroutine stack; depth is
-// bounded by maxModelDepth).
-func (ff *FlatForest) appendTree(nodes []nodeWire, features int) error {
-	base := int32(len(ff.feature))
-	// stack holds slab indices of internal nodes: inRight is false while
-	// the left subtree parses, true while the right subtree parses.
-	type frame struct {
-		idx     int32
-		inRight bool
-	}
-	var stack []frame
-	for pos, nw := range nodes {
-		if err := validateNode(nw, features, len(stack)); err != nil {
-			return fmt.Errorf("node %d: %w", pos, err)
-		}
-		i := base + int32(pos)
-		if nw.Leaf {
-			ff.appendLeaf(nw.P0, nw.P1)
-			// A completed subtree either starts its parent's right subtree
-			// or completes the parent too, recursively up the stack.
-			for {
-				if len(stack) == 0 {
-					if pos != len(nodes)-1 {
-						return fmt.Errorf("%d trailing nodes", len(nodes)-1-pos)
-					}
-					return nil
-				}
-				top := &stack[len(stack)-1]
-				if !top.inRight {
-					top.inRight = true
-					ff.right[top.idx] = i + 1
-					break
-				}
-				stack = stack[:len(stack)-1]
-			}
-			continue
-		}
-		ff.appendInternal(nw.Feature, nw.Threshold)
-		stack = append(stack, frame{idx: i})
-	}
-	return fmt.Errorf("truncated node stream at %d", len(nodes))
 }

@@ -77,10 +77,10 @@ func TestFlatForestDifferential(t *testing.T) {
 	}
 }
 
-// TestFlatForestSerializedRoundTrip pins the JSON import: a trained forest
-// written in the v1 wire format comes back through LoadFlatForest as the
-// same blob, byte for byte, and both the importer and the recursive
-// oracle loader score it bit-identically to the trees as trained.
+// TestFlatForestSerializedRoundTrip pins the DMFB artifact against the
+// trees as trained: a trained forest's blob loads back and re-encodes
+// byte for byte, and both the loaded slabs and the pointer trees the
+// recursive oracle builds from the blob score bit-identically to them.
 func TestFlatForestSerializedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const dim = 7
@@ -92,25 +92,22 @@ func TestFlatForestSerializedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := refTrain(t, ds, cfg)
-		var doc bytes.Buffer
-		if err := writeJSON(&doc, ff); err != nil {
-			t.Fatal(err)
-		}
-		imported, err := LoadFlatForest(bytes.NewReader(doc.Bytes()))
+		blob := ff.AppendFlatBlob(nil)
+		loaded, err := LoadFlatBlob(bytes.NewReader(blob))
 		if err != nil {
-			t.Fatalf("cfg %+v: LoadFlatForest: %v", cfg, err)
+			t.Fatalf("cfg %+v: LoadFlatBlob: %v", cfg, err)
 		}
-		if !bytes.Equal(imported.AppendFlatBlob(nil), ff.AppendFlatBlob(nil)) {
-			t.Fatalf("cfg %+v: JSON import does not re-encode to the trained blob", cfg)
+		if !bytes.Equal(loaded.AppendFlatBlob(nil), blob) {
+			t.Fatalf("cfg %+v: loaded blob does not re-encode byte for byte", cfg)
 		}
-		loadedRef, err := refLoadForest(bytes.NewReader(doc.Bytes()))
+		loadedRef, err := refLoadBlob(blob)
 		if err != nil {
 			t.Fatalf("cfg %+v: recursive loader: %v", cfg, err)
 		}
 		for i, x := range X {
 			want := ref.Score(x)
-			if got := imported.Score(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("cfg %+v probe %d: imported score %v != %v", cfg, i, got, want)
+			if got := loaded.Score(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cfg %+v probe %d: loaded score %v != %v", cfg, i, got, want)
 			}
 			if got := loadedRef.Score(x); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("cfg %+v probe %d: recursively loaded score %v != %v", cfg, i, got, want)

@@ -1,16 +1,14 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"testing"
 )
 
 // This file keeps the pointer-tree forest only as the oracle the flat
 // slabs are pinned against: the trees exactly as the trainer grows them,
-// scored by walking node pointers, and the recursive v1 JSON loader that
-// builds the same trees from a file. Neither exists outside tests.
+// scored by walking node pointers, and the recursive loader that builds
+// the same trees from a blob's slabs. Neither exists outside tests.
 
 // refForest is an ensemble of linked CART trees.
 type refForest struct {
@@ -100,68 +98,62 @@ func (f *refForest) majorityVotes(x []float64) int {
 	return votes
 }
 
-// writeJSON writes ff in the v1 JSON wire format, the way models were
-// saved before DMFB became the only artifact written.
-func writeJSON(w io.Writer, ff *FlatForest) error {
-	wire := forestWire{Version: forestWireVersion, Features: ff.nf, Config: ff.cfg}
-	for t := 0; t < ff.NumTrees(); t++ {
-		var tw treeWire
-		for i := ff.treeStart[t]; i < ff.treeStart[t+1]; i++ {
-			if ff.feature[i] < 0 {
-				tw.Nodes = append(tw.Nodes, nodeWire{Leaf: true, P0: ff.p0[i], P1: ff.p1[i]})
-			} else {
-				tw.Nodes = append(tw.Nodes, nodeWire{Feature: int(ff.feature[i]), Threshold: ff.threshold[i]})
-			}
-		}
-		wire.Trees = append(wire.Trees, tw)
-	}
-	return json.NewEncoder(w).Encode(wire)
-}
-
-// refLoadForest is the recursive v1 JSON loader: it rebuilds linked trees
-// from the preorder node streams, screening every node like
-// LoadFlatForest does.
-func refLoadForest(r io.Reader) (*refForest, error) {
-	wire, err := readForestWire(r)
+// refLoadBlob is the recursive oracle loader: it decodes the blob's
+// header and layout like LoadFlatBlob, then rebuilds linked trees from the
+// slabs by recursion instead of validateTreeSlab's explicit stack,
+// screening every node with the same validateNode.
+func refLoadBlob(data []byte) (*refForest, error) {
+	ff, err := decodeFlatBlob(data)
 	if err != nil {
 		return nil, err
 	}
-	f := &refForest{nf: wire.Features}
-	for ti, tw := range wire.Trees {
-		pos := 0
-		root, err := unflattenTree(tw.Nodes, &pos, wire.Features, 0)
-		if err != nil {
-			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
+	nt, nn := ff.NumTrees(), int32(ff.NumNodes())
+	if ff.treeStart[0] != 0 || ff.treeStart[nt] != nn {
+		return nil, fmt.Errorf("ml: tree index spans [%d, %d), want [0, %d)", ff.treeStart[0], ff.treeStart[nt], nn)
+	}
+	f := &refForest{nf: ff.nf}
+	for t := 0; t < nt; t++ {
+		pos, end := ff.treeStart[t], ff.treeStart[t+1]
+		if pos >= end {
+			return nil, fmt.Errorf("ml: tree %d: empty or non-monotone node range [%d, %d)", t, pos, end)
 		}
-		if pos != len(tw.Nodes) {
-			return nil, fmt.Errorf("ml: tree %d: %d trailing nodes", ti, len(tw.Nodes)-pos)
+		root, err := ff.refTree(&pos, end, 0)
+		if err != nil {
+			return nil, fmt.Errorf("ml: tree %d: %w", t, err)
+		}
+		if pos != end {
+			return nil, fmt.Errorf("ml: tree %d: %d trailing nodes", t, end-pos)
 		}
 		f.trees = append(f.trees, root)
 	}
 	return f, nil
 }
 
-func unflattenTree(nodes []nodeWire, pos *int, features, depth int) (*treeNode, error) {
-	if *pos >= len(nodes) {
-		return nil, fmt.Errorf("truncated node stream at %d", *pos)
+// refTree builds the subtree whose root is slab node *pos, advancing *pos
+// past it; nodes at or beyond end belong to no tree. An internal node's
+// right index must name the node after its left subtree.
+func (ff *FlatForest) refTree(pos *int32, end int32, depth int) (*treeNode, error) {
+	i := *pos
+	if i >= end {
+		return nil, fmt.Errorf("truncated node stream at %d", i)
 	}
-	nw := nodes[*pos]
-	if err := validateNode(nw, features, depth); err != nil {
-		return nil, fmt.Errorf("node %d: %w", *pos, err)
+	if err := ff.validateNode(i, depth); err != nil {
+		return nil, fmt.Errorf("node %d: %w", i, err)
 	}
 	*pos++
-	if nw.Leaf {
-		n := &treeNode{leaf: true}
-		n.probs[0], n.probs[1] = nw.P0, nw.P1
-		return n, nil
+	if ff.feature[i] < 0 {
+		return &treeNode{leaf: true, probs: [numClasses]float64{ff.p0[i], ff.p1[i]}}, nil
 	}
-	left, err := unflattenTree(nodes, pos, features, depth+1)
+	left, err := ff.refTree(pos, end, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := unflattenTree(nodes, pos, features, depth+1)
+	if ff.right[i] != *pos {
+		return nil, fmt.Errorf("node %d: right child %d, preorder puts it at %d", i, ff.right[i], *pos)
+	}
+	right, err := ff.refTree(pos, end, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	return &treeNode{feature: nw.Feature, threshold: nw.Threshold, left: left, right: right}, nil
+	return &treeNode{feature: int(ff.feature[i]), threshold: ff.threshold[i], left: left, right: right}, nil
 }

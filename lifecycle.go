@@ -34,12 +34,12 @@ func ReadCheckpointInfoFile(path string) (CheckpointInfo, error) {
 // classifications.
 func (m *Monitor) ModelVersion() ModelVersion { return m.engine.ModelVersion() }
 
-// ReloadModelFile reads a model file (DMFB blob or JSON, sniffed) through
-// the full semantic screens and atomically hot-swaps it into the running
-// engine: watches armed before the swap keep scoring through their pinned
-// version, watches armed after it use the new forest. On any failure the
-// serving model keeps scoring untouched and
-// dynaminer_model_reload_failures_total increments.
+// ReloadModelFile reads a DMFB model file through the full semantic
+// screens and atomically hot-swaps it into the running engine: watches
+// armed before the swap keep scoring through their pinned version,
+// watches armed after it use the new forest. On any failure the serving
+// model keeps scoring untouched and dynaminer_model_reload_failures_total
+// increments.
 func (m *Monitor) ReloadModelFile(path string) (ModelVersion, error) {
 	return m.engine.ReloadModelFile(path)
 }
