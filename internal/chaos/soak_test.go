@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -118,16 +119,18 @@ func TestChaosSoak(t *testing.T) {
 	rt := NewRoundTripper(4, 0.35)
 	rt.Sleep = func(time.Duration) {}
 	p := proxy.New(proxy.Config{
-		Detector:        cfg,
-		Transport:       rt,
-		UpstreamTimeout: 25 * time.Millisecond,
-		Sleep:           func(time.Duration) {},
+		Detector:  cfg,
+		Transport: rt,
+		Sleep:     func(time.Duration) {},
 	}, base)
 	requests := 0
 	for _, tx := range stream[:300] {
-		r := httptest.NewRequest(http.MethodGet, tx.URL(), nil)
+		// A hung upstream costs each request its own 25 ms deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+		r := httptest.NewRequest(http.MethodGet, tx.URL(), nil).WithContext(ctx)
 		r.RemoteAddr = tx.ClientIP.String() + ":40000"
 		p.ServeHTTP(httptest.NewRecorder(), r) // property 1: must not crash
+		cancel()
 		requests++
 	}
 	ps := p.Stats()

@@ -87,7 +87,7 @@ func TestAlertGraphFrozen(t *testing.T) {
 				if last.IsZero() {
 					t.Fatal("every alerted cluster was evicted during the corpus")
 				}
-				at := last.Add(e.shards[0].st.cfg.WatchIdle + time.Second).Sub(t0)
+				at := last.Add(watchIdle + time.Second).Sub(t0)
 				onHost := func(tx httpstream.Transaction) httpstream.Transaction {
 					tx.ClientIP = a.Client
 					return tx

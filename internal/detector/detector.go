@@ -49,29 +49,15 @@ type Config struct {
 	// TrustedVendors lists host suffixes whose traffic is weeded out
 	// before WCG construction (app stores, software repositories).
 	TrustedVendors []string
-	// SessionGap is the inactivity window beyond which a transaction
-	// starts a new session cluster instead of joining the client's most
-	// recent one. Zero selects 5 minutes.
-	SessionGap time.Duration
-	// WatchIdle closes a potential-infection WCG that has stopped growing
-	// for this long (Section V-B: DynaMiner watches each WCG "until ...
-	// the WCG stops growing"); later clues in the same session open a
-	// fresh WCG. Zero selects 3 minutes.
-	WatchIdle time.Duration
-	// MaxClusterTxs caps a cluster's transaction history to bound memory
-	// on long-lived sessions. Zero selects 4096.
-	MaxClusterTxs int
-	// ClusterTTL evicts session clusters idle longer than this, bounding
-	// memory on long-running deployments. Zero selects 1 hour.
-	ClusterTTL time.Duration
 	// Shards is the number of independently locked shards the engine
 	// routes clients across. Zero selects runtime.GOMAXPROCS(0).
 	Shards int
 	// DisableIncremental forces every classification onto the from-scratch
 	// path: rebuild the watched WCG with FromTransactions and re-extract
 	// all 37 features on each update. The incremental path produces
-	// bit-identical scores and alerts (pinned by the differential tests),
-	// so this knob exists for debugging and as the documented fallback.
+	// bit-identical scores and alerts (pinned by the differential tests);
+	// the from-scratch path is the oracle those tests and the benchmark's
+	// correctness check compare it against.
 	DisableIncremental bool
 	// MaxClassifyLatency is the per-classification time budget. When the
 	// smoothed classify latency exceeds it, the engine degrades: watched
@@ -87,9 +73,10 @@ type Config struct {
 	// traffic degrades gracefully instead of pinning the classify budget.
 	// Zero means unlimited.
 	MaxWatched int
-	// Now supplies time for the classify-latency measurement; nil selects
-	// time.Now. Only consulted when MaxClassifyLatency or Metrics is set,
-	// so replays with both knobs off never observe the wall clock.
+	// Now supplies time for the classify-latency measurement and the span
+	// stamps; nil selects time.Now. Only consulted when MaxClassifyLatency,
+	// Metrics or Tracer is set, so replays with all three off never
+	// observe the wall clock.
 	Now func() time.Time
 	// Metrics selects the observability registry the engine's counters,
 	// the watched gauge and the classify/score latency histograms are
@@ -118,18 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.ScoreThreshold == 0 {
 		c.ScoreThreshold = 0.5
 	}
-	if c.SessionGap == 0 {
-		c.SessionGap = 5 * time.Minute
-	}
-	if c.WatchIdle == 0 {
-		c.WatchIdle = 3 * time.Minute
-	}
-	if c.MaxClusterTxs == 0 {
-		c.MaxClusterTxs = 4096
-	}
-	if c.ClusterTTL == 0 {
-		c.ClusterTTL = time.Hour
-	}
 	if len(c.TrustedVendors) > 0 {
 		// DNS names are case-insensitive; hosts are normalized to lowercase
 		// at extraction, so the weed-out list must be too.
@@ -142,12 +117,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// evictEvery is how many processed transactions pass between idle-cluster
-// sweeps.
-const evictEvery = 512
+// The engine's session and memory bounds. The paper tunes only the clue
+// threshold L (Config.RedirectThreshold); these are implementation
+// constants.
+const (
+	// sessionGap is the inactivity window beyond which a transaction
+	// starts a new session cluster instead of joining the client's most
+	// recent one.
+	sessionGap = 5 * time.Minute
+	// watchIdle closes a potential-infection WCG that has stopped growing
+	// for longer than this (Section V-B: DynaMiner watches each WCG
+	// "until ... the WCG stops growing"); later clues in the same session
+	// open a fresh WCG. It is also how far back a clue's WCG reaches.
+	watchIdle = 3 * time.Minute
+	// maxClusterTxs caps a cluster's transaction history to bound memory
+	// on long-lived sessions; later transactions are dropped and counted.
+	maxClusterTxs = 4096
+	// clusterTTL evicts session clusters idle longer than this, inline
+	// every evictEvery transactions and on each janitor sweep.
+	clusterTTL = time.Hour
+	// evictEvery is how many processed transactions pass between inline
+	// idle-cluster sweeps.
+	evictEvery = 512
+)
 
-// DefaultTrustedVendors is the weed-out list used by the examples and
-// benches: well-known application stores and software repositories.
+// DefaultTrustedVendors is the weed-out list NewMonitor and NewProxy fall
+// back to when their config names none: well-known application stores
+// and software repositories.
 var DefaultTrustedVendors = []string{
 	"vendor-store.com",
 	"trusted-repo.org",
@@ -245,8 +241,8 @@ type Stats struct {
 	CluesFired      int
 	Classifications int
 	Alerts          int
-	// Dropped counts transactions discarded because their cluster hit
-	// MaxClusterTxs.
+	// Dropped counts transactions discarded because their cluster's
+	// history held maxClusterTxs (4096) transactions.
 	Dropped int
 	// Rebuilds counts classifications served by the from-scratch path:
 	// all of them when DisableIncremental is set, otherwise only watches
@@ -532,7 +528,7 @@ func (s *shardState) process(tx httpstream.Transaction) []Alert {
 	s.mx.transactions.Inc()
 	s.txSeen++
 	if s.txSeen%evictEvery == 0 {
-		s.evictIdle(tx.ReqTime.Add(-s.cfg.ClusterTTL))
+		s.evictIdle(tx.ReqTime.Add(-clusterTTL))
 	}
 	host := txHost(&tx)
 	if s.trusted(host) {
@@ -570,7 +566,7 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 			s.quarantine(c)
 		}
 	}()
-	if len(c.hist) >= s.cfg.MaxClusterTxs {
+	if len(c.hist) >= maxClusterTxs {
 		// The session is still active even though its history is capped:
 		// keep lastActive fresh so TTL eviction does not destroy the
 		// cluster (and any watched WCG) mid-session, and make the drop
@@ -589,7 +585,7 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 	// A watched WCG that stopped growing is closed; later clues in the
 	// same session open a fresh potential-infection WCG with fresh
 	// redirect evidence.
-	if c.watching && tx.ReqTime.Sub(c.watchLast) > s.cfg.WatchIdle {
+	if c.watching && tx.ReqTime.Sub(c.watchLast) > watchIdle {
 		s.closeWatch(c)
 	}
 
@@ -618,7 +614,7 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 		for h := range c.hosts {
 			c.preWatch[h] = struct{}{}
 		}
-		c.buildPotentialWCG(idx, s.cfg.WatchIdle)
+		c.buildPotentialWCG(idx)
 		c.snapshot = append([]int(nil), c.watch...)
 		c.watchLast = tx.ReqTime
 		if !s.restoring {
@@ -1126,14 +1122,15 @@ func (c *cluster) noteActivity(tx *httpstream.Transaction, m txMeta, sid string)
 // collects the transactions linked to it: traffic to related hosts,
 // redirects into related hosts (Location or sniffed body targets), and
 // fast referrer continuations. It runs to a fixpoint so multi-hop chains
-// resolve regardless of discovery order, and it looks back at most horizon
-// so a chain reusing hosts hours later does not absorb stale traffic.
-func (c *cluster) buildPotentialWCG(trigger int, horizon time.Duration) {
+// resolve regardless of discovery order, and it looks back at most
+// watchIdle so a chain reusing hosts hours later does not absorb stale
+// traffic.
+func (c *cluster) buildPotentialWCG(trigger int) {
 	c.related = make(map[string]struct{})
 	include := make([]bool, trigger+1)
 	include[trigger] = true
 	c.addRelated(c.hist[trigger].meta)
-	oldest := c.hist[trigger].tx.ReqTime.Add(-horizon)
+	oldest := c.hist[trigger].tx.ReqTime.Add(-watchIdle)
 	first := trigger
 	for first > 0 && !c.hist[first-1].tx.ReqTime.Before(oldest) {
 		first--
@@ -1262,7 +1259,8 @@ func (s *shardState) watched() []WatchedWCG {
 
 // evictIdle drops every session cluster whose last activity precedes
 // cutoff and returns how many were removed. process calls this every
-// evictEvery transactions with the configured TTL.
+// evictEvery transactions with a cutoff clusterTTL before the
+// transaction's request time.
 func (s *shardState) evictIdle(cutoff time.Time) int {
 	return s.removeClusters(func(c *cluster) bool { return c.lastActive.Before(cutoff) })
 }
@@ -1298,7 +1296,7 @@ func (s *shardState) clusterFor(tx *httpstream.Transaction, k txKeys) *cluster {
 	}
 	if len(clusters) > 0 {
 		last := clusters[len(clusters)-1]
-		if tx.ReqTime.Sub(last.lastActive) <= s.cfg.SessionGap {
+		if tx.ReqTime.Sub(last.lastActive) <= sessionGap {
 			return last
 		}
 	}

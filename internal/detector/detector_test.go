@@ -321,12 +321,46 @@ func TestWatchedChainAllocs(t *testing.T) {
 	}
 }
 
+// TestSessionGapOpensNewCluster pins the five-minute session gap: a
+// transaction on a new host exactly 5 min after its client's last one
+// joins that cluster, one a nanosecond later opens a new one.
 func TestSessionGapOpensNewCluster(t *testing.T) {
-	e := New(Config{Shards: 1, SessionGap: time.Minute}, constScorer(0))
-	e.Process(mkTx("one.com", "/", "GET", 200, "text/html", 10, "", 0))
-	e.Process(mkTx("two.com", "/", "GET", 200, "text/html", 10, "", 5*time.Minute))
-	if e.Stats().Clusters != 2 {
-		t.Fatalf("clusters = %d, want 2 (gap exceeded)", e.Stats().Clusters)
+	for _, c := range []struct {
+		after    time.Duration
+		clusters int
+	}{{5 * time.Minute, 1}, {5*time.Minute + time.Nanosecond, 2}} {
+		e := New(Config{Shards: 1}, constScorer(0))
+		e.Process(mkTx("one.com", "/", "GET", 200, "text/html", 10, "", 0))
+		e.Process(mkTx("two.com", "/", "GET", 200, "text/html", 10, "", c.after))
+		if got := e.Stats().Clusters; got != c.clusters {
+			t.Fatalf("second transaction %v later: clusters = %d, want %d", c.after, got, c.clusters)
+		}
+	}
+}
+
+// TestWatchIdleClosesWatch pins the three-minute watch idle bound: a
+// related transaction exactly 3 min after the watch last grew still grows
+// it, one a nanosecond later closes it.
+func TestWatchIdleClosesWatch(t *testing.T) {
+	armed := infectionStream()
+	grewAt := 500 * time.Millisecond // the clue: the payload download
+	for _, c := range []struct {
+		after    time.Duration
+		watching bool
+	}{{3 * time.Minute, true}, {3*time.Minute + time.Nanosecond, false}} {
+		e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
+		e.ProcessAll(armed)
+		if w := e.Watched(); len(w) != 1 || w[0].LastGrowth != t0.Add(grewAt) {
+			t.Fatalf("after the clue: watched %+v, want one watch last grown at the download", w)
+		}
+		e.Process(mkTx("d.evil", "/more", "GET", 200, "text/html", 10, "", grewAt+c.after))
+		w := e.Watched()
+		if got := len(w) == 1; got != c.watching {
+			t.Fatalf("related transaction %v after the last growth: watching = %v, want %v", c.after, got, c.watching)
+		}
+		if c.watching && w[0].Transactions != len(armed)+1 {
+			t.Fatalf("watch holds %d transactions, want %d", w[0].Transactions, len(armed)+1)
+		}
 	}
 }
 
@@ -398,28 +432,36 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 }
 
 func TestCappedClusterSurvivesEviction(t *testing.T) {
-	// When a cluster hits MaxClusterTxs the excess transactions are
-	// dropped, but the session is still active: lastActive must track the
+	// A cluster holds at most 4096 transactions: the excess is dropped,
+	// but the session is still active, so lastActive must track the
 	// dropped traffic (or TTL eviction destroys a live session mid-watch)
 	// and the drops must be visible in Stats.
-	e := New(Config{Shards: 1, MaxClusterTxs: 8, SessionGap: 30 * time.Minute}, constScorer(0))
-	for i := 0; i < 11; i++ {
-		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", time.Duration(i)*time.Minute))
+	e := New(Config{Shards: 1}, constScorer(0))
+	at := func(i int) time.Duration { return time.Duration(i) * time.Minute }
+	for i := 0; i < 4096; i++ {
+		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
+	}
+	if st := e.Stats(); st.Transactions != 4096 || st.Dropped != 0 {
+		t.Fatalf("4096 transactions: %+v, want none dropped", st)
+	}
+	e.Process(mkTx("busy.com", "/p4096", "GET", 200, "text/html", 10, "", at(4096)))
+	if st := e.Stats(); st.Dropped != 1 {
+		t.Fatalf("transaction 4097: dropped = %d, want 1", st.Dropped)
+	}
+	for i := 4097; i < 4099; i++ {
+		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
 	}
 	st := e.Stats()
-	if st.Transactions != 11 {
-		t.Fatalf("transactions = %d, want 11", st.Transactions)
+	if st.Transactions != 4099 || st.Clusters != 1 || st.Dropped != 3 {
+		t.Fatalf("stats %+v, want 4099 transactions in one cluster, 3 dropped", st)
 	}
-	if st.Dropped != 3 {
-		t.Fatalf("dropped = %d, want 3", st.Dropped)
-	}
-	// Cutoff after the cap was reached (8th tx at t0+7m) but before the
-	// last dropped transaction (t0+10m): the cluster is still active.
-	if n := e.EvictIdle(t0.Add(9 * time.Minute)); n != 0 {
+	// Cutoff after the cap was reached (the 4096th transaction) but
+	// before the last dropped one: the cluster is still active.
+	if n := e.EvictIdle(t0.Add(at(4097))); n != 0 {
 		t.Fatalf("capped-but-active cluster evicted (%d)", n)
 	}
 	// A cutoff beyond the last activity still evicts.
-	if n := e.EvictIdle(t0.Add(11 * time.Minute)); n != 1 {
+	if n := e.EvictIdle(t0.Add(at(4099))); n != 1 {
 		t.Fatalf("idle capped cluster not evicted (%d)", n)
 	}
 }
@@ -494,9 +536,11 @@ func TestRefererHost(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins the zero values of the two tunables that have
+// defaults: the clue threshold L and the alert probability.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.RedirectThreshold != 3 || c.ScoreThreshold != 0.5 || c.SessionGap != 5*time.Minute || c.MaxClusterTxs != 4096 {
+	if c.RedirectThreshold != 3 || c.ScoreThreshold != 0.5 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }
@@ -533,12 +577,12 @@ func TestEvictIdle(t *testing.T) {
 }
 
 func TestAutomaticEviction(t *testing.T) {
-	e := New(Config{Shards: 1, ClusterTTL: time.Minute, SessionGap: time.Second}, constScorer(0))
-	// Many short-lived single-host clusters spread over hours trigger
-	// periodic sweeps (distinct hosts so nothing re-clusters by host).
+	e := New(Config{Shards: 1}, constScorer(0))
+	// Many single-host clusters spread over days trigger periodic sweeps
+	// (distinct hosts, past the session gap, so nothing re-clusters).
 	for i := 0; i < 2*evictEvery; i++ {
 		host := fmt.Sprintf("h%d.com", i)
-		tx := mkTx(host, "/", "GET", 200, "text/html", 10, "", time.Duration(i)*10*time.Second)
+		tx := mkTx(host, "/", "GET", 200, "text/html", 10, "", time.Duration(i)*6*time.Minute)
 		e.Process(tx)
 	}
 	if e.Stats().Evicted == 0 {
@@ -546,6 +590,37 @@ func TestAutomaticEviction(t *testing.T) {
 	}
 	if live := e.Stats().Clusters - e.Stats().Evicted; live > evictEvery {
 		t.Fatalf("live clusters = %d, eviction not bounding memory", live)
+	}
+}
+
+// TestClusterTTLBoundary pins the one-hour cluster TTL on both sweeps: a
+// cluster idle exactly 1 h survives the inline sweep (run on every
+// evictEvery-th transaction) and EvictExpired; idle 1 h + 1 ns, it is
+// evicted by either.
+func TestClusterTTLBoundary(t *testing.T) {
+	other := netip.MustParseAddr("10.0.0.99")
+	for _, c := range []struct {
+		idle    time.Duration
+		evicted int
+	}{{time.Hour, 0}, {time.Hour + time.Nanosecond, 1}} {
+		// Inline: the other client's transactions all carry the sweep's
+		// time, so only old.com's cluster can be idle.
+		e := New(Config{Shards: 1}, constScorer(0))
+		e.Process(mkTx("old.com", "/", "GET", 200, "text/html", 10, "", 0))
+		for i := 1; i < evictEvery; i++ {
+			tx := mkTx("new.com", fmt.Sprintf("/%d", i), "GET", 200, "text/html", 10, "", c.idle)
+			tx.ClientIP = other
+			e.Process(tx)
+		}
+		if got := e.Stats().Evicted; got != c.evicted {
+			t.Fatalf("inline sweep %v after the last activity: evicted %d, want %d", c.idle, got, c.evicted)
+		}
+
+		e = New(Config{Shards: 1}, constScorer(0))
+		e.Process(mkTx("old.com", "/", "GET", 200, "text/html", 10, "", 0))
+		if got := e.EvictExpired(t0.Add(c.idle)); got != c.evicted {
+			t.Fatalf("EvictExpired %v after the last activity: evicted %d, want %d", c.idle, got, c.evicted)
+		}
 	}
 }
 

@@ -339,10 +339,16 @@ func (e *Engine) Watched() []WatchedWCG {
 	return out
 }
 
+// EvictExpired drops every session cluster idle for longer than the
+// engine's cluster TTL (one hour) at now, across all shards, and returns
+// how many were removed: the sweep the inline eviction runs, at a time
+// the caller chooses.
+func (e *Engine) EvictExpired(now time.Time) int { return e.EvictIdle(now.Add(-clusterTTL)) }
+
 // EvictIdle drops every session cluster whose last activity precedes
 // cutoff, across all shards, and returns how many were removed. Each
 // shard also sweeps inline every few hundred transactions with the
-// configured TTL; deployments may call this on their own schedule.
+// one-hour cluster TTL; deployments may call this on their own schedule.
 func (e *Engine) EvictIdle(cutoff time.Time) int {
 	evicted := 0
 	for _, sh := range e.shards {

@@ -235,7 +235,7 @@ func TestIncrementalFallbackOnOutOfOrder(t *testing.T) {
 // TestCloseWatchResetsIncrementalState checks a second clue in the same
 // cluster starts a fresh live WCG instead of growing the closed one.
 func TestCloseWatchResetsIncrementalState(t *testing.T) {
-	cfg := Config{RedirectThreshold: 3, WatchIdle: time.Minute}
+	cfg := Config{RedirectThreshold: 3}
 	var txs []httpstream.Transaction
 	txs = append(txs, infectionStream()...)
 	// Let the watch go idle, then run a second, unrelated infection chain.

@@ -53,7 +53,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		cluesFired:      cell("dynaminer_detector_clues_fired_total", "Infection clues fired (redirect chain + payload download)."),
 		classifications: cell("dynaminer_detector_classifications_total", "Classifier invocations over watched WCGs."),
 		alerts:          cell("dynaminer_detector_alerts_total", "Infection alerts emitted."),
-		dropped:         cell("dynaminer_detector_dropped_total", "Transactions dropped by the MaxClusterTxs cap."),
+		dropped:         cell("dynaminer_detector_dropped_total", "Transactions dropped because their session cluster already held 4096 transactions."),
 		rebuilds:        cell("dynaminer_detector_rebuilds_total", "Classifications served by the from-scratch rebuild path."),
 		topologyRuns:    cell("dynaminer_detector_topology_recomputes_total", "Classifications that refreshed the topology features because the WCG's undirected structure changed: O(n) for a new leaf host, the full sweep for anything else."),
 		panics:          cell("dynaminer_detector_panics_total", "Recovered per-transaction faults (panics and non-finite scores)."),

@@ -198,7 +198,7 @@ func TestMidStreamReloadPinsWatches(t *testing.T) {
 	}
 
 	// A watch armed after the swap scores with the new model: close the
-	// pinned watch by idling past WatchIdle, then re-offend.
+	// pinned watch by idling past watchIdle, then re-offend.
 	later := 30 * time.Minute
 	second := infectionStream()
 	for i := range second {

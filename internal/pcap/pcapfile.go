@@ -17,13 +17,13 @@ import (
 )
 
 // Classic pcap magic numbers, as a little-endian read of the file's first
-// four bytes sees them: microsecond resolution (what this package writes),
-// and nanosecond resolution (tcpdump --time-stamp-precision nano), each in
-// either byte order.
+// four bytes sees them: microsecond resolution, and nanosecond resolution
+// (tcpdump --time-stamp-precision nano, and what this package writes),
+// each in either byte order.
 const (
-	magicLE     = 0xa1b2c3d4 // written natively little-endian by this package
+	magicLE     = 0xa1b2c3d4
 	magicBE     = 0xd4c3b2a1
-	magicNanoLE = 0xa1b23c4d
+	magicNanoLE = 0xa1b23c4d // written natively little-endian by this package
 	magicNanoBE = 0x4d3cb2a1
 
 	// LinkTypeEthernet is the only link type this package handles.
@@ -51,7 +51,8 @@ type Packet struct {
 	Data      []byte // raw frame bytes starting at the link layer
 }
 
-// Writer emits a classic little-endian microsecond pcap file.
+// Writer emits a classic little-endian nanosecond pcap file, so a
+// packet's timestamp reads back exactly.
 type Writer struct {
 	w           io.Writer
 	wroteHeader bool
@@ -69,7 +70,7 @@ func (pw *Writer) writeHeader() error {
 		return nil
 	}
 	var hdr [globalHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magicLE)
+	binary.LittleEndian.PutUint32(hdr[0:], magicNanoLE)
 	binary.LittleEndian.PutUint16(hdr[4:], 2) // version major
 	binary.LittleEndian.PutUint16(hdr[6:], 4) // version minor
 	// thiszone and sigfigs stay zero.
@@ -92,7 +93,7 @@ func (pw *Writer) WritePacket(p Packet) error {
 	}
 	var hdr [recordHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(p.Timestamp.Unix()))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.Timestamp.Nanosecond()/1000))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.Timestamp.Nanosecond()))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(p.Data)))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(p.Data)))
 	if _, err := pw.w.Write(hdr[:]); err != nil {

@@ -255,7 +255,8 @@ func (ng *ngReader) parseSPB(body []byte) (Packet, bool, error) {
 }
 
 // NGWriter emits a little-endian pcapng capture with one Ethernet
-// interface at microsecond resolution.
+// interface at nanosecond resolution (if_tsresol 9), so a packet's
+// timestamp reads back exactly.
 type NGWriter struct {
 	w           io.Writer
 	wroteHeader bool
@@ -276,13 +277,18 @@ func (nw *NGWriter) writeHeader() error {
 	binary.LittleEndian.PutUint16(shb[12:], 1) // major
 	binary.LittleEndian.PutUint64(shb[16:], math.MaxUint64)
 	binary.LittleEndian.PutUint32(shb[24:], 28)
-	// Interface description: Ethernet, default microsecond resolution.
-	idb := make([]byte, 20)
+	// Interface description: Ethernet, with one option, if_tsresol = 9
+	// (10^-9 s ticks), padded to four bytes, and the end of options.
+	idb := make([]byte, 32)
 	binary.LittleEndian.PutUint32(idb[0:], blockIDB)
-	binary.LittleEndian.PutUint32(idb[4:], 20)
+	binary.LittleEndian.PutUint32(idb[4:], 32)
 	binary.LittleEndian.PutUint16(idb[8:], LinkTypeEthernet)
 	binary.LittleEndian.PutUint32(idb[12:], defaultSnapLen)
-	binary.LittleEndian.PutUint32(idb[16:], 20)
+	binary.LittleEndian.PutUint16(idb[16:], optTsResol)
+	binary.LittleEndian.PutUint16(idb[18:], 1)
+	idb[20] = 9
+	// idb[24:28] is opt_endofopt: code 0, length 0.
+	binary.LittleEndian.PutUint32(idb[28:], 32)
 	if _, err := nw.w.Write(shb); err != nil {
 		return fmt.Errorf("pcapng: write section header: %w", err)
 	}
@@ -303,8 +309,8 @@ func (nw *NGWriter) WritePacket(p Packet) error {
 	block := make([]byte, total)
 	binary.LittleEndian.PutUint32(block[0:], blockEPB)
 	binary.LittleEndian.PutUint32(block[4:], uint32(total))
-	// Interface 0; microsecond ticks.
-	ticks := uint64(p.Timestamp.UnixMicro())
+	// Interface 0; nanosecond ticks.
+	ticks := uint64(p.Timestamp.UnixNano())
 	binary.LittleEndian.PutUint32(block[12:], uint32(ticks>>32))
 	binary.LittleEndian.PutUint32(block[16:], uint32(ticks))
 	binary.LittleEndian.PutUint32(block[20:], uint32(len(p.Data)))

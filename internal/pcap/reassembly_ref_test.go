@@ -58,17 +58,25 @@ func refGlobalHeader(r io.Reader, ng *ngReader) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("pcap: read global header: %w", err)
 	}
+	unit := time.Microsecond
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
 	case magicLE:
 		ng.order = binary.LittleEndian
 	case magicBE:
 		ng.order = binary.BigEndian
+	case magicNanoLE:
+		ng.order, unit = binary.LittleEndian, time.Nanosecond
+	case magicNanoBE:
+		ng.order, unit = binary.BigEndian, time.Nanosecond
 	default:
 		return ErrBadMagic
 	}
 	if linkType := ng.order.Uint32(hdr[20:]); linkType != LinkTypeEthernet {
 		return fmt.Errorf("pcap: unsupported link type %d", linkType)
 	}
+	// The record's sub-second unit rides in the interface list the pcapng
+	// path keeps.
+	ng.ifaces = append(ng.ifaces[:0], ngInterface{linkType: LinkTypeEthernet, tsUnit: unit})
 	return nil
 }
 
@@ -88,7 +96,7 @@ func refClassicNext(r *bufio.Reader, ng *ngReader) (Packet, error) {
 		return Packet{}, fmt.Errorf("pcap: read record body: %w", err)
 	}
 	return Packet{
-		Timestamp: time.Unix(int64(ng.order.Uint32(hdr[0:])), int64(ng.order.Uint32(hdr[4:]))*1000).UTC(),
+		Timestamp: time.Unix(int64(ng.order.Uint32(hdr[0:])), int64(ng.order.Uint32(hdr[4:]))*int64(ng.ifaces[0].tsUnit)).UTC(),
 		Data:      data,
 	}, nil
 }

@@ -327,6 +327,39 @@ func TestReadPCAPMatchesReferencePath(t *testing.T) {
 	}
 }
 
+// TestCaptureFidelity: an episode written as classic pcap or as pcapng and
+// read back gives the same 37-vector, bit for bit, as the episode's own
+// transactions. The writers once stored microseconds, and the synthetic
+// corpus's nanosecond request times came back truncated: Duration and
+// Avg-Inter-Transact-Time moved.
+func TestCaptureFidelity(t *testing.T) {
+	episodes := synth.GenerateCorpus(synth.Config{Seed: 1, Infections: 100, Benign: 100})
+	if len(episodes) != 200 {
+		t.Fatalf("%d episodes, want 200", len(episodes))
+	}
+	for e := range episodes {
+		ep := &episodes[e]
+		direct := dynaminer.ExtractFeatures(dynaminer.BuildWCG(ep.Txs))
+		pkts := episodePackets(t, ep)
+		for _, format := range []string{"pcap", "pcapng"} {
+			txs, err := dynaminer.ReadPCAP(bytes.NewReader(render(t, format, pkts)))
+			if err != nil {
+				t.Fatalf("episode %d via %s: %v", e, format, err)
+			}
+			if len(txs) != len(ep.Txs) {
+				t.Fatalf("episode %d via %s: %d transactions, the episode has %d", e, format, len(txs), len(ep.Txs))
+			}
+			got := dynaminer.ExtractFeatures(dynaminer.BuildWCG(txs))
+			for i := range direct {
+				if math.Float64bits(got[i]) != math.Float64bits(direct[i]) {
+					t.Fatalf("episode %d (%s) via %s: feature %d %s = %v, direct %v",
+						e, ep.Family, format, i, dynaminer.FeatureName(i), got[i], direct[i])
+				}
+			}
+		}
+	}
+}
+
 // corpusPackets renders every episode under a client address of its own and
 // merges the packets by timestamp: one capture of interleaved clients.
 func corpusPackets(t testing.TB, episodes []synth.Episode) []pcap.Packet {

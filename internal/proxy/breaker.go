@@ -30,9 +30,6 @@ type breaker struct {
 // caller observing that transition carries the probe request; every other
 // caller is refused until the probe resolves. Callers must not hold p.mu.
 func (p *Proxy) breakerAllow(host string) bool {
-	if p.cfg.BreakerThreshold < 0 {
-		return true
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b, ok := p.breakers[host]
@@ -41,7 +38,7 @@ func (p *Proxy) breakerAllow(host string) bool {
 	}
 	switch b.state {
 	case breakerOpen:
-		if p.now().Sub(b.openedAt) < p.cfg.BreakerCooldown {
+		if p.now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = breakerProbe
@@ -58,9 +55,6 @@ func (p *Proxy) breakerAllow(host string) bool {
 // transport-level failures advance the circuit toward open, successes
 // reset it. Callers must not hold p.mu.
 func (p *Proxy) breakerResult(host string, ok bool) {
-	if p.cfg.BreakerThreshold < 0 {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b := p.breakers[host]
@@ -89,7 +83,7 @@ func (p *Proxy) breakerResult(host string, ok bool) {
 		p.mx.breakerTrips.Inc()
 	default:
 		b.failures++
-		if b.state == breakerClosed && b.failures >= p.cfg.BreakerThreshold {
+		if b.state == breakerClosed && b.failures >= breakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = p.now()
 			p.mx.breakerState.With(host).Set(int64(breakerOpen))

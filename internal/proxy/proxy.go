@@ -28,17 +28,43 @@ import (
 // needs sizes and document prefixes, not full binaries).
 const maxCapturedBody = 256 << 10
 
+// The proxy's relay bounds. They are implementation constants: the
+// deployment tunes the embedded engine's clue threshold, not these.
+const (
+	// blockDuration is how long an alerted client stays blocked when
+	// Config.BlockAfterAlert is set.
+	blockDuration = 10 * time.Minute
+	// upstreamTimeout bounds one upstream exchange end to end: the round
+	// trip, buffering the analysis prefix of the body, and relaying the
+	// tail. A hung upstream or a slow-loris body surfaces as a 504 within
+	// this deadline instead of pinning the handler forever. An inbound
+	// request whose context ends sooner keeps its own deadline.
+	upstreamTimeout = 30 * time.Second
+	// upstreamRetries is how many extra attempts an idempotent (GET/HEAD,
+	// bodyless) request gets after a retryable transport failure, within
+	// the same deadline. Timeouts are never retried: the budget is
+	// already spent.
+	upstreamRetries = 2
+	// retryBackoff is the base of the jittered exponential backoff
+	// between retries (doubles per attempt, jittered to 50–100% of the
+	// step).
+	retryBackoff = 100 * time.Millisecond
+	// breakerThreshold is how many consecutive transport failures to one
+	// upstream host open its circuit: while open, requests for that host
+	// are answered with a synthesized 502 without touching the upstream.
+	breakerThreshold = 5
+	// breakerCooldown is how long an open circuit refuses traffic before
+	// letting a single probe request test the upstream.
+	breakerCooldown = 30 * time.Second
+)
+
 // Config tunes the proxy.
 type Config struct {
 	// Detector configures the embedded on-the-wire engine.
 	Detector detector.Config
 	// BlockAfterAlert terminates the offending client's web session: once
-	// a client alerts, its requests are refused with 403 for
-	// BlockDuration.
+	// a client alerts, its requests are refused with 403 for ten minutes.
 	BlockAfterAlert bool
-	// BlockDuration is how long an alerted client stays blocked; zero
-	// selects 10 minutes.
-	BlockDuration time.Duration
 	// OnAlert, when set, is invoked synchronously for every alert.
 	OnAlert func(detector.Alert)
 	// Transport performs the upstream requests; nil selects
@@ -51,31 +77,6 @@ type Config struct {
 	// address instead of the TCP peer. Enable only when an upstream
 	// load balancer or proxy chain sets the header trustworthily.
 	TrustXForwardedFor bool
-	// UpstreamTimeout bounds one upstream exchange end to end: the round
-	// trip, buffering the analysis prefix of the body, and relaying the
-	// tail. A hung upstream or a slow-loris body surfaces as a 504 within
-	// this deadline instead of pinning the handler forever. Zero selects
-	// 30 seconds.
-	UpstreamTimeout time.Duration
-	// UpstreamRetries is how many extra attempts an idempotent (GET/HEAD,
-	// bodyless) request gets after a retryable transport failure, within
-	// the same UpstreamTimeout deadline. Zero selects 2; negative
-	// disables retries. Timeouts are never retried — the budget is
-	// already spent.
-	UpstreamRetries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between retries (doubles per attempt, jittered to 50–100% of the
-	// step). Zero selects 100ms.
-	RetryBackoff time.Duration
-	// BreakerThreshold is how many consecutive transport failures to one
-	// upstream host open its circuit: while open, requests for that host
-	// are answered with a synthesized 502 without touching the upstream.
-	// Zero selects 5; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit refuses traffic before
-	// letting a single probe request test the upstream. Zero selects
-	// 30 seconds.
-	BreakerCooldown time.Duration
 	// Sleep pauses between retry attempts; nil selects time.Sleep. Tests
 	// inject a no-op to run fault schedules without real delays.
 	Sleep func(time.Duration)
@@ -155,24 +156,6 @@ var _ http.Handler = (*Proxy)(nil)
 
 // New returns a Proxy detecting with the given trained model.
 func New(cfg Config, model detector.Scorer) *Proxy {
-	if cfg.BlockDuration == 0 {
-		cfg.BlockDuration = 10 * time.Minute
-	}
-	if cfg.UpstreamTimeout == 0 {
-		cfg.UpstreamTimeout = 30 * time.Second
-	}
-	if cfg.UpstreamRetries == 0 {
-		cfg.UpstreamRetries = 2
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = 30 * time.Second
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = http.DefaultTransport
@@ -326,8 +309,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The deadline covers the whole upstream exchange — connecting, the
 	// response headers, buffering the analysis prefix, and the tail relay
 	// — so neither a hung upstream nor a slow-loris body can pin this
-	// handler past UpstreamTimeout.
-	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.UpstreamTimeout)
+	// handler past upstreamTimeout.
+	ctx, cancel := context.WithTimeout(r.Context(), upstreamTimeout)
 	defer cancel()
 	out, err := p.buildUpstreamRequest(ctx, r)
 	if err != nil {
@@ -395,7 +378,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if _, already := p.blocked[client]; !already {
 			p.mx.blockedClients.Inc()
 		}
-		p.blocked[client] = p.now().Add(p.cfg.BlockDuration)
+		p.blocked[client] = p.now().Add(blockDuration)
 		p.mu.Unlock()
 	}
 	if p.cfg.OnAlert != nil {
@@ -410,13 +393,13 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // (GET/HEAD) are retried — a request body has already been consumed by
 // the failed attempt — and only on retryable transport errors; the
 // context deadline set by ServeHTTP bounds all attempts together, so
-// retries never extend the caller-visible latency past UpstreamTimeout.
+// retries never extend the caller-visible latency past it.
 func (p *Proxy) roundTrip(out *http.Request, at *obs.ActiveTrace) (*http.Response, error) {
 	retries := 0
-	if (out.Method == http.MethodGet || out.Method == http.MethodHead) && out.Body == nil && p.cfg.UpstreamRetries > 0 {
-		retries = p.cfg.UpstreamRetries
+	if (out.Method == http.MethodGet || out.Method == http.MethodHead) && out.Body == nil {
+		retries = upstreamRetries
 	}
-	backoff := p.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		// One proxy.upstream span per attempt, the attempt number as its
 		// Arg; failed attempts are flagged SpanError, re-sent ones also

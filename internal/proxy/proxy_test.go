@@ -21,16 +21,30 @@ type constScorer float64
 
 func (c constScorer) Score([]float64) float64 { return float64(c) }
 
-// fakeClock is an injectable clock.
+// fakeClock is an injectable clock. Each read advances it 50 ms, until
+// it is frozen: then every read returns the same instant until Advance
+// moves it.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu     sync.Mutex
+	t      time.Time
+	frozen bool
 }
 
 func (f *fakeClock) Now() time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.t = f.t.Add(50 * time.Millisecond)
+	if !f.frozen {
+		f.t = f.t.Add(50 * time.Millisecond)
+	}
+	return f.t
+}
+
+// Freeze stops the clock at the instant the last read returned and
+// returns that instant.
+func (f *fakeClock) Freeze() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.frozen = true
 	return f.t
 }
 
@@ -212,13 +226,16 @@ func TestProxyRequestTimeFromClock(t *testing.T) {
 	}
 }
 
+// TestProxyBlocksAfterAlert pins the ten-minute block: an alerted
+// client is refused up to 10 min after the block began and served again
+// at 10 min. The clock freezes at the alert, the instant the block began.
 func TestProxyBlocksAfterAlert(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
 	cfg := Config{
 		Detector:        detector.Config{RedirectThreshold: 3},
 		BlockAfterAlert: true,
-		BlockDuration:   10 * time.Minute,
 		Now:             clock.Now,
+		OnAlert:         func(detector.Alert) { clock.Freeze() },
 	}
 	p, client, cleanup := testSetup(t, cfg, constScorer(0.95))
 	defer cleanup()
@@ -227,19 +244,25 @@ func TestProxyBlocksAfterAlert(t *testing.T) {
 	if p.Stats().BlockedClients != 1 {
 		t.Fatalf("blocked = %d, want 1 (stats %+v, engine %+v)", p.Stats().BlockedClients, p.Stats(), p.EngineStats())
 	}
-	// The session is terminated: further requests are refused.
+	// The session is terminated: further requests are refused, up to the
+	// last nanosecond of the block.
 	resp := get(t, client, "http://benign.com/", "")
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("post-alert status = %d, want 403", resp.StatusCode)
 	}
-	if p.Stats().Refused != 1 {
-		t.Fatalf("refused = %d", p.Stats().Refused)
+	clock.Advance(10*time.Minute - time.Nanosecond)
+	resp = get(t, client, "http://benign.com/", "")
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("status 1 ns before the block lifts = %d, want 403", resp.StatusCode)
 	}
-	// After the block expires the client may browse again.
-	clock.Advance(11 * time.Minute)
+	if p.Stats().Refused != 2 {
+		t.Fatalf("refused = %d, want 2", p.Stats().Refused)
+	}
+	// Once the block expires the client may browse again.
+	clock.Advance(time.Nanosecond)
 	resp = get(t, client, "http://benign.com/", "")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-expiry status = %d, want 200", resp.StatusCode)
+		t.Fatalf("status as the block lifts = %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -19,31 +19,31 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestJanitorEvictsIdleClusters pins the background sweep to the injected
-// clock: while that clock stands at the corpus's own time, sweeps evict
-// nothing (a cut-off read off the wall clock, years later, would evict
-// everything); once it moves far past every cluster's last activity, the
-// janitor evicts them without any new traffic arriving.
+// clock and the engine's one-hour TTL: while that clock stands exactly an
+// hour past the cluster's last activity, sweeps evict nothing (a cut-off
+// read off the wall clock, years later, would evict everything); once it
+// moves a nanosecond further, the janitor evicts the cluster without any
+// new traffic arriving.
 func TestJanitorEvictsIdleClusters(t *testing.T) {
 	c, eps := trainedOnSmallCorpus(t)
 
-	// The synth corpus is timestamped around a fixed epoch in 2016, and a
-	// 30-day TTL covers all of it; a clock one year later puts every
-	// cluster beyond the TTL.
 	var mu sync.Mutex
-	clock := eps[0].Txs[0].ReqTime
+	var clock time.Time
 	now := func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		return clock
 	}
 
-	m := NewMonitor(MonitorConfig{RedirectThreshold: 1, ClusterTTL: 30 * 24 * time.Hour, Now: now}, c)
-	for i := 0; i < 4; i++ {
-		m.ProcessAll(eps[i].Txs)
+	m := NewMonitor(MonitorConfig{RedirectThreshold: 1, Shards: 1, TrustedVendors: []string{}, Now: now}, c)
+	tx := eps[0].Txs[0]
+	m.Process(tx)
+	if m.Stats().Clusters != 1 {
+		t.Fatalf("one transaction built %d clusters, want 1", m.Stats().Clusters)
 	}
-	if m.Stats().Clusters == 0 {
-		t.Fatal("no clusters built; the sweep covers nothing")
-	}
+	mu.Lock()
+	clock = tx.ReqTime.Add(time.Hour)
+	mu.Unlock()
 
 	m.StartJanitor(time.Millisecond)
 	defer m.Close()
@@ -52,15 +52,15 @@ func TestJanitorEvictsIdleClusters(t *testing.T) {
 		return m.Registry().CounterValue("dynaminer_janitor_sweeps_total") >= 3
 	})
 	if n := m.Registry().CounterValue("dynaminer_janitor_evictions_total"); n != 0 {
-		t.Fatalf("janitor evicted %d clusters with the clock unchanged", n)
+		t.Fatalf("janitor evicted %d clusters idle exactly one hour", n)
 	}
 
 	mu.Lock()
-	clock = clock.Add(365 * 24 * time.Hour)
+	clock = clock.Add(time.Nanosecond)
 	mu.Unlock()
 
 	waitFor(t, "the janitor to evict", func() bool {
-		return m.Registry().CounterValue("dynaminer_janitor_evictions_total") > 0
+		return m.Registry().CounterValue("dynaminer_janitor_evictions_total") == 1
 	})
 }
 

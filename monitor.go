@@ -20,7 +20,6 @@ import (
 type Monitor struct {
 	engine *detector.Engine
 	now    func() time.Time
-	ttl    time.Duration
 
 	// tracer is the pipeline tracer from MonitorConfig (nil when tracing
 	// is off); StartAdmin mounts /trace from it.
@@ -60,16 +59,11 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 	if now == nil {
 		now = time.Now
 	}
-	ttl := cfg.ClusterTTL
-	if ttl == 0 {
-		ttl = time.Hour
-	}
 	engine := detector.New(cfg, c.scorer())
 	reg := engine.Registry()
 	return &Monitor{
 		engine:  engine,
 		now:     now,
-		ttl:     ttl,
 		tracer:  cfg.Tracer,
 		journal: cfg.Journal,
 		janitorSweeps: reg.Counter("dynaminer_janitor_sweeps_total",
@@ -122,8 +116,9 @@ func (m *Monitor) StartAdmin(addr string) (string, error) {
 // /healthz serves the same report.
 func (m *Monitor) Health() HealthStatus { return m.engine.Health() }
 
-// StartJanitor launches a background sweeper that evicts idle session
-// clusters every interval (zero selects one minute), so memory stays
+// StartJanitor launches a background sweeper that evicts session clusters
+// idle for more than the engine's one-hour TTL by MonitorConfig.Now every
+// interval (zero selects one minute), so memory stays
 // bounded even while no traffic arrives to trigger the inline eviction in
 // Process. Starting an already-running janitor is a no-op. Stop it with
 // Close.
@@ -151,7 +146,7 @@ func (m *Monitor) StartJanitor(interval time.Duration) {
 					// Last-resort guard, per sweep: a janitor fault must
 					// never take the process down, nor end later sweeps.
 					defer func() { recover() }()
-					n := m.engine.EvictIdle(m.now().Add(-m.ttl))
+					n := m.engine.EvictExpired(m.now())
 					m.janitorSweeps.Inc()
 					m.janitorEvictions.Add(int64(n))
 				}()
