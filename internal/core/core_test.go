@@ -82,3 +82,20 @@ func TestTrainErrorsOnEmptyCorpus(t *testing.T) {
 		t.Fatal("empty corpus must error")
 	}
 }
+
+// BenchmarkTrainMonitorForest trains the N_t = 20 ERF on the deployment
+// dataset of the default synthetic corpus (seed 1): the shape a monitor
+// trains at set-up, where BenchmarkTrainForest in internal/ml uses
+// Gaussian rows. The dataset is built once, outside the timer.
+func BenchmarkTrainMonitorForest(b *testing.B) {
+	ds := MonitorDataset(synth.GenerateCorpus(synth.Config{Seed: 1}))
+	cfg := TrainConfig{Seed: 1}.forestConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ml.TrainForest(ds, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ds.Len()), "rows")
+}

@@ -8,6 +8,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -27,7 +28,9 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Validate checks shape consistency and label range.
+// Validate checks shape consistency, label range and that every cell is
+// finite: a NaN has no place in a threshold order, and an infinite value
+// yields an infinite split threshold the DMFB loader rightly rejects.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("ml: %d rows but %d labels", len(d.X), len(d.Y))
@@ -42,6 +45,11 @@ func (d *Dataset) Validate() error {
 		}
 		if d.Y[i] != LabelBenign && d.Y[i] != LabelInfection {
 			return fmt.Errorf("ml: row %d has label %d", i, d.Y[i])
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: row %d column %d is %v", i, j, v)
+			}
 		}
 	}
 	return nil
@@ -79,15 +87,6 @@ func (d *Dataset) SelectFeatures(cols []int) *Dataset {
 		sub.X[i] = nr
 	}
 	return sub
-}
-
-// bootstrap draws n indices with replacement.
-func bootstrap(n int, rng *rand.Rand) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
-	return idx
 }
 
 // StratifiedKFold splits sample indices into k folds preserving the class

@@ -152,16 +152,42 @@ func BenchmarkScoreBatchFlat(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(X)), "ns/sample")
 }
 
-// BenchmarkTrainForest pins training cost and, via allocs/op, the
-// per-split scratch reuse in feature subsampling.
+// trainBenchDataset is the 1000 x 37 Gaussian training set
+// BenchmarkTrainForest and TestTrainForestAllocs share.
+func trainBenchDataset() *Dataset {
+	return gaussDataset(1000, 37, 8, 1.0, rand.New(rand.NewSource(1)))
+}
+
+// BenchmarkTrainForest pins training cost and, via allocs/op, that the
+// grower's buffers are allocated once per forest.
 func BenchmarkTrainForest(b *testing.B) {
-	ds := gaussDataset(1000, 37, 8, 1.0, rand.New(rand.NewSource(1)))
+	ds := trainBenchDataset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainForest(ds, ForestConfig{NumTrees: 5, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTrainForestAllocs holds training to one allocation per grown node
+// plus a constant per forest: the presort, the per-tree buffers and the
+// slabs are allocated once, and no split or tree allocates scratch of its
+// own. A per-node sort buffer or a per-tree dataset copy breaks it (the
+// per-node-sort grower made 13 654 allocations here, for 933 nodes).
+func TestTrainForestAllocs(t *testing.T) {
+	ds := trainBenchDataset()
+	cfg := ForestConfig{NumTrees: 5, Seed: 1}
+	var ff *FlatForest
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if ff, err = TrainForest(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(ff.NumNodes() + 64); allocs > limit {
+		t.Fatalf("TrainForest made %.0f allocations for %d nodes, want at most %.0f", allocs, ff.NumNodes(), limit)
 	}
 }
 

@@ -21,12 +21,6 @@ type ForestConfig struct {
 	Seed int64
 }
 
-// DefaultForestConfig is the paper's best configuration: N_t = 20 and
-// N_f = log2(F) + 1.
-func DefaultForestConfig() ForestConfig {
-	return ForestConfig{NumTrees: 20, Seed: 1}
-}
-
 // LogMaxFeatures is the paper's N_f rule: log2(numFeatures) + 1.
 func LogMaxFeatures(numFeatures int) int {
 	if numFeatures <= 1 {
@@ -47,7 +41,7 @@ func TrainForest(ds *Dataset, cfg ForestConfig) (*FlatForest, error) {
 }
 
 // growForest grows the ensemble's trees, each on its own bootstrap sample,
-// from one seeded RNG.
+// from one seeded RNG and one presort of ds.
 func growForest(ds *Dataset, cfg ForestConfig) ([]*treeNode, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -59,16 +53,15 @@ func growForest(ds *Dataset, cfg ForestConfig) ([]*treeNode, error) {
 	if maxF <= 0 {
 		maxF = LogMaxFeatures(ds.NumFeatures())
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	treeCfg := treeConfig{
+	g := newGrower(ds, treeConfig{
 		maxFeatures:    maxF,
 		minSamplesLeaf: cfg.MinSamplesLeaf,
 		maxDepth:       cfg.MaxDepth,
-	}
+	}, rand.New(rand.NewSource(cfg.Seed)))
 	roots := make([]*treeNode, cfg.NumTrees)
 	for i := range roots {
-		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		roots[i] = trainTree(sample, treeCfg, rng)
+		g.bootstrap()
+		roots[i] = g.tree()
 	}
 	return roots, nil
 }

@@ -1,14 +1,21 @@
 package ml
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
 // This file keeps the pointer-tree forest only as the oracle the flat
 // slabs are pinned against: the trees exactly as the trainer grows them,
 // scored by walking node pointers, and the recursive loader that builds
-// the same trees from a blob's slabs. Neither exists outside tests.
+// the same trees from a blob's slabs. It also keeps the grower the
+// presorted one replaced, which sorts every candidate feature at every
+// node, as the oracle the trainer is pinned against. None of these exists
+// outside tests.
 
 // refForest is an ensemble of linked CART trees.
 type refForest struct {
@@ -156,4 +163,190 @@ func (ff *FlatForest) refTree(pos *int32, end int32, depth int) (*treeNode, erro
 		return nil, err
 	}
 	return &treeNode{feature: int(ff.feature[i]), threshold: ff.threshold[i], left: left, right: right}, nil
+}
+
+// refGrowForest grows a forest the way the trainer did before the
+// presort: each tree on a ds.Subset of its bootstrap draw, duplicates and
+// all, with a fresh sort of (value, label) pairs for every candidate
+// feature at every node. Its RNG draws come in the trainer's order.
+func refGrowForest(ds *Dataset, cfg ForestConfig) []*treeNode {
+	maxF := cfg.MaxFeatures
+	if maxF <= 0 {
+		maxF = LogMaxFeatures(ds.NumFeatures())
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	treeCfg := treeConfig{maxFeatures: maxF, minSamplesLeaf: max(cfg.MinSamplesLeaf, 1), maxDepth: cfg.MaxDepth}
+	roots := make([]*treeNode, cfg.NumTrees)
+	for i := range roots {
+		draw := make([]int, ds.Len())
+		for j := range draw {
+			draw[j] = rng.Intn(ds.Len())
+		}
+		sample := ds.Subset(draw)
+		all := make([]int, sample.Len())
+		for j := range all {
+			all[j] = j
+		}
+		roots[i] = refGrow(sample, all, treeCfg, rng, 0, make([]int, ds.NumFeatures()))
+	}
+	return roots
+}
+
+type refValueLabel struct {
+	v float64
+	y int
+}
+
+// refGrow grows the subtree over the sample indices idx; perm is the
+// tree's feature permutation buffer.
+func refGrow(ds *Dataset, idx []int, cfg treeConfig, rng *rand.Rand, depth int, perm []int) *treeNode {
+	var counts [numClasses]int
+	for _, i := range idx {
+		counts[ds.Y[i]]++
+	}
+	total := len(idx)
+	pure := counts[0] == total || counts[1] == total
+	if pure || total < 2*cfg.minSamplesLeaf || (cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
+		return makeLeaf(counts, total)
+	}
+	feature, threshold := refBestSplit(ds, idx, counts, cfg, rng, perm)
+	if feature < 0 {
+		return makeLeaf(counts, total)
+	}
+	var left, right []int
+	for _, j := range idx {
+		if ds.X[j][feature] <= threshold {
+			left = append(left, j)
+		} else {
+			right = append(right, j)
+		}
+	}
+	if len(left) == 0 || len(right) == 0 {
+		return makeLeaf(counts, total)
+	}
+	return &treeNode{
+		feature:   feature,
+		threshold: threshold,
+		left:      refGrow(ds, left, cfg, rng, depth+1, perm),
+		right:     refGrow(ds, right, cfg, rng, depth+1, perm),
+	}
+}
+
+// refBestSplit finds the Gini-optimal (feature, threshold) over a feature
+// subsample by sorting the node's (value, label) pairs per candidate.
+func refBestSplit(ds *Dataset, idx []int, counts [numClasses]int, cfg treeConfig, rng *rand.Rand, perm []int) (feature int, threshold float64) {
+	total := len(idx)
+	parentGini := gini(counts, total)
+	for i := range perm {
+		perm[i] = i
+	}
+	candidates := perm
+	if nf, m := len(perm), cfg.maxFeatures; m > 0 && m < nf && rng != nil {
+		rng.Shuffle(nf, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		candidates = perm[:m]
+	}
+	feature = -1
+	gain := 0.0
+	buf := make([]refValueLabel, total)
+	for _, f := range candidates {
+		for i, j := range idx {
+			buf[i] = refValueLabel{v: ds.X[j][f], y: ds.Y[j]}
+		}
+		sort.Slice(buf, func(a, b int) bool { return buf[a].v < buf[b].v })
+		var leftCounts [numClasses]int
+		for i := 0; i+1 < total; i++ {
+			leftCounts[buf[i].y]++
+			if buf[i].v == buf[i+1].v {
+				continue
+			}
+			nl, nr := i+1, total-i-1
+			if nl < cfg.minSamplesLeaf || nr < cfg.minSamplesLeaf {
+				continue
+			}
+			var rightCounts [numClasses]int
+			rightCounts[0] = counts[0] - leftCounts[0]
+			rightCounts[1] = counts[1] - leftCounts[1]
+			g := parentGini -
+				(float64(nl)*gini(leftCounts, nl)+float64(nr)*gini(rightCounts, nr))/float64(total)
+			if g > gain {
+				gain = g
+				feature = f
+				threshold = (buf[i].v + buf[i+1].v) / 2
+			}
+		}
+	}
+	return feature, threshold
+}
+
+// diffDataset draws a seeded dataset for the grower differential: 2-600
+// rows of 1-40 features whose columns are continuous, quantised to a few
+// levels (long runs of ties), constant, or two adjacent floats (whose
+// midpoint rounds onto one of them), and labels with a random balance.
+func diffDataset(rng *rand.Rand) *Dataset {
+	n, nf := 2+rng.Intn(599), 1+rng.Intn(40)
+	kinds := make([]int, nf)
+	for f := range kinds {
+		kinds[f] = rng.Intn(4)
+	}
+	pos := rng.Float64()
+	ds := &Dataset{X: make([][]float64, n), Y: make([]int, n)}
+	for i := range ds.X {
+		if rng.Float64() < pos {
+			ds.Y[i] = LabelInfection
+		}
+		row := make([]float64, nf)
+		for f, kind := range kinds {
+			switch kind {
+			case 0:
+				row[f] = rng.NormFloat64() + float64(ds.Y[i])*rng.Float64()
+			case 1:
+				row[f] = float64(rng.Intn(4) + ds.Y[i]*rng.Intn(2))
+			case 2:
+				row[f] = 3.5
+			case 3:
+				row[f] = 1
+				if rng.Intn(3) == 0 || ds.Y[i] == LabelInfection && rng.Intn(2) == 0 {
+					row[f] = math.Nextafter(1, 2)
+				}
+			}
+		}
+		ds.X[i] = row
+	}
+	return ds
+}
+
+// TestGrowerMatchesRefGrow pins the presorted, weighted grower against the
+// per-node-sort grower it replaced: on seeded random datasets and configs
+// (MinSamplesLeaf 0-3, MaxDepth 0-5, every N_f) both grow forests whose
+// DMFB blobs are equal byte for byte. Training the same data twice must
+// also give the same bytes.
+func TestGrowerMatchesRefGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for c := 0; c < 80; c++ {
+		ds := diffDataset(rng)
+		cfg := ForestConfig{
+			NumTrees:       1 + rng.Intn(4),
+			MaxFeatures:    rng.Intn(ds.NumFeatures() + 1),
+			MinSamplesLeaf: rng.Intn(4),
+			MaxDepth:       rng.Intn(6),
+			Seed:           rng.Int63(),
+		}
+		ff, err := TrainForest(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ff.AppendFlatBlob(nil)
+		want := flatten(refGrowForest(ds, cfg), cfg, ds.NumFeatures()).AppendFlatBlob(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%d rows, %d features, %+v): presorted forest (%d nodes) differs from the per-node-sort forest",
+				c, ds.Len(), ds.NumFeatures(), cfg, ff.NumNodes())
+		}
+		again, err := TrainForest(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.AppendFlatBlob(nil), got) {
+			t.Fatalf("case %d: training the same data twice diverged", c)
+		}
+	}
 }

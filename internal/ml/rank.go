@@ -31,27 +31,25 @@ func GainRatio(ds *Dataset, f int) float64 {
 	if total == 0 {
 		return 0
 	}
-	parent := classCounts(ds, allIndices(total))
+	var parent [numClasses]int
+	for _, y := range ds.Y[:total] {
+		parent[y]++
+	}
 	parentH := entropy(parent, total)
 	if parentH == 0 {
 		return 0
 	}
 
-	type vl struct {
-		v float64
-		y int
-	}
-	vals := make([]vl, total)
-	for i := range ds.X {
-		vals[i] = vl{ds.X[i][f], ds.Y[i]}
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+	vals := make([]float64, total)
+	order := make([]int32, total)
+	sortColumn(ds, f, vals, order)
 
 	best := 0.0
 	var leftCounts [numClasses]int
 	for i := 0; i+1 < total; i++ {
-		leftCounts[vals[i].y]++
-		if vals[i].v == vals[i+1].v {
+		r := order[i]
+		leftCounts[ds.Y[r]]++
+		if vals[r] == vals[order[i+1]] {
 			continue
 		}
 		nl := i + 1
@@ -71,14 +69,6 @@ func GainRatio(ds *Dataset, f int) float64 {
 		}
 	}
 	return best
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // FeatureRank is one row of a Table IV-style ranking: the per-fold mean and

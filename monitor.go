@@ -182,12 +182,6 @@ func (m *Monitor) Close() {
 	<-done
 }
 
-// EvictIdle drops every session cluster idle since before cutoff across
-// all shards and returns how many were removed. The engine also evicts
-// inline as traffic flows and via the background janitor; this is for
-// deployments that manage their own sweep schedule.
-func (m *Monitor) EvictIdle(cutoff time.Time) int { return m.engine.EvictIdle(cutoff) }
-
 // Process ingests one transaction and returns any alerts it triggers.
 func (m *Monitor) Process(tx Transaction) []Alert { return m.engine.Process(tx) }
 
