@@ -67,9 +67,6 @@ func (c *Classifier) Score(w *WCG) float64 {
 // IsInfection classifies the WCG with the standard 0.5 threshold.
 func (c *Classifier) IsInfection(w *WCG) bool { return c.Score(w) > 0.5 }
 
-// ScoreFeatures scores a precomputed feature vector (the detector's path).
-func (c *Classifier) ScoreFeatures(x []float64) float64 { return c.flat.Score(x) }
-
 // FlatForest exposes the ensemble every scoring path uses.
 func (c *Classifier) FlatForest() *ml.FlatForest { return c.flat }
 

@@ -51,9 +51,6 @@ func runJournal(args []string) error {
 			line += fmt.Sprintf(" votes=%d/%d", r.Votes, r.Trees)
 		}
 		line += fmt.Sprintf(" wcg=%dn/%de v%d %s", r.WCGNodes, r.WCGEdges, r.WCGStructVersion, mode)
-		if r.Degraded {
-			line += " degraded"
-		}
 		if r.Quarantined {
 			line += " quarantined"
 		}

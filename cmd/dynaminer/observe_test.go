@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,6 +42,31 @@ func TestJournalRendersZeroTimeUnset(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "2016-03-01 08:00:00.000 client=10.0.0.2 ") {
 		t.Fatalf("stamped record renders as %q", lines[1])
+	}
+}
+
+// TestJournalReadsDegradedRecord pins journal compatibility across the
+// removal of the record's "degraded" flag: a record written while the
+// field existed, with it set, still reads back whole and renders without
+// it.
+func TestJournalReadsDegradedRecord(t *testing.T) {
+	const old = `{"time":"2016-03-01T08:00:00Z","client":"10.0.0.3","cluster_id":3,"clue_host":"d.evil","clue_payload":"EXE","clue_redirects":3,"wcg_nodes":5,"wcg_edges":4,"wcg_struct_version":6,"incremental":true,"model_version":"g1-5eed0007","features":[0.25,1,3],"score":0.75,"threshold":0.5,"votes":15,"trees":20,"degraded":true,"trace_id":9}` + "\n"
+	path := filepath.Join(t.TempDir(), "alerts.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := dynaminer.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ClusterID != 3 || recs[0].Score != 0.75 || recs[0].Trees != 20 ||
+		len(recs[0].Features) != 3 || recs[0].TraceID != 9 || recs[0].ModelVersion != "g1-5eed0007" {
+		t.Fatalf("record with the old degraded flag read back as %+v", recs)
+	}
+	out := captureStdout(t, func() error { return run([]string{"journal", path}) })
+	want := "2016-03-01 08:00:00.000 client=10.0.0.3 cluster=3 clue=EXE/d.evil score=0.750 (threshold 0.50) votes=15/20 wcg=5n/4e v6 incremental trace=9\n"
+	if !strings.HasPrefix(out, want) {
+		t.Fatalf("old record renders as %q, want %q", out, want)
 	}
 }
 

@@ -238,8 +238,8 @@ func TestEpisodeDatasetAndForestAccess(t *testing.T) {
 		t.Fatal("forest accessor broken")
 	}
 	x := ExtractFeatures(EpisodeWCG(&eps[0]))
-	if s := c.ScoreFeatures(x); s != c.Score(EpisodeWCG(&eps[0])) {
-		t.Fatalf("ScoreFeatures %v disagrees with Score", s)
+	if s := c.FlatForest().Score(x); s != c.Score(EpisodeWCG(&eps[0])) {
+		t.Fatalf("FlatForest().Score %v disagrees with Score", s)
 	}
 }
 

@@ -18,8 +18,12 @@ import (
 
 // trainSoakForest trains a small 37-feature forest on seeded random
 // vectors, so the lifecycle soak swaps between two genuinely different
-// models with distinct blob CRCs.
-func trainSoakForest(t *testing.T, seed int64) *ml.FlatForest {
+// models with distinct blob CRCs. Every negEvery-th row is labelled
+// benign and the rest infections: 2 gives balanced labels, 3 two
+// infections in three, which leans the forest's vote on the soak's
+// watched WCGs past the engine's 0.5 threshold often enough for both
+// models to alert.
+func trainSoakForest(t *testing.T, seed int64, negEvery int) *ml.FlatForest {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := &ml.Dataset{}
@@ -29,7 +33,7 @@ func trainSoakForest(t *testing.T, seed int64) *ml.FlatForest {
 			x[j] = rng.Float64() * 10
 		}
 		ds.X = append(ds.X, x)
-		ds.Y = append(ds.Y, i%2)
+		ds.Y = append(ds.Y, min(i%negEvery, 1))
 	}
 	f, err := ml.TrainForest(ds, ml.ForestConfig{NumTrees: 5, Seed: seed})
 	if err != nil {
@@ -62,10 +66,10 @@ func versionCRC(t *testing.T, version string) uint32 {
 // version recorded on it.
 func TestLifecycleSoak(t *testing.T) {
 	stream, _ := soakStream(t)
-	cfg := detector.Config{RedirectThreshold: 1, ScoreThreshold: 0.05, Shards: 4}
+	cfg := detector.Config{RedirectThreshold: 1, Shards: 4}
 
-	modelA := trainSoakForest(t, 101)
-	modelB := trainSoakForest(t, 102)
+	modelA := trainSoakForest(t, 101, 3)
+	modelB := trainSoakForest(t, 102, 3)
 	if modelA.BlobCRC() == modelB.BlobCRC() {
 		t.Fatal("soak models share a CRC; the version attribution check is vacuous")
 	}
@@ -208,8 +212,8 @@ func TestLifecycleSoak(t *testing.T) {
 func TestCrashRecoverySoak(t *testing.T) {
 	stream, _ := soakStream(t)
 	mid := len(stream) / 2
-	cfg := detector.Config{RedirectThreshold: 1, ScoreThreshold: 0.05, Shards: 4}
-	model := trainSoakForest(t, 103)
+	cfg := detector.Config{RedirectThreshold: 1, Shards: 4}
+	model := trainSoakForest(t, 103, 2)
 
 	uninterrupted := detector.New(cfg, model)
 	uninterrupted.ProcessAll(stream[:mid])
@@ -268,8 +272,8 @@ func TestMidWindowCrashRecovery(t *testing.T) {
 	stream, _ := soakStream(t)
 	mid := len(stream) / 2
 	window := mid + len(stream)/4 // crash point past the checkpoint
-	cfg := detector.Config{RedirectThreshold: 1, ScoreThreshold: 0.05, Shards: 4}
-	model := trainSoakForest(t, 104)
+	cfg := detector.Config{RedirectThreshold: 1, Shards: 4}
+	model := trainSoakForest(t, 104, 2)
 
 	var sink bytes.Buffer
 	jcfg := cfg

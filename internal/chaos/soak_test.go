@@ -46,7 +46,7 @@ func soakStream(t *testing.T) ([]httpstream.Transaction, int) {
 // baseline run.
 func TestChaosSoak(t *testing.T) {
 	stream, episodes := soakStream(t)
-	cfg := detector.Config{RedirectThreshold: 1, ScoreThreshold: 0.5, Shards: 4}
+	cfg := detector.Config{RedirectThreshold: 1, Shards: 4}
 	base := constScorer(0.9)
 
 	// Baseline: a healthy engine over the pristine stream.

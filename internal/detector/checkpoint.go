@@ -38,8 +38,10 @@ import (
 // (clue inference, WCG construction, incremental feature state) with
 // classification suppressed, so the rebuilt watches are byte-for-byte
 // the structures the original engine held — only the flags replay
-// cannot reproduce (alerted, quarantine faults, cross-shard shed
-// decisions, the pinned model version) are applied from the snapshot.
+// cannot reproduce (alerted, quarantine faults, the pinned model
+// version) are applied from the snapshot. The watching bit is derived
+// state replay rebuilds; it is still written, and ReadCheckpointInfo
+// counts it.
 const (
 	checkpointMagic   = "DMCP"
 	checkpointVersion = 1
@@ -517,11 +519,10 @@ func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
 // RestoreCheckpoint rebuilds a freshly constructed engine from a DMCP
 // artifact: every cluster's transactions are replayed through the real
 // pipeline with classification suppressed, then the snapshot's
-// irreproducible flags (alerted, faults, shed/watching state, pinned
-// model) are applied. The engine must be empty and have the same shard
-// count the checkpoint was taken with; on any validation error the
-// engine is left untouched or partially restored — callers treat a
-// failed restore as a cold start.
+// irreproducible flags (alerted, faults, pinned model) are applied. The
+// engine must be empty and have the same shard count the checkpoint was
+// taken with; on any validation error the engine is left untouched or
+// partially restored — callers treat a failed restore as a cold start.
 func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 	r, err := checkpointBody(data)
 	if err != nil {
@@ -577,7 +578,7 @@ func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 // checkpointed transactions through the per-cluster pipeline with
 // e.restoring set: clue inference, WCG construction and incremental
 // feature state all rebuild exactly as they did live, while
-// classification, shedding and the activity counters stay quiet. The
+// classification and the activity counters stay quiet. The
 // snapshot's irreproducible flags are applied afterwards. The caller
 // holds the shard lock.
 func (s *shardState) restoreCluster(cs *clusterSnapshot) {
@@ -590,13 +591,6 @@ func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 		s.processInCluster(c, tx, keysOf(&tx, txHost(&tx)))
 	}
 
-	// Reconcile with the snapshot: a watch the original engine closed (a
-	// cross-cluster shed, which per-cluster replay cannot see) is closed
-	// here too, preserving its WCG in the closed list exactly as the shed
-	// did.
-	if c.watching && !cs.watching {
-		s.closeWatch(c)
-	}
 	c.alerted = cs.alerted
 	c.faults = cs.faults
 	if c.faults > 0 {

@@ -59,9 +59,7 @@ func interleaved(txs []httpstream.Transaction) []httpstream.Transaction {
 // uninterrupted engine's — same scores (to the bit), same cluster IDs,
 // same timestamps, same watch inventory.
 func TestCheckpointRoundTripBitIdentical(t *testing.T) {
-	// A low threshold makes the real forest's fractional votes cross on
-	// every download, so the differential compares live alert scores.
-	cfg := Config{Shards: 2, RedirectThreshold: 3, ScoreThreshold: 0.05}
+	cfg := Config{Shards: 2, RedirectThreshold: 3}
 	model := trainDimForest(t, 37, 31)
 
 	uninterrupted := New(cfg, model)

@@ -43,9 +43,6 @@ type Config struct {
 	// RedirectThreshold is L in the clue rule; the forensic case study uses
 	// 3. Zero selects 3.
 	RedirectThreshold int
-	// ScoreThreshold is the ERF probability above which an alert fires.
-	// Zero selects 0.5.
-	ScoreThreshold float64
 	// TrustedVendors lists host suffixes whose traffic is weeded out
 	// before WCG construction (app stores, software repositories).
 	TrustedVendors []string
@@ -59,24 +56,11 @@ type Config struct {
 	// the from-scratch path is the oracle those tests and the benchmark's
 	// correctness check compare it against.
 	DisableIncremental bool
-	// MaxClassifyLatency is the per-classification time budget. When the
-	// smoothed classify latency exceeds it, the engine degrades: watched
-	// WCGs keep growing but are re-scored only at clue boundaries (the
-	// clue firing and payload downloads), and the skips are counted in
-	// Stats.Degraded. Zero disables degradation, keeping every update
-	// classified.
-	MaxClassifyLatency time.Duration
-	// MaxWatched caps how many potential-infection WCGs one engine shard
-	// watches concurrently. When a new clue
-	// would exceed the cap, the largest existing watches are shed
-	// (closed early, counted in Stats.Shed) so a burst of clue-triggering
-	// traffic degrades gracefully instead of pinning the classify budget.
-	// Zero means unlimited.
-	MaxWatched int
 	// Now supplies time for the classify-latency measurement and the span
-	// stamps; nil selects time.Now. Only consulted when MaxClassifyLatency,
-	// Metrics or Tracer is set, so replays with all three off never
-	// observe the wall clock.
+	// stamps; nil selects time.Now. Only consulted when Metrics or Tracer
+	// is set, so replays with both off never observe the wall clock. The
+	// clock moves latency histograms and span stamps only: verdicts,
+	// journal records and counters are a function of the input alone.
 	Now func() time.Time
 	// Metrics selects the observability registry the engine's counters,
 	// the watched gauge and the classify/score latency histograms are
@@ -86,13 +70,13 @@ type Config struct {
 	Metrics *obs.Registry
 	// Journal, when set, receives one provenance record per alert: the
 	// arming clue, the WCG shape, the exact feature vector and score the
-	// classifier used, and the degraded-mode flags active at decision
-	// time. Journal failures never affect detection.
+	// classifier used, and whether the cluster was quarantined. Journal
+	// failures never affect detection.
 	Journal *obs.Journal
 	// Tracer, when set, records one span tree per transaction —
 	// detector.process → detector.classify → features.incremental or
-	// features.rebuild → ml.score → journal.write — with shard,
-	// quarantine and degraded attribution on the spans, sampled and
+	// features.rebuild → ml.score → journal.write — with shard and
+	// quarantine attribution on the spans, sampled and
 	// promoted per the tracer's config. Every shard shares it. nil
 	// disables tracing entirely (the hot path pays one nil check).
 	Tracer *obs.Tracer
@@ -101,9 +85,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.RedirectThreshold == 0 {
 		c.RedirectThreshold = 3
-	}
-	if c.ScoreThreshold == 0 {
-		c.ScoreThreshold = 0.5
 	}
 	if len(c.TrustedVendors) > 0 {
 		// DNS names are case-insensitive; hosts are normalized to lowercase
@@ -117,10 +98,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// The engine's session and memory bounds. The paper tunes only the clue
-// threshold L (Config.RedirectThreshold); these are implementation
-// constants.
+// The engine's decision threshold and its session and memory bounds. The
+// paper tunes only the clue threshold L (Config.RedirectThreshold); these
+// are constants.
 const (
+	// scoreThreshold is the ERF's decision point: an alert fires when the
+	// averaged vote for a watched WCG exceeds it.
+	scoreThreshold = 0.5
 	// sessionGap is the inactivity window beyond which a transaction
 	// starts a new session cluster instead of joining the client's most
 	// recent one.
@@ -259,12 +243,12 @@ type Stats struct {
 	// classification of that cluster rebuilds from scratch. A second
 	// fault evicts the cluster outright (counted in Evicted).
 	Quarantined int
-	// Degraded counts watched-WCG updates whose re-classification was
-	// skipped because the engine exceeded MaxClassifyLatency; the WCG
-	// still grows and is re-scored at the next clue boundary.
+	// Degraded and Shed are always zero: the engine neither skips a
+	// re-classification nor closes a watch early. Their only reader is
+	// bench/trace.go, whose detector.degraded and detector.shed rows they
+	// keep until the benchmark drops those rows.
 	Degraded int
-	// Shed counts watches closed early to hold the MaxWatched ceiling.
-	Shed int
+	Shed     int
 }
 
 // add accumulates o into s (used to aggregate shard counters).
@@ -280,8 +264,6 @@ func (s *Stats) add(o Stats) {
 	s.Rebuilds += o.Rebuilds
 	s.Panics += o.Panics
 	s.Quarantined += o.Quarantined
-	s.Degraded += o.Degraded
-	s.Shed += o.Shed
 }
 
 // clickGap separates automatic redirections from human link-clicks, as in
@@ -409,23 +391,20 @@ type shardState struct {
 	// per rebuild. Bit-identical to features.Extract by the Reset
 	// contract.
 	rebuild features.Cache
-	// now and classifyEWMA drive overload detection: an exponentially
-	// weighted average of classify wall time, compared against
-	// Config.MaxClassifyLatency. timed enables the clock reads: set when
-	// MaxClassifyLatency (degradation), Metrics (latency histograms) or
+	// now is the clock behind the latency histograms and span stamps;
+	// timed enables its reads, set when Metrics (latency histograms) or
 	// Tracer (span stamps) asks for them.
-	now          func() time.Time
-	timed        bool
-	classifyEWMA time.Duration
+	now   func() time.Time
+	timed bool
 	// txSeen counts transactions this shard ingested, driving the inline
 	// eviction cadence. Unlike the metrics cell it is checkpointed and
 	// restored, so a recovered engine sweeps at the same transaction
 	// offsets as an uninterrupted run — a prerequisite for bit-identical
 	// post-recovery alerts.
 	txSeen int64
-	// restoring suppresses classification, stat counters and watch
-	// shedding while a checkpointed cluster's transactions are replayed
-	// through the structural pipeline (see restoreCluster).
+	// restoring suppresses classification and stat counters while a
+	// checkpointed cluster's transactions are replayed through the
+	// structural pipeline (see restoreCluster).
 	restoring bool
 	// tracer and stg drive pipeline tracing; at/atRoot carry the current
 	// transaction's trace through the call tree (the shard is serialized,
@@ -461,7 +440,7 @@ func newShardState(cfg Config, reg *obs.Registry, models *modelHolder, idBase, i
 		idStep:   idStep,
 		scratch:  graph.NewScratch(),
 		now:      now,
-		timed:    cfg.MaxClassifyLatency > 0 || cfg.Metrics != nil || cfg.Tracer != nil,
+		timed:    cfg.Metrics != nil || cfg.Tracer != nil,
 		tracer:   cfg.Tracer,
 		atRoot:   -1,
 	}
@@ -487,28 +466,18 @@ func (s *shardState) stats() Stats {
 		Rebuilds:        int(s.mx.rebuilds.Value()),
 		Panics:          int(s.mx.panics.Value()),
 		Quarantined:     int(s.mx.quarantined.Value()),
-		Degraded:        int(s.mx.degraded.Value()),
-		Shed:            int(s.mx.shed.Value()),
 	}
 }
 
-// health reports this shard's readiness conditions: Degraded when the
-// classify-latency EWMA is over budget, Quarantined while any cluster
-// carries a quarantine strike, Shedding when the watch cap is saturated.
-// (The model version is engine-wide; Engine.Health fills it in.)
-func (s *shardState) health() obs.HealthStatus {
-	st := obs.HealthStatus{Degraded: s.overBudget()}
-	watching := 0
+// quarantined reports whether any of this shard's clusters carries a
+// quarantine strike, the one readiness condition /healthz serves.
+func (s *shardState) quarantined() bool {
 	for _, c := range s.clusters {
 		if c.faults > 0 {
-			st.Quarantined = true
-		}
-		if c.watching {
-			watching++
+			return true
 		}
 	}
-	st.Shedding = s.cfg.MaxWatched > 0 && watching >= s.cfg.MaxWatched
-	return st
+	return false
 }
 
 // trusted reports whether the host matches the weed-out list.
@@ -617,12 +586,6 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 		c.buildPotentialWCG(idx)
 		c.snapshot = append([]int(nil), c.watch...)
 		c.watchLast = tx.ReqTime
-		if !s.restoring {
-			// Shedding is a cross-cluster decision the per-cluster replay
-			// cannot reproduce; restore honors the checkpointed watching
-			// flags instead.
-			s.shedWatches(c)
-		}
 		return s.classify(c, idx, meta)
 	}
 	if !c.watching {
@@ -636,57 +599,7 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 	}
 	c.include(idx)
 	c.watchLast = tx.ReqTime
-	// Degraded mode: when classification is over budget, the WCG keeps
-	// growing but only clue boundaries — payload downloads — re-score it;
-	// the incremental builder catches up on the skipped growth at the
-	// next classify call.
-	if !meta.download && s.overBudget() && !s.restoring {
-		s.mx.degraded.Inc()
-		s.at.Annotate(s.atRoot, obs.SpanDegraded)
-		return nil
-	}
 	return s.classify(c, idx, meta)
-}
-
-// overBudget reports whether the smoothed classify latency exceeds the
-// configured budget, selecting degraded mode.
-func (s *shardState) overBudget() bool {
-	return s.cfg.MaxClassifyLatency > 0 && s.classifyEWMA > s.cfg.MaxClassifyLatency
-}
-
-// shedWatches enforces the MaxWatched ceiling after opened (the watch
-// that just fired) joined the watched set: while the engine watches more
-// than the ceiling, the largest watch other than opened is closed early.
-// Its WCG is preserved in the cluster's closed list, exactly as if it
-// had stopped growing; only the continued re-classification is lost.
-func (s *shardState) shedWatches(opened *cluster) {
-	if s.cfg.MaxWatched <= 0 {
-		return
-	}
-	var watching []*cluster
-	for _, c := range s.clusters {
-		if c.watching {
-			watching = append(watching, c)
-		}
-	}
-	for len(watching) > s.cfg.MaxWatched {
-		victim := -1
-		for i, c := range watching {
-			if c == opened {
-				continue
-			}
-			if victim < 0 || len(c.watch) > len(watching[victim].watch) {
-				victim = i
-			}
-		}
-		if victim < 0 {
-			return // only the just-opened watch remains
-		}
-		s.closeWatch(watching[victim])
-		watching = append(watching[:victim], watching[victim+1:]...)
-		s.mx.shed.Inc()
-		s.at.Annotate(s.atRoot, obs.SpanShed)
-	}
 }
 
 // closeWatch finalizes a cluster's watch via cluster.closeWatch and keeps
@@ -798,9 +711,6 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
-	if s.overBudget() {
-		at.Annotate(cs, obs.SpanDegraded)
-	}
 	var x []float64
 	var g *wcg.WCG // the graph scored: the live WCG or the rebuild
 	incremental := false
@@ -843,11 +753,6 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if s.timed {
 		endT = s.now()
 		elapsed := endT.Sub(start)
-		if s.cfg.MaxClassifyLatency > 0 {
-			// EWMA with alpha 1/8: smooth enough to ride out one slow WCG,
-			// fast enough to catch sustained overload within a few updates.
-			s.classifyEWMA += (elapsed - s.classifyEWMA) / 8
-		}
 		if incremental {
 			s.mx.classifyIncremental.Observe(elapsed.Seconds())
 		} else {
@@ -861,7 +766,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		panic("detector: scorer returned a non-finite probability")
 	}
-	if score <= s.cfg.ScoreThreshold {
+	if score <= scoreThreshold {
 		at.EndSpanAt(cs, endT)
 		return nil
 	}
@@ -936,9 +841,9 @@ func (s *shardState) scoreVector(model Scorer, x []float64, prev int) float64 {
 // the shape of the WCG that was scored (structVersion is its structural
 // version), the exact feature vector and score the classifier used
 // (the vector is copied before the reusable buffer is overwritten by the
-// next classification), and the degraded-mode flags active at decision
-// time. The journal's Append never panics, so a failing sink costs the
-// record, never the alert.
+// next classification), and whether the cluster was quarantined. The
+// journal's Append never panics, so a failing sink costs the record,
+// never the alert.
 func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, structVersion uint64, x []float64, incremental bool) {
 	if s.journal == nil {
 		return
@@ -960,8 +865,7 @@ func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, structVer
 		Incremental:      incremental,
 		Features:         append([]float64(nil), x...),
 		Score:            a.Score,
-		Threshold:        s.cfg.ScoreThreshold,
-		Degraded:         s.overBudget(),
+		Threshold:        scoreThreshold,
 		Quarantined:      c.faults > 0,
 	}
 	if vs, ok := ref.scorer.(VoteScorer); ok {

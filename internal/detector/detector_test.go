@@ -536,11 +536,11 @@ func TestRefererHost(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults pins the zero values of the two tunables that have
-// defaults: the clue threshold L and the alert probability.
+// TestConfigDefaults pins the zero value of the one tunable that has a
+// default: the clue threshold L.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.RedirectThreshold != 3 || c.ScoreThreshold != 0.5 {
+	if c.RedirectThreshold != 3 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }

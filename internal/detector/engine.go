@@ -72,14 +72,6 @@ func New(cfg Config, model Scorer) *Engine {
 // ModelVersion returns the serving model's version (shared by all shards).
 func (e *Engine) ModelVersion() ModelVersion { return e.models.current().version }
 
-// SwapModel validates candidate and atomically swaps it into every shard:
-// watches armed before the swap keep scoring through their pinned
-// version, watches armed after it pick up the new one. A rejected
-// candidate (nil, wrong feature dimensionality) leaves serving untouched.
-func (e *Engine) SwapModel(candidate Scorer) (ModelVersion, error) {
-	return e.models.swap(candidate)
-}
-
 // ReloadModel loads a candidate through load and swaps it into every
 // shard; any load error, loader panic, or failed validation is counted as
 // a reload failure and leaves the serving model untouched.
@@ -98,9 +90,6 @@ func (e *Engine) ReloadModelFile(path string) (ModelVersion, error) {
 
 // RollbackModel reinstates the previous model under its original version.
 func (e *Engine) RollbackModel() (ModelVersion, error) { return e.models.rollback() }
-
-// NumShards returns the number of engine shards.
-func (e *Engine) NumShards() int { return len(e.shards) }
 
 // Registry returns the observability registry the engine's metrics live
 // on (the one from Config.Metrics, or the engine's private registry).
@@ -299,18 +288,16 @@ func (e *Engine) ProcessAll(txs []httpstream.Transaction) []Alert {
 	return alerts
 }
 
-// Health reports readiness conditions OR-ed across every shard (any
-// shard over budget, quarantined or shedding marks the whole engine),
-// with the shared serving model's generation.
+// Health reports the engine's readiness: quarantined while any shard
+// holds a cluster with a quarantine strike, with the shared serving
+// model's generation.
 func (e *Engine) Health() obs.HealthStatus {
 	st := obs.HealthStatus{ModelVersion: e.ModelVersion().String()}
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		h := sh.st.health()
+		q := sh.st.quarantined()
 		sh.mu.Unlock()
-		st.Degraded = st.Degraded || h.Degraded
-		st.Quarantined = st.Quarantined || h.Quarantined
-		st.Shedding = st.Shedding || h.Shedding
+		st.Quarantined = st.Quarantined || q
 	}
 	return st
 }

@@ -110,10 +110,10 @@ func TestShardRoutingAndAggregation(t *testing.T) {
 }
 
 func TestShardCountDefaults(t *testing.T) {
-	if got := New(Config{}, nil).NumShards(); got != runtime.GOMAXPROCS(0) {
+	if got := len(New(Config{}, nil).shards); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default shards = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := New(Config{Shards: 3}, nil).NumShards(); got != 3 {
+	if got := len(New(Config{Shards: 3}, nil).shards); got != 3 {
 		t.Fatalf("shards = %d, want 3", got)
 	}
 }

@@ -131,7 +131,7 @@ func TestPoisonedClientDoesNotAffectOthers(t *testing.T) {
 	}
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].ReqTime.Before(stream[j].ReqTime) })
 
-	cfg := Config{RedirectThreshold: 1, ScoreThreshold: 0.3}
+	cfg := Config{RedirectThreshold: 1}
 
 	// Baseline: a healthy engine over the full interleaved stream.
 	base := New(cfg, vecScorer{})
@@ -177,117 +177,6 @@ func TestPoisonedClientDoesNotAffectOthers(t *testing.T) {
 	st := faulty.Stats()
 	if st.Panics == 0 || st.Quarantined == 0 {
 		t.Fatalf("poisoned client never walked the ladder: %+v", st)
-	}
-}
-
-// slowClock advances a fixed step on every reading, so each classify
-// appears to take one step of wall time.
-type slowClock struct {
-	t    time.Time
-	step time.Duration
-}
-
-func (c *slowClock) Now() time.Time {
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
-// TestDegradedModeSkipsReclassification drives a watched WCG past the
-// classify budget: growth continues, but only the clue firing and payload
-// downloads are re-scored, and the skips are counted.
-func TestDegradedModeSkipsReclassification(t *testing.T) {
-	clock := &slowClock{t: t0, step: 40 * time.Millisecond}
-	e := New(Config{
-		Shards:             1,
-		RedirectThreshold:  3,
-		MaxClassifyLatency: time.Millisecond,
-		Now:                clock.Now,
-	}, constScorer(0.9))
-
-	txs := relatedFollowUp(4) // clue, 4 non-download updates, final download
-	var alerts []Alert
-	for _, tx := range txs {
-		alerts = append(alerts, e.Process(tx)...)
-	}
-	st := e.Stats()
-	// Classify #1 at the clue pushes the EWMA over the 1ms budget, so the
-	// 4 non-download updates are skipped; the final download re-scores.
-	if st.Classifications != 2 {
-		t.Fatalf("classifications = %d, want 2 (clue + download): %+v", st.Classifications, st)
-	}
-	if st.Degraded != 4 {
-		t.Fatalf("degraded = %d, want 4: %+v", st.Degraded, st)
-	}
-	// Degradation must not lose the alert-bearing moments.
-	if len(alerts) != 2 || st.Alerts != 2 {
-		t.Fatalf("alerts = %d (stats %+v), want clue + download alerts", len(alerts), st)
-	}
-	// The watch kept growing through the skipped updates.
-	w := e.Watched()
-	if len(w) != 1 || w[0].Transactions != len(txs) {
-		t.Fatalf("watched = %+v, want one watch spanning all %d transactions", w, len(txs))
-	}
-}
-
-// TestDegradationDisabledByDefault pins that with MaxClassifyLatency
-// unset the engine never consults the clock and never degrades.
-func TestDegradationDisabledByDefault(t *testing.T) {
-	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
-	e.shards[0].st.now = func() time.Time { panic("clock consulted with degradation disabled") }
-	for _, tx := range relatedFollowUp(4) {
-		e.Process(tx)
-	}
-	st := e.Stats()
-	if st.Degraded != 0 || st.Classifications != 6 {
-		t.Fatalf("stats %+v, want every update classified", st)
-	}
-}
-
-// shiftClient returns the infection stream re-attributed to a client and
-// shifted in time.
-func shiftClient(addr netip.Addr, by time.Duration) []httpstream.Transaction {
-	txs := infectionStream()
-	for i := range txs {
-		txs[i].ClientIP = addr
-		txs[i].ReqTime = txs[i].ReqTime.Add(by)
-		txs[i].RespTime = txs[i].RespTime.Add(by)
-	}
-	return txs
-}
-
-// TestMaxWatchedShedsLargest pins the shedding step: when a new clue
-// would exceed the watched-WCG ceiling, the largest existing watch is
-// closed early and counted.
-func TestMaxWatchedShedsLargest(t *testing.T) {
-	e := New(Config{Shards: 1, RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
-	a := netip.MustParseAddr("10.5.0.1")
-	b := netip.MustParseAddr("10.5.0.2")
-
-	for _, tx := range shiftClient(a, 0) {
-		e.Process(tx)
-	}
-	if w := e.Watched(); len(w) != 1 || w[0].Client != a {
-		t.Fatalf("watched = %+v, want client a only", w)
-	}
-	for _, tx := range shiftClient(b, 2*time.Second) {
-		e.Process(tx)
-	}
-	w := e.Watched()
-	if len(w) != 1 || w[0].Client != b {
-		t.Fatalf("watched = %+v, want client a shed and b kept", w)
-	}
-	st := e.Stats()
-	if st.Shed != 1 || st.CluesFired != 2 {
-		t.Fatalf("stats %+v, want Shed=1 CluesFired=2", st)
-	}
-	// The shed watch is preserved for offline extraction, exactly like a
-	// watch that stopped growing.
-	subsets := 0
-	for _, c := range e.shards[0].st.clusters {
-		subsets += len(c.closed)
-	}
-	if subsets != 1 {
-		t.Fatalf("shed watch not preserved in closed subsets (%d)", subsets)
 	}
 }
 

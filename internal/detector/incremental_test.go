@@ -161,7 +161,7 @@ func TestIncrementalClassifyMatchesScratch(t *testing.T) {
 	if len(episodes) < 50 {
 		t.Fatalf("only %d episodes generated", len(episodes))
 	}
-	cfg := Config{RedirectThreshold: 1, ScoreThreshold: 0.3}
+	cfg := Config{RedirectThreshold: 1}
 	classified, rebuilt := 0, 0
 	for _, ep := range episodes {
 		st := runDifferential(t, ep.Family, cfg, vecScorer{}, ep.Txs)
@@ -200,7 +200,7 @@ func TestIncrementalInterleavedClients(t *testing.T) {
 		stream = append(stream, ep.Txs...)
 	}
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].ReqTime.Before(stream[j].ReqTime) })
-	st := runDifferential(t, "interleaved", Config{RedirectThreshold: 1, ScoreThreshold: 0.3}, vecScorer{}, stream)
+	st := runDifferential(t, "interleaved", Config{RedirectThreshold: 1}, vecScorer{}, stream)
 	if st.Classifications == 0 {
 		t.Fatal("interleaved stream triggered no classifications")
 	}

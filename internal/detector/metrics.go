@@ -23,16 +23,14 @@ type engineMetrics struct {
 	topologyRuns    *obs.Cell
 	panics          *obs.Cell
 	quarantined     *obs.Cell
-	degraded        *obs.Cell
-	shed            *obs.Cell
 
 	// watched tracks potential-infection WCGs currently under watch; it
-	// moves at clue firings, watch closes, shedding and eviction.
+	// moves at clue firings, watch closes and eviction.
 	watched *obs.Gauge
 
 	// Classify wall time split by path: the incremental hot path vs the
 	// from-scratch rebuild fallback. Observed only when the engine is
-	// timed (Config.Metrics or Config.MaxClassifyLatency set).
+	// timed (Config.Metrics or Config.Tracer set).
 	classifyIncremental *obs.Histogram
 	classifyRebuild     *obs.Histogram
 	// score is the ERF ensemble's share of classify time.
@@ -58,8 +56,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		topologyRuns:    cell("dynaminer_detector_topology_recomputes_total", "Classifications that refreshed the topology features because the WCG's undirected structure changed: O(n) for a new leaf host, the full sweep for anything else."),
 		panics:          cell("dynaminer_detector_panics_total", "Recovered per-transaction faults (panics and non-finite scores)."),
 		quarantined:     cell("dynaminer_detector_quarantined_total", "Clusters placed in quarantine after their first fault."),
-		degraded:        cell("dynaminer_detector_degraded_total", "Watched-WCG updates skipped in degraded mode."),
-		shed:            cell("dynaminer_detector_shed_total", "Watches closed early to hold the MaxWatched ceiling."),
 		watched: reg.Gauge("dynaminer_detector_watched_total",
 			"Potential-infection WCGs currently under watch."),
 		classifyIncremental: reg.Histogram("dynaminer_detector_classify_incremental_seconds",

@@ -14,7 +14,9 @@ import (
 
 // trainDimForest trains a small forest on random vectors of the given
 // feature dimensionality, so reload tests can produce both compatible
-// (37-feature) and mis-dimensioned candidates.
+// (37-feature) and mis-dimensioned candidates. Two rows in three are
+// labelled infections, so the forest's vote on a real watched WCG often
+// crosses the engine's 0.5 threshold.
 func trainDimForest(tb testing.TB, dim int, seed int64) *ml.FlatForest {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -25,7 +27,7 @@ func trainDimForest(tb testing.TB, dim int, seed int64) *ml.FlatForest {
 			x[j] = rng.Float64()
 		}
 		ds.X = append(ds.X, x)
-		ds.Y = append(ds.Y, i%2)
+		ds.Y = append(ds.Y, min(i%3, 1))
 	}
 	f, err := ml.TrainForest(ds, ml.ForestConfig{NumTrees: 3, Seed: seed})
 	if err != nil {
@@ -157,7 +159,7 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	if _, err := e.RollbackModel(); err == nil {
 		t.Fatal("rollback with no previous model must fail")
 	}
-	if _, err := e.SwapModel(nil); err == nil {
+	if _, err := e.models.swap(nil); err == nil {
 		t.Fatal("nil swap must fail")
 	}
 }
@@ -179,7 +181,7 @@ func TestMidStreamReloadPinsWatches(t *testing.T) {
 		if i == 4 {
 			// Swap right after the watch armed: the pinned run now serves a
 			// different scorer, but this watch must not notice.
-			if _, err := pinnedRun.SwapModel(constScorer(0.2)); err != nil {
+			if _, err := pinnedRun.models.swap(constScorer(0.2)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,8 +3,8 @@ package detector
 // Pipeline-tracing integration tests: every alert's journal record links
 // to a span tree in the ring whose stages nest inside the end-to-end
 // detector.process span and match the classification path actually taken
-// (incremental vs from-scratch rebuild), and Engine.Health reports each
-// degradation condition the /healthz endpoint serves.
+// (incremental vs from-scratch rebuild), and Engine.Health reports the
+// quarantine condition the /healthz endpoint serves.
 
 import (
 	"bytes"
@@ -183,52 +183,48 @@ func TestQuarantineSpanAttribution(t *testing.T) {
 	}
 }
 
-// TestEngineHealthConditions drives each readiness condition
-// individually: fresh, shedding (MaxWatched saturated), degraded
-// (classify EWMA over budget), and model version presence.
+// TestEngineHealthConditions drives the engine's readiness report: a
+// fresh engine is clean and names its model version, and a watch that
+// classifies and alerts leaves it clean (TestQuarantineSpanAttribution
+// and TestHealthAggregatesShards hold the quarantined condition).
 func TestEngineHealthConditions(t *testing.T) {
 	fresh := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
 	st := fresh.Health()
-	if st.Degraded || st.Quarantined || st.Shedding {
+	if st.Quarantined {
 		t.Fatalf("fresh engine health = %+v, want clean", st)
 	}
 	if st.ModelVersion == "" {
 		t.Fatal("health lacks a model version")
 	}
-
-	shed := New(Config{Shards: 1, RedirectThreshold: 3, MaxWatched: 1}, constScorer(0.1))
-	shed.ProcessAll(infectionStream())
-	if st := shed.Health(); !st.Shedding {
-		t.Fatalf("MaxWatched=1 engine with a live watch not shedding: %+v", st)
-	}
-
-	clock := &slowClock{t: t0, step: 40 * time.Millisecond}
-	slow := New(Config{
-		Shards:             1,
-		RedirectThreshold:  3,
-		MaxClassifyLatency: time.Millisecond,
-		Now:                clock.Now,
-	}, constScorer(0.1))
-	slow.ProcessAll(infectionStream())
-	if st := slow.Health(); !st.Degraded {
-		t.Fatalf("over-budget engine not degraded: %+v", st)
+	fresh.ProcessAll(relatedFollowUp(4))
+	if st := fresh.Health(); st.Quarantined || st.ModelVersion != fresh.ModelVersion().String() {
+		t.Fatalf("health after a clean watch = %+v, want clean with the serving version", st)
 	}
 }
 
-// TestHealthAggregatesShards: any shard's condition surfaces on the
-// engine's health.
+// TestHealthAggregatesShards: one shard's quarantined cluster surfaces on
+// the engine's health.
 func TestHealthAggregatesShards(t *testing.T) {
-	se := New(Config{RedirectThreshold: 3, Shards: 4, MaxWatched: 1}, constScorer(0.1))
-	if st := se.Health(); st.Degraded || st.Quarantined || st.Shedding || st.ModelVersion == "" {
+	se := New(Config{RedirectThreshold: 3, Shards: 4}, panicScorer{})
+	if st := se.Health(); st.Quarantined || st.ModelVersion == "" {
 		t.Fatalf("fresh multi-shard health = %+v, want clean with a model version", st)
 	}
-	// The infection stream is one client: exactly one shard saturates its
-	// MaxWatched=1, and the aggregate must report shedding.
+	// The infection stream is one client: exactly one shard quarantines a
+	// cluster, and the aggregate must report it.
 	for _, tx := range infectionStream() {
 		se.Process(tx)
 	}
-	if st := se.Health(); !st.Shedding {
-		t.Fatalf("health after saturating one shard = %+v, want shedding", st)
+	quarantinedShards := 0
+	for _, sh := range se.shards {
+		if sh.st.quarantined() {
+			quarantinedShards++
+		}
+	}
+	if quarantinedShards != 1 {
+		t.Fatalf("%d shards quarantined, want exactly one", quarantinedShards)
+	}
+	if st := se.Health(); !st.Quarantined {
+		t.Fatalf("health after quarantining one shard = %+v, want quarantined", st)
 	}
 }
 

@@ -113,7 +113,7 @@ func StartAdmin(addr string, reg *Registry, opts AdminOptions) (*Admin, error) {
 }
 
 // HealthzHandler serves the /healthz contract: with a health source, a
-// JSON readiness report (Ready derived as "no condition set", HTTP 503
+// JSON readiness report (Ready derived as "not quarantined", HTTP 503
 // otherwise); without one, the legacy unconditional plain-text "ok".
 func HealthzHandler(health HealthFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -123,7 +123,7 @@ func HealthzHandler(health HealthFunc) http.Handler {
 			return
 		}
 		st := health()
-		st.Ready = !st.Degraded && !st.Quarantined && !st.Shedding
+		st.Ready = !st.Quarantined
 		w.Header().Set("Content-Type", "application/json")
 		if !st.Ready {
 			w.WriteHeader(http.StatusServiceUnavailable)

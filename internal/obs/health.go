@@ -6,18 +6,13 @@ import (
 	"time"
 )
 
-// HealthStatus is the /healthz readiness report: per-condition booleans
-// describing why a node is (or is not) ready to take traffic, plus the
-// serving model generation. The conditions map onto the engine's
-// degraded-mode machinery: Degraded means the latency-budget EWMA is
-// over budget, Quarantined means at least one cluster carries a
-// quarantine strike, Shedding means the watch cap is saturated and new
-// watches are being shed.
+// HealthStatus is the /healthz readiness report: whether a node is ready
+// to take traffic, the one condition that makes it not ready —
+// Quarantined, at least one cluster carries a quarantine strike — and the
+// serving model generation.
 type HealthStatus struct {
 	Ready        bool   `json:"ready"`
-	Degraded     bool   `json:"degraded"`
 	Quarantined  bool   `json:"quarantined"`
-	Shedding     bool   `json:"shedding"`
 	ModelVersion string `json:"model_version,omitempty"`
 }
 

@@ -23,9 +23,9 @@ func healthzGet(t *testing.T, st HealthStatus) (int, HealthStatus) {
 	return w.Code, got
 }
 
-// TestHealthzConditions: each degradation condition alone must turn the
-// endpoint 503 with that condition visible in the body; a clean status
-// serves 200 ready.
+// TestHealthzConditions: the quarantine condition must turn the endpoint
+// 503 with the condition visible in the body; a clean status serves 200
+// ready.
 func TestHealthzConditions(t *testing.T) {
 	code, got := healthzGet(t, HealthStatus{ModelVersion: "v3"})
 	if code != 200 || !got.Ready || got.ModelVersion != "v3" {
@@ -37,9 +37,7 @@ func TestHealthzConditions(t *testing.T) {
 		st    HealthStatus
 		check func(HealthStatus) bool
 	}{
-		{"degraded", HealthStatus{Degraded: true}, func(h HealthStatus) bool { return h.Degraded }},
 		{"quarantined", HealthStatus{Quarantined: true}, func(h HealthStatus) bool { return h.Quarantined }},
-		{"shedding", HealthStatus{Shedding: true}, func(h HealthStatus) bool { return h.Shedding }},
 	}
 	for _, tc := range cases {
 		code, got := healthzGet(t, tc.st)
@@ -52,8 +50,8 @@ func TestHealthzConditions(t *testing.T) {
 	}
 
 	// Ready is derived, not trusted: a source claiming Ready while also
-	// degraded still serves 503.
-	if code, got := healthzGet(t, HealthStatus{Ready: true, Degraded: true}); code != 503 || got.Ready {
+	// quarantined still serves 503.
+	if code, got := healthzGet(t, HealthStatus{Ready: true, Quarantined: true}); code != 503 || got.Ready {
 		t.Fatalf("lying source healthz = %d %+v, want derived 503", code, got)
 	}
 }

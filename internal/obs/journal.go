@@ -52,8 +52,8 @@ type AlertRecord struct {
 	Votes int `json:"votes,omitempty"`
 	Trees int `json:"trees,omitempty"`
 
-	// Degraded-mode flags active at decision time.
-	Degraded    bool `json:"degraded,omitempty"`
+	// Quarantined is set when the decision came from a cluster with a
+	// quarantine strike (its classifications rebuild from scratch).
 	Quarantined bool `json:"quarantined,omitempty"`
 
 	// TraceID links this alert to its captured span tree: alert-raising

@@ -33,7 +33,7 @@ func sampleRecord(i int) AlertRecord {
 		Threshold:        0.5,
 		Votes:            21,
 		Trees:            30,
-		Degraded:         i == 1,
+		Quarantined:      i == 1,
 	}
 }
 

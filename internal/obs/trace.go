@@ -78,7 +78,7 @@ func ValidateSpanName(name string) error {
 type StageID int32
 
 // SpanFlags annotate a span with the serving conditions active when it
-// ran — quarantine/degraded attribution, the incremental-vs-rebuild
+// ran — quarantine attribution, the incremental-vs-rebuild
 // path, proxy retry/breaker outcomes.
 type SpanFlags uint16
 
@@ -91,15 +91,10 @@ const (
 	SpanRebuild
 	// SpanQuarantined marks work on a cluster with a quarantine strike.
 	SpanQuarantined
-	// SpanDegraded marks work done while the engine was over its latency
-	// budget.
-	SpanDegraded
 	// SpanRetried marks an upstream attempt that was retried.
 	SpanRetried
 	// SpanBreakerOpen marks a request rejected by an open circuit breaker.
 	SpanBreakerOpen
-	// SpanShed marks a transaction processed while watches were being shed.
-	SpanShed
 	// SpanError marks a span that ended by panic or transport error.
 	SpanError
 	// SpanTopology marks a feature span that refreshed the topology
@@ -120,8 +115,7 @@ func (f SpanFlags) String() string {
 	}{
 		{SpanAlert, "alert"}, {SpanIncremental, "incremental"},
 		{SpanRebuild, "rebuild"}, {SpanQuarantined, "quarantined"},
-		{SpanDegraded, "degraded"}, {SpanRetried, "retried"},
-		{SpanBreakerOpen, "breaker_open"}, {SpanShed, "shed"},
+		{SpanRetried, "retried"}, {SpanBreakerOpen, "breaker_open"},
 		{SpanError, "error"}, {SpanTopology, "topology"},
 	}
 	parts := make([]string, 0, 4)

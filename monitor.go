@@ -86,8 +86,8 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 func (m *Monitor) Registry() *obs.Registry { return m.engine.Registry() }
 
 // StartAdmin serves the observability endpoints — Prometheus /metrics,
-// the /healthz readiness report (JSON conditions, 503 while degraded,
-// quarantined or shedding), a JSON /snapshot, /debug/pprof/, /trace when
+// the /healthz readiness report (JSON, 503 while any cluster is
+// quarantined), a JSON /snapshot, /debug/pprof/, /trace when
 // the monitor has a tracer, and the model-lifecycle controls POST
 // /reload and POST /rollback (see ReloadHandlers) — on addr, exposing
 // the monitor's registry. A runtime health collector refreshes process
@@ -112,7 +112,7 @@ func (m *Monitor) StartAdmin(addr string) (string, error) {
 	return admin.Addr(), nil
 }
 
-// Health reports the engine's readiness conditions, OR-ed across shards;
+// Health reports the engine's readiness, quarantined when any shard is;
 // /healthz serves the same report.
 func (m *Monitor) Health() HealthStatus { return m.engine.Health() }
 

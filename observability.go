@@ -40,8 +40,8 @@ type (
 	// TraceSnapshot is one exported trace: its ID, why it was kept
 	// (sampled, alert), and its span tree.
 	TraceSnapshot = obs.TraceSnapshot
-	// HealthStatus is the /healthz readiness report: per-condition
-	// booleans plus the serving model generation.
+	// HealthStatus is the /healthz readiness report: ready, quarantined
+	// and the serving model generation.
 	HealthStatus = obs.HealthStatus
 	// RuntimeCollector publishes process health telemetry (goroutines,
 	// heap, GC pause and scheduler-latency quantiles) as registry gauges.

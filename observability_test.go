@@ -83,8 +83,6 @@ func TestRegistrySnapshotMatchesStats(t *testing.T) {
 		"dynaminer_detector_rebuilds_total":        st.Rebuilds,
 		"dynaminer_detector_panics_total":          st.Panics,
 		"dynaminer_detector_quarantined_total":     st.Quarantined,
-		"dynaminer_detector_degraded_total":        st.Degraded,
-		"dynaminer_detector_shed_total":            st.Shed,
 	}
 	for name, v := range want {
 		if got := int(reg.CounterValue(name)); got != v {
@@ -235,7 +233,7 @@ func TestMonitorAdminServesMetrics(t *testing.T) {
 	if err := json.Unmarshal(hbody, &health); err != nil {
 		t.Fatalf("/healthz not JSON: %v\n%s", err, hbody)
 	}
-	if !health.Ready || health.Degraded || health.Quarantined || health.Shedding {
+	if !health.Ready || health.Quarantined {
 		t.Fatalf("/healthz conditions = %+v, want ready", health)
 	}
 	if health.ModelVersion == "" {
