@@ -64,8 +64,9 @@ func (c *Classifier) Score(w *WCG) float64 {
 	return c.flat.Score(features.Extract(w))
 }
 
-// IsInfection classifies the WCG with the standard 0.5 threshold.
-func (c *Classifier) IsInfection(w *WCG) bool { return c.Score(w) > 0.5 }
+// IsInfection classifies the WCG at the on-the-wire engine's decision
+// threshold (detector.ScoreThreshold, 0.5): an infection scores above it.
+func (c *Classifier) IsInfection(w *WCG) bool { return c.Score(w) > detector.ScoreThreshold }
 
 // FlatForest exposes the ensemble every scoring path uses.
 func (c *Classifier) FlatForest() *ml.FlatForest { return c.flat }

@@ -75,6 +75,7 @@ func runCheckpoint(args []string) error {
 		return err
 	}
 	fmt.Printf("checkpoint:    %s\n", fs.Arg(0))
+	fmt.Printf("format:        DMCP v%d\n", info.Version)
 	fmt.Printf("model version: %s\n", info.ModelVersion)
 	fmt.Printf("shards:        %d\n", info.Shards)
 	fmt.Printf("transactions:  %d\n", info.TxSeen)

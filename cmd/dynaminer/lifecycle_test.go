@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynaminer"
+	"dynaminer/internal/detector"
 )
 
 // trainMonitorModel trains a monitoring model into dir and returns its
@@ -144,6 +145,25 @@ func TestProxySIGTERMDrains(t *testing.T) {
 	}
 	if _, err := dynaminer.ReadCheckpointInfoFile(ckpt); err != nil {
 		t.Fatalf("final checkpoint invalid: %v", err)
+	}
+}
+
+// TestCheckpointSubcommandReadsBothVersions: the info subcommand reads a
+// version 1 artifact (the detector's checked-in fixture) and a version 2
+// one the current engine writes.
+func TestCheckpointSubcommandReadsBothVersions(t *testing.T) {
+	v2 := filepath.Join(t.TempDir(), "v2.dmcp")
+	if err := detector.New(detector.Config{Shards: 2}, nil).WriteCheckpointFile(v2); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"../../internal/detector/testdata/v1.dmcp": "DMCP v1",
+		v2: "DMCP v2",
+	} {
+		out := captureStdout(t, func() error { return run([]string{"checkpoint", path}) })
+		if !strings.Contains(out, "format:        "+want) {
+			t.Errorf("checkpoint %s printed:\n%s\nwant format %s", path, out, want)
+		}
 	}
 }
 

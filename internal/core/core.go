@@ -76,7 +76,7 @@ func MonitorDataset(eps []synth.Episode) *ml.Dataset {
 		y := label(eps[i].Infection)
 		subs := detector.ClueSubsets(monitorExtraction, eps[i].Txs)
 		for _, sub := range subs {
-			ws = append(ws, wcg.FromTransactions(sub))
+			ws = append(ws, sub)
 			ds.Y = append(ds.Y, y)
 		}
 		if len(subs) == 0 || !eps[i].Infection {

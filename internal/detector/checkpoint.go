@@ -8,22 +8,22 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"dynaminer/internal/httpstream"
+	"dynaminer/internal/wcg"
 )
 
 // The DMCP checkpoint artifact ("DynaMiner CheckPoint") captures an
-// Engine's in-flight state — every session cluster's transaction
-// history plus the flags replay cannot reproduce — so a restarted process
-// rebuilds its watches instead of going blind until clients re-offend.
-// The layout follows the DMFB model blob's conventions: little-endian,
-// canonical (one state, one byte sequence), CRC-32-protected, with a
-// 16-byte header:
+// Engine's in-flight state — every session cluster's host table and
+// record history plus the flags replay cannot reproduce — so a restarted
+// process rebuilds its watches instead of going blind until clients
+// re-offend. The layout follows the DMFB model blob's conventions:
+// little-endian, canonical (one state, one byte sequence),
+// CRC-32-protected, with a 16-byte header:
 //
 //	offset 0:  magic "DMCP"
-//	offset 4:  u32 format version (currently 1)
+//	offset 4:  u32 format version (2; version 1 still restores)
 //	offset 8:  u32 CRC-32 (IEEE) over every byte from offset 16
 //	offset 12: u32 reserved (zero)
 //
@@ -32,9 +32,17 @@ import (
 // each cluster in engine order (order is load-bearing: cluster IDs
 // allocate from the live cluster count, so replaying in order makes a
 // recovered engine hand out the same IDs an uninterrupted run would).
+// A cluster is its ID u64, client address, flags u8, quarantine faults
+// u8, pinned model (generation u64 + CRC u32) and last activity, then
+// its host table — u32 count of length-prefixed names, u32 count of u32
+// sniffed-host indexes — and its history: a u32 count of fixed 95-byte
+// records (appendRecord gives the field order). A version 1 cluster
+// carries whole transactions (headers and retained body) instead of the
+// table and records; restore digests each, sniffing its body, exactly as
+// live processing does.
 //
 // Restore does NOT trust the checkpoint for derived state. Each
-// cluster's transactions are replayed through the real pipeline
+// cluster's records are replayed through the real pipeline
 // (clue inference, WCG construction, incremental feature state) with
 // classification suppressed, so the rebuilt watches are byte-for-byte
 // the structures the original engine held — only the flags replay
@@ -44,8 +52,10 @@ import (
 // counts it.
 const (
 	checkpointMagic   = "DMCP"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	checkpointHdrLen  = 16
+	// ckptRecordLen is the encoded size of one wcg.Record.
+	ckptRecordLen = 95
 )
 
 // cluster flag bits in the checkpoint encoding.
@@ -115,34 +125,34 @@ func appendClusterState(dst []byte, c *cluster) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, pin.Gen)
 	dst = binary.LittleEndian.AppendUint32(dst, pin.CRC)
 	dst = appendTime(dst, c.lastActive)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.hosts.Names)))
+	for _, name := range c.hosts.Names {
+		dst = appendString(dst, name)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.hosts.Sniffs)))
+	for _, i := range c.hosts.Sniffs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.hist)))
 	for i := range c.hist {
-		dst = appendTx(dst, &c.hist[i].tx)
+		dst = appendRecord(dst, &c.hist[i])
 	}
 	return dst
 }
 
-// appendTx serializes one HTTP transaction canonically: fixed field
-// order, u32 length prefixes, header keys sorted.
-func appendTx(dst []byte, tx *httpstream.Transaction) []byte {
-	dst = appendAddr(dst, tx.ClientIP)
-	dst = appendAddr(dst, tx.ServerIP)
-	dst = binary.LittleEndian.AppendUint16(dst, tx.ClientPort)
-	dst = binary.LittleEndian.AppendUint16(dst, tx.ServerPort)
-	dst = appendString(dst, tx.Method)
-	dst = appendString(dst, tx.URI)
-	dst = appendString(dst, tx.Host)
-	dst = appendHeader(dst, tx.ReqHdr)
-	dst = appendTime(dst, tx.ReqTime)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(tx.ReqBodySize)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(tx.StatusCode)))
-	dst = appendHeader(dst, tx.RespHdr)
-	dst = appendTime(dst, tx.RespTime)
-	dst = appendString(dst, tx.ContentType)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(tx.BodySize)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Body)))
-	dst = append(dst, tx.Body...)
-	return dst
+// appendRecord encodes one record in ckptRecordLen bytes.
+func appendRecord(dst []byte, r *wcg.Record) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(r.ReqTime))
+	dst = le.AppendUint64(dst, uint64(r.RespTime))
+	dst = le.AppendUint64(dst, uint64(r.BodySize))
+	dst = le.AppendUint64(dst, r.URIHash)
+	for _, v := range [...]int32{r.Host, r.Ref, r.Loc, r.SID, r.Flash, r.Method, int32(r.SniffLo), int32(r.SniffHi), r.URILen, r.Status} {
+		dst = le.AppendUint32(dst, uint32(v))
+	}
+	dst = append(dst, r.ServerIP[:]...)
+	dst = le.AppendUint32(dst, uint32(r.ServerZone))
+	return append(dst, r.ServerKind, r.Payload, r.Flags)
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -169,34 +179,17 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(t.UnixNano()))
 }
 
-// appendHeader encodes an http.Header with sorted keys so identical
-// headers always produce identical bytes.
-func appendHeader(dst []byte, h http.Header) []byte {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
-	for _, k := range keys {
-		dst = appendString(dst, k)
-		vals := h[k]
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
-		for _, v := range vals {
-			dst = appendString(dst, v)
-		}
-	}
-	return dst
-}
-
 // ckptReader is a bounds-checked little-endian cursor over a checkpoint
 // body; every read returns a named error instead of panicking on
-// truncated or hostile input. No count field sizes an allocation: slices
-// and maps grow only as the entries they count are read, so a count that
-// no bytes back fails as truncated before it costs memory.
+// truncated or hostile input. No count field sizes an allocation before
+// the bytes it counts are there: slices and maps grow as the entries they
+// count are read, or, for fixed-size entries, once the remaining bytes
+// are known to hold them all, so a count that no bytes back fails as
+// truncated before it costs memory.
 type ckptReader struct {
-	b   []byte
-	off int
+	b       []byte
+	off     int
+	version uint32
 }
 
 func (r *ckptReader) take(n int) ([]byte, error) {
@@ -314,8 +307,9 @@ func (r *ckptReader) header() (http.Header, error) {
 	return h, nil
 }
 
-// clusterSnapshot is one decoded cluster record: the transaction history
-// to replay plus the flags replay cannot reproduce.
+// clusterSnapshot is one decoded cluster: the history to replay — a host
+// table and its records, or a version 1 checkpoint's transactions — plus
+// the flags replay cannot reproduce.
 type clusterSnapshot struct {
 	id         int
 	client     netip.Addr
@@ -324,8 +318,14 @@ type clusterSnapshot struct {
 	faults     int
 	pin        ModelVersion
 	lastActive time.Time
+	hosts      wcg.Table
+	recs       []wcg.Record
+	v1         bool // the history is txs, not hosts and recs
 	txs        []httpstream.Transaction
 }
+
+// history is the number of transactions the snapshot's history holds.
+func (cs *clusterSnapshot) history() int { return len(cs.recs) + len(cs.txs) }
 
 func (r *ckptReader) cluster() (*clusterSnapshot, error) {
 	cs := &clusterSnapshot{}
@@ -357,18 +357,113 @@ func (r *ckptReader) cluster() (*clusterSnapshot, error) {
 	if cs.lastActive, err = r.timestamp(); err != nil {
 		return nil, err
 	}
+	if r.version == 1 {
+		cs.v1 = true
+		n, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		for i := uint32(0); i < n; i++ {
+			tx, err := r.tx()
+			if err != nil {
+				return nil, err
+			}
+			cs.txs = append(cs.txs, tx)
+		}
+		return cs, nil
+	}
+	if err := r.table(cs); err != nil {
+		return nil, err
+	}
 	n, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < n; i++ {
-		tx, err := r.tx()
-		if err != nil {
+	if uint64(n)*ckptRecordLen > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("detector: checkpoint: truncated at offset %d (%d records claimed)", r.off, n)
+	}
+	cs.recs = make([]wcg.Record, n)
+	for i := range cs.recs {
+		if err := r.record(&cs.recs[i], &cs.hosts); err != nil {
 			return nil, err
 		}
-		cs.txs = append(cs.txs, tx)
 	}
 	return cs, nil
+}
+
+// table reads a cluster's host table into cs.hosts. Names must be
+// distinct and sniffed hosts must index them.
+func (r *ckptReader) table(cs *clusterSnapshot) error {
+	cs.hosts.Client = cs.client
+	n, err := r.u32()
+	if err != nil {
+		return err
+	}
+	for i := uint32(0); i < n; i++ {
+		name, err := r.str()
+		if err != nil {
+			return err
+		}
+		if cs.hosts.Intern(name) != int32(i) {
+			return fmt.Errorf("detector: checkpoint: host table repeats %q", name)
+		}
+	}
+	if n, err = r.u32(); err != nil {
+		return err
+	}
+	if uint64(n)*4 > uint64(len(r.b)-r.off) {
+		return fmt.Errorf("detector: checkpoint: truncated at offset %d (%d sniffed hosts claimed)", r.off, n)
+	}
+	cs.hosts.Sniffs = make([]int32, n)
+	for i := range cs.hosts.Sniffs {
+		v, _ := r.u32()
+		if v >= uint32(len(cs.hosts.Names)) {
+			return fmt.Errorf("detector: checkpoint: sniffed host %d outside the %d-name host table", v, len(cs.hosts.Names))
+		}
+		cs.hosts.Sniffs[i] = int32(v)
+	}
+	return nil
+}
+
+// record decodes one record of table t, whose names and sniffs it must
+// index consistently: a record that passes replays without a fault.
+func (r *ckptReader) record(rec *wcg.Record, t *wcg.Table) error {
+	b, err := r.take(ckptRecordLen)
+	if err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	rec.ReqTime = int64(le.Uint64(b[0:]))
+	rec.RespTime = int64(le.Uint64(b[8:]))
+	rec.BodySize = int64(le.Uint64(b[16:]))
+	rec.URIHash = le.Uint64(b[24:])
+	var v [10]int32
+	for i := range v {
+		v[i] = int32(le.Uint32(b[32+4*i:]))
+	}
+	rec.Host, rec.Ref, rec.Loc, rec.SID, rec.Flash, rec.Method = v[0], v[1], v[2], v[3], v[4], v[5]
+	rec.SniffLo, rec.SniffHi, rec.URILen, rec.Status = uint32(v[6]), uint32(v[7]), v[8], v[9]
+	copy(rec.ServerIP[:], b[72:88])
+	rec.ServerZone = int32(le.Uint32(b[88:]))
+	rec.ServerKind, rec.Payload, rec.Flags = b[92], b[93], b[94]
+
+	names := int32(len(t.Names))
+	in := func(i int32) bool { return i >= -1 && i < names }
+	switch {
+	case rec.Host < 0 || rec.Host >= names || !in(rec.Ref) || !in(rec.Loc) || !in(rec.SID) || !in(rec.Flash) || !in(rec.ServerZone):
+		return fmt.Errorf("detector: checkpoint: record names a string outside the %d-name host table", names)
+	case rec.Method < -int32(wcg.NumKnownMethods) || rec.Method >= names:
+		return fmt.Errorf("detector: checkpoint: bad record method %d", rec.Method)
+	case rec.SniffLo > rec.SniffHi || rec.SniffHi > uint32(len(t.Sniffs)):
+		return fmt.Errorf("detector: checkpoint: record sniffs [%d, %d) outside %d", rec.SniffLo, rec.SniffHi, len(t.Sniffs))
+	case rec.Payload >= uint8(httpstream.NumPayloadClasses):
+		return fmt.Errorf("detector: checkpoint: bad payload class %d", rec.Payload)
+	case rec.ServerKind != 0 && rec.ServerKind != 4 && rec.ServerKind != 6, rec.ServerZone >= 0 && rec.ServerKind != 6:
+		return fmt.Errorf("detector: checkpoint: bad server address kind %d", rec.ServerKind)
+	case (rec.Flags&wcg.RecRedirect != 0) != (rec.Loc >= 0), rec.Flags&wcg.RecRefRecent != 0 && rec.Ref < 0:
+		return fmt.Errorf("detector: checkpoint: record flags %#x disagree with its hosts", rec.Flags)
+	}
+	return nil
 }
 
 func (r *ckptReader) tx() (httpstream.Transaction, error) {
@@ -448,18 +543,21 @@ func checkpointBody(data []byte) (*ckptReader, error) {
 	if !IsCheckpoint(data) {
 		return nil, fmt.Errorf("detector: checkpoint: bad magic %q", string(data[:4]))
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != checkpointVersion {
-		return nil, fmt.Errorf("detector: checkpoint: unsupported format version %d (want %d)", v, checkpointVersion)
+	v := binary.LittleEndian.Uint32(data[4:])
+	if v != 1 && v != checkpointVersion {
+		return nil, fmt.Errorf("detector: checkpoint: unsupported format version %d (want 1 or %d)", v, checkpointVersion)
 	}
 	want := binary.LittleEndian.Uint32(data[8:])
 	if got := crc32.ChecksumIEEE(data[checkpointHdrLen:]); got != want {
 		return nil, fmt.Errorf("detector: checkpoint: CRC mismatch: stored %08x, computed %08x", want, got)
 	}
-	return &ckptReader{b: data, off: checkpointHdrLen}, nil
+	return &ckptReader{b: data, off: checkpointHdrLen, version: v}, nil
 }
 
 // CheckpointInfo summarizes a DMCP artifact without restoring it.
 type CheckpointInfo struct {
+	// Version is the DMCP format version the artifact was written in.
+	Version int
 	// ModelVersion is the serving model at checkpoint time.
 	ModelVersion ModelVersion
 	// Shards is the engine's shard count; a checkpoint only restores into
@@ -480,6 +578,7 @@ func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
 	if err != nil {
 		return info, err
 	}
+	info.Version = int(r.version)
 	if info.ModelVersion.Gen, err = r.u64(); err != nil {
 		return info, err
 	}
@@ -507,7 +606,7 @@ func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
 				return info, err
 			}
 			info.Clusters++
-			info.Transactions += len(cs.txs)
+			info.Transactions += cs.history()
 			if cs.watching {
 				info.Watching++
 			}
@@ -575,20 +674,32 @@ func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 }
 
 // restoreCluster rebuilds one session cluster by replaying its
-// checkpointed transactions through the per-cluster pipeline with
+// checkpointed history through the per-cluster pipeline with
 // e.restoring set: clue inference, WCG construction and incremental
 // feature state all rebuild exactly as they did live, while
-// classification and the activity counters stay quiet. The
-// snapshot's irreproducible flags are applied afterwards. The caller
-// holds the shard lock.
+// classification and the activity counters stay quiet. A version 2
+// cluster restores its host table and replays its records; a version 1
+// cluster's transactions are digested as live ones are. The snapshot's
+// irreproducible flags are applied afterwards. The caller holds the
+// shard lock.
 func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 	c := s.newCluster(cs.id, cs.client)
 
 	s.restoring = true
 	defer func() { s.restoring = false }()
 	for i := range cs.txs {
-		tx := cs.txs[i]
-		s.processInCluster(c, tx, keysOf(&tx, txHost(&tx)))
+		tx := &cs.txs[i]
+		s.processInCluster(c, tx, wcg.KeysOf(tx))
+	}
+	if !cs.v1 {
+		c.hosts = cs.hosts
+		c.seen = make([]hostSeen, len(c.hosts.Names))
+		for i := range c.seen {
+			c.seen[i].since = -1
+		}
+		for _, r := range cs.recs {
+			s.replayRecord(c, r)
+		}
 	}
 
 	c.alerted = cs.alerted

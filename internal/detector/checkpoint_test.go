@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"dynaminer/internal/httpstream"
+	"dynaminer/internal/obs"
 	"dynaminer/internal/synth"
 )
 
@@ -215,6 +217,100 @@ func TestRollingRestoreMixedCaseHosts(t *testing.T) {
 	}
 }
 
+// v1Fixture is testdata/v1.dmcp, a DMCP version 1 artifact. It was
+// written by the engine's own AppendCheckpoint while version 1 was the
+// format (commit 7e8031b), of a Config{Shards: 2, RedirectThreshold: 3}
+// engine scoring with vecScorer{} that had processed
+// v1FixtureStream()[:v1FixtureCut]. At the cut it holds two watched
+// clusters, one of them alerted, and clusters whose histories include
+// HTML bodies with sniffable redirects.
+const (
+	v1Fixture    = "testdata/v1.dmcp"
+	v1FixtureCut = 203
+)
+
+func v1FixtureStream() []httpstream.Transaction {
+	return corpusStream(synth.Config{Seed: 1, Infections: 8, Benign: 4})
+}
+
+// journaled returns a fixture-config engine whose journal writes to buf.
+func journaled(buf *bytes.Buffer) *Engine {
+	return New(Config{Shards: 2, RedirectThreshold: 3, Journal: obs.NewJournalWriter(buf)}, vecScorer{})
+}
+
+// TestRestoreV1Fixture: version 1 checkpoints stay importable. Restoring
+// the checked-in v1 artifact digests each checkpointed transaction as
+// live processing does, so the engine it gives is the one the
+// uninterrupted run holds at the cut: its version 2 checkpoint is the
+// uninterrupted engine's byte for byte, and the rest of the stream gives
+// the same alerts, journal records and Stats — those of an engine restored
+// from the uninterrupted run's own version 2 checkpoint too.
+func TestRestoreV1Fixture(t *testing.T) {
+	data, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := v1FixtureStream()
+	head, tail := txs[:v1FixtureCut], txs[v1FixtureCut:]
+	info, err := ReadCheckpointInfo(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != 1 || info.Shards != 2 || info.Watching != 2 || info.TxSeen != int64(len(head)) {
+		t.Fatalf("fixture info %+v, want version 1, 2 shards, 2 watching, %d transactions seen", info, len(head))
+	}
+
+	var unJ, v1J, v2J bytes.Buffer
+	un := journaled(&unJ)
+	un.ProcessAll(head)
+	unHead, unBefore := unJ.Len(), un.Stats()
+	v2 := un.AppendCheckpoint(nil)
+	if info2, err := ReadCheckpointInfo(v2); err != nil || info2.Version != checkpointVersion ||
+		info2.Clusters != info.Clusters || info2.Transactions != info.Transactions {
+		t.Fatalf("version 2 info %+v (%v), want version %d and the fixture's counts %+v", info2, err, checkpointVersion, info)
+	}
+	fromV1, fromV2 := journaled(&v1J), journaled(&v2J)
+	for name, e := range map[string]*Engine{"v1": fromV1, "v2": fromV2} {
+		in := map[string][]byte{"v1": data, "v2": v2}[name]
+		if n, err := e.RestoreCheckpoint(in); err != nil || n != info.Clusters {
+			t.Fatalf("%s restore: %d clusters, %v; want %d", name, n, err, info.Clusters)
+		}
+	}
+	if got := fromV1.AppendCheckpoint(nil); !bytes.Equal(got, v2) {
+		t.Fatalf("the v1-restored engine checkpoints to %d bytes unlike the uninterrupted engine's %d", len(got), len(v2))
+	}
+	restored := fromV1.Stats()
+	if got := fromV2.Stats(); got != restored {
+		t.Fatalf("restored Stats differ: v1 %+v, v2 %+v", restored, got)
+	}
+
+	want := un.ProcessAll(tail)
+	if len(want) == 0 {
+		t.Fatal("the tail raised no alerts; the differential is vacuous")
+	}
+	requireSameAlerts(t, "v1 restore", fromV1.ProcessAll(tail), want)
+	requireSameAlerts(t, "v2 restore", fromV2.ProcessAll(tail), want)
+	wantJ := unJ.Bytes()[unHead:]
+	if len(wantJ) == 0 || !bytes.Equal(v1J.Bytes(), wantJ) || !bytes.Equal(v2J.Bytes(), wantJ) {
+		t.Fatalf("tail journals differ:\nuninterrupted: %s\nv1 restore:    %s\nv2 restore:    %s", wantJ, v1J.Bytes(), v2J.Bytes())
+	}
+	if got, got2 := fromV1.Stats(), fromV2.Stats(); got != got2 || statsDelta(got, restored) != statsDelta(un.Stats(), unBefore) {
+		t.Fatalf("tail Stats: v1 restore %+v, v2 restore %+v from %+v; uninterrupted %+v from %+v",
+			got, got2, restored, un.Stats(), unBefore)
+	}
+}
+
+// statsDelta is what the counters of a moved from b.
+func statsDelta(a, b Stats) Stats {
+	return Stats{
+		Transactions: a.Transactions - b.Transactions, Weeded: a.Weeded - b.Weeded,
+		Clusters: a.Clusters - b.Clusters, Evicted: a.Evicted - b.Evicted,
+		CluesFired: a.CluesFired - b.CluesFired, Classifications: a.Classifications - b.Classifications,
+		Alerts: a.Alerts - b.Alerts, Dropped: a.Dropped - b.Dropped, Rebuilds: a.Rebuilds - b.Rebuilds,
+		Panics: a.Panics - b.Panics, Quarantined: a.Quarantined - b.Quarantined,
+	}
+}
+
 // TestCheckpointBytesDeterministic: the same engine checkpointed twice
 // encodes to the same bytes. Nearly every synth transaction carries a
 // multi-key header, so an encoder that followed Go's randomized map order
@@ -341,13 +437,13 @@ func TestMarkAlertedDedup(t *testing.T) {
 	}
 }
 
-// oneClusterCheckpoint is a one-shard, one-cluster DMCP artifact with a
-// valid CRC whose cluster claims txCount transactions encoded in txs. With
-// no txs it is 84 bytes long.
+// oneClusterCheckpoint is a one-shard, one-cluster DMCP version 1
+// artifact with a valid CRC whose cluster claims txCount transactions
+// encoded in txs. With no txs it is 84 bytes long.
 func oneClusterCheckpoint(txCount uint32, txs []byte) []byte {
 	le := binary.LittleEndian
 	b := append([]byte(checkpointMagic), make([]byte, checkpointHdrLen-len(checkpointMagic))...)
-	le.PutUint32(b[4:], checkpointVersion)
+	le.PutUint32(b[4:], 1)
 	b = le.AppendUint64(b, 1) // model generation
 	b = le.AppendUint32(b, 0) // model CRC
 	b = le.AppendUint32(b, 1) // shards
@@ -362,6 +458,15 @@ func oneClusterCheckpoint(txCount uint32, txs []byte) []byte {
 	b = le.AppendUint32(b, txCount)
 	b = append(b, txs...)
 	return resealCheckpoint(b)
+}
+
+// oneClusterCheckpointV2 is a one-shard, one-cluster DMCP version 2
+// artifact with a valid CRC whose cluster's host table and history are
+// body.
+func oneClusterCheckpointV2(body []byte) []byte {
+	b := oneClusterCheckpoint(0, nil)
+	binary.LittleEndian.PutUint32(b[4:], 2)
+	return resealCheckpoint(append(b[:len(b)-4], body...))
 }
 
 // resealCheckpoint stores the CRC of b's body in its header.
@@ -391,10 +496,14 @@ func hostileRequest(keys uint32) []byte {
 func TestHostileCheckpointCountsAllocateNothing(t *testing.T) {
 	const many = 1 << 20
 	hostileValues := binary.LittleEndian.AppendUint32(appendString(hostileRequest(1), "X-Key"), many)
+	le := binary.LittleEndian
 	cases := map[string][]byte{
 		"transactions":  oneClusterCheckpoint(many, nil),
 		"header keys":   oneClusterCheckpoint(1, hostileRequest(many)),
 		"header values": oneClusterCheckpoint(1, hostileValues),
+		"names":         oneClusterCheckpointV2(le.AppendUint32(nil, many)),
+		"sniffs":        oneClusterCheckpointV2(le.AppendUint32(le.AppendUint32(nil, 0), many)),
+		"records":       oneClusterCheckpointV2(le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, 0), 0), many)),
 	}
 	for name, data := range cases {
 		for op, read := range map[string]func() error{
@@ -431,6 +540,12 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(oneClusterCheckpoint(1<<20, nil))
 	f.Add(oneClusterCheckpoint(1, hostileRequest(1<<20)))
 	f.Add([]byte(checkpointMagic))
+	if v1, err := os.ReadFile(v1Fixture); err == nil {
+		f.Add(v1)
+	}
+	tinyV2 := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+	tinyV2.ProcessAll(infectionStream()[:3])
+	f.Add(tinyV2.AppendCheckpoint(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= checkpointHdrLen {

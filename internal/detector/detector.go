@@ -50,7 +50,7 @@ type Config struct {
 	// routes clients across. Zero selects runtime.GOMAXPROCS(0).
 	Shards int
 	// DisableIncremental forces every classification onto the from-scratch
-	// path: rebuild the watched WCG with FromTransactions and re-extract
+	// path: rebuild the watched WCG with wcg.FromRecords and re-extract
 	// all 37 features on each update. The incremental path produces
 	// bit-identical scores and alerts (pinned by the differential tests);
 	// the from-scratch path is the oracle those tests and the benchmark's
@@ -102,9 +102,10 @@ func (c Config) withDefaults() Config {
 // paper tunes only the clue threshold L (Config.RedirectThreshold); these
 // are constants.
 const (
-	// scoreThreshold is the ERF's decision point: an alert fires when the
-	// averaged vote for a watched WCG exceeds it.
-	scoreThreshold = 0.5
+	// ScoreThreshold is the ERF's decision point: an alert fires when the
+	// averaged vote for a watched WCG exceeds it. Offline classification
+	// (dynaminer.Classifier.IsInfection) decides on the same constant.
+	ScoreThreshold = 0.5
 	// sessionGap is the inactivity window beyond which a transaction
 	// starts a new session cluster instead of joining the client's most
 	// recent one.
@@ -151,15 +152,17 @@ type Alert struct {
 	// potential-infection WCG at alert time.
 	WCGOrder, WCGSize int
 
-	// hist and watch are the frozen view Graph builds from: the cluster's
-	// history at alert time, shared with the cluster (which only ever
-	// appends to it), and a copy of the watch's indices into it.
-	hist  []entry
+	// hist, tab and watch are the frozen view Graph builds from: the
+	// cluster's record history and host table at alert time, shared with
+	// the cluster (which only ever appends to them), and a copy of the
+	// watch's indices into the history.
+	hist  []wcg.Record
+	tab   wcg.Table
 	watch []int
 }
 
 // Graph builds the potential-infection WCG as it stood at alert time:
-// wcg.FromTransactions over the watch, byte-identical (WriteJSON) to the
+// wcg.FromRecords over the watch, byte-identical (WriteJSON) to the
 // finalized form of the graph the engine scored. Every call builds a
 // fresh graph from the alert's frozen view of its watch, so a caller that
 // needs it twice keeps the result; nothing the engine does later changes
@@ -168,11 +171,7 @@ func (a Alert) Graph() *wcg.WCG {
 	if len(a.watch) == 0 {
 		return nil
 	}
-	subset := make([]httpstream.Transaction, len(a.watch))
-	for i, j := range a.watch {
-		subset[i] = a.hist[j].tx
-	}
-	return wcg.FromTransactions(subset)
+	return wcg.FromRecords(&a.tab, a.hist, a.watch)
 }
 
 // FormatTime renders the alert timestamp in the given layout, or "unset"
@@ -270,52 +269,39 @@ func (s *Stats) add(o Stats) {
 // the WCG construction stage.
 const clickGap = 2 * time.Second
 
-// txMeta caches per-transaction linkage facts so the backward chain walk
-// does not re-parse bodies.
-type txMeta struct {
-	host      string
-	refHost   string
-	locHost   string
-	sniff     []string // redirect target hosts sniffed from the body
-	refRecent bool     // the referring host was active within clickGap
-	download  bool     // 2xx response with a likely-malicious payload type
-	post      bool
-	payload   wcg.PayloadClass
-}
-
-// entry is one transaction of a cluster's history beside its linkage facts.
-type entry struct {
-	tx   httpstream.Transaction
-	meta txMeta
-}
-
-// hostSeen is what a cluster knows of one host: when it last served the
-// cluster, or served == false for a host seen only as a Referer.
+// hostSeen is what a cluster knows of one string of its host table
+// beside the string itself.
 type hostSeen struct {
-	last   time.Time
+	// last is when the host last served the cluster (Unix ns, a Record
+	// time); served is false for a host never served.
+	last   int64
 	served bool
+	// session marks one of the cluster's session IDs.
+	session bool
+	// since is the history index from which the cluster knows the host,
+	// as served or as a Referer's host; -1 while it does not. Routing
+	// reads whether it is known, a watch's call-back rule whether it was
+	// known when the clue fired.
+	since int32
 }
 
-// histCap is a new cluster's history capacity: most benign sessions run
-// to a dozen transactions, so two allocations cover them.
+// histCap is the history and host-table capacity a cluster is born with,
+// in the cluster itself: most benign sessions run to a dozen transactions
+// over a handful of hosts, so one history allocation beyond the cluster's
+// own covers them.
 const histCap = 8
 
-// txKeys are the header facts cluster routing and linkage read, taken
-// from a transaction once.
-type txKeys struct {
-	host string // lowercased Host, or the server address
-	ref  string // host of the Referer URL
-	sid  string // SessionID
-}
-
-// cluster is one session's state: the host table and session set that
-// route transactions to it, and its history.
+// cluster is one session's state: the host table that routes
+// transactions to it and the history of their Records.
 type cluster struct {
-	id         int
-	client     netip.Addr
-	hist       []entry
-	hosts      map[string]hostSeen
-	sessions   map[string]struct{} // made on the first session ID
+	id     int
+	client netip.Addr
+	hist   []wcg.Record
+	// hosts is the host table hist indexes: every host, session ID and
+	// other string the cluster's transactions named, each once, with
+	// the cluster's facts about it in seen (same index).
+	hosts      wcg.Table
+	seen       []hostSeen
 	lastActive time.Time
 	redirects  int // running count of redirect evidence (sum-of-all rule)
 
@@ -324,8 +310,13 @@ type cluster struct {
 	watch     []int // indices into hist forming the potential-infection WCG
 	snapshot  []int // the watch set at the moment the clue fired
 	watchLast time.Time
-	related   map[string]struct{}
-	preWatch  map[string]struct{} // hosts seen before the clue fired
+	// related marks, by host-table index, the watch's related hosts;
+	// nRelated counts them.
+	related  []bool
+	nRelated int
+	// armIdx is the history index of the download that armed the watch:
+	// a host known since no later was seen before the clue fired.
+	armIdx int
 
 	// Clue provenance for the current watch, recorded in journal entries:
 	// the host and payload class of the arming download and the redirect
@@ -358,6 +349,14 @@ type cluster struct {
 	// classification rebuilds from scratch), and a second fault evicts
 	// the cluster.
 	faults int
+
+	// The first histCap host-table entries and records: hosts.Names, seen
+	// and hist start over these, so a cluster and its short session are
+	// one allocation. The pointer-free arrays come last, where the
+	// collector's scan of a cluster has stopped.
+	nameBuf [histCap]string
+	seenBuf [histCap]hostSeen
+	histBuf [histCap]wcg.Record
 }
 
 // shardState is one shard's detector: the session clusters of the clients
@@ -380,11 +379,9 @@ type shardState struct {
 	idBase, idStep int
 	// scratch is the graph workspace shared by every cluster's feature
 	// cache (safe: the shard is serialized); fvec is the reusable
-	// classification vector and subset the reusable rebuild slab
-	// (wcg.FromTransactions copies its input, so reuse is safe).
+	// classification vector.
 	scratch *graph.Scratch
 	fvec    []float64
-	subset  []httpstream.Transaction
 	// rebuild is the reusable feature cache for the from-scratch classify
 	// fallback: Reset against each rebuilt WCG, it derives the vector with
 	// the shard's scratch instead of allocating fresh featurization state
@@ -499,75 +496,94 @@ func (s *shardState) process(tx httpstream.Transaction) []Alert {
 	if s.txSeen%evictEvery == 0 {
 		s.evictIdle(tx.ReqTime.Add(-clusterTTL))
 	}
-	host := txHost(&tx)
-	if s.trusted(host) {
+	k := wcg.KeysOf(&tx)
+	if s.trusted(k.Host) {
 		s.mx.weeded.Inc()
 		return nil
 	}
-	k := keysOf(&tx, host)
-	return s.processInCluster(s.clusterFor(&tx, k), tx, k)
+	return s.processInCluster(s.clusterFor(&tx, k), &tx, k)
 }
 
-// txHost is the host a transaction is clustered under: its lowercased
-// Host header, or the server address when the request named none.
-func txHost(tx *httpstream.Transaction) string {
-	if tx.Host == "" {
-		return tx.ServerIP.String()
-	}
-	return strings.ToLower(tx.Host)
-}
-
-// keysOf reads the header facts routing and linkage need; host is
-// txHost(tx).
-func keysOf(tx *httpstream.Transaction, host string) txKeys {
-	return txKeys{host: host, ref: refererHost(tx), sid: tx.SessionID()}
-}
-
-// processInCluster runs the per-cluster pipeline under a panic guard:
-// a fault anywhere past cluster assignment discards the transaction's
-// alerts and advances the cluster on the quarantine ladder instead of
-// unwinding through the caller.
-func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k txKeys) (alerts []Alert) {
+// processInCluster digests the transaction, whose keys are k, into the
+// cluster's host table and runs the per-cluster pipeline on its record,
+// under a panic guard: a fault anywhere past cluster assignment discards
+// the transaction's alerts and advances the cluster on the quarantine
+// ladder instead of unwinding through the caller. Nothing of tx outlives
+// the call but the strings the host table interns.
+func (s *shardState) processInCluster(c *cluster, tx *httpstream.Transaction, k wcg.Keys) (alerts []Alert) {
 	defer func() {
 		if r := recover(); r != nil {
-			alerts = nil
-			s.at.Annotate(s.atRoot, obs.SpanError|obs.SpanQuarantined)
-			s.quarantine(c)
+			alerts = s.fault(c)
 		}
 	}()
-	if len(c.hist) >= maxClusterTxs {
-		// The session is still active even though its history is capped:
-		// keep lastActive fresh so TTL eviction does not destroy the
-		// cluster (and any watched WCG) mid-session, and make the drop
-		// visible in the counters.
-		c.lastActive = tx.ReqTime
-		if !s.restoring {
-			s.mx.dropped.Inc()
-		}
+	if s.capped(c, tx.ReqTime) {
 		return nil
 	}
-	meta := c.buildMeta(&tx, k)
+	return s.step(c, c.digest(tx, k))
+}
+
+// replayRecord runs a checkpointed record, already in the cluster's host
+// table, through the per-cluster pipeline under processInCluster's guard.
+func (s *shardState) replayRecord(c *cluster, r wcg.Record) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.fault(c)
+		}
+	}()
+	if !s.capped(c, wcg.Time(r.ReqTime)) {
+		s.step(c, r)
+	}
+}
+
+// fault is the panic guard's response: the transaction's alerts are
+// discarded (the nil it returns) and the cluster is quarantined.
+func (s *shardState) fault(c *cluster) []Alert {
+	s.at.Annotate(s.atRoot, obs.SpanError|obs.SpanQuarantined)
+	s.quarantine(c)
+	return nil
+}
+
+// capped reports whether the cluster's history is full, in which case a
+// transaction requested at req is dropped. The session is still active
+// even though its history is capped: lastActive stays fresh so TTL
+// eviction does not destroy the cluster (and any watched WCG)
+// mid-session, and the drop is visible in the counters.
+func (s *shardState) capped(c *cluster, req time.Time) bool {
+	if len(c.hist) < maxClusterTxs {
+		return false
+	}
+	c.lastActive = req
+	if !s.restoring {
+		s.mx.dropped.Inc()
+	}
+	return true
+}
+
+// step appends a record to the cluster's history and runs clue inference
+// and the watch on it.
+func (s *shardState) step(c *cluster, r wcg.Record) []Alert {
 	idx := len(c.hist)
-	c.hist = append(c.hist, entry{tx: tx, meta: meta})
-	c.noteActivity(&tx, meta, k.sid)
+	c.hist = append(c.hist, r)
+	c.noteActivity(idx, &r)
+	reqTime := wcg.Time(r.ReqTime)
 
 	// A watched WCG that stopped growing is closed; later clues in the
 	// same session open a fresh potential-infection WCG with fresh
 	// redirect evidence.
-	if c.watching && tx.ReqTime.Sub(c.watchLast) > watchIdle {
+	if c.watching && reqTime.Sub(c.watchLast) > watchIdle {
 		s.closeWatch(c)
 	}
 
 	// Accumulate redirect evidence (the sum-of-all-redirections rule).
-	if tx.StatusCode >= 300 && tx.StatusCode < 400 {
+	if r.Status >= 300 && r.Status < 400 {
 		c.redirects++
 	}
-	c.redirects += len(meta.sniff)
+	c.redirects += int(r.SniffHi - r.SniffLo)
 
 	// Infection clue: enough redirect evidence followed by a download of a
 	// likely-malicious payload type. The clue triggers the backward
 	// construction of a potential-infection WCG around the chain.
-	if meta.download && !c.watching && c.redirects >= s.cfg.RedirectThreshold {
+	if r.Flags&wcg.RecDownload != 0 && !c.watching && c.redirects >= s.cfg.RedirectThreshold {
 		c.watching = true
 		// Pin the serving model: this watch scores through exactly this
 		// forest until it closes, no matter what hot-swaps happen meanwhile.
@@ -578,15 +594,12 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 		s.mx.watched.Inc()
 		// Clue provenance for this watch's journal records: the arming
 		// download and the redirect evidence that armed it.
-		c.clueHost, c.cluePayload, c.clueRedirects = meta.host, meta.payload, c.redirects
-		c.preWatch = make(map[string]struct{}, len(c.hosts))
-		for h := range c.hosts {
-			c.preWatch[h] = struct{}{}
-		}
+		c.clueHost, c.cluePayload, c.clueRedirects = c.hosts.Names[r.Host], r.PayloadClass(), c.redirects
+		c.armIdx = idx
 		c.buildPotentialWCG(idx)
 		c.snapshot = append([]int(nil), c.watch...)
-		c.watchLast = tx.ReqTime
-		return s.classify(c, idx, meta)
+		c.watchLast = reqTime
+		return s.classify(c, idx)
 	}
 	if !c.watching {
 		return nil
@@ -594,12 +607,12 @@ func (s *shardState) processInCluster(c *cluster, tx httpstream.Transaction, k t
 	// Watched WCG: related transactions grow it and trigger
 	// re-classification; unrelated browsing is left out, as the paper's
 	// session-ID/referrer grouping prescribes.
-	if !c.relatedTx(meta) {
+	if !c.relatedTx(&r) {
 		return nil
 	}
 	c.include(idx)
-	c.watchLast = tx.ReqTime
-	return s.classify(c, idx, meta)
+	c.watchLast = reqTime
+	return s.classify(c, idx)
 }
 
 // closeWatch finalizes a cluster's watch via cluster.closeWatch and keeps
@@ -680,7 +693,7 @@ func (s *shardState) removeClusters(drop func(*cluster) bool) int {
 // request (Alert.Graph). The from-scratch path remains as the explicit
 // fallback — selected by Config.DisableIncremental or by out-of-order
 // arrival — and produces bit-identical scores and alerts.
-func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
+func (s *shardState) classify(c *cluster, idx int) []Alert {
 	if s.restoring {
 		return nil // checkpoint replay rebuilds structure, never verdicts
 	}
@@ -737,11 +750,7 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 		at.Annotate(cs, obs.SpanIncremental)
 	} else {
 		fs = at.StartSpan(s.stg.featRebuild)
-		s.subset = s.subset[:0]
-		for _, i := range c.watch {
-			s.subset = append(s.subset, c.hist[i].tx)
-		}
-		g = wcg.FromTransactions(s.subset)
+		g = wcg.FromRecords(&c.hosts, c.hist, c.watch)
 		s.rebuild.Reset(g, s.scratch)
 		x = s.cachedVector(&s.rebuild, fs)
 		s.mx.rebuilds.Inc()
@@ -766,47 +775,52 @@ func (s *shardState) classify(c *cluster, idx int, meta txMeta) []Alert {
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		panic("detector: scorer returned a non-finite probability")
 	}
-	if score <= scoreThreshold {
+	if score <= ScoreThreshold {
 		at.EndSpanAt(cs, endT)
 		return nil
 	}
-	if c.alerted && !meta.download {
+	r := &c.hist[idx]
+	download := r.Flags&wcg.RecDownload != 0
+	if c.alerted && !download {
 		at.EndSpanAt(cs, endT)
 		return nil
 	}
 	c.alerted = true
 	s.mx.alerts.Inc()
-	trigger := meta
-	if !meta.download {
+	trigger := r
+	if !download {
 		// First crossing on a non-download update (s.g. a C&C call-back):
 		// attribute the alert to the latest download in the WCG.
 		for i := len(c.watch) - 1; i >= 0; i-- {
-			if m := c.hist[c.watch[i]].meta; m.download {
-				trigger = m
+			if t := &c.hist[c.watch[i]]; t.Flags&wcg.RecDownload != 0 {
+				trigger = t
 				break
 			}
 		}
 	}
 	// Transactions that never got a response (s.g. upstream timeouts in
-	// extraction-only replays) carry a zero RespTime; fall back to the
+	// extraction-only replays) carry no RespTime; fall back to the
 	// request time so alerts are always stamped.
-	when := c.hist[idx].tx.RespTime
-	if when.IsZero() {
-		when = c.hist[idx].tx.ReqTime
+	when := r.RespTime
+	if when == wcg.NoTime {
+		when = r.ReqTime
 	}
-	// The alert's frozen view: the history prefix is shared, since the
-	// cluster only appends past it, and the watch indices are copied,
-	// since a re-armed watch is cut back and rebuilt in place.
+	// The alert's frozen view: the history and host-table prefixes are
+	// shared, since the cluster only appends past them, and the watch
+	// indices are copied, since a re-armed watch is cut back and rebuilt
+	// in place.
+	c.spill()
 	alert := Alert{
-		Time:           when,
+		Time:           wcg.Time(when),
 		Client:         c.client,
 		ClusterID:      c.id,
 		Score:          score,
-		TriggerHost:    trigger.host,
-		TriggerPayload: trigger.payload,
+		TriggerHost:    c.hosts.Names[trigger.Host],
+		TriggerPayload: trigger.PayloadClass(),
 		WCGOrder:       g.Order(),
 		WCGSize:        g.Size(),
 		hist:           c.hist[:len(c.hist):len(c.hist)],
+		tab:            c.hosts.Prefix(),
 		watch:          append([]int(nil), c.watch...),
 	}
 	s.journalAlert(c, ref, &alert, g.StructVersion(), x, incremental)
@@ -865,7 +879,7 @@ func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, structVer
 		Incremental:      incremental,
 		Features:         append([]float64(nil), x...),
 		Score:            a.Score,
-		Threshold:        scoreThreshold,
+		Threshold:        ScoreThreshold,
 		Quarantined:      c.faults > 0,
 	}
 	if vs, ok := ref.scorer.(VoteScorer); ok {
@@ -890,12 +904,12 @@ func (s *shardState) incrementalVector(c *cluster, span int) ([]float64, bool) {
 		return nil, false
 	}
 	if c.ib == nil {
-		c.ib = wcg.NewIncrementalBuilder()
+		c.ib = wcg.NewTableIncrementalBuilder(&c.hosts)
 		c.cache = features.NewCache(c.ib.Live(), s.scratch)
 		c.fed = 0
 	}
 	for _, i := range c.watch[c.fed:] {
-		if !c.ib.Append(c.hist[i].tx) {
+		if !c.ib.AppendRecord(&c.hist[i]) {
 			// Out-of-order arrival voids the byte-identity contract with
 			// the batch builder: abandon the live graph and serve the rest
 			// of this watch from scratch.
@@ -933,11 +947,12 @@ func (s *shardState) incrementalEligible(c *cluster) bool {
 
 // ClueSubsets replays a recorded transaction stream with the clue
 // heuristic only (no classifier) and returns, per session cluster whose
-// clue fired, both the potential-infection subset at clue time and the
-// fully-grown subset at stream end. The offline training stage uses these
-// so the classifier learns on exactly the WCG representations — early and
+// clue fired, the WCGs of both the potential-infection subset at clue
+// time and the fully-grown subset at stream end, each as FromTransactions
+// builds it over the subset. The offline training stage uses these so the
+// classifier learns on exactly the WCG representations — early and
 // mature — that the on-the-wire stage scores.
-func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transaction {
+func ClueSubsets(cfg Config, txs []httpstream.Transaction) []*wcg.WCG {
 	cfg.Shards = 1 // one shard holds every cluster, in arrival order
 	eng := New(cfg, nil)
 	for _, tx := range txs {
@@ -946,80 +961,87 @@ func ClueSubsets(cfg Config, txs []httpstream.Transaction) [][]httpstream.Transa
 	sh := eng.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out [][]httpstream.Transaction
-	collect := func(c *cluster, idxs []int) {
-		subset := make([]httpstream.Transaction, 0, len(idxs))
-		for _, i := range idxs {
-			subset = append(subset, c.hist[i].tx)
-		}
-		out = append(out, subset)
-	}
+	var out []*wcg.WCG
 	for _, c := range sh.st.clusters {
+		collect := func(idxs []int) { out = append(out, wcg.FromRecords(&c.hosts, c.hist, idxs)) }
 		for _, w := range c.closed {
-			collect(c, w)
+			collect(w)
 		}
 		if !c.watching {
 			continue
 		}
-		collect(c, c.snapshot)
+		collect(c.snapshot)
 		if len(c.watch) > len(c.snapshot) {
-			collect(c, c.watch)
+			collect(c.watch)
 		}
 	}
 	return out
 }
 
-// buildMeta derives the linkage facts of a transaction against the
-// cluster's current state. Must run before noteActivity.
-func (c *cluster) buildMeta(tx *httpstream.Transaction, k txKeys) txMeta {
-	m := txMeta{
-		host:    k.host,
-		refHost: k.ref,
-		post:    tx.Method == "POST",
-		payload: wcg.ClassifyPayload(tx.URI, tx.ContentType),
+// spill moves the history and the host names out of the cluster's own
+// buffers, so that a view of them (an alert's) does not keep the cluster
+// alive once it is evicted.
+func (c *cluster) spill() {
+	if &c.hist[0] == &c.histBuf[0] {
+		c.hist = append(make([]wcg.Record, 0, 2*histCap), c.hist...)
 	}
-	if tx.IsRedirect() {
-		m.locHost = wcg.HostOfURL(tx.Location())
-		if m.locHost == "" {
-			m.locHost = k.host
-		}
+	if &c.hosts.Names[0] == &c.nameBuf[0] {
+		c.hosts.Names = append(make([]string, 0, 2*histCap), c.hosts.Names...)
 	}
-	if m.payload.CarriesRedirects() {
-		for _, target := range wcg.SniffBodyRedirects(tx.Body) {
-			if th := wcg.HostOfURL(target); th != "" {
-				m.sniff = append(m.sniff, th)
-			}
-		}
-	}
-	m.download = m.payload.IsExploitType() && tx.StatusCode >= 200 && tx.StatusCode < 300
-	if m.refHost != "" {
-		if h := c.hosts[m.refHost]; h.served && tx.ReqTime.Sub(h.last) <= clickGap {
-			m.refRecent = true
-		}
-	}
-	return m
 }
 
-// noteActivity updates the cluster's host table and session set; sid is
-// the transaction's SessionID.
-func (c *cluster) noteActivity(tx *httpstream.Transaction, m txMeta, sid string) {
-	if m.refHost != "" {
-		if _, ok := c.hosts[m.refHost]; !ok {
-			c.hosts[m.refHost] = hostSeen{}
+// digest reduces a transaction, whose keys are k, to its record against
+// the cluster's host table, and marks whether its Referer's host served
+// the cluster within clickGap. Must run before noteActivity.
+func (c *cluster) digest(tx *httpstream.Transaction, k wcg.Keys) wcg.Record {
+	r := c.hosts.Digest(tx, k)
+	for len(c.seen) < len(c.hosts.Names) {
+		c.seen = append(c.seen, hostSeen{since: -1})
+	}
+	if r.Ref >= 0 {
+		if h := c.seen[r.Ref]; h.served && wcg.Time(r.ReqTime).Sub(wcg.Time(h.last)) <= clickGap {
+			r.Flags |= wcg.RecRefRecent
 		}
 	}
-	ts := tx.RespTime
-	if ts.IsZero() {
-		ts = tx.ReqTime
+	return r
+}
+
+// noteActivity records what the cluster learns from its record idx: its
+// host served it, its Referer's host and session ID are known.
+func (c *cluster) noteActivity(idx int, r *wcg.Record) {
+	if r.Ref >= 0 {
+		c.know(r.Ref, idx)
 	}
-	c.hosts[m.host] = hostSeen{last: ts, served: true}
-	if sid != "" {
-		if c.sessions == nil {
-			c.sessions = make(map[string]struct{})
-		}
-		c.sessions[sid] = struct{}{}
+	h := &c.seen[r.Host]
+	h.served, h.last = true, r.RespTime
+	if r.RespTime == wcg.NoTime {
+		h.last = r.ReqTime
 	}
-	c.lastActive = tx.ReqTime
+	c.know(r.Host, idx)
+	if r.SID >= 0 {
+		c.seen[r.SID].session = true
+	}
+	c.lastActive = wcg.Time(r.ReqTime)
+}
+
+// know marks host-table string i known from history index idx on.
+func (c *cluster) know(i int32, idx int) {
+	if h := &c.seen[i]; h.since < 0 {
+		h.since = int32(idx)
+	}
+}
+
+// knows reports whether the cluster knows host as served or as a
+// Referer's host.
+func (c *cluster) knows(host string) bool {
+	i, ok := c.hosts.Lookup(host)
+	return ok && c.seen[i].since >= 0
+}
+
+// hasSession reports whether sid is one of the cluster's session IDs.
+func (c *cluster) hasSession(sid string) bool {
+	i, ok := c.hosts.Lookup(sid)
+	return ok && c.seen[i].session
 }
 
 // buildPotentialWCG walks back in time from the triggering download and
@@ -1030,13 +1052,13 @@ func (c *cluster) noteActivity(tx *httpstream.Transaction, m txMeta, sid string)
 // watchIdle so a chain reusing hosts hours later does not absorb stale
 // traffic.
 func (c *cluster) buildPotentialWCG(trigger int) {
-	c.related = make(map[string]struct{})
+	c.related, c.nRelated = make([]bool, len(c.hosts.Names)), 0
 	include := make([]bool, trigger+1)
 	include[trigger] = true
-	c.addRelated(c.hist[trigger].meta)
-	oldest := c.hist[trigger].tx.ReqTime.Add(-watchIdle)
+	c.addRelated(&c.hist[trigger])
+	oldest := wcg.Time(c.hist[trigger].ReqTime).Add(-watchIdle)
 	first := trigger
-	for first > 0 && !c.hist[first-1].tx.ReqTime.Before(oldest) {
+	for first > 0 && !wcg.Time(c.hist[first-1].ReqTime).Before(oldest) {
 		first--
 	}
 	for changed := true; changed; {
@@ -1045,9 +1067,9 @@ func (c *cluster) buildPotentialWCG(trigger int) {
 			if include[i] {
 				continue
 			}
-			if m := c.hist[i].meta; c.relatedTx(m) {
+			if r := &c.hist[i]; c.relatedTx(r) {
 				include[i] = true
-				c.addRelated(m)
+				c.addRelated(r)
 				changed = true
 			}
 		}
@@ -1062,53 +1084,64 @@ func (c *cluster) buildPotentialWCG(trigger int) {
 
 // relatedTx reports whether a transaction belongs to the potential
 // infection WCG under the current related-host set.
-func (c *cluster) relatedTx(m txMeta) bool {
-	if _, ok := c.related[m.host]; ok {
+func (c *cluster) relatedTx(r *wcg.Record) bool {
+	if c.isRelated(r.Host) {
 		return true
 	}
-	if m.locHost != "" {
-		if _, ok := c.related[m.locHost]; ok {
+	if r.Loc >= 0 && c.isRelated(r.Loc) {
+		return true
+	}
+	for _, t := range c.hosts.Sniffs[r.SniffLo:r.SniffHi] {
+		if c.isRelated(t) {
 			return true
 		}
 	}
-	for _, t := range m.sniff {
-		if _, ok := c.related[t]; ok {
-			return true
-		}
-	}
-	if m.refRecent && m.refHost != "" {
-		if _, ok := c.related[m.refHost]; ok {
-			return true
-		}
+	if r.Flags&wcg.RecRefRecent != 0 && c.isRelated(r.Ref) {
+		return true
 	}
 	// Post-download call-backs go to hosts never seen before the download
 	// dynamics (Section II-D).
-	if m.post && c.preWatch != nil {
-		if _, seen := c.preWatch[m.host]; !seen {
-			return true
-		}
+	if r.Post() {
+		h := c.seen[r.Host]
+		return h.since < 0 || int(h.since) > c.armIdx
 	}
 	return false
 }
 
+// isRelated reports whether host-table string i is a related host.
+func (c *cluster) isRelated(i int32) bool {
+	return int(i) < len(c.related) && c.related[i]
+}
+
+// relate adds host-table string i to the related-host set.
+func (c *cluster) relate(i int32) {
+	for len(c.related) <= int(i) {
+		c.related = append(c.related, false)
+	}
+	if !c.related[i] {
+		c.related[i] = true
+		c.nRelated++
+	}
+}
+
 // addRelated extends the related-host set with a transaction's hosts.
-func (c *cluster) addRelated(m txMeta) {
-	c.related[m.host] = struct{}{}
-	if m.locHost != "" {
-		c.related[m.locHost] = struct{}{}
+func (c *cluster) addRelated(r *wcg.Record) {
+	c.relate(r.Host)
+	if r.Loc >= 0 {
+		c.relate(r.Loc)
 	}
-	for _, t := range m.sniff {
-		c.related[t] = struct{}{}
+	for _, t := range c.hosts.Sniffs[r.SniffLo:r.SniffHi] {
+		c.relate(t)
 	}
-	if m.refRecent && m.refHost != "" {
-		c.related[m.refHost] = struct{}{}
+	if r.Flags&wcg.RecRefRecent != 0 {
+		c.relate(r.Ref)
 	}
 }
 
 // include appends a related transaction to the watched WCG.
 func (c *cluster) include(idx int) {
 	c.watch = append(c.watch, idx)
-	c.addRelated(c.hist[idx].meta)
+	c.addRelated(&c.hist[idx])
 }
 
 // closeWatch finalizes the current potential-infection WCG and returns the
@@ -1121,8 +1154,7 @@ func (c *cluster) closeWatch() {
 	c.alerted = false
 	c.watch = nil
 	c.snapshot = nil
-	c.related = nil
-	c.preWatch = nil
+	c.related, c.nRelated, c.armIdx = nil, 0, 0
 	c.redirects = 0
 	c.clueHost, c.cluePayload, c.clueRedirects = "", 0, 0
 	c.pinned = nil
@@ -1155,7 +1187,7 @@ func (s *shardState) watched() []WatchedWCG {
 			Client:       c.client,
 			Transactions: len(c.watch),
 			LastGrowth:   c.watchLast,
-			Hosts:        len(c.related),
+			Hosts:        c.nRelated,
 		})
 	}
 	return out
@@ -1169,32 +1201,26 @@ func (s *shardState) evictIdle(cutoff time.Time) int {
 	return s.removeClusters(func(c *cluster) bool { return c.lastActive.Before(cutoff) })
 }
 
-func refererHost(tx *httpstream.Transaction) string {
-	return wcg.HostOfURL(tx.Referer())
-}
-
-// clusterFor assigns the transaction to a session cluster of its client:
-// first by session ID, then by referrer linkage to a cluster's known
-// hosts, then by recency within the session gap; otherwise a new cluster
-// is opened (Section V-B's grouping heuristic).
-func (s *shardState) clusterFor(tx *httpstream.Transaction, k txKeys) *cluster {
+// clusterFor assigns the transaction, whose keys are k, to a session
+// cluster of its client: first by session ID, then by referrer linkage to
+// a cluster's known hosts, then by recency within the session gap;
+// otherwise a new cluster is opened (Section V-B's grouping heuristic).
+func (s *shardState) clusterFor(tx *httpstream.Transaction, k wcg.Keys) *cluster {
 	clusters := s.byClient[tx.ClientIP]
 
-	if k.sid != "" {
+	if k.SID != "" {
 		for i := len(clusters) - 1; i >= 0; i-- {
-			if _, ok := clusters[i].sessions[k.sid]; ok {
+			if clusters[i].hasSession(k.SID) {
 				return clusters[i]
 			}
 		}
 	}
 	for i := len(clusters) - 1; i >= 0; i-- {
 		c := clusters[i]
-		if k.ref != "" {
-			if _, ok := c.hosts[k.ref]; ok {
-				return c
-			}
+		if k.Ref != "" && c.knows(k.Ref) {
+			return c
 		}
-		if _, ok := c.hosts[k.host]; ok {
+		if c.knows(k.Host) {
 			return c
 		}
 	}
@@ -1210,12 +1236,10 @@ func (s *shardState) clusterFor(tx *httpstream.Transaction, k txKeys) *cluster {
 // newCluster opens an empty session cluster and registers it with the
 // shard.
 func (s *shardState) newCluster(id int, client netip.Addr) *cluster {
-	c := &cluster{
-		id:     id,
-		client: client,
-		hist:   make([]entry, 0, histCap),
-		hosts:  make(map[string]hostSeen),
-	}
+	c := &cluster{id: id, client: client}
+	c.hist = c.histBuf[:0]
+	c.hosts = wcg.Table{Client: client, Names: c.nameBuf[:0]}
+	c.seen = c.seenBuf[:0]
 	s.clusters = append(s.clusters, c)
 	s.byClient[client] = append(s.byClient[client], c)
 	s.mx.clusters.Inc()

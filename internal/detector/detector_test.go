@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -169,7 +170,7 @@ func TestSessionClusteringByCookie(t *testing.T) {
 
 // TestSessionClusteringByReferer: past the session gap, a Referer naming
 // one of a cluster's hosts links a transaction to it, and so does a host it
-// already served. A cluster that never sees a cookie makes no session set.
+// already served. A cluster that never sees a cookie marks no session ID.
 func TestSessionClusteringByReferer(t *testing.T) {
 	e := New(Config{Shards: 1}, constScorer(0))
 	e.Process(mkTx("first.com", "/", "GET", 200, "text/html", 10, "", 0))
@@ -181,8 +182,14 @@ func TestSessionClusteringByReferer(t *testing.T) {
 	if e.Stats().Clusters != 1 {
 		t.Fatalf("clusters = %d, want 1 (the served host links them)", e.Stats().Clusters)
 	}
-	if c := e.shards[0].st.clusters[0]; c.sessions != nil || len(c.hist) != 3 {
-		t.Fatalf("cluster holds %d transactions and session set %v; want 3 and nil", len(c.hist), c.sessions)
+	c := e.shards[0].st.clusters[0]
+	if len(c.hist) != 3 {
+		t.Fatalf("cluster holds %d transactions, want 3", len(c.hist))
+	}
+	for i, h := range c.seen {
+		if h.session {
+			t.Fatalf("%q marked a session ID with no cookie seen", c.hosts.Names[i])
+		}
 	}
 }
 
@@ -211,20 +218,42 @@ func TestHostTableRefererOnlyHostNotRecent(t *testing.T) {
 		t.Fatalf("clusters = %d, want 1", got)
 	}
 	c := e.shards[0].st.clusters[0]
-	if h, ok := c.hosts["r.com"]; !ok || h.served {
-		t.Fatalf("r.com in the host table: %+v, %v; want present and not served", h, ok)
+	if !c.knows("r.com") || c.seen[mustLookup(t, c, "r.com")].served {
+		t.Fatalf("r.com in the host table: %+v; want known and not served", c.seen[mustLookup(t, c, "r.com")])
 	}
 	for i, want := range []bool{false, false, true, false, false, false, true} {
-		if m := c.hist[i].meta; m.refRecent != want {
-			t.Errorf("transaction %d (%s, Referer %s): refRecent = %v, want %v", i, m.host, m.refHost, m.refRecent, want)
+		r := c.hist[i]
+		if got := r.Flags&wcg.RecRefRecent != 0; got != want {
+			t.Errorf("transaction %d (%s, Referer %s): refRecent = %v, want %v",
+				i, c.hosts.Names[r.Host], c.hosts.Names[r.Ref], got, want)
 		}
 	}
 }
 
+// mustLookup is host's index in c's host table.
+func mustLookup(t *testing.T, c *cluster, host string) int32 {
+	t.Helper()
+	i, ok := c.hosts.Lookup(host)
+	if !ok {
+		t.Fatalf("%q is not in the host table", host)
+	}
+	return i
+}
+
 // TestClusterBookkeepingAllocs pins what one benign session costs the
 // engine: a fresh engine fed a 12-transaction session with cookies and
-// referrers, less the engine alone. A cluster costs its struct, its host
-// table, one session set and its growing history.
+// referrers, less the engine alone. A cluster costs its struct (which
+// holds its first records and host-table entries), its host table's map
+// and its growing history.
+// The bytes gates of the two allocation tests. A cluster's history holds
+// fixed-size records, not transactions: the session reads 313 bytes per
+// transaction and the watched chain 1 129, where a history of whole
+// transactions read 795 and 1 502.
+const (
+	sessionBytesCeiling = 400
+	chainBytesCeiling   = 1300
+)
+
 func TestClusterBookkeepingAllocs(t *testing.T) {
 	page := func(host, uri, ct, ref string, at time.Duration) httpstream.Transaction {
 		tx := mkTx(host, uri, "GET", 200, ct, 2000, ref, at)
@@ -267,6 +296,11 @@ func TestClusterBookkeepingAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Fatalf("one %d-transaction benign session allocates %.0f objects, want at most %d", len(session), got, ceiling)
 	}
+	perTx := (bytesPerRun(20, func() { feed() }) - bytesPerRun(20, func() { New(cfg, constScorer(0)) })) / float64(len(session))
+	t.Logf("one %d-transaction session: %.0f bytes per transaction", len(session), perTx)
+	if perTx > sessionBytesCeiling {
+		t.Fatalf("one %d-transaction benign session allocates %.0f bytes per transaction, want at most %d", len(session), perTx, sessionBytesCeiling)
+	}
 }
 
 // TestWatchedChainAllocs pins what the on-the-wire loop costs per
@@ -297,7 +331,7 @@ func TestWatchedChainAllocs(t *testing.T) {
 		}
 		return txs
 	}
-	clients := make([][]httpstream.Transaction, runs+2) // one to warm the engine, one for AllocsPerRun's own warm-up
+	clients := make([][]httpstream.Transaction, 2*runs+3) // one to warm the engine, then each measurement's warm-up and runs
 	for i := range clients {
 		clients[i] = chain(i)
 	}
@@ -319,6 +353,26 @@ func TestWatchedChainAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Fatalf("a watched chain allocates %.2f objects per transaction, want at most %.1f", got, ceiling)
 	}
+	perTx := bytesPerRun(runs, feed) / float64(len(clients[0]))
+	t.Logf("one watched client, %d transactions: %.0f bytes per transaction", len(clients[0]), perTx)
+	if perTx > chainBytesCeiling {
+		t.Fatalf("a watched chain allocates %.0f bytes per transaction, want at most %d", perTx, chainBytesCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes one call
+// of f allocates, after a warm-up call, with one P so no other goroutine
+// allocates in between.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestSessionGapOpensNewCluster pins the five-minute session gap: a
@@ -390,7 +444,7 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 		}
 		subs := ClueSubsets(extract, ep.Txs)
 		for _, sub := range subs {
-			ds.X = append(ds.X, features.Extract(wcg.FromTransactions(sub)))
+			ds.X = append(ds.X, features.Extract(sub))
 			ds.Y = append(ds.Y, y)
 		}
 		if len(subs) == 0 || !ep.Infection {
@@ -527,11 +581,11 @@ func TestAlertTimeFallbackToReqTime(t *testing.T) {
 
 func TestRefererHost(t *testing.T) {
 	tx := mkTx("a.com", "/", "GET", 200, "text/html", 1, "http://ref.net:8080/p?q=1", 0)
-	if got := refererHost(&tx); got != "ref.net" {
-		t.Fatalf("refererHost = %q", got)
+	if got := wcg.KeysOf(&tx).Ref; got != "ref.net" {
+		t.Fatalf("referer host = %q", got)
 	}
 	tx2 := mkTx("a.com", "/", "GET", 200, "text/html", 1, "", 0)
-	if refererHost(&tx2) != "" {
+	if wcg.KeysOf(&tx2).Ref != "" {
 		t.Fatal("empty referer must give empty host")
 	}
 }

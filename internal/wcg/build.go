@@ -1,12 +1,11 @@
 package wcg
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
-	"dynaminer/internal/graph"
 	"dynaminer/internal/httpstream"
 )
 
@@ -14,18 +13,28 @@ import (
 // milliseconds after the referring page) from human link-clicks (seconds).
 const redirectClickGap = 2 * time.Second
 
-// Builder constructs a WCG incrementally from a time-ordered transaction
-// stream (Section III-B). The on-the-wire stage grows potential-infection
-// WCGs one transaction at a time; feeding transactions in timestamp order
-// makes the incremental result identical to the batch FromTransactions.
+// Builder constructs a WCG incrementally from a time-ordered stream of
+// Records (Section III-B). The on-the-wire stage grows potential-infection
+// WCGs one transaction at a time; feeding records in request-time order
+// makes the incremental result identical to the batch FromRecords.
 type Builder struct {
 	w            *WCG
+	t            *Table
 	victim       int
 	origin       int
+	victimHost   string
 	started      bool
 	originLinked bool
-	lastActivity map[string]time.Time
+	hosts        []hostSlot // by table index
 	redirSeen    map[redirKey]struct{}
+}
+
+// hostSlot is what the builder knows of one table string: its node, and
+// when it last served the victim.
+type hostSlot struct {
+	node   int32 // node ID + 1; 0 while the string has no node
+	served bool  // last holds the host's last activity
+	last   int64
 }
 
 type redirKey struct {
@@ -33,14 +42,18 @@ type redirKey struct {
 	sec      int64
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
+// NewBuilder returns an empty Builder over a table of its own, for Add.
+func NewBuilder() *Builder { return NewTableBuilder(&Table{}) }
+
+// NewTableBuilder returns an empty Builder over the records of t, whose
+// Client is the victim.
+func NewTableBuilder(t *Table) *Builder {
 	return &Builder{
-		w:            &WCG{byHost: make(map[string]int), g: graph.New(0)},
-		victim:       -1,
-		origin:       -1,
-		lastActivity: make(map[string]time.Time),
-		redirSeen:    make(map[redirKey]struct{}),
+		w:         newWCG(),
+		t:         t,
+		victim:    -1,
+		origin:    -1,
+		redirSeen: make(map[redirKey]struct{}),
 	}
 }
 
@@ -50,13 +63,34 @@ func NewBuilder() *Builder {
 // edges inferred from Location headers, fast cross-host document
 // referrers, and (de-obfuscated) meta/JavaScript redirects in bodies,
 // followed by conversation-stage assignment and node role classification.
+// Each transaction is digested into a Record once and the record added.
 func FromTransactions(txs []httpstream.Transaction) *WCG {
-	ordered := make([]httpstream.Transaction, len(txs))
-	copy(ordered, txs)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ReqTime.Before(ordered[j].ReqTime) })
-	b := NewBuilder()
-	for i := range ordered {
-		b.Add(ordered[i])
+	var t Table
+	recs := make([]Record, len(txs))
+	idxs := make([]int, len(txs))
+	first := -1
+	for i := range txs {
+		recs[i] = t.Digest(&txs[i], KeysOf(&txs[i]))
+		idxs[i] = i
+		if first < 0 || recs[i].ReqTime < recs[first].ReqTime {
+			first = i
+		}
+	}
+	if first >= 0 {
+		t.Client = txs[first].ClientIP
+	}
+	return FromRecords(&t, recs, idxs)
+}
+
+// FromRecords builds the finalized WCG of the records recs[i], i in idxs,
+// digested against t: they are added in request-time order, ties in idxs
+// order.
+func FromRecords(t *Table, recs []Record, idxs []int) *WCG {
+	order := slices.Clone(idxs)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(recs[a].ReqTime, recs[b].ReqTime) })
+	b := NewTableBuilder(t)
+	for _, i := range order {
+		b.AddRecord(&recs[i])
 	}
 	return b.WCG()
 }
@@ -77,54 +111,96 @@ func (b *Builder) addRedirect(from, to int, ts time.Time) {
 	})
 }
 
-// Add ingests one transaction. Transactions must arrive in timestamp
-// order for stage assignment to match the batch construction.
+// slot returns the builder's slot for table index i.
+func (b *Builder) slot(i int32) *hostSlot {
+	for len(b.hosts) <= int(i) {
+		b.hosts = append(b.hosts, hostSlot{})
+	}
+	return &b.hosts[i]
+}
+
+// node returns the node of table string i, creating it as typ if it does
+// not exist yet; the victim's own address string is the victim node. An
+// existing node's type is never downgraded, and it takes ip if it had no
+// address.
+func (b *Builder) node(i int32, ip netip.Addr, typ NodeType) int {
+	s := b.slot(i)
+	if s.node == 0 {
+		host := b.t.Names[i]
+		if host != b.victimHost {
+			id := b.w.addNode(host, ip, typ)
+			s.node = int32(id + 1)
+			return id
+		}
+		s.node = int32(b.victim + 1)
+	}
+	id := int(s.node - 1)
+	if n := &b.w.Nodes[id]; !n.IP.IsValid() && ip.IsValid() {
+		n.IP = ip
+	}
+	return id
+}
+
+// Add digests tx into the builder's table and adds its record.
 func (b *Builder) Add(tx httpstream.Transaction) {
-	w := b.w
+	r := b.digest(&tx)
+	b.AddRecord(&r)
+}
+
+// digest digests tx into the builder's table. Before the first record is
+// added, tx names the table's client.
+func (b *Builder) digest(tx *httpstream.Transaction) Record {
+	if !b.started {
+		b.t.Client = tx.ClientIP
+	}
+	return b.t.Digest(tx, KeysOf(tx))
+}
+
+// AddRecord ingests one record of the builder's table. Records must
+// arrive in request-time order for stage assignment to match the batch
+// construction.
+func (b *Builder) AddRecord(r *Record) {
+	w, t := b.w, b.t
 	if !b.started {
 		b.started = true
-		victimHost := tx.ClientIP.String()
-		b.victim = w.ensureNode(victimHost, tx.ClientIP, NodeVictim)
+		b.victimHost = t.Client.String()
+		b.victim = w.addNode(b.victimHost, t.Client, NodeVictim)
 		// Origin node: the referrer of the first transaction names the
 		// enticement source. An unknown origin is recorded as metadata
 		// only ("marked empty"); adding an isolated marker node would skew
 		// every distance-based measure of origin-less conversations.
-		if firstRef := HostOfURL(tx.Referer()); firstRef != "" {
+		if r.Ref >= 0 {
 			w.OriginKnown = true
-			w.OriginHost = firstRef
-			b.origin = w.ensureNode(firstRef, invalidAddr(), NodeOrigin)
+			w.OriginHost = t.Names[r.Ref]
+			b.origin = b.node(r.Ref, netip.Addr{}, NodeOrigin)
 		}
 	}
-	victimHost := w.Nodes[b.victim].Host
 
-	serverHost := strings.ToLower(tx.Host)
-	if serverHost == "" {
-		serverHost = tx.ServerIP.String()
-	}
-	server := w.ensureNode(serverHost, tx.ServerIP, NodeRemote)
-	w.addURI(server, tx.URI)
+	server := b.node(r.Host, r.Server(t), NodeRemote)
+	w.addURI(server, r.URIHash)
 
-	if tx.DNT() {
+	if r.Flags&RecDNT != 0 {
 		w.DNT = true
 	}
-	if v := tx.XFlashVersion(); v != "" && w.XFlashVersion == "" {
-		w.XFlashVersion = v
+	if r.Flash >= 0 && w.XFlashVersion == "" {
+		w.XFlashVersion = t.Names[r.Flash]
 	}
 
-	referer := tx.Referer()
+	reqTime, respTime := Time(r.ReqTime), Time(r.RespTime)
 	w.addEdge(Edge{
-		From: b.victim, To: server, Kind: EdgeRequest, Time: tx.ReqTime,
-		Method: tx.Method, URILen: len(tx.URI), Referred: referer != "",
+		From: b.victim, To: server, Kind: EdgeRequest, Time: reqTime,
+		Method: t.Method(r), URILen: int(r.URILen), Referred: r.Flags&RecReferred != 0,
 	})
+	redirect := r.Flags&RecRedirect != 0
 	var payload PayloadClass
-	if tx.StatusCode > 0 {
-		payload = ClassifyPayload(tx.URI, tx.ContentType)
-		if tx.BodySize == 0 && !tx.IsRedirect() {
+	if r.Status > 0 {
+		payload = r.PayloadClass()
+		if r.BodySize == 0 && !redirect {
 			payload = PayloadNone
 		}
 		w.addEdge(Edge{
-			From: server, To: b.victim, Kind: EdgeResponse, Time: tx.RespTime,
-			StatusCode: tx.StatusCode, PayloadType: payload, PayloadSize: tx.BodySize,
+			From: server, To: b.victim, Kind: EdgeResponse, Time: respTime,
+			StatusCode: int(r.Status), PayloadType: payload, PayloadSize: int(r.BodySize),
 		})
 		if payload != PayloadNone {
 			w.Nodes[server].Payloads[payload]++
@@ -133,13 +209,9 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	}
 
 	// Redirect edge from a Location header.
-	if tx.IsRedirect() {
-		target := HostOfURL(tx.Location())
-		if target == "" {
-			target = serverHost // relative redirect: same host
-		}
-		to := w.ensureNode(target, invalidAddr(), NodeIntermediary)
-		b.addRedirect(server, to, tx.RespTime)
+	if redirect {
+		to := b.node(r.Loc, netip.Addr{}, NodeIntermediary)
+		b.addRedirect(server, to, respTime)
 	}
 
 	// Referrer-based navigation: a document fetched from host B with a
@@ -149,29 +221,29 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	// follow the referring host's last activity within redirectClickGap —
 	// automatic redirections fire in milliseconds, link-clicks take
 	// seconds (Section III-C's delay insight).
-	if ref := HostOfURL(referer); ref != "" && ref != serverHost && ref != victimHost {
-		if payload == PayloadHTML || (tx.StatusCode >= 300 && tx.StatusCode < 400) {
-			if seen, ok := b.lastActivity[ref]; ok && tx.ReqTime.Sub(seen) <= redirectClickGap {
-				from := w.ensureNode(ref, invalidAddr(), NodeIntermediary)
-				b.addRedirect(from, server, tx.ReqTime)
+	if r.Ref >= 0 && r.Ref != r.Host && t.Names[r.Ref] != b.victimHost {
+		if payload == PayloadHTML || (r.Status >= 300 && r.Status < 400) {
+			if s := b.slot(r.Ref); s.served && reqTime.Sub(Time(s.last)) <= redirectClickGap {
+				from := b.node(r.Ref, netip.Addr{}, NodeIntermediary)
+				b.addRedirect(from, server, reqTime)
 			}
 		}
 	}
-	ts := tx.RespTime
-	if ts.IsZero() {
-		ts = tx.ReqTime
+	s := b.slot(r.Host)
+	s.served, s.last = true, r.RespTime
+	if r.RespTime == NoTime {
+		s.last = r.ReqTime
 	}
-	b.lastActivity[serverHost] = ts
 
-	// Meta/JavaScript/iframe redirects hidden in document bodies.
+	// Meta/JavaScript/iframe redirects hidden in document bodies, sniffed
+	// once, when the record was digested.
 	if payload.CarriesRedirects() {
-		for _, target := range SniffBodyRedirects(tx.Body) {
-			th := HostOfURL(target)
-			if th == "" || th == serverHost {
+		for _, th := range t.Sniffs[r.SniffLo:r.SniffHi] {
+			if th == r.Host {
 				continue
 			}
-			to := w.ensureNode(th, invalidAddr(), NodeIntermediary)
-			b.addRedirect(server, to, tx.RespTime)
+			to := b.node(th, netip.Addr{}, NodeIntermediary)
+			b.addRedirect(server, to, respTime)
 		}
 	}
 
@@ -180,7 +252,7 @@ func (b *Builder) Add(tx httpstream.Transaction) {
 	// credit every conversation with a redirect it never had.
 	if b.origin >= 0 && !b.originLinked && server != b.origin {
 		b.originLinked = true
-		b.addRedirect(b.origin, server, tx.ReqTime)
+		b.addRedirect(b.origin, server, reqTime)
 	}
 }
 
@@ -283,6 +355,3 @@ func (w *WCG) classifyNodes(victim, origin int) {
 		}
 	}
 }
-
-// invalidAddr is the zero netip.Addr used for nodes known only by name.
-func invalidAddr() netip.Addr { return netip.Addr{} }

@@ -172,8 +172,7 @@ type WCG struct {
 	DNT           bool
 	XFlashVersion string
 
-	byHost  map[string]int
-	uriSeen map[nodeURI]struct{} // distinct (node, URI) pairs behind Node.URIs
+	uriSeen map[nodeURI]struct{} // distinct (node, URI hash) pairs behind Node.URIs
 	g       *graph.Digraph       // structural projection, grown in place
 
 	// Host/URI aggregates for the O(1) feature path: non-origin node
@@ -202,24 +201,20 @@ func (w *WCG) HostURIStats() (hosts, uris int) {
 	return w.uniqueHosts, w.uriTotal
 }
 
-// nodeURI keys one distinct URI requested from one node.
+// nodeURI keys one distinct URI, by its Record.URIHash, requested from
+// one node.
 type nodeURI struct {
 	node int
-	uri  string
+	uri  uint64
 }
 
-// ensureNode returns the id of the node for host, creating it as typ if it
-// does not exist yet. An existing node's type is never downgraded.
-func (w *WCG) ensureNode(host string, ip netip.Addr, typ NodeType) int {
-	if id, ok := w.byHost[host]; ok {
-		if n := &w.Nodes[id]; !n.IP.IsValid() && ip.IsValid() {
-			n.IP = ip
-		}
-		return id
-	}
+// newWCG returns an empty graph.
+func newWCG() *WCG { return &WCG{g: graph.New(0)} }
+
+// addNode appends a node for host and returns its ID.
+func (w *WCG) addNode(host string, ip netip.Addr, typ NodeType) int {
 	id := len(w.Nodes)
 	w.Nodes = append(w.Nodes, Node{ID: id, Host: host, IP: ip, Type: typ})
-	w.byHost[host] = id
 	if typ != NodeOrigin {
 		w.uniqueHosts++
 	}
@@ -233,9 +228,10 @@ func (w *WCG) addEdge(e Edge) {
 	_ = w.g.AddEdge(e.From, e.To) // ids are internally consistent
 }
 
-// addURI records a distinct URI on node id, keeping the node's count and
-// the non-origin URI total in sync with the graph's (node, URI) set.
-func (w *WCG) addURI(id int, uri string) {
+// addURI records a distinct URI (by hash) on node id, keeping the node's
+// count and the non-origin URI total in sync with the graph's (node, URI)
+// set.
+func (w *WCG) addURI(id int, uri uint64) {
 	k := nodeURI{id, uri}
 	if _, ok := w.uriSeen[k]; ok {
 		return
@@ -290,28 +286,44 @@ func (w *WCG) timeBounds() (first, last time.Time) {
 // registeredDomain approximates the eTLD+1 of a host: the final two labels
 // of a domain name, or the full string for IP addresses and single-label
 // hosts. Sufficient for cross-domain redirect detection on both real and
-// synthetic traces.
+// synthetic traces. It returns a substring of host and allocates nothing.
 func registeredDomain(host string) string {
-	if _, err := netip.ParseAddr(host); err == nil {
+	if isAddr(host) {
 		return host
 	}
-	labels := strings.Split(host, ".")
-	if len(labels) < 2 {
+	i := strings.LastIndexByte(host, '.')
+	if i < 0 {
 		return host
 	}
-	return strings.Join(labels[len(labels)-2:], ".")
+	return host[strings.LastIndexByte(host[:i], '.')+1:]
 }
 
 // topLevelDomain returns the final label of a hostname ("com", "net"), or
 // "ip" for address literals.
 func topLevelDomain(host string) string {
-	if _, err := netip.ParseAddr(host); err == nil {
+	if isAddr(host) {
 		return "ip"
 	}
-	if i := strings.LastIndexByte(host, '.'); i >= 0 {
-		return host[i+1:]
+	return host[strings.LastIndexByte(host, '.')+1:]
+}
+
+// isAddr reports whether host is an IP address literal. Only a host with
+// a ':' (IPv6) or of digits and dots alone (IPv4) can be one, so a
+// hostname never reaches netip.ParseAddr, whose error value would be an
+// allocation.
+func isAddr(host string) bool {
+	if host == "" {
+		return false
 	}
-	return host
+	if strings.IndexByte(host, ':') < 0 {
+		for i := 0; i < len(host); i++ {
+			if c := host[i]; c != '.' && !isDigit(c) {
+				return false
+			}
+		}
+	}
+	_, err := netip.ParseAddr(host)
+	return err == nil
 }
 
 // HostOfURL extracts the host part of an absolute or schemeless URL,
