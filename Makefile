@@ -40,7 +40,7 @@ loc:
 	@(ls *.go | grep -v _test; find internal -name '*.go' -not -name '*_test.go') | xargs cat | wc -l
 
 # Tier 2: vet plus the race-detector stress suites for every package
-# that spawns goroutines (the root package covers the monitor janitor,
+# that spawns goroutines (the root package covers the monitor checkpointer,
 # internal/proxy the retry/breaker paths and the backoff jitter's own
 # lock, internal/chaos the fault-injection soak, internal/obs the admin
 # server and sharded counters) and for internal/pcap, whose streams alias

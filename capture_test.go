@@ -36,8 +36,8 @@ func renderCapture(t *testing.T, eps []Episode, net byte) renderedCapture {
 	}
 	c := renderedCapture{bytes: buf.Bytes(), convs: len(convs)}
 	if err := pcap.Scan(bytes.NewReader(c.bytes), func(p pcap.Packet) {
-		f, err := pcap.DecodeFrame(p.Data)
-		if err != nil {
+		var f pcap.Frame
+		if err := pcap.DecodeFrameInto(&f, p.Data); err != nil {
 			t.Fatal(err)
 		}
 		c.payload += int64(len(f.Payload))

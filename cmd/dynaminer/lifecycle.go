@@ -44,16 +44,16 @@ func notifyLifecycle() (drain, reload chan os.Signal, stop func()) {
 	}
 }
 
-// reloadOnHUP performs the SIGHUP hot-swap against any reloadable engine,
+// reloadOnHUP performs the SIGHUP hot-swap on the monitor's engine,
 // reporting the outcome without ever taking the process down.
-func reloadOnHUP(r dynaminer.ModelReloader, path string) {
+func reloadOnHUP(m *dynaminer.Monitor, path string) {
 	if path == "" {
 		fmt.Fprintln(os.Stderr, "dynaminer: SIGHUP: no model path to reload")
 		return
 	}
-	v, err := r.ReloadModelFile(path)
+	v, err := m.ReloadModelFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynaminer: SIGHUP reload rejected (still serving %s): %v\n", r.ModelVersion(), err)
+		fmt.Fprintf(os.Stderr, "dynaminer: SIGHUP reload rejected (still serving %s): %v\n", m.ModelVersion(), err)
 		return
 	}
 	fmt.Printf("model reloaded from %s, now serving %s\n", path, v)
@@ -84,16 +84,90 @@ func runCheckpoint(args []string) error {
 	return nil
 }
 
-// recoverMonitor restores a monitor's in-flight state from a checkpoint
-// and journal before traffic flows, reporting what came back.
-func recoverMonitor(m *dynaminer.Monitor, checkpointPath, journalPath string) error {
-	watches, marked, err := m.Recover(checkpointPath, journalPath)
-	if err != nil {
-		return fmt.Errorf("recover %s: %w", checkpointPath, err)
+// monitorFlags are the flags the two long-running modes, stream and
+// proxy, share: the model and clue threshold of the Monitor they serve
+// from, and the deployment around it (journal, checkpoint, admin server,
+// tracing).
+type monitorFlags struct {
+	model, adminAddr, journal, checkpoint *string
+	threshold, traceSample                *int
+	openJournal                           func(path string) (*dynaminer.Journal, error)
+}
+
+func addMonitorFlags(fs *flag.FlagSet) *monitorFlags {
+	return &monitorFlags{
+		model:       fs.String("model", "model.dmfb", "trained model path"),
+		threshold:   fs.Int("threshold", 3, "clue redirect threshold L"),
+		adminAddr:   fs.String("admin-addr", "", "serve /metrics, /healthz, /snapshot, /debug/pprof/ and the POST /reload and /rollback model controls on this address (empty = no admin server)"),
+		journal:     fs.String("journal", "", "append one JSONL provenance record per alert to this file"),
+		checkpoint:  fs.String("checkpoint", "", "recover watch state from this DMCP file on start and checkpoint to it periodically and on exit (empty = stateless)"),
+		traceSample: fs.Int("trace-sample", 0, "record a pipeline trace for every Nth transaction (0 = tracing off; alert-raising transactions are always kept)"),
+		openJournal: journalFlags(fs),
 	}
-	if watches > 0 || marked > 0 {
-		fmt.Printf("recovered %d watched clusters from %s (%d already-alerted marked via journal)\n",
-			watches, checkpointPath, marked)
+}
+
+// start builds the Monitor a long-running mode serves from and starts
+// its deployment, in the order a restart needs: the journal opens, the
+// checkpoint and the journal restore the in-flight state (alerts the
+// journal already holds are not raised again), then the checkpointer
+// (every ckptInterval; zero selects 30 s) and the admin server start.
+// shutdown drains it once intake has stopped: a final checkpoint, the
+// journal synced and closed. On error nothing is left running.
+func (f *monitorFlags) start(shards int, ckptInterval time.Duration) (m *dynaminer.Monitor, shutdown func() error, err error) {
+	clf, err := dynaminer.LoadFile(*f.model)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := dynaminer.MonitorConfig{RedirectThreshold: *f.threshold, Shards: shards}
+	if *f.traceSample > 0 {
+		// The tracer shares the engine's registry so that its stage
+		// histograms are served on the Monitor's /metrics.
+		reg := dynaminer.NewMetricsRegistry()
+		cfg.Metrics = reg
+		cfg.Tracer = dynaminer.NewTracer(reg, *f.traceSample)
+	}
+	var j *dynaminer.Journal
+	if *f.journal != "" {
+		if j, err = f.openJournal(*f.journal); err != nil {
+			return nil, nil, err
+		}
+		cfg.Journal = j
+	}
+	m = dynaminer.NewMonitor(cfg, clf)
+	m.SetModelPath(*f.model)
+	shutdown = func() error {
+		err := m.Shutdown()
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	if err := f.deploy(m, ckptInterval); err != nil {
+		_ = shutdown()
+		return nil, nil, err
+	}
+	return m, shutdown, nil
+}
+
+// deploy recovers m and starts its background writer and admin server.
+func (f *monitorFlags) deploy(m *dynaminer.Monitor, ckptInterval time.Duration) error {
+	if *f.checkpoint != "" {
+		watches, marked, err := m.Recover(*f.checkpoint, *f.journal)
+		if err != nil {
+			return fmt.Errorf("recover %s: %w", *f.checkpoint, err)
+		}
+		if watches > 0 || marked > 0 {
+			fmt.Printf("recovered %d watched clusters from %s (%d already-alerted marked via journal)\n",
+				watches, *f.checkpoint, marked)
+		}
+		m.StartCheckpointer(*f.checkpoint, ckptInterval)
+	}
+	if *f.adminAddr != "" {
+		addr, err := m.StartAdmin(*f.adminAddr)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("admin endpoints on http://%s/ (metrics, healthz, snapshot, debug/pprof, reload, rollback)\n", addr)
 	}
 	return nil
 }

@@ -28,11 +28,12 @@
 // JSON (loadable in chrome://tracing or Perfetto), or as one span tree by
 // -id.
 //
-// Both long-running modes drain gracefully on SIGINT/SIGTERM (intake
-// stops, the journal is flushed, a final checkpoint is written when
-// -checkpoint is set) and hot-swap the model in place on SIGHUP;
-// -checkpoint also recovers watch state on start, and the "checkpoint"
-// subcommand summarizes such an artifact.
+// Both long-running modes serve from one Monitor and share its start-up
+// and drain: -checkpoint recovers watch state on start (the journal marks
+// the alerts already raised, so none fires twice) and checkpoints
+// periodically; SIGINT/SIGTERM stop intake, write a final checkpoint and
+// flush the journal; SIGHUP hot-swaps the model in place. The
+// "checkpoint" subcommand summarizes such an artifact.
 //
 // "train -corpus" expects a directory produced by tracegen (pcap files and
 // a manifest.csv); "-synthetic" trains directly on a generated corpus
@@ -100,84 +101,43 @@ func run(args []string) error {
 	}
 }
 
-func runProxy(args []string) error {
+func runProxy(args []string) (err error) {
 	fs := flag.NewFlagSet("proxy", flag.ContinueOnError)
+	mf := addMonitorFlags(fs)
 	var (
-		modelPath   = fs.String("model", "model.dmfb", "trained model path")
-		listen      = fs.String("listen", "127.0.0.1:8080", "proxy listen address")
-		threshold   = fs.Int("threshold", 3, "clue redirect threshold L")
-		block       = fs.Bool("block", true, "terminate sessions of alerted clients")
-		shards      = fs.Int("shards", 0, "detection engine shards (0 = GOMAXPROCS)")
-		adminAddr   = fs.String("admin-addr", "", "serve /metrics, /healthz, /snapshot, /debug/pprof/ and the POST /reload and /rollback model controls on this address (empty = no admin server)")
-		journal     = fs.String("journal", "", "append one JSONL provenance record per alert to this file")
-		checkpoint  = fs.String("checkpoint", "", "restore watch state from this DMCP file on start and checkpoint to it on drain (empty = stateless)")
-		traceSample = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth proxied request (0 = tracing off; alert-raising requests are always kept)")
+		listen = fs.String("listen", "127.0.0.1:8080", "proxy listen address")
+		block  = fs.Bool("block", true, "terminate sessions of alerted clients")
+		shards = fs.Int("shards", 0, "detection engine shards (0 = GOMAXPROCS)")
 	)
-	openJournal := journalFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	clf, err := dynaminer.LoadFile(*modelPath)
+	m, shutdown, err := mf.start(*shards, 0)
 	if err != nil {
 		return err
 	}
-	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold, Shards: *shards}
-	var tracer *dynaminer.Tracer
-	if *traceSample > 0 {
-		// The tracer shares the engine's registry so that its stage
-		// histograms are served on the Monitor's /metrics.
-		reg := dynaminer.NewMetricsRegistry()
-		cfg.Metrics = reg
-		tracer = dynaminer.NewTracer(reg, *traceSample)
-		cfg.Tracer = tracer
-	}
-	var j *dynaminer.Journal
-	if *journal != "" {
-		j, err = openJournal(*journal)
-		if err != nil {
-			return err
+	defer func() {
+		if serr := shutdown(); err == nil {
+			err = serr
 		}
-		defer j.Close()
-		cfg.Journal = j
-	}
+	}()
 	p := dynaminer.NewProxy(dynaminer.ProxyConfig{
-		Detector:        cfg,
 		BlockAfterAlert: *block,
 		OnAlert: func(a dynaminer.Alert) {
 			fmt.Printf("ALERT %s client=%s payload=%s host=%s score=%.2f\n",
 				a.FormatTime("15:04:05"), a.Client, a.TriggerPayload, a.TriggerHost, a.Score)
 		},
-	}, clf)
-	if *checkpoint != "" {
-		if _, err := os.Stat(*checkpoint); err == nil {
-			n, err := p.RestoreCheckpointFile(*checkpoint)
-			if err != nil {
-				return fmt.Errorf("recover %s: %w", *checkpoint, err)
-			}
-			fmt.Printf("recovered %d session clusters from %s\n", n, *checkpoint)
-		}
-	}
-	if *adminAddr != "" {
-		adm, err := dynaminer.StartAdmin(*adminAddr, p.Registry(), dynaminer.AdminOptions{
-			Extra:  dynaminer.ReloadHandlers(p, func() string { return *modelPath }),
-			Health: p.Health,
-			Tracer: tracer,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Printf("admin endpoints on http://%s/ (metrics, healthz, snapshot, debug/pprof, reload, rollback)\n", adm.Addr())
-	}
+	}, m)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("DynaMiner proxy listening on %s (model %s, L=%d)\n", ln.Addr(), *modelPath, *threshold)
+	fmt.Printf("DynaMiner proxy listening on %s (model %s, L=%d)\n", ln.Addr(), *mf.model, *mf.threshold)
 	srv := &http.Server{Handler: p}
 
-	// SIGINT/SIGTERM drain: stop intake, then let the deferred closes
-	// flush the journal to disk; SIGHUP hot-swaps the model in place.
+	// SIGINT/SIGTERM drain: stop intake, then the deferred shutdown writes
+	// the final checkpoint and flushes the journal; SIGHUP hot-swaps the
+	// model in place.
 	drain, hup, stopSignals := notifyLifecycle()
 	defer stopSignals()
 	go func() {
@@ -187,7 +147,7 @@ func runProxy(args []string) error {
 				srv.Close()
 				return
 			case <-hup:
-				reloadOnHUP(p, *modelPath)
+				reloadOnHUP(m, *mf.model)
 			}
 		}
 	}()
@@ -195,22 +155,8 @@ func runProxy(args []string) error {
 	if proxyReady != nil {
 		proxyReady <- srv
 	}
-	err = srv.Serve(ln)
-	if err == http.ErrServerClosed {
-		err = nil
-	}
-	if err != nil {
+	if err := srv.Serve(ln); err != http.ErrServerClosed {
 		return err
-	}
-	if *checkpoint != "" {
-		if werr := p.WriteCheckpointFile(*checkpoint); werr != nil {
-			return fmt.Errorf("final checkpoint: %w", werr)
-		}
-	}
-	if j != nil {
-		if serr := j.Sync(); serr != nil {
-			return serr
-		}
 	}
 	return nil
 }
@@ -334,68 +280,34 @@ func runClassify(args []string) error {
 	return nil
 }
 
-func runStream(args []string) error {
+func runStream(args []string) (err error) {
 	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	mf := addMonitorFlags(fs)
 	var (
-		modelPath    = fs.String("model", "model.dmfb", "trained model path")
-		threshold    = fs.Int("threshold", 3, "clue redirect threshold L")
 		asJSON       = fs.Bool("json", false, "emit alerts as JSON lines (SIEM-friendly)")
 		pace         = fs.Float64("pace", 0, "replay at capture pace divided by this factor (0 = as fast as possible)")
-		adminAddr    = fs.String("admin-addr", "", "serve /metrics, /healthz, /snapshot, /debug/pprof/ and the POST /reload and /rollback model controls on this address (empty = no admin server)")
-		journal      = fs.String("journal", "", "append one JSONL provenance record per alert to this file")
-		checkpoint   = fs.String("checkpoint", "", "recover watch state from this DMCP file on start and checkpoint to it periodically and on exit (empty = stateless)")
 		ckptInterval = fs.Duration("checkpoint-interval", 30*time.Second, "background checkpoint cadence (with -checkpoint)")
-		traceSample  = fs.Int("trace-sample", 0, "record a pipeline trace for every Nth transaction (0 = tracing off; alert-raising transactions are always kept)")
 	)
-	openJournal := journalFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("stream: need exactly one capture")
 	}
-	clf, err := dynaminer.LoadFile(*modelPath)
-	if err != nil {
-		return err
-	}
-	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold}
-	if *traceSample > 0 {
-		// The tracer shares the engine's registry so that its stage
-		// histograms, pcap.reassemble among them, are served on the
-		// Monitor's /metrics.
-		reg := dynaminer.NewMetricsRegistry()
-		cfg.Metrics = reg
-		cfg.Tracer = dynaminer.NewTracer(reg, *traceSample)
-	}
 	capture, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return fmt.Errorf("open capture: %w", err)
 	}
 	defer capture.Close()
-	if *journal != "" {
-		j, err := openJournal(*journal)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		cfg.Journal = j
+	m, shutdown, err := mf.start(0, *ckptInterval)
+	if err != nil {
+		return err
 	}
-	m := dynaminer.NewMonitor(cfg, clf)
-	m.SetModelPath(*modelPath)
-	defer m.Close()
-	if *checkpoint != "" {
-		if err := recoverMonitor(m, *checkpoint, *journal); err != nil {
-			return err
+	defer func() {
+		if serr := shutdown(); err == nil {
+			err = serr
 		}
-		m.StartCheckpointer(*checkpoint, *ckptInterval)
-	}
-	if *adminAddr != "" {
-		addr, err := m.StartAdmin(*adminAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("admin endpoints on http://%s/ (metrics, healthz, snapshot, debug/pprof, reload, rollback)\n", addr)
-	}
+	}()
 	emit := func(a dynaminer.Alert) error {
 		if *asJSON {
 			data, err := json.Marshal(a)
@@ -429,12 +341,12 @@ func runStream(args []string) error {
 			interrupted = true
 			return
 		case <-hup:
-			reloadOnHUP(m, *modelPath)
+			reloadOnHUP(m, *mf.model)
 		default:
 		}
 		if *pace > 0 && !prev.IsZero() {
 			if gap := tx.ReqTime.Sub(prev); gap > 0 &&
-				paceSleep(gap, *pace, drain, hup, func() { reloadOnHUP(m, *modelPath) }) {
+				paceSleep(gap, *pace, drain, hup, func() { reloadOnHUP(m, *mf.model) }) {
 				interrupted = true
 				return
 			}
@@ -454,9 +366,6 @@ func runStream(args []string) error {
 	}
 	if interrupted {
 		fmt.Println("interrupted: draining (journal flush + final checkpoint)")
-	}
-	if err := m.Shutdown(); err != nil {
-		return err
 	}
 	st := m.Stats()
 	fmt.Printf("processed %d transactions: %d clusters, %d clues, %d classifications, %d alerts (%d weeded)\n",

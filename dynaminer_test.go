@@ -3,10 +3,13 @@ package dynaminer
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,13 +270,30 @@ func TestMonitorSingleProcess(t *testing.T) {
 	_ = total
 }
 
+// roundTripFunc is an upstream that answers every request itself.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestNewProxyDefaults: a proxy serves its Monitor's engine. A download
+// from a default trusted vendor is weeded out by the Monitor (the
+// TrustedVendors default lives in NewMonitor alone), and the proxy's
+// counters sit on the Monitor's registry beside the engine's.
 func TestNewProxyDefaults(t *testing.T) {
 	c, _ := trainedOnSmallCorpus(t)
-	p := NewProxy(ProxyConfig{}, c)
-	if p == nil {
-		t.Fatal("nil proxy")
+	m := NewMonitor(MonitorConfig{}, c)
+	p := NewProxy(ProxyConfig{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("MZ")), Request: r}, nil
+	})}, m)
+	w := httptest.NewRecorder()
+	p.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "http://download.windowsupdate.com/kb.exe", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
 	}
-	if st := p.Stats(); st.Requests != 0 {
-		t.Fatalf("fresh proxy stats %+v", st)
+	if st := m.Stats(); st.Transactions != 1 || st.Weeded != 1 {
+		t.Fatalf("monitor stats %+v, want the one transaction weeded", st)
+	}
+	if n := m.Registry().CounterValue("dynaminer_proxy_requests_total"); n != 1 || p.Stats().Requests != 1 {
+		t.Fatalf("proxy requests on the monitor's registry = %d, stats %+v", n, p.Stats())
 	}
 }

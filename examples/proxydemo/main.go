@@ -104,15 +104,13 @@ func main() {
 	web := httptest.NewServer(fakeWeb())
 	defer web.Close()
 
-	detCfg := dynaminer.MonitorConfig{RedirectThreshold: 3}
-	var tracer *dynaminer.Tracer
+	cfg := dynaminer.MonitorConfig{RedirectThreshold: 3}
 	if *traceSample > 0 {
 		// Tracer and engine must share a registry so the stage histograms
 		// land next to the detector counters on /metrics.
 		reg := dynaminer.NewMetricsRegistry()
-		detCfg.Metrics = reg
-		tracer = dynaminer.NewTracer(reg, *traceSample)
-		detCfg.Tracer = tracer
+		cfg.Metrics = reg
+		cfg.Tracer = dynaminer.NewTracer(reg, *traceSample)
 	}
 	var j *dynaminer.Journal
 	if *journalPath != "" {
@@ -120,19 +118,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		detCfg.Journal = j
+		cfg.Journal = j
 	}
+	// The Monitor owns the deployment: the engine the proxy serves, the
+	// admin endpoints, model reloads (POST /reload defaults to -save-model)
+	// and the journal.
+	m := dynaminer.NewMonitor(cfg, clf)
+	m.SetModelPath(*saveModel)
 
 	// The journal must reach disk however the demo ends — a completed
 	// walk, or SIGINT/SIGTERM mid-script. os.Exit skips defers, so the
-	// signal path closes it explicitly before exiting.
+	// signal path drains explicitly before exiting.
 	var drainOnce sync.Once
 	drain := func() {
 		drainOnce.Do(func() {
-			if j != nil {
-				if err := j.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "journal close:", err)
-				}
+			if err := m.Shutdown(); err != nil {
+				fmt.Fprintln(os.Stderr, "shutdown:", err)
+			}
+			if err := j.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "journal close:", err)
 			}
 		})
 	}
@@ -148,25 +152,19 @@ func main() {
 	}()
 
 	p := dynaminer.NewProxy(dynaminer.ProxyConfig{
-		Detector:        detCfg,
 		BlockAfterAlert: true,
 		Transport:       hostPinnedTransport{target: web.URL},
 		OnAlert: func(a dynaminer.Alert) {
 			fmt.Printf(">>> ALERT: %s payload from %s (score %.2f, WCG %d nodes)\n",
 				a.TriggerPayload, a.TriggerHost, a.Score, a.WCGOrder)
 		},
-	}, clf)
+	}, m)
 	if *adminAddr != "" {
-		adm, err := dynaminer.StartAdmin(*adminAddr, p.Registry(), dynaminer.AdminOptions{
-			Extra:  dynaminer.ReloadHandlers(p, func() string { return *saveModel }),
-			Health: p.Health,
-			Tracer: tracer,
-		})
+		addr, err := m.StartAdmin(*adminAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer adm.Close()
-		fmt.Printf("admin endpoints on http://%s/ (metrics, healthz, snapshot, debug/pprof, reload, rollback)\n", adm.Addr())
+		fmt.Printf("admin endpoints on http://%s/ (metrics, healthz, snapshot, debug/pprof, reload, rollback)\n", addr)
 	}
 	proxySrv := httptest.NewServer(p)
 	defer proxySrv.Close()
@@ -257,7 +255,7 @@ func main() {
 	}
 	if *linger {
 		fmt.Printf("\nlingering: proxy %s live, model %s serving; SIGINT/SIGTERM to exit\n",
-			proxySrv.URL, p.ModelVersion())
+			proxySrv.URL, m.ModelVersion())
 		select {} // the signal goroutine drains and exits the process
 	}
 }

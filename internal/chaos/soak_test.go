@@ -118,11 +118,11 @@ func TestChaosSoak(t *testing.T) {
 	// headers, and latency spikes.
 	rt := NewRoundTripper(4, 0.35)
 	rt.Sleep = func(time.Duration) {}
+	proxied := detector.New(cfg, base)
 	p := proxy.New(proxy.Config{
-		Detector:  cfg,
 		Transport: rt,
 		Sleep:     func(time.Duration) {},
-	}, base)
+	}, proxied)
 	requests := 0
 	for _, tx := range stream[:300] {
 		// A hung upstream costs each request its own 25 ms deadline.
@@ -144,7 +144,7 @@ func TestChaosSoak(t *testing.T) {
 	// Under chaos the proxy's /metrics exposition must still be
 	// well-formed (cumulative buckets, +Inf == _count, parseable text).
 	var exp strings.Builder
-	if err := p.Registry().WritePrometheus(&exp); err != nil {
+	if err := proxied.Registry().WritePrometheus(&exp); err != nil {
 		t.Fatalf("WritePrometheus under chaos: %v", err)
 	}
 	if _, err := obs.ParseExposition(strings.NewReader(exp.String())); err != nil {

@@ -110,13 +110,13 @@ func TestAlertGraphFrozen(t *testing.T) {
 				}
 				requireFrozen(t, "after a quarantine", frozen)
 
-				if n := e.EvictIdle(t0.Add(365 * 24 * time.Hour)); n == 0 {
-					t.Fatal("the janitor sweep evicted nothing")
+				if n := e.evictIdle(t0.Add(365 * 24 * time.Hour)); n == 0 {
+					t.Fatal("the TTL sweep evicted nothing")
 				}
 				if c, _ := liveCluster(e, a.ClusterID); c != nil {
-					t.Fatal("the alerted cluster survived the janitor sweep")
+					t.Fatal("the alerted cluster survived the TTL sweep")
 				}
-				requireFrozen(t, "after janitor eviction", frozen)
+				requireFrozen(t, "after TTL eviction", frozen)
 			})
 		}
 	}

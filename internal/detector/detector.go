@@ -119,16 +119,16 @@ const (
 	// on long-lived sessions; later transactions are dropped and counted.
 	maxClusterTxs = 4096
 	// clusterTTL evicts session clusters idle longer than this, inline
-	// every evictEvery transactions and on each janitor sweep.
+	// every evictEvery transactions.
 	clusterTTL = time.Hour
 	// evictEvery is how many processed transactions pass between inline
 	// idle-cluster sweeps.
 	evictEvery = 512
 )
 
-// DefaultTrustedVendors is the weed-out list NewMonitor and NewProxy fall
-// back to when their config names none: well-known application stores
-// and software repositories.
+// DefaultTrustedVendors is the weed-out list NewMonitor falls back to
+// when its config names none: well-known application stores and
+// software repositories.
 var DefaultTrustedVendors = []string{
 	"vendor-store.com",
 	"trusted-repo.org",

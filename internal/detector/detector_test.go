@@ -511,11 +511,11 @@ func TestCappedClusterSurvivesEviction(t *testing.T) {
 	}
 	// Cutoff after the cap was reached (the 4096th transaction) but
 	// before the last dropped one: the cluster is still active.
-	if n := e.EvictIdle(t0.Add(at(4097))); n != 0 {
+	if n := e.evictIdle(t0.Add(at(4097))); n != 0 {
 		t.Fatalf("capped-but-active cluster evicted (%d)", n)
 	}
 	// A cutoff beyond the last activity still evicts.
-	if n := e.EvictIdle(t0.Add(at(4099))); n != 1 {
+	if n := e.evictIdle(t0.Add(at(4099))); n != 1 {
 		t.Fatalf("idle capped cluster not evicted (%d)", n)
 	}
 }
@@ -608,7 +608,7 @@ func TestEvictIdle(t *testing.T) {
 	if e.Stats().Clusters != 2 {
 		t.Fatalf("clusters = %d", e.Stats().Clusters)
 	}
-	n := e.EvictIdle(t0.Add(time.Hour))
+	n := e.evictIdle(t0.Add(time.Hour))
 	if n != 1 {
 		t.Fatalf("evicted = %d, want 1", n)
 	}
@@ -647,10 +647,10 @@ func TestAutomaticEviction(t *testing.T) {
 	}
 }
 
-// TestClusterTTLBoundary pins the one-hour cluster TTL on both sweeps: a
-// cluster idle exactly 1 h survives the inline sweep (run on every
-// evictEvery-th transaction) and EvictExpired; idle 1 h + 1 ns, it is
-// evicted by either.
+// TestClusterTTLBoundary pins the one-hour cluster TTL: a cluster idle
+// exactly 1 h survives the inline sweep (run on every evictEvery-th
+// transaction) and a sweep at the same instant's TTL cutoff; idle
+// 1 h + 1 ns, it is evicted by either.
 func TestClusterTTLBoundary(t *testing.T) {
 	other := netip.MustParseAddr("10.0.0.99")
 	for _, c := range []struct {
@@ -672,8 +672,8 @@ func TestClusterTTLBoundary(t *testing.T) {
 
 		e = New(Config{Shards: 1}, constScorer(0))
 		e.Process(mkTx("old.com", "/", "GET", 200, "text/html", 10, "", 0))
-		if got := e.EvictExpired(t0.Add(c.idle)); got != c.evicted {
-			t.Fatalf("EvictExpired %v after the last activity: evicted %d, want %d", c.idle, got, c.evicted)
+		if got := e.evictIdle(t0.Add(c.idle - clusterTTL)); got != c.evicted {
+			t.Fatalf("TTL sweep %v after the last activity: evicted %d, want %d", c.idle, got, c.evicted)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/obs"
@@ -31,6 +30,9 @@ type Engine struct {
 	// or a private one so the /metrics totals still sum the per-shard
 	// cells when the caller exports nothing. Immutable after construction.
 	reg *obs.Registry
+	// tracer is Config.Tracer, shared by every shard; nil when tracing is
+	// off. Immutable after construction.
+	tracer *obs.Tracer
 }
 
 // shard pairs one shard's detector state with the mutex that serializes
@@ -62,6 +64,7 @@ func New(cfg Config, model Scorer) *Engine {
 		shards: make([]*shard, n),
 		models: newModelHolder(reg, model),
 		reg:    reg,
+		tracer: cfg.Tracer,
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{st: newShardState(cfg, reg, e.models, i, n)}
@@ -94,6 +97,12 @@ func (e *Engine) RollbackModel() (ModelVersion, error) { return e.models.rollbac
 // Registry returns the observability registry the engine's metrics live
 // on (the one from Config.Metrics, or the engine's private registry).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
+
+// Tracer returns the pipeline tracer every shard records into
+// (Config.Tracer), nil when tracing is off. A front-end that begins its
+// own traces (the proxy) takes it from here, so its spans and the
+// engine's share one trace.
+func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // shardIndex routes a client address to its owning shard: FNV-1a over the
 // 16-byte address, so IPv4 and its v6-mapped form land together and the
@@ -324,24 +333,4 @@ func (e *Engine) Watched() []WatchedWCG {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ClusterID < out[j].ClusterID })
 	return out
-}
-
-// EvictExpired drops every session cluster idle for longer than the
-// engine's cluster TTL (one hour) at now, across all shards, and returns
-// how many were removed: the sweep the inline eviction runs, at a time
-// the caller chooses.
-func (e *Engine) EvictExpired(now time.Time) int { return e.EvictIdle(now.Add(-clusterTTL)) }
-
-// EvictIdle drops every session cluster whose last activity precedes
-// cutoff, across all shards, and returns how many were removed. Each
-// shard also sweeps inline every few hundred transactions with the
-// one-hour cluster TTL; deployments may call this on their own schedule.
-func (e *Engine) EvictIdle(cutoff time.Time) int {
-	evicted := 0
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		evicted += sh.st.evictIdle(cutoff)
-		sh.mu.Unlock()
-	}
-	return evicted
 }

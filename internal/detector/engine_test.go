@@ -15,6 +15,19 @@ import (
 	"dynaminer/internal/synth"
 )
 
+// evictIdle drops every session cluster whose last activity precedes
+// cutoff, across all shards, and returns how many were removed: the
+// inline TTL sweep, run at a cutoff the test chooses.
+func (e *Engine) evictIdle(cutoff time.Time) int {
+	evicted := 0
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		evicted += sh.st.evictIdle(cutoff)
+		sh.mu.Unlock()
+	}
+	return evicted
+}
+
 // interleavedCorpus merges a synthetic corpus into one multi-client
 // transaction stream: each episode gets its own client IP and the streams
 // are interleaved in timestamp order, the way a capture point sees them.
@@ -98,7 +111,7 @@ func TestShardRoutingAndAggregation(t *testing.T) {
 		t.Fatal("Watched not ordered by cluster ID")
 	}
 
-	if n := s.EvictIdle(t0.Add(time.Hour)); n != clients {
+	if n := s.evictIdle(t0.Add(time.Hour)); n != clients {
 		t.Fatalf("evicted = %d, want %d", n, clients)
 	}
 	if got := s.Stats().Evicted; got != clients {
@@ -119,7 +132,7 @@ func TestShardCountDefaults(t *testing.T) {
 }
 
 // TestEngineRaceStress hammers one multi-shard Engine from many
-// goroutines with interleaved Process/Stats/Watched/EvictIdle calls; run
+// goroutines with interleaved Process/Stats/Watched/evictIdle calls; run
 // under -race (the tier-2 target) to validate the shard locking.
 func TestEngineRaceStress(t *testing.T) {
 	s := New(Config{RedirectThreshold: 3, Shards: 4}, constScorer(0.6))
@@ -164,7 +177,7 @@ func TestEngineRaceStress(t *testing.T) {
 				case 1:
 					_ = s.Watched()
 				case 2:
-					s.EvictIdle(t0.Add(shift - 30*time.Minute))
+					s.evictIdle(t0.Add(shift - 30*time.Minute))
 				}
 			}
 		}(w)

@@ -47,7 +47,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		transactions:    cell("dynaminer_detector_transactions_total", "Transactions ingested by the detection engine."),
 		weeded:          cell("dynaminer_detector_weeded_total", "Transactions weeded out as trusted-vendor traffic."),
 		clusters:        cell("dynaminer_detector_clusters_total", "Session clusters opened."),
-		evicted:         cell("dynaminer_detector_evicted_total", "Session clusters evicted (TTL, janitor, or quarantine ladder)."),
+		evicted:         cell("dynaminer_detector_evicted_total", "Session clusters evicted (TTL or quarantine ladder)."),
 		cluesFired:      cell("dynaminer_detector_clues_fired_total", "Infection clues fired (redirect chain + payload download)."),
 		classifications: cell("dynaminer_detector_classifications_total", "Classifier invocations over watched WCGs."),
 		alerts:          cell("dynaminer_detector_alerts_total", "Infection alerts emitted."),

@@ -68,7 +68,7 @@ func TestProcessReleasesTransaction(t *testing.T) {
 		t.Fatalf("alerts = %d, want 1 (stats %+v)", len(alerts), e.Stats())
 	}
 	cluster := weak.Make(e.shards[0].st.clusters[0])
-	if n := e.EvictIdle(t0.Add(time.Hour)); n != 1 {
+	if n := e.evictIdle(t0.Add(time.Hour)); n != 1 {
 		t.Fatalf("evicted %d clusters, want 1", n)
 	}
 	runtime.GC()

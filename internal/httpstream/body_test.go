@@ -162,7 +162,7 @@ func TestIdentityBodyDoesNotPinDownload(t *testing.T) {
 	const next = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
 
 	c2s, s2c := buildConv(reqs, resp+next)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 2 || txs[1].StatusCode != 200 || string(txs[1].Body) != "ok" {
 		t.Fatalf("pipelined response after the big body lost: %+v", txs)
 	}
@@ -175,7 +175,7 @@ func TestIdentityBodyDoesNotPinDownload(t *testing.T) {
 	// parsing stops after that transaction.
 	cut := len(resp) - len(body)/2
 	c2s, s2c = buildConv(reqs, resp[:cut])
-	txs = ExtractPair(c2s, s2c)
+	txs = ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 2 || txs[1].StatusCode != 0 {
 		t.Fatalf("cut capture: %d transactions, second status %d; want 2 with the second unanswered", len(txs), txs[len(txs)-1].StatusCode)
 	}
@@ -320,7 +320,7 @@ func TestDroppedBodiesAllocateNothing(t *testing.T) {
 
 // TestCodedBodyDecodesAsItStreams pins streamed decoding: a 16 MiB
 // gzip-coded page was buffered whole before its first 64 KiB were
-// decoded; now ExtractPair keeps that prefix for well under 1 MiB.
+// decoded; now ExtractPairInto keeps that prefix for well under 1 MiB.
 func TestCodedBodyDecodesAsItStreams(t *testing.T) {
 	page := strings.Repeat("<p>filler paragraph of a very long landing page</p>\n", (16<<20)/52+1)
 	var gz bytes.Buffer
@@ -340,14 +340,14 @@ func TestCodedBodyDecodesAsItStreams(t *testing.T) {
 		"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Encoding: gzip\r\nContent-Length: %d\r\n\r\n%s"+
 			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", gz.Len(), gz.Bytes())}
 	var txs []Transaction
-	ExtractPair(c2s, s2c)
-	allocated := allocatedBytes(func() { txs = ExtractPair(c2s, s2c) })
-	t.Logf("%d-byte gzip page: ExtractPair allocated %d bytes", gz.Len(), allocated)
+	ExtractPairInto(nil, c2s, s2c, nil)
+	allocated := allocatedBytes(func() { txs = ExtractPairInto(nil, c2s, s2c, nil) })
+	t.Logf("%d-byte gzip page: ExtractPairInto allocated %d bytes", gz.Len(), allocated)
 	if len(txs) != 2 || txs[0].BodySize != gz.Len() || string(txs[0].Body) != page[:maxRetainedBody] || string(txs[1].Body) != "ok" {
 		t.Fatalf("%d transactions; first: size %d, kept %.40q", len(txs), txs[0].BodySize, txs[0].Body)
 	}
 	if allocated >= 1<<20 {
-		t.Fatalf("ExtractPair allocated %d bytes for a %d-byte gzip page, want under 1 MiB", allocated, gz.Len())
+		t.Fatalf("ExtractPairInto allocated %d bytes for a %d-byte gzip page, want under 1 MiB", allocated, gz.Len())
 	}
 }
 

@@ -24,7 +24,7 @@ func TestParallelStreamExtraction(t *testing.T) {
 			resp := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"
 			for i := 0; i < iters; i++ {
 				c2s, s2c := buildConv(req, resp)
-				txs := ExtractPair(c2s, s2c)
+				txs := ExtractPairInto(nil, c2s, s2c, nil)
 				if len(txs) != 1 {
 					errs <- fmt.Errorf("worker %d iter %d: %d transactions, want 1", g, i, len(txs))
 					return

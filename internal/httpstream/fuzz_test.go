@@ -125,7 +125,7 @@ func FuzzExtractPair(f *testing.F) {
 	f.Fuzz(func(t *testing.T, creq, sresp []byte) {
 		c2s, s2c := &pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp}
 		var got []Transaction
-		allocated := allocatedBytes(func() { got = ExtractPair(c2s, s2c) })
+		allocated := allocatedBytes(func() { got = ExtractPairInto(nil, c2s, s2c, nil) })
 		hdrs, bodies := make([]http.Header, len(got)), make([][]byte, len(got))
 		for i, tx := range got {
 			checkRetained(t, tx.Body, ClassifyPayload(tx.URI, tx.ContentType).CarriesRedirects())

@@ -43,7 +43,7 @@ func TestGzipResponseDecoded(t *testing.T) {
 	gz := gzipBytes(t, html)
 	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Encoding: gzip\r\nContent-Length: %d\r\n\r\n", len(gz))
 	c2s, s2c := buildConv("GET /p HTTP/1.1\r\nHost: landing.com\r\n\r\n", resp+string(gz))
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d", len(txs))
 	}
@@ -61,7 +61,7 @@ func TestDeflateResponseDecoded(t *testing.T) {
 	fl := deflateBytes(t, html)
 	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Encoding: deflate\r\nContent-Length: %d\r\n\r\n", len(fl))
 	c2s, s2c := buildConv("GET /p HTTP/1.1\r\nHost: a.com\r\n\r\n", resp+string(fl))
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 || string(txs[0].Body) != html {
 		t.Fatalf("deflate not decoded: %q", txs[0].Body)
 	}
@@ -71,7 +71,7 @@ func TestCorruptGzipKeptRaw(t *testing.T) {
 	raw := "definitely-not-gzip"
 	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nContent-Length: %d\r\n\r\n%s", len(raw), raw)
 	c2s, s2c := buildConv("GET /p HTTP/1.1\r\nHost: a.com\r\n\r\n", resp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 || string(txs[0].Body) != raw {
 		t.Fatalf("corrupt gzip must be kept raw: %q", txs[0].Body)
 	}

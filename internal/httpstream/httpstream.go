@@ -119,17 +119,11 @@ func (t *Transaction) String() string {
 	return fmt.Sprintf("%s %s -> %d %s (%d bytes)", t.Method, t.URL(), t.StatusCode, t.ContentType, t.BodySize)
 }
 
-// ExtractPair parses the two directions of one TCP conversation into
-// transactions. c2s must be the client-to-server stream; s2c may be nil for
-// a capture that recorded only requests. Unmatched requests keep a zero
-// StatusCode.
-func ExtractPair(c2s, s2c *pcap.Stream) []Transaction {
-	return ExtractPairInto(nil, c2s, s2c, nil)
-}
-
-// ExtractPairInto appends the conversation's transactions to dst and
-// returns the extended slice, counting the parse on tm (nil counts
-// nothing). The parse state (head scratch and message
+// ExtractPairInto parses the two directions of one TCP conversation into
+// transactions, appends them to dst and returns the extended slice,
+// counting the parse on tm (nil counts nothing). c2s must be the
+// client-to-server stream; s2c may be nil for a capture that recorded only
+// requests. Unmatched requests keep a zero StatusCode. The parse state (head scratch and message
 // slices) comes from a pool, so steady-state ingestion of many
 // conversations stops allocating per-stream scaffolding; bulk extraction
 // (ScanCapture, ExtractAll) also reuses one destination slice across

@@ -144,7 +144,7 @@ const simpleResp = "HTTP/1.1 200 OK\r\n" +
 // value list reads as "".
 func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
-	tx := ExtractPair(c2s, s2c)[0]
+	tx := ExtractPairInto(nil, c2s, s2c, nil)[0]
 	tx.RespHdr.Set("Location", "http://example.net/next")
 	var sink int
 	allocs := testing.AllocsPerRun(100, func() {
@@ -198,7 +198,7 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 
 func TestExtractPairBasic(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, simpleResp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want 1", len(txs))
 	}
@@ -257,7 +257,7 @@ func TestPipelinedTransactions(t *testing.T) {
 		"HTTP/1.1 302 Found\r\nLocation: http://h2.com/l\r\nContent-Length: 0\r\n\r\n" +
 		"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 	c2s, s2c := buildConv(reqs, resps)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 3 {
 		t.Fatalf("transactions = %d, want 3", len(txs))
 	}
@@ -278,7 +278,7 @@ func TestChunkedResponse(t *testing.T) {
 		"Transfer-Encoding: chunked\r\n\r\n" +
 		"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"
 	c2s, s2c := buildConv("GET /f.swf HTTP/1.1\r\nHost: ek.com\r\n\r\n", resp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d", len(txs))
 	}
@@ -290,7 +290,7 @@ func TestChunkedResponse(t *testing.T) {
 
 func TestRequestWithoutResponse(t *testing.T) {
 	c2s := mkStream(clientIP, serverIP, 49300, 80, "GET /x HTTP/1.1\r\nHost: a.com\r\n\r\n")
-	txs := ExtractPair(c2s, nil)
+	txs := ExtractPairInto(nil, c2s, nil, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want 1", len(txs))
 	}
@@ -302,7 +302,7 @@ func TestRequestWithoutResponse(t *testing.T) {
 func TestMalformedRequestStopsParsing(t *testing.T) {
 	data := "GET /ok HTTP/1.1\r\nHost: a.com\r\n\r\nNOT-HTTP GARBAGE"
 	c2s := mkStream(clientIP, serverIP, 49301, 80, data)
-	txs := ExtractPair(c2s, nil)
+	txs := ExtractPairInto(nil, c2s, nil, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want 1 (garbage must stop parsing)", len(txs))
 	}
@@ -312,7 +312,7 @@ func TestTruncatedResponseBodyKept(t *testing.T) {
 	// Content-Length promises 100 bytes but only 10 arrive.
 	resp := "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789"
 	c2s, s2c := buildConv("GET /t HTTP/1.1\r\nHost: a.com\r\n\r\n", resp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want 1", len(txs))
 	}
@@ -451,12 +451,12 @@ func TestScanCaptureCountsLateTransactions(t *testing.T) {
 func withRST(t *testing.T, pkts []pcap.Packet) []pcap.Packet {
 	t.Helper()
 	n := len(pkts)
-	f, err := pcap.DecodeFrame(pkts[n-2].Data) // the client's FIN
-	if err != nil {
+	var f pcap.Frame
+	if err := pcap.DecodeFrameInto(&f, pkts[n-2].Data); err != nil { // the client's FIN
 		t.Fatal(err)
 	}
 	f.Flags = pcap.FlagRST | pcap.FlagACK
-	data, err := pcap.EncodeFrame(f)
+	data, err := pcap.EncodeFrame(&f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestLargeBodyCapped(t *testing.T) {
 	body := strings.Repeat("A", maxRetainedBody+5000)
 	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
 	c2s, s2c := buildConv("GET /big HTTP/1.1\r\nHost: a.com\r\n\r\n", resp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d", len(txs))
 	}
@@ -539,7 +539,7 @@ func TestHTTP10CloseDelimitedResponse(t *testing.T) {
 	// HTTP/1.0 without Content-Length: the body runs to connection close.
 	resp := "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n<html>old school</html>"
 	c2s, s2c := buildConv("GET /legacy HTTP/1.0\r\nHost: old.com\r\n\r\n", resp)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want 1", len(txs))
 	}
@@ -559,7 +559,7 @@ func TestHeadRequestNoBodyConfusion(t *testing.T) {
 	resps := "HTTP/1.1 200 OK\r\nContent-Length: 999\r\nContent-Type: text/html\r\n\r\n" +
 		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
 	c2s, s2c := buildConv(reqs, resps)
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 2 {
 		t.Fatalf("transactions = %d, want 2", len(txs))
 	}

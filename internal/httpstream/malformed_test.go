@@ -19,7 +19,7 @@ func TestTruncatedGzipDegradesToPlaintextPrefix(t *testing.T) {
 	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Encoding: gzip\r\nContent-Length: %d\r\n\r\n", len(gz))
 	c2s, s2c := buildConv("GET /ad HTTP/1.1\r\nHost: cdn.evil/\r\n\r\n", resp+string(cut))
 
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want the truncated one kept", len(txs))
 	}
@@ -40,7 +40,7 @@ func TestBadChunkedFramingDegradesToRaw(t *testing.T) {
 	resp := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nTransfer-Encoding: chunked\r\n\r\n" + payload
 	c2s, s2c := buildConv("GET /x HTTP/1.1\r\nHost: broken.example\r\n\r\n", resp)
 
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want the malformed one kept", len(txs))
 	}
@@ -60,7 +60,7 @@ func TestBadChunkedRawFallbackCapped(t *testing.T) {
 	resp := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + payload
 	c2s, s2c := buildConv("GET /big HTTP/1.1\r\nHost: broken.example\r\n\r\n", resp)
 
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d", len(txs))
 	}
@@ -74,7 +74,7 @@ func TestBadChunkedRawFallbackCapped(t *testing.T) {
 // parser cannot read at all still yields request-only transactions.
 func TestGarbageResponseStreamKeepsRequests(t *testing.T) {
 	c2s, s2c := buildConv(simpleGet, "\x00\x01\x02 this is not HTTP at all")
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 {
 		t.Fatalf("transactions = %d, want the unmatched request kept", len(txs))
 	}
@@ -91,7 +91,7 @@ func TestProperlyChunkedStillDecodes(t *testing.T) {
 	resp := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked
 	c2s, s2c := buildConv("GET /ok HTTP/1.1\r\nHost: fine.example\r\n\r\n", resp)
 
-	txs := ExtractPair(c2s, s2c)
+	txs := ExtractPairInto(nil, c2s, s2c, nil)
 	if len(txs) != 1 || !bytes.Equal(txs[0].Body, []byte(body)) {
 		t.Fatalf("chunked decode broken: %+v", txs)
 	}

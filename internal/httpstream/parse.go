@@ -58,7 +58,7 @@ type respMsg struct {
 	bodySize int
 }
 
-// streamParser is the reusable parse state one ExtractPair call borrows
+// streamParser is the reusable parse state one ExtractPairInto call borrows
 // from parserPool: the head scratch and the reqMsg/respMsg product slices.
 // A parser serves one conversation at a time; release clears the message
 // slices so a pooled parser never pins a Transaction's headers or body.

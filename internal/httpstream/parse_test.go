@@ -126,7 +126,7 @@ func TestParserQuirks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c2s, s2c := buildConv(tc.client, tc.server)
-		got := ExtractPair(c2s, s2c)
+		got := ExtractPairInto(nil, c2s, s2c, nil)
 		if want := refExtractPair(c2s, s2c); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: in-place parse and oracle differ:\n got %s\nwant %s", tc.name, short(got), short(want))
 			continue
@@ -214,7 +214,8 @@ func TestLoneNonRequestDirectionCountsUnparsedBytes(t *testing.T) {
 		}
 		var pkts []pcap.Packet // the server's frames only
 		for _, p := range conv {
-			if f, err := pcap.DecodeFrame(p.Data); err != nil {
+			var f pcap.Frame
+			if err := pcap.DecodeFrameInto(&f, p.Data); err != nil {
 				t.Fatal(err)
 			} else if f.SrcPort == c.port {
 				pkts = append(pkts, p)

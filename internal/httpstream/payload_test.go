@@ -97,7 +97,7 @@ func TestBodyKeptIffClassCarriesRedirects(t *testing.T) {
 		}
 		head.WriteString("\r\n")
 		c2s, s2c := buildConv("GET "+r.uri+" HTTP/1.1\r\nHost: a.example\r\n\r\n", head.String()+body)
-		txs := ExtractPair(c2s, s2c)
+		txs := ExtractPairInto(nil, c2s, s2c, nil)
 		if len(txs) != 1 || txs[0].StatusCode != 200 {
 			t.Fatalf("%s: %d transactions, want one answered", name, len(txs))
 		}

@@ -70,10 +70,10 @@ func TestPooledParserIsolation(t *testing.T) {
 	}
 	big, bigResp := buildConv(mkReq("big.example", 5), mkResp(5))
 	small, smallResp := buildConv(mkReq("small.example", 2), mkResp(2))
-	if got := ExtractPair(big, bigResp); len(got) != 5 {
+	if got := ExtractPairInto(nil, big, bigResp, nil); len(got) != 5 {
 		t.Fatalf("big conversation: %d transactions, want 5", len(got))
 	}
-	txs := ExtractPair(small, smallResp)
+	txs := ExtractPairInto(nil, small, smallResp, nil)
 	if len(txs) != 2 {
 		t.Fatalf("small conversation after big: %d transactions, want 2", len(txs))
 	}

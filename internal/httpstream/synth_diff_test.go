@@ -25,7 +25,7 @@ func TestInPlaceParseMatchesOracleOnSynthCorpus(t *testing.T) {
 					s2c.Data = append(s2c.Data, ex.Payload...)
 				}
 			}
-			got := httpstream.ExtractPair(c2s, s2c)
+			got := httpstream.ExtractPairInto(nil, c2s, s2c, nil)
 			if want := httpstream.RefExtractPair(c2s, s2c); !reflect.DeepEqual(got, want) {
 				t.Fatalf("episode %d (%s), conversation with %v: the in-place parse differs from the oracle", i, ep.Family, key)
 			}

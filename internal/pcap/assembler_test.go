@@ -237,12 +237,12 @@ func TestConversationClosesWhenComplete(t *testing.T) {
 func withRST(t testing.TB, pkts []Packet) []Packet {
 	t.Helper()
 	n := len(pkts)
-	f, err := DecodeFrame(pkts[n-2].Data) // the client's FIN
-	if err != nil {
+	var f Frame
+	if err := DecodeFrameInto(&f, pkts[n-2].Data); err != nil { // the client's FIN
 		t.Fatal(err)
 	}
 	f.Flags = FlagRST | FlagACK
-	data, err := EncodeFrame(f)
+	data, err := EncodeFrame(&f)
 	if err != nil {
 		t.Fatal(err)
 	}

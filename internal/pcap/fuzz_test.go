@@ -29,8 +29,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 60))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
-		if err != nil {
+		var fr Frame
+		if err := DecodeFrameInto(&fr, data); err != nil {
 			return
 		}
 		if fr.SrcIP.Is4() != fr.DstIP.Is4() {

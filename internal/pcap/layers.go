@@ -193,20 +193,10 @@ func encodeFrame6(f *Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrame parses Ethernet/IP/TCP wire bytes (IPv4 or IPv6). Frames
-// that do not carry TCP over IP over Ethernet yield an error; callers
-// typically skip them. The returned payload aliases data.
-func DecodeFrame(data []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := DecodeFrameInto(f, data); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DecodeFrameInto is the allocation-free form of DecodeFrame: it resets f
-// and parses the wire bytes into it, so a caller can reuse one Frame across
-// a whole capture. The decoded payload aliases data.
+// DecodeFrameInto resets f and parses Ethernet/IP/TCP wire bytes (IPv4 or
+// IPv6) into it, so a caller can reuse one Frame across a whole capture.
+// Frames that do not carry TCP over IP over Ethernet yield an error;
+// callers typically skip them. The decoded payload aliases data.
 func DecodeFrameInto(f *Frame, data []byte) error {
 	*f = Frame{}
 	if len(data) < ethernetHeaderLen+ipv4HeaderLen+tcpHeaderLen {

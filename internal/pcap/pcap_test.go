@@ -169,8 +169,8 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(data)
-	if err != nil {
+	var got Frame
+	if err := DecodeFrameInto(&got, data); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcIP != f.SrcIP || got.DstIP != f.DstIP {
@@ -195,7 +195,7 @@ func TestEncodeFrameRejectsIPv6(t *testing.T) {
 }
 
 func TestDecodeFrameErrors(t *testing.T) {
-	if _, err := DecodeFrame([]byte{1, 2, 3}); err == nil {
+	if err := DecodeFrameInto(&Frame{}, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short frame must error")
 	}
 	// Valid frame but with UDP protocol.
@@ -208,13 +208,13 @@ func TestDecodeFrameErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[ethernetHeaderLen+9] = 17 // UDP
-	if _, err := DecodeFrame(data); err == nil {
+	if err := DecodeFrameInto(&Frame{}, data); err == nil {
 		t.Fatal("non-TCP frame must error")
 	}
 	// Wrong ethertype.
 	data2, _ := EncodeFrame(f)
 	data2[12], data2[13] = 0x86, 0xdd
-	if _, err := DecodeFrame(data2); err == nil {
+	if err := DecodeFrameInto(&Frame{}, data2); err == nil {
 		t.Fatal("non-IPv4 ethertype must error")
 	}
 }
@@ -467,8 +467,8 @@ func TestWriteConversationsMergesByTime(t *testing.T) {
 	}
 	prevPort := uint16(0)
 	for i := range pkts {
-		f, err := DecodeFrame(pkts[i].Data)
-		if err != nil {
+		var f Frame
+		if err := DecodeFrameInto(&f, pkts[i].Data); err != nil {
 			t.Fatal(err)
 		}
 		port := f.SrcPort
@@ -595,8 +595,8 @@ func TestIPv6FrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(data)
-	if err != nil {
+	var got Frame
+	if err := DecodeFrameInto(&got, data); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcIP != f.SrcIP || got.DstIP != f.DstIP {
@@ -647,8 +647,8 @@ func TestIPv6ExtensionHeaderWalk(t *testing.T) {
 	plen := binary.BigEndian.Uint16(spliced[ethernetHeaderLen+4:])
 	binary.BigEndian.PutUint16(spliced[ethernetHeaderLen+4:], plen+8)
 
-	got, err := DecodeFrame(spliced)
-	if err != nil {
+	var got Frame
+	if err := DecodeFrameInto(&got, spliced); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Payload, []byte("x")) {

@@ -96,11 +96,10 @@ func frames(t testing.TB, pkts []pcap.Packet) []*pcap.Frame {
 	t.Helper()
 	out := make([]*pcap.Frame, len(pkts))
 	for i, p := range pkts {
-		f, err := pcap.DecodeFrame(p.Data)
-		if err != nil {
+		out[i] = new(pcap.Frame)
+		if err := pcap.DecodeFrameInto(out[i], p.Data); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = f
 	}
 	return out
 }

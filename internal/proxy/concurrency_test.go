@@ -14,7 +14,7 @@ import (
 // TestProxyConcurrentClients drives many goroutine clients through the
 // proxy at once; run with -race to validate the engine locking.
 func TestProxyConcurrentClients(t *testing.T) {
-	p, client, cleanup := testSetup(t, Config{}, constScorer(0.2))
+	p, client, cleanup := testSetup(t, Config{}, newEngine(constScorer(0.2)))
 	defer cleanup()
 
 	var wg sync.WaitGroup
@@ -43,7 +43,7 @@ func TestProxyConcurrentClients(t *testing.T) {
 	if got := p.Stats().Relayed; got != workers*perWorker {
 		t.Fatalf("relayed = %d, want %d", got, workers*perWorker)
 	}
-	if es := p.EngineStats(); es.Transactions != workers*perWorker {
+	if es := p.engine.Stats(); es.Transactions != workers*perWorker {
 		t.Fatalf("engine transactions = %d", es.Transactions)
 	}
 }
@@ -54,11 +54,10 @@ func TestProxyConcurrentClients(t *testing.T) {
 // aggregated proxy and engine counters stay consistent.
 func TestProxyShardedStatsConsistent(t *testing.T) {
 	cfg := Config{
-		Detector:           detector.Config{RedirectThreshold: 3, Shards: 4},
 		BlockAfterAlert:    true,
 		TrustXForwardedFor: true,
 	}
-	p, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	p, client, cleanup := testSetup(t, cfg, detector.New(detector.Config{Shards: 4}, constScorer(0.95)))
 	defer cleanup()
 
 	const workers = 12
@@ -126,7 +125,7 @@ func TestProxyShardedStatsConsistent(t *testing.T) {
 	if st.BlockedClients != workers {
 		t.Fatalf("blocked = %d, want %d", st.BlockedClients, workers)
 	}
-	es := p.EngineStats()
+	es := p.engine.Stats()
 	if es.Transactions != st.Relayed {
 		t.Fatalf("engine transactions = %d, relayed = %d", es.Transactions, st.Relayed)
 	}
@@ -136,15 +135,15 @@ func TestProxyShardedStatsConsistent(t *testing.T) {
 	if st.Alerts != es.Alerts {
 		t.Fatalf("proxy alerts = %d, engine alerts = %d", st.Alerts, es.Alerts)
 	}
-	if len(p.Watched()) == 0 {
-		t.Fatal("watched WCGs must be visible through the proxy")
+	if len(p.engine.Watched()) == 0 {
+		t.Fatal("the proxied infections must be watched on the engine")
 	}
 }
 
 // TestProxyDirectRequest covers the non-proxied (origin-form) request path
 // where the URL has no host and the Host header is used.
 func TestProxyDirectRequest(t *testing.T) {
-	p, _, cleanup := testSetup(t, Config{}, constScorer(0))
+	p, _, cleanup := testSetup(t, Config{}, newEngine(constScorer(0)))
 	defer cleanup()
 	// Hit the proxy directly (reverse-proxy style): URL path only.
 	srv := httptest.NewServer(p)

@@ -88,7 +88,7 @@ func proxyDo(t *testing.T, p *Proxy, r *http.Request) *httptest.ResponseRecorder
 // exchange's deadline passes (+1s of slack), not pin the handler forever.
 // The inbound request's own 150 ms deadline is the one that binds.
 func TestProxyUpstreamTimeout(t *testing.T) {
-	p := New(Config{Transport: hungTransport{}}, constScorer(0))
+	p := New(Config{Transport: hungTransport{}}, newEngine(constScorer(0)))
 	start := time.Now()
 	w := proxyGetWithin(t, p, "http://silent.example/", 150*time.Millisecond)
 	elapsed := time.Since(start)
@@ -126,7 +126,7 @@ func (dt *deadlineTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // away.
 func TestUpstreamDeadlineDefault(t *testing.T) {
 	dt := &deadlineTransport{}
-	p := New(Config{Transport: dt}, constScorer(0))
+	p := New(Config{Transport: dt}, newEngine(constScorer(0)))
 	start := time.Now()
 	if w := proxyGet(t, p, "http://origin.example/"); w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200", w.Code)
@@ -166,7 +166,7 @@ func (slowLorisTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestProxySlowLorisBody pins the body-read deadline: an upstream that
 // sends headers and then trickles nothing cannot wedge bufferPrefix.
 func TestProxySlowLorisBody(t *testing.T) {
-	p := New(Config{Transport: slowLorisTransport{}}, constScorer(0))
+	p := New(Config{Transport: slowLorisTransport{}}, newEngine(constScorer(0)))
 	start := time.Now()
 	w := proxyGetWithin(t, p, "http://loris.example/", 150*time.Millisecond)
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond+time.Second {
@@ -187,7 +187,7 @@ func TestProxySlowLorisBody(t *testing.T) {
 func TestProxyRetriesTransientFailures(t *testing.T) {
 	ct := &countingTransport{fail: []bool{true, true}}
 	var slept []time.Duration
-	p := New(Config{Transport: ct, Sleep: func(d time.Duration) { slept = append(slept, d) }}, constScorer(0))
+	p := New(Config{Transport: ct, Sleep: func(d time.Duration) { slept = append(slept, d) }}, newEngine(constScorer(0)))
 	w := proxyGet(t, p, "http://flaky.example/")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 after retries", w.Code)
@@ -205,7 +205,7 @@ func TestProxyRetriesTransientFailures(t *testing.T) {
 	}
 
 	ct = &countingTransport{fail: []bool{true, true, true, true}}
-	p = New(Config{Transport: ct, Sleep: noSleep}, constScorer(0))
+	p = New(Config{Transport: ct, Sleep: noSleep}, newEngine(constScorer(0)))
 	if w := proxyGet(t, p, "http://down.example/"); w.Code != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502 once the retries are spent", w.Code)
 	}
@@ -221,7 +221,7 @@ func TestProxyRetriesTransientFailures(t *testing.T) {
 // was already consumed by the failed attempt is never re-sent.
 func TestProxyDoesNotRetryPOST(t *testing.T) {
 	ct := &countingTransport{fail: []bool{true, true, true}}
-	p := New(Config{Transport: ct, Sleep: noSleep}, constScorer(0))
+	p := New(Config{Transport: ct, Sleep: noSleep}, newEngine(constScorer(0)))
 	w := proxyPost(t, p, "http://flaky.example/submit")
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", w.Code)
@@ -249,7 +249,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC), frozen: true}
 	opened := clock.t
 	ct := &countingTransport{fail: []bool{true, true, true, true, true}} // then healthy
-	p := New(breakerConfig(ct, clock), constScorer(0))
+	p := New(breakerConfig(ct, clock), newEngine(constScorer(0)))
 
 	for i := 1; i <= 5; i++ {
 		if w := proxyPost(t, p, "http://down.example/"); w.Code != http.StatusBadGateway {
@@ -297,7 +297,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC), frozen: true}
 	ct := &countingTransport{fail: []bool{true, true, true, true, true, true}} // probe fails too
-	p := New(breakerConfig(ct, clock), constScorer(0))
+	p := New(breakerConfig(ct, clock), newEngine(constScorer(0)))
 
 	for i := 0; i < 5; i++ {
 		proxyPost(t, p, "http://down.example/")
@@ -330,7 +330,7 @@ func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 // TestJitterConcurrentDraws draws backoff jitter from 8 goroutines at once:
 // under -race it proves the jitter source takes its own lock.
 func TestJitterConcurrentDraws(t *testing.T) {
-	p := New(Config{}, constScorer(0))
+	p := New(Config{}, newEngine(constScorer(0)))
 	const d = 100 * time.Millisecond
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -368,7 +368,7 @@ func (ht hostRoutedTransport) RoundTrip(r *http.Request) (*http.Response, error)
 // circuit for healthy ones.
 func TestCircuitBreakerPerHost(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
-	p := New(breakerConfig(hostRoutedTransport{failHost: "down.example"}, clock), constScorer(0))
+	p := New(breakerConfig(hostRoutedTransport{failHost: "down.example"}, clock), newEngine(constScorer(0)))
 
 	for i := 0; i < 5; i++ {
 		proxyGet(t, p, "http://down.example/") // the 5th trips the circuit
@@ -389,7 +389,7 @@ func TestCircuitBreakerPerHost(t *testing.T) {
 // terminal outcome the handler has.
 func TestStatsConservation(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
-	p := New(breakerConfig(hostRoutedTransport{failHost: "down.example"}, clock), constScorer(0))
+	p := New(breakerConfig(hostRoutedTransport{failHost: "down.example"}, clock), newEngine(constScorer(0)))
 
 	proxyGet(t, p, "http://up.example/") // relayed
 	for i := 0; i < 5; i++ {

@@ -2,13 +2,11 @@ package proxy
 
 import "dynaminer/internal/obs"
 
-// proxyMetrics binds one Proxy to the observability registry shared with
-// its embedded detection engine. The counters are atomic, so the hot
+// proxyMetrics binds one Proxy to the observability registry of the
+// detection engine it serves. The counters are atomic, so the hot
 // path increments them without taking p.mu; Stats() is a bridged view
 // over the same counters.
 type proxyMetrics struct {
-	reg *obs.Registry
-
 	requests        *obs.Counter
 	relayed         *obs.Counter
 	blockedClients  *obs.Counter
@@ -33,7 +31,6 @@ type proxyMetrics struct {
 
 func newProxyMetrics(reg *obs.Registry) *proxyMetrics {
 	return &proxyMetrics{
-		reg:             reg,
 		requests:        reg.Counter("dynaminer_proxy_requests_total", "Proxied requests received."),
 		relayed:         reg.Counter("dynaminer_proxy_relayed_total", "Requests relayed upstream and answered."),
 		blockedClients:  reg.Counter("dynaminer_proxy_blocked_clients_total", "Clients whose sessions were terminated after an alert."),

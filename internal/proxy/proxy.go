@@ -1,8 +1,10 @@
 // Package proxy deploys DynaMiner the way the paper's live case study does
 // (Section VI-D): as a forward HTTP web proxy that relays every
-// request/response pair, feeds it to the on-the-wire detection engine, and
+// request/response pair, feeds it to an on-the-wire detection engine, and
 // terminates the sessions of clients whose conversations are deemed
-// infectious.
+// infectious. The proxy is a request front-end only: the engine it serves,
+// and that engine's model, checkpoints and admin surface, belong to its
+// owner.
 package proxy
 
 import (
@@ -29,7 +31,7 @@ import (
 const maxCapturedBody = 256 << 10
 
 // The proxy's relay bounds. They are implementation constants: the
-// deployment tunes the embedded engine's clue threshold, not these.
+// deployment tunes the engine's clue threshold, not these.
 const (
 	// blockDuration is how long an alerted client stays blocked when
 	// Config.BlockAfterAlert is set.
@@ -60,8 +62,6 @@ const (
 
 // Config tunes the proxy.
 type Config struct {
-	// Detector configures the embedded on-the-wire engine.
-	Detector detector.Config
 	// BlockAfterAlert terminates the offending client's web session: once
 	// a client alerts, its requests are refused with 403 for ten minutes.
 	BlockAfterAlert bool
@@ -122,13 +122,13 @@ type Proxy struct {
 	sleep     func(time.Duration)
 	engine    *detector.Engine
 
-	// mx backs every Stats counter with registry metrics shared with the
-	// embedded engine; the atomic counters need no lock.
+	// mx backs every Stats counter with metrics on the engine's registry;
+	// the atomic counters need no lock.
 	mx *proxyMetrics
 
 	// tracer and stg drive per-request pipeline tracing; nil tracer means
-	// every span call is a single nil check. The tracer is taken from
-	// cfg.Detector.Tracer so proxy and detector spans share one trace.
+	// every span call is a single nil check. The tracer is the engine's,
+	// so proxy and detector spans share one trace.
 	tracer *obs.Tracer
 	stg    proxyStages
 
@@ -154,8 +154,10 @@ func (l *lockedRand) int63n(n int64) int64 {
 
 var _ http.Handler = (*Proxy)(nil)
 
-// New returns a Proxy detecting with the given trained model.
-func New(cfg Config, model detector.Scorer) *Proxy {
+// New returns a Proxy that feeds every relayed exchange to engine. The
+// proxy's counters land on the engine's registry, and its request spans
+// on the engine's tracer.
+func New(cfg Config, engine *detector.Engine) *Proxy {
 	transport := cfg.Transport
 	if transport == nil {
 		transport = http.DefaultTransport
@@ -168,7 +170,6 @@ func New(cfg Config, model detector.Scorer) *Proxy {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	engine := detector.New(cfg.Detector, model)
 	p := &Proxy{
 		cfg:       cfg,
 		transport: transport,
@@ -176,7 +177,7 @@ func New(cfg Config, model detector.Scorer) *Proxy {
 		sleep:     sleep,
 		engine:    engine,
 		mx:        newProxyMetrics(engine.Registry()),
-		tracer:    cfg.Detector.Tracer,
+		tracer:    engine.Tracer(),
 		blocked:   make(map[netip.Addr]time.Time),
 		breakers:  make(map[string]*breaker),
 		rng:       lockedRand{r: rand.New(rand.NewSource(1))},
@@ -202,49 +203,6 @@ func (p *Proxy) Stats() Stats {
 		BreakerRejected: int(p.mx.breakerRejected.Value()),
 		BreakerTrips:    int(p.mx.breakerTrips.Value()),
 	}
-}
-
-// Registry returns the observability registry shared by the proxy and
-// its embedded detection engine.
-func (p *Proxy) Registry() *obs.Registry { return p.mx.reg }
-
-// Health reports the embedded detection engine's readiness conditions,
-// OR-ed across its shards, for the /healthz endpoint.
-func (p *Proxy) Health() obs.HealthStatus { return p.engine.Health() }
-
-// EngineStats returns a snapshot of the embedded detector's counters,
-// aggregated across its shards.
-func (p *Proxy) EngineStats() detector.Stats {
-	return p.engine.Stats()
-}
-
-// Watched returns snapshots of every potential-infection WCG the embedded
-// detector is currently growing, for operator dashboards.
-func (p *Proxy) Watched() []detector.WatchedWCG {
-	return p.engine.Watched()
-}
-
-// ModelVersion returns the serving model's version.
-func (p *Proxy) ModelVersion() detector.ModelVersion { return p.engine.ModelVersion() }
-
-// ReloadModelFile validates a model file through the full semantic
-// screens and hot-swaps it into the embedded engine without dropping a
-// request or a watch; failures leave the serving model untouched.
-func (p *Proxy) ReloadModelFile(path string) (detector.ModelVersion, error) {
-	return p.engine.ReloadModelFile(path)
-}
-
-// RollbackModel reinstates the previously served model.
-func (p *Proxy) RollbackModel() (detector.ModelVersion, error) { return p.engine.RollbackModel() }
-
-// WriteCheckpointFile atomically writes the embedded engine's in-flight
-// watch state to path.
-func (p *Proxy) WriteCheckpointFile(path string) error { return p.engine.WriteCheckpointFile(path) }
-
-// RestoreCheckpointFile rebuilds the embedded engine's in-flight state
-// from a checkpoint written by a previous process; call before serving.
-func (p *Proxy) RestoreCheckpointFile(path string) (int, error) {
-	return p.engine.RestoreCheckpointFile(path)
 }
 
 // clientAddr extracts the client IP from a request, honoring

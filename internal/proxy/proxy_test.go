@@ -21,6 +21,11 @@ type constScorer float64
 
 func (c constScorer) Score([]float64) float64 { return float64(c) }
 
+// newEngine returns a default-configured engine serving model.
+func newEngine(model detector.Scorer) *detector.Engine {
+	return detector.New(detector.Config{}, model)
+}
+
 // fakeClock is an injectable clock. Each read advances it 50 ms, until
 // it is frozen: then every read returns the same instant until Advance
 // moves it.
@@ -81,7 +86,7 @@ func originMux() http.Handler {
 }
 
 // testSetup wires origin server -> proxy -> client.
-func testSetup(t *testing.T, cfg Config, model detector.Scorer) (*Proxy, *http.Client, func()) {
+func testSetup(t *testing.T, cfg Config, engine *detector.Engine) (*Proxy, *http.Client, func()) {
 	t.Helper()
 	origin := httptest.NewServer(originMux())
 
@@ -89,7 +94,7 @@ func testSetup(t *testing.T, cfg Config, model detector.Scorer) (*Proxy, *http.C
 	// host, preserving the Host header for routing.
 	cfg.Transport = rewriteTransport{target: origin.URL}
 
-	p := New(cfg, model)
+	p := New(cfg, engine)
 	proxySrv := httptest.NewServer(p)
 	proxyURL, err := url.Parse(proxySrv.URL)
 	if err != nil {
@@ -143,7 +148,7 @@ func get(t *testing.T, client *http.Client, rawurl, referer string) *http.Respon
 }
 
 func TestProxyRelaysBenignTraffic(t *testing.T) {
-	p, client, cleanup := testSetup(t, Config{}, constScorer(0))
+	p, client, cleanup := testSetup(t, Config{}, newEngine(constScorer(0)))
 	defer cleanup()
 
 	resp := get(t, client, "http://benign.com/", "")
@@ -154,7 +159,7 @@ func TestProxyRelaysBenignTraffic(t *testing.T) {
 	if st.Relayed != 1 || st.Alerts != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if es := p.EngineStats(); es.Transactions != 1 {
+	if es := p.engine.Stats(); es.Transactions != 1 {
 		t.Fatalf("engine stats = %+v", es)
 	}
 }
@@ -171,17 +176,16 @@ func driveInfection(t *testing.T, client *http.Client) {
 func TestProxyDetectsAndAlerts(t *testing.T) {
 	var alerts []detector.Alert
 	cfg := Config{
-		Detector: detector.Config{RedirectThreshold: 3},
-		OnAlert:  func(a detector.Alert) { alerts = append(alerts, a) },
+		OnAlert: func(a detector.Alert) { alerts = append(alerts, a) },
 	}
-	p, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	p, client, cleanup := testSetup(t, cfg, newEngine(constScorer(0.95)))
 	defer cleanup()
 
 	get(t, client, "http://benign.com/", "")
 	driveInfection(t, client)
 
 	if len(alerts) != 1 {
-		t.Fatalf("alerts = %d (engine %+v)", len(alerts), p.EngineStats())
+		t.Fatalf("alerts = %d (engine %+v)", len(alerts), p.engine.Stats())
 	}
 	if alerts[0].TriggerHost != "drop.evil" {
 		t.Fatalf("alert host = %s", alerts[0].TriggerHost)
@@ -199,11 +203,10 @@ func TestProxyRequestTimeFromClock(t *testing.T) {
 	start := clock.t
 	var alerts []detector.Alert
 	cfg := Config{
-		Detector: detector.Config{RedirectThreshold: 3},
-		Now:      clock.Now,
-		OnAlert:  func(a detector.Alert) { alerts = append(alerts, a) },
+		Now:     clock.Now,
+		OnAlert: func(a detector.Alert) { alerts = append(alerts, a) },
 	}
-	_, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	_, client, cleanup := testSetup(t, cfg, newEngine(constScorer(0.95)))
 	driveInfection(t, client)
 	cleanup() // waits for every handler, so alerts is settled
 	end := clock.Now()
@@ -232,17 +235,16 @@ func TestProxyRequestTimeFromClock(t *testing.T) {
 func TestProxyBlocksAfterAlert(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
 	cfg := Config{
-		Detector:        detector.Config{RedirectThreshold: 3},
 		BlockAfterAlert: true,
 		Now:             clock.Now,
 		OnAlert:         func(detector.Alert) { clock.Freeze() },
 	}
-	p, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	p, client, cleanup := testSetup(t, cfg, newEngine(constScorer(0.95)))
 	defer cleanup()
 
 	driveInfection(t, client)
 	if p.Stats().BlockedClients != 1 {
-		t.Fatalf("blocked = %d, want 1 (stats %+v, engine %+v)", p.Stats().BlockedClients, p.Stats(), p.EngineStats())
+		t.Fatalf("blocked = %d, want 1 (stats %+v, engine %+v)", p.Stats().BlockedClients, p.Stats(), p.engine.Stats())
 	}
 	// The session is terminated: further requests are refused, up to the
 	// last nanosecond of the block.
@@ -267,7 +269,7 @@ func TestProxyBlocksAfterAlert(t *testing.T) {
 }
 
 func TestProxyRefusesConnect(t *testing.T) {
-	_, client, cleanup := testSetup(t, Config{}, constScorer(0))
+	_, client, cleanup := testSetup(t, Config{}, newEngine(constScorer(0)))
 	defer cleanup()
 	// https through the proxy would use CONNECT; simulate with a raw
 	// CONNECT request.
@@ -289,7 +291,7 @@ func TestProxyRefusesConnect(t *testing.T) {
 
 func TestProxyUpstreamError(t *testing.T) {
 	cfg := Config{Transport: errTransport{}}
-	p := New(cfg, constScorer(0))
+	p := New(cfg, newEngine(constScorer(0)))
 	srv := httptest.NewServer(p)
 	defer srv.Close()
 	proxyURL, _ := url.Parse(srv.URL)
@@ -403,7 +405,7 @@ func TestHopByHopHeadersStripped(t *testing.T) {
 	respHdr.Set("X-Hop-Token", "secret") // connection-scoped via Connection
 	respHdr.Set("X-End-To-End", "keep-me")
 	rt := &recordTransport{respHdr: respHdr}
-	p := New(Config{Transport: rt}, constScorer(0))
+	p := New(Config{Transport: rt}, newEngine(constScorer(0)))
 
 	r := httptest.NewRequest(http.MethodGet, "http://origin.example/page", nil)
 	r.RemoteAddr = "192.0.2.10:4444"
@@ -451,12 +453,11 @@ func TestHopByHopHeadersStripped(t *testing.T) {
 func TestXForwardedForAttribution(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
 	cfg := Config{
-		Detector:           detector.Config{RedirectThreshold: 3},
 		BlockAfterAlert:    true,
 		Now:                clock.Now,
 		TrustXForwardedFor: true,
 	}
-	p, client, cleanup := testSetup(t, cfg, constScorer(0.95))
+	p, client, cleanup := testSetup(t, cfg, newEngine(constScorer(0.95)))
 	defer cleanup()
 
 	// Drive the infection with one forwarded client identity.
@@ -481,7 +482,7 @@ func TestXForwardedForAttribution(t *testing.T) {
 	infected("http://hop3.evil/land", "http://hop2.evil/go")
 	infected("http://drop.evil/p.exe", "http://hop3.evil/land")
 	if p.Stats().BlockedClients != 1 {
-		t.Fatalf("blocked = %d (stats %+v)", p.Stats().BlockedClients, p.EngineStats())
+		t.Fatalf("blocked = %d (stats %+v)", p.Stats().BlockedClients, p.engine.Stats())
 	}
 
 	// A different forwarded identity from the same TCP peer is NOT blocked.

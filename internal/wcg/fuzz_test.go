@@ -22,13 +22,13 @@ func FuzzDeobfuscate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := Deobfuscate(body)
+		out := string(deobfuscate([]byte(body)))
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(body)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(body), got, limit)
 		}
 		if want := refDeobfuscate(body); out != want {
-			t.Fatalf("Deobfuscate(%q)\n got %q\nwant %q", body, out, want)
+			t.Fatalf("deobfuscate(%q)\n got %q\nwant %q", body, out, want)
 		}
 		// Decoding only ever shrinks or preserves escape sequences; a
 		// pathological blow-up would indicate a decode loop bug.

@@ -26,21 +26,12 @@ var (
 	pctEscape    = []byte("%")
 )
 
-// Deobfuscate applies the lightweight decoding passes miscreants commonly
+// deobfuscate applies the lightweight decoding passes miscreants commonly
 // layer over redirect code: String.fromCharCode(...) expansion, \xNN
 // escapes, and percent-encoding. The passes run until a fixed point (at
-// most four rounds) so stacked encodings unwrap.
-func Deobfuscate(body string) string {
-	b := []byte(body)
-	if d := deobfuscate(b); len(d) != len(b) {
-		return string(d)
-	}
-	return body
-}
-
-// deobfuscate is Deobfuscate on bytes. Every decode replaces an escape
-// with fewer bytes than it took, so an unchanged length means nothing
-// decoded, and then the result is b itself, not a copy.
+// most four rounds) so stacked encodings unwrap. Every decode replaces an
+// escape with fewer bytes than it took, so an unchanged length means
+// nothing decoded, and then the result is b itself, not a copy.
 func deobfuscate(b []byte) []byte {
 	for round := 0; round < 4; round++ {
 		d := decodeEscapes(decodeEscapes(expandFromCharCode(b), hexEscape), pctEscape)

@@ -7,7 +7,7 @@ import (
 )
 
 // The regexp-only sniffer that redirect.go replaced, kept word for word
-// (identifiers prefixed ref) as the oracle: Deobfuscate and
+// (identifiers prefixed ref) as the oracle: deobfuscate and
 // SniffBodyRedirects must return exactly what these return, on every
 // input. Six whole-body regexp passes and a full copy per pass — do not
 // optimise it, its value is that it is obviously the specification.

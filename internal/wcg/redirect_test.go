@@ -12,12 +12,12 @@ import (
 	"dynaminer/internal/synth"
 )
 
-// checkAgainstReference fails unless Deobfuscate and SniffBodyRedirects
+// checkAgainstReference fails unless deobfuscate and SniffBodyRedirects
 // return exactly what the regexp-only reference returns for body.
 func checkAgainstReference(t testing.TB, body string) {
 	t.Helper()
-	if got, want := Deobfuscate(body), refDeobfuscate(body); got != want {
-		t.Fatalf("Deobfuscate(%q)\n got %q\nwant %q", body, got, want)
+	if got, want := string(deobfuscate([]byte(body))), refDeobfuscate(body); got != want {
+		t.Fatalf("deobfuscate(%q)\n got %q\nwant %q", body, got, want)
 	}
 	got, want := SniffBodyRedirects([]byte(body)), refSniffBodyRedirects([]byte(body))
 	if !reflect.DeepEqual(got, want) {

@@ -210,23 +210,23 @@ func TestRegisteredDomainAndTLD(t *testing.T) {
 
 func TestDeobfuscate(t *testing.T) {
 	in := `var u=String.fromCharCode(104,116,116,112);`
-	if got := Deobfuscate(in); !strings.Contains(got, "http") {
+	if got := string(deobfuscate([]byte(in))); !strings.Contains(got, "http") {
 		t.Fatalf("fromCharCode not decoded: %q", got)
 	}
-	if got := Deobfuscate(`\x68\x74\x74\x70`); got != "http" {
+	if got := string(deobfuscate([]byte(`\x68\x74\x74\x70`))); got != "http" {
 		t.Fatalf("hex not decoded: %q", got)
 	}
-	if got := Deobfuscate("%68%74%74%70"); got != "http" {
+	if got := string(deobfuscate([]byte("%68%74%74%70"))); got != "http" {
 		t.Fatalf("pct not decoded: %q", got)
 	}
 	// Stacked: percent-encoding of hex escapes.
 	stacked := `%5Cx68%5Cx69`
-	if got := Deobfuscate(stacked); got != "hi" {
+	if got := string(deobfuscate([]byte(stacked))); got != "hi" {
 		t.Fatalf("stacked not decoded: %q", got)
 	}
 	// Invalid charcodes stay intact.
 	bad := `String.fromCharCode(9999999999)`
-	if got := Deobfuscate(bad); got != bad {
+	if got := string(deobfuscate([]byte(bad))); got != bad {
 		t.Fatalf("invalid charcode mangled: %q", got)
 	}
 }

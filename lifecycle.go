@@ -148,18 +148,18 @@ func (m *Monitor) Recover(checkpointPath, journalPath string) (watches, marked i
 	return watches, marked, nil
 }
 
-// Shutdown drains the monitor for a clean exit: the background janitor,
-// checkpointer and admin server stop, a final checkpoint is written when
-// a checkpointer was running, and the alert journal (when configured) is
-// forced to stable storage. The engine itself stays usable — callers
-// that own the intake stop feeding it first.
+// Shutdown drains the monitor for a clean exit: the background
+// checkpointer and the admin server stop, a final checkpoint is written
+// when a checkpointer was running, and the alert journal (when
+// configured) is forced to stable storage. The engine itself stays
+// usable — callers that own the intake stop feeding it first.
 func (m *Monitor) Shutdown() error {
 	m.mu.Lock()
 	ckptPath := m.checkpointPath
 	m.checkpointPath = ""
 	m.mu.Unlock()
 
-	m.Close() // stops janitor, checkpointer, admin
+	m.Close() // stops checkpointer, admin
 
 	var err error
 	if ckptPath != "" {
@@ -171,14 +171,6 @@ func (m *Monitor) Shutdown() error {
 		}
 	}
 	return err
-}
-
-// ModelReloader is the control surface ReloadHandlers exposes over HTTP;
-// *Monitor and *Proxy both satisfy it.
-type ModelReloader interface {
-	ModelVersion() ModelVersion
-	ReloadModelFile(path string) (ModelVersion, error)
-	RollbackModel() (ModelVersion, error)
 }
 
 // reloadReply is the JSON body the lifecycle endpoints answer with.
@@ -197,31 +189,30 @@ func writeReloadReply(w http.ResponseWriter, status int, v ModelVersion, err err
 	_ = json.NewEncoder(w).Encode(reply)
 }
 
-// ReloadHandlers returns the model-lifecycle admin endpoints, for
-// mounting on an admin server (see Monitor.StartAdmin, which mounts them
-// automatically):
+// reloadHandlers returns the model-lifecycle admin endpoints
+// Monitor.StartAdmin mounts:
 //
-//	POST /reload?path=FILE — validate FILE (default: defaultPath())
+//	POST /reload?path=FILE — validate FILE (default: ModelPath())
 //	    through the full semantic screens and hot-swap it; 422 with the
 //	    rejection reason when the screens fail, serving untouched.
 //	POST /rollback — reinstate the previous model.
 //
 // Both answer {"version": "g<gen>-<crc>"} with the now-serving version.
-func ReloadHandlers(r ModelReloader, defaultPath func() string) map[string]http.Handler {
+func (m *Monitor) reloadHandlers() map[string]http.Handler {
 	reload := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			writeReloadReply(w, http.StatusMethodNotAllowed, r.ModelVersion(), fmt.Errorf("use POST"))
+			writeReloadReply(w, http.StatusMethodNotAllowed, m.ModelVersion(), fmt.Errorf("use POST"))
 			return
 		}
 		path := req.URL.Query().Get("path")
-		if path == "" && defaultPath != nil {
-			path = defaultPath()
+		if path == "" {
+			path = m.ModelPath()
 		}
 		if path == "" {
-			writeReloadReply(w, http.StatusBadRequest, r.ModelVersion(), fmt.Errorf("no model path: pass ?path= or configure a default"))
+			writeReloadReply(w, http.StatusBadRequest, m.ModelVersion(), fmt.Errorf("no model path: pass ?path= or configure a default"))
 			return
 		}
-		v, err := r.ReloadModelFile(path)
+		v, err := m.ReloadModelFile(path)
 		if err != nil {
 			writeReloadReply(w, http.StatusUnprocessableEntity, v, err)
 			return
@@ -230,10 +221,10 @@ func ReloadHandlers(r ModelReloader, defaultPath func() string) map[string]http.
 	})
 	rollback := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			writeReloadReply(w, http.StatusMethodNotAllowed, r.ModelVersion(), fmt.Errorf("use POST"))
+			writeReloadReply(w, http.StatusMethodNotAllowed, m.ModelVersion(), fmt.Errorf("use POST"))
 			return
 		}
-		v, err := r.RollbackModel()
+		v, err := m.RollbackModel()
 		if err != nil {
 			writeReloadReply(w, http.StatusConflict, v, err)
 			return

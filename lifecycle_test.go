@@ -204,8 +204,8 @@ func TestMonitorCheckpointRecovery(t *testing.T) {
 }
 
 // TestMonitorCheckpointerAndShutdown covers the background checkpointer
-// and the graceful drain: Shutdown stops the janitor, checkpointer and
-// admin, writes a final checkpoint, and syncs the journal.
+// and the graceful drain: Shutdown stops the checkpointer and admin,
+// writes a final checkpoint, and syncs the journal.
 func TestMonitorCheckpointerAndShutdown(t *testing.T) {
 	eps, clf := obsFixture(t)
 	stream := obsStream(eps)
@@ -220,7 +220,6 @@ func TestMonitorCheckpointerAndShutdown(t *testing.T) {
 	cfg := MonitorConfig{RedirectThreshold: 1, Shards: 2}
 	cfg.Journal = journal
 	m := NewMonitor(cfg, clf)
-	m.StartJanitor(time.Hour)
 	m.StartCheckpointer(ckptPath, 20*time.Millisecond)
 	m.StartCheckpointer(ckptPath, 20*time.Millisecond) // idempotent
 	alerts := m.ProcessAll(stream)

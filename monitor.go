@@ -3,7 +3,6 @@ package dynaminer
 import (
 	"io"
 	"sync"
-	"time"
 
 	"dynaminer/internal/detector"
 	"dynaminer/internal/httpstream"
@@ -19,19 +18,12 @@ import (
 // classify in parallel; per-client results are shard-count independent.
 type Monitor struct {
 	engine *detector.Engine
-	now    func() time.Time
-
-	// tracer is the pipeline tracer from MonitorConfig (nil when tracing
-	// is off); StartAdmin mounts /trace from it.
-	tracer *obs.Tracer
 
 	// journal is the alert sink from MonitorConfig, kept so Shutdown can
 	// force it to stable storage during a graceful drain.
 	journal *obs.Journal
 
-	// Janitor and checkpoint telemetry on the engine's registry.
-	janitorSweeps      *obs.Counter
-	janitorEvictions   *obs.Counter
+	// Checkpoint telemetry on the engine's registry.
 	checkpoints        *obs.Counter
 	checkpointFailures *obs.Counter
 	// The capture path's counters and stage binding, on the engine's
@@ -41,8 +33,6 @@ type Monitor struct {
 	lateTxs *obs.Counter
 
 	mu             sync.Mutex
-	stop           chan struct{} // non-nil while the janitor is running; guarded by mu
-	done           chan struct{} // closed when the janitor goroutine exits; guarded by mu
 	admin          *obs.Admin    // non-nil while the admin server runs; guarded by mu
 	modelPath      string        // default reload artifact; guarded by mu
 	checkpointPath string        // periodic checkpoint target; guarded by mu
@@ -55,21 +45,11 @@ func NewMonitor(cfg MonitorConfig, c *Classifier) *Monitor {
 	if cfg.TrustedVendors == nil {
 		cfg.TrustedVendors = detector.DefaultTrustedVendors
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	engine := detector.New(cfg, c.scorer())
 	reg := engine.Registry()
 	return &Monitor{
 		engine:  engine,
-		now:     now,
-		tracer:  cfg.Tracer,
 		journal: cfg.Journal,
-		janitorSweeps: reg.Counter("dynaminer_janitor_sweeps_total",
-			"Background janitor sweeps run."),
-		janitorEvictions: reg.Counter("dynaminer_janitor_evictions_total",
-			"Session clusters evicted by the background janitor."),
 		checkpoints: reg.Counter("dynaminer_checkpoints_total",
 			"Watch-state checkpoints written successfully."),
 		checkpointFailures: reg.Counter("dynaminer_checkpoint_failures_total",
@@ -89,7 +69,7 @@ func (m *Monitor) Registry() *obs.Registry { return m.engine.Registry() }
 // the /healthz readiness report (JSON, 503 while any cluster is
 // quarantined), a JSON /snapshot, /debug/pprof/, /trace when
 // the monitor has a tracer, and the model-lifecycle controls POST
-// /reload and POST /rollback (see ReloadHandlers) — on addr, exposing
+// /reload and POST /rollback (see reloadHandlers) — on addr, exposing
 // the monitor's registry. A runtime health collector refreshes process
 // gauges while the server runs. It returns the bound address (useful with
 // ":0"). Nothing listens unless this is called; Close shuts the server
@@ -101,9 +81,9 @@ func (m *Monitor) StartAdmin(addr string) (string, error) {
 		return m.admin.Addr(), nil
 	}
 	admin, err := obs.StartAdmin(addr, m.engine.Registry(), obs.AdminOptions{
-		Extra:  ReloadHandlers(m, m.ModelPath),
+		Extra:  m.reloadHandlers(),
 		Health: m.engine.Health,
-		Tracer: m.tracer,
+		Tracer: m.engine.Tracer(),
 	})
 	if err != nil {
 		return "", err
@@ -116,57 +96,17 @@ func (m *Monitor) StartAdmin(addr string) (string, error) {
 // /healthz serves the same report.
 func (m *Monitor) Health() HealthStatus { return m.engine.Health() }
 
-// StartJanitor launches a background sweeper that evicts session clusters
-// idle for more than the engine's one-hour TTL by MonitorConfig.Now every
-// interval (zero selects one minute), so memory stays
-// bounded even while no traffic arrives to trigger the inline eviction in
-// Process. Starting an already-running janitor is a no-op. Stop it with
-// Close.
-func (m *Monitor) StartJanitor(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stop != nil {
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	m.stop, m.done = stop, done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				func() {
-					// Last-resort guard, per sweep: a janitor fault must
-					// never take the process down, nor end later sweeps.
-					defer func() { recover() }()
-					n := m.engine.EvictExpired(m.now())
-					m.janitorSweeps.Inc()
-					m.janitorEvictions.Add(int64(n))
-				}()
-			}
-		}
-	}()
-}
-
-// Close stops the background janitor, the background checkpointer and
-// the admin server, whichever are running, and waits for them to exit.
-// It is safe to call multiple times and on monitors that never started
-// any of them. (Shutdown additionally writes a final checkpoint and
-// syncs the journal.)
+// Close stops the background checkpointer and the admin server, whichever
+// are running, and waits for them to exit. It is safe to call multiple
+// times and on monitors that never started either. (Shutdown additionally
+// writes a final checkpoint and syncs the journal.) Idle session clusters
+// need no background sweep: the engine evicts them inline as traffic
+// arrives, and without traffic retained state does not grow.
 func (m *Monitor) Close() {
 	m.mu.Lock()
-	stop, done := m.stop, m.done
 	ckptStop, ckptDone := m.ckptStop, m.ckptDone
 	admin := m.admin
-	m.stop, m.done, m.admin = nil, nil, nil
-	m.ckptStop, m.ckptDone = nil, nil
+	m.admin, m.ckptStop, m.ckptDone = nil, nil, nil
 	m.mu.Unlock()
 	if admin != nil {
 		admin.Close()
@@ -175,11 +115,6 @@ func (m *Monitor) Close() {
 		close(ckptStop)
 		<-ckptDone
 	}
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }
 
 // Process ingests one transaction and returns any alerts it triggers.
@@ -240,13 +175,11 @@ type ProxyStats = proxy.Stats
 // mode, where DynaMiner "sits at the edge of a network or as a web proxy".
 type Proxy = proxy.Proxy
 
-// NewProxy wraps a trained classifier in a forward HTTP proxy that relays
-// traffic, detects infections on the wire, and (optionally) terminates the
-// web sessions of alerted clients. Serve it with http.ListenAndServe and
-// point browsers at it as their HTTP proxy.
-func NewProxy(cfg ProxyConfig, c *Classifier) *Proxy {
-	if cfg.Detector.TrustedVendors == nil {
-		cfg.Detector.TrustedVendors = detector.DefaultTrustedVendors
-	}
-	return proxy.New(cfg, c.scorer())
-}
+// NewProxy returns a forward HTTP proxy in front of m's engine: it relays
+// traffic, feeds every exchange to m as a transaction, and (optionally)
+// terminates the web sessions of alerted clients. m keeps the deployment
+// itself — model reloads, checkpoints, recovery, the journal and the admin
+// server — and its registry carries the proxy's counters beside the
+// engine's. Serve the proxy with http.ListenAndServe and point browsers at
+// it as their HTTP proxy.
+func NewProxy(cfg ProxyConfig, m *Monitor) *Proxy { return proxy.New(cfg, m.engine) }
