@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynaminer/internal/obs"
 	"dynaminer/internal/pcap"
 )
 
@@ -84,7 +85,8 @@ func TestCaptureTelemetryIsPerMonitor(t *testing.T) {
 // TestTracedMonitorTracesItsCapture: a monitor whose config carries a
 // tracer observes its capture's pcap.reassemble and httpstream.parse
 // stages, once per conversation, with nothing else set up; an untraced
-// monitor still observes httpstream.parse, the one parse histogram.
+// monitor counts its capture but times none of it: its registry holds no
+// stage histogram.
 func TestTracedMonitorTracesItsCapture(t *testing.T) {
 	eps, clf := obsFixture(t)
 	capture := renderCapture(t, eps[:10], 52)
@@ -107,13 +109,70 @@ func TestTracedMonitorTracesItsCapture(t *testing.T) {
 	if _, err := untraced.ProcessPCAP(bytes.NewReader(capture.bytes)); err != nil {
 		t.Fatal(err)
 	}
-	var parses int64 = -1
-	for _, s := range untraced.Registry().Snapshot() {
-		if s.Name == "dynaminer_stage_httpstream_parse_seconds" {
-			parses = s.Count
+	ureg := untraced.Registry()
+	if got := ureg.CounterValue("dynaminer_httpstream_bytes_total"); got != capture.payload {
+		t.Errorf("untraced monitor counts %d payload bytes, its capture holds %d", got, capture.payload)
+	}
+	for _, s := range ureg.Snapshot() {
+		if s.Type == "histogram" {
+			t.Errorf("untraced monitor registers histogram %s", s.Name)
 		}
 	}
-	if parses != int64(capture.convs) {
-		t.Errorf("untraced monitor: dynaminer_stage_httpstream_parse_seconds holds %d observations, want one per conversation (%d)", parses, capture.convs)
+}
+
+// TestStageCountsEqualUnits: every dynaminer_stage_* histogram's count is
+// the units its stage saw, whatever the tracer's sampling keeps. Rendered
+// captures replay through ProcessPCAP on one and two shards under a tracer
+// that samples nothing, and the registry alone must agree with itself:
+// one detector.process per transaction, one detector.classify and one
+// ml.score per classification, one journal.write per journal record, and
+// one httpstream.parse and one pcap.reassemble per conversation.
+func TestStageCountsEqualUnits(t *testing.T) {
+	eps, clf := obsFixture(t)
+	capture := renderCapture(t, eps, 53)
+	for _, shards := range []int{1, 2} {
+		reg := NewMetricsRegistry()
+		var journal bytes.Buffer
+		m := NewMonitor(MonitorConfig{
+			RedirectThreshold: 1,
+			Shards:            shards,
+			Metrics:           reg,
+			Tracer:            NewTracer(reg, 0),
+			Journal:           obs.NewJournalWriter(&journal),
+		}, clf)
+		if _, err := m.ProcessPCAP(bytes.NewReader(capture.bytes)); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadJournal(&journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make(map[string]int64)
+		for _, s := range reg.Snapshot() {
+			counts[s.Name] = s.Count
+		}
+		stage := func(name string) int64 { return counts["dynaminer_stage_"+name+"_seconds"] }
+		txs := reg.CounterValue("dynaminer_detector_transactions_total")
+		classifications := reg.CounterValue("dynaminer_detector_classifications_total")
+		if txs == 0 || classifications == 0 || len(recs) == 0 {
+			t.Fatalf("%d shards: %d transactions, %d classifications, %d records: the identity is vacuous",
+				shards, txs, classifications, len(recs))
+		}
+		for _, c := range []struct {
+			stage string
+			units int64
+			what  string
+		}{
+			{"detector_process", txs, "transactions"},
+			{"detector_classify", classifications, "classifications"},
+			{"ml_score", classifications, "classifications"},
+			{"journal_write", int64(len(recs)), "journal records"},
+			{"httpstream_parse", int64(capture.convs), "conversations"},
+			{"pcap_reassemble", int64(capture.convs), "conversations"},
+		} {
+			if got := stage(c.stage); got != c.units {
+				t.Errorf("%d shards: dynaminer_stage_%s_seconds counts %d, the run saw %d %s", shards, c.stage, got, c.units, c.what)
+			}
+		}
 	}
 }

@@ -112,13 +112,15 @@ func addMonitorFlags(fs *flag.FlagSet) *monitorFlags {
 // journal already holds are not raised again), then the checkpointer
 // (every ckptInterval; zero selects 30 s) and the admin server start.
 // shutdown drains it once intake has stopped: a final checkpoint, the
-// journal synced and closed. On error nothing is left running.
-func (f *monitorFlags) start(shards int, ckptInterval time.Duration) (m *dynaminer.Monitor, shutdown func() error, err error) {
+// journal synced and closed. On error nothing is left running. Every mode
+// sizes the engine by GOMAXPROCS, so a checkpoint one mode writes restores
+// into the other on the same host.
+func (f *monitorFlags) start(ckptInterval time.Duration) (m *dynaminer.Monitor, shutdown func() error, err error) {
 	clf, err := dynaminer.LoadFile(*f.model)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := dynaminer.MonitorConfig{RedirectThreshold: *f.threshold, Shards: shards}
+	cfg := dynaminer.MonitorConfig{RedirectThreshold: *f.threshold}
 	if *f.traceSample > 0 {
 		// The tracer shares the engine's registry so that its stage
 		// histograms are served on the Monitor's /metrics.

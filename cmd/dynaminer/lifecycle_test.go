@@ -199,7 +199,8 @@ func TestProxyRecoversLikeStream(t *testing.T) {
 
 	// The first synthetic infection whose first alert comes after its
 	// clue, on a call-back.
-	cfg := dynaminer.MonitorConfig{RedirectThreshold: 1, Shards: 1}
+	// Sized by GOMAXPROCS, as the proxy sizes its engine.
+	cfg := dynaminer.MonitorConfig{RedirectThreshold: 1}
 	var txs []dynaminer.Transaction
 	alertAt := -1
 	for _, ep := range dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 4, Infections: 8, Benign: 1}) {
@@ -261,7 +262,7 @@ func TestProxyRecoversLikeStream(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- run([]string{"proxy", "-model", model, "-listen", "127.0.0.1:0", "-threshold", "1",
-			"-shards", "1", "-checkpoint", ckpt, "-journal", journal})
+			"-checkpoint", ckpt, "-journal", journal})
 	}()
 	var srv *http.Server
 	select {

@@ -107,12 +107,11 @@ func runProxy(args []string) (err error) {
 	var (
 		listen = fs.String("listen", "127.0.0.1:8080", "proxy listen address")
 		block  = fs.Bool("block", true, "terminate sessions of alerted clients")
-		shards = fs.Int("shards", 0, "detection engine shards (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, shutdown, err := mf.start(*shards, 0)
+	m, shutdown, err := mf.start(0)
 	if err != nil {
 		return err
 	}
@@ -271,7 +270,7 @@ func runClassify(args []string) error {
 		w := dynaminer.BuildWCG(txs)
 		score := clf.Score(w)
 		verdict := "benign"
-		if score > 0.5 {
+		if clf.IsInfection(w) {
 			verdict = "INFECTION"
 		}
 		fmt.Printf("%s: %s (score %.3f, %d hosts, %d transactions)\n",
@@ -299,7 +298,7 @@ func runStream(args []string) (err error) {
 		return fmt.Errorf("open capture: %w", err)
 	}
 	defer capture.Close()
-	m, shutdown, err := mf.start(0, *ckptInterval)
+	m, shutdown, err := mf.start(*ckptInterval)
 	if err != nil {
 		return err
 	}

@@ -26,16 +26,16 @@ func main() {
 	for i := range unseen {
 		ep := &unseen[i]
 		w := dynaminer.EpisodeWCG(ep)
-		score := clf.Score(w)
+		score, infected := clf.Score(w), clf.IsInfection(w)
 		verdict := "benign   "
-		if score > 0.5 {
+		if infected {
 			verdict = "INFECTION"
 		}
 		truth := "benign"
 		if ep.Infection {
 			truth = ep.Family
 		}
-		if (score > 0.5) == ep.Infection {
+		if infected == ep.Infection {
 			correct++
 		}
 		fmt.Printf("%s score=%.2f  hosts=%-3d edges=%-4d truth=%s\n",

@@ -29,9 +29,11 @@ import (
 //
 // The body is the model version (generation u64 + blob CRC u32), the
 // shard count u32, then per shard: txSeen u64, cluster count u32, and
-// each cluster in engine order (order is load-bearing: cluster IDs
-// allocate from the live cluster count, so replaying in order makes a
-// recovered engine hand out the same IDs an uninterrupted run would).
+// each cluster in engine order (the order the client index lists a
+// client's clusters in, newest last, which routing reads). Cluster IDs
+// number the shard's transactions (txSeen at the opening one), so the
+// restored txSeen makes a recovered engine hand out the same IDs an
+// uninterrupted run would.
 // A cluster is its ID u64, client address, flags u8, quarantine faults
 // u8, pinned model (generation u64 + CRC u32) and last activity, then
 // its host table — u32 count of length-prefixed names, u32 count of u32
@@ -638,7 +640,7 @@ func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 		return 0, err
 	}
 	if int(shards) != len(e.shards) {
-		return 0, fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (cluster IDs would not line up)", shards, len(e.shards))
+		return 0, fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (clients would route to other shards); the engine sizes itself by GOMAXPROCS, so set GOMAXPROCS=%d to restore it", shards, len(e.shards), shards)
 	}
 	for si := uint32(0); si < shards; si++ {
 		txSeen, err := r.u64()

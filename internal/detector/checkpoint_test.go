@@ -241,8 +241,9 @@ func journaled(buf *bytes.Buffer) *Engine {
 // TestRestoreV1Fixture: version 1 checkpoints stay importable. Restoring
 // the checked-in v1 artifact digests each checkpointed transaction as
 // live processing does, so the engine it gives is the one the
-// uninterrupted run holds at the cut: its version 2 checkpoint is the
-// uninterrupted engine's byte for byte, and the rest of the stream gives
+// uninterrupted run holds at the cut: once its clusters carry the
+// uninterrupted run's IDs, its version 2 checkpoint is the uninterrupted
+// engine's byte for byte, and the rest of the stream gives
 // the same alerts, journal records and Stats — those of an engine restored
 // from the uninterrupted run's own version 2 checkpoint too.
 func TestRestoreV1Fixture(t *testing.T) {
@@ -274,6 +275,20 @@ func TestRestoreV1Fixture(t *testing.T) {
 		in := map[string][]byte{"v1": data, "v2": v2}[name]
 		if n, err := e.RestoreCheckpoint(in); err != nil || n != info.Clusters {
 			t.Fatalf("%s restore: %d clusters, %v; want %d", name, n, err, info.Clusters)
+		}
+	}
+	// The fixture's writer numbered each shard's clusters by its live
+	// cluster count, and a restore keeps the IDs it finds (the journal
+	// names them); the uninterrupted engine numbers them by their opening
+	// transaction. The clusters restore in engine order, so the v1-restored
+	// ones take the uninterrupted run's IDs before the two are compared.
+	for i, sh := range fromV1.shards {
+		got, want := sh.st.clusters, un.shards[i].st.clusters
+		if len(got) != len(want) {
+			t.Fatalf("shard %d: v1 restore holds %d clusters, the uninterrupted engine %d", i, len(got), len(want))
+		}
+		for j, c := range got {
+			c.id = want[j].id
 		}
 	}
 	if got := fromV1.AppendCheckpoint(nil); !bytes.Equal(got, v2) {
@@ -376,8 +391,11 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 	if _, err := fresh().RestoreCheckpoint([]byte("DMFB----------------")); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
+	// The mismatch names the way out: the engine's size is GOMAXPROCS.
 	if _, err := New(Config{Shards: 3}, constScorer(0.9)).RestoreCheckpoint(data); err == nil {
 		t.Fatal("shard-count mismatch accepted")
+	} else if !strings.Contains(err.Error(), "GOMAXPROCS=2") {
+		t.Fatalf("shard-count mismatch error %q does not name GOMAXPROCS=2", err)
 	}
 	// A non-empty engine must refuse to restore (cluster IDs would collide).
 	busy := fresh()

@@ -1,67 +1,59 @@
-package detector
+package detector_test
+
+// The wire path has one timer, the tracer's clock (obs.SetClock replaces
+// it here). TestVerdictsIndependentOfClock steps it and pins what it
+// reaches: stage histograms and span stamps, never verdicts, and nothing
+// at all when nothing traces.
 
 import (
 	"bytes"
+	"net/netip"
 	"reflect"
-	"strings"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dynaminer"
+	"dynaminer/internal/detector"
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/obs"
+	"dynaminer/internal/pcap"
 )
 
-// stepClock advances a fixed step on every reading, so each timed stage
-// appears to take a whole number of steps of wall time. It is not locked:
-// drive it from one goroutine.
+// stepClock advances a fixed step on every reading, so each timed unit
+// appears to take a whole number of steps.
 type stepClock struct {
-	t    time.Time
+	ns   atomic.Int64
 	step time.Duration
 }
 
-func (c *stepClock) Now() time.Time {
-	c.t = c.t.Add(c.step)
-	return c.t
+func (c *stepClock) now() time.Time {
+	return time.Unix(1700000000, c.ns.Add(int64(c.step)))
 }
 
-// TestUntimedEngineNeverReadsClock pins that an engine with neither
-// Metrics nor Tracer set never consults its clock, and classifies every
-// update of the watch.
-func TestUntimedEngineNeverReadsClock(t *testing.T) {
-	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
-	e.shards[0].st.now = func() time.Time { panic("clock consulted by an untimed engine") }
-	for _, tx := range relatedFollowUp(4) {
-		e.Process(tx)
-	}
-	st := e.Stats()
-	if st.Panics != 0 || st.Classifications != 6 {
-		t.Fatalf("stats %+v, want every update classified without a clock read", st)
-	}
-}
+func panicClock() time.Time { panic("clock read on an untraced path") }
 
 // clockedRun is what one engine made of the verdict stream.
 type clockedRun struct {
-	alerts  []Alert
+	alerts  []detector.Alert
 	records []obs.AlertRecord
 	metrics map[string]obs.MetricSnapshot
+	stats   detector.Stats
 }
 
-// runClocked streams txs one at a time through a fully instrumented
-// two-shard engine whose clock advances step per reading. Process is
-// called from this goroutine only, so the unlocked clock is safe.
-func runClocked(t *testing.T, scorer Scorer, txs []httpstream.Transaction, step time.Duration) clockedRun {
+// runEngine streams txs one at a time through a two-shard engine with a
+// journal, traced and metered on one registry or neither. Process is
+// called from this goroutine only.
+func runEngine(t *testing.T, model detector.Scorer, txs []httpstream.Transaction, traced bool) clockedRun {
 	t.Helper()
-	reg := obs.NewRegistry()
 	var journal bytes.Buffer
-	clock := &stepClock{t: t0, step: step}
-	e := New(Config{
-		Shards:            2,
-		RedirectThreshold: 1,
-		Now:               clock.Now,
-		Metrics:           reg,
-		Journal:           obs.NewJournalWriter(&journal),
-		Tracer:            obs.NewTracer(reg, 2),
-	}, scorer)
+	cfg := detector.Config{Shards: 2, RedirectThreshold: 1, Journal: obs.NewJournalWriter(&journal)}
+	if traced {
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Tracer = obs.NewTracer(cfg.Metrics, 2)
+	}
+	e := detector.New(cfg, model)
 	var run clockedRun
 	for _, tx := range txs {
 		run.alerts = append(run.alerts, e.Process(tx)...)
@@ -75,37 +67,86 @@ func runClocked(t *testing.T, scorer Scorer, txs []httpstream.Transaction, step 
 	}
 	run.records = recs
 	run.metrics = map[string]obs.MetricSnapshot{}
-	for _, ms := range reg.Snapshot() {
+	for _, ms := range e.Registry().Snapshot() {
 		run.metrics[ms.Name] = ms
 	}
+	run.stats = e.Stats()
 	return run
 }
 
+// clockCorpus is a seeded corpus with one client per episode, the stream
+// of its transactions in request-time order, and a model trained on it.
+func clockCorpus(t *testing.T) ([]dynaminer.Episode, []httpstream.Transaction, *dynaminer.Classifier) {
+	t.Helper()
+	eps := dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 7, Infections: 8, Benign: 8})
+	clf, err := dynaminer.TrainForMonitoring(eps, dynaminer.TrainConfig{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txs []httpstream.Transaction
+	for i := range eps {
+		ep := &eps[i]
+		addr := netip.AddrFrom4([4]byte{10, 7, byte(i >> 8), byte(i)})
+		for j := range ep.Txs {
+			ep.Txs[j].ClientIP = addr
+		}
+		txs = append(txs, ep.Txs...)
+	}
+	sort.SliceStable(txs, func(i, j int) bool { return txs[i].ReqTime.Before(txs[j].ReqTime) })
+	return eps, txs, clf
+}
+
 // TestVerdictsIndependentOfClock pins that the engine's output is a
-// function of its input alone: the same interleaved infection and benign
-// stream through an engine whose clock reads 1 ns per call and one whose
-// clock reads 1 s per call yields the same alerts, the same journal
-// records (trace ids aside) and the same value on every registry counter
-// and gauge. The clock reaches the latency histograms only, and there it
-// is read where the engine says: under the slow clock every score spans
-// exactly one step and every classification at least the score's two
-// readings.
+// function of its input alone and that the tracer's clock is the only one
+// it reads. The same interleaved infection and benign stream goes through
+// an untraced, unmetered engine while the clock panics on any read, and
+// through traced engines whose clock reads 1 ns and 1 s per call: all
+// three give the same alerts, journal records (trace ids aside) and
+// counter and gauge values. Under the 1 s clock every ml.score
+// observation is one whole step. An untraced Monitor replays the same
+// episodes as a capture through ProcessPCAP, capture layers included,
+// under the panicking clock.
 func TestVerdictsIndependentOfClock(t *testing.T) {
-	txs := interleaved(relatedFollowUp(4))
-	txs = append(txs, interleavedCorpus(t, 6)...)
-	model := trainDimForest(t, 37, 31)
+	eps, txs, clf := clockCorpus(t)
+	model := clf.FlatForest()
 
-	fast := runClocked(t, model, txs, time.Nanosecond)
-	slow := runClocked(t, model, txs, time.Second)
-
-	if len(fast.alerts) == 0 || len(fast.records) != len(fast.alerts) {
-		t.Fatalf("%d alerts, %d journal records: the comparison is vacuous", len(fast.alerts), len(fast.records))
+	t.Cleanup(obs.SetClock(panicClock))
+	bare := runEngine(t, model, txs, false)
+	if bare.stats.Panics != 0 {
+		t.Fatalf("untraced engine faulted %d times: it read the clock", bare.stats.Panics)
 	}
-	requireSameAlerts(t, "1 s clock vs 1 ns clock", slow.alerts, fast.alerts)
-	if !reflect.DeepEqual(slow.records, fast.records) {
-		t.Fatalf("journal records depend on the clock:\n1 s:  %+v\n1 ns: %+v", slow.records, fast.records)
-	}
+	fastClock := &stepClock{step: time.Nanosecond}
+	t.Cleanup(obs.SetClock(fastClock.now))
+	fast := runEngine(t, model, txs, true)
+	slowClock := &stepClock{step: time.Second}
+	t.Cleanup(obs.SetClock(slowClock.now))
+	slow := runEngine(t, model, txs, true)
 
+	if len(bare.alerts) == 0 || len(bare.records) != len(bare.alerts) {
+		t.Fatalf("%d alerts, %d journal records: the comparison is vacuous", len(bare.alerts), len(bare.records))
+	}
+	for _, run := range []struct {
+		name string
+		clockedRun
+	}{{"1 ns clock", fast}, {"1 s clock", slow}} {
+		if !reflect.DeepEqual(run.alerts, bare.alerts) {
+			t.Fatalf("%s: alerts differ from the untraced engine's", run.name)
+		}
+		if !reflect.DeepEqual(run.records, bare.records) {
+			t.Fatalf("%s: journal records differ from the untraced engine's:\n%+v\n%+v", run.name, run.records, bare.records)
+		}
+		for name, b := range bare.metrics {
+			if b.Type != "counter" && b.Type != "gauge" {
+				t.Fatalf("untraced, unmetered engine registered %s %s", b.Type, name)
+			}
+			if name == "dynaminer_journal_size_bytes" {
+				continue // a traced engine's records carry their trace_id
+			}
+			if r := run.metrics[name]; r.Value != b.Value {
+				t.Errorf("%s: %s = %d, untraced %d", run.name, name, r.Value, b.Value)
+			}
+		}
+	}
 	compared := 0
 	for name, f := range fast.metrics {
 		s := slow.metrics[name]
@@ -126,23 +167,30 @@ func TestVerdictsIndependentOfClock(t *testing.T) {
 	}
 
 	classifications := slow.metrics["dynaminer_detector_classifications_total"].Value
-	score := slow.metrics["dynaminer_ml_score_seconds"]
+	score := slow.metrics["dynaminer_stage_ml_score_seconds"]
 	if classifications == 0 || score.Count != classifications || score.Sum != float64(classifications) {
-		t.Fatalf("score histogram %d observations summing to %v s, want one 1 s step for each of %d classifications",
+		t.Fatalf("ml.score histogram %d observations summing to %v s, want one 1 s step for each of %d classifications",
 			score.Count, score.Sum, classifications)
 	}
-	var classify obs.MetricSnapshot
-	for name, ms := range slow.metrics {
-		if strings.HasPrefix(name, "dynaminer_detector_classify_") {
-			classify.Count += ms.Count
-			classify.Sum += ms.Sum
-		}
+
+	var capture bytes.Buffer
+	var convs []pcap.Conversation
+	for i := range eps {
+		convs = append(convs, eps[i].Conversations()...)
 	}
-	if classify.Count != classifications || classify.Sum < 2*float64(classifications) ||
-		classify.Sum != float64(int64(classify.Sum)) {
-		t.Fatalf("classify histograms %d observations summing to %v s, want %d, each a whole number of 1 s steps, at least 2",
-			classify.Count, classify.Sum, classifications)
+	if err := pcap.WriteConversations(&capture, convs); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(obs.SetClock(panicClock))
+	m := dynaminer.NewMonitor(dynaminer.MonitorConfig{RedirectThreshold: 1, Shards: 2}, clf)
+	alerts, err := m.ProcessPCAP(&capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Panics != 0 || st.Transactions != len(txs) || len(alerts) == 0 {
+		t.Fatalf("untraced ProcessPCAP under a panicking clock: %d alerts, stats %+v, want %d transactions and no fault",
+			len(alerts), st, len(txs))
 	}
 	t.Logf("%d transactions: %d alerts, %d classifications, %d counters and gauges equal",
-		len(txs), len(fast.alerts), classifications, compared)
+		len(txs), len(bare.alerts), classifications, compared)
 }

@@ -56,17 +56,11 @@ type Config struct {
 	// the from-scratch path is the oracle those tests and the benchmark's
 	// correctness check compare it against.
 	DisableIncremental bool
-	// Now supplies time for the classify-latency measurement and the span
-	// stamps; nil selects time.Now. Only consulted when Metrics or Tracer
-	// is set, so replays with both off never observe the wall clock. The
-	// clock moves latency histograms and span stamps only: verdicts,
-	// journal records and counters are a function of the input alone.
-	Now func() time.Time
-	// Metrics selects the observability registry the engine's counters,
-	// the watched gauge and the classify/score latency histograms are
-	// registered on (every shard shares it). nil keeps a
-	// private registry: the Stats view still works, nothing is exported,
-	// and no timing instrumentation (clock reads) is enabled.
+	// Metrics selects the observability registry the engine's counters
+	// and the watched gauge are registered on (every shard shares it). nil
+	// keeps a private registry: the Stats view still works and nothing is
+	// exported. It chooses a registry and nothing more; latency is the
+	// Tracer's.
 	Metrics *obs.Registry
 	// Journal, when set, receives one provenance record per alert: the
 	// arming clue, the WCG shape, the exact feature vector and score the
@@ -76,9 +70,13 @@ type Config struct {
 	// Tracer, when set, records one span tree per transaction —
 	// detector.process → detector.classify → features.incremental or
 	// features.rebuild → ml.score → journal.write — with shard and
-	// quarantine attribution on the spans, sampled and
-	// promoted per the tracer's config. Every shard shares it. nil
-	// disables tracing entirely (the hot path pays one nil check).
+	// quarantine attribution on the spans; every closed span observes its
+	// dynaminer_stage_* histogram, and the tracer's sampling picks the
+	// trees it keeps. Every shard shares it. It is the engine's only
+	// clock: nil disables tracing entirely, and the engine then reads no
+	// clock at all (the hot path pays one nil check). The clock moves
+	// stage histograms and span stamps only: verdicts, journal records and
+	// counters are a function of the input alone.
 	Tracer *obs.Tracer
 }
 
@@ -375,7 +373,8 @@ type shardState struct {
 	mx      *engineMetrics
 	journal *obs.Journal
 	// idBase/idStep parameterize cluster ID allocation so shards never
-	// collide: shard i of n allocates i, i+n, i+2n, ...
+	// collide: of n shards, the cluster that shard i's k-th transaction
+	// opens (k from 0) gets the ID i+k*n.
 	idBase, idStep int
 	// scratch is the graph workspace shared by every cluster's feature
 	// cache (safe: the shard is serialized); fvec is the reusable
@@ -388,16 +387,12 @@ type shardState struct {
 	// per rebuild. Bit-identical to features.Extract by the Reset
 	// contract.
 	rebuild features.Cache
-	// now is the clock behind the latency histograms and span stamps;
-	// timed enables its reads, set when Metrics (latency histograms) or
-	// Tracer (span stamps) asks for them.
-	now   func() time.Time
-	timed bool
 	// txSeen counts transactions this shard ingested, driving the inline
-	// eviction cadence. Unlike the metrics cell it is checkpointed and
-	// restored, so a recovered engine sweeps at the same transaction
-	// offsets as an uninterrupted run — a prerequisite for bit-identical
-	// post-recovery alerts.
+	// eviction cadence and numbering new clusters. Unlike the metrics cell
+	// it is checkpointed and restored, so a recovered engine sweeps at the
+	// same transaction offsets and opens clusters under the same IDs as an
+	// uninterrupted run — a prerequisite for bit-identical post-recovery
+	// alerts.
 	txSeen int64
 	// restoring suppresses classification and stat counters while a
 	// checkpointed cluster's transactions are replayed through the
@@ -419,14 +414,8 @@ type shardState struct {
 }
 
 // newShardState builds shard idBase of idStep over the engine's registry
-// and model holder. cfg already carries its defaults. Clock reads follow
-// cfg.Metrics, not reg: the engine's private default registry exports
-// nothing, so it turns no timing on.
+// and model holder. cfg already carries its defaults.
 func newShardState(cfg Config, reg *obs.Registry, models *modelHolder, idBase, idStep int) *shardState {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	s := &shardState{
 		cfg:      cfg,
 		models:   models,
@@ -436,8 +425,6 @@ func newShardState(cfg Config, reg *obs.Registry, models *modelHolder, idBase, i
 		idBase:   idBase,
 		idStep:   idStep,
 		scratch:  graph.NewScratch(),
-		now:      now,
-		timed:    cfg.Metrics != nil || cfg.Tracer != nil,
 		tracer:   cfg.Tracer,
 		atRoot:   -1,
 	}
@@ -707,36 +694,24 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 		return nil // extraction-only mode (training-set construction)
 	}
 	at := s.at
-	// A traced engine is always timed, so every classify span boundary
-	// reuses a latency-metric clock reading — tracing adds stamps to
-	// reads the instrumented path was already taking, not new reads. The
-	// classify span is ended explicitly at each return (no defer): a
+	// The classify span is ended explicitly at each return (no defer): a
 	// panic unwinds past it, and the root span's pop-through close
 	// finalizes it at the end-to-end instant.
-	var start time.Time
-	var cs int
-	if s.timed {
-		start = s.now()
-		cs = at.StartSpanAt(s.stg.classify, start)
-	} else {
-		cs = at.StartSpan(s.stg.classify)
-	}
+	cs := at.StartSpan(s.stg.classify)
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
 	var x []float64
 	var g *wcg.WCG // the graph scored: the live WCG or the rebuild
 	incremental := false
-	fs := -1 // the feature span, left open for scoreVector to close at its t0
+	fs := -1 // the feature span, left open for scoreVector to close
 	if s.incrementalEligible(c) {
 		// The features.incremental span records only genuine attempts: a
 		// cluster pinned to the rebuild path never opens it, so a trace's
 		// stage set reflects the path actually taken. A mid-feed fallback
 		// (out-of-order arrival) leaves the attempt flagged SpanError next
-		// to the rebuild span that served the verdict. The attempt begins
-		// at the same instant the classify measurement does (only flag
-		// annotations separate them), so the stamp is shared.
-		fs = at.StartSpanAt(s.stg.featInc, start)
+		// to the rebuild span that served the verdict.
+		fs = at.StartSpan(s.stg.featInc)
 		v, ok := s.incrementalVector(c, fs)
 		if ok {
 			x, g, incremental = v, c.ib.Live(), true
@@ -758,16 +733,6 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 	}
 	score := s.scoreVector(ref.scorer, x, fs)
 	s.mx.classifications.Inc()
-	var endT time.Time
-	if s.timed {
-		endT = s.now()
-		elapsed := endT.Sub(start)
-		if incremental {
-			s.mx.classifyIncremental.Observe(elapsed.Seconds())
-		} else {
-			s.mx.classifyRebuild.Observe(elapsed.Seconds())
-		}
-	}
 	// A scorer emitting a non-finite probability is as broken as one
 	// that panics: NaN compares false with every threshold and would
 	// either always or never alert. Treat it as a fault so the recover
@@ -776,13 +741,13 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 		panic("detector: scorer returned a non-finite probability")
 	}
 	if score <= ScoreThreshold {
-		at.EndSpanAt(cs, endT)
+		at.EndSpan(cs)
 		return nil
 	}
 	r := &c.hist[idx]
 	download := r.Flags&wcg.RecDownload != 0
 	if c.alerted && !download {
-		at.EndSpanAt(cs, endT)
+		at.EndSpan(cs)
 		return nil
 	}
 	c.alerted = true
@@ -828,26 +793,13 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 	return []Alert{alert}
 }
 
-// scoreVector runs the watch's pinned model, timing the ensemble's share
-// of classify wall time when the engine is timed. prev is the still-open
-// feature-extraction span (-1 when none): its end and the score span's
-// start share one clock reading, as do the score span's end and the
-// score latency metric.
+// scoreVector closes the still-open feature-extraction span prev (-1
+// when none) and runs the watch's pinned model under the ml.score span.
 func (s *shardState) scoreVector(model Scorer, x []float64, prev int) float64 {
-	if !s.timed {
-		s.at.EndSpan(prev)
-		ss := s.at.StartSpan(s.stg.score)
-		score := model.Score(x)
-		s.at.EndSpan(ss)
-		return score
-	}
-	t0 := s.now()
-	s.at.EndSpanAt(prev, t0)
-	ss := s.at.StartSpanAt(s.stg.score, t0)
+	s.at.EndSpan(prev)
+	ss := s.at.StartSpan(s.stg.score)
 	score := model.Score(x)
-	end := s.now()
-	s.at.EndSpanAt(ss, end)
-	s.mx.score.Observe(end.Sub(t0).Seconds())
+	s.at.EndSpan(ss)
 	return score
 }
 
@@ -1230,7 +1182,9 @@ func (s *shardState) clusterFor(tx *httpstream.Transaction, k wcg.Keys) *cluster
 			return last
 		}
 	}
-	return s.newCluster(s.idBase+s.idStep*len(s.clusters), tx.ClientIP)
+	// Numbered by the opening transaction, which no later one shares: an
+	// ID never comes back, however many clusters eviction removed.
+	return s.newCluster(s.idBase+s.idStep*int(s.txSeen-1), tx.ClientIP)
 }
 
 // newCluster opens an empty session cluster and registers it with the

@@ -630,6 +630,38 @@ func TestEvictIdle(t *testing.T) {
 	}
 }
 
+// TestClusterIDsNeverRepeat pins that an eviction never lets a new
+// cluster take the ID of one still live: X opens a cluster at 0 and
+// another 10 min later, Y one at 0; the sweep at 5 min evicts X's first
+// and Y's, and the clusters Y and X open after it must not reuse an ID
+// X's second cluster still holds (MarkAlerted, replaying a journal,
+// would mark whichever it met first).
+func TestClusterIDsNeverRepeat(t *testing.T) {
+	e := New(Config{Shards: 1}, constScorer(0))
+	y := netip.MustParseAddr("10.0.0.99")
+	asY := func(tx httpstream.Transaction) httpstream.Transaction { tx.ClientIP = y; return tx }
+	e.Process(mkTx("h1.com", "/", "GET", 200, "text/html", 10, "", 0))
+	e.Process(asY(mkTx("h2.com", "/", "GET", 200, "text/html", 10, "", 0)))
+	e.Process(mkTx("h3.com", "/", "GET", 200, "text/html", 10, "", 10*time.Minute))
+	if n := e.evictIdle(t0.Add(5 * time.Minute)); n != 2 {
+		t.Fatalf("evicted %d clusters, want X's first and Y's", n)
+	}
+	e.Process(asY(mkTx("h4.com", "/", "GET", 200, "text/html", 10, "", 70*time.Minute)))
+	e.Process(mkTx("h5.com", "/", "GET", 200, "text/html", 10, "", 80*time.Minute))
+
+	live := e.shards[0].st.clusters
+	if len(live) != 3 {
+		t.Fatalf("%d live clusters, want X's second and the two opened after the sweep", len(live))
+	}
+	seen := map[int]bool{}
+	for _, c := range live {
+		if seen[c.id] {
+			t.Fatalf("two live clusters hold ID %d", c.id)
+		}
+		seen[c.id] = true
+	}
+}
+
 func TestAutomaticEviction(t *testing.T) {
 	e := New(Config{Shards: 1}, constScorer(0))
 	// Many single-host clusters spread over days trigger periodic sweeps

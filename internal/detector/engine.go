@@ -43,10 +43,12 @@ type shard struct {
 }
 
 // New returns an Engine with cfg.Shards shards (zero selects
-// runtime.GOMAXPROCS(0)) serving one trained model. Cluster IDs are
-// strided across shards — shard i of n allocates i, i+n, i+2n, ... — so
-// they stay unique engine-wide, and a one-shard engine numbers its
-// clusters 0, 1, 2, ... in arrival order.
+// runtime.GOMAXPROCS(0)) serving one trained model. A cluster's ID is the
+// shard-local index of the transaction that opened it, strided across
+// shards — of n shards, the cluster shard i's k-th transaction opens (k
+// from 0) gets the ID i+k*n — so IDs never repeat for the engine's
+// lifetime, engine-wide, and a one-shard engine numbers each cluster by
+// its opening transaction's position in the stream.
 func New(cfg Config, model Scorer) *Engine {
 	n := cfg.Shards
 	if n <= 0 {

@@ -52,6 +52,22 @@ func relatedFollowUp(n int) []httpstream.Transaction {
 	return txs
 }
 
+// TestUntimedEngineNeverReadsClock pins that an engine with neither
+// Metrics nor Tracer set never reads the one clock left on the wire path,
+// the tracer's: under a package clock that panics on any read it
+// classifies every update of the watch without a fault.
+func TestUntimedEngineNeverReadsClock(t *testing.T) {
+	t.Cleanup(obs.SetClock(func() time.Time { panic("clock read by an untimed engine") }))
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+	for _, tx := range relatedFollowUp(4) {
+		e.Process(tx)
+	}
+	st := e.Stats()
+	if st.Panics != 0 || st.Classifications != 6 {
+		t.Fatalf("stats %+v, want every update classified without a clock read", st)
+	}
+}
+
 // TestPanicQuarantineLadder walks one cluster down the full ladder: the
 // first scorer panic quarantines it (incremental cache dropped, engine
 // survives), the second evicts it outright.

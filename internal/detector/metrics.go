@@ -7,9 +7,9 @@ import "dynaminer/internal/obs"
 // registry-wide counter family: shards each write their own cell with no
 // cache-line contention, each shard's stats() view reads back exactly
 // its own increments, and the registry's Counter.Value sums all shards
-// for the /metrics total. The latency histograms and the watched gauge
-// are shared across shards (they are concurrency-safe and have no
-// per-shard view).
+// for the /metrics total. The watched gauge is shared across shards (it
+// is concurrency-safe and has no per-shard view). Latency is the
+// tracer's: the engine keeps no clock and no histogram of its own.
 type engineMetrics struct {
 	transactions    *obs.Cell
 	weeded          *obs.Cell
@@ -27,14 +27,6 @@ type engineMetrics struct {
 	// watched tracks potential-infection WCGs currently under watch; it
 	// moves at clue firings, watch closes and eviction.
 	watched *obs.Gauge
-
-	// Classify wall time split by path: the incremental hot path vs the
-	// from-scratch rebuild fallback. Observed only when the engine is
-	// timed (Config.Metrics or Config.Tracer set).
-	classifyIncremental *obs.Histogram
-	classifyRebuild     *obs.Histogram
-	// score is the ERF ensemble's share of classify time.
-	score *obs.Histogram
 }
 
 // newEngineMetrics registers (or re-binds to) the detector metric
@@ -58,12 +50,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		quarantined:     cell("dynaminer_detector_quarantined_total", "Clusters placed in quarantine after their first fault."),
 		watched: reg.Gauge("dynaminer_detector_watched_total",
 			"Potential-infection WCGs currently under watch."),
-		classifyIncremental: reg.Histogram("dynaminer_detector_classify_incremental_seconds",
-			"Classify wall time on the incremental path.", obs.LatencyBuckets),
-		classifyRebuild: reg.Histogram("dynaminer_detector_classify_rebuild_seconds",
-			"Classify wall time on the from-scratch rebuild path.", obs.LatencyBuckets),
-		score: reg.Histogram("dynaminer_ml_score_seconds",
-			"ERF ensemble scoring time per classification.", obs.LatencyBuckets),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dynaminer/internal/detector"
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/synth"
 )
@@ -55,7 +56,7 @@ func CrossFamily(o Options, perFamily int) (CrossFamilyResult, error) {
 		}
 		detected := 0
 		for _, s := range batchScores(forest, txss) {
-			if s > 0.5 {
+			if s > detector.ScoreThreshold {
 				detected++
 			}
 		}

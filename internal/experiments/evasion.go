@@ -61,7 +61,7 @@ func Evasion(o Options, perMode int) (EvasionResult, error) {
 		}
 		offlineHits, wireHits, clues := 0, 0, 0
 		for _, s := range batchScores(offline, txss) {
-			if s > 0.5 {
+			if s > detector.ScoreThreshold {
 				offlineHits++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dynaminer/internal/detector"
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/synth"
 )
@@ -45,7 +46,7 @@ func PerFamily(o Options, perFamily int) (PerFamilyResult, error) {
 		}
 		detected := 0
 		for _, s := range batchScores(forest, txss) {
-			if s > 0.5 {
+			if s > detector.ScoreThreshold {
 				detected++
 			}
 		}

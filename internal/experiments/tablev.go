@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"dynaminer/internal/detector"
 	"dynaminer/internal/httpstream"
 	"dynaminer/internal/vtsim"
 )
@@ -55,7 +56,7 @@ func TableV(o Options) (TableVResult, error) {
 	vt := TableVRow{System: "VirusTotal(sim)"}
 	for i := range val {
 		ep := &val[i]
-		pred := scores[i] > 0.5
+		pred := scores[i] > detector.ScoreThreshold
 
 		id := fmt.Sprintf("val-%s-%d", ep.Family, i)
 		// Deterministic per-sample in-the-wild age in [0, 90) days.

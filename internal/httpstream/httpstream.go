@@ -130,9 +130,9 @@ func (t *Transaction) String() string {
 // conversations, which append grows amortised, so n conversations cost
 // O(transactions).
 func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream, tm *Telemetry) []Transaction {
-	var start time.Time
+	var start time.Duration
 	if tm != nil {
-		start = parseClock()
+		start = tm.tracer.Mark()
 	}
 	p := parserPool.Get().(*streamParser)
 	defer p.release()

@@ -18,8 +18,9 @@ import (
 // parse → feature extraction → forest scoring → alert/journal write) into
 // a fixed-size ring of pre-allocated slots. Recording is zero-alloc on
 // the hot path — ActiveTrace comes from a pool, spans live in a fixed
-// array, stage names are interned to StageIDs at setup time. A tree is
-// kept for one of two reasons: head-based sampling picked its transaction
+// array, stage names are interned to StageIDs at setup time. Every
+// closed span observes its stage histogram. A tree is kept in the ring
+// for one of two reasons: head-based sampling picked its transaction
 // (every Nth), or the transaction raised an alert. Kept trees export as
 // Chrome trace-event JSON (chrome://tracing / Perfetto) and resolve by the
 // trace_id stamped onto journaled AlertRecords.
@@ -37,12 +38,25 @@ const traceStackDepth = 8
 const traceRing = 256
 
 // monoSince is the monotonic elapsed-time clock, as a function value so
-// tests can replace it. Span stamps are offsets from the tracer's
-// base instant read through this clock: one monotonic read costs roughly
-// half a full time.Now (no wall-clock component), and the hot path takes
-// one per span boundary, so the difference is the bulk of the tracer's
-// per-transaction cost.
+// tests can replace it, and the wire path's one timer: every span stamp
+// and stage observation is an offset from the tracer's base read through
+// it (Tracer.Mark). One monotonic read costs roughly half a full time.Now
+// (no wall-clock component).
 var monoSince = time.Since
+
+// SetClock makes now the package clock and returns what restores the one
+// it replaced: a tracer built afterwards takes its base from now, and
+// every Mark — each span stamp and stage observation — is one call to it.
+// It exists so tests in any package can step or forbid the wire path's
+// one timer (t.Cleanup(obs.SetClock(now))); it is not synchronised, so it
+// must not race a tracer in use, and tests that call it must not run in
+// parallel.
+func SetClock(now func() time.Time) (restore func()) {
+	clock, since := defaultClock, monoSince
+	defaultClock = now
+	monoSince = func(base time.Time) time.Duration { return now().Sub(base) }
+	return func() { defaultClock, monoSince = clock, since }
+}
 
 // ValidateSpanName reports why a span (stage) name is unacceptable, or
 // nil: names must be lowercase dotted "stage.substage" — two or more
@@ -127,7 +141,7 @@ func (f SpanFlags) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Span is one timed stage within a transaction's trace. Start is the
+// Span is one stage of a transaction's trace and its timing. Start is the
 // offset from the trace's begin instant; Dur is negative while the span
 // is open.
 type Span struct {
@@ -201,7 +215,8 @@ type Tracer struct {
 // NewTracer builds a tracer that keeps every sample-th transaction's
 // span tree (1 keeps every tree, 0 keeps none by sampling) plus every
 // alert-raising transaction's. Its per-stage histograms register on reg
-// (dynaminer_stage_<stage>_seconds families); a nil reg gets a private
+// (dynaminer_stage_<stage>_seconds families) and observe every closed
+// span and stage unit, kept or not; a nil reg gets a private
 // registry, which keeps the tracer functional but unexported.
 func NewTracer(reg *Registry, sample int) *Tracer {
 	if reg == nil {
@@ -223,11 +238,6 @@ func NewTracer(reg *Registry, sample int) *Tracer {
 	t.pool.New = func() any { return new(ActiveTrace) }
 	return t
 }
-
-// since reads the monotonic offset of now from the tracer's base: the
-// production base carries a monotonic reading, so this is one
-// monotonic-clock read.
-func (t *Tracer) since() time.Duration { return monoSince(t.base) }
 
 // Stage interns a span name, registering its latency histogram
 // (dynaminer_stage_<name>_seconds with dots folded to underscores) on
@@ -257,13 +267,31 @@ func (t *Tracer) Stage(name string) StageID {
 	return id
 }
 
-// ObserveStage records a stage latency outside any span tree — the hook
-// pcap reassembler, a batch-shaped pipeline component, uses to feed its
-// stage histogram without carrying an ActiveTrace.
+// Mark reads the tracer's clock: the monotonic offset of now from the
+// tracer's base. It is the one clock read of the wire path — spans take
+// theirs through it, and a pipeline component that times a stage unit
+// outside any span tree (a TCP conversation reassembled or parsed) brackets
+// the unit with two Marks and hands the difference to ObserveStage. A nil
+// tracer reads nothing and returns 0, so an untraced path never touches
+// the clock.
+func (t *Tracer) Mark() time.Duration {
+	if t == nil {
+		return 0
+	}
+	return monoSince(t.base)
+}
+
+// ObserveStage records one unit of a stage outside any span tree, as
+// two Marks bracketed it.
 func (t *Tracer) ObserveStage(id StageID, seconds float64) {
 	if t == nil {
 		return
 	}
+	t.observe(id, seconds)
+}
+
+// observe adds one unit of stage id to its histogram.
+func (t *Tracer) observe(id StageID, seconds float64) {
 	stages := *t.stages.Load()
 	if int(id) < 0 || int(id) >= len(stages) {
 		return
@@ -293,17 +321,7 @@ type ActiveTrace struct {
 // rel reads the clock once and returns the offset from the trace start
 // (clamped non-negative for misaligned injected clocks).
 func (a *ActiveTrace) rel() time.Duration {
-	d := a.t.since() - a.startMono
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// relAt converts an externally read timestamp (an instrumented layer's
-// own latency-clock reading) to an offset from the trace start.
-func (a *ActiveTrace) relAt(at time.Time) time.Duration {
-	d := at.Sub(a.t.base) - a.startMono
+	d := a.t.Mark() - a.startMono
 	if d < 0 {
 		return 0
 	}
@@ -331,7 +349,7 @@ func (t *Tracer) BeginIn(at *ActiveTrace) *ActiveTrace {
 	n := t.txs.Add(1)
 	at.t = t
 	at.id = n
-	at.startMono = t.since()
+	at.startMono = t.Mark()
 	at.sampled = t.sample > 0 && n%t.sample == 0
 	at.alert = false
 	at.dropped = 0
@@ -410,28 +428,13 @@ func (a *ActiveTrace) StartSpan(stage StageID) int {
 	if a == nil {
 		return -1
 	}
-	var start time.Duration
-	if a.n > 0 {
-		start = a.rel()
-	}
-	return a.startSpanRel(stage, start)
-}
-
-// StartSpanAt opens a span whose start is an externally read timestamp —
-// an instrumented layer that already read a latency clock for its own
-// metrics (the detector's classify measurement) passes that reading
-// through so one boundary never costs two clock reads.
-func (a *ActiveTrace) StartSpanAt(stage StageID, at time.Time) int {
-	if a == nil {
-		return -1
-	}
-	return a.startSpanRel(stage, a.relAt(at))
-}
-
-func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 	if a.n >= maxTraceSpans || a.openN >= traceStackDepth {
 		a.dropped++
 		return -1
+	}
+	var start time.Duration
+	if a.n > 0 {
+		start = a.rel()
 	}
 	parent := int16(-1)
 	if a.openN > 0 {
@@ -450,28 +453,14 @@ func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 	return idx
 }
 
-// EndSpan closes the span at idx, observing its stage histogram when the
-// trace is sampled; children left open (a panic unwound past their
-// EndSpan) close at the same instant. Closing an already-closed or
-// invalid index is a no-op.
+// EndSpan closes the span at idx, observing its stage histogram;
+// children left open (a panic unwound past their EndSpan) close at the
+// same instant. Closing an already-closed or invalid index is a no-op.
 func (a *ActiveTrace) EndSpan(idx int) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
 	}
-	a.endSpanRel(idx, a.rel())
-}
-
-// EndSpanAt closes the span at idx at an externally read timestamp — the
-// end-of-measurement clock reading an instrumented layer already took for
-// its own latency metric.
-func (a *ActiveTrace) EndSpanAt(idx int, at time.Time) {
-	if a == nil || idx < 0 || idx >= a.n {
-		return
-	}
-	a.endSpanRel(idx, a.relAt(at))
-}
-
-func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
+	end := a.rel()
 	for a.openN > 0 {
 		top := int(a.open[a.openN-1])
 		a.openN--
@@ -483,10 +472,10 @@ func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
 	a.closeSpan(idx, end)
 }
 
-// closeSpan finalizes one open span at the given end offset. The stage
-// histogram observes only head-sampled traces, keeping the exported
-// distribution an unbiased every-Nth view at a fraction of the atomic
-// traffic.
+// closeSpan finalizes one open span at the given end offset and observes
+// its stage histogram. Every closed span counts, kept or not: sampling
+// picks the trees the ring keeps, never the observations, so a stage
+// histogram's count is the units its stage saw.
 func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 	sp := &a.spans[idx]
 	if sp.Dur >= 0 {
@@ -497,14 +486,7 @@ func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 		d = 0
 	}
 	sp.Dur = d
-	if !a.sampled {
-		return
-	}
-	stages := *a.t.stages.Load()
-	if int(sp.Stage) < 0 || int(sp.Stage) >= len(stages) {
-		return
-	}
-	stages[sp.Stage].hist.Observe(d.Seconds())
+	a.t.observe(sp.Stage, d.Seconds())
 }
 
 // Annotate ORs flags onto the span at idx.

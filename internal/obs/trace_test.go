@@ -14,17 +14,14 @@ import (
 )
 
 // fakeTraceClock is a deterministic manual clock for span timing tests,
-// installed as the package's defaultClock and monoSince until the test
-// ends; a tracer built afterwards stamps its spans with it. Tests that
-// install it must not run in parallel.
+// installed as the package clock (SetClock) until the test ends; a tracer
+// built afterwards stamps its spans with it. Tests that install it must
+// not run in parallel.
 type fakeTraceClock struct{ at time.Time }
 
 func newFakeTraceClock(t *testing.T) *fakeTraceClock {
 	c := &fakeTraceClock{at: time.Unix(1700000000, 0)}
-	clock, since := defaultClock, monoSince
-	defaultClock = func() time.Time { return c.at }
-	monoSince = func(base time.Time) time.Duration { return c.at.Sub(base) }
-	t.Cleanup(func() { defaultClock, monoSince = clock, since })
+	t.Cleanup(SetClock(func() time.Time { return c.at }))
 	return c
 }
 
@@ -91,7 +88,8 @@ func TestTraceNilSafety(t *testing.T) {
 }
 
 // TestTraceHeadSampling: Sample=N keeps exactly every Nth transaction,
-// ids are dense from 1, and the sampled counter agrees.
+// ids are dense from 1, the sampled counter agrees, and the stage
+// histogram observes every span.
 func TestTraceHeadSampling(t *testing.T) {
 	reg := NewRegistry()
 	clock := newFakeTraceClock(t)
@@ -117,6 +115,17 @@ func TestTraceHeadSampling(t *testing.T) {
 	}
 	if got := reg.CounterValue("dynaminer_trace_recorded_total"); got != 2 {
 		t.Fatalf("recorded counter = %v, want 2", got)
+	}
+	// Sampling picks the trees the ring keeps, never the observations:
+	// the stage histogram counts all ten spans.
+	var observed int64
+	for _, ms := range reg.Snapshot() {
+		if ms.Name == "dynaminer_stage_test_stage_seconds" {
+			observed = ms.Count
+		}
+	}
+	if observed != 10 {
+		t.Fatalf("stage histogram holds %d observations of 10 spans", observed)
 	}
 }
 

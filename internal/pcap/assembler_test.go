@@ -356,8 +356,7 @@ func TestLateSegmentsAfterCloseAreDropped(t *testing.T) {
 // of one of its frames and the close step — not the close step alone.
 func TestReassembleStageCoversFeedAndClose(t *testing.T) {
 	tick := baseTime
-	traceClock = func() time.Time { tick = tick.Add(time.Millisecond); return tick } // every interval timed reads 1 ms
-	defer func() { traceClock = time.Now }()
+	t.Cleanup(obs.SetClock(func() time.Time { tick = tick.Add(time.Millisecond); return tick })) // every interval timed reads 1 ms
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 0)
 

@@ -172,7 +172,7 @@ type conversation struct {
 	// assembled bytes of a direction whose buf is not already its stream.
 	streams [2]Stream
 	carved  [2][]byte
-	spent   time.Duration // what Feed has taken on c so far; kept only while a tracer is attached
+	spent   time.Duration // what Feed has taken on c so far; zero unless a tracer is attached
 }
 
 // Assembler reconstructs TCP byte streams from frames fed in capture order,
@@ -217,6 +217,19 @@ type Assembler struct {
 
 	tracer *obs.Tracer // set by Trace; nil times nothing
 	stage  obs.StageID
+}
+
+// Trace points the Assembler's reassembly timing at the pcap.reassemble
+// stage of the pipeline tracer t; a nil t times nothing and reads no
+// clock. One observation covers reassembling one conversation — every
+// Feed of one of its frames and assembling its two directions as it
+// closes. A conversation holds many transactions, so it feeds stage
+// latency rather than opening spans inside any one transaction's tree.
+func (a *Assembler) Trace(t *obs.Tracer) {
+	a.tracer = t
+	if t != nil {
+		a.stage = t.Stage("pcap.reassemble")
+	}
 }
 
 // openEntry is one conversation of the Assembler's open-order FIFO.
@@ -340,10 +353,7 @@ func (a *Assembler) FeedPacket(p Packet) {
 // dropped. The frame that completes or resets its conversation closes it
 // before Feed returns.
 func (a *Assembler) Feed(f *Frame, ts time.Time) {
-	var t0 time.Time
-	if a.tracer != nil {
-		t0 = traceClock()
-	}
+	t0 := a.tracer.Mark()
 	key, reversed := f.Key().Canonical()
 	d := 0
 	if reversed {
@@ -381,9 +391,7 @@ func (a *Assembler) Feed(f *Frame, ts time.Time) {
 	if f.Flags&FlagFIN != 0 && !st.sawFIN {
 		st.sawFIN, st.finSeq = true, f.Seq+uint32(len(f.Payload))
 	}
-	if a.tracer != nil {
-		c.spent += traceClock().Sub(t0)
-	}
+	c.spent += a.tracer.Mark() - t0
 	if rst || c.dirs[0].sawFIN && c.dirs[1].sawFIN && c.dirs[0].finished() && c.dirs[1].finished() {
 		a.close(c)
 	}
@@ -440,10 +448,7 @@ func (a *Assembler) keep(st *flowState, f *Frame, ts time.Time) {
 // (Trace), what reassembling c took — feeding its frames and assembling its
 // directions here — is one observation of the pcap.reassemble stage.
 func (a *Assembler) close(c *conversation) {
-	var t0 time.Time
-	if a.tracer != nil {
-		t0 = traceClock()
-	}
+	t0 := a.tracer.Mark()
 	first := 0 // the direction whose frame opened the conversation
 	if c.dirs[1].seen && c.dirs[1].ord == c.ord {
 		first = 1
@@ -468,9 +473,7 @@ func (a *Assembler) close(c *conversation) {
 		out[n] = s
 		n++
 	}
-	if a.tracer != nil {
-		a.tracer.ObserveStage(a.stage, (c.spent + traceClock().Sub(t0)).Seconds())
-	}
+	a.tracer.ObserveStage(a.stage, (c.spent + a.tracer.Mark() - t0).Seconds())
 	if n > 0 {
 		for _, s := range out[:n] {
 			s.Conv = out[0].ord

@@ -37,11 +37,14 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
 	return fset, files
 }
 
-// TestNoBareClockReads: library code never calls time.Now(). Replays must
-// be deterministic, so the root package and internal/... read the clock
-// through an injected hook (MonitorConfig.Now, proxy.Config.Now,
-// JournalConfig.Now) or a package-level function value a test can replace.
+// TestNoBareClockReads: library code never calls time.Now(), time.Since()
+// or time.Until(). Replays must be deterministic, so the root package and
+// internal/... read the clock only through the hooks that remain: the
+// tracer's obs.defaultClock/monoSince, which tests replace, and
+// proxy.Config.Now and JournalConfig.Now, which drive behaviour (block
+// expiry, breaker cool-down, fsync interval).
 func TestNoBareClockReads(t *testing.T) {
+	bareClockReads := map[string]bool{"Now": true, "Since": true, "Until": true}
 	dirs := []string{"."}
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		switch {
@@ -64,9 +67,9 @@ func TestNoBareClockReads(t *testing.T) {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && bareClockReads[sel.Sel.Name] {
 						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
-							t.Errorf("%s: bare time.Now(); read the clock through an injected hook", fset.Position(call.Pos()))
+							t.Errorf("%s: bare time.%s(); read the clock through an injected hook", fset.Position(call.Pos()), sel.Sel.Name)
 						}
 					}
 				}

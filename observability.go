@@ -43,9 +43,11 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewTracer returns a pipeline tracer that keeps the span tree of every
 // sample-th transaction (0: none by sampling) and of every alert-raising
 // one, registering its stage histograms and self-telemetry on reg (nil
-// selects a private registry). Pass it as MonitorConfig.Tracer: the
-// Monitor's engine, its capture path (the pcap.reassemble stage) and a
-// Proxy in front of it all record into it.
+// selects a private registry). Every unit a stage sees is observed,
+// whatever the sampling keeps. Pass it as MonitorConfig.Tracer: the
+// Monitor's engine, its capture path (the pcap.reassemble and
+// httpstream.parse stages) and a Proxy in front of it all record into
+// it, and its clock is the only one they read for latency.
 func NewTracer(reg *MetricsRegistry, sample int) *Tracer { return obs.NewTracer(reg, sample) }
 
 // NewJournal opens (creating, append-mode) a JSONL alert journal file.

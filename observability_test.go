@@ -103,13 +103,10 @@ func TestRegistrySnapshotMatchesStats(t *testing.T) {
 			t.Errorf("snapshot lacks %s", name)
 		}
 	}
-	for _, h := range []string{
-		"dynaminer_detector_classify_incremental_seconds",
-		"dynaminer_detector_classify_rebuild_seconds",
-		"dynaminer_ml_score_seconds",
-	} {
-		if !byName[h] {
-			t.Errorf("snapshot lacks %s", h)
+	// Latency is the tracer's: an untraced monitor keeps no histogram.
+	for _, ms := range reg.Snapshot() {
+		if ms.Type == "histogram" {
+			t.Errorf("untraced monitor registers histogram %s", ms.Name)
 		}
 	}
 }
