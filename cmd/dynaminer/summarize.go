@@ -66,7 +66,7 @@ func runSummarize(args []string) error {
 		for _, c := range chains {
 			var hops []string
 			for _, id := range c.Nodes {
-				hops = append(hops, w.Nodes[id].Host)
+				hops = append(hops, w.Host(id))
 			}
 			fmt.Printf("  %s\n", strings.Join(hops, " -> "))
 		}
@@ -79,7 +79,7 @@ func runSummarize(args []string) error {
 		for _, c := range n.Payloads {
 			payloads += int(c)
 		}
-		fmt.Printf("  %-30s %-12s %5d %9d\n", n.Host, n.Type, n.URIs, payloads)
+		fmt.Printf("  %-30s %-12s %5d %9d\n", w.Host(n.ID), n.Type, n.URIs, payloads)
 	}
 	return nil
 }

@@ -696,8 +696,10 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 	at := s.at
 	// The classify span is ended explicitly at each return (no defer): a
 	// panic unwinds past it, and the root span's pop-through close
-	// finalizes it at the end-to-end instant.
-	cs := at.StartSpan(s.stg.classify)
+	// finalizes it at the end-to-end instant. Its first child, the
+	// feature span, opens at the same instant.
+	begin := at.Mark()
+	cs := at.StartSpanAt(s.stg.classify, begin)
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
@@ -711,7 +713,7 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 		// stage set reflects the path actually taken. A mid-feed fallback
 		// (out-of-order arrival) leaves the attempt flagged SpanError next
 		// to the rebuild span that served the verdict.
-		fs = at.StartSpan(s.stg.featInc)
+		fs = at.StartSpanAt(s.stg.featInc, begin)
 		v, ok := s.incrementalVector(c, fs)
 		if ok {
 			x, g, incremental = v, c.ib.Live(), true
@@ -794,10 +796,12 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 }
 
 // scoreVector closes the still-open feature-extraction span prev (-1
-// when none) and runs the watch's pinned model under the ml.score span.
+// when none) and runs the watch's pinned model under the ml.score span,
+// which opens as prev closes.
 func (s *shardState) scoreVector(model Scorer, x []float64, prev int) float64 {
-	s.at.EndSpan(prev)
-	ss := s.at.StartSpan(s.stg.score)
+	handoff := s.at.Mark()
+	s.at.EndSpanAt(prev, handoff)
+	ss := s.at.StartSpanAt(s.stg.score, handoff)
 	score := model.Score(x)
 	s.at.EndSpan(ss)
 	return score
@@ -951,7 +955,7 @@ func (c *cluster) digest(tx *httpstream.Transaction, k wcg.Keys) wcg.Record {
 		c.seen = append(c.seen, hostSeen{since: -1})
 	}
 	if r.Ref >= 0 {
-		if h := c.seen[r.Ref]; h.served && wcg.Time(r.ReqTime).Sub(wcg.Time(h.last)) <= clickGap {
+		if h := c.seen[r.Ref]; h.served && wcg.Sub(r.ReqTime, h.last) <= clickGap {
 			r.Flags |= wcg.RecRefRecent
 		}
 	}

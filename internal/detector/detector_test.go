@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/netip"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -247,11 +248,12 @@ func mustLookup(t *testing.T, c *cluster, host string) int32 {
 // and its growing history.
 // The bytes gates of the two allocation tests. A cluster's history holds
 // fixed-size records, not transactions: the session reads 313 bytes per
-// transaction and the watched chain 1 129, where a history of whole
-// transactions read 795 and 1 502.
+// transaction, where a history of whole transactions read 795. The
+// watched chain reads 951 over 40-byte pointer-free edges, 1 129 over
+// 96-byte edges and 1 502 with whole transactions.
 const (
 	sessionBytesCeiling = 400
-	chainBytesCeiling   = 1300
+	chainBytesCeiling   = 1050
 )
 
 func TestClusterBookkeepingAllocs(t *testing.T) {
@@ -357,6 +359,43 @@ func TestWatchedChainAllocs(t *testing.T) {
 	t.Logf("one watched client, %d transactions: %.0f bytes per transaction", len(clients[0]), perTx)
 	if perTx > chainBytesCeiling {
 		t.Fatalf("a watched chain allocates %.0f bytes per transaction, want at most %d", perTx, chainBytesCeiling)
+	}
+}
+
+// TestWatchedClusterScanBytes pins what the GC must scan of a watched
+// cluster: one client's watch grown to maxClusterTxs transactions, POST
+// call-backs spread over 448 hosts after the infection chain, holds at
+// most scanBytesCeiling scannable heap bytes per transaction. Its history
+// records and its live graph's edges and nodes hold no pointer, so what
+// remains is the host table's strings and index and the graph's adjacency
+// headers; with a time.Time and a method string in every edge and a host
+// string and netip.Addr in every node it read ~233.
+func TestWatchedClusterScanBytes(t *testing.T) {
+	const hosts, scanBytesCeiling = 448, 20
+	scan := func() uint64 {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	before := scan()
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
+	armed := infectionStream()
+	e.ProcessAll(armed)
+	callbacks := maxClusterTxs - len(armed)
+	at := 600 * time.Millisecond
+	for k := 0; k < callbacks; k++ {
+		e.Process(mkTx(fmt.Sprintf("cb%d.example", k*hosts/callbacks), "/gate.php", "POST", 200, "text/plain", 64, "", at))
+		at += 400 * time.Millisecond
+	}
+	perTx := float64(scan()-before) / maxClusterTxs
+	if w := e.Watched(); len(w) != 1 || w[0].Transactions != maxClusterTxs {
+		t.Fatalf("watched %+v; want one watch of %d transactions", w, maxClusterTxs)
+	}
+	runtime.KeepAlive(e)
+	t.Logf("one watched cluster of %d transactions: %.1f scannable bytes per transaction", maxClusterTxs, perTx)
+	if perTx > scanBytesCeiling {
+		t.Fatalf("a watched cluster keeps %.1f scannable heap bytes per transaction, want at most %d", perTx, scanBytesCeiling)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestProcessReleasesTransaction(t *testing.T) {
 	}
 	g := alerts[0].Graph()
 	for _, n := range g.Nodes {
-		if n.Host == "a.evil" {
+		if g.Host(n.ID) == "a.evil" {
 			return
 		}
 	}

@@ -19,6 +19,12 @@ import (
 // crosses the engine's 0.5 threshold.
 func trainDimForest(tb testing.TB, dim int, seed int64) *ml.FlatForest {
 	tb.Helper()
+	return trainForestOf(tb, dim, seed, 3)
+}
+
+// trainForestOf is trainDimForest with trees trees.
+func trainForestOf(tb testing.TB, dim int, seed int64, trees int) *ml.FlatForest {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := &ml.Dataset{}
 	for i := 0; i < 40; i++ {
@@ -29,7 +35,7 @@ func trainDimForest(tb testing.TB, dim int, seed int64) *ml.FlatForest {
 		ds.X = append(ds.X, x)
 		ds.Y = append(ds.Y, min(i%3, 1))
 	}
-	f, err := ml.TrainForest(ds, ml.ForestConfig{NumTrees: 3, Seed: seed})
+	f, err := ml.TrainForest(ds, ml.ForestConfig{NumTrees: trees, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -213,5 +219,22 @@ func TestMidStreamReloadPinsWatches(t *testing.T) {
 	}
 	if pinnedRun.Stats().CluesFired != 2 {
 		t.Fatalf("second clue did not fire: %+v", pinnedRun.Stats())
+	}
+}
+
+// TestNewAllocsIndependentOfForestSize pins what building an engine costs
+// in the forest it serves: the model's identity, its blob CRC, is taken
+// where the forest is made, so New allocates the same bytes for a 3-tree
+// and a 300-tree forest. Deriving the CRC in New encoded the whole forest
+// into a blob-sized buffer for every engine.
+func TestNewAllocsIndependentOfForestSize(t *testing.T) {
+	small, large := trainForestOf(t, 4, 1, 3), trainForestOf(t, 4, 1, 300)
+	cfg := Config{Shards: 1}
+	smallBytes := bytesPerRun(10, func() { New(cfg, small) })
+	largeBytes := bytesPerRun(10, func() { New(cfg, large) })
+	t.Logf("New: %.0f bytes over a %d-node forest, %.0f over a %d-node one", smallBytes, small.NumNodes(), largeBytes, large.NumNodes())
+	if largeBytes > smallBytes+256 {
+		t.Fatalf("New allocates %.0f bytes over a %d-node forest and %.0f over a %d-node one; want no growth with the forest",
+			smallBytes, small.NumNodes(), largeBytes, large.NumNodes())
 	}
 }

@@ -46,8 +46,8 @@ type Cache struct {
 	refSet, refEmpty        int
 	uriLenSum, uriCount     int
 	maxDegree               int
-	first, last             time.Time
-	lastReq                 time.Time
+	first, last             int64 // the timed edges' bounds, as wcg.Edge.Time; wcg.NoTime before one
+	lastReq                 int64
 	reqCount                int
 	gapSum                  time.Duration
 }
@@ -56,10 +56,9 @@ type Cache struct {
 // caches that run on the same goroutine (one per detector engine); nil
 // allocates a private one.
 func NewCache(w *wcg.WCG, s *graph.Scratch) *Cache {
-	if s == nil {
-		s = graph.NewScratch()
-	}
-	return &Cache{w: w, scratch: s}
+	c := new(Cache)
+	c.Reset(w, s)
+	return c
 }
 
 // Reset rebinds the cache to w, zeroing the sync cursor and every running
@@ -75,7 +74,7 @@ func (c *Cache) Reset(w *wcg.WCG, s *graph.Scratch) {
 	if s == nil {
 		s = graph.NewScratch()
 	}
-	*c = Cache{w: w, scratch: s, topo: c.topo}
+	*c = Cache{w: w, scratch: s, topo: c.topo, first: wcg.NoTime, last: wcg.NoTime}
 }
 
 // Features returns a freshly allocated feature vector, syncing first.
@@ -106,9 +105,9 @@ func (c *Cache) sync() {
 		switch e.Kind {
 		case wcg.EdgeRequest:
 			switch e.Method {
-			case "GET":
+			case wcg.MethodGET:
 				c.gets++
-			case "POST":
+			case wcg.MethodPOST:
 				c.posts++
 			default:
 				c.other++
@@ -118,12 +117,12 @@ func (c *Cache) sync() {
 			} else {
 				c.refEmpty++
 			}
-			c.uriLenSum += e.URILen
+			c.uriLenSum += int(e.URILen)
 			c.uriCount++
 			// f37 walks consecutive request-edge times in edge order,
 			// zero times included, exactly like Summarize.
 			if c.reqCount > 0 {
-				d := e.Time.Sub(c.lastReq)
+				d := wcg.Sub(e.Time, c.lastReq)
 				if d < 0 {
 					d = -d
 				}
@@ -145,20 +144,18 @@ func (c *Cache) sync() {
 				c.h50++
 			}
 		}
-		if !e.Time.IsZero() {
-			if c.first.IsZero() || e.Time.Before(c.first) {
+		if e.Time != wcg.NoTime {
+			if c.first == wcg.NoTime || e.Time < c.first {
 				c.first = e.Time
 			}
-			if c.last.IsZero() || e.Time.After(c.last) {
-				c.last = e.Time
-			}
+			c.last = max(c.last, e.Time)
 		}
 		// Only the endpoints of new edges can raise the max multigraph
 		// degree; g already contains every appended edge.
-		if d := g.Degree(e.From); d > c.maxDegree {
+		if d := g.Degree(int(e.From)); d > c.maxDegree {
 			c.maxDegree = d
 		}
-		if d := g.Degree(e.To); d > c.maxDegree {
+		if d := g.Degree(int(e.To)); d > c.maxDegree {
 			c.maxDegree = d
 		}
 	}
@@ -212,8 +209,8 @@ func (c *Cache) sync() {
 
 	reqs := c.gets + c.posts + c.other
 	var dur time.Duration
-	if !c.first.IsZero() {
-		dur = c.last.Sub(c.first)
+	if c.first != wcg.NoTime {
+		dur = wcg.Sub(c.last, c.first)
 	}
 	c.v[35] = 0
 	if reqs > 0 {

@@ -44,7 +44,7 @@ func plainExtract(w *wcg.WCG) []float64 {
 	}
 	for _, e := range w.Edges {
 		if e.From != e.To {
-			simple[[2]int{e.From, e.To}] = true
+			simple[[2]int{int(e.From), int(e.To)}] = true
 		}
 	}
 	reciprocated := 0
@@ -115,7 +115,7 @@ func closedForms(w *wcg.WCG) (degree, betweenness, pageRank float64) {
 	adj := make([][]int, n)
 	seen := make(map[[2]int]bool)
 	for _, e := range w.Edges {
-		u, v := min(e.From, e.To), max(e.From, e.To)
+		u, v := int(min(e.From, e.To)), int(max(e.From, e.To))
 		if u != v && !seen[[2]int{u, v}] {
 			seen[[2]int{u, v}] = true
 			adj[u] = append(adj[u], v)
@@ -209,8 +209,9 @@ func projection(w *wcg.WCG) (nbrs []map[int]bool, pairs int) {
 		nbrs[i] = map[int]bool{}
 	}
 	for _, e := range w.Edges {
-		if e.From != e.To && !nbrs[e.From][e.To] {
-			nbrs[e.From][e.To], nbrs[e.To][e.From] = true, true
+		u, v := int(e.From), int(e.To)
+		if u != v && !nbrs[u][v] {
+			nbrs[u][v], nbrs[v][u] = true, true
 			pairs++
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // classes mirror the paper's node-level payload summary: known exploit
 // types (*.jar, *.exe, *.pdf, *.xap, *.swf), crypto-locker file types
 // (collectively "*.crypt"), and commonly exchanged web payloads.
-type PayloadClass int
+type PayloadClass uint8
 
 // Payload classes. PayloadNone marks responses without a body.
 const (

@@ -153,19 +153,22 @@ func (ff *FlatForest) AppendFlatBlob(dst []byte) []byte {
 	if int64(len(dst)-start) != total {
 		panic("ml: flat blob encoder produced a non-canonical layout")
 	}
-	crc := crc32.ChecksumIEEE(dst[start+16:])
-	binary.LittleEndian.PutUint32(dst[start+8:], crc)
+	binary.LittleEndian.PutUint32(dst[start+8:], blobCRC(dst[start:]))
 	return dst
 }
+
+// blobCRC is the checksum a blob stores at offset 8: the CRC-32 (IEEE) of
+// everything past the 16-byte preamble.
+func blobCRC(blob []byte) uint32 { return crc32.ChecksumIEEE(blob[16:]) }
 
 // BlobCRC returns the CRC-32 (IEEE) of the forest's canonical flat-blob
 // encoding — the same checksum a DMFB artifact stores at offset 8. Because
 // the v1 layout is byte-reproducible from the forest's contents, the value
 // is a stable identity for the trained model: equal for the blob and the
-// in-memory form, different for any forest that scores differently.
-func (ff *FlatForest) BlobCRC() uint32 {
-	return crc32.ChecksumIEEE(ff.AppendFlatBlob(nil)[16:])
-}
+// in-memory form, different for any forest that scores differently. It is
+// taken once, where the forest is made (training, or the load that
+// verified it), so reading it encodes nothing.
+func (ff *FlatForest) BlobCRC() uint32 { return ff.crc }
 
 // SaveFlatBlob writes the forest's binary blob artifact to w.
 func (ff *FlatForest) SaveFlatBlob(w io.Writer) error {
@@ -244,7 +247,7 @@ func decodeFlatBlob(data []byte) (*FlatForest, error) {
 		return nil, fmt.Errorf("ml: unsupported flat blob version %d", v)
 	}
 	wantCRC := binary.LittleEndian.Uint32(data[8:])
-	if got := crc32.ChecksumIEEE(data[16:]); got != wantCRC {
+	if got := blobCRC(data); got != wantCRC {
 		return nil, fmt.Errorf("ml: flat blob checksum mismatch: file says %#x, contents hash to %#x", wantCRC, got)
 	}
 	if rsv := binary.LittleEndian.Uint32(data[12:]); rsv != 0 {
@@ -303,7 +306,8 @@ func decodeFlatBlob(data []byte) (*FlatForest, error) {
 			MaxDepth:       int(cfgRaw[3]),
 			Seed:           cfgRaw[4],
 		},
-		nf: int(features),
+		nf:  int(features),
+		crc: wantCRC,
 	}, nil
 }
 

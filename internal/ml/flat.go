@@ -31,6 +31,7 @@ type FlatForest struct {
 	treeStart []int32
 	cfg       ForestConfig
 	nf        int
+	crc       uint32 // BlobCRC, taken where the forest is made
 }
 
 // newFlatForest allocates empty slabs sized for nodes nodes across trees
@@ -61,6 +62,7 @@ func flatten(roots []*treeNode, cfg ForestConfig, nf int) *FlatForest {
 		ff.flattenNode(r)
 	}
 	ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
+	ff.crc = blobCRC(ff.AppendFlatBlob(nil))
 	return ff
 }
 

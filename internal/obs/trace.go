@@ -420,6 +420,17 @@ func (a *ActiveTrace) ID() uint64 {
 	return a.id
 }
 
+// Mark reads the clock once, as the offset StartSpanAt and EndSpanAt
+// take: boundaries that coincide (one stage ends as the next begins, or a
+// span opens with its first child) share one read. It reads nothing on a
+// nil trace.
+func (a *ActiveTrace) Mark() time.Duration {
+	if a == nil {
+		return 0
+	}
+	return a.rel()
+}
+
 // StartSpan opens a span for the stage, nested under the innermost open
 // span, and returns its index (-1 when untraced or out of capacity). The
 // first span of a trace starts at offset zero without a clock read: the
@@ -428,13 +439,21 @@ func (a *ActiveTrace) StartSpan(stage StageID) int {
 	if a == nil {
 		return -1
 	}
+	var start time.Duration
+	if a.n > 0 && a.n < maxTraceSpans && a.openN < traceStackDepth {
+		start = a.rel()
+	}
+	return a.StartSpanAt(stage, start)
+}
+
+// StartSpanAt is StartSpan at offset start, a Mark.
+func (a *ActiveTrace) StartSpanAt(stage StageID, start time.Duration) int {
+	if a == nil {
+		return -1
+	}
 	if a.n >= maxTraceSpans || a.openN >= traceStackDepth {
 		a.dropped++
 		return -1
-	}
-	var start time.Duration
-	if a.n > 0 {
-		start = a.rel()
 	}
 	parent := int16(-1)
 	if a.openN > 0 {
@@ -460,7 +479,14 @@ func (a *ActiveTrace) EndSpan(idx int) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
 	}
-	end := a.rel()
+	a.EndSpanAt(idx, a.rel())
+}
+
+// EndSpanAt is EndSpan at offset end, a Mark.
+func (a *ActiveTrace) EndSpanAt(idx int, end time.Duration) {
+	if a == nil || idx < 0 || idx >= a.n {
+		return
+	}
 	for a.openN > 0 {
 		top := int(a.open[a.openN-1])
 		a.openN--

@@ -220,8 +220,8 @@ func TestProxyRequestTimeFromClock(t *testing.T) {
 			continue
 		}
 		requests++
-		if e.Time.Before(start) || e.Time.After(end) {
-			t.Fatalf("request edge stamped %v, outside the injected clock's [%v, %v]", e.Time, start, end)
+		if et := wcg.Time(e.Time); et.Before(start) || et.After(end) {
+			t.Fatalf("request edge stamped %v, outside the injected clock's [%v, %v]", et, start, end)
 		}
 	}
 	if requests == 0 {

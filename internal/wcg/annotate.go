@@ -53,7 +53,7 @@ func (w *WCG) Summarize() Summary {
 	var (
 		uriLenSum  int
 		uriCount   int
-		reqTimes   []time.Time
+		reqTimes   []int64
 		paySizeSum int64
 		payCount   int
 	)
@@ -61,9 +61,9 @@ func (w *WCG) Summarize() Summary {
 		switch e.Kind {
 		case EdgeRequest:
 			switch e.Method {
-			case "GET":
+			case MethodGET:
 				s.GETs++
-			case "POST":
+			case MethodPOST:
 				s.POSTs++
 			default:
 				s.OtherMethods++
@@ -73,12 +73,12 @@ func (w *WCG) Summarize() Summary {
 			} else {
 				s.RefererEmpty++
 			}
-			uriLenSum += e.URILen
+			uriLenSum += int(e.URILen)
 			uriCount++
 			reqTimes = append(reqTimes, e.Time)
 			if e.Stage == StagePostDownload {
 				s.PostDownloadEdges++
-				if e.Method == "POST" {
+				if e.Method == MethodPOST {
 					s.HasCallback = true
 				}
 			}
@@ -97,7 +97,7 @@ func (w *WCG) Summarize() Summary {
 			}
 			if e.PayloadType != PayloadNone {
 				s.PayloadCounts[e.PayloadType]++
-				paySizeSum += int64(e.PayloadSize)
+				paySizeSum += e.PayloadSize
 				payCount++
 				if e.PayloadType.IsExploitType() && e.StatusCode >= 200 && e.StatusCode < 300 {
 					s.DownloadedExploits++
@@ -134,7 +134,7 @@ func (w *WCG) Summarize() Summary {
 	if len(reqTimes) > 1 {
 		var sum time.Duration
 		for i := 1; i < len(reqTimes); i++ {
-			d := reqTimes[i].Sub(reqTimes[i-1])
+			d := Sub(reqTimes[i], reqTimes[i-1])
 			if d < 0 {
 				d = -d
 			}

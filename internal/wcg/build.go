@@ -2,7 +2,6 @@ package wcg
 
 import (
 	"cmp"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -22,7 +21,6 @@ type Builder struct {
 	t            *Table
 	victim       int
 	origin       int
-	victimHost   string
 	started      bool
 	originLinked bool
 	hosts        []hostSlot // by table index
@@ -38,7 +36,7 @@ type hostSlot struct {
 }
 
 type redirKey struct {
-	from, to int
+	from, to int32
 	sec      int64
 }
 
@@ -49,7 +47,7 @@ func NewBuilder() *Builder { return NewTableBuilder(&Table{}) }
 // Client is the victim.
 func NewTableBuilder(t *Table) *Builder {
 	return &Builder{
-		w:         newWCG(),
+		w:         newWCG(t),
 		t:         t,
 		victim:    -1,
 		origin:    -1,
@@ -95,19 +93,20 @@ func FromRecords(t *Table, recs []Record, idxs []int) *WCG {
 	return b.WCG()
 }
 
-// addRedirect inserts a deduplicated redirect edge.
-func (b *Builder) addRedirect(from, to int, ts time.Time) {
+// addRedirect inserts a deduplicated redirect edge at ts.
+func (b *Builder) addRedirect(from, to int, ts int64) {
 	if from == to {
 		return
 	}
-	k := redirKey{from, to, ts.Unix()}
+	k := redirKey{int32(from), int32(to), Time(ts).Unix()}
 	if _, ok := b.redirSeen[k]; ok {
 		return
 	}
 	b.redirSeen[k] = struct{}{}
-	b.w.addEdge(Edge{
-		From: from, To: to, Kind: EdgeRedirect, Time: ts,
-		CrossDomain: registeredDomain(b.w.Nodes[from].Host) != registeredDomain(b.w.Nodes[to].Host),
+	w := b.w
+	w.addEdge(Edge{
+		From: int32(from), To: int32(to), Kind: EdgeRedirect, Time: ts,
+		CrossDomain: registeredDomain(w.Host(from)) != registeredDomain(w.Host(to)),
 	})
 }
 
@@ -121,22 +120,27 @@ func (b *Builder) slot(i int32) *hostSlot {
 
 // node returns the node of table string i, creating it as typ if it does
 // not exist yet; the victim's own address string is the victim node. An
-// existing node's type is never downgraded, and it takes ip if it had no
-// address.
-func (b *Builder) node(i int32, ip netip.Addr, typ NodeType) int {
+// existing node's type is never downgraded.
+func (b *Builder) node(i int32, typ NodeType) int {
 	s := b.slot(i)
 	if s.node == 0 {
-		host := b.t.Names[i]
-		if host != b.victimHost {
-			id := b.w.addNode(host, ip, typ)
+		if b.t.Names[i] != b.w.victim {
+			id := b.w.addNode(i, typ)
 			s.node = int32(id + 1)
 			return id
 		}
 		s.node = int32(b.victim + 1)
 	}
-	id := int(s.node - 1)
-	if n := &b.w.Nodes[id]; !n.IP.IsValid() && ip.IsValid() {
-		n.IP = ip
+	return int(s.node - 1)
+}
+
+// server returns the node of r's host, as node does, which takes r's
+// server address if it had none. The victim's address is the table's
+// Client.
+func (b *Builder) server(r *Record) int {
+	id := b.node(r.Host, NodeRemote)
+	if n := &b.w.Nodes[id]; n.ipKind == 0 && n.Host != VictimHost {
+		n.ip, n.ipKind, n.ipZone = r.ServerIP, r.ServerKind, r.ServerZone
 	}
 	return id
 }
@@ -163,8 +167,8 @@ func (b *Builder) AddRecord(r *Record) {
 	w, t := b.w, b.t
 	if !b.started {
 		b.started = true
-		b.victimHost = t.Client.String()
-		b.victim = w.addNode(b.victimHost, t.Client, NodeVictim)
+		w.victim = t.Client.String()
+		b.victim = w.addNode(VictimHost, NodeVictim)
 		// Origin node: the referrer of the first transaction names the
 		// enticement source. An unknown origin is recorded as metadata
 		// only ("marked empty"); adding an isolated marker node would skew
@@ -172,11 +176,11 @@ func (b *Builder) AddRecord(r *Record) {
 		if r.Ref >= 0 {
 			w.OriginKnown = true
 			w.OriginHost = t.Names[r.Ref]
-			b.origin = b.node(r.Ref, netip.Addr{}, NodeOrigin)
+			b.origin = b.node(r.Ref, NodeOrigin)
 		}
 	}
 
-	server := b.node(r.Host, r.Server(t), NodeRemote)
+	server := b.server(r)
 	w.addURI(server, r.URIHash)
 
 	if r.Flags&RecDNT != 0 {
@@ -186,10 +190,9 @@ func (b *Builder) AddRecord(r *Record) {
 		w.XFlashVersion = t.Names[r.Flash]
 	}
 
-	reqTime, respTime := Time(r.ReqTime), Time(r.RespTime)
 	w.addEdge(Edge{
-		From: b.victim, To: server, Kind: EdgeRequest, Time: reqTime,
-		Method: t.Method(r), URILen: int(r.URILen), Referred: r.Flags&RecReferred != 0,
+		From: int32(b.victim), To: int32(server), Kind: EdgeRequest, Time: r.ReqTime,
+		Method: w.methodCode(r.Method), URILen: r.URILen, Referred: r.Flags&RecReferred != 0,
 	})
 	redirect := r.Flags&RecRedirect != 0
 	var payload PayloadClass
@@ -199,8 +202,8 @@ func (b *Builder) AddRecord(r *Record) {
 			payload = PayloadNone
 		}
 		w.addEdge(Edge{
-			From: server, To: b.victim, Kind: EdgeResponse, Time: respTime,
-			StatusCode: int(r.Status), PayloadType: payload, PayloadSize: int(r.BodySize),
+			From: int32(server), To: int32(b.victim), Kind: EdgeResponse, Time: r.RespTime,
+			StatusCode: r.Status, PayloadType: payload, PayloadSize: r.BodySize,
 		})
 		if payload != PayloadNone {
 			w.Nodes[server].Payloads[payload]++
@@ -210,8 +213,8 @@ func (b *Builder) AddRecord(r *Record) {
 
 	// Redirect edge from a Location header.
 	if redirect {
-		to := b.node(r.Loc, netip.Addr{}, NodeIntermediary)
-		b.addRedirect(server, to, respTime)
+		to := b.node(r.Loc, NodeIntermediary)
+		b.addRedirect(server, to, r.RespTime)
 	}
 
 	// Referrer-based navigation: a document fetched from host B with a
@@ -221,11 +224,11 @@ func (b *Builder) AddRecord(r *Record) {
 	// follow the referring host's last activity within redirectClickGap —
 	// automatic redirections fire in milliseconds, link-clicks take
 	// seconds (Section III-C's delay insight).
-	if r.Ref >= 0 && r.Ref != r.Host && t.Names[r.Ref] != b.victimHost {
+	if r.Ref >= 0 && r.Ref != r.Host && t.Names[r.Ref] != w.victim {
 		if payload == PayloadHTML || (r.Status >= 300 && r.Status < 400) {
-			if s := b.slot(r.Ref); s.served && reqTime.Sub(Time(s.last)) <= redirectClickGap {
-				from := b.node(r.Ref, netip.Addr{}, NodeIntermediary)
-				b.addRedirect(from, server, reqTime)
+			if s := b.slot(r.Ref); s.served && Sub(r.ReqTime, s.last) <= redirectClickGap {
+				from := b.node(r.Ref, NodeIntermediary)
+				b.addRedirect(from, server, r.ReqTime)
 			}
 		}
 	}
@@ -242,8 +245,8 @@ func (b *Builder) AddRecord(r *Record) {
 			if th == r.Host {
 				continue
 			}
-			to := b.node(th, netip.Addr{}, NodeIntermediary)
-			b.addRedirect(server, to, respTime)
+			to := b.node(th, NodeIntermediary)
+			b.addRedirect(server, to, r.RespTime)
 		}
 	}
 
@@ -252,7 +255,7 @@ func (b *Builder) AddRecord(r *Record) {
 	// credit every conversation with a redirect it never had.
 	if b.origin >= 0 && !b.originLinked && server != b.origin {
 		b.originLinked = true
-		b.addRedirect(b.origin, server, reqTime)
+		b.addRedirect(b.origin, server, r.ReqTime)
 	}
 }
 
@@ -277,20 +280,18 @@ func (b *Builder) Size() int { return b.w.Size() }
 // post-download, and everything else is download stage. Conversations with
 // no exploit download stay entirely in the pre-download stage.
 func (w *WCG) assignStages() {
-	var tFirst, tLast time.Time
-	servedExploit := make(map[int]bool)
+	tFirst, tLast := int64(NoTime), int64(NoTime)
+	servedExploit := make(map[int32]bool)
 	for _, e := range w.Edges {
 		if e.Kind == EdgeResponse && e.StatusCode >= 200 && e.StatusCode < 300 && e.PayloadType.IsExploitType() {
-			if tFirst.IsZero() || e.Time.Before(tFirst) {
+			if tFirst == NoTime || e.Time < tFirst {
 				tFirst = e.Time
 			}
-			if e.Time.After(tLast) {
-				tLast = e.Time
-			}
+			tLast = max(tLast, e.Time)
 			servedExploit[e.From] = true
 		}
 	}
-	if tFirst.IsZero() {
+	if tFirst == NoTime {
 		for i := range w.Edges {
 			w.Edges[i].Stage = StagePreDownload
 		}
@@ -299,9 +300,9 @@ func (w *WCG) assignStages() {
 	for i := range w.Edges {
 		e := &w.Edges[i]
 		switch {
-		case e.Time.Before(tFirst):
+		case e.Time < tFirst:
 			e.Stage = StagePreDownload
-		case e.Time.After(tLast):
+		case e.Time > tLast:
 			e.Stage = w.lateStage(e, servedExploit)
 		default:
 			e.Stage = StageDownload
@@ -311,10 +312,10 @@ func (w *WCG) assignStages() {
 
 // lateStage decides the stage of an edge occurring after the last exploit
 // download: POST dialogues with fresh hosts are post-download C&C traffic.
-func (w *WCG) lateStage(e *Edge, servedExploit map[int]bool) Stage {
+func (w *WCG) lateStage(e *Edge, servedExploit map[int32]bool) Stage {
 	switch e.Kind {
 	case EdgeRequest:
-		if e.Method == "POST" && !servedExploit[e.To] {
+		if e.Method == MethodPOST && !servedExploit[e.To] {
 			return StagePostDownload
 		}
 	case EdgeResponse:
@@ -329,8 +330,8 @@ func (w *WCG) lateStage(e *Edge, servedExploit map[int]bool) Stage {
 // payload become malicious; hosts touched only by redirect edges remain
 // intermediaries; every other non-victim, non-origin host is remote.
 func (w *WCG) classifyNodes(victim, origin int) {
-	delivered := make(map[int]bool)
-	nonRedirect := make(map[int]bool)
+	delivered := make(map[int32]bool)
+	nonRedirect := make(map[int32]bool)
 	for _, e := range w.Edges {
 		if e.Kind == EdgeResponse && e.PayloadType.IsExploitType() && e.StatusCode >= 200 && e.StatusCode < 300 {
 			delivered[e.From] = true
@@ -345,10 +346,10 @@ func (w *WCG) classifyNodes(victim, origin int) {
 		if n.ID == victim || n.ID == origin {
 			continue
 		}
-		switch {
-		case delivered[n.ID]:
+		switch id := int32(n.ID); {
+		case delivered[id]:
 			n.Type = NodeMalicious
-		case !nonRedirect[n.ID]:
+		case !nonRedirect[id]:
 			n.Type = NodeIntermediary
 		default:
 			n.Type = NodeRemote

@@ -37,7 +37,7 @@ func refFromTransactions(txs []httpstream.Transaction) *WCG {
 	copy(ordered, txs)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ReqTime.Before(ordered[j].ReqTime) })
 	b := &refBuilder{
-		w:            newWCG(),
+		w:            newWCG(&Table{}),
 		victim:       -1,
 		origin:       -1,
 		byHost:       make(map[string]int),
@@ -56,13 +56,23 @@ func refFromTransactions(txs []httpstream.Transaction) *WCG {
 }
 
 func (b *refBuilder) ensureNode(host string, ip netip.Addr, typ NodeType) int {
+	w := b.w
 	if id, ok := b.byHost[host]; ok {
-		if n := &b.w.Nodes[id]; !n.IP.IsValid() && ip.IsValid() {
-			n.IP = ip
+		if n := &w.Nodes[id]; n.Host != VictimHost && n.ipKind == 0 && ip.IsValid() {
+			n.ip, n.ipKind, n.ipZone = w.t.pack(ip)
 		}
 		return id
 	}
-	id := b.w.addNode(host, ip, typ)
+	var id int
+	if typ == NodeVictim {
+		w.t.Client, w.victim = ip, host
+		id = w.addNode(VictimHost, typ)
+	} else {
+		id = w.addNode(w.t.Intern(host), typ)
+		if ip.IsValid() {
+			w.Nodes[id].ip, w.Nodes[id].ipKind, w.Nodes[id].ipZone = w.t.pack(ip)
+		}
+	}
 	b.byHost[host] = id
 	return id
 }
@@ -84,14 +94,14 @@ func (b *refBuilder) addRedirect(from, to int, ts time.Time) {
 	if from == to {
 		return
 	}
-	k := redirKey{from, to, ts.Unix()}
+	k := redirKey{int32(from), int32(to), ts.Unix()}
 	if _, ok := b.redirSeen[k]; ok {
 		return
 	}
 	b.redirSeen[k] = struct{}{}
 	b.w.addEdge(Edge{
-		From: from, To: to, Kind: EdgeRedirect, Time: ts,
-		CrossDomain: refRegisteredDomain(b.w.Nodes[from].Host) != refRegisteredDomain(b.w.Nodes[to].Host),
+		From: int32(from), To: int32(to), Kind: EdgeRedirect, Time: nanos(ts),
+		CrossDomain: refRegisteredDomain(b.w.Host(from)) != refRegisteredDomain(b.w.Host(to)),
 	})
 }
 
@@ -106,7 +116,7 @@ func (b *refBuilder) add(tx httpstream.Transaction) {
 			b.origin = b.ensureNode(firstRef, netip.Addr{}, NodeOrigin)
 		}
 	}
-	victimHost := w.Nodes[b.victim].Host
+	victimHost := w.Host(b.victim)
 
 	serverHost := strings.ToLower(tx.Host)
 	if serverHost == "" {
@@ -124,8 +134,8 @@ func (b *refBuilder) add(tx httpstream.Transaction) {
 
 	referer := tx.Referer()
 	w.addEdge(Edge{
-		From: b.victim, To: server, Kind: EdgeRequest, Time: tx.ReqTime,
-		Method: tx.Method, URILen: len(tx.URI), Referred: referer != "",
+		From: int32(b.victim), To: int32(server), Kind: EdgeRequest, Time: nanos(tx.ReqTime),
+		Method: w.methodCode(w.t.method(tx.Method)), URILen: int32(len(tx.URI)), Referred: referer != "",
 	})
 	var payload PayloadClass
 	if tx.StatusCode > 0 {
@@ -134,8 +144,8 @@ func (b *refBuilder) add(tx httpstream.Transaction) {
 			payload = PayloadNone
 		}
 		w.addEdge(Edge{
-			From: server, To: b.victim, Kind: EdgeResponse, Time: tx.RespTime,
-			StatusCode: tx.StatusCode, PayloadType: payload, PayloadSize: tx.BodySize,
+			From: int32(server), To: int32(b.victim), Kind: EdgeResponse, Time: nanos(tx.RespTime),
+			StatusCode: int32(tx.StatusCode), PayloadType: payload, PayloadSize: int64(tx.BodySize),
 		})
 		if payload != PayloadNone {
 			w.Nodes[server].Payloads[payload]++

@@ -28,9 +28,9 @@ func TestBuilderMatchesBatch(t *testing.T) {
 		t.Fatal("origin metadata differs")
 	}
 	for i := range batch.Nodes {
-		bn, in := batch.Nodes[i], inc.Nodes[i]
-		if bn.Host != in.Host || bn.Type != in.Type {
-			t.Fatalf("node %d differs: %s/%s vs %s/%s", i, bn.Host, bn.Type, in.Host, in.Type)
+		bh, ih := batch.Host(i), inc.Host(i)
+		if bt, it := batch.Nodes[i].Type, inc.Nodes[i].Type; bh != ih || bt != it {
+			t.Fatalf("node %d differs: %s/%s vs %s/%s", i, bh, bt, ih, it)
 		}
 	}
 	for i := range batch.Edges {

@@ -1,8 +1,9 @@
 package wcg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -29,15 +30,14 @@ func (w *WCG) DOT(title string) string {
 		case NodeOrigin:
 			color = "lightgreen"
 		}
-		fmt.Fprintf(&sb, "  n%d [label=%q, fillcolor=%q];\n", n.ID, n.Host, color)
+		fmt.Fprintf(&sb, "  n%d [label=%q, fillcolor=%q];\n", n.ID, w.Host(n.ID), color)
 	}
-	edges := make([]Edge, len(w.Edges))
-	copy(edges, w.Edges)
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Time.Before(edges[j].Time) })
+	edges := slices.Clone(w.Edges)
+	slices.SortStableFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) })
 	for _, e := range edges {
 		switch e.Kind {
 		case EdgeRequest:
-			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"req: %s,%d\"];\n", e.From, e.To, e.Method, e.URILen)
+			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"req: %s,%d\"];\n", e.From, e.To, w.Method(&e), e.URILen)
 		case EdgeResponse:
 			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"res: %d,%s,%dB\", color=gray];\n",
 				e.From, e.To, e.StatusCode, e.PayloadType, e.PayloadSize)

@@ -66,7 +66,7 @@ func (w *WCG) WriteGraphML(out io.Writer) error {
 		doc.Graph.Nodes = append(doc.Graph.Nodes, graphmlNode{
 			ID: fmt.Sprintf("n%d", n.ID),
 			Data: []graphmlData{
-				{Key: "host", Value: n.Host},
+				{Key: "host", Value: w.Host(n.ID)},
 				{Key: "role", Value: n.Type.String()},
 			},
 		})
@@ -80,8 +80,8 @@ func (w *WCG) WriteGraphML(out io.Writer) error {
 				{Key: "stage", Value: e.Stage.String()},
 			},
 		}
-		if e.Method != "" {
-			ge.Data = append(ge.Data, graphmlData{Key: "method", Value: e.Method})
+		if m := w.Method(&e); m != "" {
+			ge.Data = append(ge.Data, graphmlData{Key: "method", Value: m})
 		}
 		if e.StatusCode != 0 {
 			ge.Data = append(ge.Data, graphmlData{Key: "status", Value: fmt.Sprint(e.StatusCode)})

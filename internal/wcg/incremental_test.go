@@ -61,7 +61,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		simple := make(map[[2]int]bool)
 		for _, e := range w.Edges {
 			if e.From != e.To {
-				simple[[2]int{e.From, e.To}] = true
+				simple[[2]int{int(e.From), int(e.To)}] = true
 			}
 		}
 		wantRecip := 0
@@ -134,7 +134,7 @@ func TestStructVersionIdentity(t *testing.T) {
 			w := ib.Live()
 			for _, e := range w.Edges[seen:] {
 				if e.From != e.To {
-					pairs[[2]int{e.From, e.To}] = true
+					pairs[[2]int{int(e.From), int(e.To)}] = true
 				}
 			}
 			seen = len(w.Edges)

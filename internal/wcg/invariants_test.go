@@ -20,30 +20,31 @@ func TestStageInvariantsOverCorpus(t *testing.T) {
 		var tFirst, tLast time.Time
 		for _, e := range w.Edges {
 			if e.Kind == EdgeResponse && e.StatusCode >= 200 && e.StatusCode < 300 && e.PayloadType.IsExploitType() {
-				if tFirst.IsZero() || e.Time.Before(tFirst) {
-					tFirst = e.Time
+				if et := Time(e.Time); tFirst.IsZero() || et.Before(tFirst) {
+					tFirst = et
 				}
-				if e.Time.After(tLast) {
-					tLast = e.Time
+				if et := Time(e.Time); et.After(tLast) {
+					tLast = et
 				}
 			}
 		}
 		for _, e := range w.Edges {
+			et := Time(e.Time)
 			switch e.Stage {
 			case StagePreDownload:
-				if !tFirst.IsZero() && e.Time.After(tFirst) && e.Kind != EdgeRedirect {
+				if !tFirst.IsZero() && et.After(tFirst) && e.Kind != EdgeRedirect {
 					// Request/response edges staged pre-download must not
 					// come after the first exploit delivery.
 					t.Fatalf("episode %d (%s): pre-download edge at %v after first download %v",
-						i, eps[i].Family, e.Time, tFirst)
+						i, eps[i].Family, et, tFirst)
 				}
 			case StagePostDownload:
 				if tFirst.IsZero() {
 					t.Fatalf("episode %d: post-download stage without any download", i)
 				}
-				if e.Time.Before(tLast) {
+				if et.Before(tLast) {
 					t.Fatalf("episode %d: post-download edge at %v before last download %v",
-						i, eps[i].Family, tLast)
+						i, et, tLast)
 				}
 			case StageDownload:
 				if tFirst.IsZero() {
@@ -68,18 +69,18 @@ func TestNodeRoleInvariants(t *testing.T) {
 			case NodeMalicious:
 				served := false
 				for _, e := range w.Edges {
-					if e.Kind == EdgeResponse && e.From == n.ID && e.PayloadType.IsExploitType() &&
+					if e.Kind == EdgeResponse && int(e.From) == n.ID && e.PayloadType.IsExploitType() &&
 						e.StatusCode >= 200 && e.StatusCode < 300 {
 						served = true
 					}
 				}
 				if !served {
-					t.Fatalf("episode %d: node %s malicious without delivering a payload", i, n.Host)
+					t.Fatalf("episode %d: node %s malicious without delivering a payload", i, w.Host(n.ID))
 				}
 			case NodeIntermediary:
 				for _, e := range w.Edges {
-					if e.Kind != EdgeRedirect && (e.From == n.ID || e.To == n.ID) {
-						t.Fatalf("episode %d: intermediary %s has non-redirect edge", i, n.Host)
+					if e.Kind != EdgeRedirect && (int(e.From) == n.ID || int(e.To) == n.ID) {
+						t.Fatalf("episode %d: intermediary %s has non-redirect edge", i, w.Host(n.ID))
 					}
 				}
 			}

@@ -38,7 +38,7 @@ type edgeWire struct {
 	URILen      int    `json:"uriLen,omitempty"`
 	StatusCode  int    `json:"status,omitempty"`
 	PayloadType string `json:"payload,omitempty"`
-	PayloadSize int    `json:"payloadSize,omitempty"`
+	PayloadSize int64  `json:"payloadSize,omitempty"`
 	CrossDomain bool   `json:"crossDomain,omitempty"`
 }
 
@@ -55,12 +55,12 @@ func (w *WCG) WriteJSON(out io.Writer) error {
 	for _, n := range w.Nodes {
 		nw := nodeWire{
 			ID:   n.ID,
-			Host: n.Host,
+			Host: w.Host(n.ID),
 			Type: n.Type.String(),
 			URIs: n.URIs,
 		}
-		if n.IP.IsValid() {
-			nw.IP = n.IP.String()
+		if a := w.Addr(n.ID); a.IsValid() {
+			nw.IP = a.String()
 		}
 		// Only the classes seen: the encoder sorts map keys, so the
 		// bytes do not depend on how the counts are stored.
@@ -77,18 +77,18 @@ func (w *WCG) WriteJSON(out io.Writer) error {
 	}
 	for _, e := range w.Edges {
 		ew := edgeWire{
-			From:        e.From,
-			To:          e.To,
+			From:        int(e.From),
+			To:          int(e.To),
 			Kind:        e.Kind.String(),
 			Stage:       int(e.Stage),
-			Method:      e.Method,
-			URILen:      e.URILen,
-			StatusCode:  e.StatusCode,
+			Method:      w.Method(&e),
+			URILen:      int(e.URILen),
+			StatusCode:  int(e.StatusCode),
 			PayloadSize: e.PayloadSize,
 			CrossDomain: e.CrossDomain,
 		}
-		if !e.Time.IsZero() {
-			ew.Time = e.Time.Format(time.RFC3339Nano)
+		if e.Time != NoTime {
+			ew.Time = Time(e.Time).Format(time.RFC3339Nano)
 		}
 		if e.PayloadType != PayloadNone {
 			ew.PayloadType = e.PayloadType.String()

@@ -85,43 +85,79 @@ func Time(ns int64) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
+// Sub is Time(a).Sub(Time(b)) without building either: the difference
+// saturates as time.Time's does, and NoTime lies before every other time
+// by more than a Duration spans.
+func Sub(a, b int64) time.Duration {
+	switch {
+	case a == b:
+		return 0
+	case a == NoTime:
+		return math.MinInt64
+	case b == NoTime:
+		return math.MaxInt64
+	}
+	d := a - b
+	if (a > b) != (d > 0) { // the difference overflowed
+		if a > b {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	}
+	return time.Duration(d)
+}
+
 // PayloadClass is the record's payload class.
 func (r *Record) PayloadClass() PayloadClass { return PayloadClass(r.Payload) }
 
 // Post reports whether the request was a POST.
-func (r *Record) Post() bool { return r.Method == -1-methodPOST }
+func (r *Record) Post() bool { return r.Method == MethodPOST }
 
-// Server is the record's server address.
-func (r *Record) Server(t *Table) netip.Addr {
-	switch r.ServerKind {
+// addr is the address whose As16 bytes are ip, whose kind (0 when
+// invalid, 4 or 6) is kind and whose zone is table string zone (-1 when
+// none).
+func (t *Table) addr(ip [16]byte, kind uint8, zone int32) netip.Addr {
+	switch kind {
 	case 4:
-		return netip.AddrFrom4([4]byte(r.ServerIP[12:]))
+		return netip.AddrFrom4([4]byte(ip[12:]))
 	case 6:
-		a := netip.AddrFrom16(r.ServerIP)
-		if r.ServerZone >= 0 {
-			a = a.WithZone(t.Names[r.ServerZone])
+		a := netip.AddrFrom16(ip)
+		if zone >= 0 {
+			a = a.WithZone(t.Names[zone])
 		}
 		return a
 	}
 	return netip.Addr{}
 }
 
+// pack is a as addr reads it, interning its zone.
+func (t *Table) pack(a netip.Addr) (ip [16]byte, kind uint8, zone int32) {
+	zone = -1
+	if !a.IsValid() {
+		return ip, 0, zone
+	}
+	ip, kind = a.As16(), 6
+	if a.Is4() {
+		kind = 4
+	} else if z := a.Zone(); z != "" {
+		zone = t.Intern(z)
+	}
+	return ip, kind, zone
+}
+
 // knownMethods are the request methods a Record names without the table.
 var knownMethods = [...]string{"GET", "POST", "HEAD", "PUT", "DELETE", "OPTIONS", "CONNECT", "TRACE", "PATCH"}
 
-const methodPOST = 1
+// The codes of the two methods the features count apart, as Record.Method
+// and Edge.Method store them.
+const (
+	MethodGET  = -1
+	MethodPOST = -2
+)
 
 // NumKnownMethods bounds a negative Record.Method: -NumKnownMethods <=
 // Method < 0.
 const NumKnownMethods = len(knownMethods)
-
-// Method is the record's request method.
-func (t *Table) Method(r *Record) string {
-	if r.Method < 0 {
-		return knownMethods[-1-r.Method]
-	}
-	return t.Names[r.Method]
-}
 
 // Table is the string table Records index: hosts, session ids and the
 // other strings a transaction names, each stored once, plus the arena of
@@ -197,30 +233,21 @@ func KeysOf(tx *httpstream.Transaction) Keys {
 // is kept but strings the table interns.
 func (t *Table) Digest(tx *httpstream.Transaction, k Keys) Record {
 	r := Record{
-		ReqTime:    nanos(tx.ReqTime),
-		RespTime:   nanos(tx.RespTime),
-		BodySize:   int64(tx.BodySize),
-		URIHash:    hashURI(tx.URI),
-		Host:       t.Intern(k.Host),
-		Ref:        t.internOpt(k.Ref),
-		Loc:        -1,
-		SID:        t.internOpt(k.SID),
-		Flash:      t.internOpt(tx.XFlashVersion()),
-		Method:     t.method(tx.Method),
-		URILen:     int32(len(tx.URI)),
-		Status:     int32(tx.StatusCode),
-		ServerZone: -1,
-		Payload:    uint8(ClassifyPayload(tx.URI, tx.ContentType)),
+		ReqTime:  nanos(tx.ReqTime),
+		RespTime: nanos(tx.RespTime),
+		BodySize: int64(tx.BodySize),
+		URIHash:  hashURI(tx.URI),
+		Host:     t.Intern(k.Host),
+		Ref:      t.internOpt(k.Ref),
+		Loc:      -1,
+		SID:      t.internOpt(k.SID),
+		Flash:    t.internOpt(tx.XFlashVersion()),
+		Method:   t.method(tx.Method),
+		URILen:   int32(len(tx.URI)),
+		Status:   int32(tx.StatusCode),
+		Payload:  uint8(ClassifyPayload(tx.URI, tx.ContentType)),
 	}
-	if a := tx.ServerIP; a.IsValid() {
-		r.ServerIP = a.As16()
-		r.ServerKind = 6
-		if a.Is4() {
-			r.ServerKind = 4
-		} else if z := a.Zone(); z != "" {
-			r.ServerZone = t.Intern(z)
-		}
-	}
+	r.ServerIP, r.ServerKind, r.ServerZone = t.pack(tx.ServerIP)
 	if tx.DNT() {
 		r.Flags |= RecDNT
 	}

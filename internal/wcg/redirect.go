@@ -2,8 +2,9 @@ package wcg
 
 import (
 	"bytes"
+	"cmp"
 	"regexp"
-	"sort"
+	"slices"
 	"time"
 	"unicode/utf8"
 )
@@ -313,7 +314,7 @@ func quotedAssignment(t []byte) (quoted []byte, n int) {
 // the timestamps of the hops between them.
 type Chain struct {
 	Nodes []int
-	Times []time.Time // one per hop: len(Nodes)-1 entries
+	Times []int64 // one per hop, as Edge.Time: len(Nodes)-1 entries
 }
 
 // Hops is the number of redirect hops in the chain.
@@ -330,21 +331,21 @@ func (w *WCG) RedirectChains() []Chain {
 			redirs = append(redirs, e)
 		}
 	}
-	sort.SliceStable(redirs, func(i, j int) bool { return redirs[i].Time.Before(redirs[j].Time) })
+	slices.SortStableFunc(redirs, func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) })
 
 	var chains []Chain
 	// chainAt maps a node id to the index of the open chain ending there.
-	chainAt := make(map[int]int)
+	chainAt := make(map[int32]int)
 	for _, e := range redirs {
 		if ci, ok := chainAt[e.From]; ok {
 			c := &chains[ci]
-			c.Nodes = append(c.Nodes, e.To)
+			c.Nodes = append(c.Nodes, int(e.To))
 			c.Times = append(c.Times, e.Time)
 			delete(chainAt, e.From)
 			chainAt[e.To] = ci
 			continue
 		}
-		chains = append(chains, Chain{Nodes: []int{e.From, e.To}, Times: []time.Time{e.Time}})
+		chains = append(chains, Chain{Nodes: []int{int(e.From), int(e.To)}, Times: []int64{e.Time}})
 		chainAt[e.To] = len(chains) - 1
 	}
 	return chains
@@ -372,8 +373,8 @@ func (w *WCG) RedirectStats() RedirectStats {
 		if e.CrossDomain {
 			st.CrossDomainCount++
 		}
-		tlds[topLevelDomain(w.Nodes[e.From].Host)] = struct{}{}
-		tlds[topLevelDomain(w.Nodes[e.To].Host)] = struct{}{}
+		tlds[topLevelDomain(w.Host(int(e.From)))] = struct{}{}
+		tlds[topLevelDomain(w.Host(int(e.To)))] = struct{}{}
 	}
 	st.TLDDiversity = len(tlds)
 
@@ -384,7 +385,7 @@ func (w *WCG) RedirectStats() RedirectStats {
 			st.MaxChainLen = c.Hops()
 		}
 		for i := 1; i < len(c.Times); i++ {
-			delaySum += c.Times[i].Sub(c.Times[i-1])
+			delaySum += Sub(c.Times[i], c.Times[i-1])
 			delays++
 		}
 	}

@@ -7,6 +7,7 @@
 package wcg
 
 import (
+	"math"
 	"net/netip"
 	"strings"
 	"time"
@@ -129,27 +130,47 @@ func (s Stage) String() string {
 }
 
 // Node is a unique host participating in the conversation, annotated per
-// Section III-C (basic attributes, URIs per host, payload summary).
+// Section III-C (basic attributes, URIs per host, payload summary). It
+// holds no pointer: its host is an index into the table the graph was
+// built against and its address is kept as a Record keeps one, so the
+// GC never scans a graph's nodes. WCG.Host and WCG.Addr read them.
+// TestNodeStaysCompact holds the size.
 type Node struct {
-	ID       int
-	Host     string // hostname, or IP string when no Host header was seen
-	IP       netip.Addr
+	ID   int
+	URIs int // distinct URIs requested from this host
+	// Host is the table index of the hostname, or of the IP string when
+	// no Host header was seen; VictimHost for the victim, whose host is
+	// the table's Client.
+	Host int32
+	// The address, as a Record keeps one: its zone's table index (-1
+	// when none), As16 bytes and kind (0 when none, 4 or 6).
+	ipZone   int32
+	ip       [16]byte
+	ipKind   uint8
 	Type     NodeType
-	URIs     int                                 // distinct URIs requested from this host
 	Payloads [httpstream.NumPayloadClasses]int32 // payloads originating from or received by this node, by class
 }
+
+// VictimHost is the victim node's Node.Host: its host is the table's
+// Client address, which the table need not hold.
+const VictimHost = -1
 
 // Edge is one relation between two hosts, annotated per Section III-C.
 // The graph stores edges by value, so appending one copies it, and a
 // slice that grows copies them all: TestEdgeStaysCompact holds the size.
+// An Edge holds no pointer: its time is Unix nanoseconds (NoTime when
+// unset) and its method a code that WCG.Method names.
 type Edge struct {
-	From, To    int
-	Time        time.Time
-	Method      string
-	URILen      int
-	StatusCode  int
+	From, To    int32
+	Time        int64
+	PayloadSize int64
+	URILen      int32
+	StatusCode  int32
+	// Method is a request edge's method: a known method's Record code
+	// (MethodGET, MethodPOST, ...), 0 for none, or 1 + an index into the
+	// graph's own list of other methods.
+	Method      int16
 	PayloadType PayloadClass
-	PayloadSize int
 	Kind        EdgeKind
 	Stage       Stage
 	Referred    bool // request edges: the request carried a Referer
@@ -172,6 +193,10 @@ type WCG struct {
 	DNT           bool
 	XFlashVersion string
 
+	t       *Table               // the table node hosts and method codes index
+	victim  string               // the victim's host: its address string
+	methods []int32              // other methods by Edge.Method-1, as table indexes
+	codes   map[int32]int16      // their codes, by table index
 	uriSeen map[nodeURI]struct{} // distinct (node, URI hash) pairs behind Node.URIs
 	g       *graph.Digraph       // structural projection, grown in place
 
@@ -208,13 +233,14 @@ type nodeURI struct {
 	uri  uint64
 }
 
-// newWCG returns an empty graph.
-func newWCG() *WCG { return &WCG{g: graph.New(0)} }
+// newWCG returns an empty graph over the records of t.
+func newWCG(t *Table) *WCG { return &WCG{t: t, g: graph.New(0)} }
 
-// addNode appends a node for host and returns its ID.
-func (w *WCG) addNode(host string, ip netip.Addr, typ NodeType) int {
+// addNode appends a node for table string host (VictimHost for the
+// victim) and returns its ID.
+func (w *WCG) addNode(host int32, typ NodeType) int {
 	id := len(w.Nodes)
-	w.Nodes = append(w.Nodes, Node{ID: id, Host: host, IP: ip, Type: typ})
+	w.Nodes = append(w.Nodes, Node{ID: id, Host: host, ipZone: -1, Type: typ})
 	if typ != NodeOrigin {
 		w.uniqueHosts++
 	}
@@ -225,7 +251,61 @@ func (w *WCG) addNode(host string, ip netip.Addr, typ NodeType) int {
 // addEdge appends e and extends the structural graph in place.
 func (w *WCG) addEdge(e Edge) {
 	w.Edges = append(w.Edges, e)
-	_ = w.g.AddEdge(e.From, e.To) // ids are internally consistent
+	_ = w.g.AddEdge(int(e.From), int(e.To)) // ids are internally consistent
+}
+
+// Host is the host name of node id.
+func (w *WCG) Host(id int) string {
+	if h := w.Nodes[id].Host; h != VictimHost {
+		return w.t.Names[h]
+	}
+	return w.victim
+}
+
+// Addr is the address of node id: the table's Client for the victim, the
+// first server address seen for a remote host, else the zero Addr.
+func (w *WCG) Addr(id int) netip.Addr {
+	n := &w.Nodes[id]
+	if n.Host == VictimHost {
+		return w.t.Client
+	}
+	return w.t.addr(n.ip, n.ipKind, n.ipZone)
+}
+
+// Method is the request method of e, an edge of w ("" for an edge that is
+// not a request).
+func (w *WCG) Method(e *Edge) string {
+	switch {
+	case e.Method < 0:
+		return knownMethods[-1-e.Method]
+	case e.Method > 0:
+		return w.t.Names[w.methods[e.Method-1]]
+	}
+	return ""
+}
+
+// methodCode is the Edge.Method of a request whose Record.Method is m. A
+// method that is not a known one takes the next code of the graph's list,
+// once; past math.MaxInt16 of them a graph names no more, and a request
+// edge of a further method exports none (it still counts as another
+// method).
+func (w *WCG) methodCode(m int32) int16 {
+	if m < 0 {
+		return int16(m)
+	}
+	if c, ok := w.codes[m]; ok {
+		return c
+	}
+	if len(w.methods) == math.MaxInt16 {
+		return 0
+	}
+	if w.codes == nil {
+		w.codes = make(map[int32]int16)
+	}
+	w.methods = append(w.methods, m)
+	c := int16(len(w.methods))
+	w.codes[m] = c
+	return c
 }
 
 // addURI records a distinct URI (by hash) on node id, keeping the node's
@@ -261,26 +341,20 @@ func (w *WCG) Size() int { return len(w.Edges) }
 
 // Duration is the wall-clock span from the first to the last edge.
 func (w *WCG) Duration() time.Duration {
-	first, last := w.timeBounds()
-	if first.IsZero() {
-		return 0
-	}
-	return last.Sub(first)
-}
-
-func (w *WCG) timeBounds() (first, last time.Time) {
+	first, last := int64(NoTime), int64(NoTime)
 	for _, e := range w.Edges {
-		if e.Time.IsZero() {
+		if e.Time == NoTime {
 			continue
 		}
-		if first.IsZero() || e.Time.Before(first) {
+		if first == NoTime || e.Time < first {
 			first = e.Time
 		}
-		if last.IsZero() || e.Time.After(last) {
-			last = e.Time
-		}
+		last = max(last, e.Time)
 	}
-	return first, last
+	if first == NoTime {
+		return 0
+	}
+	return Sub(last, first)
 }
 
 // registeredDomain approximates the eTLD+1 of a host: the final two labels
