@@ -63,10 +63,10 @@ chaos:
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
 # of the checked-in seed corpus (testdata/fuzz), plus the frame decoder,
 # the capture readers (streaming against collecting, with an allocation
-# ceiling), the DMCP checkpoint reader (allocation ceiling, restore
-# against the info count), the alert journal's torn-tail recovery
-# (allocation ceiling, a cut journal reads as its whole records), the
-# DMFB blob loader against its recursive test oracle (allocation
+# ceiling), the DMCP checkpoint reader (allocation ceiling; the info view
+# and restore succeed or fail together, on the same cluster count), the
+# alert journal's torn-tail recovery (allocation ceiling, a cut journal
+# reads as its whole records), the DMFB blob loader against its recursive test oracle (allocation
 # ceiling), the body sniffer's two
 # differentials against its regexp-only reference (each with an allocation
 # ceiling) and the shortest-path sweep's differential

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynaminer"
-	"dynaminer/internal/detector"
 	"dynaminer/internal/ml"
 )
 
@@ -304,22 +303,21 @@ func TestProxyRecoversLikeStream(t *testing.T) {
 	}
 }
 
-// TestCheckpointSubcommandReadsBothVersions: the info subcommand reads a
-// version 1 artifact (the detector's checked-in fixture) and a version 2
-// one the current engine writes.
-func TestCheckpointSubcommandReadsBothVersions(t *testing.T) {
-	v2 := filepath.Join(t.TempDir(), "v2.dmcp")
-	if err := detector.New(detector.Config{Shards: 2}, nil).WriteCheckpointFile(v2); err != nil {
+// TestCheckpointSubcommandReadsV2RefusesV1: the info subcommand prints
+// the format of the detector's checked-in version 2 fixture, and refuses
+// a version 1 header with the error that names it and the cold start.
+func TestCheckpointSubcommandReadsV2RefusesV1(t *testing.T) {
+	out := captureStdout(t, func() error { return run([]string{"checkpoint", "../../internal/detector/testdata/v2.dmcp"}) })
+	if !strings.Contains(out, "format:        DMCP v2") {
+		t.Errorf("checkpoint of the v2 fixture printed:\n%s\nwant format DMCP v2", out)
+	}
+	v1 := filepath.Join(t.TempDir(), "v1.dmcp")
+	if err := os.WriteFile(v1, []byte("DMCP\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]string{
-		"../../internal/detector/testdata/v1.dmcp": "DMCP v1",
-		v2: "DMCP v2",
-	} {
-		out := captureStdout(t, func() error { return run([]string{"checkpoint", path}) })
-		if !strings.Contains(out, "format:        "+want) {
-			t.Errorf("checkpoint %s printed:\n%s\nwant format %s", path, out, want)
-		}
+	err := run([]string{"checkpoint", v1})
+	if err == nil || !strings.Contains(err.Error(), "format version 1, this build reads only version 2 (delete the file to cold-start)") {
+		t.Fatalf("checkpoint of a version 1 header: %v, want the named version error", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"net/http"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -23,7 +22,7 @@ import (
 // CRC-32-protected, with a 16-byte header:
 //
 //	offset 0:  magic "DMCP"
-//	offset 4:  u32 format version (2; version 1 still restores)
+//	offset 4:  u32 format version (2)
 //	offset 8:  u32 CRC-32 (IEEE) over every byte from offset 16
 //	offset 12: u32 reserved (zero)
 //
@@ -38,10 +37,9 @@ import (
 // u8, pinned model (generation u64 + CRC u32) and last activity, then
 // its host table — u32 count of length-prefixed names, u32 count of u32
 // sniffed-host indexes — and its history: a u32 count of fixed 95-byte
-// records (appendRecord gives the field order). A version 1 cluster
-// carries whole transactions (headers and retained body) instead of the
-// table and records; restore digests each, sniffing its body, exactly as
-// live processing does.
+// records (appendRecord gives the field order). This is the one
+// version read: any other is refused at the header, before the CRC is
+// checked.
 //
 // Restore does NOT trust the checkpoint for derived state. Each
 // cluster's records are replayed through the real pipeline
@@ -65,11 +63,6 @@ const (
 	ckptWatching = 1 << 0
 	ckptAlerted  = 1 << 1
 )
-
-// IsCheckpoint reports whether prefix starts with the DMCP magic.
-func IsCheckpoint(prefix []byte) bool {
-	return len(prefix) >= len(checkpointMagic) && string(prefix[:len(checkpointMagic)]) == string(checkpointMagic)
-}
 
 // AppendCheckpoint appends the engine's canonical DMCP encoding to dst
 // and returns the extended slice. Each shard is serialized under its own
@@ -189,9 +182,8 @@ func appendTime(dst []byte, t time.Time) []byte {
 // are known to hold them all, so a count that no bytes back fails as
 // truncated before it costs memory.
 type ckptReader struct {
-	b       []byte
-	off     int
-	version uint32
+	b   []byte
+	off int
 }
 
 func (r *ckptReader) take(n int) ([]byte, error) {
@@ -209,14 +201,6 @@ func (r *ckptReader) u8() (byte, error) {
 		return 0, err
 	}
 	return b[0], nil
-}
-
-func (r *ckptReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
 }
 
 func (r *ckptReader) u32() (uint32, error) {
@@ -278,40 +262,8 @@ func (r *ckptReader) timestamp() (time.Time, error) {
 	return time.Unix(0, int64(n)), nil
 }
 
-func (r *ckptReader) header() (http.Header, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	h := make(http.Header)
-	for i := uint32(0); i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		nv, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		var vals []string
-		for j := uint32(0); j < nv; j++ {
-			v, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
-		}
-		h[k] = vals
-	}
-	return h, nil
-}
-
 // clusterSnapshot is one decoded cluster: the history to replay — a host
-// table and its records, or a version 1 checkpoint's transactions — plus
-// the flags replay cannot reproduce.
+// table and its records — plus the flags replay cannot reproduce.
 type clusterSnapshot struct {
 	id         int
 	client     netip.Addr
@@ -322,12 +274,7 @@ type clusterSnapshot struct {
 	lastActive time.Time
 	hosts      wcg.Table
 	recs       []wcg.Record
-	v1         bool // the history is txs, not hosts and recs
-	txs        []httpstream.Transaction
 }
-
-// history is the number of transactions the snapshot's history holds.
-func (cs *clusterSnapshot) history() int { return len(cs.recs) + len(cs.txs) }
 
 func (r *ckptReader) cluster() (*clusterSnapshot, error) {
 	cs := &clusterSnapshot{}
@@ -358,21 +305,6 @@ func (r *ckptReader) cluster() (*clusterSnapshot, error) {
 	}
 	if cs.lastActive, err = r.timestamp(); err != nil {
 		return nil, err
-	}
-	if r.version == 1 {
-		cs.v1 = true
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint32(0); i < n; i++ {
-			tx, err := r.tx()
-			if err != nil {
-				return nil, err
-			}
-			cs.txs = append(cs.txs, tx)
-		}
-		return cs, nil
 	}
 	if err := r.table(cs); err != nil {
 		return nil, err
@@ -468,92 +400,82 @@ func (r *ckptReader) record(rec *wcg.Record, t *wcg.Table) error {
 	return nil
 }
 
-func (r *ckptReader) tx() (httpstream.Transaction, error) {
-	var tx httpstream.Transaction
-	var err error
-	if tx.ClientIP, err = r.addr(); err != nil {
-		return tx, err
-	}
-	if tx.ServerIP, err = r.addr(); err != nil {
-		return tx, err
-	}
-	if tx.ClientPort, err = r.u16(); err != nil {
-		return tx, err
-	}
-	if tx.ServerPort, err = r.u16(); err != nil {
-		return tx, err
-	}
-	if tx.Method, err = r.str(); err != nil {
-		return tx, err
-	}
-	if tx.URI, err = r.str(); err != nil {
-		return tx, err
-	}
-	if tx.Host, err = r.str(); err != nil {
-		return tx, err
-	}
-	if tx.ReqHdr, err = r.header(); err != nil {
-		return tx, err
-	}
-	if tx.ReqTime, err = r.timestamp(); err != nil {
-		return tx, err
-	}
-	reqBody, err := r.u64()
-	if err != nil {
-		return tx, err
-	}
-	tx.ReqBodySize = int(int64(reqBody))
-	status, err := r.u32()
-	if err != nil {
-		return tx, err
-	}
-	tx.StatusCode = int(int32(status))
-	if tx.RespHdr, err = r.header(); err != nil {
-		return tx, err
-	}
-	if tx.RespTime, err = r.timestamp(); err != nil {
-		return tx, err
-	}
-	if tx.ContentType, err = r.str(); err != nil {
-		return tx, err
-	}
-	bodySize, err := r.u64()
-	if err != nil {
-		return tx, err
-	}
-	tx.BodySize = int(int64(bodySize))
-	n, err := r.u32()
-	if err != nil {
-		return tx, err
-	}
-	body, err := r.take(int(n))
-	if err != nil {
-		return tx, err
-	}
-	if len(body) > 0 {
-		tx.Body = append([]byte(nil), body...)
-	}
-	return tx, nil
+// ckptVisitor receives a checkpoint's parts as walkCheckpoint reads them.
+type ckptVisitor struct {
+	// shards gets the model version and shard count, before any shard.
+	shards func(model ModelVersion, n uint32) error
+	// shard gets shard i's ingestion counter and must call clusters
+	// exactly once; clusters decodes the shard's clusters in engine order
+	// and hands each to each as soon as it is read.
+	shard func(i int, txSeen int64, clusters func(each func(*clusterSnapshot)) error) error
 }
 
-// checkpointBody validates a DMCP artifact's header and CRC and returns
-// a reader over the body.
-func checkpointBody(data []byte) (*ckptReader, error) {
+// walkCheckpoint is the one reader of a DMCP artifact: header and CRC,
+// model version and shard count, each shard's counter and clusters, then
+// the end of the bytes. The info view and restore are two visitors of
+// it, so they accept exactly the same artifacts. The version is checked
+// before the CRC, so an artifact of another version is named as such
+// whatever its body holds.
+func walkCheckpoint(data []byte, v ckptVisitor) error {
 	if len(data) < checkpointHdrLen {
-		return nil, fmt.Errorf("detector: checkpoint: %d bytes is shorter than the %d-byte header", len(data), checkpointHdrLen)
+		return fmt.Errorf("detector: checkpoint: %d bytes is shorter than the %d-byte header", len(data), checkpointHdrLen)
 	}
-	if !IsCheckpoint(data) {
-		return nil, fmt.Errorf("detector: checkpoint: bad magic %q", string(data[:4]))
+	if string(data[:len(checkpointMagic)]) != checkpointMagic {
+		return fmt.Errorf("detector: checkpoint: bad magic %q", string(data[:4]))
 	}
-	v := binary.LittleEndian.Uint32(data[4:])
-	if v != 1 && v != checkpointVersion {
-		return nil, fmt.Errorf("detector: checkpoint: unsupported format version %d (want 1 or %d)", v, checkpointVersion)
+	if ver := binary.LittleEndian.Uint32(data[4:]); ver != checkpointVersion {
+		return fmt.Errorf("detector: checkpoint: format version %d, this build reads only version %d (delete the file to cold-start)", ver, checkpointVersion)
 	}
 	want := binary.LittleEndian.Uint32(data[8:])
 	if got := crc32.ChecksumIEEE(data[checkpointHdrLen:]); got != want {
-		return nil, fmt.Errorf("detector: checkpoint: CRC mismatch: stored %08x, computed %08x", want, got)
+		return fmt.Errorf("detector: checkpoint: CRC mismatch: stored %08x, computed %08x", want, got)
 	}
-	return &ckptReader{b: data, off: checkpointHdrLen, version: v}, nil
+	r := &ckptReader{b: data, off: checkpointHdrLen}
+	var model ModelVersion
+	var err error
+	if model.Gen, err = r.u64(); err != nil {
+		return err
+	}
+	if model.CRC, err = r.u32(); err != nil {
+		return err
+	}
+	shards, err := r.u32()
+	if err != nil {
+		return err
+	}
+	if shards == 0 { // an engine has at least one shard
+		return fmt.Errorf("detector: checkpoint: zero shards")
+	}
+	if err := v.shards(model, shards); err != nil {
+		return err
+	}
+	for si := uint32(0); si < shards; si++ {
+		txSeen, err := r.u64()
+		if err != nil {
+			return err
+		}
+		n, err := r.u32()
+		if err != nil {
+			return err
+		}
+		err = v.shard(int(si), int64(txSeen), func(each func(*clusterSnapshot)) error {
+			for i := uint32(0); i < n; i++ {
+				cs, err := r.cluster()
+				if err != nil {
+					return err
+				}
+				each(cs)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("detector: checkpoint: %d trailing bytes after the last shard", len(r.b)-r.off)
+	}
+	return nil
 }
 
 // CheckpointInfo summarizes a DMCP artifact without restoring it.
@@ -573,115 +495,71 @@ type CheckpointInfo struct {
 	Transactions int
 }
 
-// ReadCheckpointInfo validates and summarizes a DMCP artifact.
+// ReadCheckpointInfo validates and summarizes a DMCP artifact. It
+// accepts exactly the artifacts RestoreCheckpoint accepts, shard count
+// and engine state aside.
 func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
-	var info CheckpointInfo
-	r, err := checkpointBody(data)
-	if err != nil {
-		return info, err
-	}
-	info.Version = int(r.version)
-	if info.ModelVersion.Gen, err = r.u64(); err != nil {
-		return info, err
-	}
-	if info.ModelVersion.CRC, err = r.u32(); err != nil {
-		return info, err
-	}
-	shards, err := r.u32()
-	if err != nil {
-		return info, err
-	}
-	info.Shards = int(shards)
-	for s := uint32(0); s < shards; s++ {
-		txSeen, err := r.u64()
-		if err != nil {
-			return info, err
-		}
-		info.TxSeen += int64(txSeen)
-		n, err := r.u32()
-		if err != nil {
-			return info, err
-		}
-		for i := uint32(0); i < n; i++ {
-			cs, err := r.cluster()
-			if err != nil {
-				return info, err
-			}
-			info.Clusters++
-			info.Transactions += cs.history()
-			if cs.watching {
-				info.Watching++
-			}
-		}
-	}
-	return info, nil
+	info := CheckpointInfo{Version: checkpointVersion}
+	err := walkCheckpoint(data, ckptVisitor{
+		shards: func(model ModelVersion, n uint32) error {
+			info.ModelVersion, info.Shards = model, int(n)
+			return nil
+		},
+		shard: func(_ int, txSeen int64, clusters func(func(*clusterSnapshot)) error) error {
+			info.TxSeen += txSeen
+			return clusters(func(cs *clusterSnapshot) {
+				info.Clusters++
+				info.Transactions += len(cs.recs)
+				if cs.watching {
+					info.Watching++
+				}
+			})
+		},
+	})
+	return info, err
 }
 
 // RestoreCheckpoint rebuilds a freshly constructed engine from a DMCP
-// artifact: every cluster's transactions are replayed through the real
+// artifact: every cluster's records are replayed through the real
 // pipeline with classification suppressed, then the snapshot's
 // irreproducible flags (alerted, faults, pinned model) are applied. The
 // engine must be empty and have the same shard count the checkpoint was
 // taken with; on any validation error the engine is left untouched or
 // partially restored — callers treat a failed restore as a cold start.
 func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
-	r, err := checkpointBody(data)
-	if err != nil {
-		return 0, err
-	}
-	if _, err = r.u64(); err != nil { // model generation (informational)
-		return 0, err
-	}
-	if _, err = r.u32(); err != nil { // model CRC (informational)
-		return 0, err
-	}
-	shards, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int(shards) != len(e.shards) {
-		return 0, fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (clients would route to other shards); the engine sizes itself by GOMAXPROCS, so set GOMAXPROCS=%d to restore it", shards, len(e.shards), shards)
-	}
-	for si := uint32(0); si < shards; si++ {
-		txSeen, err := r.u64()
-		if err != nil {
-			return restored, err
-		}
-		n, err := r.u32()
-		if err != nil {
-			return restored, err
-		}
-		sh := e.shards[si]
-		sh.mu.Lock()
-		if len(sh.st.clusters) != 0 {
-			sh.mu.Unlock()
-			return restored, fmt.Errorf("detector: checkpoint: shard %d is not empty (restore requires a fresh engine)", si)
-		}
-		for i := uint32(0); i < n; i++ {
-			cs, err := r.cluster()
-			if err != nil {
-				sh.mu.Unlock()
-				return restored, err
+	err = walkCheckpoint(data, ckptVisitor{
+		shards: func(_ ModelVersion, n uint32) error {
+			if int(n) != len(e.shards) {
+				return fmt.Errorf("detector: checkpoint: taken with %d shards, engine has %d (clients would route to other shards); the engine sizes itself by GOMAXPROCS, so set GOMAXPROCS=%d to restore it", n, len(e.shards), n)
 			}
-			sh.st.restoreCluster(cs)
-			restored++
-		}
-		sh.st.txSeen = int64(txSeen)
-		sh.mu.Unlock()
-	}
-	if r.off != len(r.b) {
-		return restored, fmt.Errorf("detector: checkpoint: %d trailing bytes after the last shard", len(r.b)-r.off)
-	}
-	return restored, nil
+			return nil
+		},
+		shard: func(i int, txSeen int64, clusters func(func(*clusterSnapshot)) error) error {
+			sh := e.shards[i]
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			if len(sh.st.clusters) != 0 {
+				return fmt.Errorf("detector: checkpoint: shard %d is not empty (restore requires a fresh engine)", i)
+			}
+			err := clusters(func(cs *clusterSnapshot) {
+				sh.st.restoreCluster(cs)
+				restored++
+			})
+			if err != nil {
+				return err
+			}
+			sh.st.txSeen = txSeen
+			return nil
+		},
+	})
+	return restored, err
 }
 
-// restoreCluster rebuilds one session cluster by replaying its
-// checkpointed history through the per-cluster pipeline with
-// e.restoring set: clue inference, WCG construction and incremental
-// feature state all rebuild exactly as they did live, while
-// classification and the activity counters stay quiet. A version 2
-// cluster restores its host table and replays its records; a version 1
-// cluster's transactions are digested as live ones are. The snapshot's
+// restoreCluster rebuilds one session cluster by restoring its host
+// table and replaying its checkpointed records through the per-cluster
+// pipeline with e.restoring set: clue inference, WCG construction and
+// incremental feature state all rebuild exactly as they did live, while
+// classification and the activity counters stay quiet. The snapshot's
 // irreproducible flags are applied afterwards. The caller holds the
 // shard lock.
 func (s *shardState) restoreCluster(cs *clusterSnapshot) {
@@ -689,19 +567,13 @@ func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 
 	s.restoring = true
 	defer func() { s.restoring = false }()
-	for i := range cs.txs {
-		tx := &cs.txs[i]
-		s.processInCluster(c, tx, wcg.KeysOf(tx))
+	c.hosts = cs.hosts
+	c.seen = make([]hostSeen, len(c.hosts.Names))
+	for i := range c.seen {
+		c.seen[i].since = -1
 	}
-	if !cs.v1 {
-		c.hosts = cs.hosts
-		c.seen = make([]hostSeen, len(c.hosts.Names))
-		for i := range c.seen {
-			c.seen[i].since = -1
-		}
-		for _, r := range cs.recs {
-			s.replayRecord(c, r)
-		}
+	for _, r := range cs.recs {
+		s.replayRecord(c, r)
 	}
 
 	c.alerted = cs.alerted

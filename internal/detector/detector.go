@@ -719,14 +719,15 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 			x, g, incremental = v, c.ib.Live(), true
 		} else {
 			at.Annotate(fs, obs.SpanError)
-			at.EndSpan(fs)
+			begin = at.Mark() // the rebuild opens where the attempt ends
+			at.EndSpanAt(fs, begin)
 			fs = -1
 		}
 	}
 	if incremental {
 		at.Annotate(cs, obs.SpanIncremental)
 	} else {
-		fs = at.StartSpan(s.stg.featRebuild)
+		fs = at.StartSpanAt(s.stg.featRebuild, begin)
 		g = wcg.FromRecords(&c.hosts, c.hist, c.watch)
 		s.rebuild.Reset(g, s.scratch)
 		x = s.cachedVector(&s.rebuild, fs)

@@ -8,6 +8,7 @@ package detector
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -292,26 +293,36 @@ func TestTopologyRecomputesCounted(t *testing.T) {
 }
 
 // TestClassificationClockReads pins the clock reads of one traced
-// incremental re-classification: the classify span opens with its
-// feature span on one read, and the feature span hands its closing read
-// to the score span, so a related transaction on a watched client reads
-// the clock classificationReads times, two fewer than one read per span
-// boundary.
+// re-classification: the classify span opens with its feature span on one
+// read, and the feature span hands its closing read to the score span, so
+// a related transaction on a watched client reads the clock
+// classificationReads times, two fewer than one read per span boundary.
+// That holds on the rebuild path as on the incremental one: with no
+// incremental attempt, features.rebuild is the span that shares
+// classify's opening read.
 func TestClassificationClockReads(t *testing.T) {
 	const classificationReads = 6
-	var reads atomic.Int64
-	base := time.Unix(1700000000, 0)
-	t.Cleanup(obs.SetClock(func() time.Time { return base.Add(time.Duration(reads.Add(1))) }))
-	reg := obs.NewRegistry()
-	e := New(Config{Shards: 1, RedirectThreshold: 3, Metrics: reg, Tracer: obs.NewTracer(reg, 1)}, constScorer(0.1))
-	e.ProcessAll(infectionStream())
-	before, st := reads.Load(), e.Stats()
-	e.Process(mkTx("d.evil", "/more", "GET", 200, "text/html", 10, "", 600*time.Millisecond))
-	got := reads.Load() - before
-	if after := e.Stats(); after.Classifications != st.Classifications+1 || after.Rebuilds != st.Rebuilds {
-		t.Fatalf("the related transaction gave %+v after %+v; want one incremental classification", after, st)
-	}
-	if got != classificationReads {
-		t.Fatalf("a traced re-classification read the clock %d times, want %d", got, classificationReads)
+	for _, rebuild := range []bool{false, true} {
+		t.Run(fmt.Sprintf("DisableIncremental=%v", rebuild), func(t *testing.T) {
+			var reads atomic.Int64
+			base := time.Unix(1700000000, 0)
+			t.Cleanup(obs.SetClock(func() time.Time { return base.Add(time.Duration(reads.Add(1))) }))
+			reg := obs.NewRegistry()
+			e := New(Config{Shards: 1, RedirectThreshold: 3, DisableIncremental: rebuild, Metrics: reg, Tracer: obs.NewTracer(reg, 1)}, constScorer(0.1))
+			e.ProcessAll(infectionStream())
+			before, st := reads.Load(), e.Stats()
+			e.Process(mkTx("d.evil", "/more", "GET", 200, "text/html", 10, "", 600*time.Millisecond))
+			got := reads.Load() - before
+			wantRebuilds := st.Rebuilds
+			if rebuild {
+				wantRebuilds++
+			}
+			if after := e.Stats(); after.Classifications != st.Classifications+1 || after.Rebuilds != wantRebuilds {
+				t.Fatalf("the related transaction gave %+v after %+v; want one classification, %d rebuilds", after, st, wantRebuilds)
+			}
+			if got != classificationReads {
+				t.Fatalf("a traced re-classification read the clock %d times, want %d", got, classificationReads)
+			}
+		})
 	}
 }
