@@ -124,8 +124,9 @@ func TestTracedMonitorTracesItsCapture(t *testing.T) {
 // the units its stage saw, whatever the tracer's sampling keeps. Rendered
 // captures replay through ProcessPCAP on one and two shards under a tracer
 // that samples nothing, and the registry alone must agree with itself:
-// one detector.process per transaction, one detector.classify and one
-// ml.score per classification, one journal.write per journal record, and
+// one detector.process per transaction, one detector.classify, one
+// features.incremental and one ml.score per classification (there is one
+// feature path), one journal.write per journal record, and
 // one httpstream.parse and one pcap.reassemble per conversation.
 func TestStageCountsEqualUnits(t *testing.T) {
 	eps, clf := obsFixture(t)
@@ -165,6 +166,7 @@ func TestStageCountsEqualUnits(t *testing.T) {
 		}{
 			{"detector_process", txs, "transactions"},
 			{"detector_classify", classifications, "classifications"},
+			{"features_incremental", classifications, "classifications"},
 			{"ml_score", classifications, "classifications"},
 			{"journal_write", int64(len(recs)), "journal records"},
 			{"httpstream_parse", int64(capture.convs), "conversations"},

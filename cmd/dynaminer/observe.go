@@ -43,7 +43,7 @@ func runJournal(args []string) error {
 		}
 		mode := "incremental"
 		if !r.Incremental {
-			mode = "rebuild"
+			mode = "reseed"
 		}
 		line := fmt.Sprintf("%s client=%s cluster=%d clue=%s/%s score=%.3f (threshold %.2f)",
 			ts, r.Client, r.ClusterID, r.CluePayload, r.ClueHost, r.Score, r.Threshold)

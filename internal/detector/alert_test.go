@@ -54,8 +54,8 @@ func liveCluster(e *Engine, id int) (*cluster, time.Time) {
 // Each alert's Graph() bytes, taken when Process returns the alert, must
 // not change after the rest of the corpus, after the cluster's watch is
 // closed and re-armed, after the cluster is quarantined and after the
-// janitor evicts it, at one shard and at two, on the incremental path
-// and on the rebuild path.
+// janitor evicts it, at one shard and at two, appending to the live WCG
+// and reseeding it on every classification.
 func TestAlertGraphFrozen(t *testing.T) {
 	txs := corpusStream(synth.Config{Seed: 23, Infections: 10, Benign: 4})
 	for _, shards := range []int{1, 2} {

@@ -557,11 +557,12 @@ func (e *Engine) RestoreCheckpoint(data []byte) (restored int, err error) {
 
 // restoreCluster rebuilds one session cluster by restoring its host
 // table and replaying its checkpointed records through the per-cluster
-// pipeline with e.restoring set: clue inference, WCG construction and
-// incremental feature state all rebuild exactly as they did live, while
-// classification and the activity counters stay quiet. The snapshot's
-// irreproducible flags are applied afterwards. The caller holds the
-// shard lock.
+// pipeline with e.restoring set: clue inference and the watch set rebuild
+// exactly as they did live, while classification and the activity
+// counters stay quiet. No live WCG is built during replay, so the first
+// classification after the restore seeds it from the watch. The
+// snapshot's irreproducible flags are applied afterwards. The caller
+// holds the shard lock.
 func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 	c := s.newCluster(cs.id, cs.client)
 
@@ -578,12 +579,6 @@ func (s *shardState) restoreCluster(cs *clusterSnapshot) {
 
 	c.alerted = cs.alerted
 	c.faults = cs.faults
-	if c.faults > 0 {
-		// Quarantine dropped the incremental cache in the original engine;
-		// keeping the replayed one would resurrect the path quarantine
-		// pinned away from.
-		c.ib, c.cache, c.fed = nil, nil, 0
-	}
 	c.lastActive = cs.lastActive
 	if c.watching {
 		// Re-pin by blob CRC: generations restarted with the process, but

@@ -49,12 +49,13 @@ type Config struct {
 	// Shards is the number of independently locked shards the engine
 	// routes clients across. Zero selects runtime.GOMAXPROCS(0).
 	Shards int
-	// DisableIncremental forces every classification onto the from-scratch
-	// path: rebuild the watched WCG with wcg.FromRecords and re-extract
-	// all 37 features on each update. The incremental path produces
+	// DisableIncremental reseeds the watched WCG on every classification:
+	// the live graph is rebuilt from the whole watch in request-time order
+	// and all 37 features are re-derived, where the default reseeds only
+	// when a record arrives out of request-time order. Both produce
 	// bit-identical scores and alerts (pinned by the differential tests);
-	// the from-scratch path is the oracle those tests and the benchmark's
-	// correctness check compare it against.
+	// the always-reseeding engine is the oracle those tests and the
+	// benchmark's correctness check compare against.
 	DisableIncremental bool
 	// Metrics selects the observability registry the engine's counters
 	// and the watched gauge are registered on (every shard shares it). nil
@@ -68,9 +69,9 @@ type Config struct {
 	// failures never affect detection.
 	Journal *obs.Journal
 	// Tracer, when set, records one span tree per transaction —
-	// detector.process → detector.classify → features.incremental or
-	// features.rebuild → ml.score → journal.write — with shard and
-	// quarantine attribution on the spans; every closed span observes its
+	// detector.process → detector.classify → features.incremental →
+	// ml.score → journal.write — with shard, quarantine and reseed
+	// attribution on the spans; every closed span observes its
 	// dynaminer_stage_* histogram, and the tracer's sampling picks the
 	// trees it keeps. Every shard shares it. It is the engine's only
 	// clock: nil disables tracing entirely, and the engine then reads no
@@ -114,7 +115,9 @@ const (
 	// open a fresh WCG. It is also how far back a clue's WCG reaches.
 	watchIdle = 3 * time.Minute
 	// maxClusterTxs caps a cluster's transaction history to bound memory
-	// on long-lived sessions; later transactions are dropped and counted.
+	// on long-lived sessions. A full unwatched cluster is evicted and the
+	// next transaction opens a fresh one; a full watched cluster drops
+	// later transactions and counts them (DESIGN.md §9).
 	maxClusterTxs = 4096
 	// clusterTTL evicts session clusters idle longer than this, inline
 	// every evictEvery transactions.
@@ -222,13 +225,15 @@ type Stats struct {
 	CluesFired      int
 	Classifications int
 	Alerts          int
-	// Dropped counts transactions discarded because their cluster's
-	// history held maxClusterTxs (4096) transactions.
+	// Dropped counts transactions discarded because their watched
+	// cluster's history held maxClusterTxs (4096) transactions.
 	Dropped int
-	// Rebuilds counts classifications served by the from-scratch path:
-	// all of them when DisableIncremental is set, otherwise only watches
-	// whose transactions arrived out of request-time order, plus every
-	// classification of a quarantined cluster.
+	// Rebuilds counts reseeds: classifications that rebuilt the watched
+	// WCG from the whole watch because a record arrived earlier than one
+	// the live graph already held, or every classification when
+	// DisableIncremental is set. Seeding a watch that has no live graph
+	// (at arming, after a checkpoint restore, after a quarantine) is not
+	// a reseed.
 	Rebuilds int
 	// Panics counts per-transaction faults the engine recovered from: a
 	// panic while processing or classifying, or a scorer returning a
@@ -236,9 +241,9 @@ type Stats struct {
 	// engine itself keeps serving.
 	Panics int
 	// Quarantined counts clusters placed in quarantine after their first
-	// fault: the incremental cache is dropped and every later
-	// classification of that cluster rebuilds from scratch. A second
-	// fault evicts the cluster outright (counted in Evicted).
+	// fault: the live graph and its feature cache are dropped, and the
+	// next classification seeds fresh ones from the watch. A second fault
+	// evicts the cluster outright (counted in Evicted).
 	Quarantined int
 	// Degraded and Shed are always zero: the engine neither skips a
 	// re-classification nor closes a watch early. Their only reader is
@@ -333,18 +338,16 @@ type cluster struct {
 	// while the WCG grows. nil outside a watch.
 	pinned *modelRef
 
-	// Incremental classification state for the current watch: the live
-	// WCG, its feature cache, and how many watch entries have been fed.
-	// incBroken pins the from-scratch fallback for the rest of a watch
-	// whose transactions arrived out of request-time order.
-	ib        *wcg.IncrementalBuilder
-	cache     *features.Cache
-	fed       int
-	incBroken bool
+	// Classification state for the current watch: the live WCG, its
+	// feature cache, and how many watch entries have been fed. nil ib
+	// means the next classification seeds them from the whole watch.
+	ib    *wcg.IncrementalBuilder
+	cache *features.Cache
+	fed   int
 
 	// faults is the cluster's position on the quarantine ladder: 0 is
-	// healthy, 1 is quarantined (incremental cache dropped, every
-	// classification rebuilds from scratch), and a second fault evicts
+	// healthy, 1 is quarantined (live graph and feature cache dropped,
+	// reseeded by the next classification), and a second fault evicts
 	// the cluster.
 	faults int
 
@@ -381,12 +384,6 @@ type shardState struct {
 	// classification vector.
 	scratch *graph.Scratch
 	fvec    []float64
-	// rebuild is the reusable feature cache for the from-scratch classify
-	// fallback: Reset against each rebuilt WCG, it derives the vector with
-	// the shard's scratch instead of allocating fresh featurization state
-	// per rebuild. Bit-identical to features.Extract by the Reset
-	// contract.
-	rebuild features.Cache
 	// txSeen counts transactions this shard ingested, driving the inline
 	// eviction cadence and numbering new clusters. Unlike the metrics cell
 	// it is checkpointed and restored, so a recovered engine sweeps at the
@@ -477,6 +474,11 @@ func (s *shardState) trusted(host string) bool {
 // process runs one transaction through the shard's pipeline: eviction
 // cadence, trusted-vendor weed-out, cluster assignment, then the guarded
 // per-cluster stage. shard.process is its only live caller.
+//
+// A full cluster that is not watching is evicted at once and the
+// transaction opens a fresh one: dropping it instead would hide every
+// later transaction of a busy client, an infection included, for as long
+// as the client stays active.
 func (s *shardState) process(tx httpstream.Transaction) []Alert {
 	s.mx.transactions.Inc()
 	s.txSeen++
@@ -488,7 +490,12 @@ func (s *shardState) process(tx httpstream.Transaction) []Alert {
 		s.mx.weeded.Inc()
 		return nil
 	}
-	return s.processInCluster(s.clusterFor(&tx, k), &tx, k)
+	c := s.clusterFor(&tx, k)
+	if len(c.hist) >= maxClusterTxs && !c.watching {
+		s.dropCluster(c)
+		c = s.openCluster(tx.ClientIP)
+	}
+	return s.processInCluster(c, &tx, k)
 }
 
 // processInCluster digests the transaction, whose keys are k, into the
@@ -531,10 +538,11 @@ func (s *shardState) fault(c *cluster) []Alert {
 }
 
 // capped reports whether the cluster's history is full, in which case a
-// transaction requested at req is dropped. The session is still active
-// even though its history is capped: lastActive stays fresh so TTL
-// eviction does not destroy the cluster (and any watched WCG)
-// mid-session, and the drop is visible in the counters.
+// transaction requested at req is dropped; only a watched cluster gets
+// here full (process evicts an unwatched one). The session is still
+// active even though its history is capped: lastActive stays fresh so TTL
+// eviction does not destroy the watched WCG mid-session, and the drop is
+// visible in the counters.
 func (s *shardState) capped(c *cluster, req time.Time) bool {
 	if len(c.hist) < maxClusterTxs {
 		return false
@@ -612,15 +620,15 @@ func (s *shardState) closeWatch(c *cluster) {
 }
 
 // quarantine advances a faulted cluster on the quarantine ladder. First
-// fault: drop the (possibly poisoned) incremental cache and pin every
-// later classification of this cluster to the from-scratch rebuild path.
-// Second fault: the rebuild did not cure it — evict the cluster outright
-// so its state cannot fault a third time.
+// fault: drop the (possibly poisoned) live graph and feature cache, so
+// the next classification seeds fresh ones from the watch. Second fault:
+// the fresh state did not cure it — evict the cluster outright so its
+// state cannot fault a third time.
 func (s *shardState) quarantine(c *cluster) {
 	s.mx.panics.Inc()
 	c.faults++
 	if c.faults == 1 {
-		c.ib, c.cache, c.fed = nil, nil, 0
+		c.ib, c.cache = nil, nil
 		s.mx.quarantined.Inc()
 		return
 	}
@@ -672,24 +680,16 @@ func (s *shardState) removeClusters(drop func(*cluster) bool) int {
 // alert on the first infectious verdict and on every payload download into
 // an infectious-scoring WCG.
 //
-// The hot path is incremental: new watch transactions are appended to the
-// cluster's live WCG and the cached feature vector is refreshed in place,
-// so the per-update cost no longer re-copies the cumulative subset,
-// rebuilds the graph, or re-derives all 37 features. An alert copies no
-// graph: it keeps a frozen view of the watch and builds its WCG only on
-// request (Alert.Graph). The from-scratch path remains as the explicit
-// fallback — selected by Config.DisableIncremental or by out-of-order
-// arrival — and produces bit-identical scores and alerts.
+// There is one feature path: new watch records are appended to the
+// cluster's live WCG and the cached feature vector is refreshed in place
+// (feedWatch), so an update costs what it added, not the whole watch. An
+// alert copies no graph: it keeps a frozen view of the watch and builds
+// its WCG only on request (Alert.Graph).
 func (s *shardState) classify(c *cluster, idx int) []Alert {
 	if s.restoring {
 		return nil // checkpoint replay rebuilds structure, never verdicts
 	}
 	ref := c.pinned
-	if ref == nil {
-		// Defensive: classify is only reached inside a watch, which pins at
-		// arming; an unpinned call scores with the serving model.
-		ref = s.models.current()
-	}
 	if ref.scorer == nil {
 		return nil // extraction-only mode (training-set construction)
 	}
@@ -697,43 +697,22 @@ func (s *shardState) classify(c *cluster, idx int) []Alert {
 	// The classify span is ended explicitly at each return (no defer): a
 	// panic unwinds past it, and the root span's pop-through close
 	// finalizes it at the end-to-end instant. Its first child, the
-	// feature span, opens at the same instant.
+	// feature span, opens at the same instant and is left open for
+	// scoreVector to close.
 	begin := at.Mark()
 	cs := at.StartSpanAt(s.stg.classify, begin)
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
-	var x []float64
-	var g *wcg.WCG // the graph scored: the live WCG or the rebuild
-	incremental := false
-	fs := -1 // the feature span, left open for scoreVector to close
-	if s.incrementalEligible(c) {
-		// The features.incremental span records only genuine attempts: a
-		// cluster pinned to the rebuild path never opens it, so a trace's
-		// stage set reflects the path actually taken. A mid-feed fallback
-		// (out-of-order arrival) leaves the attempt flagged SpanError next
-		// to the rebuild span that served the verdict.
-		fs = at.StartSpanAt(s.stg.featInc, begin)
-		v, ok := s.incrementalVector(c, fs)
-		if ok {
-			x, g, incremental = v, c.ib.Live(), true
-		} else {
-			at.Annotate(fs, obs.SpanError)
-			begin = at.Mark() // the rebuild opens where the attempt ends
-			at.EndSpanAt(fs, begin)
-			fs = -1
-		}
-	}
+	fs := at.StartSpanAt(s.stg.featInc, begin)
+	incremental := !s.feedWatch(c)
 	if incremental {
 		at.Annotate(cs, obs.SpanIncremental)
 	} else {
-		fs = at.StartSpanAt(s.stg.featRebuild, begin)
-		g = wcg.FromRecords(&c.hosts, c.hist, c.watch)
-		s.rebuild.Reset(g, s.scratch)
-		x = s.cachedVector(&s.rebuild, fs)
 		s.mx.rebuilds.Inc()
-		at.Annotate(cs, obs.SpanRebuild)
+		at.Annotate(cs, obs.SpanReseed)
 	}
+	x, g := s.cachedVector(c.cache, fs), c.ib.Live()
 	score := s.scoreVector(ref.scorer, x, fs)
 	s.mx.classifications.Inc()
 	// A scorer emitting a non-finite probability is as broken as one
@@ -851,32 +830,35 @@ func (s *shardState) journalAlert(c *cluster, ref *modelRef, a *Alert, structVer
 	_ = s.journal.Append(rec)
 }
 
-// incrementalVector feeds the watch set's new transactions into the
-// cluster's live WCG and returns the refreshed cached feature vector
-// (valid until the next classify call). It reports false when the
-// incremental path is disabled or has fallen back for this watch, in
-// which case the caller rebuilds from scratch.
-func (s *shardState) incrementalVector(c *cluster, span int) ([]float64, bool) {
-	if !s.incrementalEligible(c) {
-		return nil, false
-	}
-	if c.ib == nil {
-		c.ib = wcg.NewTableIncrementalBuilder(&c.hosts)
-		c.cache = features.NewCache(c.ib.Live(), s.scratch)
-		c.fed = 0
-	}
-	for _, i := range c.watch[c.fed:] {
-		if !c.ib.AppendRecord(&c.hist[i]) {
-			// Out-of-order arrival voids the byte-identity contract with
-			// the batch builder: abandon the live graph and serve the rest
-			// of this watch from scratch.
-			c.incBroken = true
-			c.ib, c.cache = nil, nil
-			return nil, false
+// feedWatch brings the cluster's live WCG and feature cache up to its
+// watch and reports whether that took a reseed. The watch's new records
+// are appended in arrival order; a record earlier than one the live graph
+// already holds is refused (the batch order is by request time), and the
+// watch is then reseeded: a fresh live graph over the whole watch, sorted
+// by request time, with the cluster's cache Reset onto it. Appends go on
+// from there. A watch with no live graph (at arming, after a checkpoint
+// restore, after a quarantine) is seeded the same way, which is not
+// counted as a reseed; DisableIncremental reseeds every time.
+func (s *shardState) feedWatch(c *cluster) (reseeded bool) {
+	if c.ib != nil && !s.cfg.DisableIncremental {
+		for ; c.fed < len(c.watch); c.fed++ {
+			if !c.ib.AppendRecord(&c.hist[c.watch[c.fed]]) {
+				break
+			}
 		}
-		c.fed++
+		if c.fed == len(c.watch) {
+			return false
+		}
 	}
-	return s.cachedVector(c.cache, span), true
+	reseeded = c.ib != nil || s.cfg.DisableIncremental
+	c.ib = wcg.SeedIncrementalBuilder(&c.hosts, c.hist, c.watch)
+	c.fed = len(c.watch)
+	if c.cache == nil {
+		c.cache = features.NewCache(c.ib.Live(), s.scratch)
+	} else {
+		c.cache.Reset(c.ib.Live(), s.scratch)
+	}
+	return reseeded
 }
 
 // cachedVector syncs cache into the shard's vector buffer under the open
@@ -892,14 +874,6 @@ func (s *shardState) cachedVector(cache *features.Cache, span int) []float64 {
 		s.at.Annotate(span, obs.SpanTopology)
 	}
 	return s.fvec
-}
-
-// incrementalEligible reports whether the incremental feature path may be
-// attempted for this cluster. It can still fall back mid-feed (out-of-
-// order arrival), but an ineligible cluster — incremental disabled,
-// fallen back earlier, or quarantined — goes straight to the rebuild.
-func (s *shardState) incrementalEligible(c *cluster) bool {
-	return !s.cfg.DisableIncremental && !c.incBroken && c.faults == 0
 }
 
 // ClueSubsets replays a recorded transaction stream with the clue
@@ -1117,8 +1091,6 @@ func (c *cluster) closeWatch() {
 	c.pinned = nil
 	c.ib = nil
 	c.cache = nil
-	c.fed = 0
-	c.incBroken = false
 }
 
 // WatchedWCG describes one actively watched potential-infection WCG, for
@@ -1187,9 +1159,14 @@ func (s *shardState) clusterFor(tx *httpstream.Transaction, k wcg.Keys) *cluster
 			return last
 		}
 	}
-	// Numbered by the opening transaction, which no later one shares: an
-	// ID never comes back, however many clusters eviction removed.
-	return s.newCluster(s.idBase+s.idStep*int(s.txSeen-1), tx.ClientIP)
+	return s.openCluster(tx.ClientIP)
+}
+
+// openCluster opens the client's cluster for the current transaction.
+// It is numbered by that transaction, which no later one shares: an ID
+// never comes back, however many clusters eviction removed.
+func (s *shardState) openCluster(client netip.Addr) *cluster {
+	return s.newCluster(s.idBase+s.idStep*int(s.txSeen-1), client)
 }
 
 // newCluster opens an empty session cluster and registers it with the

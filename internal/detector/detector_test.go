@@ -525,24 +525,30 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 }
 
 func TestCappedClusterSurvivesEviction(t *testing.T) {
-	// A cluster holds at most 4096 transactions: the excess is dropped,
-	// but the session is still active, so lastActive must track the
-	// dropped traffic (or TTL eviction destroys a live session mid-watch)
-	// and the drops must be visible in Stats.
-	e := New(Config{Shards: 1}, constScorer(0))
-	at := func(i int) time.Duration { return time.Duration(i) * time.Minute }
-	for i := 0; i < 4096; i++ {
-		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
+	// A watched cluster holds at most 4096 transactions: the excess is
+	// dropped, but the session is still active, so lastActive must track
+	// the dropped traffic (or TTL eviction destroys a live watch) and the
+	// drops must be visible in Stats.
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0))
+	armed := infectionStream()
+	e.ProcessAll(armed)
+	// A related GET a minute: the watch never idles out.
+	at := func(i int) time.Duration { return time.Duration(i+1-len(armed)) * time.Minute }
+	for i := len(armed); i < maxClusterTxs; i++ {
+		e.Process(mkTx("d.evil", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
+	}
+	if w := e.Watched(); len(w) != 1 || w[0].Transactions != maxClusterTxs {
+		t.Fatalf("watched %+v; want one watch of %d transactions", w, maxClusterTxs)
 	}
 	if st := e.Stats(); st.Transactions != 4096 || st.Dropped != 0 {
 		t.Fatalf("4096 transactions: %+v, want none dropped", st)
 	}
-	e.Process(mkTx("busy.com", "/p4096", "GET", 200, "text/html", 10, "", at(4096)))
+	e.Process(mkTx("d.evil", "/p4096", "GET", 200, "text/html", 10, "", at(4096)))
 	if st := e.Stats(); st.Dropped != 1 {
 		t.Fatalf("transaction 4097: dropped = %d, want 1", st.Dropped)
 	}
 	for i := 4097; i < 4099; i++ {
-		e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
+		e.Process(mkTx("d.evil", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at(i)))
 	}
 	st := e.Stats()
 	if st.Transactions != 4099 || st.Clusters != 1 || st.Dropped != 3 {
@@ -556,6 +562,39 @@ func TestCappedClusterSurvivesEviction(t *testing.T) {
 	// A cutoff beyond the last activity still evicts.
 	if n := e.evictIdle(t0.Add(at(4099))); n != 1 {
 		t.Fatalf("idle capped cluster not evicted (%d)", n)
+	}
+}
+
+// TestFullClusterStillDetects: a client whose unwatched session reached
+// maxClusterTxs transactions is not invisible. Its full cluster is
+// evicted when the next transaction arrives, and an infection that
+// follows opens a fresh cluster and alerts, whether its first hop is a
+// new host or carries a Referer the full cluster knows.
+func TestFullClusterStillDetects(t *testing.T) {
+	for _, tc := range []struct {
+		name, referer string
+	}{
+		{"new host", ""},
+		{"known referer", "http://busy.com/p7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.9))
+			var at time.Duration
+			for i := 0; i < maxClusterTxs; i++ {
+				e.Process(mkTx("busy.com", fmt.Sprintf("/p%d", i), "GET", 200, "text/html", 10, "", at))
+				at += 2 * time.Second
+			}
+			infection := infectionStream()
+			infection[0].ReqHdr.Set("Referer", tc.referer)
+			var alerts []Alert
+			for _, tx := range infection {
+				tx.ReqTime, tx.RespTime = tx.ReqTime.Add(at), tx.RespTime.Add(at)
+				alerts = append(alerts, e.Process(tx)...)
+			}
+			if st := e.Stats(); len(alerts) != 1 || st.Dropped != 0 || st.Evicted != 1 || st.Clusters != 2 {
+				t.Fatalf("%d alerts, stats %+v; want 1 alert, the full cluster evicted and none dropped", len(alerts), st)
+			}
+		})
 	}
 }
 

@@ -209,11 +209,11 @@ func TestIncrementalInterleavedClients(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbackOnOutOfOrder pins the explicit fallback: a
-// watched transaction arriving with an earlier request time than the live
-// WCG's last append voids the byte-identity contract, so the engine must
-// finish the watch from scratch — with output still identical to the
-// always-from-scratch twin.
+// TestIncrementalFallbackOnOutOfOrder pins the reseed: a watched
+// transaction arriving with an earlier request time than the live WCG's
+// last append is refused, so the engine reseeds the live WCG once from
+// the whole watch and appends the next transaction to it, with output
+// identical to the always-reseeding twin.
 func TestIncrementalFallbackOnOutOfOrder(t *testing.T) {
 	txs := infectionStream()
 	// A related follow-up (same host as the download) whose ReqTime
@@ -224,11 +224,70 @@ func TestIncrementalFallbackOnOutOfOrder(t *testing.T) {
 	txs = append(txs, mkTx("d.evil", "/beacon2", "POST", 200, "text/plain", 40, "", 900*time.Millisecond))
 
 	st := runDifferential(t, "out-of-order", Config{RedirectThreshold: 3}, constScorer(0.9), txs)
-	if st.Rebuilds == 0 {
-		t.Fatal("out-of-order watched transaction did not trigger the from-scratch fallback")
+	if st.Rebuilds != 1 {
+		t.Fatalf("one out-of-order watched transaction gave %d reseeds over %d classifications, want 1", st.Rebuilds, st.Classifications)
 	}
-	if st.Rebuilds >= st.Classifications {
-		t.Fatalf("fallback served all %d classifications; the clue itself should have been incremental", st.Classifications)
+}
+
+// TestOutOfOrderCallbackReseedsOnce counts the work one late record
+// costs a large watch: a watch grown to maxClusterTxs records, whose
+// seventh call-back is stamped 500 ms before its predecessor, reseeds once
+// and appends every later call-back to the reseeded graph.
+func TestOutOfOrderCallbackReseedsOnce(t *testing.T) {
+	const hosts, late = 448, 6
+	e := New(Config{Shards: 1, RedirectThreshold: 3}, constScorer(0.1))
+	armed := infectionStream()
+	e.ProcessAll(armed)
+	callbacks := maxClusterTxs - len(armed)
+	at := 600 * time.Millisecond
+	for k := 0; k < callbacks; k++ {
+		stamp := at
+		if k == late {
+			stamp = at - 400*time.Millisecond - 500*time.Millisecond
+		}
+		e.Process(mkTx(fmt.Sprintf("cb%d.example", k*hosts/callbacks), "/gate.php", "POST", 200, "text/plain", 64, "", stamp))
+		at += 400 * time.Millisecond
+	}
+	st := e.Stats()
+	if w := e.Watched(); len(w) != 1 || w[0].Transactions != maxClusterTxs || st.Classifications != callbacks+1 {
+		t.Fatalf("watched %+v, stats %+v; want one watch of %d transactions, each classified", w, st, maxClusterTxs)
+	}
+	if st.Rebuilds > 1 {
+		t.Fatalf("one late call-back cost %d reseeds over %d classifications, want at most 1", st.Rebuilds, st.Classifications)
+	}
+}
+
+// TestReseedMatchesAlwaysReseeding is the differential over arrival
+// skews: on the 55 synthetic episodes with about a quarter of their
+// transactions stamped up to 2 s earlier than they arrive, the engine's
+// alerts, score bits and feature vectors equal those of an engine that
+// reseeds on every classification. Each reseed is caused by a record
+// earlier than one the watch already held, so reseeds never outnumber the
+// late arrivals.
+func TestReseedMatchesAlwaysReseeding(t *testing.T) {
+	episodes := synth.GenerateCorpus(synth.Config{Seed: 59, Infections: 30, Benign: 25})
+	rng := rand.New(rand.NewSource(62))
+	reseeds, late := 0, 0
+	for _, ep := range episodes {
+		txs := make([]httpstream.Transaction, len(ep.Txs))
+		var latest time.Time
+		for i, tx := range ep.Txs {
+			if rng.Intn(4) == 0 {
+				skew := time.Duration(rng.Int63n(int64(2 * time.Second)))
+				tx.ReqTime, tx.RespTime = tx.ReqTime.Add(-skew), tx.RespTime.Add(-skew)
+			}
+			if tx.ReqTime.Before(latest) {
+				late++
+			} else {
+				latest = tx.ReqTime
+			}
+			txs[i] = tx
+		}
+		reseeds += runDifferential(t, ep.Family, Config{RedirectThreshold: 1}, vecScorer{}, txs).Rebuilds
+	}
+	t.Logf("%d reseeds over %d late arrivals", reseeds, late)
+	if reseeds == 0 || reseeds > late {
+		t.Fatalf("%d reseeds over %d late arrivals; want some, and at most one per late arrival", reseeds, late)
 	}
 }
 

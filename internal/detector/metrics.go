@@ -39,12 +39,12 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		transactions:    cell("dynaminer_detector_transactions_total", "Transactions ingested by the detection engine."),
 		weeded:          cell("dynaminer_detector_weeded_total", "Transactions weeded out as trusted-vendor traffic."),
 		clusters:        cell("dynaminer_detector_clusters_total", "Session clusters opened."),
-		evicted:         cell("dynaminer_detector_evicted_total", "Session clusters evicted (TTL or quarantine ladder)."),
+		evicted:         cell("dynaminer_detector_evicted_total", "Session clusters evicted (TTL, quarantine ladder, or a full unwatched cluster)."),
 		cluesFired:      cell("dynaminer_detector_clues_fired_total", "Infection clues fired (redirect chain + payload download)."),
 		classifications: cell("dynaminer_detector_classifications_total", "Classifier invocations over watched WCGs."),
 		alerts:          cell("dynaminer_detector_alerts_total", "Infection alerts emitted."),
-		dropped:         cell("dynaminer_detector_dropped_total", "Transactions dropped because their session cluster already held 4096 transactions."),
-		rebuilds:        cell("dynaminer_detector_rebuilds_total", "Classifications served by the from-scratch rebuild path."),
+		dropped:         cell("dynaminer_detector_dropped_total", "Transactions dropped because their watched session cluster already held 4096 transactions."),
+		rebuilds:        cell("dynaminer_detector_rebuilds_total", "Reseeds: classifications that rebuilt the watched WCG from the whole watch (an out-of-order record, or every classification under DisableIncremental)."),
 		topologyRuns:    cell("dynaminer_detector_topology_recomputes_total", "Classifications that refreshed the topology features because the WCG's undirected structure changed: O(n) for a new leaf host, the full sweep for anything else."),
 		panics:          cell("dynaminer_detector_panics_total", "Recovered per-transaction faults (panics and non-finite scores)."),
 		quarantined:     cell("dynaminer_detector_quarantined_total", "Clusters placed in quarantine after their first fault."),
@@ -57,21 +57,19 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 // span tree. Interning happens once at engine construction so StartSpan
 // on the hot path is an array write, never a map lookup.
 type engineStages struct {
-	process     obs.StageID
-	classify    obs.StageID
-	featInc     obs.StageID
-	featRebuild obs.StageID
-	score       obs.StageID
-	journal     obs.StageID
+	process  obs.StageID
+	classify obs.StageID
+	featInc  obs.StageID
+	score    obs.StageID
+	journal  obs.StageID
 }
 
 func newEngineStages(t *obs.Tracer) engineStages {
 	return engineStages{
-		process:     t.Stage("detector.process"),
-		classify:    t.Stage("detector.classify"),
-		featInc:     t.Stage("features.incremental"),
-		featRebuild: t.Stage("features.rebuild"),
-		score:       t.Stage("ml.score"),
-		journal:     t.Stage("journal.write"),
+		process:  t.Stage("detector.process"),
+		classify: t.Stage("detector.classify"),
+		featInc:  t.Stage("features.incremental"),
+		score:    t.Stage("ml.score"),
+		journal:  t.Stage("journal.write"),
 	}
 }

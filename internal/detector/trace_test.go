@@ -2,8 +2,8 @@ package detector
 
 // Pipeline-tracing integration tests: every alert's journal record links
 // to a span tree in the ring whose stages nest inside the end-to-end
-// detector.process span and match the classification path actually taken
-// (incremental vs from-scratch rebuild), and Engine.Health reports the
+// detector.process span and record whether the classification appended
+// to the live WCG or reseeded it, and Engine.Health reports the
 // quarantine condition the /healthz endpoint serves.
 
 import (
@@ -101,8 +101,8 @@ func stageSet(snap obs.TraceSnapshot) map[string]obs.TraceSpan {
 }
 
 // TestAlertTraceLinkage is the per-engine acceptance check: the alert's
-// trace resolves to a well-formed tree whose feature-extraction stage
-// matches the path the journal record says was taken.
+// trace resolves to a well-formed tree with one feature-extraction stage,
+// and its classify span says append or reseed as the journal record does.
 func TestAlertTraceLinkage(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -124,25 +124,18 @@ func TestAlertTraceLinkage(t *testing.T) {
 				t.Fatalf("no journal.write span: %+v", snap.Spans)
 			}
 
-			_, inc := set["features.incremental"]
-			_, reb := set["features.rebuild"]
-			if recs[0].Incremental {
-				if !inc || reb {
-					t.Fatalf("record says incremental but spans say inc=%v rebuild=%v", inc, reb)
-				}
-				if !strings.Contains(classify.Flags, "incremental") {
-					t.Fatalf("classify span flags %q lack incremental", classify.Flags)
-				}
-			} else {
-				if !reb {
-					t.Fatalf("record says rebuild but the trace has no features.rebuild span: %+v", snap.Spans)
-				}
-				if !strings.Contains(classify.Flags, "rebuild") {
-					t.Fatalf("classify span flags %q lack rebuild", classify.Flags)
-				}
+			if fs, ok := set["features.incremental"]; !ok || fs.Parent != 1 {
+				t.Fatalf("no features.incremental span under detector.classify: %+v", snap.Spans)
 			}
-			if tc.disable && inc {
-				t.Fatal("DisableIncremental engine recorded a features.incremental span")
+			mode := "incremental"
+			if !recs[0].Incremental {
+				mode = "reseed"
+			}
+			if !strings.Contains(classify.Flags, mode) {
+				t.Fatalf("record says %s, classify span flags are %q", mode, classify.Flags)
+			}
+			if tc.disable == recs[0].Incremental {
+				t.Fatalf("DisableIncremental=%v engine journalled incremental=%v", tc.disable, recs[0].Incremental)
 			}
 		})
 	}
@@ -275,7 +268,7 @@ func TestTopologyRecomputesCounted(t *testing.T) {
 			var flagged []bool
 			for _, snap := range tracer.Snapshots() {
 				for _, sp := range snap.Spans {
-					if sp.Stage == "features.incremental" || sp.Stage == "features.rebuild" {
+					if sp.Stage == "features.incremental" {
 						flagged = append(flagged, strings.Contains(sp.Flags, "topology"))
 					}
 				}
@@ -297,9 +290,8 @@ func TestTopologyRecomputesCounted(t *testing.T) {
 // read, and the feature span hands its closing read to the score span, so
 // a related transaction on a watched client reads the clock
 // classificationReads times, two fewer than one read per span boundary.
-// That holds on the rebuild path as on the incremental one: with no
-// incremental attempt, features.rebuild is the span that shares
-// classify's opening read.
+// A reseed (every classification under DisableIncremental) runs inside
+// the same feature span and reads the clock no more.
 func TestClassificationClockReads(t *testing.T) {
 	const classificationReads = 6
 	for _, rebuild := range []bool{false, true} {

@@ -31,8 +31,11 @@ type AlertRecord struct {
 	WCGNodes         int    `json:"wcg_nodes"`
 	WCGEdges         int    `json:"wcg_edges"`
 	WCGStructVersion uint64 `json:"wcg_struct_version"`
-	// Incremental is false when this decision came from a from-scratch
-	// rebuild (DisableIncremental or a quarantine pin).
+	// Incremental is false exactly when this decision's classification
+	// reseeded the watched WCG: a record arrived earlier than one the live
+	// graph held, or DisableIncremental reseeds on every classification.
+	// Seeding a watch that has no live graph yet (at arming, after a
+	// restore or a quarantine) is not a reseed.
 	Incremental bool `json:"incremental"`
 
 	// ModelVersion identifies the exact forest that scored this alert

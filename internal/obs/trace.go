@@ -92,17 +92,19 @@ func ValidateSpanName(name string) error {
 type StageID int32
 
 // SpanFlags annotate a span with the serving conditions active when it
-// ran — quarantine attribution, the incremental-vs-rebuild
-// path, proxy retry/breaker outcomes.
+// ran — quarantine attribution, whether a classify appended or
+// reseeded, proxy retry/breaker outcomes.
 type SpanFlags uint16
 
 const (
 	// SpanAlert marks the span tree of an alert-raising transaction.
 	SpanAlert SpanFlags = 1 << iota
-	// SpanIncremental marks a classify served from the live WCG cursor.
+	// SpanIncremental marks a classify that appended the watch's new
+	// records to the live WCG.
 	SpanIncremental
-	// SpanRebuild marks a classify that rebuilt the WCG from scratch.
-	SpanRebuild
+	// SpanReseed marks a classify that reseeded the live WCG from the
+	// whole watch (an out-of-order record, or DisableIncremental).
+	SpanReseed
 	// SpanQuarantined marks work on a cluster with a quarantine strike.
 	SpanQuarantined
 	// SpanRetried marks an upstream attempt that was retried.
@@ -128,7 +130,7 @@ func (f SpanFlags) String() string {
 		name string
 	}{
 		{SpanAlert, "alert"}, {SpanIncremental, "incremental"},
-		{SpanRebuild, "rebuild"}, {SpanQuarantined, "quarantined"},
+		{SpanReseed, "reseed"}, {SpanQuarantined, "quarantined"},
 		{SpanRetried, "retried"}, {SpanBreakerOpen, "breaker_open"},
 		{SpanError, "error"}, {SpanTopology, "topology"},
 	}

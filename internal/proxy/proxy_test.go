@@ -1,8 +1,10 @@
 package proxy
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -88,7 +90,13 @@ func originMux() http.Handler {
 // testSetup wires origin server -> proxy -> client.
 func testSetup(t *testing.T, cfg Config, engine *detector.Engine) (*Proxy, *http.Client, func()) {
 	t.Helper()
-	origin := httptest.NewServer(originMux())
+	return testSetupWith(t, cfg, engine, originMux())
+}
+
+// testSetupWith wires an origin serving web -> proxy -> client.
+func testSetupWith(t *testing.T, cfg Config, engine *detector.Engine, web http.Handler) (*Proxy, *http.Client, func()) {
+	t.Helper()
+	origin := httptest.NewServer(web)
 
 	// Route all upstream traffic to the test origin regardless of logical
 	// host, preserving the Host header for routing.
@@ -226,6 +234,141 @@ func TestProxyRequestTimeFromClock(t *testing.T) {
 	}
 	if requests == 0 {
 		t.Fatal("the alert's graph has no request edge")
+	}
+}
+
+// vectorLog scores every vector 0.95 and keeps a copy of each, so two
+// engines can be compared on the exact features they classified.
+type vectorLog struct {
+	mu      sync.Mutex
+	vectors [][]float64
+}
+
+func (v *vectorLog) Score(x []float64) float64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.vectors = append(v.vectors, append([]float64(nil), x...))
+	return 0.95
+}
+
+// outOfOrderRun drives one client through the proxy into a watch, then
+// sends two concurrent requests on it: the first is stamped first, but
+// its upstream answers only after the second one has been relayed and
+// classified, so the engine receives the two out of request-time order.
+// Three more requests grow the watch in order. It returns what the
+// engine alerted, the vectors it scored and its stats.
+func outOfOrderRun(t *testing.T, cfg detector.Config) ([]detector.Alert, [][]float64, detector.Stats) {
+	t.Helper()
+	clock := &fakeClock{t: time.Date(2016, 7, 10, 12, 0, 0, 0, time.UTC)}
+	var mu sync.Mutex
+	var alerts []detector.Alert
+	scorer := &vectorLog{}
+	engine := detector.New(cfg, scorer)
+	arrived, release := make(chan struct{}), make(chan struct{})
+	web := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/slow.exe" {
+			close(arrived)
+			<-release
+		}
+		originMux().ServeHTTP(w, r)
+	})
+	_, client, cleanup := testSetupWith(t, Config{
+		Now: clock.Now,
+		OnAlert: func(a detector.Alert) {
+			mu.Lock()
+			alerts = append(alerts, a)
+			mu.Unlock()
+		},
+	}, engine, web)
+	defer cleanup()
+
+	// The proxy hands a transaction to the engine after relaying its
+	// response, so each step waits for the engine to have seen it.
+	seen := 0
+	settle := func() {
+		seen++
+		for deadline := time.Now().Add(10 * time.Second); engine.Stats().Transactions < seen; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the engine saw %d transactions, want %d", engine.Stats().Transactions, seen)
+			}
+		}
+	}
+	fetch := func(rawurl, referer string) {
+		get(t, client, rawurl, referer)
+		settle()
+	}
+	fetch("http://hop1.evil/go", "http://benign.com/")
+	fetch("http://hop2.evil/go", "http://hop1.evil/go")
+	fetch("http://hop3.evil/land", "http://hop2.evil/go")
+	fetch("http://drop.evil/p.exe", "http://hop3.evil/land")
+
+	slow := make(chan struct{})
+	go func() {
+		defer close(slow)
+		resp, err := client.Get("http://drop.evil/slow.exe")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}()
+	<-arrived // the slow request is stamped
+	fetch("http://drop.evil/fast.exe", "")
+	close(release)
+	<-slow
+	settle()
+	for _, path := range []string{"/a.exe", "/b.exe", "/c.exe"} {
+		fetch("http://drop.evil"+path, "")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return alerts, scorer.vectors, engine.Stats()
+}
+
+// TestProxyOutOfOrderReseedsOnce is the deployment's own out-of-order
+// case: two concurrent requests of one watched client that complete in
+// the other order. The watch reseeds once and appends every later
+// request, and the alerts and scored vectors equal those of an engine
+// that reseeds on every classification.
+func TestProxyOutOfOrderReseedsOnce(t *testing.T) {
+	alerts, vectors, st := outOfOrderRun(t, detector.Config{})
+	wantAlerts, wantVectors, oracle := outOfOrderRun(t, detector.Config{DisableIncremental: true})
+	if st.Classifications != 6 || st.Rebuilds != 1 {
+		t.Fatalf("engine stats %+v; want 6 classifications and exactly 1 reseed", st)
+	}
+	if oracle.Rebuilds != oracle.Classifications {
+		t.Fatalf("the always-reseeding engine reseeded %d of %d classifications", oracle.Rebuilds, oracle.Classifications)
+	}
+	if len(alerts) == 0 || len(alerts) != len(wantAlerts) {
+		t.Fatalf("%d alerts, the always-reseeding engine raised %d", len(alerts), len(wantAlerts))
+	}
+	for i, a := range alerts {
+		b := wantAlerts[i]
+		if !a.Time.Equal(b.Time) || a.TriggerHost != b.TriggerHost || a.ClusterID != b.ClusterID ||
+			math.Float64bits(a.Score) != math.Float64bits(b.Score) || a.WCGOrder != b.WCGOrder || a.WCGSize != b.WCGSize {
+			t.Fatalf("alert %d = %+v, the always-reseeding engine's = %+v", i, a, b)
+		}
+		var ga, gb bytes.Buffer
+		if err := a.Graph().WriteJSON(&ga); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Graph().WriteJSON(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ga.Bytes(), gb.Bytes()) {
+			t.Fatalf("alert %d's WCG differs from the always-reseeding engine's", i)
+		}
+	}
+	if len(vectors) != len(wantVectors) {
+		t.Fatalf("%d vectors scored, the always-reseeding engine scored %d", len(vectors), len(wantVectors))
+	}
+	for i := range vectors {
+		for j := range vectors[i] {
+			if math.Float64bits(vectors[i][j]) != math.Float64bits(wantVectors[i][j]) {
+				t.Fatalf("classification %d feature %d = %v, the always-reseeding engine's %v", i, j, vectors[i][j], wantVectors[i][j])
+			}
+		}
 	}
 }
 

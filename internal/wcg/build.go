@@ -1,8 +1,6 @@
 package wcg
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"dynaminer/internal/httpstream"
@@ -82,15 +80,9 @@ func FromTransactions(txs []httpstream.Transaction) *WCG {
 
 // FromRecords builds the finalized WCG of the records recs[i], i in idxs,
 // digested against t: they are added in request-time order, ties in idxs
-// order.
+// order (SeedIncrementalBuilder).
 func FromRecords(t *Table, recs []Record, idxs []int) *WCG {
-	order := slices.Clone(idxs)
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(recs[a].ReqTime, recs[b].ReqTime) })
-	b := NewTableBuilder(t)
-	for _, i := range order {
-		b.AddRecord(&recs[i])
-	}
-	return b.WCG()
+	return SeedIncrementalBuilder(t, recs, idxs).Finalize()
 }
 
 // addRedirect inserts a deduplicated redirect edge at ts.

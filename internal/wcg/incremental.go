@@ -1,6 +1,9 @@
 package wcg
 
 import (
+	"cmp"
+	"slices"
+
 	"dynaminer/internal/httpstream"
 )
 
@@ -13,10 +16,11 @@ import (
 //
 // Correctness contract: after N in-order appends, Finalize returns a WCG
 // byte-identical (WriteJSON) to FromRecords (or FromTransactions) over the
-// same N transactions. The batch builders stable-sort by request time, so
-// the identity only holds for non-decreasing arrival order — an append
-// refuses, without mutating anything, a transaction that would violate
-// it, and the caller falls back to the batch path.
+// same N transactions. FromRecords is SeedIncrementalBuilder plus
+// Finalize, and the seed stable-sorts by request time, so the identity
+// only holds for non-decreasing arrival order: an append refuses, without
+// mutating anything, a record that would violate it, and the caller
+// reseeds a fresh builder over the whole set, the refused record included.
 type IncrementalBuilder struct {
 	b       *Builder
 	lastReq int64
@@ -29,10 +33,25 @@ func NewIncrementalBuilder() *IncrementalBuilder {
 	return &IncrementalBuilder{b: NewBuilder()}
 }
 
-// NewTableIncrementalBuilder returns an empty incremental builder over
-// the records of t, for AppendRecord.
-func NewTableIncrementalBuilder(t *Table) *IncrementalBuilder {
-	return &IncrementalBuilder{b: NewTableBuilder(t)}
+// SeedIncrementalBuilder returns an incremental builder over the records
+// of t that has appended recs[i], i in idxs, in request-time order, ties
+// in idxs order; later records go in with AppendRecord. This stable sort
+// is the only place the order of a record set is decided, for FromRecords
+// and for the detector's live graphs alike. idxs is not modified, and
+// copied only when it is out of order (a watch seeded at arming rarely
+// is).
+func SeedIncrementalBuilder(t *Table, recs []Record, idxs []int) *IncrementalBuilder {
+	byReq := func(a, b int) int { return cmp.Compare(recs[a].ReqTime, recs[b].ReqTime) }
+	order := idxs
+	if !slices.IsSortedFunc(order, byReq) {
+		order = slices.Clone(idxs)
+		slices.SortStableFunc(order, byReq)
+	}
+	ib := &IncrementalBuilder{b: NewTableBuilder(t)}
+	for _, i := range order {
+		ib.AppendRecord(&recs[i])
+	}
+	return ib
 }
 
 // Append digests tx into the builder's table and appends its record; see
@@ -44,8 +63,7 @@ func (ib *IncrementalBuilder) Append(tx httpstream.Transaction) bool {
 
 // AppendRecord ingests one record of the builder's table in O(1)
 // amortized time. It reports false — leaving the WCG untouched — when r
-// arrives out of request-time order, in which case the caller must
-// rebuild from scratch.
+// arrives out of request-time order, in which case the caller reseeds.
 func (ib *IncrementalBuilder) AppendRecord(r *Record) bool {
 	if ib.count > 0 && r.ReqTime < ib.lastReq {
 		return false

@@ -77,7 +77,7 @@ func TestRecordBuilderMatchesRef(t *testing.T) {
 func TestIncrementalRecordsMatchBatch(t *testing.T) {
 	txs := sortedByReqTime(recordEdgeCases())
 	tab := Table{Client: victimIP}
-	ib := NewTableIncrementalBuilder(&tab)
+	ib := SeedIncrementalBuilder(&tab, nil, nil)
 	var recs []Record
 	var idxs []int
 	for i := range txs {

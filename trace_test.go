@@ -3,7 +3,7 @@ package dynaminer
 // PR-10 acceptance tests for pipeline tracing: every alert of a seeded
 // 55-episode run links, via its journal trace_id, to a span tree in the
 // ring whose stage spans nest inside the end-to-end detector.process
-// span and whose stage set matches the feature path actually taken; and
+// span and whose classify span says append or reseed as the record does; and
 // the admin surface (/metrics, /snapshot, /trace) stays well-formed
 // while classification runs concurrently (exercised under -race in CI).
 
@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,8 +63,12 @@ func TestSeededRunAlertTraceLinkage(t *testing.T) {
 		const eps = 1e-6
 		var childSum float64
 		names := map[string]bool{}
+		classifyFlags := ""
 		for j, sp := range snap.Spans {
 			names[sp.Stage] = true
+			if sp.Stage == "detector.classify" {
+				classifyFlags = sp.Flags
+			}
 			if j == 0 {
 				continue
 			}
@@ -78,16 +83,17 @@ func TestSeededRunAlertTraceLinkage(t *testing.T) {
 		if childSum > root.Dur+eps {
 			t.Fatalf("alert record %d: direct children sum to %vus inside a %vus root", i, childSum, root.Dur)
 		}
-		if !names["detector.classify"] || !names["ml.score"] || !names["journal.write"] {
+		if !names["detector.classify"] || !names["features.incremental"] || !names["ml.score"] || !names["journal.write"] {
 			t.Fatalf("alert record %d: stage set incomplete: %+v", i, names)
 		}
-		// The trace must tell the same incremental-vs-rebuild story as
-		// the provenance record.
-		if rec.Incremental && !names["features.incremental"] {
-			t.Fatalf("alert record %d says incremental, trace has no features.incremental span: %+v", i, names)
+		// The trace must tell the same append-or-reseed story as the
+		// provenance record.
+		mode := "incremental"
+		if !rec.Incremental {
+			mode = "reseed"
 		}
-		if !rec.Incremental && !names["features.rebuild"] {
-			t.Fatalf("alert record %d says rebuild, trace has no features.rebuild span: %+v", i, names)
+		if !strings.Contains(classifyFlags, mode) {
+			t.Fatalf("alert record %d says %s, its classify span is flagged %q", i, mode, classifyFlags)
 		}
 		// Shard attribution rides on the root span's arg; with 2 shards
 		// it must be a valid shard base.
