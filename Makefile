@@ -69,13 +69,13 @@ chaos:
 # reads as its whole records), the DMFB blob loader against its recursive test oracle (allocation
 # ceiling), the body sniffer's two
 # differentials against its regexp-only reference (each with an allocation
-# ceiling) and the shortest-path sweep's differential
-# against the plain graph kernels, which live only as the test oracle in
-# internal/graph/plain_ref_test.go (bit for bit, except mean betweenness:
-# its oracle is the integer closed form, checked against plain Brandes
-# to within 1e-9), which in its "graph, then one edit" mode also holds a
-# topology state updated through the edit to the kernels recomputed on
-# the edited graph, bit for bit. The three HTTP parser targets run the
+# ceiling) and the topology differential, Topology.Recompute against the
+# plain graph kernels, which live only as the test oracle in
+# internal/graph/plain_ref_test.go (every slot bit for bit, except mean
+# betweenness: its oracle is the integer closed form, checked against
+# plain Brandes to within 1e-9), which in its "graph, then one edit"
+# mode also holds a Topology updated through the edit to the plain
+# oracle on the edited graph, bit for bit. The three HTTP parser targets run the
 # in-place parser in lockstep with its net/http oracle
 # (internal/httpstream/parse_ref_test.go). Every target caps its minimizer
 # at 1s: left at the default minute per new-coverage input, the minimizer

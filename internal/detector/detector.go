@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -310,15 +311,16 @@ type cluster struct {
 
 	watching  bool
 	alerted   bool
-	watch     []int // indices into hist forming the potential-infection WCG
-	snapshot  []int // the watch set at the moment the clue fired
+	watch     []int // indices into hist forming the potential-infection WCG, ascending
 	watchLast time.Time
 	// related marks, by host-table index, the watch's related hosts;
 	// nRelated counts them.
 	related  []bool
 	nRelated int
 	// armIdx is the history index of the download that armed the watch:
-	// a host known since no later was seen before the clue fired.
+	// a host known since no later was seen before the clue fired. The
+	// watch's indices up to armIdx are its set at the moment the clue
+	// fired; include appends only later ones.
 	armIdx int
 
 	// Clue provenance for the current watch, recorded in journal entries:
@@ -592,7 +594,6 @@ func (s *shardState) step(c *cluster, r wcg.Record) []Alert {
 		c.clueHost, c.cluePayload, c.clueRedirects = c.hosts.Names[r.Host], r.PayloadClass(), c.redirects
 		c.armIdx = idx
 		c.buildPotentialWCG(idx)
-		c.snapshot = append([]int(nil), c.watch...)
 		c.watchLast = reqTime
 		return s.classify(c, idx)
 	}
@@ -901,8 +902,9 @@ func ClueSubsets(cfg Config, txs []httpstream.Transaction) []*wcg.WCG {
 		if !c.watching {
 			continue
 		}
-		collect(c.snapshot)
-		if len(c.watch) > len(c.snapshot) {
+		armed, _ := slices.BinarySearch(c.watch, c.armIdx+1)
+		collect(c.watch[:armed])
+		if len(c.watch) > armed {
 			collect(c.watch)
 		}
 	}
@@ -1084,7 +1086,6 @@ func (c *cluster) closeWatch() {
 	c.watching = false
 	c.alerted = false
 	c.watch = nil
-	c.snapshot = nil
 	c.related, c.nRelated, c.armIdx = nil, 0, 0
 	c.redirects = 0
 	c.clueHost, c.cluePayload, c.clueRedirects = "", 0, 0

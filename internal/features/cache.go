@@ -20,9 +20,10 @@ import (
 // which classifies each sync's change (DESIGN.md §8): none (parallel
 // edges, annotations, a first reverse-direction edge on an existing host
 // pair) refreshes nothing; one new leaf on an existing node (a new
-// call-back host) updates the slots from kept per-node integers in O(n);
-// anything else re-runs the sweep and the kernels through the reusable
-// graph.Scratch, which also refreshes the kept integers.
+// call-back host) moves the kept integers in O(n); anything else re-runs
+// the sweep and the kernels through the reusable graph.Scratch to refill
+// them. Either way one fold makes every float slot from those integers,
+// so the two paths serve the same bits.
 //
 // A Cache observes its WCG strictly through appends (the only mutation the
 // builder performs) and is not safe for concurrent use.

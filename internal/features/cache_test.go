@@ -20,8 +20,8 @@ import (
 // plainExtract is the from-scratch oracle of the cache: Summarize for the
 // HLF, HF and TF slots, the degree, density, volume and reciprocity counts
 // written out inline over the multigraph, closedForms for the three slots
-// served as closed forms, and the graph kernels on a fresh scratch for the
-// other topology slots (internal/graph holds those kernels to its plain
+// served as closed forms, and a fresh graph.Topology's recompute for the
+// other topology slots (internal/graph holds that recompute to its plain
 // oracle bit for bit, on these same synthetic WCGs). The cache must
 // reproduce it bit for bit.
 func plainExtract(w *wcg.WCG) []float64 {
@@ -53,8 +53,8 @@ func plainExtract(w *wcg.WCG) []float64 {
 			reciprocated++
 		}
 	}
-	sc := graph.NewScratch()
-	ps := g.PathStatsS(knnRadius, sc)
+	var top graph.Topology
+	ts := top.Recompute(g, knnRadius, graph.NewScratch())
 
 	v[6] = float64(n)
 	v[7] = float64(m)
@@ -63,7 +63,7 @@ func plainExtract(w *wcg.WCG) []float64 {
 		v[9] = float64(len(simple)) / float64(n*(n-1))
 	}
 	v[10] = float64(2 * m)
-	v[11] = float64(ps.Diameter)
+	v[11] = float64(ts.Diameter)
 	if n > 0 {
 		v[12] = float64(m) / float64(n)
 	}
@@ -72,13 +72,13 @@ func plainExtract(w *wcg.WCG) []float64 {
 		v[14] = float64(reciprocated) / float64(len(simple))
 	}
 	v[15], v[17], v[24] = closedForms(w)
-	v[16] = ps.Closeness
+	v[16] = ts.Closeness
 	v[18] = v[17] // f19 is served as f18
-	v[19] = float64(g.NodeConnectivityS(sc))
-	v[20] = g.AvgClusteringCoefficientS(sc)
-	v[21] = g.AvgNeighborDegreeS(sc)
-	v[22] = g.AvgDegreeConnectivityS(sc)
-	v[23] = ps.WithinK
+	v[19] = float64(ts.Connectivity)
+	v[20] = ts.Clustering
+	v[21] = ts.NeighborDegree
+	v[22] = ts.DegreeConnectivity
+	v[23] = ts.WithinK
 
 	v[25] = float64(s.GETs)
 	v[26] = float64(s.POSTs)

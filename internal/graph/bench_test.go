@@ -33,45 +33,30 @@ func BenchmarkCoreNumbers200(b *testing.B) {
 	}
 }
 
-// benchScratch runs fn against a warmed scratch so the numbers show the
-// zero-allocation steady state of the reusable workspace.
-func benchScratch(b *testing.B, fn func(g *Digraph, s *Scratch)) {
-	g := benchGraph(200)
-	s := NewScratch()
-	fn(g, s) // warm the buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn(g, s)
-	}
-}
-
-// BenchmarkPathStatsScratch200 is the one sweep that stands where the
-// Diameter, Closeness, Betweenness and NodesWithinK oracle kernels
-// (plain_ref_test.go) each run their own.
+// BenchmarkPathStatsScratch200 is the one topology recompute that stands
+// where the Diameter, Closeness, Betweenness, NodesWithinK, connectivity
+// and neighbourhood oracle kernels (plain_ref_test.go) each run their own.
 func BenchmarkPathStatsScratch200(b *testing.B) {
-	benchScratch(b, func(g *Digraph, s *Scratch) { g.PathStatsS(2, s) })
+	benchPathStats(b, benchGraph(200))
 }
 
-func BenchmarkNodeConnectivityScratch200(b *testing.B) {
-	benchScratch(b, func(g *Digraph, s *Scratch) { g.NodeConnectivityS(s) })
-}
+// topologySink keeps the benchmarked recompute's result live.
+var topologySink TopologyStats
 
-// pathStatsSink keeps the benchmarked sweep's result live.
-var pathStatsSink PathStats
-
-// benchPathStats times the sweep on g against a warmed scratch.
+// benchPathStats times a topology recompute of g on a kept Topology
+// against a warmed scratch.
 func benchPathStats(b *testing.B, g *Digraph) {
 	s := NewScratch()
-	g.PathStatsS(2, s)
+	var top Topology
+	top.Recompute(g, 2, s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pathStatsSink = g.PathStatsS(2, s)
+		topologySink = top.Recompute(g, 2, s)
 	}
 }
 
-// BenchmarkPathStatsChainClient79 is the sweep at watch_chain's final
+// BenchmarkPathStatsChainClient79 is the recompute at watch_chain's final
 // watched graph size: a victim, a four-host redirect chain and call-back
 // leaves, which reuse the victim's BFS.
 func BenchmarkPathStatsChainClient79(b *testing.B) {

@@ -8,7 +8,7 @@ type flowArc struct {
 
 // flowWS holds the Dinic max-flow state for localNodeConnectivityS. The
 // arc lists, level/iterator arrays, and BFS queue are reused across the
-// O(n·deg) flow computations one NodeConnectivityS call performs — and, via
+// O(n·deg) flow computations one nodeConnectivity call performs — and, via
 // Scratch, across every call on that scratch.
 type flowWS struct {
 	arcs  [][]flowArc

@@ -1,14 +1,14 @@
 // Package graph implements the directed-multigraph representation behind
 // DynaMiner's web conversation graph (WCG) and the one library of graph
-// analytics the topology features of f7–f25 read: the Scratch kernels
-// (scratch.go) — one shortest-path sweep for diameter, closeness,
-// within-k and the integer sum behind mean betweenness, in which the
-// degree-1 neighbours of one hub (a watched client's call-back hosts)
-// reuse the hub's BFS rather than running their own, plus node
-// connectivity, clustering and neighbourhood statistics — the Topology
-// that keeps their per-node integers for one growing graph, so a new leaf
-// updates every slot in O(n) (topology.go), and the extended A7 measures
-// (extra.go) on the same cached projections and BFS.
+// analytics the topology features of f7–f25 read. Its one topology entry
+// point is Topology (topology.go): Recompute runs the Scratch kernels
+// (scratch.go) — one shortest-path sweep, in which the degree-1
+// neighbours of one hub (a watched client's call-back hosts) reuse the
+// hub's BFS rather than running their own, node connectivity, and one
+// neighbourhood pass — which yield integers only; Update moves those
+// integers for a new leaf in O(n); and both end in one fold that makes
+// every float slot from them. The extended A7 measures (extra.go) run on
+// the same cached projections and BFS.
 // The graph keeps its edge log, multigraph degrees and both simple
 // projections (as sorted pair sets) current as each edge arrives, so the
 // counting features (order, size, degree, density, volume, reciprocity)
@@ -23,7 +23,7 @@
 // the undirected simple projection of the multigraph, degree-based measures
 // on the multigraph itself, and PageRank on the directed simple projection.
 // The plain, allocating kernels live on only as the test oracle in
-// plain_ref_test.go: bit for bit for every Scratch kernel, and within
+// plain_ref_test.go: bit for bit for every Topology slot, and within
 // 1e-9 for the three closed forms, whose definitions they are.
 package graph
 

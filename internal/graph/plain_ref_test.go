@@ -2,11 +2,12 @@ package graph
 
 import "sort"
 
-// The plain, allocating graph kernels that the Scratch kernels replaced,
-// kept as the oracle: every Scratch kernel must return exactly (bit for
-// bit) what these return, on every graph, and the closed forms served for
-// mean DegreeCentrality, BetweennessCentrality and PageRank must lie
-// within 1e-9 of their means (CheckTopologyIdentities). Each one builds
+// The plain, allocating graph kernels that the Scratch kernels and
+// Topology replaced, kept as the oracle: every Topology slot must be
+// exactly (bit for bit) what these return, on every graph, and the
+// closed forms served for mean DegreeCentrality, BetweennessCentrality
+// and PageRank must lie within 1e-9 of their means
+// (CheckTopologyIdentities). Each one builds
 // its own map-based projection and runs its own BFS per source — do not
 // optimise them, their value is that each reads as its definition. They
 // are exported so the external graph_test differential over synthetic

@@ -29,7 +29,7 @@ type Scratch struct {
 	arenaD []int
 	deg    []int
 
-	// Shortest-path sweep temporaries (PathStatsS; NodeConnectivityS and
+	// Shortest-path sweep temporaries (pathStats; nodeConnectivity and
 	// the extra.go measures borrow its BFS).
 	dist  []int
 	queue []int
@@ -37,13 +37,18 @@ type Scratch struct {
 	bfsRuns int
 
 	// Single-pass temporaries.
-	fsum   []float64
-	fcnt   []int
-	marks  []bool
-	marks2 []bool
+	marks   []bool
+	marks2  []bool
+	degrees []degreeBucket // Topology.fold's, indexed by degree
 
-	// Max-flow workspace for NodeConnectivityS.
+	// Max-flow workspace for nodeConnectivity.
 	flow flowWS
+}
+
+// degreeBucket sums the mean neighbour degrees of the nodes of one degree.
+type degreeBucket struct {
+	sum   float64
+	count int
 }
 
 // NewScratch returns an empty workspace.
@@ -127,51 +132,20 @@ func (s *Scratch) directed(g *Digraph) [][]int {
 	return s.dir
 }
 
-// PathStats is everything the feature extractor reads off shortest paths
-// in the undirected simple projection: the diameter, the mean number of
-// nodes within k hops, the node-order mean of Wasserman–Faust closeness,
-// and mean betweenness centrality in its closed form.
-type PathStats struct {
-	Diameter int
-	WithinK  float64
-	// Closeness is the node-order mean of the closeness vector.
-	Closeness float64
-	// Betweenness is mean Brandes betweenness (normalised by
-	// 1/((n-1)(n-2)), as BetweennessCentrality in plain_ref_test.go is)
-	// as one integer ratio: Σ(d − 1) over ordered reachable pairs, over
-	// n(n−1)(n−2), rounded once (zero below three nodes). Summed over
-	// nodes, the pair dependencies of one source–target pair count the
-	// interior nodes of its shortest paths, d − 1 of them on each, so the
-	// two agree up to the rounding of Brandes' sums (DESIGN.md §8). Mean
-	// Goh load centrality is the same sum under the same normalisation,
-	// so the extractor serves f19 as f18.
-	Betweenness float64
-}
-
-// PathStatsS computes PathStats with one BFS per source, except for the
-// degree-1 neighbours (leaves) of one hub, which reuse the hub's BFS. The
-// hub is the node of degree ≥ 2 with the most leaf neighbours, lowest id
-// on ties; on a watched WCG it is the victim, and most nodes are its
+// pathStats is the shortest-path sweep behind the diameter, within-k,
+// closeness and betweenness slots. It runs one BFS per source, except for
+// the degree-1 neighbours (leaves) of one hub, which reuse the hub's BFS.
+// The hub is the node of degree ≥ 2 with the most leaf neighbours, lowest
+// id on ties; on a watched WCG it is the victim, and most nodes are its
 // call-back leaves. A leaf L's BFS is the hub h's shifted by one hop, so
 // L's distance aggregates follow from h's integers in O(1): on a watched
 // client's star the sweep is a handful of BFSes, however many call-back
-// hosts it holds. Diameter, WithinK and Closeness come out of the
-// expressions the test oracle uses (plain_ref_test.go), over the same
-// operands in the same order, so they are bit-identical to Diameter(),
-// AvgNodesWithinK(k) and Mean(ClosenessCentrality()).
-func (g *Digraph) PathStatsS(k int, s *Scratch) PathStats { return g.pathStats(k, s, nil) }
-
-// pathStats is PathStatsS. A non-nil t receives every source's
-// (Σ distance, reach) and the sweep's integer diameter, within-k count and
-// betweenness sum.
-func (g *Digraph) pathStats(k int, s *Scratch, t *Topology) PathStats {
+// hosts it holds. It records every source's (Σ distance, reach) in
+// t.nodes and adds the diameter, the within-k count and the betweenness
+// sum Σ(d − 1) into t's totals, which Recompute has zeroed.
+func (g *Digraph) pathStats(k int, s *Scratch, t *Topology) {
 	adj := s.undirected(g)
-	n := len(adj)
-	var ps PathStats
-	if n == 0 {
-		return ps
-	}
-	s.sizeSweep(n)
+	s.sizeSweep(len(adj))
 	hub := leafHub(adj)
 	var hubSum, hubReach, hubEcc, hubIn, hubNear int
 	if hub >= 0 {
@@ -179,8 +153,6 @@ func (g *Digraph) pathStats(k int, s *Scratch, t *Topology) PathStats {
 		hubSum, hubReach, hubEcc, hubIn = s.distAggregates(k)
 		_, _, _, hubNear = s.distAggregates(k - 1)
 	}
-	within, excess := 0, 0
-	closeness := 0.0
 	for src := range adj {
 		var sum, reach, ecc, in int
 		switch {
@@ -199,34 +171,11 @@ func (g *Digraph) pathStats(k int, s *Scratch, t *Topology) PathStats {
 			s.bfs(adj, src)
 			sum, reach, ecc, in = s.distAggregates(k)
 		}
-		if t != nil {
-			t.nodes[src].sum, t.nodes[src].reach = sum, reach
-		}
-		within += in
-		excess += sum - reach
-		if sum > 0 {
-			if ecc > ps.Diameter {
-				ps.Diameter = ecc
-			}
-			closeness += closenessTerm(sum, reach, n)
-		}
+		t.nodes[src].sum, t.nodes[src].reach = sum, reach
+		t.diameter = max(t.diameter, ecc)
+		t.within += in
+		t.excess += sum - reach
 	}
-	if t != nil {
-		t.diameter, t.within, t.excess = ps.Diameter, within, excess
-	}
-	ps.WithinK = float64(within) / float64(n)
-	ps.Closeness = closeness / float64(n)
-	if n >= 3 {
-		ps.Betweenness = float64(excess) / float64(n*(n-1)*(n-2))
-	}
-	return ps
-}
-
-// closenessTerm is one source's Wasserman–Faust closeness: the share of
-// the other nodes it reaches times the reciprocal of their mean distance.
-func closenessTerm(sum, reach, n int) float64 {
-	frac := float64(reach) / float64(n-1)
-	return frac * float64(reach) / float64(sum)
 }
 
 // leafHub returns the node of degree ≥ 2 with the most degree-1
@@ -291,7 +240,7 @@ func (s *Scratch) bfs(adj [][]int, src int) {
 	s.queue = queue
 }
 
-// NodeConnectivityS is the minimum number of nodes whose removal
+// nodeConnectivity is the minimum number of nodes whose removal
 // disconnects the undirected simple projection (or isolates a node): 0
 // for a disconnected graph, n-1 for a complete one, otherwise the exact
 // vertex-split max-flow search between a minimum-degree node and every
@@ -302,7 +251,7 @@ func (s *Scratch) bfs(adj [][]int, src int) {
 // the common shapes off the flow loops: a connected graph has κ ≥ 1 and
 // every graph κ ≤ δ, so a degree-1 node settles κ = 1 outright, and the
 // search stops the moment any pair's local connectivity reaches 1.
-func (g *Digraph) NodeConnectivityS(s *Scratch) int {
+func (g *Digraph) nodeConnectivity(s *Scratch) int {
 	adj := s.undirected(g)
 	n := len(adj)
 	if n < 2 {
@@ -376,132 +325,34 @@ func (g *Digraph) NodeConnectivityS(s *Scratch) int {
 	return best
 }
 
-// AvgClusteringCoefficientS is the mean local clustering coefficient
-// (f21) of the undirected simple projection: per node, the fraction of
-// pairs of its neighbours that are themselves adjacent (zero below
-// degree 2), accumulated in node order.
-func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 { return g.clustering(s, nil) }
-
-// clustering is AvgClusteringCoefficientS. A non-nil t receives every
-// node's count of links among its neighbours.
-func (g *Digraph) clustering(s *Scratch, t *Topology) float64 {
+// neighborhoods records, for every node of the undirected simple
+// projection, its degree, the sum of its neighbours' degrees and the
+// number of edges among its neighbours (zero below degree 2) in t.nodes.
+func (g *Digraph) neighborhoods(s *Scratch, t *Topology) {
 	adj := s.undirected(g)
-	n := len(adj)
-	if n == 0 {
-		return 0
-	}
-	s.marks = grow(s.marks, n)
+	s.marks = grow(s.marks, len(adj))
 	clear(s.marks)
-	sum := 0.0
-	for u := range adj {
-		k := len(adj[u])
-		links := 0
-		if k >= 2 {
-			for _, v := range adj[u] {
+	for u, vs := range adj {
+		nbr, links := 0, 0
+		for _, v := range vs {
+			nbr += len(adj[v])
+		}
+		if len(vs) >= 2 {
+			for _, v := range vs {
 				s.marks[v] = true
 			}
-			for _, v := range adj[u] {
+			for _, v := range vs {
 				for _, w := range adj[v] {
 					if w > v && s.marks[w] {
 						links++
 					}
 				}
 			}
-			for _, v := range adj[u] {
+			for _, v := range vs {
 				s.marks[v] = false
 			}
-			sum += clusteringTerm(links, k)
 		}
-		if t != nil {
-			t.nodes[u].links = links
-		}
+		p := &t.nodes[u]
+		p.deg, p.nbr, p.links = len(vs), nbr, links
 	}
-	return sum / float64(n)
-}
-
-// clusteringTerm is the local clustering coefficient of a node of degree
-// k ≥ 2 whose neighbours share links edges.
-func clusteringTerm(links, k int) float64 {
-	return 2 * float64(links) / (float64(k) * float64(k-1))
-}
-
-// AvgNeighborDegreeS is the mean over nodes of each node's mean
-// neighbour degree in the undirected simple projection (f22; an isolated
-// node's is zero), summed in node order: bit-identical to the Mean of the
-// AvgNeighborDegrees vector.
-func (g *Digraph) AvgNeighborDegreeS(s *Scratch) float64 { return g.neighborDegree(s, nil) }
-
-// neighborDegree is AvgNeighborDegreeS. A non-nil t receives every node's
-// degree and the sum of its neighbours' degrees.
-func (g *Digraph) neighborDegree(s *Scratch, t *Topology) float64 {
-	adj := s.undirected(g)
-	if len(adj) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for u := range adj {
-		deg := 0
-		for _, v := range adj[u] {
-			deg += len(adj[v])
-		}
-		if t != nil {
-			t.nodes[u].deg, t.nodes[u].nbr = len(adj[u]), deg
-		}
-		if len(adj[u]) == 0 {
-			continue // adding the vector's zero would leave sum as it is
-		}
-		sum += float64(deg) / float64(len(adj[u]))
-	}
-	return sum / float64(len(adj))
-}
-
-// AvgDegreeConnectivityS is "average degree for connected nodes" (f23) as
-// one scalar: the NetworkX average degree connectivity (for each degree
-// k, the mean neighbour degree over nodes of degree k) averaged over the
-// degrees present. Per-degree sums live in slice buckets and combine in
-// ascending-degree order, so the low bits are deterministic.
-func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
-	adj := s.undirected(g)
-	maxDeg := 0
-	for u := range adj {
-		if len(adj[u]) > maxDeg {
-			maxDeg = len(adj[u])
-		}
-	}
-	s.fsum = grow(s.fsum, maxDeg+1)
-	clear(s.fsum)
-	s.fcnt = grow(s.fcnt, maxDeg+1)
-	clear(s.fcnt)
-	for u := range adj {
-		k := len(adj[u])
-		if k == 0 {
-			continue
-		}
-		sum := 0
-		for _, v := range adj[u] {
-			sum += len(adj[v])
-		}
-		s.fsum[k] += float64(sum) / float64(k)
-		s.fcnt[k]++
-	}
-	return s.degreeConnectivity(maxDeg)
-}
-
-// degreeConnectivity combines the per-degree neighbour-degree sums and
-// node counts in s.fsum and s.fcnt, degrees 1 to maxDeg, in ascending
-// degree order: the mean over the degrees present of each degree's mean.
-func (s *Scratch) degreeConnectivity(maxDeg int) float64 {
-	degrees := 0
-	total := 0.0
-	for k := 1; k <= maxDeg; k++ {
-		if s.fcnt[k] == 0 {
-			continue
-		}
-		total += s.fsum[k] / float64(s.fcnt[k])
-		degrees++
-	}
-	if degrees == 0 {
-		return 0
-	}
-	return total / float64(degrees)
 }

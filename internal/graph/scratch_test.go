@@ -34,40 +34,21 @@ func sameScalar(t *testing.T, name string, got, want float64) {
 	}
 }
 
-// checkPathStats holds the one shortest-path sweep and the bounded
-// connectivity to the oracle kernels in plain_ref_test.go: diameter,
-// within-k and closeness bit for bit, and mean betweenness bit for bit to
-// its integer closed form, which in turn lies within topologyTol of mean
-// plain Brandes betweenness.
-func checkPathStats(t *testing.T, g *Digraph, s *Scratch) {
-	t.Helper()
-	diameter := g.Diameter()
-	closeness := Mean(g.ClosenessCentrality())
-	betweenness := meanBetweennessForm(g)
-	nearForm(t, g, "mean Brandes betweenness", Mean(g.BetweennessCentrality()), betweenness)
-	for _, k := range []int{0, 1, 2, 3} {
-		ps := g.PathStatsS(k, s)
-		if ps.Diameter != diameter {
-			t.Fatalf("PathStatsS.Diameter = %d, want %d", ps.Diameter, diameter)
-		}
-		sameScalar(t, "WithinK", ps.WithinK, g.AvgNodesWithinK(k))
-		sameScalar(t, "Closeness", ps.Closeness, closeness)
-		sameScalar(t, "Betweenness", ps.Betweenness, betweenness)
-	}
-	if got, want := g.NodeConnectivityS(s), g.NodeConnectivity(); got != want {
-		t.Fatalf("NodeConnectivityS = %d, want %d", got, want)
-	}
-}
-
-// CheckScratchMatches runs every Scratch kernel against its oracle on g,
-// reusing s across calls. It is exported for the external differential
-// over synthetic WCGs (synth_wcg_test.go).
+// CheckScratchMatches holds a Topology recomputed on g by the Scratch
+// kernels to the plain oracle (plainTopology) bit for bit, at every
+// within-k radius the kernels are tested at, reusing s across calls, and
+// the integer closed form of mean betweenness to plain Brandes
+// betweenness within topologyTol. It is exported for the external
+// differential over synthetic WCGs (synth_wcg_test.go).
 func CheckScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
-	checkPathStats(t, g, s)
-	sameScalar(t, "AvgClusteringCoefficient", g.AvgClusteringCoefficientS(s), g.AvgClusteringCoefficient())
-	sameScalar(t, "AvgNeighborDegree", g.AvgNeighborDegreeS(s), Mean(g.AvgNeighborDegrees()))
-	sameScalar(t, "AvgDegreeConnectivity", g.AvgDegreeConnectivityS(s), g.AvgDegreeConnectivity())
+	want := plainTopology(g, 0)
+	nearForm(t, g, "mean Brandes betweenness", Mean(g.BetweennessCentrality()), want.Betweenness)
+	var top Topology
+	for _, k := range []int{0, 1, 2, 3} {
+		want.WithinK = g.AvgNodesWithinK(k)
+		sameTopology(t, "recompute", g, k, top.Recompute(g, k, s), want)
+	}
 }
 
 func TestScratchMatchesPlain(t *testing.T) {
@@ -109,47 +90,47 @@ func chainClientGraph(n int) *Digraph {
 }
 
 // TestPathStatsMatchesPlain is the standing differential behind the fused
-// sweep: bit-for-bit against the four oracle kernels (and NodeConnectivityS
-// against NodeConnectivity) on random multigraphs with self-loops, parallel
-// edges and several components, on the regular families, on the watched
-// chain-client shape at every size it passes through, and with one Scratch
-// carried from large graphs to small ones so stale buffer contents show.
+// sweep: every slot of a recompute bit for bit against the plain oracle
+// on random multigraphs with self-loops, parallel edges and several
+// components, on the regular families, on the watched chain-client shape
+// at every size it passes through, and with one Scratch carried from
+// large graphs to small ones so stale buffer contents show.
 func TestPathStatsMatchesPlain(t *testing.T) {
 	s := NewScratch()
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(80)
 		g := randomMultigraph(rng, n, rng.Intn(3*n))
-		checkPathStats(t, g, s)
+		CheckScratchMatches(t, g, s)
 	}
 	for n := 0; n <= 12; n++ {
-		checkPathStats(t, New(n), s) // edgeless
-		checkPathStats(t, pathGraph(n), s)
-		checkPathStats(t, starGraph(n), s)
-		checkPathStats(t, completeGraph(n), s)
+		CheckScratchMatches(t, New(n), s) // edgeless
+		CheckScratchMatches(t, pathGraph(n), s)
+		CheckScratchMatches(t, starGraph(n), s)
+		CheckScratchMatches(t, completeGraph(n), s)
 		if n > 0 {
-			checkPathStats(t, cycleGraph(n), s)
+			CheckScratchMatches(t, cycleGraph(n), s)
 		}
 		for a := 1; a <= 4; a++ {
-			checkPathStats(t, completeBipartite(a, n), s)
+			CheckScratchMatches(t, completeBipartite(a, n), s)
 		}
 	}
 	for n := 5; n <= 79; n++ {
-		checkPathStats(t, chainClientGraph(n), s)
+		CheckScratchMatches(t, chainClientGraph(n), s)
 	}
-	checkPathStats(t, benchGraph(200), s)
+	CheckScratchMatches(t, benchGraph(200), s)
 	for n := 80; n >= 1; n -= 3 { // shrinking: every buffer is longer than n
-		checkPathStats(t, randomMultigraph(rng, n, 2*n), s)
+		CheckScratchMatches(t, randomMultigraph(rng, n, 2*n), s)
 	}
 	// The shapes the sweep folds into its hub's BFS.
 	for n := 3; n <= 80; n++ {
-		checkPathStats(t, starGraph(n-1), s)
+		CheckScratchMatches(t, starGraph(n-1), s)
 	}
 	for trial := 0; trial < 300; trial++ {
-		checkPathStats(t, leafyGraph(rng, 1+rng.Intn(20), 1+rng.Intn(40)), s)
-		checkPathStats(t, tiedHubsGraph(rng, 1+rng.Intn(12), rng.Intn(4)), s)
-		checkPathStats(t, starBesideK2s(rng, 1+rng.Intn(30), 1+rng.Intn(5)), s)
-		checkPathStats(t, degreeTwoHubGraph(rng, 2+rng.Intn(20)), s)
+		CheckScratchMatches(t, leafyGraph(rng, 1+rng.Intn(20), 1+rng.Intn(40)), s)
+		CheckScratchMatches(t, tiedHubsGraph(rng, 1+rng.Intn(12), rng.Intn(4)), s)
+		CheckScratchMatches(t, starBesideK2s(rng, 1+rng.Intn(30), 1+rng.Intn(5)), s)
+		CheckScratchMatches(t, degreeTwoHubGraph(rng, 2+rng.Intn(20)), s)
 	}
 }
 
@@ -230,9 +211,10 @@ func degreeTwoHubGraph(rng *rand.Rand, c int) *Digraph {
 func TestPathStatsFoldsLeaves(t *testing.T) {
 	s := NewScratch()
 	runs := func(g *Digraph) int {
-		before := s.BFSRuns()
-		g.PathStatsS(2, s)
-		return s.BFSRuns() - before
+		top := Topology{nodes: make([]nodeStat, g.N())}
+		before := s.bfsRuns
+		g.pathStats(2, s, &top)
+		return s.bfsRuns - before
 	}
 	for n := 6; n <= 79; n++ {
 		// Nodes 1-4 carry the redirect chain; 5..n-1 are the victim's leaves.
@@ -275,13 +257,14 @@ func fuzzEdit(g *Digraph, x, y byte) {
 	_ = g.AddEdge(u, v)
 }
 
-// FuzzPathStats runs the same differential on graphs an input chooses:
-// the host graph of a watched client is drawn by whoever the client talks
-// to, which makes these kernels attacker-shaped input on the wire path.
-// With the top bit of the first byte set, the input is a graph, then one
-// edit (its last two bytes, fuzzEdit): a Topology recomputed on the graph
-// and updated through the edit must serve what the kernels compute on
-// the edited graph from scratch, bit for bit.
+// FuzzPathStats runs the same differential, Topology.Recompute against
+// the plain oracle, on graphs an input chooses: the host graph of a
+// watched client is drawn by whoever the client talks to, which makes
+// these kernels attacker-shaped input on the wire path. With the top bit
+// of the first byte set, the input is a graph, then one edit (its last
+// two bytes, fuzzEdit): a Topology recomputed on the graph and updated
+// through the edit must serve what the plain oracle computes on the
+// edited graph, bit for bit.
 func FuzzPathStats(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 1, 2})                         // path
@@ -305,7 +288,7 @@ func FuzzPathStats(f *testing.F) {
 		}
 		g := fuzzGraph(data)
 		newProjectionTracker().replay(t, g)
-		checkPathStats(t, g, s)
+		CheckScratchMatches(t, g, s)
 		if edit != nil {
 			var top Topology
 			before := top.Recompute(g, 2, s)
@@ -314,7 +297,7 @@ func FuzzPathStats(f *testing.F) {
 			if change == Unchanged {
 				st = before
 			}
-			checkTopology(t, "graph, then one edit", g, 2, st, s)
+			checkTopology(t, "graph, then one edit", g, 2, st)
 		}
 	})
 }
@@ -344,27 +327,29 @@ func TestScratchInvalidation(t *testing.T) {
 	CheckScratchMatches(t, g, s)
 }
 
+// TestScratchTinyGraphs runs the graphs of 0, 1 and 2 nodes through
+// Topology.Recompute: no slot is NaN (fold divides by n, so the empty
+// graph must not reach it), an edgeless graph's slots are all zero, and
+// every slot matches the oracle.
 func TestScratchTinyGraphs(t *testing.T) {
 	s := NewScratch()
-	for _, n := range []int{0, 1, 2} {
-		g := New(n)
-		if n == 2 {
-			if err := g.AddEdge(0, 1); err != nil {
-				t.Fatal(err)
+	edge := New(2)
+	if err := edge.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Digraph{New(0), New(1), New(2), edge} {
+		var top Topology
+		st := top.Recompute(g, 2, s)
+		for _, v := range []float64{st.WithinK, st.Closeness, st.Betweenness, st.Clustering, st.NeighborDegree, st.DegreeConnectivity} {
+			if math.IsNaN(v) {
+				t.Fatalf("%d nodes, %d edges: a NaN slot in %+v", g.N(), g.M(), st)
 			}
+		}
+		if g.M() == 0 && st != (TopologyStats{}) {
+			t.Fatalf("%d edgeless nodes: %+v, want all-zero slots", g.N(), st)
 		}
 		CheckScratchMatches(t, g, s)
 	}
-}
-
-// topologyKernels runs every Scratch kernel the feature extractor's
-// topology recompute runs (features.Cache), in its order.
-func topologyKernels(g *Digraph, s *Scratch) {
-	g.PathStatsS(2, s)
-	g.NodeConnectivityS(s)
-	g.AvgClusteringCoefficientS(s)
-	g.AvgNeighborDegreeS(s)
-	g.AvgDegreeConnectivityS(s)
 }
 
 // TestScratchSteadyStateAllocs pins the zero-allocation contract for the
@@ -378,7 +363,8 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	h := randomMultigraph(rng, 100, 350)
 	chain, star := chainClientGraph(79), starGraph(4096)
 	s := NewScratch()
-	all := func(g *Digraph) { topologyKernels(g, s) }
+	var top Topology
+	all := func(g *Digraph) { top.Recompute(g, 2, s) }
 	for _, x := range []*Digraph{g, h, chain, star} {
 		all(x) // warm up every buffer
 	}
@@ -396,12 +382,13 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScratchGrowthAllocs pins the amortised growth of the workspace: a
-// star grown one leaf at a time to 4 097 nodes, with every topology kernel
-// run after each new leaf as a watched client's cache runs them, makes at
-// most 100 allocations inside the kernels over all 4 096 steps. Buffers
+// star grown one leaf at a time to 4 097 nodes, with a topology recompute
+// on one kept Topology after each new leaf, makes at most 100
+// allocations inside the recomputes over all 4 096 steps. Buffers
 // resized to exactly n made several on every step.
 func TestScratchGrowthAllocs(t *testing.T) {
 	g, s := New(1), NewScratch()
+	var top Topology
 	var total uint64
 	var before, after runtime.MemStats
 	for i := 0; i < 4096; i++ {
@@ -409,7 +396,7 @@ func TestScratchGrowthAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)
-		topologyKernels(g, s)
+		top.Recompute(g, 2, s)
 		runtime.ReadMemStats(&after)
 		total += after.Mallocs - before.Mallocs
 	}
@@ -457,7 +444,7 @@ func meanBetweennessForm(g *Digraph) float64 {
 // serves for three Table II slots to the plain kernels that define them
 // (plain_ref_test.go), within topologyTol: f25 mean PageRank is 1/n, f16
 // mean degree centrality is 2·pairs/(n(n−1)) over the undirected simple
-// pairs, and f18 (and f19) mean betweenness is PathStatsS's integer ratio.
+// pairs, and f18 (and f19) mean betweenness is the sweep's integer ratio.
 func CheckTopologyIdentities(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
 	n := g.N()
@@ -476,5 +463,6 @@ func CheckTopologyIdentities(t *testing.T, g *Digraph, s *Scratch) {
 		t.Fatalf("UndirectedM = %d, the oracle projection has %d pairs", g.UndirectedM(), pairs)
 	}
 	nearForm(t, g, "mean degree centrality", Mean(g.DegreeCentrality()), float64(2*pairs)/float64(n*(n-1)))
-	nearForm(t, g, "mean betweenness", Mean(g.BetweennessCentrality()), g.PathStatsS(2, s).Betweenness)
+	var top Topology
+	nearForm(t, g, "mean betweenness", Mean(g.BetweennessCentrality()), top.Recompute(g, 2, s).Betweenness)
 }

@@ -1,13 +1,16 @@
 package graph
 
-// Topology keeps the per-node integers behind the topology feature slots
-// of one growing graph, so that the commonest structural change of a
-// watched client's graph — a new call-back host, which joins the
-// undirected simple projection as a leaf — updates every slot in O(n)
-// instead of re-running the shortest-path sweep and the neighbourhood
-// kernels (DESIGN.md §8). The update re-sums every float slot in node
-// order with the expressions of PathStatsS and the Scratch kernels, so
-// its slots are bit-identical to a full recompute.
+// Topology keeps the integers behind the topology feature slots of one
+// growing graph: each node's (Σ distance, reach), degree, neighbour-degree
+// sum and links among its neighbours, and the diameter, within-k count,
+// betweenness sum and node connectivity. Every float slot is a function of
+// these integers, computed in one place, fold, in node order; Recompute
+// fills the integers with the graph kernels and Update moves them for
+// the commonest structural change of a watched client's graph — a new
+// call-back host, which joins the undirected simple projection as a
+// leaf — in O(n) instead of re-running the kernels (DESIGN.md §8). Both
+// end in fold, so an update is bit-identical to a recompute by
+// construction.
 //
 // The zero value is empty; Recompute fills it. The state is the
 // caller's, one per graph it follows; the Scratch passed in is used only
@@ -37,15 +40,31 @@ type nodeStat struct {
 	dist       int // distance from Topology.row (-1: unreachable)
 }
 
-// TopologyStats are the topology slots a Topology serves: the sweep's
-// PathStats, the node connectivity, and the means of the local
-// clustering coefficient, the neighbour degree and the degree
-// connectivity — the values of PathStatsS, NodeConnectivityS,
-// AvgClusteringCoefficientS, AvgNeighborDegreeS and
-// AvgDegreeConnectivityS, bit for bit.
+// TopologyStats are the topology slots a Topology serves, all on the
+// undirected simple projection; each one's test oracle is a plain
+// kernel in plain_ref_test.go.
 type TopologyStats struct {
-	PathStats
-	Connectivity       int
+	Diameter int
+	// WithinK is the mean number of other nodes within k hops.
+	WithinK float64
+	// Closeness is the node-order mean of Wasserman–Faust closeness.
+	Closeness float64
+	// Betweenness is mean Brandes betweenness (normalised by
+	// 1/((n-1)(n-2)), as BetweennessCentrality in plain_ref_test.go is)
+	// as one integer ratio: Σ(d − 1) over ordered reachable pairs, over
+	// n(n−1)(n−2), rounded once (zero below three nodes). Summed over
+	// nodes, the pair dependencies of one source–target pair count the
+	// interior nodes of its shortest paths, d − 1 of them on each, so the
+	// two agree up to the rounding of Brandes' sums (DESIGN.md §8). Mean
+	// Goh load centrality is the same sum under the same normalisation,
+	// so the extractor serves f19 as f18.
+	Betweenness float64
+	// Connectivity is the node connectivity κ.
+	Connectivity int
+	// Clustering, NeighborDegree and DegreeConnectivity are the means of
+	// the local clustering coefficient, of each node's mean neighbour
+	// degree, and of NetworkX's average degree connectivity over the
+	// degrees present.
 	Clustering         float64
 	NeighborDegree     float64
 	DegreeConnectivity float64
@@ -67,18 +86,18 @@ const (
 	Recomputed
 )
 
-// Recompute derives t and the slots of g from scratch, with within-k
-// radius k: the Scratch kernels, recording their per-node integers.
+// Recompute derives t's integers from g with the graph kernels, with
+// within-k radius k, and folds the slots. An empty graph has all-zero
+// slots.
 func (t *Topology) Recompute(g *Digraph, k int, s *Scratch) TopologyStats {
-	t.nodes = grow(t.nodes, g.N())
-	t.k, t.m, t.pairs, t.row = k, g.M(), g.UndirectedM(), -1
-	st := TopologyStats{PathStats: g.pathStats(k, s, t)}
-	st.Connectivity = g.NodeConnectivityS(s)
-	st.Clustering = g.clustering(s, t)
-	st.NeighborDegree = g.neighborDegree(s, t)
-	st.DegreeConnectivity = g.AvgDegreeConnectivityS(s)
-	t.kappa = st.Connectivity
-	return st
+	*t = Topology{nodes: grow(t.nodes, g.N()), k: k, m: g.M(), pairs: g.UndirectedM(), row: -1}
+	if len(t.nodes) == 0 {
+		return TopologyStats{} // fold divides by n
+	}
+	g.pathStats(k, s, t)
+	g.neighborhoods(s, t)
+	t.kappa = g.nodeConnectivity(s)
+	return t.fold(s)
 }
 
 // Update brings t up to date with g, which must be the graph t last
@@ -174,45 +193,53 @@ func (t *Topology) addLeaf(g *Digraph, a int, s *Scratch) TopologyStats {
 	return t.fold(s)
 }
 
-// fold re-sums every float slot from t's integers in node order, with
-// the expressions of PathStatsS and the Scratch kernels. The graph has at
-// least two nodes.
+// fold computes every float slot from t's integers, summing in node
+// order; the graph has at least one node. Closeness is Wasserman–Faust:
+// the share of the other nodes a source reaches times the reciprocal of
+// their mean distance. Degree connectivity combines its per-degree
+// buckets in ascending degree order, so the low bits are deterministic.
 func (t *Topology) fold(s *Scratch) TopologyStats {
 	n := len(t.nodes)
-	s.fsum = grow(s.fsum, n)
-	clear(s.fsum)
-	s.fcnt = grow(s.fcnt, n)
-	clear(s.fcnt)
+	s.degrees = grow(s.degrees, n)
+	clear(s.degrees)
 	closeness, clustering, nbr := 0.0, 0.0, 0.0
 	maxDeg := 0
 	for _, p := range t.nodes {
 		if p.sum > 0 {
-			closeness += closenessTerm(p.sum, p.reach, n)
+			frac := float64(p.reach) / float64(n-1)
+			closeness += frac * float64(p.reach) / float64(p.sum)
 		}
 		if p.deg >= 2 {
-			clustering += clusteringTerm(p.links, p.deg)
+			clustering += 2 * float64(p.links) / (float64(p.deg) * float64(p.deg-1))
 		}
 		if p.deg > 0 {
 			mean := float64(p.nbr) / float64(p.deg)
 			nbr += mean
-			s.fsum[p.deg] += mean
-			s.fcnt[p.deg]++
+			s.degrees[p.deg].sum += mean
+			s.degrees[p.deg].count++
 		}
 		maxDeg = max(maxDeg, p.deg)
 	}
+	degrees, degConn := 0, 0.0
+	for k := 1; k <= maxDeg; k++ {
+		if b := s.degrees[k]; b.count > 0 {
+			degConn += b.sum / float64(b.count)
+			degrees++
+		}
+	}
 	st := TopologyStats{
-		PathStats: PathStats{
-			Diameter:  t.diameter,
-			WithinK:   float64(t.within) / float64(n),
-			Closeness: closeness / float64(n),
-		},
-		Connectivity:       t.kappa,
-		Clustering:         clustering / float64(n),
-		NeighborDegree:     nbr / float64(n),
-		DegreeConnectivity: s.degreeConnectivity(maxDeg),
+		Diameter:       t.diameter,
+		WithinK:        float64(t.within) / float64(n),
+		Closeness:      closeness / float64(n),
+		Connectivity:   t.kappa,
+		Clustering:     clustering / float64(n),
+		NeighborDegree: nbr / float64(n),
 	}
 	if n >= 3 {
 		st.Betweenness = float64(t.excess) / float64(n*(n-1)*(n-2))
+	}
+	if degrees > 0 {
+		st.DegreeConnectivity = degConn / float64(degrees)
 	}
 	return st
 }

@@ -6,19 +6,28 @@ import (
 	"testing"
 )
 
-// checkTopology holds a Topology's slots to the Scratch kernels on g, bit
-// for bit (the kernels are held to the plain oracle elsewhere).
-func checkTopology(t *testing.T, ctx string, g *Digraph, k int, got TopologyStats, s *Scratch) {
-	t.Helper()
-	want := TopologyStats{
-		PathStats:          g.PathStatsS(k, s),
-		Connectivity:       g.NodeConnectivityS(s),
-		Clustering:         g.AvgClusteringCoefficientS(s),
-		NeighborDegree:     g.AvgNeighborDegreeS(s),
-		DegreeConnectivity: g.AvgDegreeConnectivityS(s),
+// plainTopology is the oracle of the slots a Topology serves for g with
+// within-k radius k: the plain kernels of plain_ref_test.go, and for mean
+// betweenness its integer closed form (held to plain Brandes betweenness
+// within topologyTol by CheckScratchMatches and CheckTopologyIdentities).
+func plainTopology(g *Digraph, k int) TopologyStats {
+	return TopologyStats{
+		Diameter:           g.Diameter(),
+		WithinK:            g.AvgNodesWithinK(k),
+		Closeness:          Mean(g.ClosenessCentrality()),
+		Betweenness:        meanBetweennessForm(g),
+		Connectivity:       g.NodeConnectivity(),
+		Clustering:         g.AvgClusteringCoefficient(),
+		NeighborDegree:     Mean(g.AvgNeighborDegrees()),
+		DegreeConnectivity: g.AvgDegreeConnectivity(),
 	}
+}
+
+// sameTopology fails unless got is want bit for bit.
+func sameTopology(t *testing.T, ctx string, g *Digraph, k int, got, want TopologyStats) {
+	t.Helper()
 	if got.Diameter != want.Diameter || got.Connectivity != want.Connectivity {
-		t.Fatalf("%s (n=%d, k=%d): diameter %d, connectivity %d; the kernels give %d, %d",
+		t.Fatalf("%s (n=%d, k=%d): diameter %d, connectivity %d; the oracle gives %d, %d",
 			ctx, g.N(), k, got.Diameter, got.Connectivity, want.Diameter, want.Connectivity)
 	}
 	for _, f := range []struct {
@@ -34,6 +43,13 @@ func checkTopology(t *testing.T, ctx string, g *Digraph, k int, got TopologyStat
 	} {
 		sameScalar(t, ctx+": "+f.name, f.got, f.want)
 	}
+}
+
+// checkTopology holds the slots a Topology served for g to the plain
+// oracle, bit for bit.
+func checkTopology(t *testing.T, ctx string, g *Digraph, k int, got TopologyStats) {
+	t.Helper()
+	sameTopology(t, ctx, g, k, got, plainTopology(g, k))
 }
 
 // editKind names one kind of structural change a growing graph sees.
@@ -155,7 +171,7 @@ func applyEdit(rng *rand.Rand, g *Digraph, kind editKind) bool {
 
 // TestTopologyUpdateMatchesRecompute grows random graphs one change at a
 // time, through every kind of change in random order, and holds each
-// Update to the kernels on the grown graph bit for bit, and its
+// Update to the plain oracle on the grown graph bit for bit, and its
 // classification to the kind of change made. The leaf updates it sees
 // land on nodes in and out of the kept distance row, in several
 // components, at every within-k radius the kernels are tested at.
@@ -167,7 +183,7 @@ func TestTopologyUpdateMatchesRecompute(t *testing.T) {
 		k := rng.Intn(4)
 		g := randomMultigraph(rng, 1+rng.Intn(8), rng.Intn(12))
 		var top Topology
-		checkTopology(t, "recompute", g, k, top.Recompute(g, k, s), s)
+		checkTopology(t, "recompute", g, k, top.Recompute(g, k, s))
 		for step := 0; step < 40; step++ {
 			kind := editKind(rng.Intn(int(numEditKinds)))
 			if kind <= leafElsewhere && rng.Intn(2) == 0 {
@@ -186,14 +202,14 @@ func TestTopologyUpdateMatchesRecompute(t *testing.T) {
 				t.Fatalf("trial %d step %d: an unchanged projection ran %d BFSes", trial, step, s.bfsRuns-bfs)
 			}
 			if change != Unchanged {
-				checkTopology(t, "update", g, k, st, s)
+				checkTopology(t, "update", g, k, st)
 			}
 		}
 		// The changes Update skipped left the kept state right: one more
 		// leaf on top of them still matches.
 		if applyEdit(rng, g, leafOnHub) {
 			st, _ := top.Update(g, s)
-			checkTopology(t, "final leaf", g, k, st, s)
+			checkTopology(t, "final leaf", g, k, st)
 		}
 	}
 	for kind, c := range seen {
@@ -205,10 +221,12 @@ func TestTopologyUpdateMatchesRecompute(t *testing.T) {
 
 // TestTopologyLeafUpdateOnStar pins the watched client's loop: a star
 // grown leaf by leaf stays on the leaf update after the first sync and
-// matches the kernels at every size.
+// matches a recompute at every size, and the plain oracle at every size
+// up to 100 leaves and every tenth beyond (the plain connectivity
+// kernel runs a fresh max-flow per leaf pair, O(n²) on a star).
 func TestTopologyLeafUpdateOnStar(t *testing.T) {
 	g, s := New(1), NewScratch()
-	var top Topology
+	var top, fresh Topology
 	top.Recompute(g, 2, s)
 	for i := 0; i < 300; i++ {
 		_ = g.AddEdge(0, g.AddNode())
@@ -216,6 +234,9 @@ func TestTopologyLeafUpdateOnStar(t *testing.T) {
 		if change != NewLeaf {
 			t.Fatalf("leaf %d: classified %d, want NewLeaf", i, change)
 		}
-		checkTopology(t, "star", g, 2, st, s)
+		sameTopology(t, "star, against a recompute", g, 2, st, fresh.Recompute(g, 2, s))
+		if i < 100 || i%10 == 9 {
+			checkTopology(t, "star", g, 2, st)
+		}
 	}
 }
